@@ -8,7 +8,7 @@ instances_equivalent compares two instances modulo that id rewriting.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple
 from xml.sax.saxutils import escape, quoteattr
 
 from . import kinds as K

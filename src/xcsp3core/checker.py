@@ -1,20 +1,23 @@
 """Constraint checking, solution verification and objective evaluation.
 
+The semantics of every constraint kind sit in one table, _CHECKERS: a
+complete check and, for kinds that prune, a partial violation detector.
 check_constraint evaluates one constraint under a complete assignment of
 its scope. partial_violated detects certain violations from a partial
 assignment (used for pruning; it never flags a satisfiable extension).
 check_solution verifies a candidate instantiation against an instance.
+Scopes are not computed here: each kind carries its own var_ids (see
+kinds.py), and scope_of / objective_scope only copy them into lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import kinds as K
 from .errors import (
-    CheckError,
     CostMismatch,
     StarInScope,
     UnboundVariable,
@@ -24,7 +27,6 @@ from .errors import (
 )
 from .expr import Expr, VarRef, eval_expr, free_vars
 from .model import (
-    STAR,
     Condition,
     Instance,
     Instantiation,
@@ -34,112 +36,9 @@ from .model import (
 )
 
 
-def _uniq(ids: Iterable[str]) -> List[str]:
-    seen: Dict[str, None] = {}
-    for vid in ids:
-        seen.setdefault(vid, None)
-    return list(seen)
-
-
-def _cond_vars(condition: Condition) -> List[str]:
-    if isinstance(condition.operand, VarRef):
-        return [condition.operand.id]
-    return []
-
-
-def _val_vars(vals: Iterable[object]) -> List[str]:
-    out = []
-    for v in vals:
-        if isinstance(v, VarRef):
-            out.append(v.id)
-    return out
-
-
 def scope_of(kind: K.ConstraintKind) -> List[str]:
     """Every variable id the constraint reads, in first-use order."""
-    if isinstance(kind, K.Intension):
-        return free_vars(kind.function)
-    if isinstance(kind, K.Extension):
-        return list(kind.scope)
-    if isinstance(kind, (K.Regular, K.Mdd)):
-        return list(kind.scope)
-    if isinstance(kind, (K.AllDifferent, K.AllEqual)):
-        ids: List[str] = []
-        for op in kind.operands:
-            ids.extend(free_vars(op))
-        return _uniq(ids)
-    if isinstance(kind, K.AllDifferentLists):
-        return _uniq(v for lst in kind.lists for v in lst)
-    if isinstance(kind, (K.AllDifferentMatrix, K.Lex2)):
-        return _uniq(v for row in kind.rows for v in row)
-    if isinstance(kind, K.Ordered):
-        return _uniq(list(kind.vars) + _val_vars(kind.lengths or ()))
-    if isinstance(kind, K.Lex):
-        return _uniq(v for lst in kind.lists for v in lst)
-    if isinstance(kind, K.Sum):
-        ids = []
-        for t in kind.terms:
-            ids.extend(free_vars(t))
-        ids.extend(_val_vars(kind.coeffs))
-        ids.extend(_cond_vars(kind.condition))
-        return _uniq(ids)
-    if isinstance(kind, K.Count):
-        ids = []
-        for t in kind.operands:
-            ids.extend(free_vars(t))
-        ids.extend(_val_vars(kind.values))
-        ids.extend(_cond_vars(kind.condition))
-        return _uniq(ids)
-    if isinstance(kind, K.NValues):
-        ids = []
-        for t in kind.operands:
-            ids.extend(free_vars(t))
-        ids.extend(_cond_vars(kind.condition))
-        return _uniq(ids)
-    if isinstance(kind, K.Cardinality):
-        return _uniq(list(kind.vars) + _val_vars(kind.values) + _val_vars(kind.occurs))
-    if isinstance(kind, (K.Minimum, K.Maximum)):
-        ids = []
-        for t in kind.operands:
-            ids.extend(free_vars(t))
-        ids.extend(_cond_vars(kind.condition))
-        return _uniq(ids)
-    if isinstance(kind, K.ElementVarList):
-        return _uniq(list(kind.vars) + [kind.index] + _rhs_vars(kind.rhs))
-    if isinstance(kind, K.ElementValList):
-        return _uniq([kind.index] + _rhs_vars(kind.rhs))
-    if isinstance(kind, K.ElementMatrix):
-        ids = [c for row in kind.cells for c in row if isinstance(c, str)]
-        return _uniq(ids + [kind.row_index, kind.col_index] + _rhs_vars(kind.rhs))
-    if isinstance(kind, K.ChannelOne):
-        return _uniq(kind.vars)
-    if isinstance(kind, K.ChannelTwo):
-        return _uniq(list(kind.first) + list(kind.second))
-    if isinstance(kind, K.ChannelValue):
-        return _uniq(list(kind.vars) + [kind.value])
-    if isinstance(kind, K.NoOverlap1):
-        return _uniq(list(kind.origins) + _val_vars(kind.lengths))
-    if isinstance(kind, K.NoOverlapK):
-        ids = [v for box in kind.origins for v in box]
-        ids.extend(_val_vars(l for box in kind.lengths for l in box))
-        return _uniq(ids)
-    if isinstance(kind, K.Cumulative):
-        return _uniq(list(kind.origins) + _val_vars(kind.lengths)
-                     + _val_vars(kind.heights) + _cond_vars(kind.condition))
-    if isinstance(kind, K.Circuit):
-        extra = [kind.size.id] if isinstance(kind.size, VarRef) else []
-        return _uniq(list(kind.vars) + extra)
-    if isinstance(kind, K.InstantiationCtr):
-        return _uniq(kind.vars)
-    raise TypeError(f"unknown constraint kind {type(kind).__name__}")
-
-
-def _rhs_vars(rhs: K.ElementRhs) -> List[str]:
-    if isinstance(rhs, VarRef):
-        return [rhs.id]
-    if isinstance(rhs, Condition):
-        return _cond_vars(rhs)
-    return []
+    return list(kind.var_ids)
 
 
 def _resolve(val: K.Val, env: Mapping[str, int]) -> int:
@@ -152,7 +51,7 @@ def _resolve(val: K.Val, env: Mapping[str, int]) -> int:
 
 
 def ensure_scope_assigned(kind: K.ConstraintKind, env: Mapping[str, object]) -> None:
-    for vid in scope_of(kind):
+    for vid in kind.var_ids:
         v = env.get(vid)
         if isinstance(v, Star):
             raise StarInScope(vid)
@@ -166,6 +65,10 @@ def _tuple_matches(tup: Sequence[K.Value], values: Sequence[int]) -> bool:
     return all(isinstance(t, Star) or t == v for t, v in zip(tup, values))
 
 
+def _check_intension(kind: K.Intension, env: Mapping[str, int]) -> bool:
+    return eval_expr(kind.function, env) != 0
+
+
 def _check_extension(kind: K.Extension, env: Mapping[str, int]) -> bool:
     if kind.unary is not None:
         inside = kind.unary.contains(env[kind.scope[0]])
@@ -175,25 +78,25 @@ def _check_extension(kind: K.Extension, env: Mapping[str, int]) -> bool:
     return hit if kind.positive else not hit
 
 
-def _check_regular(kind: K.Regular, env: Mapping[str, int]) -> bool:
-    states = {kind.start}
+def _walk_states(kind: Union[K.Regular, K.Mdd], start: str,
+                 env: Mapping[str, int]) -> Set[str]:
+    """States reached from start by reading the scope's values; empty on a dead end."""
+    states = {start}
     for vid in kind.scope:
         v = env[vid]
         states = {dst for src, val, dst in kind.transitions if src in states and val == v}
         if not states:
-            return False
-    return bool(states & set(kind.finals))
+            break
+    return states
+
+
+def _check_regular(kind: K.Regular, env: Mapping[str, int]) -> bool:
+    return bool(_walk_states(kind, kind.start, env) & set(kind.finals))
 
 
 def _check_mdd(kind: K.Mdd, env: Mapping[str, int]) -> bool:
-    root, terminal = K.mdd_root_terminal(kind.transitions)
-    states = {root}
-    for vid in kind.scope:
-        v = env[vid]
-        states = {dst for src, val, dst in kind.transitions if src in states and val == v}
-        if not states:
-            return False
-    return terminal in states
+    root, terminal = kind.root_terminal
+    return terminal in _walk_states(kind, root, env)
 
 
 def _check_all_different(kind: K.AllDifferent, env: Mapping[str, int]) -> bool:
@@ -461,51 +364,10 @@ def _check_instantiation(kind: K.InstantiationCtr, env: Mapping[str, int]) -> bo
     return True
 
 
-_CHECKERS = {
-    K.Extension: _check_extension,
-    K.Regular: _check_regular,
-    K.Mdd: _check_mdd,
-    K.AllDifferent: _check_all_different,
-    K.AllDifferentLists: _check_all_different_lists,
-    K.AllDifferentMatrix: _check_all_different_matrix,
-    K.AllEqual: _check_all_equal,
-    K.Ordered: _check_ordered,
-    K.Lex: _check_lex,
-    K.Lex2: _check_lex2,
-    K.Sum: _check_sum,
-    K.Count: _check_count,
-    K.NValues: _check_nvalues,
-    K.Cardinality: _check_cardinality,
-    K.Minimum: _check_minimum,
-    K.Maximum: _check_maximum,
-    K.ElementVarList: _check_element_var_list,
-    K.ElementValList: _check_element_val_list,
-    K.ElementMatrix: _check_element_matrix,
-    K.ChannelOne: _check_channel_one,
-    K.ChannelTwo: _check_channel_two,
-    K.ChannelValue: _check_channel_value,
-    K.NoOverlap1: _check_no_overlap_1,
-    K.NoOverlapK: _check_no_overlap_k,
-    K.Cumulative: _check_cumulative,
-    K.Circuit: _check_circuit,
-    K.InstantiationCtr: _check_instantiation,
-}
-
-
-def check_constraint(kind: K.ConstraintKind, env: Mapping[str, int], *,
-                     validate: bool = True) -> bool:
-    """True iff the constraint holds under env (complete over its scope)."""
-    if validate:
-        ensure_scope_assigned(kind, env)
-    if isinstance(kind, K.Intension):
-        return eval_expr(kind.function, env) != 0
-    fn = _CHECKERS.get(type(kind))
-    if fn is None:
-        raise TypeError(f"unknown constraint kind {type(kind).__name__}")
-    return fn(kind, env)
-
-
 # -- partial violation detection ------------------------------------------------
+#
+# A detector sees a partial assignment and returns True only when no
+# extension of it can satisfy the constraint; kinds without one never prune.
 
 def _eval_if_ready(op: Expr, env: Mapping[str, int]) -> Optional[int]:
     if isinstance(op, VarRef):
@@ -517,98 +379,155 @@ def _eval_if_ready(op: Expr, env: Mapping[str, int]) -> Optional[int]:
     return eval_expr(op, env)
 
 
-def partial_violated(kind: K.ConstraintKind, env: Mapping[str, int]) -> bool:
-    """True only when no extension of env can satisfy the constraint.
-
-    Covers allDifferent, allEqual, ordered, lex, instantiation and
-    extension prefixes; everything else conservatively returns False.
-    """
-    if isinstance(kind, K.AllDifferent):
-        excepts = set(kind.excepts)
-        seen = set()
-        for op in kind.operands:
-            v = _eval_if_ready(op, env)
-            if v is None or v in excepts:
-                continue
-            if v in seen:
-                return True
-            seen.add(v)
-        return False
-    if isinstance(kind, K.AllEqual):
-        ready = [v for v in (_eval_if_ready(op, env) for op in kind.operands)
-                 if v is not None]
-        return len(set(ready)) > 1
-    if isinstance(kind, K.Ordered):
-        values = [env.get(v) for v in kind.vars]
-        for i in range(len(values) - 1):
-            a, b = values[i], values[i + 1]
-            if not (isinstance(a, int) and isinstance(b, int)):
-                continue
-            if kind.lengths is not None:
-                length = kind.lengths[i]
-                if isinstance(length, VarRef):
-                    lv = env.get(length.id)
-                    if not isinstance(lv, int):
-                        continue
-                    a = a + lv
-                else:
-                    a = a + length
-            if not kind.op.holds(a, b):
-                return True
-        return False
-    if isinstance(kind, K.Lex):
-        tuples = []
-        for lst in kind.lists:
-            vals = [env.get(v) for v in lst]
-            tuples.append(tuple(vals) if all(isinstance(v, int) for v in vals) else None)
-        for a, b in zip(tuples, tuples[1:]):
-            if a is not None and b is not None and not kind.op.holds(a, b):
-                return True
-        return False
-    if isinstance(kind, K.InstantiationCtr):
-        for vid, val in zip(kind.vars, kind.values):
-            if isinstance(val, Star):
-                continue
-            v = env.get(vid)
-            if isinstance(v, int) and v != val:
-                return True
-        return False
-    if isinstance(kind, K.Extension) and kind.tuples is not None:
-        assigned = [(p, env[vid]) for p, vid in enumerate(kind.scope)
-                    if isinstance(env.get(vid), int)]
-        if not assigned:
-            return False
-        if kind.positive:
-            # Violated when no tuple is compatible with the assigned positions.
-            for t in kind.tuples:
-                if all(isinstance(t[p], Star) or t[p] == v for p, v in assigned):
-                    return False
+def _partial_all_different(kind: K.AllDifferent, env: Mapping[str, int]) -> bool:
+    excepts = set(kind.excepts)
+    seen = set()
+    for op in kind.operands:
+        v = _eval_if_ready(op, env)
+        if v is None or v in excepts:
+            continue
+        if v in seen:
             return True
-        assigned_pos = {p for p, _ in assigned}
-        env_at = dict(assigned)
-        for t in kind.tuples:
-            concrete = [p for p in range(len(t)) if not isinstance(t[p], Star)]
-            if all(p in assigned_pos and env_at[p] == t[p] for p in concrete):
-                return True
-        return False
-    if isinstance(kind, K.Extension) and kind.unary is not None:
+        seen.add(v)
+    return False
+
+
+def _partial_all_equal(kind: K.AllEqual, env: Mapping[str, int]) -> bool:
+    ready = [v for v in (_eval_if_ready(op, env) for op in kind.operands)
+             if v is not None]
+    return len(set(ready)) > 1
+
+
+def _partial_ordered(kind: K.Ordered, env: Mapping[str, int]) -> bool:
+    values = [env.get(v) for v in kind.vars]
+    for i in range(len(values) - 1):
+        a, b = values[i], values[i + 1]
+        if not (isinstance(a, int) and isinstance(b, int)):
+            continue
+        if kind.lengths is not None:
+            length = kind.lengths[i]
+            if isinstance(length, VarRef):
+                lv = env.get(length.id)
+                if not isinstance(lv, int):
+                    continue
+                a = a + lv
+            else:
+                a = a + length
+        if not kind.op.holds(a, b):
+            return True
+    return False
+
+
+def _partial_lex(kind: K.Lex, env: Mapping[str, int]) -> bool:
+    tuples = []
+    for lst in kind.lists:
+        vals = [env.get(v) for v in lst]
+        tuples.append(tuple(vals) if all(isinstance(v, int) for v in vals) else None)
+    for a, b in zip(tuples, tuples[1:]):
+        if a is not None and b is not None and not kind.op.holds(a, b):
+            return True
+    return False
+
+
+def _partial_instantiation(kind: K.InstantiationCtr, env: Mapping[str, int]) -> bool:
+    for vid, val in zip(kind.vars, kind.values):
+        if isinstance(val, Star):
+            continue
+        v = env.get(vid)
+        if isinstance(v, int) and v != val:
+            return True
+    return False
+
+
+def _partial_extension(kind: K.Extension, env: Mapping[str, int]) -> bool:
+    if kind.unary is not None:
         v = env.get(kind.scope[0])
         if isinstance(v, int):
             inside = kind.unary.contains(v)
             return not inside if kind.positive else inside
         return False
+    assigned = [(p, env[vid]) for p, vid in enumerate(kind.scope)
+                if isinstance(env.get(vid), int)]
+    if not assigned:
+        return False
+    if kind.positive:
+        # Violated when no tuple is compatible with the assigned positions.
+        for t in kind.tuples:
+            if all(isinstance(t[p], Star) or t[p] == v for p, v in assigned):
+                return False
+        return True
+    assigned_pos = {p for p, _ in assigned}
+    env_at = dict(assigned)
+    for t in kind.tuples:
+        concrete = [p for p in range(len(t)) if not isinstance(t[p], Star)]
+        if all(p in assigned_pos and env_at[p] == t[p] for p in concrete):
+            return True
     return False
+
+
+# -- the semantics table ------------------------------------------------------------
+
+_Check = Callable[..., bool]
+
+# kind -> (complete check, partial detector or None)
+_CHECKERS: Dict[type, Tuple[_Check, Optional[_Check]]] = {
+    K.Intension: (_check_intension, None),
+    K.Extension: (_check_extension, _partial_extension),
+    K.Regular: (_check_regular, None),
+    K.Mdd: (_check_mdd, None),
+    K.AllDifferent: (_check_all_different, _partial_all_different),
+    K.AllDifferentLists: (_check_all_different_lists, None),
+    K.AllDifferentMatrix: (_check_all_different_matrix, None),
+    K.AllEqual: (_check_all_equal, _partial_all_equal),
+    K.Ordered: (_check_ordered, _partial_ordered),
+    K.Lex: (_check_lex, _partial_lex),
+    K.Lex2: (_check_lex2, None),
+    K.Sum: (_check_sum, None),
+    K.Count: (_check_count, None),
+    K.NValues: (_check_nvalues, None),
+    K.Cardinality: (_check_cardinality, None),
+    K.Minimum: (_check_minimum, None),
+    K.Maximum: (_check_maximum, None),
+    K.ElementVarList: (_check_element_var_list, None),
+    K.ElementValList: (_check_element_val_list, None),
+    K.ElementMatrix: (_check_element_matrix, None),
+    K.ChannelOne: (_check_channel_one, None),
+    K.ChannelTwo: (_check_channel_two, None),
+    K.ChannelValue: (_check_channel_value, None),
+    K.NoOverlap1: (_check_no_overlap_1, None),
+    K.NoOverlapK: (_check_no_overlap_k, None),
+    K.Cumulative: (_check_cumulative, None),
+    K.Circuit: (_check_circuit, None),
+    K.InstantiationCtr: (_check_instantiation, _partial_instantiation),
+}
+
+
+def check_constraint(kind: K.ConstraintKind, env: Mapping[str, int], *,
+                     validate: bool = True) -> bool:
+    """True iff the constraint holds under env (complete over its scope)."""
+    if validate:
+        ensure_scope_assigned(kind, env)
+    return _CHECKERS[type(kind)][0](kind, env)
+
+
+def prunes(kind: K.ConstraintKind) -> bool:
+    """True when the kind has a partial violation detector."""
+    return _CHECKERS[type(kind)][1] is not None
+
+
+def partial_violated(kind: K.ConstraintKind, env: Mapping[str, int]) -> bool:
+    """True only when no extension of env can satisfy the constraint.
+
+    Kinds without a detector in the table conservatively return False.
+    """
+    detector = _CHECKERS[type(kind)][1]
+    return detector is not None and detector(kind, env)
 
 
 # -- objectives -----------------------------------------------------------------
 
 def objective_scope(obj: K.Objective) -> List[str]:
-    if obj.kind is K.ObjKind.EXPRESSION:
-        return free_vars(obj.expression)
-    ids: List[str] = []
-    for op in obj.operands:
-        ids.extend(free_vars(op))
-    return _uniq(ids)
+    return list(obj.var_ids)
 
 
 def eval_objective(obj: K.Objective, env: Mapping[str, int]) -> Union[int, Tuple[int, ...]]:
@@ -661,10 +580,10 @@ def useful_variables(instance: Instance) -> List[str]:
     """Variables referenced by at least one constraint or the objective."""
     used: Dict[str, None] = {}
     for posted in instance.constraints:
-        for vid in scope_of(posted.kind):
+        for vid in posted.kind.var_ids:
             used.setdefault(vid, None)
     if instance.objective is not None:
-        for vid in objective_scope(instance.objective):
+        for vid in instance.objective.var_ids:
             used.setdefault(vid, None)
     return list(used)
 
@@ -700,7 +619,7 @@ def check_solution(
         bad = []
         for position, posted in enumerate(instance.constraints):
             if skip_unassigned:
-                if any(not isinstance(env.get(v), int) for v in scope_of(posted.kind)):
+                if any(not isinstance(env.get(v), int) for v in posted.kind.var_ids):
                     continue
             if not check_constraint(posted.kind, env, validate=not skip_unassigned):
                 bad.append(posted.label(position))
@@ -722,7 +641,7 @@ def check_solution(
     if declared_cost is not None:
         if instance.objective is None:
             raise CostMismatch("cost declared but the instance has no objective")
-        if all(isinstance(env.get(v), int) for v in objective_scope(instance.objective)):
+        if all(isinstance(env.get(v), int) for v in instance.objective.var_ids):
             actual = eval_objective(instance.objective, env)
             if actual != declared_cost:
                 raise CostMismatch(f"declared cost {declared_cost}, actual {actual}")

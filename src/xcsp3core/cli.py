@@ -14,21 +14,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import xml.etree.ElementTree as ET
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .canonical import render_instance
-from .checker import CheckMode, VerdictKind, check_solution, scope_of
-from .errors import CheckError, CostMismatch, ParseError, SolverError, XcspError
-from .model import Instance, Instantiation, Value
-from .parser import (
-    ParserConfig,
-    _wrap,
-    parse_file,
-    read_int_values,
-    read_var_ids,
-)
-from .solver import SearchConfig, SolveResult, Status, VarOrder, solve
+from .checker import CheckMode, VerdictKind, check_solution
+from .errors import CheckError, ParseError, XcspError
+from .model import Instance, Instantiation
+from .parser import ParserConfig, parse_file, read_int_values, read_var_ids, read_xml
+from .solver import SearchConfig, Status, VarOrder, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -123,10 +116,7 @@ def _read_solution(path: str, instance: Instance,
     if text.lstrip().startswith("<"):
         if var_spec is not None:
             raise _UsageError("--vars only applies to bare value lists")
-        try:
-            root = _wrap(ET.fromstring(text), "/instantiation")
-        except ET.ParseError as e:
-            raise ParseError(f"malformed XML: {e}", path="/", rule="xml") from None
+        root = read_xml(text)
         if root.tag != "instantiation":
             raise ParseError(f"solution root must be <instantiation>, "
                              f"not <{root.tag}>", path=root.path, rule="solution")
@@ -287,7 +277,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"kind.{name}={histogram[name]}")
     arities: dict = {}
     for posted in instance.constraints:
-        n = len(scope_of(posted.kind))
+        n = len(posted.kind.var_ids)
         arities[n] = arities.get(n, 0) + 1
     for n in sorted(arities):
         print(f"arity.{n}={arities[n]}")
@@ -322,16 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except SolverError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except XcspError as e:
+    except (OSError, XcspError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
 

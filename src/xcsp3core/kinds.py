@@ -1,24 +1,67 @@
 """Typed constraint kinds and objectives.
 
-Each constraint family from the core subset gets one frozen dataclass.
-Variable lists are tuples of variable ids (strings); where the format
-grants integer-expression views (allDifferent, allEqual, sum, count,
-nValues, minimum, maximum and specialized objectives) the operand lists
-hold expression trees instead.
+Each constraint family from the core subset gets one frozen dataclass
+deriving from ConstraintKind. Variable lists are tuples of variable ids
+(strings); where the format grants integer-expression views (allDifferent,
+allEqual, sum, count, nValues, minimum, maximum and specialized
+objectives) the operand lists hold expression trees instead.
+
+Every kind and the Objective carry ``var_ids``: the variables they
+involve, derived once by one rule over the dataclass fields (see
+_Involving). Only Regular and Mdd override it, because their transitions
+hold state names, not variable ids. The semantics of each kind live in
+one table in checker.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, Optional, Tuple, Union
 
 from .errors import ParseError
-from .expr import Expr, VarRef
-from .model import Condition, Domain, Interval, Star, Value
+from .expr import Expr, OpCall, VarRef
+from .model import Condition, Domain, Interval, Value
 
 # value-or-variable slot (coeffs, lengths, heights, counted values, size)
 Val = Union[int, VarRef]
+
+
+def _collect(value: object, ids: Dict[str, None]) -> None:
+    if isinstance(value, str):
+        ids.setdefault(value, None)
+    elif isinstance(value, VarRef):
+        ids.setdefault(value.id, None)
+    elif isinstance(value, OpCall):
+        _collect(value.args, ids)
+    elif isinstance(value, Condition):
+        _collect(value.operand, ids)
+    elif isinstance(value, tuple):
+        for item in value:
+            _collect(item, ids)
+
+
+class _Involving:
+    """Something that involves variables: a constraint kind or an objective."""
+
+    @cached_property
+    def var_ids(self) -> Tuple[str, ...]:
+        """Ids of the variables involved, in first-use order, no duplicates.
+
+        Fields are walked in declaration order: a str is a variable id, a
+        VarRef gives its id, an expression its free variables, a Condition
+        its operand's id (if any); tuples are walked item by item and
+        anything else adds nothing.
+        """
+        ids: Dict[str, None] = {}
+        for f in fields(self):
+            _collect(getattr(self, f.name), ids)
+        return tuple(ids)
+
+
+class ConstraintKind(_Involving):
+    """Base class of the constraint kinds below."""
 
 
 class OrderOp(Enum):
@@ -38,12 +81,12 @@ class OrderOp(Enum):
 
 
 @dataclass(frozen=True)
-class Intension:
+class Intension(ConstraintKind):
     function: Expr
 
 
 @dataclass(frozen=True)
-class Extension:
+class Extension(ConstraintKind):
     """Table constraint. Non-unary tables hold tuples (with * wildcards
     allowed); unary tables hold a Domain built from value/interval tokens."""
 
@@ -60,69 +103,75 @@ class Extension:
 
 
 @dataclass(frozen=True)
-class Regular:
+class _Automaton(ConstraintKind):
+    """Regular and Mdd: labelled transitions between states along the scope."""
+
     scope: Tuple[str, ...]
     transitions: Tuple[Tuple[str, int, str], ...]
+
+    @property
+    def var_ids(self) -> Tuple[str, ...]:
+        return self.scope  # the transitions hold state names
+
+
+@dataclass(frozen=True)
+class Regular(_Automaton):
     start: str
     finals: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class Mdd:
-    scope: Tuple[str, ...]
-    transitions: Tuple[Tuple[str, int, str], ...]
-
-
-def mdd_root_terminal(transitions: Tuple[Tuple[str, int, str], ...]) -> Tuple[str, str]:
-    """Root has no incoming arcs, terminal no outgoing; both must be unique."""
-    sources = {t[0] for t in transitions}
-    targets = {t[2] for t in transitions}
-    roots = sources - targets
-    terminals = targets - sources
-    if len(roots) != 1 or len(terminals) != 1:
-        raise ParseError(
-            f"mdd needs one root and one terminal, found {sorted(roots)} / {sorted(terminals)}",
-            rule="mdd-shape")
-    return next(iter(roots)), next(iter(terminals))
+class Mdd(_Automaton):
+    @cached_property
+    def root_terminal(self) -> Tuple[str, str]:
+        """Root has no incoming arcs, terminal no outgoing; both must be unique."""
+        sources = {t[0] for t in self.transitions}
+        targets = {t[2] for t in self.transitions}
+        roots = sources - targets
+        terminals = targets - sources
+        if len(roots) != 1 or len(terminals) != 1:
+            raise ParseError(f"mdd needs one root and one terminal, found "
+                             f"{sorted(roots)} / {sorted(terminals)}", rule="mdd-shape")
+        return next(iter(roots)), next(iter(terminals))
 
 
 @dataclass(frozen=True)
-class AllDifferent:
+class AllDifferent(ConstraintKind):
     operands: Tuple[Expr, ...]
     excepts: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
-class AllDifferentLists:
+class AllDifferentLists(ConstraintKind):
     lists: Tuple[Tuple[str, ...], ...]
     excepts: Tuple[Tuple[int, ...], ...] = ()
 
 
 @dataclass(frozen=True)
-class AllDifferentMatrix:
+class AllDifferentMatrix(ConstraintKind):
     rows: Tuple[Tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
-class AllEqual:
+class AllEqual(ConstraintKind):
     operands: Tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
-class Ordered:
+class Ordered(ConstraintKind):
     vars: Tuple[str, ...]
     op: OrderOp
     lengths: Optional[Tuple[Val, ...]] = None
 
 
 @dataclass(frozen=True)
-class Lex:
+class Lex(ConstraintKind):
     lists: Tuple[Tuple[str, ...], ...]
     op: OrderOp
 
 
 @dataclass(frozen=True)
-class Lex2:
+class Lex2(ConstraintKind):
     """Lex chain over the rows and over the columns of a matrix."""
 
     rows: Tuple[Tuple[str, ...], ...]
@@ -130,28 +179,28 @@ class Lex2:
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(ConstraintKind):
     terms: Tuple[Expr, ...]
     coeffs: Tuple[Val, ...]
     condition: Condition
 
 
 @dataclass(frozen=True)
-class Count:
+class Count(ConstraintKind):
     operands: Tuple[Expr, ...]
     values: Tuple[Val, ...]
     condition: Condition
 
 
 @dataclass(frozen=True)
-class NValues:
+class NValues(ConstraintKind):
     operands: Tuple[Expr, ...]
     condition: Condition
     excepts: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
-class Cardinality:
+class Cardinality(ConstraintKind):
     vars: Tuple[str, ...]
     values: Tuple[Val, ...]
     occurs: Tuple[Union[int, VarRef, Interval], ...]
@@ -159,13 +208,13 @@ class Cardinality:
 
 
 @dataclass(frozen=True)
-class Minimum:
+class Minimum(ConstraintKind):
     operands: Tuple[Expr, ...]
     condition: Condition
 
 
 @dataclass(frozen=True)
-class Maximum:
+class Maximum(ConstraintKind):
     operands: Tuple[Expr, ...]
     condition: Condition
 
@@ -175,21 +224,21 @@ ElementRhs = Union[int, VarRef, Condition]
 
 
 @dataclass(frozen=True)
-class ElementVarList:
+class ElementVarList(ConstraintKind):
     vars: Tuple[str, ...]
     index: str
     rhs: ElementRhs
 
 
 @dataclass(frozen=True)
-class ElementValList:
+class ElementValList(ConstraintKind):
     values: Tuple[int, ...]
     index: str
     rhs: ElementRhs
 
 
 @dataclass(frozen=True)
-class ElementMatrix:
+class ElementMatrix(ConstraintKind):
     """cells holds variable ids (str) or plain values (int), homogeneously."""
 
     cells: Tuple[Tuple[Union[str, int], ...], ...]
@@ -199,38 +248,38 @@ class ElementMatrix:
 
 
 @dataclass(frozen=True)
-class ChannelOne:
+class ChannelOne(ConstraintKind):
     vars: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class ChannelTwo:
+class ChannelTwo(ConstraintKind):
     first: Tuple[str, ...]
     second: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class ChannelValue:
+class ChannelValue(ConstraintKind):
     vars: Tuple[str, ...]
     value: str
 
 
 @dataclass(frozen=True)
-class NoOverlap1:
+class NoOverlap1(ConstraintKind):
     origins: Tuple[str, ...]
     lengths: Tuple[Val, ...]
     zero_ignored: bool = True
 
 
 @dataclass(frozen=True)
-class NoOverlapK:
+class NoOverlapK(ConstraintKind):
     origins: Tuple[Tuple[str, ...], ...]
     lengths: Tuple[Tuple[Val, ...], ...]
     zero_ignored: bool = True
 
 
 @dataclass(frozen=True)
-class Cumulative:
+class Cumulative(ConstraintKind):
     origins: Tuple[str, ...]
     lengths: Tuple[Val, ...]
     heights: Tuple[Val, ...]
@@ -238,30 +287,17 @@ class Cumulative:
 
 
 @dataclass(frozen=True)
-class Circuit:
+class Circuit(ConstraintKind):
     vars: Tuple[str, ...]
     size: Optional[Val] = None
 
 
 @dataclass(frozen=True)
-class InstantiationCtr:
+class InstantiationCtr(ConstraintKind):
     """instantiation posted as a constraint; * entries restrict nothing."""
 
     vars: Tuple[str, ...]
     values: Tuple[Value, ...]
-
-
-ConstraintKind = Union[
-    Intension, Extension, Regular, Mdd,
-    AllDifferent, AllDifferentLists, AllDifferentMatrix, AllEqual,
-    Ordered, Lex, Lex2,
-    Sum, Count, NValues, Cardinality,
-    Minimum, Maximum,
-    ElementVarList, ElementValList, ElementMatrix,
-    ChannelOne, ChannelTwo, ChannelValue,
-    NoOverlap1, NoOverlapK, Cumulative, Circuit,
-    InstantiationCtr,
-]
 
 
 class Sense(Enum):
@@ -279,7 +315,7 @@ class ObjKind(Enum):
 
 
 @dataclass(frozen=True)
-class Objective:
+class Objective(_Involving):
     sense: Sense
     kind: ObjKind
     expression: Optional[Expr] = None

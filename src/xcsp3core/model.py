@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Mapping as MappingABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -97,21 +97,12 @@ class Domain:
         return " ".join(out)
 
 
-def domain_contains(domain: Domain, v: int) -> bool:
-    return domain.contains(v)
-
-
 @dataclass(frozen=True)
 class Variable:
     """An integer variable; domain None means declared-but-undefined."""
 
     id: str
     domain: Optional[Domain]
-
-    @property
-    def is_defined(self) -> bool:
-        return self.domain is not None
-
 
 @dataclass(frozen=True)
 class VarArray:
@@ -144,12 +135,6 @@ class VarArray:
 
     def cell_id(self, indexes: Sequence[int]) -> str:
         return self.id + "".join(f"[{i}]" for i in indexes)
-
-
-def cell_ids(array_id: str, size: Sequence[int]) -> List[str]:
-    """All cell ids of an array shape in row-major order."""
-    return [array_id + "".join(f"[{i}]" for i in idx)
-            for idx in itertools.product(*(range(n) for n in size))]
 
 
 # -- conditions ---------------------------------------------------------------
@@ -256,14 +241,6 @@ class Instantiation(MappingABC):
     def __repr__(self) -> str:
         inner = " ".join(f"{k}={v}" for k, v in self._values.items())
         return f"Instantiation({inner})"
-
-    def value(self, vid: str) -> int:
-        """Integer value of vid; Star and missing ids raise UnresolvedOperand."""
-        v = self._values.get(vid)
-        if not isinstance(v, int):
-            raise UnresolvedOperand(vid)
-        return v
-
 
 # -- compact tokens -----------------------------------------------------------
 
@@ -422,10 +399,6 @@ class Instance:
         return Framework.COP if self.objective is not None else Framework.CSP
 
     @property
-    def vars(self) -> Tuple[Variable, ...]:
-        return tuple(d for d in self.declarations if isinstance(d, Variable))
-
-    @property
     def arrays(self) -> Tuple[VarArray, ...]:
         return tuple(d for d in self.declarations if isinstance(d, VarArray))
 
@@ -446,10 +419,6 @@ class Instance:
 
     def has_variable(self, vid: str) -> bool:
         return vid in self._vars_by_id
-
-    def constraint_labels(self) -> List[str]:
-        return [c.label(i) for i, c in enumerate(self.constraints)]
-
 
 def export_id(identifier: str) -> str:
     """Flat-file spelling of a structured id: x[0][3] -> x_0_3, g[0] -> g_0."""

@@ -11,6 +11,7 @@ it never relaxes the whitespace rules.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import kinds as K
-from .checker import objective_scope, scope_of
 from .errors import (
     AliasOnForbiddenElement,
     ArityMismatch,
@@ -27,7 +27,6 @@ from .errors import (
     DuplicateId,
     ForwardAlias,
     LengthMismatch,
-    MalformedCompactToken,
     MisplacedOthers,
     MissingArgument,
     MissingVariables,
@@ -44,9 +43,12 @@ from .errors import (
     WhitespaceError,
     check_int64,
 )
-from .expr import Expr, Param, ParamRest, VarRef, is_identifier, parse_expr
+from .expr import Expr, VarRef, is_identifier, parse_expr
 from .kinds import Objective, ObjKind, OrderOp, Sense
 from .model import (
+    _COMPACT_RE,
+    _SLOT_RE,
+    _parse_slot,
     STAR,
     Condition,
     CondOp,
@@ -130,6 +132,15 @@ def _wrap(el: ET.Element, path: str) -> RawElement:
         children.append(_wrap(c, sub))
     text = "" if children_et else (el.text or "")
     return RawElement(el.tag, dict(el.attrib), children, text, path)
+
+
+def read_xml(text: str) -> RawElement:
+    """Parse XML text into the checked raw tree rooted at /<root tag>."""
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as e:
+        raise ParseError(f"malformed XML: {e}", path="/", rule="xml") from None
+    return _wrap(root, f"/{root.tag}")
 
 
 # -- token-level readers ---------------------------------------------------------
@@ -371,54 +382,27 @@ def _parse_size(text: str, path: str) -> Tuple[int, ...]:
     return dims
 
 
-def _flat(size: Sequence[int], indexes: Sequence[int]) -> int:
-    flat = 0
-    for n, i in zip(size, indexes):
-        flat = flat * n + i
-    return flat
-
-
-_SLOT_RE = re.compile(r"\[([^\[\]]*)\]")
-_COMPACT_SHAPE_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)((?:\[[^\[\]]*\])+)")
-
-
 def _for_token_cells(token: str, array_id: str, size: Sequence[int], path: str) -> List[int]:
     """Flat cell indexes selected by one for= token of a <domain> element."""
     if token == array_id:
-        return list(range(_count(size)))
-    m = _COMPACT_SHAPE_RE.fullmatch(token)
-    if not m or m.group(1) != array_id:
-        raise ParseError(f"for= token {token!r} does not select cells of {array_id!r}",
-                         path=path, rule="for-target")
-    slots = _SLOT_RE.findall(m.group(2))
-    if len(slots) != len(size):
-        raise ParseError(f"{token!r}: {len(slots)} index slots for "
-                         f"{len(size)}-dimensional array", path=path, rule="for-target")
-    ranges = []
-    for slot, dim in zip(slots, size):
-        if slot == "":
-            ranges.append(range(dim))
-            continue
-        mi = _INTERVAL_RE.fullmatch(slot)
-        if mi:
-            lo, hi = int(mi.group(1)), int(mi.group(2))
-        elif _INT_RE.fullmatch(slot):
-            lo = hi = int(slot)
-        else:
-            raise ParseError(f"bad index slot [{slot}] in {token!r}",
-                             path=path, rule="for-target")
-        if not 0 <= lo <= hi < dim:
-            raise ParseError(f"{token!r}: indexes {lo}..{hi} outside 0..{dim - 1}",
-                             path=path, rule="for-target")
-        ranges.append(range(lo, hi + 1))
-    return [_flat(size, idx) for idx in itertools.product(*ranges)]
-
-
-def _count(size: Sequence[int]) -> int:
-    total = 1
-    for n in size:
-        total *= n
-    return total
+        return list(range(math.prod(size)))
+    m = _COMPACT_RE.fullmatch(token)
+    try:
+        if not m or m.group(1) != array_id:
+            raise ParseError(f"for= token {token!r} does not select cells of {array_id!r}")
+        slots = _SLOT_RE.findall(m.group(2))
+        if len(slots) != len(size):
+            raise ParseError(f"{token!r}: {len(slots)} index slots for "
+                             f"{len(size)}-dimensional array")
+        flats = [0]
+        for slot, dim in zip(slots, size):
+            lo, hi, _ = _parse_slot(token, slot, dim)
+            if not 0 <= lo <= hi < dim:
+                raise ParseError(f"{token!r}: indexes {lo}..{hi} outside 0..{dim - 1}")
+            flats = [flat * dim + i for flat in flats for i in range(lo, hi + 1)]
+        return flats
+    except ParseError as e:
+        raise ParseError(e.message, path=path, rule="for-target") from None
 
 
 # A domain plan tells how to populate an array's cells; storing it by shape
@@ -563,7 +547,7 @@ class _VariablesBuilder:
 
     def _apply_plan(self, vid: str, size: Tuple[int, ...], plan: _DomainPlan,
                     path: str) -> List[Variable]:
-        total = _count(size)
+        total = math.prod(size)
         assigned: List[Optional[Domain]] = [plan.uniform] * total
         if plan.groups or plan.others is not None:
             taken = [False] * total
@@ -956,10 +940,10 @@ class _ConstraintReader:
         _check_children(el, frozenset({"list", "transitions"}))
         list_el = _required(el, "list")
         scope = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
-        transitions = self._read_transitions(_required(el, "transitions"))
+        mdd = K.Mdd(scope, self._read_transitions(_required(el, "transitions")))
         with _at(el.path):
-            K.mdd_root_terminal(transitions)
-        return K.Mdd(scope, transitions)
+            mdd.root_terminal  # reject a bad shape now, not when checking
+        return mdd
 
     def _read_allDifferent(self, el: RawElement) -> K.ConstraintKind:
         _check_attrs(el)
@@ -1361,11 +1345,7 @@ _SECTION_ORDER = ("variables", "constraints", "objectives", "annotations")
 
 def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
     cfg = config or ParserConfig()
-    try:
-        root_et = ET.fromstring(text)
-    except ET.ParseError as e:
-        raise ParseError(f"malformed XML: {e}", path="/", rule="xml") from None
-    root = _wrap(root_et, f"/{root_et.tag}")
+    root = read_xml(text)
     if root.tag != "instance":
         raise ParseError(f"root element must be <instance>, not <{root.tag}>",
                          path=root.path, rule="root")
@@ -1437,10 +1417,10 @@ def _validate_references(instance: Instance, decision: Optional[Tuple[str, ...]]
                                    rule="undefined-useful")
 
     for position, posted in enumerate(instance.constraints):
-        for vid in scope_of(posted.kind):
+        for vid in posted.kind.var_ids:
             check_useful(vid, f"constraint {posted.label(position)}")
     if instance.objective is not None:
-        for vid in objective_scope(instance.objective):
+        for vid in instance.objective.var_ids:
             check_useful(vid, "objective")
     for vid in decision or ():
         if not instance.has_variable(vid):
@@ -1452,14 +1432,13 @@ def _check_id_prefixes(vars_builder: _VariablesBuilder,
                        reader: _ConstraintReader) -> None:
     # Array ids and group ids are followed by [k] suffixes in derived names,
     # so they must not be a proper prefix of any other id.
-    all_ids = set(vars_builder.kind_of) | reader.used_ids
-    bases = [vid for vid, k in vars_builder.kind_of.items() if k == "array"]
-    bases += reader.group_ids
-    for base in bases:
-        for other in all_ids:
-            if other != base and other.startswith(base):
+    bases = {vid for vid, k in vars_builder.kind_of.items() if k == "array"}
+    bases.update(reader.group_ids)
+    for other in reader.used_ids:  # declared ids and constraint ids
+        for end in range(1, len(other)):
+            if other[:end] in bases:
                 raise ParseError(
-                    f"id {base!r} is a prefix of {other!r}; array and group ids "
+                    f"id {other[:end]!r} is a prefix of {other!r}; array and group ids "
                     f"must not prefix other ids", rule="id-prefix")
 
 

@@ -12,15 +12,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from . import kinds as K
 from .checker import (
     check_constraint,
     eval_objective,
-    objective_scope,
     partial_violated,
-    scope_of,
+    prunes,
     useful_variables,
 )
 from .errors import SolverError, UnforcedVariable
@@ -69,11 +67,6 @@ class _LimitReached(Exception):
     pass
 
 
-# constraint kinds with a partial violation detector worth calling
-_PARTIAL_KINDS = (K.AllDifferent, K.AllEqual, K.Ordered, K.Lex,
-                  K.InstantiationCtr, K.Extension)
-
-
 class _Search:
     def __init__(self, instance: Instance, cfg: SearchConfig):
         self.instance = instance
@@ -115,18 +108,16 @@ class _Search:
         self.branch_len = len(branch)
 
         self.kinds = [posted.kind for posted in instance.constraints]
-        self.scopes = [scope_of(kind) for kind in self.kinds]
         # constraints without variables are settled here, once
         self.infeasible = any(
             not check_constraint(kind, {}, validate=False)
-            for kind, scope in zip(self.kinds, self.scopes) if not scope)
-        self.remaining = [len(scope) for scope in self.scopes]
+            for kind in self.kinds if not kind.var_ids)
+        self.remaining = [len(kind.var_ids) for kind in self.kinds]
         self.touching: Dict[str, List[int]] = {v.id: [] for v in self.order}
-        for ci, scope in enumerate(self.scopes):
-            for vid in scope:
+        for ci, kind in enumerate(self.kinds):
+            for vid in kind.var_ids:
                 self.touching[vid].append(ci)
-        self.partial_ok = [cfg.partial_checks and isinstance(kind, _PARTIAL_KINDS)
-                           for kind in self.kinds]
+        self.partial_ok = [cfg.partial_checks and prunes(kind) for kind in self.kinds]
 
         self.objective = instance.objective
         if self.objective is not None:

@@ -1,0 +1,132 @@
+"""Per-kind guards: one small document per constraint kind.
+
+Each case gives the constraint's scope by hand: the variables it involves
+in first-use order, without duplicates. Regular and Mdd name their states
+after declared variables so that a scope read from their transitions
+would show.
+"""
+
+import pytest
+
+from xcsp3core import kinds as K
+from xcsp3core.canonical import instances_equivalent, render_instance
+from xcsp3core.checker import _CHECKERS, objective_scope, scope_of
+from xcsp3core.parser import parse_string
+
+DECLARATIONS = """
+    <var id="a"> 0..3 </var> <var id="b"> 0..3 </var> <var id="c"> 0..3 </var>
+    <var id="d"> 0..3 </var> <var id="e"> 0..3 </var>
+    <array id="x" size="[3]"> 0..2 </array>
+"""
+
+# (kind, constraint element, scope)
+CASES = [
+    ("Intension", "<intension> eq(add(b,a),mul(b,2)) </intension>", ["b", "a"]),
+    ("Extension", "<extension><list> c a </list><supports> (0,1)(1,*) </supports>"
+                  "</extension>", ["c", "a"]),
+    ("Regular", "<regular><list> c b </list><transitions> (a,0,d)(d,1,e) </transitions>"
+                "<start> a </start><final> e </final></regular>", ["c", "b"]),
+    ("Mdd", "<mdd><list> c b </list><transitions> (a,0,d)(a,1,d)(d,1,e) </transitions>"
+            "</mdd>", ["c", "b"]),
+    ("AllDifferent", "<allDifferent> c add(a,c) b </allDifferent>", ["c", "a", "b"]),
+    ("AllDifferentLists", "<allDifferent><list> b a </list><list> a c </list>"
+                          "</allDifferent>", ["b", "a", "c"]),
+    ("AllDifferentMatrix", "<allDifferent><matrix> (b,a)(c,b) </matrix></allDifferent>",
+     ["b", "a", "c"]),
+    ("AllEqual", "<allEqual> c b c </allEqual>", ["c", "b"]),
+    ("Ordered", "<ordered><list> b a c </list><lengths> d 1 </lengths>"
+                "<operator> le </operator></ordered>", ["b", "a", "c", "d"]),
+    ("Lex", "<lex><list> b a </list><list> c b </list><operator> le </operator></lex>",
+     ["b", "a", "c"]),
+    ("Lex2", "<lex><matrix> (b,a)(c,d) </matrix><operator> lt </operator></lex>",
+     ["b", "a", "c", "d"]),
+    ("Sum", "<sum><list> b a </list><coeffs> e 2 </coeffs><condition> (le,a) </condition>"
+            "</sum>", ["b", "a", "e"]),
+    ("Count", "<count><list> b add(a,c) </list><values> d 1 </values>"
+              "<condition> (ge,e) </condition></count>", ["b", "a", "c", "d", "e"]),
+    ("NValues", "<nValues><list> c b c </list><condition> (eq,a) </condition></nValues>",
+     ["c", "b", "a"]),
+    ("Cardinality", "<cardinality><list> b a </list><values> c 1 </values>"
+                    "<occurs> d 0..1 </occurs></cardinality>", ["b", "a", "c", "d"]),
+    ("Minimum", "<minimum><list> c mul(b,2) </list><condition> (eq,a) </condition>"
+                "</minimum>", ["c", "b", "a"]),
+    ("Maximum", "<maximum><list> x[] </list><condition> (in,1..2) </condition>"
+                "</maximum>", ["x[0]", "x[1]", "x[2]"]),
+    ("ElementVarList", "<element><list> c b </list><index> a </index><value> d </value>"
+                       "</element>", ["c", "b", "a", "d"]),
+    ("ElementValList", "<element><list> 3 1 2 </list><index> b </index>"
+                       "<value> a </value></element>", ["b", "a"]),
+    ("ElementMatrix", "<element><matrix> (b,a)(c,b) </matrix><index> d e </index>"
+                      "<condition> (ne,a) </condition></element>",
+     ["b", "a", "c", "d", "e"]),
+    ("ChannelOne", "<channel> c a b </channel>", ["c", "a", "b"]),
+    ("ChannelTwo", "<channel><list> b a </list><list> c d </list></channel>",
+     ["b", "a", "c", "d"]),
+    ("ChannelValue", "<channel><list> c b </list><value> a </value></channel>",
+     ["c", "b", "a"]),
+    ("NoOverlap1", "<noOverlap><origins> b a </origins><lengths> c 1 </lengths>"
+                   "</noOverlap>", ["b", "a", "c"]),
+    ("NoOverlapK", "<noOverlap><origins> (b,a)(c,d) </origins>"
+                   "<lengths> (1,e)(2,a) </lengths></noOverlap>", ["b", "a", "c", "d", "e"]),
+    ("Cumulative", "<cumulative><origins> b a </origins><lengths> c 1 </lengths>"
+                   "<heights> 1 d </heights><condition> (le,e) </condition></cumulative>",
+     ["b", "a", "c", "d", "e"]),
+    ("Circuit", "<circuit><list> x[] </list><size> d </size></circuit>",
+     ["x[0]", "x[1]", "x[2]", "d"]),
+    ("InstantiationCtr", "<instantiation><list> c a </list><values> 1 * </values>"
+                         "</instantiation>", ["c", "a"]),
+]
+IDS = [name for name, _, _ in CASES]
+
+
+def document(constraint: str) -> str:
+    return (f'<instance format="XCSP3" type="CSP"><variables>{DECLARATIONS}</variables>'
+            f"<constraints>{constraint}</constraints></instance>")
+
+
+def only_kind(constraint: str):
+    instance = parse_string(document(constraint))
+    assert len(instance.constraints) == 1
+    return instance.constraints[0].kind
+
+
+@pytest.mark.parametrize("name,constraint,scope", CASES, ids=IDS)
+def test_scope_by_hand(name, constraint, scope):
+    kind = only_kind(constraint)
+    assert type(kind).__name__ == name
+    assert scope_of(kind) == scope
+
+
+@pytest.mark.parametrize("name,constraint,scope", CASES, ids=IDS)
+def test_round_trip(name, constraint, scope):
+    instance = parse_string(document(constraint))
+    again = parse_string(render_instance(instance))
+    assert instances_equivalent(instance, again)
+
+
+@pytest.mark.parametrize("name,constraint,scope", CASES, ids=IDS)
+def test_var_ids_computed_once(name, constraint, scope):
+    kind = only_kind(constraint)
+    assert kind.var_ids is kind.var_ids
+
+
+def _concrete_kinds(cls):
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from _concrete_kinds(sub)
+
+
+def test_every_kind_has_a_case_and_a_table_row():
+    kinds = set(_concrete_kinds(K.ConstraintKind))
+    assert {k.__name__ for k in kinds} == set(IDS)
+    assert kinds == set(_CHECKERS)
+
+
+def test_objective_scope():
+    doc = document("").replace('type="CSP"', 'type="COP"').replace(
+        "</instance>", "<objectives><minimize type=\"sum\"> <list> c x[1] c </list>"
+                       "<coeffs> 1 2 3 </coeffs> </minimize></objectives></instance>")
+    objective = parse_string(doc).objective
+    assert objective_scope(objective) == ["c", "x[1]"]
+    assert objective.var_ids is objective.var_ids

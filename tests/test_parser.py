@@ -163,6 +163,32 @@ def test_overlapping_for_groups_rejected():
         parse_string(text)
 
 
+def test_for_tokens_select_row_major_cells():
+    text = wrap('<array id="z" size="[2][3]">'
+                '<domain for="z[1][] z[0][0]"> 0 1 </domain>'
+                '<domain for="others"> 5..8 </domain>'
+                "</array>", TRIVIAL)
+    inst = parse_string(text)
+    assert [v.id for v in inst.variables() if v.domain.max_value == 1] == [
+        "z[0][0]", "z[1][0]", "z[1][1]", "z[1][2]"]
+
+
+@pytest.mark.parametrize("token", [
+    "y[0][0]",      # unknown array name
+    "z[0]",         # wrong slot count
+    "z[a][0]",      # bad slot
+    "z[0][3]",      # index out of range
+    "z[3..1][0]",   # empty range
+])
+def test_bad_for_token_rejected(token):
+    text = wrap(f'<array id="z" size="[2][3]"><domain for="{token}"> 0 1 </domain>'
+                "</array>", TRIVIAL)
+    with pytest.raises(ParseError) as err:
+        parse_string(text)
+    assert err.value.rule == "for-target"
+    assert err.value.path == "/instance/variables/array"
+
+
 def test_duplicate_variable_id():
     with pytest.raises(DuplicateId):
         parse_string(wrap('<var id="x"> 0 </var><var id="x"> 1 </var>', TRIVIAL))
@@ -253,8 +279,20 @@ def test_strict_id_prefix_rule_for_arrays():
     # an array id that prefixes another id breaks compact-token resolution
     text = wrap('<array id="x" size="[2]"> 0 1 </array><var id="x2"> 0 </var>',
                 TRIVIAL)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "id-prefix"
+    assert parse_string(text, ParserConfig(strict=False)) is not None
+
+
+def test_strict_id_prefix_rule_for_groups():
+    # a group id that prefixes a constraint id would clash with member ids g[k]
+    text = wrap('<var id="x"> 0 1 </var>',
+                '<group id="g"><intension> eq(%0,0) </intension><args> x </args></group>'
+                '<intension id="g1"> eq(x,1) </intension>')
+    with pytest.raises(ParseError) as err:
+        parse_string(text)
+    assert err.value.rule == "id-prefix"
     assert parse_string(text, ParserConfig(strict=False)) is not None
 
 
