@@ -2,7 +2,8 @@
 """Summarize every instance in a fixture directory, optionally solving each.
 
 Prints one row per instance: framework, variable and constraint counts, the
-constraint kinds present, and (with --solve) the solution count or optimum.
+constraint kinds present, and (with --solve) the solution count or optimum,
+the search time, the nodes visited and the nodes per second.
 """
 
 import argparse
@@ -36,7 +37,10 @@ def describe(path: Path, do_solve: bool, node_limit: int) -> str:
         result = count_solutions(instance, SearchConfig(node_limit=node_limit))
         verdict = (f"solutions={result.count}"
                    if result.status is not Status.LIMIT else "limit")
-    return f"{row}  [{verdict} in {time.monotonic() - started:.2f}s]"
+    took = time.monotonic() - started
+    rate = f"{result.nodes / took:,.0f}" if took > 0 else "-"
+    return (f"{row}  [{verdict} in {took:.2f}s, nodes={result.nodes:,}, "
+            f"{rate} nodes/s]")
 
 
 def main() -> int:

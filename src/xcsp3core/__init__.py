@@ -13,7 +13,7 @@ from .checker import (
     scope_of,
     useful_variables,
 )
-from .expr import eval_expr, free_vars, parse_expr, print_expr
+from .expr import compile_expr, eval_expr, free_vars, parse_expr, print_expr
 from .kinds import Objective, ObjKind, Sense
 from .model import (
     STAR,
@@ -44,7 +44,7 @@ __all__ = [
     "instances_equivalent", "render_instance",
     "CheckMode", "Verdict", "VerdictKind", "check_constraint", "check_solution",
     "eval_objective", "partial_violated", "scope_of", "useful_variables",
-    "eval_expr", "free_vars", "parse_expr", "print_expr",
+    "compile_expr", "eval_expr", "free_vars", "parse_expr", "print_expr",
     "Objective", "ObjKind", "Sense",
     "STAR", "Condition", "CondOp", "Domain", "Framework", "Instance",
     "Instantiation", "PostedConstraint", "VarArray", "Variable",

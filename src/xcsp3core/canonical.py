@@ -9,7 +9,6 @@ instances_equivalent compares two instances modulo that id rewriting.
 from __future__ import annotations
 
 from typing import List, Tuple
-from xml.sax.saxutils import escape, quoteattr
 
 from . import kinds as K
 from .expr import Expr, VarRef, print_expr
@@ -55,6 +54,32 @@ def _tuples(rows) -> str:
 
 def _exprs(operands: Tuple[Expr, ...]) -> str:
     return " ".join(print_expr(e) for e in operands)
+
+
+# Written here rather than imported from xml.sax.saxutils, whose import
+# pulls in urllib.request; the output is the same byte for byte.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                               "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > in character data."""
+    return text.translate(_TEXT_ESCAPES)
+
+
+def quoteattr(value: str) -> str:
+    """Escape and quote an attribute value.
+
+    Double quotes unless the value holds a double quote and no single
+    quote; when it holds both, double quotes with each " as &quot;.
+    """
+    value = value.translate(_ATTR_ESCAPES)
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
 
 
 class _Writer:

@@ -6,15 +6,16 @@ check_constraint evaluates one constraint under a complete assignment of
 its scope. partial_violated detects certain violations from a partial
 assignment (used for pruning; it never flags a satisfiable extension).
 check_solution verifies a candidate instantiation against an instance.
-Scopes are not computed here: each kind carries its own var_ids (see
-kinds.py), and scope_of / objective_scope only copy them into lists.
+Neither scopes nor expressions are prepared here: each kind carries its
+own var_ids and its compiled expressions (see kinds.py), and scope_of /
+objective_scope only copy the former into lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import kinds as K
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     ValueOutsideDomain,
     check_int64,
 )
-from .expr import Expr, VarRef, eval_expr, free_vars
+from .expr import VarRef
 from .model import (
     Condition,
     Instance,
@@ -65,8 +66,14 @@ def _tuple_matches(tup: Sequence[K.Value], values: Sequence[int]) -> bool:
     return all(isinstance(t, Star) or t == v for t, v in zip(tup, values))
 
 
+def _values(holder: Union[K.ConstraintKind, K.Objective],
+            env: Mapping[str, int]) -> List[int]:
+    """The values of the expressions a kind or objective holds, in field order."""
+    return [evaluate(env) for evaluate, _ in holder.compiled]
+
+
 def _check_intension(kind: K.Intension, env: Mapping[str, int]) -> bool:
-    return eval_expr(kind.function, env) != 0
+    return kind.compiled[0][0](env) != 0
 
 
 def _check_extension(kind: K.Extension, env: Mapping[str, int]) -> bool:
@@ -100,10 +107,9 @@ def _check_mdd(kind: K.Mdd, env: Mapping[str, int]) -> bool:
 
 
 def _check_all_different(kind: K.AllDifferent, env: Mapping[str, int]) -> bool:
-    values = [eval_expr(op, env) for op in kind.operands]
     excepts = set(kind.excepts)
     seen = set()
-    for v in values:
+    for v in _values(kind, env):
         if v in excepts:
             continue
         if v in seen:
@@ -123,8 +129,7 @@ def _check_all_different_lists(kind: K.AllDifferentLists, env: Mapping[str, int]
 
 
 def _check_all_equal(kind: K.AllEqual, env: Mapping[str, int]) -> bool:
-    values = {eval_expr(op, env) for op in kind.operands}
-    return len(values) <= 1
+    return len(set(_values(kind, env))) <= 1
 
 
 def _pairwise_distinct(values: Sequence[int]) -> bool:
@@ -167,21 +172,24 @@ def _check_lex2(kind: K.Lex2, env: Mapping[str, int]) -> bool:
 
 
 def _check_sum(kind: K.Sum, env: Mapping[str, int]) -> bool:
+    coeffs = kind.int_coeffs
+    if coeffs is None:
+        coeffs = [_resolve(c, env) for c in kind.coeffs]
     total = 0
-    for coeff, term in zip(kind.coeffs, kind.terms):
-        product = check_int64(_resolve(coeff, env) * eval_expr(term, env), "sum term")
+    for coeff, (evaluate, _) in zip(coeffs, kind.compiled):
+        product = check_int64(coeff * evaluate(env), "sum term")
         total = check_int64(total + product, "sum")
     return eval_condition(total, kind.condition, env)
 
 
 def _check_count(kind: K.Count, env: Mapping[str, int]) -> bool:
     counted = {_resolve(v, env) for v in kind.values}
-    n = sum(1 for op in kind.operands if eval_expr(op, env) in counted)
+    n = sum(1 for v in _values(kind, env) if v in counted)
     return eval_condition(n, kind.condition, env)
 
 
 def _check_nvalues(kind: K.NValues, env: Mapping[str, int]) -> bool:
-    distinct = {eval_expr(op, env) for op in kind.operands} - set(kind.excepts)
+    distinct = set(_values(kind, env)) - set(kind.excepts)
     return eval_condition(len(distinct), kind.condition, env)
 
 
@@ -204,12 +212,12 @@ def _check_cardinality(kind: K.Cardinality, env: Mapping[str, int]) -> bool:
 
 
 def _check_minimum(kind: K.Minimum, env: Mapping[str, int]) -> bool:
-    lhs = min(eval_expr(op, env) for op in kind.operands)
+    lhs = min(_values(kind, env))
     return eval_condition(lhs, kind.condition, env)
 
 
 def _check_maximum(kind: K.Maximum, env: Mapping[str, int]) -> bool:
-    lhs = max(eval_expr(op, env) for op in kind.operands)
+    lhs = max(_values(kind, env))
     return eval_condition(lhs, kind.condition, env)
 
 
@@ -369,22 +377,30 @@ def _check_instantiation(kind: K.InstantiationCtr, env: Mapping[str, int]) -> bo
 # A detector sees a partial assignment and returns True only when no
 # extension of it can satisfy the constraint; kinds without one never prune.
 
-def _eval_if_ready(op: Expr, env: Mapping[str, int]) -> Optional[int]:
-    if isinstance(op, VarRef):
-        v = env.get(op.id)
-        return v if isinstance(v, int) else None
-    for vid in free_vars(op):
-        if not isinstance(env.get(vid), int):
-            return None
-    return eval_expr(op, env)
+def _ready_values(kind: Union[K.AllDifferent, K.AllEqual],
+                  env: Mapping[str, int]) -> Iterator[int]:
+    """Values of the operands whose variables are all assigned, in order.
+
+    Lazy: an operand is evaluated only when the caller asks for it.
+    """
+    for op, (evaluate, free) in zip(kind.operands, kind.compiled):
+        if free is None:  # a bare variable
+            v = env.get(op.id)
+            if isinstance(v, int):
+                yield v
+            continue
+        for vid in free:
+            if not isinstance(env.get(vid), int):
+                break
+        else:
+            yield evaluate(env)
 
 
 def _partial_all_different(kind: K.AllDifferent, env: Mapping[str, int]) -> bool:
     excepts = set(kind.excepts)
     seen = set()
-    for op in kind.operands:
-        v = _eval_if_ready(op, env)
-        if v is None or v in excepts:
+    for v in _ready_values(kind, env):
+        if v in excepts:
             continue
         if v in seen:
             return True
@@ -393,9 +409,7 @@ def _partial_all_different(kind: K.AllDifferent, env: Mapping[str, int]) -> bool
 
 
 def _partial_all_equal(kind: K.AllEqual, env: Mapping[str, int]) -> bool:
-    ready = [v for v in (_eval_if_ready(op, env) for op in kind.operands)
-             if v is not None]
-    return len(set(ready)) > 1
+    return len(set(_ready_values(kind, env))) > 1
 
 
 def _partial_ordered(kind: K.Ordered, env: Mapping[str, int]) -> bool:
@@ -532,8 +546,8 @@ def objective_scope(obj: K.Objective) -> List[str]:
 
 def eval_objective(obj: K.Objective, env: Mapping[str, int]) -> Union[int, Tuple[int, ...]]:
     if obj.kind is K.ObjKind.EXPRESSION:
-        return eval_expr(obj.expression, env)
-    values = [eval_expr(op, env) for op in obj.operands]
+        return obj.compiled[0][0](env)
+    values = _values(obj, env)
     coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(values)
     if obj.kind is K.ObjKind.LEX:
         return tuple(values)

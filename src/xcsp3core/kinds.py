@@ -9,23 +9,37 @@ objectives) the operand lists hold expression trees instead.
 Every kind and the Objective carry ``var_ids``: the variables they
 involve, derived once by one rule over the dataclass fields (see
 _Involving). Only Regular and Mdd override it, because their transitions
-hold state names, not variable ids. The semantics of each kind live in
-one table in checker.py.
+hold state names, not variable ids. Kinds and the Objective also carry
+``compiled``: every expression held in a field declared as Expr,
+Optional[Expr] or Tuple[Expr, ...], compiled once, on first evaluation.
+The semantics of each kind live in one table in checker.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
-from typing import Dict, Optional, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Tuple, Union, get_type_hints
 
 from .errors import ParseError
-from .expr import Expr, OpCall, VarRef
+from .expr import Evaluator, Expr, OpCall, VarRef, compile_expr, free_vars
 from .model import Condition, Domain, Interval, Value
 
 # value-or-variable slot (coeffs, lengths, heights, counted values, size)
 Val = Union[int, VarRef]
+
+# a compiled expression and its free variables (None for a bare variable)
+Compiled = Tuple[Evaluator, Optional[Tuple[str, ...]]]
+
+_EXPRESSION_TYPES = (Expr, Optional[Expr], Tuple[Expr, ...])
+
+
+@lru_cache(maxsize=None)
+def _expression_fields(cls: type) -> Tuple[str, ...]:
+    """Names of the fields of cls declared to hold expressions."""
+    hints = get_type_hints(cls)
+    return tuple(f.name for f in fields(cls) if hints[f.name] in _EXPRESSION_TYPES)
 
 
 def _collect(value: object, ids: Dict[str, None]) -> None:
@@ -58,6 +72,22 @@ class _Involving:
         for f in fields(self):
             _collect(getattr(self, f.name), ids)
         return tuple(ids)
+
+    @cached_property
+    def compiled(self) -> Tuple[Compiled, ...]:
+        """Every expression held, compiled, with its free variables.
+
+        Expression fields are taken in declaration order, tuples item by
+        item. Built on first evaluation, never while parsing.
+        """
+        out: List[Compiled] = []
+        for name in _expression_fields(type(self)):
+            value = getattr(self, name)
+            for e in value if isinstance(value, tuple) else (value,):
+                if e is not None:
+                    free = None if isinstance(e, VarRef) else tuple(free_vars(e))
+                    out.append((compile_expr(e), free))
+        return tuple(out)
 
 
 class ConstraintKind(_Involving):
@@ -183,6 +213,13 @@ class Sum(ConstraintKind):
     terms: Tuple[Expr, ...]
     coeffs: Tuple[Val, ...]
     condition: Condition
+
+    @cached_property
+    def int_coeffs(self) -> Optional[Tuple[int, ...]]:
+        """The coefficients when none is a variable, else None."""
+        if any(isinstance(c, VarRef) for c in self.coeffs):
+            return None
+        return self.coeffs
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from xcsp3core.checker import check_constraint
+from xcsp3core.errors import (
+    DivisionByZero,
+    EvalError,
+    NegativeExponent,
+    Overflow,
+    UnboundVariable,
+)
+from xcsp3core.expr import Expr, IntConst, Param, ParamRest, SetLiteral, VarRef
 from xcsp3core.model import Instance, STAR, Star
 
 
@@ -33,6 +41,120 @@ def naive_solutions(instance: Instance) -> List[Dict[str, int]]:
 
 def naive_count(instance: Instance) -> int:
     return len(naive_solutions(instance))
+
+
+# -- expressions ----------------------------------------------------------------------
+#
+# The reference tree-walker: one recursive call per node and one branch per
+# operator, arithmetic done on unbounded ints and checked after each step.
+# compile_expr must agree with it on every tree, value or exception class.
+
+_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
+
+
+def _int64(value: int, context: str) -> int:
+    if value < _INT_MIN or value > _INT_MAX:
+        raise Overflow(f"{context}: {value} leaves the 64-bit integer range")
+    return value
+
+
+def _quotient(a: int, b: int) -> int:
+    if b == 0:
+        raise DivisionByZero(f"div({a},{b})")
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def reference_eval(e: Expr, env: Dict[str, int]) -> int:
+    """Evaluate e under env by walking the tree; booleans come back as 0/1."""
+    if isinstance(e, IntConst):
+        return e.value
+    if isinstance(e, VarRef):
+        v = env.get(e.id)
+        if not isinstance(v, int):
+            raise UnboundVariable(e.id)
+        return v
+    if isinstance(e, (Param, ParamRest)):
+        raise EvalError("template parameter in expression; substitute arguments first")
+    if isinstance(e, SetLiteral):
+        raise EvalError("set literal outside in()")
+
+    op, raw_args = e.op, e.args
+    if op == "if":
+        # Only the selected branch is evaluated.
+        cond = reference_eval(raw_args[0], env)
+        return reference_eval(raw_args[1] if cond != 0 else raw_args[2], env)
+    if op == "in":
+        lhs = reference_eval(raw_args[0], env)
+        return int(lhs in raw_args[1].values)
+
+    args = [reference_eval(a, env) for a in raw_args]
+    truths = [a != 0 for a in args]
+    if op == "neg":
+        return _int64(-args[0], op)
+    if op == "abs":
+        return _int64(abs(args[0]), op)
+    if op == "sqr":
+        return _int64(args[0] * args[0], op)
+    if op == "add":
+        total = 0
+        for a in args:
+            total = _int64(total + a, op)
+        return total
+    if op == "sub":
+        return _int64(args[0] - args[1], op)
+    if op == "mul":
+        total = 1
+        for a in args:
+            total = _int64(total * a, op)
+        return total
+    if op == "div":
+        return _int64(_quotient(args[0], args[1]), op)
+    if op == "mod":
+        if args[1] == 0:
+            raise DivisionByZero(f"mod({args[0]},{args[1]})")
+        return args[0] - args[1] * _quotient(args[0], args[1])
+    if op == "pow":
+        base, exponent = args
+        if exponent < 0:
+            raise NegativeExponent(f"pow({base},{exponent})")
+        if abs(base) <= 1:
+            return base ** exponent
+        result = 1
+        for _ in range(exponent):  # stops by Overflow within 64 steps
+            result = _int64(result * base, op)
+        return result
+    if op == "dist":
+        return _int64(abs(args[0] - args[1]), op)
+    if op == "min":
+        return min(args)
+    if op == "max":
+        return max(args)
+    if op == "lt":
+        return int(args[0] < args[1])
+    if op == "le":
+        return int(args[0] <= args[1])
+    if op == "ge":
+        return int(args[0] >= args[1])
+    if op == "gt":
+        return int(args[0] > args[1])
+    if op == "ne":
+        return int(args[0] != args[1])
+    if op == "eq":
+        return int(all(a == args[0] for a in args[1:]))
+    if op == "not":
+        return int(not truths[0])
+    if op == "and":
+        return int(all(truths))
+    if op == "or":
+        return int(any(truths))
+    if op == "xor":
+        return int(sum(truths) % 2 == 1)
+    if op == "iff":
+        return int(all(t == truths[0] for t in truths))
+    if op == "imp":
+        return int(not truths[0] or truths[1])
+    raise EvalError(f"unhandled operator {op!r}")
 
 
 # -- automata / decision diagrams ---------------------------------------------------

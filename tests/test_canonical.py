@@ -1,7 +1,11 @@
 """Canonical flat form: deterministic output that reparses to the same instance."""
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import FIXTURES
-from xcsp3core.canonical import instances_equivalent, render_instance
+from xcsp3core.canonical import escape, instances_equivalent, quoteattr, render_instance
 from xcsp3core.parser import parse_file, parse_string
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.xml"))
@@ -66,3 +70,19 @@ def test_random_instances_round_trip(seed):
     inst = parse_string(oracles.random_instance_xml(rng))
     again = parse_string(render_instance(inst))
     assert instances_equivalent(inst, again)
+
+
+@given(st.text(alphabet="ab &<>\"'\n\r\t\u00e9;#"))
+def test_escaping_matches_saxutils(text):
+    assert escape(text) == saxutils.escape(text)
+    assert quoteattr(text) == saxutils.quoteattr(text)
+
+
+def test_package_import_skips_urllib():
+    # xml.sax.saxutils would pull in urllib.request, http and ssl
+    code = ("import sys, xcsp3core, xcsp3core.cli; "
+            "print('urllib.request' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,11 +1,15 @@
 """Functional expression syntax and evaluation."""
 
-import pytest
-from hypothesis import given, strategies as st
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 from xcsp3core.errors import (
     ArityError,
     DivisionByZero,
+    EvalError,
     ExprSyntaxError,
     NegativeExponent,
     Overflow,
@@ -13,11 +17,13 @@ from xcsp3core.errors import (
     WhitespaceError,
 )
 from xcsp3core.expr import (
+    ARITIES,
     IntConst,
     OpCall,
     Param,
     SetLiteral,
     VarRef,
+    compile_expr,
     eval_expr,
     free_vars,
     parse_expr,
@@ -102,6 +108,19 @@ def test_division_by_zero():
         ev("mod(1,0)")
 
 
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
+
+
+def test_div_overflow_is_checked():
+    # the one quotient of two int64 values that is not an int64
+    with pytest.raises(Overflow):
+        ev("div(-9223372036854775808,-1)")
+    with pytest.raises(Overflow):
+        ev("div(x,-1)", x=INT_MIN)
+    assert ev("div(x,1)", x=INT_MIN) == INT_MIN
+    assert ev("mod(x,-1)", x=INT_MIN) == 0
+
+
 def test_pow_edges():
     assert ev("pow(2,10)") == 1024
     assert ev("pow(0,0)") == 1
@@ -153,6 +172,25 @@ def test_boolean_results_are_ints():
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         ev("add(x,1)")
+
+
+def test_every_operand_is_evaluated():
+    # and/or/imp do not short-circuit; only if() skips a branch
+    for text in ("and(0,div(1,0))", "or(1,div(1,0))", "imp(0,div(1,0))"):
+        with pytest.raises(DivisionByZero):
+            ev(text)
+
+
+def test_stray_leaves_fail_when_evaluated_not_when_compiled():
+    for leaf in (Param(0), SetLiteral((1, 2))):
+        evaluate = compile_expr(OpCall("add", (IntConst(1), leaf)))
+        with pytest.raises(EvalError):
+            evaluate({})
+
+
+def test_compiled_expression_is_reusable():
+    evaluate = compile_expr(parse_expr("le(add(x,y),3)"))
+    assert [evaluate({"x": x, "y": 1}) for x in range(4)] == [1, 1, 1, 0]
 
 
 # -- parameters ----------------------------------------------------------------------
@@ -214,3 +252,64 @@ def test_de_morgan(a, b):
     lhs = eval_expr(parse_expr("not(and(eq(x,1),eq(y,1)))"), env)
     rhs = eval_expr(parse_expr("or(not(eq(x,1)),not(eq(y,1)))"), env)
     assert lhs == rhs
+
+
+# -- compiled evaluation against the reference tree-walker ----------------------------
+
+# Mostly small values, where operators differ from each other, then the
+# int64 edges and any int64; a tenth of the leaves fail when evaluated.
+_small = st.integers(-3, 3)
+_ints = st.one_of(
+    st.sampled_from([-1, 0, 1]), _small, _small,
+    st.sampled_from([INT_MIN, INT_MIN + 1, INT_MAX - 1, INT_MAX]),
+    st.integers(INT_MIN, INT_MAX),
+)
+_stray = st.sampled_from([VarRef("unbound"), Param(0), SetLiteral((1, 2))])
+_any_leaf = st.one_of(*[_ints.map(IntConst)] * 5,
+                      *[st.sampled_from(["x", "y", "z"]).map(VarRef)] * 4, _stray)
+
+
+def _call(op, args, members):
+    if op == "in":
+        return OpCall(op, (args[0], SetLiteral(tuple(members))))
+    lo, hi = ARITIES[op]
+    n = min(max(len(args), lo), hi or len(args))
+    return OpCall(op, tuple((args * 2)[:n]))  # if() may repeat an operand
+
+
+def _any_call(children):
+    return st.builds(_call, st.sampled_from(sorted(ARITIES)),
+                     st.lists(children, min_size=2, max_size=4),
+                     st.lists(_ints, max_size=3))
+
+
+def _outcome(evaluate):
+    try:
+        value = evaluate()
+    except EvalError as exc:
+        return type(exc)
+    assert type(value) is int
+    return value
+
+
+@settings(max_examples=400)
+@given(st.recursive(_any_leaf, _any_call, max_leaves=8),
+       st.fixed_dictionaries({"x": _ints, "y": _ints, "z": _ints}))
+def test_compiled_agrees_with_reference(e, env):
+    # the same value or the same exception class, on every tree
+    compiled = _outcome(lambda: compile_expr(e)(env))
+    assert compiled == _outcome(lambda: oracles.reference_eval(e, env))
+
+
+_EDGES = [INT_MIN, INT_MIN + 1, -2, -1, 0, 1, 2, 3, INT_MAX]
+
+
+@pytest.mark.parametrize("op", sorted(set(ARITIES) - {"in", "if"}))
+def test_each_operator_agrees_with_reference_on_edge_operands(op):
+    # every operand tuple over _EDGES, at the least arity and one more
+    lo, hi = ARITIES[op]
+    for n in range(lo, (lo + 1 if hi is None else hi) + 1):
+        for values in itertools.product(_EDGES, repeat=n):
+            e = OpCall(op, tuple(map(IntConst, values)))
+            compiled = _outcome(lambda: compile_expr(e)({}))
+            assert compiled == _outcome(lambda: oracles.reference_eval(e, {})), e

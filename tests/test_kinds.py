@@ -8,10 +8,17 @@ would show.
 
 import pytest
 
+from conftest import FIXTURES
 from xcsp3core import kinds as K
 from xcsp3core.canonical import instances_equivalent, render_instance
-from xcsp3core.checker import _CHECKERS, objective_scope, scope_of
-from xcsp3core.parser import parse_string
+from xcsp3core.checker import (
+    _CHECKERS,
+    check_constraint,
+    eval_objective,
+    objective_scope,
+    scope_of,
+)
+from xcsp3core.parser import parse_file, parse_string
 
 DECLARATIONS = """
     <var id="a"> 0..3 </var> <var id="b"> 0..3 </var> <var id="c"> 0..3 </var>
@@ -110,6 +117,40 @@ def test_var_ids_computed_once(name, constraint, scope):
     assert kind.var_ids is kind.var_ids
 
 
+@pytest.mark.parametrize("name,constraint,scope", CASES, ids=IDS)
+def test_compiled_lazily_and_once(name, constraint, scope):
+    kind = only_kind(constraint)
+    assert "compiled" not in vars(kind)  # parsing compiles nothing
+    check_constraint(kind, {vid: 1 for vid in scope})
+    if K._expression_fields(type(kind)):
+        assert "compiled" in vars(kind)  # built by the check
+    assert kind.compiled is kind.compiled
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.xml")))
+def test_parsing_a_fixture_compiles_nothing(name):
+    instance = parse_file(FIXTURES / name)
+    holders = [posted.kind for posted in instance.constraints] + [instance.objective]
+    assert not any("compiled" in vars(h) for h in holders if h is not None)
+
+
+def test_compiled_holds_each_expression_with_its_free_variables():
+    kind = only_kind("<allDifferent> c add(a,c) 2 </allDifferent>")
+    env = {"a": 1, "c": 3}
+    assert [(evaluate(env), free) for evaluate, free in kind.compiled] == [
+        (3, None), (4, ("a", "c")), (2, ())]
+
+
+def test_expression_fields_by_hand():
+    operands = ("operands",)
+    expected = {"Intension": ("function",), "AllDifferent": operands,
+                "AllEqual": operands, "Sum": ("terms",), "Count": operands,
+                "NValues": operands, "Minimum": operands, "Maximum": operands}
+    for kind in _concrete_kinds(K.ConstraintKind):
+        assert K._expression_fields(kind) == expected.get(kind.__name__, ()), kind
+    assert K._expression_fields(K.Objective) == ("expression", "operands")
+
+
 def _concrete_kinds(cls):
     for sub in cls.__subclasses__():
         if not sub.__name__.startswith("_"):
@@ -130,3 +171,6 @@ def test_objective_scope():
     objective = parse_string(doc).objective
     assert objective_scope(objective) == ["c", "x[1]"]
     assert objective.var_ids is objective.var_ids
+    assert "compiled" not in vars(objective)
+    assert eval_objective(objective, {"c": 1, "x[1]": 2}) == 1 + 4 + 3
+    assert objective.compiled is objective.compiled
