@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Tuple
 from .canonical import render_instance
 from .checker import CheckMode, VerdictKind, check_solution
 from .errors import CheckError, ParseError, XcspError
+from .expr import read_int
 from .model import Instance, Instantiation
 from .parser import ParserConfig, parse_file, read_int_values, read_var_ids, read_xml
 from .solver import SearchConfig, Status, VarOrder, solve
@@ -129,7 +130,7 @@ def _read_solution(path: str, instance: Instance,
         values = read_int_values(values_el.text, values_el.path,
                                  allow_vxk=True, allow_star=True)
         cost_text = root.attr("cost")
-        cost = int(cost_text) if cost_text is not None else None
+        cost = read_int(cost_text, root.path, "cost") if cost_text is not None else None
     else:
         if var_spec is not None:
             ids = read_var_ids(var_spec, arrays, "--vars")
@@ -146,8 +147,9 @@ def _read_solution(path: str, instance: Instance,
 def _print_instantiation(sol: Instantiation, kind: str,
                          cost: Optional[object] = None) -> None:
     ids = list(sol)
+    # a lex optimum is a tuple, which no cost attribute can hold
     head = f'<instantiation type="{kind}"' + (
-        f' cost="{cost}"' if cost is not None else "") + ">"
+        f' cost="{cost}"' if isinstance(cost, int) else "") + ">"
     print(head)
     print("  <list> " + " ".join(ids) + " </list>")
     print("  <values> " + " ".join(str(sol[i]) for i in ids) + " </values>")

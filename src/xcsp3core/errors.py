@@ -74,7 +74,7 @@ class RestInsideExpression(SubstitutionError):
     """%... may only stand in an argument sequence, never inside an expression."""
 
 
-# -- model-level token errors -------------------------------------------------
+# -- token errors --------------------------------------------------------------
 
 class MalformedCompactToken(ParseError):
     """Bad vxk token or bad compact array reference."""

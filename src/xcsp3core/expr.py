@@ -1,27 +1,33 @@
-"""Functional expression trees: parsing, printing, compilation, substitution.
+"""Functional expression trees: parsing, printing, compilation.
 
 Expressions use the functional notation of XCSP3-core, e.g.
 ``le(add(mul(250,b),mul(200,c)),4000)``. No whitespace is permitted
 anywhere inside an expression. Booleans are the integers 0 and 1; any
 integer may feed a boolean slot (nonzero counts as true) and any boolean
 result may feed an integer slot.
+
+The integer and identifier patterns here are the only ones in the package:
+the token readers in parser.py build on them. Template parameters (%k,
+%...) are not part of this grammar; groups and slides substitute them in
+the text before an expression is parsed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
+    INT_MAX,
+    INT_MIN,
     ArityError,
     DivisionByZero,
     EvalError,
     ExprSyntaxError,
-    MissingArgument,
     NegativeExponent,
     Overflow,
-    RestInsideExpression,
+    ParseError,
     UnboundVariable,
     WhitespaceError,
     check_int64,
@@ -40,17 +46,6 @@ class VarRef:
 
 
 @dataclass(frozen=True)
-class Param:
-    """Template parameter %k."""
-    index: int
-
-
-@dataclass(frozen=True)
-class ParamRest:
-    """Template parameter %... (absorbs the tail of an argument sequence)."""
-
-
-@dataclass(frozen=True)
 class SetLiteral:
     """set(...) of integer constants; only valid as the second slot of in()."""
     values: Tuple[int, ...]
@@ -62,7 +57,7 @@ class OpCall:
     args: Tuple["Expr", ...]
 
 
-Expr = Union[IntConst, VarRef, Param, ParamRest, SetLiteral, OpCall]
+Expr = Union[IntConst, VarRef, SetLiteral, OpCall]
 
 # operator -> (min arity, max arity or None when unbounded)
 ARITIES: Dict[str, Tuple[int, Optional[int]]] = {
@@ -78,10 +73,6 @@ ARITIES: Dict[str, Tuple[int, Optional[int]]] = {
     "if": (3, 3),
 }
 
-BOOLEAN_OPS = frozenset(
-    {"lt", "le", "ge", "gt", "ne", "eq", "in", "not", "and", "or", "xor", "iff", "imp"}
-)
-
 # Reserved words; none of them may be used as an identifier.
 KEYWORDS = frozenset(
     """neg abs add sub mul div mod sqr pow min max dist lt le ge gt ne eq set in
@@ -90,13 +81,25 @@ KEYWORDS = frozenset(
     asin acos atan sinh cosh tanh others""".split()
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[+-]?[0-9]+")
+IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+INT_RE = re.compile(r"[+-]?[0-9]+")
+INDEX_RE = re.compile(r"\[([0-9]+)\]")  # one index of a cell id: x[2][3]
 
 
 def is_identifier(token: str) -> bool:
     """Valid identifier: letter then letters/digits/underscores, not a keyword."""
-    return bool(_IDENT_RE.fullmatch(token)) and token not in KEYWORDS
+    return bool(IDENT_RE.fullmatch(token)) and token not in KEYWORDS
+
+
+def read_int(token: str, path: Optional[str] = None, what: str = "integer") -> int:
+    """The integer a token spells: optional sign, decimal digits, int64 range."""
+    if not INT_RE.fullmatch(token):
+        raise ParseError(f"bad {what} token {token!r}", path=path, rule="integer")
+    value = int(token)
+    if value < INT_MIN or value > INT_MAX:
+        raise ParseError(f"{what} {token} leaves the 64-bit integer range",
+                         path=path, rule="integer-range")
+    return value
 
 
 class _Parser:
@@ -127,38 +130,22 @@ class _Parser:
         ch = self.peek()
         if ch == "":
             raise self.fail("unexpected end of expression")
-        if ch == "%":
-            return self.parse_param()
         if ch in "+-" or ch.isdigit():
             return self.parse_int()
         if ch.isalpha():
             return self.parse_name()
         raise self.fail(f"unexpected character {ch!r}")
 
-    def parse_param(self) -> Expr:
-        start = self.pos
-        self.pos += 1
-        if self.text.startswith("...", self.pos):
-            self.pos += 3
-            return ParamRest()
-        m = re.compile(r"[0-9]+").match(self.text, self.pos)
-        if not m:
-            raise self.fail("malformed parameter", start)
-        self.pos = m.end()
-        return Param(int(m.group()))
-
     def parse_int(self) -> IntConst:
-        m = _INT_RE.match(self.text, self.pos)
+        m = INT_RE.match(self.text, self.pos)
         if not m:
             raise self.fail("malformed integer")
         self.pos = m.end()
-        value = int(m.group())
-        check_int64(value, "integer literal")
-        return IntConst(value)
+        return IntConst(read_int(m.group(), self.path, "integer literal"))
 
     def parse_name(self) -> Expr:
         start = self.pos
-        m = _IDENT_RE.match(self.text, self.pos)
+        m = IDENT_RE.match(self.text, self.pos)
         assert m is not None
         name = m.group()
         self.pos = m.end()
@@ -174,13 +161,11 @@ class _Parser:
         # Array cell references carry plain unsigned indexes: x[2][3].
         out = []
         while self.peek() == "[":
-            self.pos += 1
-            m = re.compile(r"[0-9]+").match(self.text, self.pos)
+            m = INDEX_RE.match(self.text, self.pos)
             if not m:
                 raise self.fail("array index must be an unsigned integer")
             self.pos = m.end()
-            self.expect("]")
-            out.append(f"[{m.group()}]")
+            out.append(m.group())
         return "".join(out)
 
     def parse_call(self, name: str, start: int) -> Expr:
@@ -236,10 +221,6 @@ def print_expr(e: Expr) -> str:
         return str(e.value)
     if isinstance(e, VarRef):
         return e.id
-    if isinstance(e, Param):
-        return f"%{e.index}"
-    if isinstance(e, ParamRest):
-        return "%..."
     if isinstance(e, SetLiteral):
         return "set(" + ",".join(str(v) for v in e.values) + ")"
     return e.op + "(" + ",".join(print_expr(a) for a in e.args) + ")"
@@ -371,17 +352,15 @@ def compile_expr(e: Expr) -> Evaluator:
     """Compile once into a closure env -> int (booleans as 0/1).
 
     Calling the closure raises what evaluating e raises: UnboundVariable,
-    DivisionByZero, NegativeExponent, Overflow, or EvalError for a template
-    parameter, a set literal outside in() or an unknown operator. Compiling
-    raises none of them.
+    DivisionByZero, NegativeExponent, Overflow, or EvalError for a set
+    literal outside in() or an unknown operator. Compiling raises none of
+    them.
     """
     if isinstance(e, IntConst):
         value = e.value
         return lambda env: value
     if isinstance(e, VarRef):
         return _variable(e.id)
-    if isinstance(e, (Param, ParamRest)):
-        return _failing("template parameter in expression; substitute arguments first")
     if isinstance(e, SetLiteral):
         return _failing("set literal outside in()")
 
@@ -410,19 +389,6 @@ def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
     compile it once with compile_expr.
     """
     return compile_expr(e)(env)
-
-
-def substitute_params(e: Expr, args: Sequence[Expr]) -> Expr:
-    """Replace %k leaves with args[k]. %... is illegal inside an expression."""
-    if isinstance(e, Param):
-        if e.index >= len(args):
-            raise MissingArgument(f"no argument for parameter %{e.index}")
-        return args[e.index]
-    if isinstance(e, ParamRest):
-        raise RestInsideExpression("%... cannot occur inside a functional expression")
-    if isinstance(e, OpCall):
-        return OpCall(e.op, tuple(substitute_params(a, args) for a in e.args))
-    return e
 
 
 def free_vars(e: Expr) -> List[str]:

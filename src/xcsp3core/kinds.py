@@ -8,10 +8,12 @@ objectives) the operand lists hold expression trees instead.
 
 Every kind and the Objective carry ``var_ids``: the variables they
 involve, derived once by one rule over the dataclass fields (see
-_Involving). Only Regular and Mdd override it, because their transitions
-hold state names, not variable ids. Kinds and the Objective also carry
-``compiled``: every expression held in a field declared as Expr,
-Optional[Expr] or Tuple[Expr, ...], compiled once, on first evaluation.
+_Involving). Extension, Regular and Mdd take it from their scope instead
+(see _Scoped): walking a table costs time and finds only values, and
+transitions hold state names, not variable ids. Kinds and the Objective
+also carry ``compiled``: every expression held in a field declared as
+Expr, Optional[Expr] or Tuple[Expr, ...], compiled once, on first
+evaluation.
 The semantics of each kind live in one table in checker.py.
 """
 
@@ -116,11 +118,21 @@ class Intension(ConstraintKind):
 
 
 @dataclass(frozen=True)
-class Extension(ConstraintKind):
+class _Scoped(ConstraintKind):
+    """A kind whose variables are exactly its scope: Extension, Regular, Mdd."""
+
+    scope: Tuple[str, ...]
+
+    @cached_property
+    def var_ids(self) -> Tuple[str, ...]:
+        return tuple(dict.fromkeys(self.scope))
+
+
+@dataclass(frozen=True)
+class Extension(_Scoped):
     """Table constraint. Non-unary tables hold tuples (with * wildcards
     allowed); unary tables hold a Domain built from value/interval tokens."""
 
-    scope: Tuple[str, ...]
     positive: bool
     tuples: Optional[Tuple[Tuple[Value, ...], ...]] = None
     unary: Optional[Domain] = None
@@ -133,15 +145,10 @@ class Extension(ConstraintKind):
 
 
 @dataclass(frozen=True)
-class _Automaton(ConstraintKind):
+class _Automaton(_Scoped):
     """Regular and Mdd: labelled transitions between states along the scope."""
 
-    scope: Tuple[str, ...]
     transitions: Tuple[Tuple[str, int, str], ...]
-
-    @property
-    def var_ids(self) -> Tuple[str, ...]:
-        return self.scope  # the transitions hold state names
 
 
 @dataclass(frozen=True)

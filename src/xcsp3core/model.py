@@ -7,21 +7,16 @@ short extension tuples, never in a domain.
 
 from __future__ import annotations
 
-import itertools
-import re
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DuplicateId,
     IndexOutOfBounds,
-    MalformedCompactToken,
     MalformedInterval,
-    MatrixContextError,
     OutOfOrder,
-    UnknownArray,
     UnresolvedOperand,
     check_int64,
 )
@@ -241,112 +236,6 @@ class Instantiation(MappingABC):
     def __repr__(self) -> str:
         inner = " ".join(f"{k}={v}" for k, v in self._values.items())
         return f"Instantiation({inner})"
-
-# -- compact tokens -----------------------------------------------------------
-
-_VXK_RE = re.compile(r"([+-]?[0-9]+)x([+-]?[0-9]+)")
-_PLAIN_INT_RE = re.compile(r"[+-]?[0-9]+")
-
-
-def expand_vxk(tokens: Union[str, Sequence[str]]) -> List[int]:
-    """Expand a value sequence where ``vxk`` means v repeated k times."""
-    if isinstance(tokens, str):
-        tokens = tokens.split()
-    out: List[int] = []
-    for token in tokens:
-        m = _VXK_RE.fullmatch(token)
-        if m:
-            v, k = int(m.group(1)), int(m.group(2))
-            if k <= 0:
-                raise MalformedCompactToken(
-                    f"repeat count must be positive in {token!r}", rule="vxk-count")
-            out.extend([check_int64(v, "vxk value")] * k)
-        elif _PLAIN_INT_RE.fullmatch(token):
-            out.append(check_int64(int(token), "value"))
-        else:
-            raise MalformedCompactToken(f"bad integer token {token!r}", rule="vxk-token")
-    return out
-
-
-class Context(Enum):
-    """Where a compact array reference appears; governs its expansion."""
-
-    LIST = "list"
-    MATRIX = "matrix"
-
-
-_COMPACT_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)((?:\[[^\[\]]*\])+)")
-_SLOT_RE = re.compile(r"\[([^\[\]]*)\]")
-
-def is_compact_token(token: str) -> bool:
-    """True for array references carrying index slots: x[], x[2], x[1..3]."""
-    return bool(_COMPACT_RE.fullmatch(token))
-
-
-def _parse_slot(token: str, slot: str, dim: int) -> Tuple[int, int, bool]:
-    """Return (lo, hi, fixed). fixed means the slot was a single index."""
-    if slot == "":
-        return 0, dim - 1, False
-    m = re.fullmatch(r"([+-]?[0-9]+)\.\.([+-]?[0-9]+)", slot)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo > hi:
-            raise MalformedInterval(f"empty index range in {token!r}", rule="interval-bounds")
-        return lo, hi, False
-    if _PLAIN_INT_RE.fullmatch(slot):
-        i = int(slot)
-        return i, i, True
-    raise MalformedCompactToken(f"bad index slot [{slot}] in {token!r}", rule="compact-token")
-
-
-def expand_compact_variable_list(
-    token: str,
-    arrays: Mapping[str, VarArray],
-    context: Context = Context.LIST,
-) -> Union[List[str], List[List[str]]]:
-    """Expand a compact array reference into cell ids.
-
-    LIST context flattens lexicographically by index tuple. MATRIX context
-    yields one row per leading free dimension and requires the token to
-    select a 2-dimensional grid (exactly two slots not fixed to a single
-    index).
-    """
-    m = _COMPACT_RE.fullmatch(token)
-    if not m:
-        raise MalformedCompactToken(f"not a compact array reference: {token!r}",
-                                    rule="compact-token")
-    name, slot_text = m.group(1), m.group(2)
-    array = arrays.get(name)
-    if array is None:
-        raise UnknownArray(f"unknown array {name!r}")
-    slots = _SLOT_RE.findall(slot_text)
-    if len(slots) != len(array.size):
-        raise IndexOutOfBounds(
-            f"{token!r}: {len(slots)} index slots for {len(array.size)}-dimensional array")
-    ranges: List[range] = []
-    free: List[int] = []
-    for axis, (slot, dim) in enumerate(zip(slots, array.size)):
-        lo, hi, fixed = _parse_slot(token, slot, dim)
-        if not 0 <= lo <= hi < dim:
-            raise IndexOutOfBounds(f"{token!r}: indexes {lo}..{hi} outside 0..{dim - 1}")
-        ranges.append(range(lo, hi + 1))
-        if not fixed:
-            free.append(axis)
-    if context is Context.LIST:
-        return [array.cell_id(idx) for idx in itertools.product(*ranges)]
-    if len(free) != 2:
-        raise MatrixContextError(
-            f"{token!r} selects a {len(free)}-dimensional grid; matrix slots need 2")
-    rows: List[List[str]] = []
-    for r in ranges[free[0]]:
-        row = []
-        fixed_idx = [rng[0] for rng in ranges]
-        fixed_idx[free[0]] = r
-        for c in ranges[free[1]]:
-            fixed_idx[free[1]] = c
-            row.append(array.cell_id(fixed_idx))
-        rows.append(row)
-    return rows
 
 
 # -- instances ----------------------------------------------------------------

@@ -16,7 +16,8 @@ import re
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from enum import Enum
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import kinds as K
 from .errors import (
@@ -26,7 +27,11 @@ from .errors import (
     BadSize,
     DuplicateId,
     ForwardAlias,
+    IndexOutOfBounds,
     LengthMismatch,
+    MalformedCompactToken,
+    MalformedInterval,
+    MatrixContextError,
     MisplacedOthers,
     MissingArgument,
     MissingVariables,
@@ -39,31 +44,25 @@ from .errors import (
     TemplateNotCore,
     TransitiveAlias,
     UnknownAliasTarget,
+    UnknownArray,
     UnknownElement,
     WhitespaceError,
-    check_int64,
 )
-from .expr import Expr, VarRef, is_identifier, parse_expr
+from .expr import INDEX_RE, INT_RE, IDENT_RE, Expr, VarRef, is_identifier, parse_expr, read_int
 from .kinds import Objective, ObjKind, OrderOp, Sense
 from .model import (
-    _COMPACT_RE,
-    _SLOT_RE,
-    _parse_slot,
     STAR,
     Condition,
     CondOp,
-    Context,
     Domain,
     Instance,
     Interval,
     IntSet,
+    Operand,
     PostedConstraint,
     Value,
     VarArray,
     Variable,
-    expand_compact_variable_list,
-    expand_vxk,
-    is_compact_token,
 )
 
 
@@ -143,17 +142,151 @@ def read_xml(text: str) -> RawElement:
     return _wrap(root, f"/{root.tag}")
 
 
-# -- token-level readers ---------------------------------------------------------
+# -- tokens ------------------------------------------------------------------------
+#
+# One reader per token form of the format, used by every slot that holds
+# it. Integers and identifiers are matched by expr's INT_RE and IDENT_RE,
+# which expressions use too; the patterns below are built from them.
 
-_INT_RE = re.compile(r"[+-]?[0-9]+")
-_INTERVAL_RE = re.compile(r"([+-]?[0-9]+)\.\.([+-]?[0-9]+)")
+_INTERVAL_RE = re.compile(rf"({INT_RE.pattern})\.\.({INT_RE.pattern})")
+_VXK_RE = re.compile(rf"({INT_RE.pattern})x({INT_RE.pattern})")
+_CELL_RE = re.compile(rf"{IDENT_RE.pattern}(?:{INDEX_RE.pattern})+")
+_COMPACT_RE = re.compile(rf"({IDENT_RE.pattern})((?:\[[^\[\]]*\])+)")
+_SLOT_RE = re.compile(r"\[([^\[\]]*)\]")
+_SIZE_RE = re.compile(rf"(?:{INDEX_RE.pattern})+")
 _PARAM_RE = re.compile(r"%(?:[0-9]+|\.\.\.)")
 
 
-def _parse_int(token: str, path: str, what: str = "integer") -> int:
-    if not _INT_RE.fullmatch(token):
-        raise ParseError(f"bad {what} token {token!r}", path=path, rule="integer")
-    return check_int64(int(token), what)
+def read_interval(token: str, path: Optional[str] = None) -> Optional[Tuple[int, int]]:
+    """(lo, hi) for an interval token lo..hi, None for any other token."""
+    m = _INTERVAL_RE.fullmatch(token)
+    if m is None:
+        return None
+    lo = read_int(m.group(1), path, "interval bound")
+    hi = read_int(m.group(2), path, "interval bound")
+    if lo > hi:
+        raise MalformedInterval(f"empty interval {token}", path=path, rule="interval-bounds")
+    return lo, hi
+
+
+def expand_vxk(tokens: Sequence[str], path: Optional[str] = None) -> List[int]:
+    """Expand a value sequence where ``vxk`` means v repeated k times."""
+    out: List[int] = []
+    for token in tokens:
+        m = _VXK_RE.fullmatch(token)
+        if m:
+            k = read_int(m.group(2), path, "repeat count")
+            if k <= 0:
+                raise MalformedCompactToken(f"repeat count must be positive in {token!r}",
+                                            path=path, rule="vxk-count")
+            out.extend([read_int(m.group(1), path, "vxk value")] * k)
+        elif INT_RE.fullmatch(token):
+            out.append(read_int(token, path, "value"))
+        else:
+            raise MalformedCompactToken(f"bad integer token {token!r}", path=path,
+                                        rule="vxk-token")
+    return out
+
+
+def read_var(token: str, path: Optional[str] = None, rule: str = "variable-token") -> str:
+    """One variable: an identifier or a cell id such as x[2][0].
+
+    A cell id is checked against the declarations once the instance is
+    read, like a cell named inside an expression.
+    """
+    if is_identifier(token) or _CELL_RE.fullmatch(token):
+        return token
+    raise ParseError(f"bad variable token {token!r}", path=path, rule=rule)
+
+
+class Context(Enum):
+    """Where a compact array reference appears; governs its expansion."""
+
+    LIST = "list"
+    MATRIX = "matrix"
+
+
+def is_compact_token(token: str) -> bool:
+    """True for array references carrying index slots: x[], x[2], x[1..3]."""
+    return bool(_COMPACT_RE.fullmatch(token))
+
+
+def _slot_ranges(token: str, size_of: Callable[[str], Sequence[int]]
+                 ) -> Tuple[str, List[range], List[int]]:
+    """The array a compact reference names (size_of gives its dimensions or
+    raises), the index range of each slot, and the slots not fixed to one index."""
+    m = _COMPACT_RE.fullmatch(token)
+    if not m:
+        raise MalformedCompactToken(f"not a compact array reference: {token!r}",
+                                    rule="compact-token")
+    name = m.group(1)
+    size = size_of(name)
+    slots = _SLOT_RE.findall(m.group(2))
+    if len(slots) != len(size):
+        raise IndexOutOfBounds(
+            f"{token!r}: {len(slots)} index slots for {len(size)}-dimensional array")
+    ranges: List[range] = []
+    free: List[int] = []
+    for axis, (slot, dim) in enumerate(zip(slots, size)):
+        if INT_RE.fullmatch(slot):
+            lo = hi = read_int(slot)
+        else:
+            free.append(axis)
+            interval = (0, dim - 1) if slot == "" else read_interval(slot)
+            if interval is None:
+                raise MalformedCompactToken(f"bad index slot [{slot}] in {token!r}",
+                                            rule="compact-token")
+            lo, hi = interval
+        if not 0 <= lo <= hi < dim:
+            raise IndexOutOfBounds(f"{token!r}: indexes {lo}..{hi} outside 0..{dim - 1}")
+        ranges.append(range(lo, hi + 1))
+    return name, ranges, free
+
+
+def expand_compact_variable_list(
+    token: str,
+    arrays: Mapping[str, VarArray],
+    context: Context = Context.LIST,
+) -> Union[List[str], List[List[str]]]:
+    """Expand a compact array reference into cell ids.
+
+    LIST context flattens lexicographically by index tuple. MATRIX context
+    yields one row per leading free dimension and requires the token to
+    select a 2-dimensional grid (exactly two slots not fixed to a single
+    index).
+    """
+    def size_of(name: str) -> Sequence[int]:
+        if name not in arrays:
+            raise UnknownArray(f"unknown array {name!r}")
+        return arrays[name].size
+
+    name, ranges, free = _slot_ranges(token, size_of)
+    ids = [arrays[name].cell_id(idx) for idx in itertools.product(*ranges)]
+    if context is Context.LIST:
+        return ids
+    if len(free) != 2:
+        raise MatrixContextError(
+            f"{token!r} selects a {len(free)}-dimensional grid; matrix slots need 2")
+    width = len(ranges[free[1]])  # the other slots select one index each
+    return [ids[i:i + width] for i in range(0, len(ids), width)]
+
+
+def _var_ids(token: str, arrays: Dict[str, VarArray], path: str) -> List[str]:
+    """The variables one token of a variable list names."""
+    if is_compact_token(token):
+        with _at(path):
+            return expand_compact_variable_list(token, arrays, Context.LIST)
+    if is_identifier(token):
+        return [token]
+    raise ParseError(f"bad variable token {token!r}", path=path, rule="variable-token")
+
+
+def _read_expr(text: str, path: str) -> Expr:
+    """An expression outside any template, where no % may be left."""
+    if "%" in text:
+        raise ParseError(f"template parameter outside a template: {text!r}",
+                         path=path, rule="parameter")
+    return parse_expr(text, path)
 
 
 def parse_domain_text(text: str, path: str, allow_empty: bool = False) -> Domain:
@@ -165,13 +298,11 @@ def parse_domain_text(text: str, path: str, allow_empty: bool = False) -> Domain
         if token == ".." or token.startswith("..") or token.endswith(".."):
             raise WhitespaceError(f"whitespace around '..' near {token!r}", 0,
                                   path=path, rule="interval-whitespace")
-        m = _INTERVAL_RE.fullmatch(token)
-        if m:
-            lo = check_int64(int(m.group(1)), "domain bound")
-            hi = check_int64(int(m.group(2)), "domain bound")
-            items.append((lo, hi))
-        elif _INT_RE.fullmatch(token):
-            v = check_int64(int(token), "domain value")
+        interval = read_interval(token, path)
+        if interval is not None:
+            items.append(interval)
+        elif INT_RE.fullmatch(token):
+            v = read_int(token, path, "domain value")
             items.append((v, v))
         else:
             raise ParseError(f"bad domain token {token!r}", path=path, rule="domain-token")
@@ -204,26 +335,20 @@ def parse_condition_text(text: str, path: str) -> Condition:
         raise ParseError(str(e), path=path, rule="condition-operand") from None
 
 
-def _parse_cond_operand(text: str, path: str):
-    if _INT_RE.fullmatch(text):
-        return check_int64(int(text), "condition operand")
-    m = _INTERVAL_RE.fullmatch(text)
-    if m:
-        return Interval(check_int64(int(m.group(1)), "interval bound"),
-                        check_int64(int(m.group(2)), "interval bound"))
+def _parse_cond_operand(text: str, path: str) -> Operand:
+    if INT_RE.fullmatch(text):
+        return read_int(text, path, "condition operand")
+    interval = read_interval(text, path)
+    if interval is not None:
+        return Interval(*interval)
     if text.startswith("{") and text.endswith("}"):
         inner = text[1:-1]
-        values = tuple(_parse_int(t, path, "set member") for t in inner.split(",")) \
-            if inner else ()
-        return IntSet(values)
-    if text.startswith("set(") and text.endswith(")"):
+    elif text.startswith("set(") and text.endswith(")"):
         inner = text[4:-1]
-        values = tuple(_parse_int(t, path, "set member") for t in inner.split(",")) \
-            if inner else ()
-        return IntSet(values)
-    if is_identifier(text):
-        return VarRef(text)
-    raise ParseError(f"bad condition operand {text!r}", path=path, rule="condition-operand")
+    else:
+        return VarRef(read_var(text, path, rule="condition-operand"))
+    return IntSet(tuple(read_int(t, path, "set member") for t in inner.split(","))
+                  if inner else ())
 
 
 def read_tuples(text: str, path: str, parse_field: Callable[[str], object],
@@ -254,36 +379,18 @@ def read_tuples(text: str, path: str, parse_field: Callable[[str], object],
     return out
 
 
-def _expand_token_to_ids(token: str, arrays: Dict[str, VarArray], path: str) -> List[str]:
-    if is_compact_token(token):
-        with _at(path):
-            ids = expand_compact_variable_list(token, arrays, Context.LIST)
-        return list(ids)
-    if is_identifier(token):
-        return [token]
-    raise ParseError(f"bad variable token {token!r}", path=path, rule="variable-token")
-
-
 def read_var_ids(text: str, arrays: Dict[str, VarArray], path: str) -> List[str]:
-    ids: List[str] = []
-    for token in text.split():
-        ids.extend(_expand_token_to_ids(token, arrays, path))
-    return ids
+    return [vid for token in text.split() for vid in _var_ids(token, arrays, path)]
 
 
 def read_exprs(text: str, arrays: Dict[str, VarArray], path: str) -> List[Expr]:
     """Operand list: variables, compact array references or expressions."""
     out: List[Expr] = []
     for token in text.split():
-        if "%" in token:
-            raise ParseError(f"template parameter {token!r} outside a template",
-                             path=path, rule="parameter")
-        if is_compact_token(token):
-            with _at(path):
-                ids = expand_compact_variable_list(token, arrays, Context.LIST)
-            out.extend(VarRef(i) for i in ids)
+        if "%" not in token and is_compact_token(token):
+            out.extend(VarRef(i) for i in _var_ids(token, arrays, path))
         else:
-            out.append(parse_expr(token, path))
+            out.append(_read_expr(token, path))
     return out
 
 
@@ -291,17 +398,12 @@ def read_vals(text: str, arrays: Dict[str, VarArray], path: str,
               allow_vxk: bool = False) -> List[K.Val]:
     out: List[K.Val] = []
     for token in text.split():
-        if allow_vxk and "x" in token and re.fullmatch(r"[+-]?[0-9]+x[0-9]+", token):
-            with _at(path):
-                out.extend(expand_vxk([token]))
-        elif _INT_RE.fullmatch(token):
-            out.append(check_int64(int(token), "value"))
-        elif is_compact_token(token):
-            with _at(path):
-                ids = expand_compact_variable_list(token, arrays, Context.LIST)
-            out.extend(VarRef(i) for i in ids)
-        elif is_identifier(token):
-            out.append(VarRef(token))
+        if allow_vxk and _VXK_RE.fullmatch(token):
+            out.extend(expand_vxk([token], path))
+        elif INT_RE.fullmatch(token):
+            out.append(read_int(token, path, "value"))
+        elif is_compact_token(token) or is_identifier(token):
+            out.extend(VarRef(i) for i in _var_ids(token, arrays, path))
         else:
             raise ParseError(f"bad value token {token!r}", path=path, rule="value-token")
     return out
@@ -314,10 +416,9 @@ def read_int_values(text: str, path: str, allow_vxk: bool = False,
         if allow_star and token == "*":
             out.append(STAR)
         elif allow_vxk:
-            with _at(path):
-                out.extend(expand_vxk([token]))
+            out.extend(expand_vxk([token], path))
         else:
-            out.append(_parse_int(token, path, "value"))
+            out.append(read_int(token, path, "value"))
     return out
 
 
@@ -343,39 +444,22 @@ def _read_matrix(el: RawElement, arrays: Dict[str, VarArray],
     return rows
 
 
-def _id_field(token: str) -> str:
-    if not is_identifier(token) and not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*(\[[0-9]+\])+", token):
-        raise ParseError(f"bad variable token {token!r}", rule="variable-token")
-    return token
-
-
-def _int_field(token: str) -> int:
-    if not _INT_RE.fullmatch(token):
-        raise ParseError(f"bad integer token {token!r}", rule="integer")
-    return check_int64(int(token), "tuple value")
-
-
 def _int_or_star_field(token: str) -> Value:
-    if token == "*":
-        return STAR
-    return _int_field(token)
+    return STAR if token == "*" else read_int(token, None, "tuple value")
 
 
 def _val_field(token: str) -> K.Val:
-    if _INT_RE.fullmatch(token):
-        return check_int64(int(token), "tuple value")
-    return VarRef(_id_field(token))
+    if INT_RE.fullmatch(token):
+        return read_int(token, None, "tuple value")
+    return VarRef(read_var(token))
 
 
 # -- variables section -------------------------------------------------------------
 
-_SIZE_RE = re.compile(r"(\[[0-9]+\])+")
-
-
 def _parse_size(text: str, path: str) -> Tuple[int, ...]:
     if not _SIZE_RE.fullmatch(text):
         raise BadSize(f"bad size attribute {text!r}", path=path, rule="array-size")
-    dims = tuple(int(m) for m in re.findall(r"\[([0-9]+)\]", text))
+    dims = tuple(int(d) for d in INDEX_RE.findall(text))
     if any(d <= 0 for d in dims):
         raise BadSize(f"array dimensions must be positive: {text!r}",
                       path=path, rule="array-size")
@@ -386,23 +470,20 @@ def _for_token_cells(token: str, array_id: str, size: Sequence[int], path: str) 
     """Flat cell indexes selected by one for= token of a <domain> element."""
     if token == array_id:
         return list(range(math.prod(size)))
-    m = _COMPACT_RE.fullmatch(token)
-    try:
-        if not m or m.group(1) != array_id:
+
+    def size_of(name: str) -> Sequence[int]:
+        if name != array_id:
             raise ParseError(f"for= token {token!r} does not select cells of {array_id!r}")
-        slots = _SLOT_RE.findall(m.group(2))
-        if len(slots) != len(size):
-            raise ParseError(f"{token!r}: {len(slots)} index slots for "
-                             f"{len(size)}-dimensional array")
-        flats = [0]
-        for slot, dim in zip(slots, size):
-            lo, hi, _ = _parse_slot(token, slot, dim)
-            if not 0 <= lo <= hi < dim:
-                raise ParseError(f"{token!r}: indexes {lo}..{hi} outside 0..{dim - 1}")
-            flats = [flat * dim + i for flat in flats for i in range(lo, hi + 1)]
-        return flats
+        return size
+
+    try:
+        _, ranges, _ = _slot_ranges(token, size_of)
     except ParseError as e:
         raise ParseError(e.message, path=path, rule="for-target") from None
+    flats = [0]
+    for rng, dim in zip(ranges, size):
+        flats = [flat * dim + i for flat in flats for i in rng]
+    return flats
 
 
 # A domain plan tells how to populate an array's cells; storing it by shape
@@ -742,6 +823,8 @@ class _ConstraintReader:
             raise ParseError("group template must come before <args>",
                              path=el.path, rule="group-shape")
         if template.tag not in CONSTRAINT_TAGS:
+            if not self.cfg.strict:
+                return  # lenient: the whole group is skipped
             raise ParseError(f"<{template.tag}> cannot be a group template",
                              path=template.path, rule="group-template")
         if not rest_children or any(c.tag != "args" for c in rest_children):
@@ -779,6 +862,8 @@ class _ConstraintReader:
             raise ParseError("slide children must be <list> elements then a template",
                              path=el.path, rule="slide-shape")
         if template.tag not in ("intension", "extension"):
+            if not self.cfg.strict:
+                return  # lenient: the whole slide is skipped
             raise TemplateNotCore(
                 f"slide template must be intension or extension, not <{template.tag}>",
                 path=template.path, rule="slide-template")
@@ -796,13 +881,13 @@ class _ConstraintReader:
             _check_start_index(lst, "startIndex")
             ids = read_var_ids(lst.text, self.arrays, lst.path)
             offset_text = lst.attr("offset")
-            offset = _parse_int(offset_text, lst.path, "offset") if offset_text else 1
+            offset = read_int(offset_text, lst.path, "offset") if offset_text else 1
             if offset < 1:
                 raise ParseError(f"offset must be positive, not {offset}",
                                  path=lst.path, rule="slide-offset")
             collect_text = lst.attr("collect")
             default_collect = q if len(lists) == 1 else 1
-            collect = (_parse_int(collect_text, lst.path, "collect")
+            collect = (read_int(collect_text, lst.path, "collect")
                        if collect_text else default_collect)
             if collect < 1:
                 raise ParseError(f"collect must be positive, not {collect}",
@@ -824,8 +909,8 @@ class _ConstraintReader:
             if n < q:
                 raise LengthMismatch(f"list of {n} variables cannot slide a window "
                                      f"of {q}", path=el.path, rule="slide-length")
-            members = [[ids[(i + t) % n] for t in range(q)]
-                       for i in range(n - q + 2)]
+            # one window per start position, wrapping past the end
+            members = [[ids[(i + t) % n] for t in range(q)] for i in range(n)]
         else:
             counts = []
             for ids, offset, collect in per_list:
@@ -859,12 +944,7 @@ class _ConstraintReader:
             path = el.find("function").path
         else:
             text, path = el.text, el.path
-        body = text.strip()
-        if "%" in body:
-            raise ParseError("template parameter outside a template",
-                             path=path, rule="parameter")
-        expr = parse_expr(body, path)
-        return K.Intension(expr)
+        return K.Intension(_read_expr(text.strip(), path))
 
     def _read_extension(self, el: RawElement) -> K.Extension:
         _check_attrs(el)
@@ -932,7 +1012,7 @@ class _ConstraintReader:
                 raise ParseError(f"transition needs (state,value,state): {t}",
                                  path=el.path, rule="transition")
             src, val, dst = t
-            out.append((src, _parse_int(val, el.path, "transition value"), dst))
+            out.append((src, read_int(val, el.path, "transition value"), dst))
         return tuple(out)
 
     def _read_mdd(self, el: RawElement) -> K.Mdd:
@@ -955,7 +1035,7 @@ class _ConstraintReader:
             if lists or except_el is not None:
                 raise ParseError("matrix form takes no other children",
                                  path=el.path, rule="allDifferent-shape")
-            rows = _read_matrix(matrix, self.arrays, _id_field)
+            rows = _read_matrix(matrix, self.arrays, read_var)
             return K.AllDifferentMatrix(tuple(tuple(r) for r in rows))
         if len(lists) >= 2:
             id_lists = [tuple(read_var_ids(l.text, self.arrays, l.path)) for l in lists]
@@ -965,7 +1045,7 @@ class _ConstraintReader:
                                      path=el.path, rule="lists-length")
             excepts: Tuple[Tuple[int, ...], ...] = ()
             if except_el is not None:
-                raw = read_tuples(except_el.text, except_el.path, _int_field)
+                raw = read_tuples(except_el.text, except_el.path, read_int)
                 for t in raw:
                     if len(t) != width:
                         raise LengthMismatch("except tuple arity differs from lists",
@@ -1019,7 +1099,7 @@ class _ConstraintReader:
         op = self._read_order_operator(el)
         matrix = el.find("matrix")
         if matrix is not None:
-            rows = _read_matrix(matrix, self.arrays, _id_field)
+            rows = _read_matrix(matrix, self.arrays, read_var)
             return K.Lex2(tuple(tuple(r) for r in rows), op)
         lists = el.find_all("list")
         if len(lists) < 2:
@@ -1082,14 +1162,13 @@ class _ConstraintReader:
         occurs_el = _required(el, "occurs")
         occurs: List[Union[int, VarRef, Interval]] = []
         for token in occurs_el.text.split():
-            m = _INTERVAL_RE.fullmatch(token)
-            if m:
-                occurs.append(Interval(int(m.group(1)), int(m.group(2))))
-            elif _INT_RE.fullmatch(token):
-                occurs.append(_parse_int(token, occurs_el.path, "occurrence"))
+            interval = read_interval(token, occurs_el.path)
+            if interval is not None:
+                occurs.append(Interval(*interval))
+            elif INT_RE.fullmatch(token):
+                occurs.append(read_int(token, occurs_el.path, "occurrence"))
             else:
-                occurs.extend(VarRef(i) for i in
-                              _expand_token_to_ids(token, self.arrays, occurs_el.path))
+                occurs.extend(VarRef(i) for i in _var_ids(token, self.arrays, occurs_el.path))
         if len(values) != len(occurs):
             raise LengthMismatch(f"{len(values)} values for {len(occurs)} occurrences",
                                  path=occurs_el.path, rule="occurs-count")
@@ -1121,19 +1200,12 @@ class _ConstraintReader:
             raise ParseError("element value must be a single token",
                              path=value_el.path, rule="element-value")
         token = tokens[0]
-        if _INT_RE.fullmatch(token):
+        if INT_RE.fullmatch(token):
             if values_form:
                 raise ParseError("element over values needs a variable target",
                                  path=value_el.path, rule="element-value")
-            return check_int64(int(token), "element value")
-        if is_identifier(token) or is_compact_token(token):
-            ids = _expand_token_to_ids(token, self.arrays, value_el.path)
-            if len(ids) != 1:
-                raise ParseError("element value must be a single variable",
-                                 path=value_el.path, rule="element-value")
-            return VarRef(ids[0])
-        raise ParseError(f"bad element value {token!r}", path=value_el.path,
-                         rule="element-value")
+            return read_int(token, value_el.path, "element value")
+        return VarRef(read_var(token, value_el.path, rule="element-value"))
 
     def _read_element(self, el: RawElement) -> K.ConstraintKind:
         _check_attrs(el)
@@ -1143,9 +1215,9 @@ class _ConstraintReader:
         if matrix is not None:
             _check_start_index(matrix, "startRowIndex", "startColIndex")
             text = matrix.text.strip()
-            int_cells = bool(re.fullmatch(r"[\s(),+\-0-9]+", text)) and "(" in text
-            rows = _read_matrix(matrix, self.arrays,
-                                _int_field if int_cells else _id_field)
+            int_cells = "(" in text and all(c.isspace() or c in "(),+-0123456789"
+                                            for c in text)
+            rows = _read_matrix(matrix, self.arrays, read_int if int_cells else read_var)
             indexes = read_var_ids(index_el.text, self.arrays, index_el.path)
             if len(indexes) != 2:
                 raise ParseError("matrix element needs two index variables",
@@ -1156,14 +1228,14 @@ class _ConstraintReader:
         list_el = _required(el, "list")
         _check_start_index(list_el, "startIndex")
         tokens = list_el.text.split()
-        values_form = bool(tokens) and all(_INT_RE.fullmatch(t) for t in tokens)
+        values_form = bool(tokens) and all(INT_RE.fullmatch(t) for t in tokens)
         indexes = read_var_ids(index_el.text, self.arrays, index_el.path)
         if len(indexes) != 1:
             raise ParseError("element needs one index variable",
                              path=index_el.path, rule="element-index")
         rhs = self._read_element_rhs(el, values_form=values_form)
         if values_form:
-            values = tuple(_parse_int(t, list_el.path, "element value") for t in tokens)
+            values = tuple(read_int(t, list_el.path, "element value") for t in tokens)
             return K.ElementValList(values, indexes[0], rhs)
         ids = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
         return K.ElementVarList(ids, indexes[0], rhs)
@@ -1205,7 +1277,7 @@ class _ConstraintReader:
         origins_el = _required(el, "origins")
         lengths_el = _required(el, "lengths")
         if origins_el.text.strip().startswith("("):
-            origin_rows = read_tuples(origins_el.text, origins_el.path, _id_field,
+            origin_rows = read_tuples(origins_el.text, origins_el.path, read_var,
                                       what="origin tuple")
             length_rows = read_tuples(lengths_el.text, lengths_el.path, _val_field,
                                       what="length tuple")
@@ -1304,19 +1376,15 @@ def _read_objective(section: RawElement, arrays: Dict[str, VarArray]) -> Objecti
             if el.children:
                 raise ParseError("expression objectives carry the expression as text",
                                  path=el.path, rule="objective-shape")
-            body = el.text.strip()
-            if "%" in body:
-                raise ParseError("template parameter outside a template",
-                                 path=el.path, rule="parameter")
-            return Objective(sense, obj_kind, expression=parse_expr(body, el.path))
+            return Objective(sense, obj_kind,
+                             expression=_read_expr(el.text.strip(), el.path))
         _check_children(el, frozenset({"list", "coeffs"}))
         src = el.find("list") or el
         operands = tuple(read_exprs(src.text, arrays, src.path))
         coeffs_el = el.find("coeffs")
         coeffs: Optional[Tuple[int, ...]] = None
         if coeffs_el is not None:
-            raw = read_int_values(coeffs_el.text, coeffs_el.path, allow_vxk=True)
-            coeffs = tuple(v for v in raw if isinstance(v, int))
+            coeffs = tuple(read_int_values(coeffs_el.text, coeffs_el.path, allow_vxk=True))
         try:
             return Objective(sense, obj_kind, operands=operands, coeffs=coeffs)
         except ValueError as e:

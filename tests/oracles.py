@@ -18,7 +18,7 @@ from xcsp3core.errors import (
     Overflow,
     UnboundVariable,
 )
-from xcsp3core.expr import Expr, IntConst, Param, ParamRest, SetLiteral, VarRef
+from xcsp3core.expr import Expr, IntConst, SetLiteral, VarRef
 from xcsp3core.model import Instance, STAR, Star
 
 
@@ -74,8 +74,6 @@ def reference_eval(e: Expr, env: Dict[str, int]) -> int:
         if not isinstance(v, int):
             raise UnboundVariable(e.id)
         return v
-    if isinstance(e, (Param, ParamRest)):
-        raise EvalError("template parameter in expression; substitute arguments first")
     if isinstance(e, SetLiteral):
         raise EvalError("set literal outside in()")
 

@@ -198,6 +198,15 @@ def test_check_length_mismatch_is_invalid(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_bad_cost_attribute_is_invalid(capsys, tmp_path):
+    sol = tmp_path / "sol.xml"
+    sol.write_text('<instantiation cost="abc"><list> b c </list>'
+                   "<values> 2 2 </values></instantiation>")
+    code, _, err = run(capsys, "check", fixture_path("cake_intension.xml"), str(sol))
+    assert code == 2
+    assert "/instantiation" in err and "[rule: integer]" in err
+
+
 # -- solve ------------------------------------------------------------------------
 
 
@@ -261,6 +270,23 @@ def test_solve_optimum_solution_passes_check(capsys, tmp_path):
     code, out2, _ = run(capsys, "check", fixture_path("cake_sums.xml"), str(sol))
     assert code == 0
     assert out2.strip() == "satisfied, cost verified: 1700"
+
+
+def test_solve_lex_optimum_passes_check(capsys, tmp_path):
+    # a lex optimum is a tuple: it is printed without a cost attribute
+    instance = tmp_path / "lex.xml"
+    instance.write_text('<instance format="XCSP3" type="COP"><variables>'
+                        '<var id="x"> 0..2 </var><var id="y"> 0..2 </var></variables>'
+                        "<constraints><intension> ne(x,y) </intension></constraints>"
+                        '<objectives><minimize type="lex"> x y </minimize></objectives>'
+                        "</instance>")
+    code, out, _ = run(capsys, "solve", str(instance))
+    assert code == 0
+    assert '<instantiation type="optimum">' in out and "cost=" not in out
+    sol = tmp_path / "opt.xml"
+    sol.write_text(out)
+    code, out2, _ = run(capsys, "check", str(instance), str(sol))
+    assert code == 0 and out2.strip() == "satisfied"
 
 
 def test_solve_node_limit(capsys, tmp_path):

@@ -168,6 +168,15 @@ def test_circular_slide_wraps_around():
     assert free_vars(last.function) == ["x[3]", "x[0]"]
 
 
+def test_circular_slide_wider_window_starts_at_every_position():
+    text = wrap('<slide circular="true"><list> x[0] x[1] x[2] x[3] x[4] </list>'
+                "<intension> ne(add(%0,%1),%2) </intension></slide>")
+    inst = parse_string(text)
+    from xcsp3core.expr import free_vars
+    assert [free_vars(p.kind.function) for p in inst.constraints] == [
+        [f"x[{(i + t) % 5}]" for t in range(3)] for i in range(5)]
+
+
 def test_circular_slide_takes_single_list():
     text = wrap('<slide circular="true"><list> x[0] x[1] </list>'
                 "<list> x[2] x[3] </list><intension> ne(%0,%1) </intension></slide>")

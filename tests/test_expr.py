@@ -20,7 +20,6 @@ from xcsp3core.expr import (
     ARITIES,
     IntConst,
     OpCall,
-    Param,
     SetLiteral,
     VarRef,
     compile_expr,
@@ -28,7 +27,6 @@ from xcsp3core.expr import (
     free_vars,
     parse_expr,
     print_expr,
-    substitute_params,
 )
 
 
@@ -40,7 +38,6 @@ def test_parse_atoms():
     assert parse_expr("42") == IntConst(42)
     assert parse_expr("-7") == IntConst(-7)
     assert parse_expr("x3") == VarRef("x3")
-    assert parse_expr("%2") == Param(2)
 
 
 def test_parse_nested_call():
@@ -182,23 +179,14 @@ def test_every_operand_is_evaluated():
 
 
 def test_stray_leaves_fail_when_evaluated_not_when_compiled():
-    for leaf in (Param(0), SetLiteral((1, 2))):
-        evaluate = compile_expr(OpCall("add", (IntConst(1), leaf)))
-        with pytest.raises(EvalError):
-            evaluate({})
+    evaluate = compile_expr(OpCall("add", (IntConst(1), SetLiteral((1, 2)))))
+    with pytest.raises(EvalError):
+        evaluate({})
 
 
 def test_compiled_expression_is_reusable():
     evaluate = compile_expr(parse_expr("le(add(x,y),3)"))
     assert [evaluate({"x": x, "y": 1}) for x in range(4)] == [1, 1, 1, 0]
-
-
-# -- parameters ----------------------------------------------------------------------
-
-def test_substitute_params():
-    e = parse_expr("eq(add(%0,%1),%2)")
-    done = substitute_params(e, (parse_expr("x"), parse_expr("y"), IntConst(3)))
-    assert print_expr(done) == "eq(add(x,y),3)"
 
 
 def test_free_vars_order():
@@ -264,7 +252,7 @@ _ints = st.one_of(
     st.sampled_from([INT_MIN, INT_MIN + 1, INT_MAX - 1, INT_MAX]),
     st.integers(INT_MIN, INT_MAX),
 )
-_stray = st.sampled_from([VarRef("unbound"), Param(0), SetLiteral((1, 2))])
+_stray = st.sampled_from([VarRef("unbound"), SetLiteral((1, 2))])
 _any_leaf = st.one_of(*[_ints.map(IntConst)] * 5,
                       *[st.sampled_from(["x", "y", "z"]).map(VarRef)] * 4, _stray)
 

@@ -117,6 +117,19 @@ def test_var_ids_computed_once(name, constraint, scope):
     assert kind.var_ids is kind.var_ids
 
 
+@pytest.mark.parametrize("constraint", [
+    "<regular><list> x[0] x[0] c </list><transitions> (a,0,d)(d,1,e)(e,0,b) </transitions>"
+    "<start> a </start><final> b </final></regular>",
+    "<mdd><list> c x[0] c </list><transitions> (a,0,d)(d,1,e)(e,0,b) </transitions></mdd>",
+    "<extension><list> c x[0] c </list><supports> (0,0,0)(1,1,1) </supports></extension>",
+])
+def test_repeated_scope_variable_is_involved_once(constraint):
+    kind = only_kind(constraint)
+    assert len(kind.scope) == 3
+    assert kind.var_ids == tuple(dict.fromkeys(kind.scope))
+    assert len(kind.var_ids) == 2
+
+
 @pytest.mark.parametrize("name,constraint,scope", CASES, ids=IDS)
 def test_compiled_lazily_and_once(name, constraint, scope):
     kind = only_kind(constraint)

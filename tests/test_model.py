@@ -15,7 +15,6 @@ from xcsp3core.errors import (
 from xcsp3core.model import (
     Condition,
     CondOp,
-    Context,
     Domain,
     Instantiation,
     Interval,
@@ -24,13 +23,16 @@ from xcsp3core.model import (
     VarArray,
     Variable,
     eval_condition,
-    expand_compact_variable_list,
-    expand_vxk,
     export_id,
-    is_compact_token,
 )
 from xcsp3core.expr import VarRef
-from xcsp3core.parser import parse_domain_text
+from xcsp3core.parser import (
+    Context,
+    expand_compact_variable_list,
+    expand_vxk,
+    is_compact_token,
+    parse_domain_text,
+)
 
 
 def make_array(name, *dims, lo=0, hi=9):

@@ -243,6 +243,26 @@ def test_unknown_constraint_strict_vs_lenient():
     assert isinstance(inst.constraints[0].kind, Intension)
 
 
+@pytest.mark.parametrize("structure,rule", [
+    ('<group id="g"><regular8> %0 </regular8><args> x </args><args> y </args></group>',
+     "group-template"),
+    ('<slide id="g"><list> x y </list><sum><list> %0 %1 </list>'
+     "<condition> (eq,1) </condition></sum></slide>", "slide-template"),
+], ids=["group", "slide"])
+def test_lenient_skips_group_or_slide_with_non_core_template(structure, rule):
+    text = wrap('<var id="x"> 0 1 </var><var id="y"> 0 1 </var>', structure + TRIVIAL)
+    with pytest.raises(ParseError) as err:
+        parse_string(text)
+    assert err.value.rule == rule
+    inst = parse_string(text, ParserConfig(strict=False))
+    assert len(inst.constraints) == 1
+    assert isinstance(inst.constraints[0].kind, Intension)
+    # the skipped structure keeps its id
+    with pytest.raises(DuplicateId):
+        parse_string(text.replace("<intension>", '<intension id="g">'),
+                     ParserConfig(strict=False))
+
+
 def test_drop_class_removes_tagged_constraints():
     text = wrap('<var id="x"> 0 1 </var>',
                 '<intension class="redundant"> eq(x,0) </intension>' + TRIVIAL)
