@@ -11,8 +11,10 @@ import sys
 import time
 from pathlib import Path
 
-from xcsp3core.parser import parse_file
-from xcsp3core.solver import SearchConfig, Status, count_solutions, solve
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's
+
+from xcsp3core.parser import parse_file  # noqa: E402
+from xcsp3core.solver import SearchConfig, Status, count_solutions, solve  # noqa: E402
 
 
 def describe(path: Path, do_solve: bool, node_limit: int) -> str:

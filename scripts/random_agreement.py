@@ -12,7 +12,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # this checkout's package
 
 import oracles  # noqa: E402  (test oracle helpers, deliberately outside the package)
 from xcsp3core import kinds as K  # noqa: E402

@@ -8,10 +8,11 @@ instances_equivalent compares two instances modulo that id rewriting.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from dataclasses import MISSING, fields
+from typing import Any, Callable, Dict, List, Tuple
 
 from . import kinds as K
-from .expr import Expr, VarRef, print_expr
+from .expr import IntConst, OpCall, SetLiteral, VarRef, print_expr
 from .model import (
     Condition,
     Domain,
@@ -24,36 +25,6 @@ from .model import (
     Variable,
     export_id,
 )
-
-
-def _val(v: K.Val) -> str:
-    return v.id if isinstance(v, VarRef) else str(v)
-
-
-def _value(v) -> str:
-    return "*" if isinstance(v, Star) else str(v)
-
-
-def _operand(v) -> str:
-    if isinstance(v, VarRef):
-        return v.id
-    if isinstance(v, Interval):
-        return f"{v.lo}..{v.hi}"
-    if isinstance(v, IntSet):
-        return "{" + ",".join(str(x) for x in v.values) + "}"
-    return str(v)
-
-
-def _condition(c: Condition) -> str:
-    return f"({c.op.value},{_operand(c.operand)})"
-
-
-def _tuples(rows) -> str:
-    return "".join("(" + ",".join(_value(v) for v in row) + ")" for row in rows)
-
-
-def _exprs(operands: Tuple[Expr, ...]) -> str:
-    return " ".join(print_expr(e) for e in operands)
 
 
 # Written here rather than imported from xml.sax.saxutils, whose import
@@ -164,190 +135,137 @@ def _write_array(w: _Writer, array: VarArray) -> None:
     w.close("array")
 
 
+# How a field value is spelled as element text, by its type: the output side
+# of the token readers in parser.py. A tuple of tuples is a (a,b)(c,d) row
+# sequence, any other tuple a space-separated list.
+def _tuple_text(value: tuple) -> str:
+    if value and type(value[0]) is tuple:
+        return "".join(["(" + ",".join([_text(v) for v in row]) + ")" for row in value])
+    return " ".join([_text(v) for v in value])
+
+
+_SPELLING: Dict[type, Callable[[Any], str]] = {
+    str: str,
+    int: str,
+    bool: lambda b: "true" if b else "false",
+    tuple: _tuple_text,
+    VarRef: lambda v: v.id,
+    IntConst: print_expr,
+    OpCall: print_expr,
+    SetLiteral: print_expr,
+    Star: lambda _: "*",
+    Interval: lambda v: f"{v.lo}..{v.hi}",
+    IntSet: lambda v: "{" + ",".join([str(x) for x in v.values]) + "}",
+    Condition: lambda c: f"({c.op.value},{_text(c.operand)})",
+    Domain: Domain.render,
+    K.OrderOp: lambda op: op.value,
+}
+
+
+def _text(value: Any) -> str:
+    return _SPELLING[type(value)](value)
+
+
+# Each kind's element: its tag and its children in the order written, as
+# (child tag, field name); a tuple of field names shares one child. A field
+# left at its dataclass default is not written. The child tag "owner@name"
+# writes the field as attribute name= of the child just written, or of the
+# constraint element when owner is empty. The rules that no row states are in
+# _write_constraint.
+_LAYOUT: Dict[type, Tuple[str, tuple]] = {
+    K.Intension: ("intension", (("function", "function"),)),
+    K.Extension: ("extension", (("list", "scope"), ("supports", "tuples"),
+                                ("supports", "unary"))),
+    K.Regular: ("regular", (("list", "scope"), ("transitions", "transitions"),
+                            ("start", "start"), ("final", "finals"))),
+    K.Mdd: ("mdd", (("list", "scope"), ("transitions", "transitions"))),
+    K.AllDifferent: ("allDifferent", (("list", "operands"), ("except", "excepts"))),
+    K.AllDifferentLists: ("allDifferent", (("list", "lists"), ("except", "excepts"))),
+    K.AllDifferentMatrix: ("allDifferent", (("matrix", "rows"),)),
+    K.AllEqual: ("allEqual", (("list", "operands"),)),
+    K.Ordered: ("ordered", (("list", "vars"), ("lengths", "lengths"), ("operator", "op"))),
+    K.Lex: ("lex", (("list", "lists"), ("operator", "op"))),
+    K.Lex2: ("lex", (("matrix", "rows"), ("operator", "op"))),
+    K.Sum: ("sum", (("list", "terms"), ("coeffs", "coeffs"), ("condition", "condition"))),
+    K.Count: ("count", (("list", "operands"), ("values", "values"),
+                        ("condition", "condition"))),
+    K.NValues: ("nValues", (("list", "operands"), ("except", "excepts"),
+                            ("condition", "condition"))),
+    K.Cardinality: ("cardinality", (("list", "vars"), ("values", "values"),
+                                    ("values@closed", "closed"), ("occurs", "occurs"))),
+    K.Minimum: ("minimum", (("list", "operands"), ("condition", "condition"))),
+    K.Maximum: ("maximum", (("list", "operands"), ("condition", "condition"))),
+    K.ElementVarList: ("element", (("list", "vars"), ("index", "index"), ("value", "rhs"))),
+    K.ElementValList: ("element", (("list", "values"), ("index", "index"),
+                                   ("value", "rhs"))),
+    K.ElementMatrix: ("element", (("matrix", "cells"), ("index", ("row_index", "col_index")),
+                                  ("value", "rhs"))),
+    K.ChannelOne: ("channel", (("list", "vars"),)),
+    K.ChannelTwo: ("channel", (("list", "first"), ("list", "second"))),
+    K.ChannelValue: ("channel", (("list", "vars"), ("value", "value"))),
+    K.NoOverlap1: ("noOverlap", (("@zeroIgnored", "zero_ignored"), ("origins", "origins"),
+                                 ("lengths", "lengths"))),
+    K.NoOverlapK: ("noOverlap", (("@zeroIgnored", "zero_ignored"), ("origins", "origins"),
+                                 ("lengths", "lengths"))),
+    K.Cumulative: ("cumulative", (("origins", "origins"), ("lengths", "lengths"),
+                                  ("heights", "heights"), ("condition", "condition"))),
+    K.Circuit: ("circuit", (("list", "vars"), ("size", "size"))),
+    K.InstantiationCtr: ("instantiation", (("list", "vars"), ("values", "values"))),
+}
+
+_DEFAULTS = {cls: {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+             for cls in _LAYOUT}
+
+
 def _write_constraint(w: _Writer, posted: PostedConstraint) -> None:
+    """Write posted by its kind's _LAYOUT row. Beyond the row: sum coefficients
+    that are all 1 are left out, a Condition goes in <condition>, the lists
+    field gives one <list> per item, a negative table goes in <conflicts>, and
+    a lone <list> or <function> child becomes the element's text."""
     kind = posted.kind
+    tag, rows = _LAYOUT[type(kind)]
+    defaults = _DEFAULTS[type(kind)]
     attrs = _constraint_attrs(posted)
-    if isinstance(kind, K.Intension):
-        w.leaf("intension", print_expr(kind.function), **attrs)
-    elif isinstance(kind, K.Extension):
-        tag = "supports" if kind.positive else "conflicts"
-        w.open("extension", **attrs)
-        w.leaf("list", " ".join(kind.scope))
-        if kind.unary is not None:
-            w.leaf(tag, kind.unary.render())
+    children: List[Tuple[str, str, Dict[str, str]]] = []
+    for child, name in rows:
+        if type(name) is str:
+            value = getattr(kind, name)
+            if value == defaults.get(name, MISSING):
+                continue
+            if name == "coeffs" and all(c == 1 for c in value):
+                continue
         else:
-            w.leaf(tag, _tuples(kind.tuples))
-        w.close("extension")
-    elif isinstance(kind, K.Regular):
-        w.open("regular", **attrs)
-        w.leaf("list", " ".join(kind.scope))
-        w.leaf("transitions", _tuples(kind.transitions))
-        w.leaf("start", kind.start)
-        w.leaf("final", " ".join(kind.finals))
-        w.close("regular")
-    elif isinstance(kind, K.Mdd):
-        w.open("mdd", **attrs)
-        w.leaf("list", " ".join(kind.scope))
-        w.leaf("transitions", _tuples(kind.transitions))
-        w.close("mdd")
-    elif isinstance(kind, K.AllDifferent):
-        if kind.excepts:
-            w.open("allDifferent", **attrs)
-            w.leaf("list", _exprs(kind.operands))
-            w.leaf("except", " ".join(str(v) for v in kind.excepts))
-            w.close("allDifferent")
+            value = tuple(getattr(kind, n) for n in name)
+        if "@" in child:
+            owner, _, attr = child.partition("@")
+            (children[-1][2] if owner else attrs)[attr] = _text(value)
+        elif name == "lists":
+            children.extend(("list", _text(item), {}) for item in value)
         else:
-            w.leaf("allDifferent", _exprs(kind.operands), **attrs)
-    elif isinstance(kind, K.AllDifferentLists):
-        w.open("allDifferent", **attrs)
-        for lst in kind.lists:
-            w.leaf("list", " ".join(lst))
-        if kind.excepts:
-            w.leaf("except", _tuples(kind.excepts))
-        w.close("allDifferent")
-    elif isinstance(kind, K.AllDifferentMatrix):
-        w.open("allDifferent", **attrs)
-        w.leaf("matrix", _tuples(kind.rows))
-        w.close("allDifferent")
-    elif isinstance(kind, K.AllEqual):
-        w.leaf("allEqual", _exprs(kind.operands), **attrs)
-    elif isinstance(kind, K.Ordered):
-        w.open("ordered", **attrs)
-        w.leaf("list", " ".join(kind.vars))
-        if kind.lengths is not None:
-            w.leaf("lengths", " ".join(_val(v) for v in kind.lengths))
-        w.leaf("operator", kind.op.value)
-        w.close("ordered")
-    elif isinstance(kind, K.Lex):
-        w.open("lex", **attrs)
-        for lst in kind.lists:
-            w.leaf("list", " ".join(lst))
-        w.leaf("operator", kind.op.value)
-        w.close("lex")
-    elif isinstance(kind, K.Lex2):
-        w.open("lex", **attrs)
-        w.leaf("matrix", _tuples(kind.rows))
-        w.leaf("operator", kind.op.value)
-        w.close("lex")
-    elif isinstance(kind, K.Sum):
-        w.open("sum", **attrs)
-        w.leaf("list", _exprs(kind.terms))
-        if any(c != 1 for c in kind.coeffs):
-            w.leaf("coeffs", " ".join(_val(v) for v in kind.coeffs))
-        w.leaf("condition", _condition(kind.condition))
-        w.close("sum")
-    elif isinstance(kind, K.Count):
-        w.open("count", **attrs)
-        w.leaf("list", _exprs(kind.operands))
-        w.leaf("values", " ".join(_val(v) for v in kind.values))
-        w.leaf("condition", _condition(kind.condition))
-        w.close("count")
-    elif isinstance(kind, K.NValues):
-        w.open("nValues", **attrs)
-        w.leaf("list", _exprs(kind.operands))
-        if kind.excepts:
-            w.leaf("except", " ".join(str(v) for v in kind.excepts))
-        w.leaf("condition", _condition(kind.condition))
-        w.close("nValues")
-    elif isinstance(kind, K.Cardinality):
-        w.open("cardinality", **attrs)
-        w.leaf("list", " ".join(kind.vars))
-        values_attrs = {"closed": "true"} if kind.closed else {}
-        w.leaf("values", " ".join(_val(v) for v in kind.values), **values_attrs)
-        w.leaf("occurs", " ".join(_operand(v) for v in kind.occurs))
-        w.close("cardinality")
-    elif isinstance(kind, (K.Minimum, K.Maximum)):
-        tag = "minimum" if isinstance(kind, K.Minimum) else "maximum"
-        w.open(tag, **attrs)
-        w.leaf("list", _exprs(kind.operands))
-        w.leaf("condition", _condition(kind.condition))
-        w.close(tag)
-    elif isinstance(kind, (K.ElementVarList, K.ElementValList)):
-        w.open("element", **attrs)
-        if isinstance(kind, K.ElementVarList):
-            w.leaf("list", " ".join(kind.vars))
-        else:
-            w.leaf("list", " ".join(str(v) for v in kind.values))
-        w.leaf("index", kind.index)
-        _write_element_rhs(w, kind.rhs)
-        w.close("element")
-    elif isinstance(kind, K.ElementMatrix):
-        w.open("element", **attrs)
-        w.leaf("matrix", _tuples(kind.cells))
-        w.leaf("index", f"{kind.row_index} {kind.col_index}")
-        _write_element_rhs(w, kind.rhs)
-        w.close("element")
-    elif isinstance(kind, K.ChannelOne):
-        w.leaf("channel", " ".join(kind.vars), **attrs)
-    elif isinstance(kind, K.ChannelTwo):
-        w.open("channel", **attrs)
-        w.leaf("list", " ".join(kind.first))
-        w.leaf("list", " ".join(kind.second))
-        w.close("channel")
-    elif isinstance(kind, K.ChannelValue):
-        w.open("channel", **attrs)
-        w.leaf("list", " ".join(kind.vars))
-        w.leaf("value", kind.value)
-        w.close("channel")
-    elif isinstance(kind, K.NoOverlap1):
-        if not kind.zero_ignored:
-            attrs["zeroIgnored"] = "false"
-        w.open("noOverlap", **attrs)
-        w.leaf("origins", " ".join(kind.origins))
-        w.leaf("lengths", " ".join(_val(v) for v in kind.lengths))
-        w.close("noOverlap")
-    elif isinstance(kind, K.NoOverlapK):
-        if not kind.zero_ignored:
-            attrs["zeroIgnored"] = "false"
-        w.open("noOverlap", **attrs)
-        w.leaf("origins", _tuples(kind.origins))
-        w.leaf("lengths",
-               "".join("(" + ",".join(_val(v) for v in row) + ")"
-                       for row in kind.lengths))
-        w.close("noOverlap")
-    elif isinstance(kind, K.Cumulative):
-        w.open("cumulative", **attrs)
-        w.leaf("origins", " ".join(kind.origins))
-        w.leaf("lengths", " ".join(_val(v) for v in kind.lengths))
-        w.leaf("heights", " ".join(_val(v) for v in kind.heights))
-        w.leaf("condition", _condition(kind.condition))
-        w.close("cumulative")
-    elif isinstance(kind, K.Circuit):
-        if kind.size is None:
-            w.leaf("circuit", " ".join(kind.vars), **attrs)
-        else:
-            w.open("circuit", **attrs)
-            w.leaf("list", " ".join(kind.vars))
-            w.leaf("size", _val(kind.size))
-            w.close("circuit")
-    elif isinstance(kind, K.InstantiationCtr):
-        w.open("instantiation", **attrs)
-        w.leaf("list", " ".join(kind.vars))
-        w.leaf("values", " ".join(_value(v) for v in kind.values))
-        w.close("instantiation")
-    else:
-        raise TypeError(f"cannot render constraint kind {type(kind).__name__}")
-
-
-def _write_element_rhs(w: _Writer, rhs: K.ElementRhs) -> None:
-    if isinstance(rhs, Condition):
-        w.leaf("condition", _condition(rhs))
-    elif isinstance(rhs, VarRef):
-        w.leaf("value", rhs.id)
-    else:
-        w.leaf("value", str(rhs))
+            if type(value) is Condition:
+                child = "condition"
+            elif child == "supports" and not kind.positive:
+                child = "conflicts"
+            children.append((child, _text(value), {}))
+    if len(children) == 1 and children[0][0] in ("list", "function"):
+        w.leaf(tag, children[0][1], **attrs)
+        return
+    w.open(tag, **attrs)
+    for child, text, child_attrs in children:
+        w.leaf(child, text, **child_attrs)
+    w.close(tag)
 
 
 def _write_objective(w: _Writer, obj: K.Objective) -> None:
     w.open("objectives")
-    tag = "minimize" if obj.sense is K.Sense.MINIMIZE else "maximize"
+    tag = obj.sense.value
     if obj.kind is K.ObjKind.EXPRESSION:
-        w.leaf(tag, print_expr(obj.expression))
+        w.leaf(tag, _text(obj.expression))
     else:
         w.open(tag, type=obj.kind.value)
-        w.leaf("list", _exprs(obj.operands))
+        w.leaf("list", _text(obj.operands))
         if obj.coeffs is not None:
-            w.leaf("coeffs", " ".join(str(c) for c in obj.coeffs))
+            w.leaf("coeffs", _text(obj.coeffs))
         w.close(tag)
     w.close("objectives")
 
@@ -365,7 +283,7 @@ def render_instance(instance: Instance) -> str:
         _write_objective(w, instance.objective)
     if instance.decision is not None:
         w.open("annotations")
-        w.leaf("decision", " ".join(instance.decision))
+        w.leaf("decision", _text(instance.decision))
         w.close("annotations")
     w.close("instance")
     return "\n".join(w.lines) + "\n"

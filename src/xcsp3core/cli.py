@@ -127,8 +127,8 @@ def _read_solution(path: str, instance: Instance,
             raise ParseError("instantiation needs <list> and <values>",
                              path=root.path, rule="solution")
         ids = read_var_ids(list_el.text, arrays, list_el.path)
-        values = read_int_values(values_el.text, values_el.path,
-                                 allow_vxk=True, allow_star=True)
+        values = read_int_values(values_el.text, values_el.path, len(ids), "solution",
+                                 allow_star=True)
         cost_text = root.attr("cost")
         cost = read_int(cost_text, root.path, "cost") if cost_text is not None else None
     else:
@@ -136,7 +136,7 @@ def _read_solution(path: str, instance: Instance,
             ids = read_var_ids(var_spec, arrays, "--vars")
         else:
             ids = [v.id for v in instance.variables() if v.domain is not None]
-        values = read_int_values(text, path, allow_vxk=True, allow_star=True)
+        values = read_int_values(text, path, len(ids), "solution", allow_star=True)
         cost = None
     if len(ids) != len(values):
         raise ParseError(f"{len(ids)} variables for {len(values)} values",

@@ -86,6 +86,12 @@ INT_RE = re.compile(r"[+-]?[0-9]+")
 INDEX_RE = re.compile(r"\[([0-9]+)\]")  # one index of a cell id: x[2][3]
 
 
+# Deepest nesting of operator calls an expression may have. Reading, printing,
+# compiling and evaluating recurse once or twice per level, so deeper text is
+# rejected (rule expression-depth) before it can exhaust the interpreter stack.
+MAX_EXPR_DEPTH = 200
+
+
 def is_identifier(token: str) -> bool:
     """Valid identifier: letter then letters/digits/underscores, not a keyword."""
     return bool(IDENT_RE.fullmatch(token)) and token not in KEYWORDS
@@ -107,6 +113,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.path = path
+        self.depth = 0
 
     def fail(self, message: str, offset: Optional[int] = None) -> ExprSyntaxError:
         return ExprSyntaxError(message, self.pos if offset is None else offset,
@@ -172,6 +179,10 @@ class _Parser:
         if name != "set" and name not in ARITIES:
             raise self.fail(f"unknown operator '{name}'", start)
         self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_EXPR_DEPTH} calls",
+                                  start, path=self.path, rule="expression-depth")
         args: List[Expr] = []
         if self.peek() == ")":
             self.pos += 1
@@ -186,6 +197,7 @@ class _Parser:
                     self.pos += 1
                     break
                 raise self.fail("expected ',' or ')'")
+        self.depth -= 1
         if name == "set":
             values = []
             for a in args:

@@ -169,8 +169,13 @@ def read_interval(token: str, path: Optional[str] = None) -> Optional[Tuple[int,
     return lo, hi
 
 
-def expand_vxk(tokens: Sequence[str], path: Optional[str] = None) -> List[int]:
-    """Expand a value sequence where ``vxk`` means v repeated k times."""
+def expand_vxk(tokens: Sequence[str], path: Optional[str] = None,
+               limit: Optional[int] = None, rule: Optional[str] = None) -> List[int]:
+    """Expand a value sequence where ``vxk`` means v repeated k times.
+
+    With a limit, the number of values the slot takes, a repeat that would go
+    past it fails with the slot's count rule before it is expanded.
+    """
     out: List[int] = []
     for token in tokens:
         m = _VXK_RE.fullmatch(token)
@@ -179,7 +184,11 @@ def expand_vxk(tokens: Sequence[str], path: Optional[str] = None) -> List[int]:
             if k <= 0:
                 raise MalformedCompactToken(f"repeat count must be positive in {token!r}",
                                             path=path, rule="vxk-count")
-            out.extend([read_int(m.group(1), path, "vxk value")] * k)
+            v = read_int(m.group(1), path, "vxk value")
+            if limit is not None and len(out) + k > limit:
+                raise LengthMismatch(f"{token!r} gives {k} values where "
+                                     f"{limit - len(out)} are left", path=path, rule=rule)
+            out.extend([v] * k)
         elif INT_RE.fullmatch(token):
             out.append(read_int(token, path, "value"))
         else:
@@ -224,7 +233,8 @@ def _slot_ranges(token: str, size_of: Callable[[str], Sequence[int]]
     slots = _SLOT_RE.findall(m.group(2))
     if len(slots) != len(size):
         raise IndexOutOfBounds(
-            f"{token!r}: {len(slots)} index slots for {len(size)}-dimensional array")
+            f"{token!r}: {len(slots)} index slots for {len(size)}-dimensional array",
+            rule="index-range")
     ranges: List[range] = []
     free: List[int] = []
     for axis, (slot, dim) in enumerate(zip(slots, size)):
@@ -238,7 +248,8 @@ def _slot_ranges(token: str, size_of: Callable[[str], Sequence[int]]
                                             rule="compact-token")
             lo, hi = interval
         if not 0 <= lo <= hi < dim:
-            raise IndexOutOfBounds(f"{token!r}: indexes {lo}..{hi} outside 0..{dim - 1}")
+            raise IndexOutOfBounds(f"{token!r}: indexes {lo}..{hi} outside 0..{dim - 1}",
+                                   rule="index-range")
         ranges.append(range(lo, hi + 1))
     return name, ranges, free
 
@@ -257,7 +268,7 @@ def expand_compact_variable_list(
     """
     def size_of(name: str) -> Sequence[int]:
         if name not in arrays:
-            raise UnknownArray(f"unknown array {name!r}")
+            raise UnknownArray(f"unknown array {name!r}", rule="unknown-array")
         return arrays[name].size
 
     name, ranges, free = _slot_ranges(token, size_of)
@@ -266,7 +277,8 @@ def expand_compact_variable_list(
         return ids
     if len(free) != 2:
         raise MatrixContextError(
-            f"{token!r} selects a {len(free)}-dimensional grid; matrix slots need 2")
+            f"{token!r} selects a {len(free)}-dimensional grid; matrix slots need 2",
+            rule="matrix-shape")
     width = len(ranges[free[1]])  # the other slots select one index each
     return [ids[i:i + width] for i in range(0, len(ids), width)]
 
@@ -395,11 +407,12 @@ def read_exprs(text: str, arrays: Dict[str, VarArray], path: str) -> List[Expr]:
 
 
 def read_vals(text: str, arrays: Dict[str, VarArray], path: str,
-              allow_vxk: bool = False) -> List[K.Val]:
+              limit: Optional[int] = None, rule: Optional[str] = None) -> List[K.Val]:
+    """Values and variables; vxk repeats too where the slot takes limit values."""
     out: List[K.Val] = []
     for token in text.split():
-        if allow_vxk and _VXK_RE.fullmatch(token):
-            out.extend(expand_vxk([token], path))
+        if limit is not None and _VXK_RE.fullmatch(token):
+            out.extend(expand_vxk([token], path, limit - len(out), rule))
         elif INT_RE.fullmatch(token):
             out.append(read_int(token, path, "value"))
         elif is_compact_token(token) or is_identifier(token):
@@ -409,14 +422,15 @@ def read_vals(text: str, arrays: Dict[str, VarArray], path: str,
     return out
 
 
-def read_int_values(text: str, path: str, allow_vxk: bool = False,
-                    allow_star: bool = False) -> List[Value]:
+def read_int_values(text: str, path: str, limit: Optional[int] = None,
+                    rule: Optional[str] = None, allow_star: bool = False) -> List[Value]:
+    """Integers; vxk repeats too where the slot takes limit values (see expand_vxk)."""
     out: List[Value] = []
     for token in text.split():
         if allow_star and token == "*":
             out.append(STAR)
-        elif allow_vxk:
-            out.extend(expand_vxk([token], path))
+        elif limit is not None:
+            out.extend(expand_vxk([token], path, limit - len(out), rule))
         else:
             out.append(read_int(token, path, "value"))
     return out
@@ -524,7 +538,8 @@ class _VariablesBuilder:
             if not is_identifier(vid):
                 raise ParseError(f"bad identifier {vid!r}", path=el.path, rule="identifier")
             if vid in self.kind_of:
-                raise DuplicateId(f"id {vid!r} declared twice", path=el.path)
+                raise DuplicateId(f"id {vid!r} declared twice", path=el.path,
+                                  rule="duplicate-id")
             self.kind_of[vid] = el.tag
             self.alias_of[vid] = el.attr("as")
             order.append(vid)
@@ -654,14 +669,6 @@ class _VariablesBuilder:
 
 # -- constraints section -----------------------------------------------------------
 
-CONSTRAINT_TAGS = frozenset({
-    "intension", "extension", "regular", "mdd",
-    "allDifferent", "allEqual", "ordered", "lex",
-    "sum", "count", "nValues", "cardinality",
-    "minimum", "maximum", "element", "channel",
-    "noOverlap", "cumulative", "circuit", "instantiation",
-})
-
 _STRUCTURAL_TAGS = frozenset({"group", "block", "slide"})
 
 
@@ -742,7 +749,7 @@ class _ConstraintReader:
                 self._expand_group(el, cls)
             elif el.tag == "slide":
                 self._expand_slide(el, cls)
-            elif el.tag in CONSTRAINT_TAGS:
+            elif el.tag in self._TAGS:
                 self._post_single(el, cls)
             elif self.cfg.strict:
                 raise UnknownElement(f"unsupported constraint <{el.tag}>",
@@ -766,18 +773,17 @@ class _ConstraintReader:
         if not is_identifier(cid):
             raise ParseError(f"bad identifier {cid!r}", path=el.path, rule="identifier")
         if cid in self.used_ids:
-            raise DuplicateId(f"id {cid!r} declared twice", path=el.path)
+            raise DuplicateId(f"id {cid!r} declared twice", path=el.path, rule="duplicate-id")
         self.used_ids.add(cid)
         if member_base and el.tag in _STRUCTURAL_TAGS:
             self.group_ids.append(cid)
         return cid
 
     def _dispatch(self, el: RawElement) -> K.ConstraintKind:
-        fn = getattr(self, "_read_" + el.tag, None)
-        if fn is None:
-            raise UnknownElement(f"unsupported constraint <{el.tag}>",
-                                 path=el.path, rule="constraint-tag")
-        return fn(el)
+        read, extra, children = self._TAGS[el.tag]
+        _check_attrs(el, extra)
+        _check_children(el, children)
+        return read(self, el)
 
     # template machinery --------------------------------------------------------
 
@@ -822,7 +828,7 @@ class _ConstraintReader:
         if template.tag == "args":
             raise ParseError("group template must come before <args>",
                              path=el.path, rule="group-shape")
-        if template.tag not in CONSTRAINT_TAGS:
+        if template.tag not in self._TAGS:
             if not self.cfg.strict:
                 return  # lenient: the whole group is skipped
             raise ParseError(f"<{template.tag}> cannot be a group template",
@@ -937,18 +943,10 @@ class _ConstraintReader:
     # single constraints ----------------------------------------------------------
 
     def _read_intension(self, el: RawElement) -> K.Intension:
-        _check_attrs(el)
-        if el.children:
-            _check_children(el, frozenset({"function"}))
-            text = _required(el, "function").text
-            path = el.find("function").path
-        else:
-            text, path = el.text, el.path
-        return K.Intension(_read_expr(text.strip(), path))
+        src = _required(el, "function") if el.children else el
+        return K.Intension(_read_expr(src.text.strip(), src.path))
 
     def _read_extension(self, el: RawElement) -> K.Extension:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "supports", "conflicts"}))
         list_el = _required(el, "list")
         _check_start_index(list_el, "startIndex")
         scope = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
@@ -982,8 +980,6 @@ class _ConstraintReader:
         return K.Extension(scope, positive, tuples=tuple(tuples))
 
     def _read_regular(self, el: RawElement) -> K.Regular:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "transitions", "start", "final"}))
         list_el = _required(el, "list")
         scope = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
         trans_el = _required(el, "transitions")
@@ -1016,8 +1012,6 @@ class _ConstraintReader:
         return tuple(out)
 
     def _read_mdd(self, el: RawElement) -> K.Mdd:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "transitions"}))
         list_el = _required(el, "list")
         scope = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
         mdd = K.Mdd(scope, self._read_transitions(_required(el, "transitions")))
@@ -1026,8 +1020,6 @@ class _ConstraintReader:
         return mdd
 
     def _read_allDifferent(self, el: RawElement) -> K.ConstraintKind:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "matrix", "except"}))
         matrix = el.find("matrix")
         lists = el.find_all("list")
         except_el = el.find("except")
@@ -1063,8 +1055,6 @@ class _ConstraintReader:
         return K.AllDifferent(operands, except_values)
 
     def _read_allEqual(self, el: RawElement) -> K.AllEqual:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list"}))
         src = el.find("list") or el
         return K.AllEqual(tuple(read_exprs(src.text, self.arrays, src.path)))
 
@@ -1078,8 +1068,6 @@ class _ConstraintReader:
                              path=op_el.path, rule="order-operator") from None
 
     def _read_ordered(self, el: RawElement) -> K.Ordered:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "lengths", "operator"}))
         list_el = _required(el, "list")
         ids = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
         op = self._read_order_operator(el)
@@ -1094,8 +1082,6 @@ class _ConstraintReader:
         return K.Ordered(ids, op, lengths)
 
     def _read_lex(self, el: RawElement) -> K.ConstraintKind:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "matrix", "operator"}))
         op = self._read_order_operator(el)
         matrix = el.find("matrix")
         if matrix is not None:
@@ -1117,14 +1103,12 @@ class _ConstraintReader:
         return parse_condition_text(cond_el.text, cond_el.path)
 
     def _read_sum(self, el: RawElement) -> K.Sum:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "coeffs", "condition"}))
         list_el = _required(el, "list")
         terms = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
         coeffs_el = el.find("coeffs")
         if coeffs_el is not None:
             coeffs = tuple(read_vals(coeffs_el.text, self.arrays, coeffs_el.path,
-                                     allow_vxk=True))
+                                     len(terms), "coeffs-count"))
             if len(coeffs) != len(terms):
                 raise LengthMismatch(f"{len(coeffs)} coefficients for {len(terms)} terms",
                                      path=coeffs_el.path, rule="coeffs-count")
@@ -1133,8 +1117,6 @@ class _ConstraintReader:
         return K.Sum(terms, coeffs, self._read_condition(el))
 
     def _read_count(self, el: RawElement) -> K.Count:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "values", "condition"}))
         list_el = _required(el, "list")
         operands = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
         values_el = _required(el, "values")
@@ -1142,8 +1124,6 @@ class _ConstraintReader:
         return K.Count(operands, values, self._read_condition(el))
 
     def _read_nValues(self, el: RawElement) -> K.NValues:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "except", "condition"}))
         list_el = _required(el, "list")
         operands = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
         except_el = el.find("except")
@@ -1152,8 +1132,6 @@ class _ConstraintReader:
         return K.NValues(operands, self._read_condition(el), excepts)
 
     def _read_cardinality(self, el: RawElement) -> K.Cardinality:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "values", "occurs"}))
         list_el = _required(el, "list")
         ids = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
         values_el = _required(el, "values")
@@ -1175,15 +1153,11 @@ class _ConstraintReader:
         return K.Cardinality(ids, values, tuple(occurs), closed)
 
     def _read_minimum(self, el: RawElement) -> K.Minimum:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "condition"}))
         list_el = _required(el, "list")
         operands = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
         return K.Minimum(operands, self._read_condition(el))
 
     def _read_maximum(self, el: RawElement) -> K.Maximum:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "condition"}))
         list_el = _required(el, "list")
         operands = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
         return K.Maximum(operands, self._read_condition(el))
@@ -1208,8 +1182,6 @@ class _ConstraintReader:
         return VarRef(read_var(token, value_el.path, rule="element-value"))
 
     def _read_element(self, el: RawElement) -> K.ConstraintKind:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "matrix", "index", "value", "condition"}))
         index_el = _required(el, "index")
         matrix = el.find("matrix")
         if matrix is not None:
@@ -1241,8 +1213,6 @@ class _ConstraintReader:
         return K.ElementVarList(ids, indexes[0], rhs)
 
     def _read_channel(self, el: RawElement) -> K.ConstraintKind:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "value"}))
         lists = el.find_all("list")
         value_el = el.find("value")
         if not lists:
@@ -1271,8 +1241,6 @@ class _ConstraintReader:
         return K.ChannelTwo(first, second)
 
     def _read_noOverlap(self, el: RawElement) -> K.ConstraintKind:
-        _check_attrs(el, frozenset({"zeroIgnored"}))
-        _check_children(el, frozenset({"origins", "lengths"}))
         zero_ignored = _bool_attr(el, "zeroIgnored", True)
         origins_el = _required(el, "origins")
         lengths_el = _required(el, "lengths")
@@ -1298,8 +1266,6 @@ class _ConstraintReader:
         return K.NoOverlap1(origins, lengths, zero_ignored)
 
     def _read_cumulative(self, el: RawElement) -> K.Cumulative:
-        _check_attrs(el)
-        _check_children(el, frozenset({"origins", "lengths", "heights", "condition"}))
         origins_el = _required(el, "origins")
         origins = tuple(read_var_ids(origins_el.text, self.arrays, origins_el.path))
         lengths_el = _required(el, "lengths")
@@ -1313,8 +1279,6 @@ class _ConstraintReader:
         return K.Cumulative(origins, lengths, heights, self._read_condition(el))
 
     def _read_circuit(self, el: RawElement) -> K.Circuit:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "size"}))
         list_el = el.find("list")
         src = list_el if list_el is not None else el
         if list_el is not None:
@@ -1331,17 +1295,42 @@ class _ConstraintReader:
         return K.Circuit(ids, size)
 
     def _read_instantiation(self, el: RawElement) -> K.InstantiationCtr:
-        _check_attrs(el)
-        _check_children(el, frozenset({"list", "values"}))
         list_el = _required(el, "list")
         ids = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
         values_el = _required(el, "values")
-        values = tuple(read_int_values(values_el.text, values_el.path,
-                                       allow_vxk=True, allow_star=True))
+        values = tuple(read_int_values(values_el.text, values_el.path, len(ids),
+                                       "instantiation-count", allow_star=True))
         if len(ids) != len(values):
             raise LengthMismatch(f"{len(ids)} variables for {len(values)} values",
                                  path=el.path, rule="instantiation-count")
         return K.InstantiationCtr(ids, values)
+
+    # Each constraint tag: its reader, the attributes it takes beyond id, class
+    # and note, and the child tags it allows. _dispatch checks both, then reads.
+    _TAGS: Dict[str, Tuple[Callable[..., K.ConstraintKind], FrozenSet[str], FrozenSet[str]]] = {
+        tag: (read, frozenset(extra.split()), frozenset(children.split()))
+        for tag, read, extra, children in (
+            ("intension", _read_intension, "", "function"),
+            ("extension", _read_extension, "", "list supports conflicts"),
+            ("regular", _read_regular, "", "list transitions start final"),
+            ("mdd", _read_mdd, "", "list transitions"),
+            ("allDifferent", _read_allDifferent, "", "list matrix except"),
+            ("allEqual", _read_allEqual, "", "list"),
+            ("ordered", _read_ordered, "", "list lengths operator"),
+            ("lex", _read_lex, "", "list matrix operator"),
+            ("sum", _read_sum, "", "list coeffs condition"),
+            ("count", _read_count, "", "list values condition"),
+            ("nValues", _read_nValues, "", "list except condition"),
+            ("cardinality", _read_cardinality, "", "list values occurs"),
+            ("minimum", _read_minimum, "", "list condition"),
+            ("maximum", _read_maximum, "", "list condition"),
+            ("element", _read_element, "", "list matrix index value condition"),
+            ("channel", _read_channel, "", "list value"),
+            ("noOverlap", _read_noOverlap, "zeroIgnored", "origins lengths"),
+            ("cumulative", _read_cumulative, "", "origins lengths heights condition"),
+            ("circuit", _read_circuit, "", "list size"),
+            ("instantiation", _read_instantiation, "", "list values"),
+        )}
 
 
 # -- objectives and annotations ------------------------------------------------------
@@ -1384,7 +1373,8 @@ def _read_objective(section: RawElement, arrays: Dict[str, VarArray]) -> Objecti
         coeffs_el = el.find("coeffs")
         coeffs: Optional[Tuple[int, ...]] = None
         if coeffs_el is not None:
-            coeffs = tuple(read_int_values(coeffs_el.text, coeffs_el.path, allow_vxk=True))
+            coeffs = tuple(read_int_values(coeffs_el.text, coeffs_el.path, len(operands),
+                                           "objective-shape"))
         try:
             return Objective(sense, obj_kind, operands=operands, coeffs=coeffs)
         except ValueError as e:

@@ -6,11 +6,14 @@
                                         21 stopped on a limit
 """
 
+import tracemalloc
+
 import pytest
 
 from conftest import fixture_path
 from xcsp3core.canonical import instances_equivalent
 from xcsp3core.cli import main
+from xcsp3core.expr import MAX_EXPR_DEPTH
 from xcsp3core.parser import parse_file, parse_string
 
 
@@ -310,6 +313,60 @@ def test_solve_restrict_to_decision(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", str(path), "--count",
                        "--restrict-to-decision")
     assert code == 0 and "solutions=5" in out
+
+
+def nested(depth):
+    """An instance whose one expression nests depth operator calls."""
+    inner = "neg(" * (depth - 1) + "x" + ")" * (depth - 1)
+    return ('<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..2 </var>'
+            f"</variables><constraints><intension> ge({inner},0) </intension>"
+            "</constraints></instance>")
+
+
+ZERO = "<instantiation><list> x </list><values> 0 </values></instantiation>"
+
+
+def test_expression_at_the_depth_limit_is_read_checked_and_solved(capsys, tmp_path):
+    path, sol = tmp_path / "deep.xml", tmp_path / "zero.xml"
+    path.write_text(nested(MAX_EXPR_DEPTH))
+    sol.write_text(ZERO)
+    code, out, _ = run(capsys, "validate", str(path), "--canonical-out", "-")
+    assert code == 0 and "neg(" * (MAX_EXPR_DEPTH - 1) + "x" in out
+    assert run(capsys, "check", str(path), str(sol))[:2] == (0, "satisfied\n")
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0 and "<values> 0 </values>" in out
+
+
+@pytest.mark.parametrize("depth", [MAX_EXPR_DEPTH + 1, 3000])
+@pytest.mark.parametrize("command", ["validate", "check", "solve"])
+def test_expression_past_the_depth_limit_is_invalid(capsys, tmp_path, depth, command):
+    path, sol = tmp_path / "deep.xml", tmp_path / "zero.xml"
+    path.write_text(nested(depth))
+    sol.write_text(ZERO)
+    argv = [command, str(path)] + ([str(sol)] if command == "check" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "[rule: expression-depth]" in err
+
+
+@pytest.mark.parametrize("text", ["<instantiation><list> x[] </list>"
+                                  "<values> 1x5000000 </values></instantiation>",
+                                  "1x5000000"])
+def test_solution_repeat_past_the_list_fails_before_expanding(capsys, tmp_path, text):
+    instance = tmp_path / "three.xml"
+    instance.write_text('<instance format="XCSP3" type="CSP"><variables>'
+                        '<array id="x" size="[3]"> 0..9 </array></variables>'
+                        "<constraints><allDifferent> x[] </allDifferent></constraints>"
+                        "</instance>")
+    sol = tmp_path / "sol.txt"
+    sol.write_text(text)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "check", str(instance), str(sol))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "[rule: solution]" in err
+    assert peak < 5_000_000
 
 
 # -- stats ------------------------------------------------------------------------

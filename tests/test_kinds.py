@@ -10,7 +10,7 @@ import pytest
 
 from conftest import FIXTURES
 from xcsp3core import kinds as K
-from xcsp3core.canonical import instances_equivalent, render_instance
+from xcsp3core.canonical import _LAYOUT, instances_equivalent, render_instance
 from xcsp3core.checker import (
     _CHECKERS,
     check_constraint,
@@ -175,6 +175,7 @@ def test_every_kind_has_a_case_and_a_table_row():
     kinds = set(_concrete_kinds(K.ConstraintKind))
     assert {k.__name__ for k in kinds} == set(IDS)
     assert kinds == set(_CHECKERS)
+    assert kinds == set(_LAYOUT)
 
 
 def test_objective_scope():

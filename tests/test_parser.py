@@ -1,5 +1,7 @@
 """Instance-level parsing: sections, variables, aliases, strictness."""
 
+import tracemalloc
+
 import pytest
 
 from xcsp3core.errors import (
@@ -190,8 +192,9 @@ def test_bad_for_token_rejected(token):
 
 
 def test_duplicate_variable_id():
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DuplicateId) as err:
         parse_string(wrap('<var id="x"> 0 </var><var id="x"> 1 </var>', TRIVIAL))
+    assert err.value.rule == "duplicate-id"
 
 
 # -- aliases -------------------------------------------------------------------------
@@ -291,8 +294,9 @@ def test_duplicate_constraint_id():
     text = wrap('<var id="x"> 0 1 </var>',
                 '<intension id="c"> eq(x,0) </intension>'
                 '<intension id="c"> ne(x,1) </intension>')
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DuplicateId) as err:
         parse_string(text)
+    assert err.value.rule == "duplicate-id"
 
 
 def test_strict_id_prefix_rule_for_arrays():
@@ -327,6 +331,31 @@ def test_element_text_padding_tolerated():
     inst = parse_string(wrap('<var id="x">   0 1   </var>',
                              "<intension>\n   eq(x,0)\n  </intension>"))
     assert isinstance(inst.constraints[0].kind, Intension)
+
+
+X3 = '<array id="x" size="[3]"> 0..9 </array>'
+REPEATS = [
+    (wrap(X3, "<instantiation><list> x[] </list><values> 1x5000000 </values>"
+              "</instantiation>"), "instantiation-count"),
+    (wrap(X3, "<sum><list> x[] </list><coeffs> 2 1x5000000 </coeffs>"
+              "<condition> (le,9) </condition></sum>"), "coeffs-count"),
+    (wrap(X3, TRIVIAL, type_="COP", objectives=(
+        '<objectives><minimize type="sum"><list> x[] </list>'
+        "<coeffs> 1x5000000 </coeffs></minimize></objectives>")), "objective-shape"),
+]
+
+
+@pytest.mark.parametrize("text,rule", REPEATS, ids=[r for _, r in REPEATS])
+def test_repeat_past_its_slot_fails_before_expanding(text, rule):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_string(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.rule == rule
+    assert peak < 5_000_000  # the 5,000,000 values alone would take 40 MB
 
 
 # -- extension specifics -------------------------------------------------------------

@@ -1,0 +1,23 @@
+"""The scripts run from a fresh checkout, with no PYTHONPATH set."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    [ROOT / "scripts/random_agreement.py", "--instances", "20", "--machines", "20"],
+    [ROOT / "scripts/fixture_report.py", ROOT / "tests/fixtures"],
+])
+def test_script_runs_without_pythonpath(argv, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    # run from elsewhere, so that nothing is found through the working directory
+    out = subprocess.run([sys.executable, *map(str, argv)], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout

@@ -5,7 +5,7 @@ small document and gives either what the slot reads, or the exception
 class and rule name of the failure.
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import pytest
 
@@ -31,7 +31,7 @@ BIG = "99999999999999999999"  # far outside int64
 
 class Fails(NamedTuple):
     cls: type
-    rule: Optional[str]
+    rule: str
 
 
 def document(constraints="", variables="", tail="", type_="CSP"):
@@ -117,12 +117,12 @@ ROWS = [
     ("list", "m[1][0..1]", ("m[1][0]", "m[1][1]")),
     ("list", "y x[+2]", ("y", "x[2]")),
     ("list", "x[2..1]", Fails(MalformedInterval, "interval-bounds")),
-    ("list", "x[3]", Fails(IndexOutOfBounds, None)),
-    ("list", "x[-1]", Fails(IndexOutOfBounds, None)),
-    ("list", "m[0]", Fails(IndexOutOfBounds, None)),
+    ("list", "x[3]", Fails(IndexOutOfBounds, "index-range")),
+    ("list", "x[-1]", Fails(IndexOutOfBounds, "index-range")),
+    ("list", "m[0]", Fails(IndexOutOfBounds, "index-range")),
     ("list", "x[a]", Fails(MalformedCompactToken, "compact-token")),
     ("list", "x[1..]", Fails(MalformedCompactToken, "compact-token")),
-    ("list", "nope[0]", Fails(UnknownArray, None)),
+    ("list", "nope[0]", Fails(UnknownArray, "unknown-array")),
     ("list", "3", Fails(ParseError, "variable-token")),
     ("list", "add", Fails(ParseError, "variable-token")),
     ("list", "x[", Fails(ParseError, "variable-token")),
@@ -133,7 +133,7 @@ ROWS = [
     ("operands", "7", (IntConst(7),)),
     ("operands", "-7", (IntConst(-7),)),
     ("operands", "add(x[1],-2)", (OpCall("add", (X1, IntConst(-2))),)),
-    ("operands", "x[3]", Fails(IndexOutOfBounds, None)),
+    ("operands", "x[3]", Fails(IndexOutOfBounds, "index-range")),
     ("operands", "%0", Fails(ParseError, "parameter")),
     ("operands", "add(%0,1)", Fails(ParseError, "parameter")),
     ("operands", "x[%0]", Fails(ParseError, "parameter")),
@@ -246,8 +246,8 @@ ROWS = [
     ("matrix", "m[][]", (("m[0][0]", "m[0][1]", "m[0][2]"), ("m[1][0]", "m[1][1]", "m[1][2]"))),
     ("matrix", "m[][1..2]", (("m[0][1]", "m[0][2]"), ("m[1][1]", "m[1][2]"))),
     ("matrix", "(y,x[0])(x[1],x[2])", (("y", "x[0]"), ("x[1]", "x[2]"))),
-    ("matrix", "m[0][]", Fails(MatrixContextError, None)),
-    ("matrix", "x[]", Fails(MatrixContextError, None)),
+    ("matrix", "m[0][]", Fails(MatrixContextError, "matrix-shape")),
+    ("matrix", "x[]", Fails(MatrixContextError, "matrix-shape")),
     ("matrix", "m", Fails(MalformedCompactToken, "compact-token")),
     ("matrix", "(y,3)", Fails(ParseError, "variable-token")),
     ("matrix", "m[][] x[]", Fails(ParseError, "matrix-shape")),
@@ -297,6 +297,7 @@ def test_token_in_slot(slot, token, expected):
     with pytest.raises(expected.cls) as err:
         read(token)
     assert type(err.value) is expected.cls
+    assert expected.rule  # every parse failure names its rule
     assert err.value.rule == expected.rule
     if expected.rule == "integer-range":
         assert err.value.path is not None
