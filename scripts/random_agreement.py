@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Stress the search against the naive Cartesian filter on random instances.
 
-Also cross-checks regular/mdd membership against brute-force path
-enumeration. Any disagreement prints the offending seed and exits nonzero.
+Each instance is also counted with partial checks off: pruning must keep
+the count and may only save nodes. Also cross-checks regular/mdd
+membership against brute-force path enumeration. Any disagreement prints
+the offending seed and exits nonzero.
 """
 
 import argparse
@@ -19,31 +21,38 @@ import oracles  # noqa: E402  (test oracle helpers, deliberately outside the pac
 from xcsp3core import kinds as K  # noqa: E402
 from xcsp3core.checker import check_constraint  # noqa: E402
 from xcsp3core.parser import parse_string  # noqa: E402
-from xcsp3core.solver import count_solutions  # noqa: E402
+from xcsp3core.solver import SearchConfig, count_solutions  # noqa: E402
 
 
 def run_instances(n: int, base_seed: int, verbose: bool) -> int:
     failures = 0
     total_solutions = 0
+    pruned_nodes = plain_nodes = 0
     started = time.monotonic()
     for k in range(n):
         seed = base_seed + k
         rng = random.Random(seed)
         xml = oracles.random_instance_xml(rng)
         inst = parse_string(xml)
-        got = count_solutions(inst).count
+        pruned = count_solutions(inst)
+        plain = count_solutions(inst, SearchConfig(partial_checks=False))
         want = oracles.naive_count(inst)
         total_solutions += want
-        if got != want:
+        pruned_nodes += pruned.nodes
+        plain_nodes += plain.nodes
+        if not pruned.count == plain.count == want or pruned.nodes > plain.nodes:
             failures += 1
-            print(f"DISAGREE seed={seed}: search={got} naive={want}")
+            print(f"DISAGREE seed={seed}: search={pruned.count} ({pruned.nodes} nodes) "
+                  f"unpruned={plain.count} ({plain.nodes} nodes) naive={want}")
             if verbose:
                 print(xml)
         elif verbose:
-            print(f"seed={seed}: {got} solutions")
+            print(f"seed={seed}: {pruned.count} solutions")
     elapsed = time.monotonic() - started
+    ratio = pruned_nodes / plain_nodes if plain_nodes else 1.0
     print(f"instances: {n} checked, {failures} disagreements, "
           f"{total_solutions} solutions total, {elapsed:.1f}s")
+    print(f"nodes: {pruned_nodes} pruned / {plain_nodes} unpruned = {ratio:.3f}")
     return failures
 
 

@@ -2,6 +2,8 @@
 
 The semantics of every constraint kind sit in one table, _CHECKERS: a
 complete check and, for kinds that prune, a partial violation detector.
+allDifferent and sum also have a staged partial check (_STAGED) that a
+search with a fixed variable order runs depth by depth instead.
 check_constraint evaluates one constraint under a complete assignment of
 its scope. partial_violated detects certain violations from a partial
 assignment (used for pruning; it never flags a satisfiable extension).
@@ -15,10 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import kinds as K
 from .errors import (
+    INT_MAX,
+    INT_MIN,
     CostMismatch,
     StarInScope,
     UnboundVariable,
@@ -29,6 +34,7 @@ from .errors import (
 from .expr import VarRef
 from .model import (
     Condition,
+    CondOp,
     Instance,
     Instantiation,
     Interval,
@@ -514,6 +520,140 @@ _CHECKERS: Dict[type, Tuple[_Check, Optional[_Check]]] = {
     K.Circuit: (_check_circuit, None),
     K.InstantiationCtr: (_check_instantiation, _partial_instantiation),
 }
+
+
+# -- staged partial checks ------------------------------------------------------------
+#
+# A search that assigns the variables in a fixed order can run a kind's
+# partial check in stages: the check at one depth starts from the state the
+# check at the previous depth left, instead of rescanning the whole scope.
+# A builder gets the depth at which each variable is assigned, each
+# variable's domain bounds (min, max) and the assignment the search mutates.
+# It returns (depth, check) pairs in depth order, for depths that assign a
+# variable of the constraint without completing its scope. A check returns
+# True only when no extension can satisfy the constraint, like
+# partial_violated, and may be called only after the checks of the earlier
+# depths have passed under the current assignment. None means the
+# constraint does not qualify, and the search falls back to
+# partial_violated.
+
+Stage = Tuple[int, Callable[[], bool]]
+
+
+def _slot_depths(kind: K.ConstraintKind, depth_of: Mapping[str, int]) -> List[int]:
+    """Depths that assign a variable of kind, except the one completing its scope."""
+    return sorted({depth_of[v] for v in kind.var_ids})[:-1]
+
+
+def _staged_all_different(kind: K.AllDifferent, depth_of: Mapping[str, int],
+                          bounds: Mapping[str, Tuple[int, int]],
+                          env: Mapping[str, int]) -> List[Stage]:
+    """Evaluate each operand once, at the depth where it becomes ready.
+
+    The scan keeps partial_violated's operand order: it stops where that
+    scan would meet its first repeated value, so an operand that raises is
+    evaluated, and raises, exactly when it would have been there.
+    """
+    slots = _slot_depths(kind, depth_of)
+    if not slots:
+        return []
+    fresh: Dict[int, List[Tuple[int, Callable]]] = {d: [] for d in slots}
+    for pos, (op, (evaluate, free)) in enumerate(zip(kind.operands, kind.compiled)):
+        ids = (op.id,) if free is None else free
+        # an operand without variables is ready at the first check
+        ready = max((depth_of[v] for v in ids), default=slots[0])
+        if ready in fresh:
+            fresh[ready].append((pos, evaluate))
+    excepts = frozenset(kind.excepts)
+    # seen[i + 1]: value -> position of the operand that holds it, for every
+    # operand ready by the i-th stage (distinct, since that stage passed)
+    seen: List[Dict[int, int]] = [{}]
+
+    def stage(i: int, operands: Tuple[Tuple[int, Callable], ...]) -> bool:
+        values = seen[i].copy()
+        # an operand ready before this stage, later in the scan, whose value a
+        # fresh operand repeats: the scan stops at the first such position
+        clash = None
+        for pos, evaluate in operands:
+            if clash is not None and pos > clash:
+                return True
+            v = evaluate(env)
+            if v in excepts:
+                continue
+            first = values.get(v)
+            if first is not None:
+                if first < pos:
+                    return True
+                clash = first if clash is None else min(clash, first)
+            values[v] = pos
+        if clash is not None:
+            return True
+        seen[i + 1] = values
+        return False
+
+    stages = [(d, ops) for d, ops in fresh.items() if ops]
+    seen.extend({} for _ in stages)
+    return [(d, partial(stage, i, tuple(ops))) for i, (d, ops) in enumerate(stages)]
+
+
+_BOUNDED_OPS = frozenset({CondOp.LT, CondOp.LE, CondOp.GE, CondOp.GT, CondOp.EQ})
+
+
+def _staged_sum(kind: K.Sum, depth_of: Mapping[str, int],
+                bounds: Mapping[str, Tuple[int, int]],
+                env: Mapping[str, int]) -> Optional[List[Stage]]:
+    """Keep a running sum; prune when the unassigned terms' bounds cannot meet the condition.
+
+    Only for integer coefficients over bare variables, a relational
+    condition other than ne with an integer operand, and domains small
+    enough that no partial or total sum can leave the 64-bit range, so that
+    the complete check could never raise Overflow on this constraint.
+    """
+    coeffs, condition = kind.int_coeffs, kind.condition
+    if (coeffs is None or condition.op not in _BOUNDED_OPS
+            or not isinstance(condition.operand, int)
+            or any(free is not None for _, free in kind.compiled)):
+        return None
+    terms = [(c, op.id, bounds[op.id]) for c, op in zip(coeffs, kind.terms)]
+    if sum(abs(c) * max(abs(lo), abs(hi)) for c, _, (lo, hi) in terms) > INT_MAX:
+        return None
+    k, op = condition.operand, condition.op
+    # the totals that satisfy the condition; one past the int64 range is unbounded
+    want_lo = k + 1 if op is CondOp.GT else k if op in (CondOp.GE, CondOp.EQ) else INT_MIN - 1
+    want_hi = k - 1 if op is CondOp.LT else k if op in (CondOp.LE, CondOp.EQ) else INT_MAX + 1
+    totals = [0]  # totals[i + 1]: the terms assigned by the i-th stage, summed
+
+    def stage(i: int, here: Tuple[Tuple[int, str], ...], lo_cut: int, hi_cut: int) -> bool:
+        total = totals[i]
+        for c, vid in here:
+            total += c * env[vid]
+        totals[i + 1] = total
+        return total < lo_cut or total > hi_cut
+
+    stages = []
+    for i, d in enumerate(_slot_depths(kind, depth_of)):
+        here = tuple((c, vid) for c, vid, _ in terms if depth_of[vid] == d)
+        rest = [(c * lo, c * hi) for c, vid, (lo, hi) in terms if depth_of[vid] > d]
+        rest_lo = sum(min(ends) for ends in rest)
+        rest_hi = sum(max(ends) for ends in rest)
+        stages.append((d, partial(stage, i, here, want_lo - rest_hi, want_hi - rest_lo)))
+        totals.append(0)
+    return stages
+
+
+# kind -> builder of its staged partial checks
+_STAGED: Dict[type, Callable[..., Optional[List[Stage]]]] = {
+    K.AllDifferent: _staged_all_different,
+    K.Sum: _staged_sum,
+}
+
+
+def staged_checks(kind: K.ConstraintKind, depth_of: Mapping[str, int],
+                  bounds: Mapping[str, Tuple[int, int]],
+                  env: Mapping[str, int]) -> Optional[List[Stage]]:
+    """The kind's staged partial checks for a fixed variable order, or None."""
+    build = _STAGED.get(type(kind))
+    return None if build is None else build(kind, depth_of, bounds, env)
 
 
 def check_constraint(kind: K.ConstraintKind, env: Mapping[str, int], *,

@@ -20,6 +20,7 @@ from .canonical import render_instance
 from .checker import CheckMode, VerdictKind, check_solution
 from .errors import CheckError, ParseError, XcspError
 from .expr import read_int
+from .kinds import ObjKind
 from .model import Instance, Instantiation
 from .parser import ParserConfig, parse_file, read_int_values, read_var_ids, read_xml
 from .solver import SearchConfig, Status, VarOrder, solve
@@ -196,6 +197,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     instance = _load(args)
     solution, file_cost = _read_solution(solution_path, instance, args.vars)
     declared = args.cost if args.cost is not None else file_cost
+    objective = instance.objective
+    if declared is not None and objective is not None and objective.kind is ObjKind.LEX:
+        raise ParseError("a lex objective's value is a tuple, which no declared cost "
+                         "can state", path="--cost" if args.cost is not None
+                         else solution_path, rule="cost-lex")
     mode = CheckMode.PARTIAL_ALLOWED if args.allow_partial else CheckMode.TOTAL_REQUIRED
     try:
         verdict = check_solution(instance, solution, mode, declared_cost=declared)

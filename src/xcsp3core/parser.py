@@ -106,7 +106,14 @@ class RawElement:
         return [c for c in self.children if c.tag == tag]
 
 
-def _wrap(el: ET.Element, path: str) -> RawElement:
+# Deepest nesting of elements a document may have, the root counting as one.
+# Wrapping the tree and walking nested blocks recurse once per level, so a
+# deeper document is rejected (rule nesting-depth) before it can exhaust the
+# interpreter stack.
+MAX_XML_DEPTH = 100
+
+
+def _wrap(el: ET.Element, path: str, depth: int = 1) -> RawElement:
     for key, value in el.attrib.items():
         if value != value.strip():
             raise WhitespaceError(
@@ -128,7 +135,10 @@ def _wrap(el: ET.Element, path: str) -> RawElement:
         sub = f"{path}/{c.tag}"
         if counts[c.tag] > 1:
             sub += f"[{seen[c.tag]}]"
-        children.append(_wrap(c, sub))
+        if depth == MAX_XML_DEPTH:
+            raise ParseError(f"elements nested deeper than {MAX_XML_DEPTH} levels",
+                             path=sub, rule="nesting-depth")
+        children.append(_wrap(c, sub, depth + 1))
     text = "" if children_et else (el.text or "")
     return RawElement(el.tag, dict(el.attrib), children, text, path)
 

@@ -1,10 +1,18 @@
 """Exhaustive backtracking search over parsed instances.
 
 The solver is a ground-truth oracle for desk-scale instances: depth-first
-search over the declared variables in declaration order, checking every
-constraint as soon as its scope is fully assigned, plus cheap partial
-violation detection for pruning. No propagation beyond that, so results
-are easy to trust and to compare against brute-force enumeration.
+search over the variables in an order fixed before search starts. That
+order is compiled into a plan: for each depth, the checks that run when
+that depth's variable is set, in constraint order. A constraint's complete
+check runs at the depth that completes its scope, and its partial check at
+the earlier depths that assign one of its variables. allDifferent and sum
+have staged partial checks that carry state from depth to depth, and a sum
+is bounded by the domain min/max of its unassigned terms (see
+checker.staged_checks). Partial checks only skip subtrees that hold no
+solution; no domain is ever filtered. So counts, solution order and optima
+are those of plain enumeration, easy to compare against a brute-force
+filter. The loop runs over an explicit stack of per-depth value iterators,
+so the number of variables is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -12,17 +20,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from functools import partial
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .checker import (
     check_constraint,
     eval_objective,
     partial_violated,
     prunes,
+    staged_checks,
     useful_variables,
 )
-from .errors import SolverError, UnforcedVariable
-from .kinds import Sense
+from .errors import EvalError, SolverError, UnforcedVariable
+from .kinds import ConstraintKind, Sense
 from .model import Instance, Instantiation, Variable
 
 
@@ -67,6 +78,11 @@ class _LimitReached(Exception):
     pass
 
 
+# One check of the plan: the constraint's position, the constraint, and its
+# partial check (True when violated), or None for its complete check.
+_Check = Tuple[int, ConstraintKind, Optional[Callable[[], bool]]]
+
+
 class _Search:
     def __init__(self, instance: Instance, cfg: SearchConfig):
         self.instance = instance
@@ -109,39 +125,65 @@ class _Search:
 
         self.kinds = [posted.kind for posted in instance.constraints]
         # constraints without variables are settled here, once
-        self.infeasible = any(
-            not check_constraint(kind, {}, validate=False)
-            for kind in self.kinds if not kind.var_ids)
-        self.remaining = [len(kind.var_ids) for kind in self.kinds]
-        self.touching: Dict[str, List[int]] = {v.id: [] for v in self.order}
+        self.infeasible = False
         for ci, kind in enumerate(self.kinds):
-            for vid in kind.var_ids:
-                self.touching[vid].append(ci)
-        self.partial_ok = [cfg.partial_checks and prunes(kind) for kind in self.kinds]
+            if not kind.var_ids:
+                try:
+                    holds = check_constraint(kind, {}, validate=False)
+                except EvalError as e:
+                    raise self._named(e, ci) from e
+                if not holds:
+                    self.infeasible = True
+                    break
+        self._plan()
 
         self.objective = instance.objective
         if self.objective is not None:
             self.sense = self.objective.sense
 
+    def _plan(self) -> None:
+        """For each depth, the checks its variable triggers, in constraint order.
+
+        staged[d] lists the staged checks at depth d: a forced variable
+        rebuilds their state for its chosen value.
+        """
+        env = self.env
+        depth_of = {v.id: d for d, v in enumerate(self.order)}
+        bounds = {v.id: (v.domain.min_value, v.domain.max_value) for v in self.order}
+        plan: List[List[_Check]] = [[] for _ in self.order]
+        self.staged: List[List[Callable[[], bool]]] = [[] for _ in self.order]
+        for ci, kind in enumerate(self.kinds):
+            if not kind.var_ids:
+                continue
+            depths = sorted({depth_of[v] for v in kind.var_ids})
+            plan[depths[-1]].append((ci, kind, None))
+            if not self.cfg.partial_checks:
+                continue
+            stages = staged_checks(kind, depth_of, bounds, env)
+            if stages is not None:
+                for d, check in stages:
+                    plan[d].append((ci, kind, check))
+                    self.staged[d].append(check)
+            elif prunes(kind):
+                detector = partial(partial_violated, kind, env)
+                for d in depths[:-1]:
+                    plan[d].append((ci, kind, detector))
+        # each constraint adds at most one check per depth, in position order
+        self.plan = [tuple(checks) for checks in plan]
+
     # -- bookkeeping ---------------------------------------------------------
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes & 0xFF:
-            return
-        if self.cfg.node_limit is not None and self.nodes >= self.cfg.node_limit:
-            raise _LimitReached()
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _LimitReached()
+    def _limit_reached(self, nodes: int) -> bool:
+        if self.cfg.node_limit is not None and nodes >= self.cfg.node_limit:
+            return True
+        return self.deadline is not None and time.monotonic() > self.deadline
 
-    def _consistent(self, vid: str) -> bool:
-        for ci in self.touching[vid]:
-            if self.remaining[ci] == 0:
-                if not check_constraint(self.kinds[ci], self.env, validate=False):
-                    return False
-            elif self.partial_ok[ci] and partial_violated(self.kinds[ci], self.env):
-                return False
-        return True
+    def _named(self, error: EvalError, ci: int) -> EvalError:
+        """The same error, naming the constraint and its scope's assigned values."""
+        at = " ".join(f"{v}={self.env[v]}" for v in self.kinds[ci].var_ids
+                      if v in self.env)
+        label = self.instance.constraints[ci].label(ci)
+        return type(error)(f"{label}: {error}" + (f" at {at}" if at else ""))
 
     def _record(self) -> None:
         self.count += 1
@@ -170,7 +212,7 @@ class _Search:
         if self.infeasible:
             return self._result(Status.UNSATISFIABLE)
         try:
-            self._extend(0)
+            self._search()
         except _Stop:
             return self._result(Status.SATISFIABLE)
         except _LimitReached:
@@ -185,48 +227,69 @@ class _Search:
         return SolveResult(status, self.count, tuple(self.solutions),
                            self.best, self.best_cost, self.nodes)
 
-    def _extend(self, depth: int) -> None:
-        if depth == len(self.order):
+    def _search(self) -> None:
+        """Depth-first over the plan, with one value iterator per depth.
+
+        A branching depth descends on its first value that passes every
+        check and resumes its iterator on the way back. A forced depth
+        (restrict_to_decision) tries all its values first: exactly one may
+        pass, and search descends with it after rebuilding the staged state.
+        """
+        n = len(self.order)
+        if n == 0:
             self._record()
             return
-        var = self.order[depth]
-        vid = var.id
-        for ci in self.touching[vid]:
-            self.remaining[ci] -= 1
+        env, plan, staged, branch_len = self.env, self.plan, self.staged, self.branch_len
+        ids = [v.id for v in self.order]
+        runs = [tuple(range(lo, hi + 1) for lo, hi in v.domain.items) for v in self.order]
+        iters = [chain.from_iterable(runs[0])] + [iter(())] * (n - 1)
+        nodes = self.nodes
+        depth = 0
+        ci: Optional[int] = None  # the constraint whose check is running
         try:
-            if depth < self.branch_len:
-                for value in var.domain.values():
-                    self._tick()
-                    self.env[vid] = value
-                    if self._consistent(vid):
-                        self._extend(depth + 1)
-            else:
-                self._force(depth, var)
+            while depth >= 0:
+                vid, checks = ids[depth], plan[depth]
+                chosen = None
+                for value in iters[depth]:
+                    nodes += 1
+                    if not nodes & 0xFF and self._limit_reached(nodes):
+                        raise _LimitReached()
+                    env[vid] = value
+                    for ci, kind, detector in checks:
+                        if detector is None:
+                            if not check_constraint(kind, env, validate=False):
+                                break
+                        elif detector():
+                            break
+                    else:
+                        if depth < branch_len:
+                            break
+                        if chosen is not None:
+                            raise UnforcedVariable(
+                                f"variable {vid} is not determined by the decision "
+                                f"variables (both {chosen} and {value} extend)")
+                        chosen = value
+                else:
+                    if chosen is None:
+                        env.pop(vid, None)
+                        depth -= 1
+                        continue
+                    env[vid] = chosen
+                    for check in staged[depth]:
+                        check()
+                depth += 1
+                if depth < n:
+                    iters[depth] = chain.from_iterable(runs[depth])
+                    continue
+                ci = None
+                self._record()
+                depth -= 1
+        except EvalError as e:
+            if ci is None:
+                raise
+            raise self._named(e, ci) from e
         finally:
-            self.env.pop(vid, None)
-            for ci in self.touching[vid]:
-                self.remaining[ci] += 1
-
-    def _force(self, depth: int, var: Variable) -> None:
-        # Non-decision variables must be functionally determined by the
-        # decision variables; several consistent values is a modelling error.
-        vid = var.id
-        chosen: Optional[int] = None
-        for value in var.domain.values():
-            self._tick()
-            self.env[vid] = value
-            if self._consistent(vid):
-                if chosen is not None:
-                    raise UnforcedVariable(
-                        f"variable {vid} is not determined by the decision "
-                        f"variables (both {chosen} and {value} extend)")
-                chosen = value
-        if chosen is None:
-            self.env.pop(vid, None)
-            return
-        self.env[vid] = chosen
-        self._extend(depth + 1)
-        self.env.pop(vid, None)
+            self.nodes = nodes
 
 
 def solve(instance: Instance, config: Optional[SearchConfig] = None) -> SolveResult:

@@ -263,14 +263,23 @@ def _rand_extension(rng: random.Random, names: Sequence[str],
             f"      <{tag}> {body} </{tag}>\n    </extension>")
 
 
-def _rand_sum(rng: random.Random, names: Sequence[str]) -> str:
+def _rand_sum(rng: random.Random, names: Sequence[str],
+              domains: Dict[str, List[int]]) -> str:
     arity = rng.randint(1, len(names))
     scope = rng.sample(list(names), arity)
     coeffs = [rng.randint(-2, 3) for _ in scope]
     op = rng.choice(["lt", "le", "gt", "ge", "eq", "ne"])
     k = rng.randint(-6, 8)
+    huge = rng.random() < 0.15
+    if huge:
+        # c*x - c*x cancels, so no partial sum leaves int64; but c is near
+        # 2^63/max|x| (2^62 when that is 2), so the domain bounds cannot prove
+        # it and the search must enumerate this sum instead of bounding it
+        x = rng.choice(names)
+        c = (2**63 - 1) // max(1, max(abs(v) for v in domains[x])) - rng.randint(0, 3)
+        scope, coeffs = [x, x] + scope, [c, -c] + coeffs
     lines = [f"    <sum>", f"      <list> {' '.join(scope)} </list>"]
-    if rng.random() < 0.7:
+    if huge or rng.random() < 0.7:
         lines.append(f"      <coeffs> {' '.join(map(str, coeffs))} </coeffs>")
     lines.append(f"      <condition> ({op},{k}) </condition>")
     lines.append("    </sum>")
@@ -295,6 +304,14 @@ def _rand_comparison(rng: random.Random, names: Sequence[str]) -> str:
     arity = rng.randint(2, len(names)) if len(names) >= 2 else 1
     scope = rng.sample(list(names), max(arity, 1))
     body = " ".join(scope)
+    if kind == "allDifferent":
+        if rng.random() < 0.5:
+            body = " ".join(_rand_operand(rng, names) for _ in scope)
+        if rng.random() < 0.3:
+            excepts = sorted(set(rng.choices(range(-3, 4), k=rng.randint(1, 2))))
+            return (f"    <allDifferent>\n      <list> {body} </list>\n"
+                    f"      <except> {' '.join(map(str, excepts))} </except>\n"
+                    f"    </allDifferent>")
     if kind in ("allDifferent", "allEqual"):
         return f"    <{kind}> {body} </{kind}>"
     if kind == "ordered":
@@ -327,7 +344,7 @@ def random_instance_xml(rng: random.Random, max_vars: int = 6,
     makers = [
         lambda: _rand_intension(rng, names),
         lambda: _rand_extension(rng, names, domains),
-        lambda: _rand_sum(rng, names),
+        lambda: _rand_sum(rng, names, domains),
         lambda: _rand_count(rng, names, domains),
         lambda: _rand_comparison(rng, names),
     ]

@@ -14,7 +14,7 @@ from conftest import fixture_path
 from xcsp3core.canonical import instances_equivalent
 from xcsp3core.cli import main
 from xcsp3core.expr import MAX_EXPR_DEPTH
-from xcsp3core.parser import parse_file, parse_string
+from xcsp3core.parser import MAX_XML_DEPTH, parse_file, parse_string
 
 
 def run(capsys, *argv):
@@ -292,6 +292,56 @@ def test_solve_lex_optimum_passes_check(capsys, tmp_path):
     assert code == 0 and out2.strip() == "satisfied"
 
 
+LEX_COP = ('<instance format="XCSP3" type="COP"><variables>'
+           '<var id="x"> 0..2 </var><var id="y"> 0..2 </var></variables>'
+           "<constraints><intension> ne(x,y) </intension></constraints>"
+           '<objectives><minimize type="lex"> x y </minimize></objectives>'
+           "</instance>")
+
+
+@pytest.mark.parametrize("cost_in", ["option", "attribute"])
+def test_check_cost_against_a_lex_objective_is_invalid(capsys, tmp_path, cost_in):
+    # a lex value is a tuple: an integer cost could never match it
+    instance, sol = tmp_path / "lex.xml", tmp_path / "sol.xml"
+    instance.write_text(LEX_COP)
+    attribute = ' cost="0"' if cost_in == "attribute" else ""
+    sol.write_text(f"<instantiation{attribute}><list> x y </list>"
+                   "<values> 0 1 </values></instantiation>")
+    argv = ["check", str(instance), str(sol)] + (["--cost", "0"] if cost_in == "option" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "[rule: cost-lex]" in err
+
+
+def test_search_error_names_the_constraint_and_its_assignment(capsys, tmp_path):
+    path = tmp_path / "div.xml"
+    path.write_text('<instance format="XCSP3" type="CSP"><variables>'
+                    '<var id="x"> 0..2 </var><var id="y"> 0..9 </var></variables>'
+                    '<constraints><intension id="c1"> eq(div(6,x),y) </intension>'
+                    "</constraints></instance>")
+    code, out, err = run(capsys, "solve", str(path), "--count")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: c1: div(6,0) at x=0 y=0"
+
+
+def test_solve_count_on_five_thousand_cells(capsys, tmp_path):
+    # the search keeps its own stack: one Python frame per variable would overflow
+    path = tmp_path / "wide.xml"
+    path.write_text('<instance format="XCSP3" type="CSP"><variables>'
+                    '<array id="x" size="[5000]"> 0 </array></variables>'
+                    "<constraints><intension> eq(x[0],x[4999]) </intension></constraints>"
+                    "</instance>")
+    code, out, _ = run(capsys, "solve", str(path), "--count")
+    assert code == 0 and "solutions=1\n" in out
+
+
+def test_coins_83_is_proved_unsatisfiable_by_sum_bounds(capsys):
+    # the least weighted sum of the coins is 88, above 83
+    code, out, _ = run(capsys, "solve", fixture_path("coins_83.xml"), "--count")
+    assert code == 20 and "solutions=0" in out
+    nodes = int(out.split("nodes=")[1].split()[0])
+    assert nodes <= 100
+
+
 def test_solve_node_limit(capsys, tmp_path):
     big = tmp_path / "big.xml"
     big.write_text('<instance format="XCSP3" type="CSP"><variables>'
@@ -346,6 +396,30 @@ def test_expression_past_the_depth_limit_is_invalid(capsys, tmp_path, depth, com
     argv = [command, str(path)] + ([str(sol)] if command == "check" else [])
     code, _, err = run(capsys, *argv)
     assert code == 2 and "[rule: expression-depth]" in err
+
+
+def nested_blocks(depth):
+    """A document whose elements nest depth levels, the root counting as one."""
+    blocks = depth - 3  # <instance>, <constraints> and the <intension> inside
+    return ('<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..2 </var>'
+            "</variables><constraints>" + "<block>" * blocks
+            + "<intension> ge(x,0) </intension>" + "</block>" * blocks
+            + "</constraints></instance>")
+
+
+def test_elements_at_the_nesting_limit_are_valid(capsys, tmp_path):
+    path = tmp_path / "deep.xml"
+    path.write_text(nested_blocks(MAX_XML_DEPTH))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0 and "1 constraints" in out
+
+
+@pytest.mark.parametrize("depth", [MAX_XML_DEPTH + 1, 2000])
+def test_elements_past_the_nesting_limit_are_invalid(capsys, tmp_path, depth):
+    path = tmp_path / "deep.xml"
+    path.write_text(nested_blocks(depth))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "[rule: nesting-depth]" in err
 
 
 @pytest.mark.parametrize("text", ["<instantiation><list> x[] </list>"

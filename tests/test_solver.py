@@ -1,18 +1,24 @@
 """Exhaustive search: statuses, counts against the naive filter, optimization."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import fixture_path
-from xcsp3core.checker import check_solution
-from xcsp3core.errors import UnforcedVariable
+from xcsp3core import checker
+from xcsp3core import kinds as K
+from xcsp3core.checker import check_constraint, check_solution, partial_violated, staged_checks
+from xcsp3core.errors import DivisionByZero, EvalError, UnforcedVariable
+from xcsp3core.expr import IntConst, OpCall, VarRef
+from xcsp3core.model import CondOp, Condition
 from xcsp3core.parser import parse_file, parse_string
 from xcsp3core.solver import (
     SearchConfig,
+    _Search,
     Status,
     VarOrder,
     count_solutions,
@@ -155,3 +161,162 @@ def test_count_agrees_with_naive_filter(seed):
     rng = random.Random(seed)
     inst = parse_string(oracles.random_instance_xml(rng))
     assert count_solutions(inst).count == oracles.naive_count(inst)
+
+
+# -- the plan's staged checks -----------------------------------------------------
+
+
+def _stages_by_depth(kind, order, domains, env):
+    depth_of = {v: d for d, v in enumerate(order)}
+    bounds = {v: (min(domains[v]), max(domains[v])) for v in order}
+    return staged_checks(kind, depth_of, bounds, env), depth_of
+
+
+_names = st.sampled_from(["a", "b", "c", "d"])
+_operand = st.one_of(
+    _names.map(VarRef),
+    st.tuples(_names, st.integers(-2, 2)).map(
+        lambda p: OpCall("add", (VarRef(p[0]), IntConst(p[1])))),
+    st.integers(-3, 3).map(IntConst))
+_domains = st.fixed_dictionaries(
+    {v: st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True)
+     for v in "abcd"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands=st.lists(_operand, min_size=2, max_size=6),
+       excepts=st.lists(st.integers(-3, 3), max_size=2, unique=True),
+       domains=_domains, order=st.permutations("abcd"), data=st.data())
+def test_staged_all_different_agrees_with_the_detector_at_every_prefix(
+        operands, excepts, domains, order, data):
+    kind = K.AllDifferent(tuple(operands), tuple(excepts))
+    assume(kind.var_ids)  # without variables it is settled before search
+    env = {}
+    stages, depth_of = _stages_by_depth(kind, order, domains, env)
+    stages = dict(stages)
+    last = max(depth_of[v] for v in kind.var_ids)
+    for depth, vid in enumerate(order[:last]):
+        env[vid] = data.draw(st.sampled_from(domains[vid]))
+        if vid not in kind.var_ids:
+            continue  # the search checks a constraint only when it sets one of its variables
+        staged = stages[depth]() if depth in stages else False
+        assert staged == partial_violated(kind, env)
+        if staged:
+            break
+
+
+_SUM_OPS = ["lt", "le", "ge", "gt", "eq", "ne"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(st.tuples(_names, st.integers(-3, 3)), min_size=1, max_size=5),
+       op=st.sampled_from(_SUM_OPS), k=st.integers(-12, 12),
+       domains=_domains, order=st.permutations("abcd"), data=st.data())
+def test_staged_sum_never_prunes_a_prefix_that_extends_to_a_solution(
+        terms, op, k, domains, order, data):
+    kind = K.Sum(tuple(VarRef(v) for v, _ in terms), tuple(c for _, c in terms),
+                 Condition(CondOp(op), k))
+    env = {}
+    stages, depth_of = _stages_by_depth(kind, order, domains, env)
+    if op == "ne":
+        assert stages is None
+        return
+    rest = sorted(kind.var_ids, key=depth_of.get)
+    for depth, check in stages:
+        for vid in order[:depth + 1]:
+            env.setdefault(vid, data.draw(st.sampled_from(domains[vid])))
+        open_ids = [v for v in rest if v not in env]
+        extends = any(
+            check_constraint(kind, {**env, **dict(zip(open_ids, values))})
+            for values in itertools.product(*(domains[v] for v in open_ids)))
+        if check():
+            assert not extends
+            break
+
+
+def _fallback_search(monkeypatch, inst, cfg=SearchConfig()):
+    """A search whose partial checks are the generic detectors alone."""
+    with monkeypatch.context() as m:
+        m.setattr(checker, "_STAGED", {})
+        return _Search(inst, cfg)
+
+
+def _outcome(search):
+    try:
+        result = search.run()
+    except EvalError as e:
+        return type(e), str(e), search.nodes
+    return result.status, result.count, result.nodes
+
+
+TWO_VARS = ('<instance format="XCSP3" type="CSP"><variables>'
+            '<var id="x"> 0..2 </var><var id="y"> 0..2 </var></variables>'
+            "<constraints>{}</constraints></instance>")
+
+
+def test_staged_all_different_raises_where_the_detector_scan_does(monkeypatch):
+    # y's value repeats x only at x's later operand, so div(6,y) is met first
+    inst = parse_string(
+        '<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..2 </var>'
+        '<var id="y"> 0..2 </var><var id="z"> 0..2 </var></variables><constraints>'
+        '<allDifferent id="c"> y div(6,y) x z </allDifferent></constraints></instance>')
+    staged = _outcome(_Search(inst, SearchConfig()))
+    assert staged == (DivisionByZero, "c: div(6,0) at y=0 x=0", 2)
+    assert staged == _outcome(_fallback_search(monkeypatch, inst))
+
+
+def test_staged_all_different_stops_where_the_detector_scan_does(monkeypatch):
+    # here y=x=0 repeats before div(6,y) is reached, so it is never evaluated
+    inst = parse_string(
+        '<instance format="XCSP3" type="CSP"><variables><var id="x"> 0 </var>'
+        '<var id="y"> 0..2 </var><var id="z"> 9 </var></variables><constraints>'
+        "<allDifferent> x y div(6,y) z </allDifferent></constraints></instance>")
+    assert _outcome(_Search(inst, SearchConfig())) \
+        == _outcome(_fallback_search(monkeypatch, inst)) == (Status.SATISFIABLE, 2, 6)
+
+
+INELIGIBLE_SUMS = [
+    "<sum><list> add(x,1) y </list><condition> (le,2) </condition></sum>",
+    "<sum><list> x y </list><coeffs> y 1 </coeffs><condition> (le,2) </condition></sum>",
+    "<sum><list> x y </list><condition> (ne,2) </condition></sum>",
+    "<sum><list> x y </list><condition> (in,5..9) </condition></sum>",
+    "<sum><list> x y </list><condition> (le,y) </condition></sum>",
+    # twice 2^62 may leave int64, so the bounds are not used and y=2 overflows
+    "<sum><list> x y </list><coeffs> 4611686018427387904 4611686018427387904 </coeffs>"
+    "<condition> (le,0) </condition></sum>",
+]
+
+
+@pytest.mark.parametrize("body", INELIGIBLE_SUMS)
+def test_sum_outside_the_bounded_shape_enumerates_as_before(monkeypatch, body):
+    inst = parse_string(TWO_VARS.format(body))
+    search = _Search(inst, SearchConfig())
+    assert all(check[2] is None for checks in search.plan for check in checks)
+    assert _outcome(search) == _outcome(_fallback_search(monkeypatch, inst))
+
+
+def test_bounded_sum_prunes_and_keeps_the_count():
+    inst = parse_string(TWO_VARS.format(
+        "<sum><list> x y </list><coeffs> 3 1 </coeffs><condition> (ge,7) </condition></sum>"))
+    bounded = count_solutions(inst)
+    plain = count_solutions(inst, SearchConfig(partial_checks=False))
+    assert bounded.count == plain.count == 2
+    assert bounded.nodes < plain.nodes
+
+
+def test_forced_variable_rebuilds_staged_state(monkeypatch):
+    # y and z are forced; the allDifferent stage at y's depth also passes for
+    # y=9 before the intension rejects it, so z=9 must be checked against y=x+1
+    inst = parse_string(
+        '<instance format="XCSP3" type="CSP"><variables>'
+        '<var id="x"> 0..3 </var><var id="y"> 0..9 </var><var id="z"> 0..9 </var>'
+        '<var id="w"> 0..9 </var></variables><constraints>'
+        "<allDifferent> x y z w </allDifferent>"
+        "<intension> eq(y,add(x,1)) </intension>"
+        "<intension> eq(z,9) </intension><intension> eq(w,0) </intension>"
+        "</constraints><annotations><decision> x </decision></annotations></instance>")
+    cfg = SearchConfig(restrict_to_decision=True)
+    result = solve(inst, cfg)
+    assert result.count == 3
+    assert [s["x"] for s in result.solutions] == [1, 2, 3]
+    assert _outcome(_Search(inst, cfg)) == _outcome(_fallback_search(monkeypatch, inst, cfg))
