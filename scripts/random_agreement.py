@@ -2,9 +2,12 @@
 """Stress the search against the naive Cartesian filter on random instances.
 
 Each instance is also counted with partial checks off: pruning must keep
-the count and may only save nodes. Also cross-checks regular/mdd
-membership against brute-force path enumeration. Any disagreement prints
-the offending seed and exits nonzero.
+the count and may only save nodes. The verifier is audited on the same
+instances: check_solution must accept every solution of the naive filter,
+and on a few random total assignments report exactly the constraints that
+check_constraint rejects. Also cross-checks regular/mdd membership against
+brute-force path enumeration. Any disagreement prints the offending seed
+and exits nonzero.
 """
 
 import argparse
@@ -13,21 +16,45 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # this checkout's package
 
 import oracles  # noqa: E402  (test oracle helpers, deliberately outside the package)
 from xcsp3core import kinds as K  # noqa: E402
-from xcsp3core.checker import check_constraint  # noqa: E402
+from xcsp3core.checker import VerdictKind, check_constraint, check_solution  # noqa: E402
+from xcsp3core.model import Instance, Instantiation  # noqa: E402
 from xcsp3core.parser import parse_string  # noqa: E402
 from xcsp3core.solver import SearchConfig, count_solutions  # noqa: E402
+
+
+RANDOM_ASSIGNMENTS = 3  # total assignments per instance whose verdict is audited
+
+
+def audit_verifier(inst: Instance, solutions, rng: random.Random) -> Tuple[int, int]:
+    """Verdicts compared and disagreements: naive solutions, then random assignments."""
+    compared = wrong = 0
+    for env in solutions:
+        compared += 1
+        wrong += not check_solution(inst, Instantiation(env)).satisfied
+    variables = oracles.defined_variables(inst)
+    for _ in range(RANDOM_ASSIGNMENTS):
+        env = {v.id: rng.choice(list(v.domain.values())) for v in variables}
+        rejected = tuple(posted.label(k) for k, posted in enumerate(inst.constraints)
+                         if not check_constraint(posted.kind, env))
+        verdict = check_solution(inst, Instantiation(env))
+        expected = VerdictKind.VIOLATED if rejected else VerdictKind.SATISFIED
+        compared += 1
+        wrong += (verdict.kind, verdict.violated) != (expected, rejected)
+    return compared, wrong
 
 
 def run_instances(n: int, base_seed: int, verbose: bool) -> int:
     failures = 0
     total_solutions = 0
     pruned_nodes = plain_nodes = 0
+    verdicts = wrong_verdicts = 0
     started = time.monotonic()
     for k in range(n):
         seed = base_seed + k
@@ -36,8 +63,15 @@ def run_instances(n: int, base_seed: int, verbose: bool) -> int:
         inst = parse_string(xml)
         pruned = count_solutions(inst)
         plain = count_solutions(inst, SearchConfig(partial_checks=False))
-        want = oracles.naive_count(inst)
+        solutions = oracles.naive_solutions(inst)
+        want = len(solutions)
         total_solutions += want
+        compared, wrong = audit_verifier(inst, solutions, rng)
+        verdicts += compared
+        wrong_verdicts += wrong
+        if wrong:
+            print(f"DISAGREE seed={seed}: check_solution differs on {wrong} of "
+                  f"{compared} verdicts")
         pruned_nodes += pruned.nodes
         plain_nodes += plain.nodes
         if not pruned.count == plain.count == want or pruned.nodes > plain.nodes:
@@ -53,7 +87,8 @@ def run_instances(n: int, base_seed: int, verbose: bool) -> int:
     print(f"instances: {n} checked, {failures} disagreements, "
           f"{total_solutions} solutions total, {elapsed:.1f}s")
     print(f"nodes: {pruned_nodes} pruned / {plain_nodes} unpruned = {ratio:.3f}")
-    return failures
+    print(f"verdicts: {verdicts} compared, {wrong_verdicts} disagreements")
+    return failures + wrong_verdicts
 
 
 def run_machines(n: int, base_seed: int) -> int:

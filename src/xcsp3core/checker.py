@@ -8,9 +8,12 @@ check_constraint evaluates one constraint under a complete assignment of
 its scope. partial_violated detects certain violations from a partial
 assignment (used for pruning; it never flags a satisfiable extension).
 check_solution verifies a candidate instantiation against an instance.
-Neither scopes nor expressions are prepared here: each kind carries its
-own var_ids and its compiled expressions (see kinds.py), and scope_of /
-objective_scope only copy the former into lists.
+Nothing is prepared here per call: each kind carries its own var_ids, its
+compiled expressions and, for a table without *, a set of its tuples (see
+kinds.py), and the instance its useful variables and the constraints that
+name an undeclared variable (see model.Instance), all built on first use.
+A candidate then pays only for its own checks; scope_of / objective_scope
+only copy var_ids into lists.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import (
     INT_MAX,
     INT_MIN,
     CostMismatch,
+    EvalError,
     StarInScope,
     UnboundVariable,
     UnknownVariable,
@@ -86,8 +90,12 @@ def _check_extension(kind: K.Extension, env: Mapping[str, int]) -> bool:
     if kind.unary is not None:
         inside = kind.unary.contains(env[kind.scope[0]])
         return inside if kind.positive else not inside
-    values = [env[v] for v in kind.scope]
-    hit = any(_tuple_matches(t, values) for t in kind.tuples or ())
+    values = tuple([env[v] for v in kind.scope])
+    table = kind.table
+    if table is not None:
+        hit = values in table
+    else:
+        hit = any(_tuple_matches(t, values) for t in kind.tuples)
     return hit if kind.positive else not hit
 
 
@@ -731,15 +739,42 @@ class Verdict:
 
 
 def useful_variables(instance: Instance) -> List[str]:
-    """Variables referenced by at least one constraint or the objective."""
-    used: Dict[str, None] = {}
-    for posted in instance.constraints:
-        for vid in posted.kind.var_ids:
-            used.setdefault(vid, None)
-    if instance.objective is not None:
-        for vid in instance.objective.var_ids:
-            used.setdefault(vid, None)
-    return list(used)
+    """Declared variables that a constraint or the objective involves, in document order."""
+    return list(instance.useful_ids)
+
+
+def named_error(error: EvalError, label: str, var_ids: Sequence[str],
+                env: Mapping[str, int]) -> EvalError:
+    """The same error, naming the constraint and its scope's assigned values."""
+    at = " ".join(f"{v}={env[v]}" for v in var_ids if v in env)
+    return type(error)(f"{label}: {error}" + (f" at {at}" if at else ""))
+
+
+def _violated(instance: Instance, env: Dict[str, int], complete: bool) -> Tuple[str, ...]:
+    """Labels of the constraints that env violates, in constraint order.
+
+    complete: every useful declared variable holds an int, which proves the
+    scope of every constraint but those naming an undeclared variable.
+    Otherwise constraints whose scope is not fully assigned are skipped.
+    """
+    undeclared = instance.undeclared_scopes
+    bad = []
+    try:
+        for position, posted in enumerate(instance.constraints):
+            kind = posted.kind
+            if complete:
+                holds = check_constraint(kind, env, validate=position in undeclared)
+            elif all(v in env for v in kind.var_ids):
+                holds = check_constraint(kind, env, validate=False)
+            else:
+                continue
+            if not holds:
+                bad.append(posted.label(position))
+    except EvalError as e:
+        if position in undeclared:
+            raise  # the scope proof failed: nothing was evaluated
+        raise named_error(e, posted.label(position), kind.var_ids, env) from e
+    return tuple(bad)
 
 
 def check_solution(
@@ -754,6 +789,7 @@ def check_solution(
     verdict incomplete before constraints are looked at. partial-allowed:
     constraints whose scope is fully assigned are checked first (a
     violation wins), then missing useful variables make it incomplete.
+    An EvalError names the constraint and the assigned values of its scope.
     """
     for vid, val in solution.items():
         var = instance.variable(vid)
@@ -762,40 +798,21 @@ def check_solution(
         if isinstance(val, int) and var.domain is not None and not var.domain.contains(val):
             raise ValueOutsideDomain(f"{vid}={val} outside {var.domain.render()}")
 
-    useful = set(useful_variables(instance))
-    missing = tuple(
-        v.id for v in instance.variables()
-        if v.id in useful and not isinstance(solution.get(v.id), int))
-
     env = {vid: val for vid, val in solution.items() if isinstance(val, int)}
-
-    def evaluate_all(skip_unassigned: bool) -> Tuple[str, ...]:
-        bad = []
-        for position, posted in enumerate(instance.constraints):
-            if skip_unassigned:
-                if any(not isinstance(env.get(v), int) for v in posted.kind.var_ids):
-                    continue
-            if not check_constraint(posted.kind, env, validate=not skip_unassigned):
-                bad.append(posted.label(position))
-        return tuple(bad)
-
-    if mode is CheckMode.TOTAL_REQUIRED:
-        if missing:
-            return Verdict(VerdictKind.INCOMPLETE, missing=missing)
-        violated = evaluate_all(skip_unassigned=False)
-        if violated:
-            return Verdict(VerdictKind.VIOLATED, violated=violated)
-    else:
-        violated = evaluate_all(skip_unassigned=True)
-        if violated:
-            return Verdict(VerdictKind.VIOLATED, violated=violated)
-        if missing:
-            return Verdict(VerdictKind.INCOMPLETE, missing=missing)
+    missing = tuple(vid for vid in instance.useful_ids if vid not in env)
+    complete = mode is CheckMode.TOTAL_REQUIRED
+    if complete and missing:
+        return Verdict(VerdictKind.INCOMPLETE, missing=missing)
+    violated = _violated(instance, env, complete)
+    if violated:
+        return Verdict(VerdictKind.VIOLATED, violated=violated)
+    if missing:
+        return Verdict(VerdictKind.INCOMPLETE, missing=missing)
 
     if declared_cost is not None:
         if instance.objective is None:
             raise CostMismatch("cost declared but the instance has no objective")
-        if all(isinstance(env.get(v), int) for v in instance.objective.var_ids):
+        if all(v in env for v in instance.objective.var_ids):
             actual = eval_objective(instance.objective, env)
             if actual != declared_cost:
                 raise CostMismatch(f"declared cost {declared_cost}, actual {actual}")

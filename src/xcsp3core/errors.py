@@ -62,15 +62,11 @@ class ArityError(ExprSyntaxError):
 
 # -- template substitution ----------------------------------------------------
 
-class SubstitutionError(ParseError):
-    pass
-
-
-class MissingArgument(SubstitutionError):
+class MissingArgument(ParseError):
     """A template parameter %k has no matching argument."""
 
 
-class RestInsideExpression(SubstitutionError):
+class RestInsideExpression(ParseError):
     """%... may only stand in an argument sequence, never inside an expression."""
 
 

@@ -13,7 +13,8 @@ _Involving). Extension, Regular and Mdd take it from their scope instead
 transitions hold state names, not variable ids. Kinds and the Objective
 also carry ``compiled``: every expression held in a field declared as
 Expr, Optional[Expr] or Tuple[Expr, ...], compiled once, on first
-evaluation.
+evaluation. An Extension without * rows likewise builds its ``table``, a
+set of its tuples, on first check.
 The semantics of each kind live in one table in checker.py.
 """
 
@@ -22,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple, Union, get_type_hints
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union, get_type_hints
 
 from .errors import ParseError
 from .expr import Evaluator, Expr, OpCall, VarRef, compile_expr, free_vars
-from .model import Condition, Domain, Interval, Value
+from .model import Condition, Domain, Interval, Star, Value
 
 # value-or-variable slot (coeffs, lengths, heights, counted values, size)
 Val = Union[int, VarRef]
@@ -142,6 +143,17 @@ class Extension(_Scoped):
             raise ValueError("exactly one of tuples/unary must be set")
         if self.unary is not None and len(self.scope) != 1:
             raise ValueError("unary table with non-unary scope")
+
+    @cached_property
+    def table(self) -> Optional[FrozenSet[Tuple[int, ...]]]:
+        """The tuples as a set, for one membership test per check.
+
+        None for a unary table and when a row holds *, which are matched
+        otherwise. Built on first check, never while parsing.
+        """
+        if self.tuples is None or any(isinstance(t, Star) for row in self.tuples for t in row):
+            return None
+        return frozenset(self.tuples)
 
 
 @dataclass(frozen=True)

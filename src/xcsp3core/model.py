@@ -10,7 +10,9 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import (Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from .errors import (
     DuplicateId,
@@ -261,7 +263,12 @@ class PostedConstraint:
 
 @dataclass
 class Instance:
-    """A parsed instance: declarations in document order plus constraints."""
+    """A parsed instance: declarations in document order plus constraints.
+
+    useful_ids and undeclared_scopes are derived on first use (a check or a
+    search), never while parsing. From then on the Instance is treated as
+    immutable: replacing its fields would leave them stale.
+    """
 
     declarations: Tuple[Union[Variable, VarArray], ...]
     constraints: Tuple[PostedConstraint, ...]
@@ -308,6 +315,24 @@ class Instance:
 
     def has_variable(self, vid: str) -> bool:
         return vid in self._vars_by_id
+
+    @cached_property
+    def useful_ids(self) -> Tuple[str, ...]:
+        """Declared variables that a constraint or the objective involves, in document order."""
+        used = {vid for posted in self.constraints for vid in posted.kind.var_ids}
+        if self.objective is not None:
+            used.update(self.objective.var_ids)
+        return tuple(v.id for v in self.variables() if v.id in used)
+
+    @cached_property
+    def undeclared_scopes(self) -> FrozenSet[int]:
+        """Positions of the constraints that involve an undeclared variable.
+
+        Only a hand-built Instance has any: the parser rejects unknown ids.
+        """
+        return frozenset(position for position, posted in enumerate(self.constraints)
+                         if any(vid not in self._vars_by_id for vid in posted.kind.var_ids))
+
 
 def export_id(identifier: str) -> str:
     """Flat-file spelling of a structured id: x[0][3] -> x_0_3, g[0] -> g_0."""

@@ -27,10 +27,10 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .checker import (
     check_constraint,
     eval_objective,
+    named_error,
     partial_violated,
     prunes,
     staged_checks,
-    useful_variables,
 )
 from .errors import EvalError, SolverError, UnforcedVariable
 from .kinds import ConstraintKind, Sense
@@ -96,7 +96,7 @@ class _Search:
         self.deadline = (time.monotonic() + cfg.time_limit
                          if cfg.time_limit is not None else None)
 
-        useful = set(useful_variables(instance))
+        useful = set(instance.useful_ids)
         defined: List[Variable] = []
         for var in instance.variables():
             if var.domain is None:
@@ -179,11 +179,8 @@ class _Search:
         return self.deadline is not None and time.monotonic() > self.deadline
 
     def _named(self, error: EvalError, ci: int) -> EvalError:
-        """The same error, naming the constraint and its scope's assigned values."""
-        at = " ".join(f"{v}={self.env[v]}" for v in self.kinds[ci].var_ids
-                      if v in self.env)
-        label = self.instance.constraints[ci].label(ci)
-        return type(error)(f"{label}: {error}" + (f" at {at}" if at else ""))
+        return named_error(error, self.instance.constraints[ci].label(ci),
+                           self.kinds[ci].var_ids, self.env)
 
     def _record(self) -> None:
         self.count += 1

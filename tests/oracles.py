@@ -10,16 +10,27 @@ import itertools
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from xcsp3core.checker import check_constraint
+from xcsp3core import kinds as K
+from xcsp3core.checker import (
+    CheckMode,
+    Verdict,
+    VerdictKind,
+    check_constraint,
+    ensure_scope_assigned,
+    eval_objective,
+)
 from xcsp3core.errors import (
+    CostMismatch,
     DivisionByZero,
     EvalError,
     NegativeExponent,
     Overflow,
     UnboundVariable,
+    UnknownVariable,
+    ValueOutsideDomain,
 )
 from xcsp3core.expr import Expr, IntConst, SetLiteral, VarRef
-from xcsp3core.model import Instance, STAR, Star
+from xcsp3core.model import Instance, Instantiation, STAR, Star
 
 
 def defined_variables(instance: Instance):
@@ -41,6 +52,75 @@ def naive_solutions(instance: Instance) -> List[Dict[str, int]]:
 
 def naive_count(instance: Instance) -> int:
     return len(naive_solutions(instance))
+
+
+# -- solution verification -----------------------------------------------------------
+#
+# check_solution as first written: nothing is kept between calls, every
+# constraint's scope is proved assigned before its check, and tables are
+# scanned row by row. check_solution must give the same verdict, or raise
+# the same class with the same message (it may prefix the constraint label
+# and add the assignment).
+
+def _reference_holds(kind, env: Dict[str, int]) -> bool:
+    if isinstance(kind, K.Extension) and kind.unary is None:
+        values = [env[v] for v in kind.scope]
+        hit = any(all(t is STAR or t == v for t, v in zip(row, values))
+                  for row in kind.tuples)
+        return hit if kind.positive else not hit
+    return check_constraint(kind, env, validate=False)
+
+
+def reference_check_solution(instance: Instance, solution: Instantiation,
+                             mode: CheckMode = CheckMode.TOTAL_REQUIRED,
+                             declared_cost: Optional[int] = None) -> Verdict:
+    for vid, val in solution.items():
+        var = instance.variable(vid)
+        if var is None:
+            raise UnknownVariable(vid)
+        if isinstance(val, int) and var.domain is not None and not var.domain.contains(val):
+            raise ValueOutsideDomain(f"{vid}={val} outside {var.domain.render()}")
+    useful: Set[str] = set()
+    for posted in instance.constraints:
+        useful.update(posted.kind.var_ids)
+    if instance.objective is not None:
+        useful.update(instance.objective.var_ids)
+    missing = tuple(v.id for v in instance.variables()
+                    if v.id in useful and not isinstance(solution.get(v.id), int))
+    env = {vid: val for vid, val in solution.items() if isinstance(val, int)}
+
+    def violated(skip_unassigned: bool) -> Tuple[str, ...]:
+        bad = []
+        for position, posted in enumerate(instance.constraints):
+            if skip_unassigned:
+                if any(not isinstance(env.get(v), int) for v in posted.kind.var_ids):
+                    continue
+            else:
+                ensure_scope_assigned(posted.kind, env)
+            if not _reference_holds(posted.kind, env):
+                bad.append(posted.label(position))
+        return tuple(bad)
+
+    if mode is CheckMode.TOTAL_REQUIRED:
+        if missing:
+            return Verdict(VerdictKind.INCOMPLETE, missing=missing)
+        bad = violated(skip_unassigned=False)
+        if bad:
+            return Verdict(VerdictKind.VIOLATED, violated=bad)
+    else:
+        bad = violated(skip_unassigned=True)
+        if bad:
+            return Verdict(VerdictKind.VIOLATED, violated=bad)
+        if missing:
+            return Verdict(VerdictKind.INCOMPLETE, missing=missing)
+    if declared_cost is not None:
+        if instance.objective is None:
+            raise CostMismatch("cost declared but the instance has no objective")
+        if all(isinstance(env.get(v), int) for v in instance.objective.var_ids):
+            actual = eval_objective(instance.objective, env)
+            if actual != declared_cost:
+                raise CostMismatch(f"declared cost {declared_cost}, actual {actual}")
+    return Verdict(VerdictKind.SATISFIED)
 
 
 # -- expressions ----------------------------------------------------------------------
@@ -255,9 +335,13 @@ def _rand_extension(rng: random.Random, names: Sequence[str],
         tag = "supports" if rng.random() < 0.7 else "conflicts"
         return (f"    <extension>\n      <list> {scope[0]} </list>\n"
                 f"      <{tag}> {body} </{tag}>\n    </extension>")
-    rows = {tuple(rng.choice(domains[v]) for v in scope)
+    short = rng.random() < 0.3  # a short table: some cells are *, matching any value
+    rows = {tuple("*" if short and rng.random() < 0.3 else str(rng.choice(domains[v]))
+                  for v in scope)
             for _ in range(rng.randint(1, 6))}
-    body = "".join("(" + ",".join(map(str, row)) + ")" for row in sorted(rows))
+    # in value order, which the parser requires of a table without *
+    ordered = sorted(rows, key=lambda row: [(1, 0) if t == "*" else (0, int(t)) for t in row])
+    body = "".join("(" + ",".join(row) + ")" for row in ordered)
     tag = "supports" if rng.random() < 0.7 else "conflicts"
     return (f"    <extension>\n      <list> {' '.join(scope)} </list>\n"
             f"      <{tag}> {body} </{tag}>\n    </extension>")

@@ -323,6 +323,26 @@ def test_search_error_names_the_constraint_and_its_assignment(capsys, tmp_path):
     assert err.strip() == "error: c1: div(6,0) at x=0 y=0"
 
 
+DIV_CSP = ('<instance format="XCSP3" type="CSP"><variables>'
+           '<var id="x"> 0..2 </var><var id="y"> 0..9 </var><var id="z"> 0 1 </var>'
+           '</variables><constraints><intension> eq(z,0) </intension>'
+           "<intension{}> eq(div(6,x),y) </intension></constraints></instance>")
+
+
+@pytest.mark.parametrize("ident,label", [(' id="c1"', "c1"), ("", "#1")])
+@pytest.mark.parametrize("partial", [False, True])
+def test_check_error_names_the_constraint_and_its_assignment(capsys, tmp_path, ident,
+                                                             label, partial):
+    instance, sol = tmp_path / "div.xml", tmp_path / "sol.xml"
+    instance.write_text(DIV_CSP.format(ident))
+    sol.write_text("<instantiation><list> x y z </list>"
+                   "<values> 0 0 1 </values></instantiation>")
+    code, out, err = run(capsys, "check", str(instance), str(sol),
+                         *(["--allow-partial"] if partial else []))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {label}: div(6,0) at x=0 y=0"
+
+
 def test_solve_count_on_five_thousand_cells(capsys, tmp_path):
     # the search keeps its own stack: one Python frame per variable would overflow
     path = tmp_path / "wide.xml"

@@ -1,6 +1,8 @@
 """Checker semantics for every constraint kind, plus whole-solution verdicts."""
 
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,21 +23,27 @@ from xcsp3core.checker import (
 )
 from xcsp3core.errors import (
     CostMismatch,
+    DivisionByZero,
+    EvalError,
     Overflow,
     StarInScope,
     UnboundVariable,
     UnknownVariable,
     ValueOutsideDomain,
+    XcspError,
 )
 from xcsp3core.expr import VarRef, parse_expr
 from xcsp3core.model import (
     STAR,
     CondOp,
     Condition,
+    Instance,
     Instantiation,
     Interval,
     IntSet,
     Domain,
+    PostedConstraint,
+    Variable,
 )
 from xcsp3core.parser import parse_file, parse_string
 
@@ -91,6 +99,24 @@ def test_extension_unary_domain():
 def test_extension_rejects_ambiguous_payload():
     with pytest.raises(ValueError):
         K.Extension(scope=("x",), positive=True)
+
+
+@pytest.mark.parametrize("tag", ["supports", "conflicts"])
+@pytest.mark.parametrize("rows", ["(0,1)(1,2)(2,0)", "(0,*)(2,2)", "(*,*)", ""])
+def test_hashed_and_scanned_tables_follow_the_row_rule(tag, rows):
+    table = f"<{tag}> {rows} </{tag}>" if rows else f"<{tag}/>"
+    kind = parse_string(
+        '<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..2 </var>'
+        '<var id="y"> 0..2 </var></variables><constraints><extension>'
+        f"<list> x y </list>{table}</extension></constraints></instance>"
+    ).constraints[0].kind
+    starred = "*" in rows
+    for point in itertools.product(range(3), repeat=2):
+        match = any(all(t is STAR or t == v for t, v in zip(row, point))
+                    for row in kind.tuples)
+        assert check_constraint(kind, dict(zip("xy", point))) == (match == (tag == "supports"))
+    # a table without * is checked by one membership test, a starred one row by row
+    assert kind.table == (None if starred else frozenset(kind.tuples))
 
 
 @settings(max_examples=60, deadline=None)
@@ -601,6 +627,18 @@ def test_check_solution_ignores_useless_variables():
     assert useful_variables(inst) == ["x", "y"]
 
 
+def test_useful_variables_follow_the_declarations():
+    inst = parse_string("""<instance format="XCSP3" type="COP">
+  <variables> <var id="a"> 0 1 </var> <var id="b"> 0 1 </var> <var id="c"> 0 1 </var>
+    <var id="d"> 0 1 </var> </variables>
+  <constraints> <intension> lt(c,a) </intension> </constraints>
+  <objectives> <minimize> d </minimize> </objectives>
+</instance>""")
+    assert useful_variables(inst) == ["a", "c", "d"]
+    verdict = check_solution(inst, Instantiation({"b": 0}))
+    assert verdict.missing == ("a", "c", "d")
+
+
 def test_check_solution_total_vs_partial():
     inst = parse_string(CSP_TEXT)
     partial = Instantiation({"x": 2})
@@ -631,3 +669,103 @@ def test_check_solution_cost_verification():
     plain = parse_string(CSP_TEXT)
     with pytest.raises(CostMismatch):
         check_solution(plain, Instantiation({"x": 0, "y": 1}), declared_cost=3)
+
+
+DIV_TEXT = """<instance format="XCSP3" type="CSP">
+  <variables> <var id="x"> 0..2 </var> <var id="y"> 0..9 </var> <var id="z"> 0 1 </var>
+  </variables>
+  <constraints>
+    <intension id="c1"> lt(z,1) </intension>
+    <intension> eq(div(6,x),y) </intension>
+  </constraints>
+</instance>"""
+
+
+@pytest.mark.parametrize("mode", list(CheckMode))
+def test_check_solution_names_the_constraint_of_an_evaluation_error(mode):
+    inst = parse_string(DIV_TEXT)
+    # c1 is violated first, but the error in #1 is what the caller sees
+    with pytest.raises(DivisionByZero, match=r"^#1: div\(6,0\) at x=0 y=0$"):
+        check_solution(inst, Instantiation({"x": 0, "y": 0, "z": 1}), mode)
+    assert check_solution(inst, Instantiation({"x": 2, "y": 3, "z": 1}), mode).violated == ("c1",)
+
+
+def test_a_constraint_on_an_undeclared_variable_raises_as_before():
+    # only a hand-built Instance can name a variable it does not declare
+    table = K.Extension(scope=("x", "ghost"), positive=True, tuples=((2, 0),))
+    inst = Instance(declarations=(Variable("x", Domain(((0, 2),))),),
+                    constraints=(PostedConstraint(table, id="c1"),
+                                 PostedConstraint(K.Intension(expr("lt(x,2)")))))
+    assert useful_variables(inst) == ["x"]
+    for _ in range(2):  # the second check reuses the instance's state
+        with pytest.raises(UnboundVariable) as raised:
+            check_solution(inst, Instantiation({"x": 2}))
+        assert str(raised.value) == "ghost"
+        with pytest.raises(UnboundVariable, match="^ghost$"):
+            oracles.reference_check_solution(inst, Instantiation({"x": 2}))
+        # with partial candidates allowed, the constraint is skipped as unassigned
+        lenient = check_solution(inst, Instantiation({"x": 2}), CheckMode.PARTIAL_ALLOWED)
+        assert lenient.violated == ("#1",)
+
+
+# -- the verifier against the reference ----------------------------------------------
+
+def _candidate(data, instance, solutions):
+    """A solution, or a total, partial, starred, out-of-domain or unknown-variable candidate."""
+    values = {v.id: data.draw(st.sampled_from(list(v.domain.values())))
+              for v in instance.variables()}
+    shape = data.draw(st.sampled_from(
+        ["solution", "total", "partial", "starred", "outside", "unknown"]))
+    if shape == "solution" and solutions:
+        values = dict(data.draw(st.sampled_from(solutions)))
+    some = data.draw(st.lists(st.sampled_from(sorted(values)), min_size=1, unique=True))
+    if shape == "partial":
+        for vid in some:
+            del values[vid]
+    elif shape == "starred":
+        values.update((vid, STAR) for vid in some)
+    elif shape == "outside":
+        values[some[0]] = (instance.variable(some[0]).domain.max_value
+                           + data.draw(st.integers(1, 3)))
+    elif shape == "unknown":
+        values["ghost"] = 0
+    return Instantiation(values)
+
+
+def _outcome(verify, instance, solution, mode, cost):
+    try:
+        verdict = verify(instance, solution, mode, declared_cost=cost)
+    except XcspError as e:
+        return type(e), str(e)
+    return verdict.kind, verdict.violated, verdict.missing
+
+
+def _agree(got, want):
+    """Equal outcomes; an evaluation error may also name its constraint and assignment."""
+    if got == want:
+        return True
+    if len(got) != 2 or got[0] is not want[0] or not issubclass(got[0], EvalError):
+        return False
+    named = re.fullmatch(r"#\d+: (.*?)( at( \S+=-?\d+)+)?", got[1])
+    return named is not None and named.group(1) == want[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), div=st.booleans(), data=st.data())
+def test_check_solution_agrees_with_the_reference_verifier(seed, div, data):
+    xml = oracles.random_instance_xml(random.Random(seed))
+    base = parse_string(xml)
+    solutions = oracles.naive_solutions(base)
+    if div:  # a constraint that raises DivisionByZero where x0 is at its minimum
+        low = base.variable("x0").domain.min_value
+        xml = xml.replace("  </constraints>", f"    <intension> eq(div(6,sub(x0,{low})),x1)"
+                          " </intension>\n  </constraints>")
+    instance = parse_string(xml)
+    # every candidate is checked against the same Instance, reusing its state
+    for _ in range(data.draw(st.integers(1, 6))):
+        solution = _candidate(data, instance, solutions)
+        cost = data.draw(st.sampled_from([None, None, 0]))
+        for mode in CheckMode:
+            got = _outcome(check_solution, instance, solution, mode, cost)
+            want = _outcome(oracles.reference_check_solution, instance, solution, mode, cost)
+            assert _agree(got, want), (got, want)

@@ -14,10 +14,12 @@ from xcsp3core.canonical import _LAYOUT, instances_equivalent, render_instance
 from xcsp3core.checker import (
     _CHECKERS,
     check_constraint,
+    check_solution,
     eval_objective,
     objective_scope,
     scope_of,
 )
+from xcsp3core.model import STAR, Instantiation
 from xcsp3core.parser import parse_file, parse_string
 
 DECLARATIONS = """
@@ -145,6 +147,20 @@ def test_parsing_a_fixture_compiles_nothing(name):
     instance = parse_file(FIXTURES / name)
     holders = [posted.kind for posted in instance.constraints] + [instance.objective]
     assert not any("compiled" in vars(h) for h in holders if h is not None)
+    assert not any("table" in vars(h) for h in holders if h is not None)
+    assert "useful_ids" not in vars(instance)
+    assert "undeclared_scopes" not in vars(instance)
+    # the first check builds the tables and the instance's state
+    lowest = {v.id: v.domain.min_value for v in instance.variables()
+              if v.domain is not None}
+    check_solution(instance, Instantiation(lowest))
+    tables = [posted.kind for posted in instance.constraints
+              if isinstance(posted.kind, K.Extension)]
+    assert all("table" in vars(kind) for kind in tables)
+    assert all((kind.table is None) == (kind.unary is not None
+                                        or any(STAR in row for row in kind.tuples))
+               for kind in tables)
+    assert vars(instance)["useful_ids"] is instance.useful_ids
 
 
 def test_compiled_holds_each_expression_with_its_free_variables():
