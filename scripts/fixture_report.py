@@ -2,8 +2,9 @@
 """Summarize every instance in a fixture directory, optionally solving each.
 
 Prints one row per instance: framework, variable and constraint counts, the
-constraint kinds present, and (with --solve) the solution count or optimum,
-the search time, the nodes visited and the nodes per second.
+time parse_file took (reading the file included), the constraint kinds
+present, and (with --solve) the solution count or optimum, the search
+time, the nodes visited and the nodes per second.
 """
 
 import argparse
@@ -18,12 +19,14 @@ from xcsp3core.solver import SearchConfig, Status, count_solutions, solve  # noq
 
 
 def describe(path: Path, do_solve: bool, node_limit: int) -> str:
+    started = time.perf_counter()
     instance = parse_file(str(path))
+    parse_ms = 1000 * (time.perf_counter() - started)
     kinds = sorted({type(p.kind).__name__ for p in instance.constraints})
     n_vars = sum(1 for _ in instance.variables())
     row = (f"{path.name:28} {instance.framework.value:3} "
-           f"{n_vars:3} vars {len(instance.constraints):3} ctrs  "
-           f"{','.join(kinds)}")
+           f"{n_vars:3} vars {len(instance.constraints):3} ctrs "
+           f"{parse_ms:7.2f} ms parse  {','.join(kinds)}")
     if not do_solve:
         return row
     started = time.monotonic()

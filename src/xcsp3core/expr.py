@@ -97,10 +97,19 @@ def is_identifier(token: str) -> bool:
     return bool(IDENT_RE.fullmatch(token)) and token not in KEYWORDS
 
 
-def read_int(token: str, path: Optional[str] = None, what: str = "integer") -> int:
-    """The integer a token spells: optional sign, decimal digits, int64 range."""
-    if not INT_RE.fullmatch(token):
-        raise ParseError(f"bad {what} token {token!r}", path=path, rule="integer")
+def _int64(token: str, path: Optional[str], what: str) -> int:
+    """The value of a token that INT_RE matches, if it lies in int64.
+
+    A long token is cut to its significant digits before it is converted, so
+    that one of thousands of digits fails with integer-range, and one with
+    thousands of leading zeros reads, like any other.
+    """
+    if len(token) > 19:
+        digits = token.lstrip("+-").lstrip("0") or "0"
+        if len(digits) > 19:
+            raise ParseError(f"{what} {_clip(token)} leaves the 64-bit integer range",
+                             path=path, rule="integer-range")
+        token = "-" + digits if token[0] == "-" else digits
     value = int(token)
     if value < INT_MIN or value > INT_MAX:
         raise ParseError(f"{what} {token} leaves the 64-bit integer range",
@@ -108,123 +117,115 @@ def read_int(token: str, path: Optional[str] = None, what: str = "integer") -> i
     return value
 
 
-class _Parser:
-    def __init__(self, text: str, path: Optional[str] = None):
-        self.text = text
-        self.pos = 0
-        self.path = path
-        self.depth = 0
+def _clip(token: str) -> str:
+    return token if len(token) <= 40 else f"{token[:20]}...({len(token)} characters)"
 
-    def fail(self, message: str, offset: Optional[int] = None) -> ExprSyntaxError:
-        return ExprSyntaxError(message, self.pos if offset is None else offset,
-                               path=self.path, rule="expression-syntax")
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def read_int(token: str, path: Optional[str] = None, what: str = "integer") -> int:
+    """The integer a token spells: optional sign, ASCII digits, int64 range."""
+    if not INT_RE.fullmatch(token):
+        raise ParseError(f"bad {what} token {_clip(token)!r}", path=path, rule="integer")
+    return _int64(token, path, what)
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.fail(f"expected '{ch}'")
-        self.pos += 1
 
-    def parse(self) -> Expr:
-        node = self.parse_node()
-        if self.pos != len(self.text):
-            raise self.fail("trailing characters after expression")
-        return node
-
-    def parse_node(self) -> Expr:
-        ch = self.peek()
-        if ch == "":
-            raise self.fail("unexpected end of expression")
-        if ch in "+-" or ch.isdigit():
-            return self.parse_int()
-        if ch.isalpha():
-            return self.parse_name()
-        raise self.fail(f"unexpected character {ch!r}")
-
-    def parse_int(self) -> IntConst:
-        m = INT_RE.match(self.text, self.pos)
-        if not m:
-            raise self.fail("malformed integer")
-        self.pos = m.end()
-        return IntConst(read_int(m.group(), self.path, "integer literal"))
-
-    def parse_name(self) -> Expr:
-        start = self.pos
-        m = IDENT_RE.match(self.text, self.pos)
-        assert m is not None
-        name = m.group()
-        self.pos = m.end()
-        if self.peek() == "(":
-            return self.parse_call(name, start)
-        if name in ARITIES:
-            raise self.fail(f"operator '{name}' used as a variable", start)
-        if name in KEYWORDS:
-            raise self.fail(f"reserved word '{name}' used as a variable", start)
-        return VarRef(name + self.parse_indexing())
-
-    def parse_indexing(self) -> str:
-        # Array cell references carry plain unsigned indexes: x[2][3].
-        out = []
-        while self.peek() == "[":
-            m = INDEX_RE.match(self.text, self.pos)
-            if not m:
-                raise self.fail("array index must be an unsigned integer")
-            self.pos = m.end()
-            out.append(m.group())
-        return "".join(out)
-
-    def parse_call(self, name: str, start: int) -> Expr:
-        if name != "set" and name not in ARITIES:
-            raise self.fail(f"unknown operator '{name}'", start)
-        self.expect("(")
-        self.depth += 1
-        if self.depth > MAX_EXPR_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_EXPR_DEPTH} calls",
-                                  start, path=self.path, rule="expression-depth")
-        args: List[Expr] = []
-        if self.peek() == ")":
-            self.pos += 1
-        else:
-            while True:
-                args.append(self.parse_node())
-                ch = self.peek()
-                if ch == ",":
-                    self.pos += 1
-                    continue
-                if ch == ")":
-                    self.pos += 1
-                    break
-                raise self.fail("expected ',' or ')'")
-        self.depth -= 1
-        if name == "set":
-            values = []
-            for a in args:
-                if not isinstance(a, IntConst):
-                    raise self.fail("set literals may only contain integers", start)
-                values.append(a.value)
-            return SetLiteral(tuple(values))
-        lo, hi = ARITIES[name]
-        if len(args) < lo or (hi is not None and len(args) > hi):
-            bound = str(lo) if hi == lo else (f">= {lo}" if hi is None else f"{lo}..{hi}")
-            raise ArityError(
-                f"operator '{name}' takes {bound} arguments, got {len(args)}",
-                start, path=self.path, rule="operator-arity")
-        if name == "in" and not isinstance(args[1], SetLiteral):
-            raise self.fail("second argument of in() must be a set literal", start)
-        return OpCall(name, tuple(args))
+# One operand token: an identifier followed by "(" (a call) or by cell
+# indexes (a variable, maybe with none), or an integer.
+_OPERAND_RE = re.compile(
+    rf"({IDENT_RE.pattern})(\(|(?:\[[0-9]+\])*)|{INT_RE.pattern}")
+_SPACE_RE = re.compile(r"\s")
 
 
 def parse_expr(text: str, path: Optional[str] = None) -> Expr:
-    """Parse a functional expression. The text must contain no whitespace."""
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            raise WhitespaceError("whitespace inside functional expression", i,
-                                  path=path, rule="expression-whitespace")
+    """Parse a functional expression. The text must contain no whitespace.
+
+    One pass over the text: each operand is one match of one pattern, ","
+    and ")" are read by position, and the calls still open are kept on an
+    explicit stack. Each check runs when its token is read: an operator
+    when its name is, the depth when its call opens, the arity and the
+    operand kinds when it closes. A set literal is valid only as the
+    second operand of in().
+    """
+    space = _SPACE_RE.search(text)
+    if space is not None:
+        raise WhitespaceError("whitespace inside functional expression", space.start(),
+                              path=path, rule="expression-whitespace")
     if not text:
         raise ExprSyntaxError("empty expression", 0, path=path, rule="expression-syntax")
-    return _Parser(text, path).parse()
+
+    def fail(message: str, offset: int, cls: type = ExprSyntaxError,
+             rule: str = "expression-syntax") -> ExprSyntaxError:
+        return cls(message, offset, path=path, rule=rule)
+
+    match, end = _OPERAND_RE.match, len(text)
+    calls: List[Tuple[str, int, List[Expr]]] = []  # (operator, offset, outer operands)
+    operands: List[Expr] = []  # of the innermost open call; at the root, the result
+    pos = 0
+    while True:
+        m = match(text, pos)
+        if m is None:
+            raise fail("expected an operand" if pos < end else "unexpected end of expression",
+                       pos)
+        name, tail = m.group(1, 2)
+        pos = m.end()
+        if name is None:  # an integer; one of 18 characters or fewer lies in int64
+            token = m.group()
+            operands.append(IntConst(int(token) if len(token) < 19 else
+                                     _int64(token, path, "integer literal")))
+        elif tail == "(":
+            if name != "set" and name not in ARITIES:
+                raise fail(f"unknown operator '{name}'", m.start())
+            if len(calls) == MAX_EXPR_DEPTH:
+                raise fail(f"expression nested deeper than {MAX_EXPR_DEPTH} calls",
+                           m.start(), rule="expression-depth")
+            calls.append((name, m.start(), operands))
+            operands = []
+            if not text.startswith(")", pos):
+                continue
+            # a call without operands: its ")" is read below
+        elif name in KEYWORDS:
+            kind = "operator" if name in ARITIES else "reserved word"
+            raise fail(f"{kind} '{name}' used as a variable", m.start())
+        else:
+            operands.append(VarRef(m.group()))
+        # after an operand: each ")" closes the innermost call, "," opens the next operand
+        while True:
+            if pos == end:
+                if calls:
+                    raise fail("unexpected end of expression", pos)
+                return operands[0]
+            ch = text[pos]
+            if ch == "," and calls:
+                pos += 1
+                break
+            if ch != ")" or not calls:
+                raise fail("expected ',' or ')'" if calls else
+                           "trailing characters after expression", pos)
+            pos += 1
+            op, start, outer = calls.pop()
+            node = _close_call(op, operands, start, fail)
+            if type(node) is SetLiteral and not (calls and calls[-1][0] == "in"
+                                                 and len(outer) == 1):
+                raise fail("a set literal may only be the second operand of in()", start)
+            outer.append(node)
+            operands = outer
+
+
+def _close_call(op: str, args: List[Expr], start: int,
+                fail: Callable[..., ExprSyntaxError]) -> Expr:
+    """The node of a call whose operands are all read, checked; start is
+    the offset of its name."""
+    if op == "set":
+        if any(type(a) is not IntConst for a in args):
+            raise fail("set literals may only contain integers", start)
+        return SetLiteral(tuple(a.value for a in args))
+    lo, hi = ARITIES[op]
+    if len(args) < lo or (hi is not None and len(args) > hi):
+        bound = str(lo) if hi == lo else (f">= {lo}" if hi is None else f"{lo}..{hi}")
+        raise fail(f"operator '{op}' takes {bound} arguments, got {len(args)}", start,
+                   ArityError, "operator-arity")
+    if op == "in" and type(args[1]) is not SetLiteral:
+        raise fail("second argument of in() must be a set literal", start)
+    return OpCall(op, tuple(args))
 
 
 def print_expr(e: Expr) -> str:

@@ -39,6 +39,12 @@ _EXPRESSION_TYPES = (Expr, Optional[Expr], Tuple[Expr, ...])
 
 
 @lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """Names of the fields of cls, in declaration order."""
+    return tuple(f.name for f in fields(cls))
+
+
+@lru_cache(maxsize=None)
 def _expression_fields(cls: type) -> Tuple[str, ...]:
     """Names of the fields of cls declared to hold expressions."""
     hints = get_type_hints(cls)
@@ -72,8 +78,8 @@ class _Involving:
         anything else adds nothing.
         """
         ids: Dict[str, None] = {}
-        for f in fields(self):
-            _collect(getattr(self, f.name), ids)
+        for name in _field_names(type(self)):
+            _collect(getattr(self, name), ids)
         return tuple(ids)
 
     @cached_property

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, NoReturn, Optional,
+                    Sequence, Tuple, Union)
 
 from . import kinds as K
 from .errors import (
@@ -373,32 +375,73 @@ def _parse_cond_operand(text: str, path: str) -> Operand:
                   if inner else ())
 
 
+# One tuple: "(" up to the first ")". The scan finds tuples one at a time
+# and checks the text between them; one pattern repeating a group over the
+# whole sequence would hold backtracking state for every tuple.
+_TUPLE_RE = re.compile(r"\(([^)]*)\)")
+_SPACE_RE = re.compile(r"\s")
+# Every character an integer table may hold. int() also takes "_", spaces
+# and non-ASCII digits, so it reads a table's fields only if the whole
+# text is made of these.
+_TABLE_TEXT_RE = re.compile(r"[\s(),*+0-9-]*")
+
+
+def _tuple_texts(text: str, path: str, what: str) -> Iterator[str]:
+    """The text inside each (...) of a tuple sequence, in order. Whitespace
+    may separate tuples but never appear inside one."""
+    pos = 0
+    for m in _TUPLE_RE.finditer(text, 0, text.rfind(")") + 1):
+        start = m.start()
+        if start != pos and not text[pos:start].isspace():
+            found = text[pos:start].lstrip()[0]
+            raise ParseError(f"expected '(' in {what} sequence, found {found!r}",
+                             path=path, rule="tuple-syntax")
+        inner = m.group(1)
+        space = _SPACE_RE.search(inner)
+        if space is not None:
+            raise WhitespaceError(f"whitespace inside {what}", start + 1 + space.start(),
+                                  path=path, rule="tuple-whitespace")
+        yield inner
+        pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        message = (f"unterminated {what}" if rest[0] == "(" else
+                   f"expected '(' in {what} sequence, found {rest[0]!r}")
+        raise ParseError(message, path=path, rule="tuple-syntax")
+
+
 def read_tuples(text: str, path: str, parse_field: Callable[[str], object],
                 what: str = "tuple") -> List[Tuple[object, ...]]:
-    """Read a ()-delimited tuple sequence. Whitespace may separate tuples
-    but never appear inside one."""
-    out: List[Tuple[object, ...]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "(":
-            raise ParseError(f"expected '(' in {what} sequence, found {ch!r}",
-                             path=path, rule="tuple-syntax")
-        j = text.find(")", i)
-        if j < 0:
-            raise ParseError(f"unterminated {what}", path=path, rule="tuple-syntax")
-        inner = text[i + 1:j]
-        for k, c in enumerate(inner):
-            if c.isspace():
-                raise WhitespaceError(f"whitespace inside {what}", i + 1 + k,
-                                      path=path, rule="tuple-whitespace")
-        with _at(path):
-            out.append(tuple(parse_field(f) for f in inner.split(",")))
-        i = j + 1
-    return out
+    """Read a ()-delimited tuple sequence, each field with parse_field."""
+    with _at(path):
+        return [tuple(parse_field(f) for f in inner.split(","))
+                for inner in _tuple_texts(text, path, what)]
+
+
+def read_table(text: str, path: str) -> Tuple[List[Tuple[Value, ...]], bool]:
+    """The tuples of an integer table, where a field may be *, and whether
+    any tuple holds a *."""
+    def field(token: str) -> Value:
+        return STAR if token == "*" else read_int(token, path, "tuple value")
+
+    trusted = _TABLE_TEXT_RE.fullmatch(text) is not None
+    rows: List[Tuple[Value, ...]] = []
+    has_star = False
+    for inner in _tuple_texts(text, path, "tuple"):
+        fields = inner.split(",")
+        if trusted and "*" not in inner:
+            try:
+                rows.append(tuple(map(int, fields)))
+            except ValueError:  # a malformed field, or more digits than int() takes
+                rows.append(tuple([field(f) for f in fields]))
+            if len(inner) > 18:  # a field of 18 characters or fewer lies in int64
+                for f in fields:
+                    if len(f) > 18:
+                        field(f)
+        else:
+            has_star = has_star or "*" in fields
+            rows.append(tuple([field(f) for f in fields]))
+    return rows, has_star
 
 
 def read_var_ids(text: str, arrays: Dict[str, VarArray], path: str) -> List[str]:
@@ -468,10 +511,6 @@ def _read_matrix(el: RawElement, arrays: Dict[str, VarArray],
     return rows
 
 
-def _int_or_star_field(token: str) -> Value:
-    return STAR if token == "*" else read_int(token, None, "tuple value")
-
-
 def _val_field(token: str) -> K.Val:
     if INT_RE.fullmatch(token):
         return read_int(token, None, "tuple value")
@@ -483,7 +522,7 @@ def _val_field(token: str) -> K.Val:
 def _parse_size(text: str, path: str) -> Tuple[int, ...]:
     if not _SIZE_RE.fullmatch(text):
         raise BadSize(f"bad size attribute {text!r}", path=path, rule="array-size")
-    dims = tuple(int(d) for d in INDEX_RE.findall(text))
+    dims = tuple(read_int(d, path, "array dimension") for d in INDEX_RE.findall(text))
     if any(d <= 0 for d in dims):
         raise BadSize(f"array dimensions must be positive: {text!r}",
                       path=path, rule="array-size")
@@ -807,7 +846,7 @@ class _ConstraintReader:
                 if token == "...":
                     rest = True
                 else:
-                    highest = max(highest, int(token))
+                    highest = max(highest, read_int(token, node.path, "parameter index"))
             for child in node.children:
                 scan(child)
         scan(el)
@@ -973,20 +1012,17 @@ class _ConstraintReader:
         if len(scope) == 1 and "(" not in text:
             unary = parse_domain_text(text, table.path, allow_empty=True)
             return K.Extension(scope, positive, unary=unary)
-        tuples = read_tuples(text, table.path, _int_or_star_field)
+        tuples, has_star = read_table(text, table.path)
         for t in tuples:
             if len(t) != len(scope):
                 raise LengthMismatch(
                     f"tuple of {len(t)} values for a scope of {len(scope)}",
                     path=table.path, rule="tuple-arity")
-        if self.cfg.strict and all(not any(isinstance(v, type(STAR)) for v in t)
-                                   for t in tuples):
-            for a, b in zip(tuples, tuples[1:]):
-                if not a < b:
-                    raise OutOfOrder(
-                        f"table tuples must be lexicographically increasing "
-                        f"without repetition: {a} then {b}",
-                        path=table.path, rule="table-order")
+        if self.cfg.strict and not has_star and not all(map(operator.lt, tuples, tuples[1:])):
+            a, b = next((a, b) for a, b in zip(tuples, tuples[1:]) if not a < b)
+            raise OutOfOrder(f"table tuples must be lexicographically increasing "
+                             f"without repetition: {a} then {b}",
+                             path=table.path, rule="table-order")
         return K.Extension(scope, positive, tuples=tuple(tuples))
 
     def _read_regular(self, el: RawElement) -> K.Regular:
@@ -1475,25 +1511,40 @@ def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
 
 
 def _validate_references(instance: Instance, decision: Optional[Tuple[str, ...]]) -> None:
-    def check_useful(vid: str, who: str) -> None:
-        if not instance.has_variable(vid):
-            raise MissingVariables(f"{who} references undeclared variable {vid!r}",
-                                   rule="unknown-variable")
-        if instance.variable(vid).domain is None:
-            # a variable may be undefined or useful, never both
-            raise MissingVariables(f"{who} involves undefined variable {vid!r}",
-                                   rule="undefined-useful")
-
+    # a variable may be undefined or useful, never both
+    defined = {v.id for v in instance.variables() if v.domain is not None}
     for position, posted in enumerate(instance.constraints):
-        for vid in posted.kind.var_ids:
-            check_useful(vid, f"constraint {posted.label(position)}")
-    if instance.objective is not None:
-        for vid in instance.objective.var_ids:
-            check_useful(vid, "objective")
+        if not defined.issuperset(posted.kind.var_ids):
+            _reject_ids(instance, posted.kind.var_ids, f"constraint {posted.label(position)}")
+    objective = instance.objective
+    if objective is not None and not defined.issuperset(objective.var_ids):
+        _reject_ids(instance, objective.var_ids, "objective")
     for vid in decision or ():
         if not instance.has_variable(vid):
-            raise MissingVariables(f"decision annotation references undeclared "
-                                   f"variable {vid!r}", rule="unknown-variable")
+            _undeclared(instance, vid, "decision annotation references")
+
+
+def _reject_ids(instance: Instance, ids: Sequence[str], who: str) -> NoReturn:
+    """Raise for the first of ids that names no variable with a domain."""
+    for vid in ids:
+        variable = instance.variable(vid)
+        if variable is None:
+            _undeclared(instance, vid, f"{who} references")
+        if variable.domain is None:
+            raise MissingVariables(f"{who} involves undefined variable {vid!r}",
+                                   rule="undefined-useful")
+    raise AssertionError(f"{who}: every id names a variable with a domain")
+
+
+def _undeclared(instance: Instance, vid: str, who: str) -> NoReturn:
+    """Raise for an id that names no declared variable: index-range for a
+    cell of a declared array, unknown-variable for anything else."""
+    array = instance.arrays_by_id.get(vid.partition("[")[0])
+    if array is not None and _CELL_RE.fullmatch(vid):
+        size = "".join(f"[{n}]" for n in array.size)
+        raise IndexOutOfBounds(f"{who} {vid!r}, no cell of array {array.id}{size}",
+                               rule="index-range")
+    raise MissingVariables(f"{who} undeclared variable {vid!r}", rule="unknown-variable")
 
 
 def _check_id_prefixes(vars_builder: _VariablesBuilder,

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import re
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from xcsp3core import kinds as K
 from xcsp3core.checker import (
@@ -20,17 +21,22 @@ from xcsp3core.checker import (
     eval_objective,
 )
 from xcsp3core.errors import (
+    ArityError,
     CostMismatch,
     DivisionByZero,
     EvalError,
+    ExprSyntaxError,
     NegativeExponent,
     Overflow,
+    ParseError,
     UnboundVariable,
     UnknownVariable,
     ValueOutsideDomain,
+    WhitespaceError,
 )
-from xcsp3core.expr import Expr, IntConst, SetLiteral, VarRef
-from xcsp3core.model import Instance, Instantiation, STAR, Star
+from xcsp3core.expr import (ARITIES, KEYWORDS, MAX_EXPR_DEPTH, Expr, IntConst, OpCall,
+                            SetLiteral, VarRef)
+from xcsp3core.model import Instance, Instantiation, STAR, Star, Value
 
 
 def defined_variables(instance: Instance):
@@ -233,6 +239,190 @@ def reference_eval(e: Expr, env: Dict[str, int]) -> int:
     if op == "imp":
         return int(not truths[0] or truths[1])
     raise EvalError(f"unhandled operator {op!r}")
+
+
+# -- reference readers ----------------------------------------------------------------
+#
+# The character-at-a-time expression reader and the tuple-at-a-time tuple
+# reader that the package's one-scan readers replaced. Those must agree
+# with these on every text: the same value, or a ParseError of the same
+# class with the same rule.
+
+_REF_INT = re.compile(r"[+-]?[0-9]+")
+_REF_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_REF_INDEX = re.compile(r"\[[0-9]+\]")
+
+
+def reference_int(token: str, path: Optional[str] = None, what: str = "integer") -> int:
+    """Optional sign, ASCII digits, at most 19 significant digits, int64 range."""
+    if not _REF_INT.fullmatch(token):
+        raise ParseError(f"bad {what} token", path=path, rule="integer")
+    significant = token.lstrip("+-").lstrip("0") or "0"
+    value = int(significant) if len(significant) <= 19 else None
+    if value is not None and token.startswith("-"):
+        value = -value
+    if value is None or not _INT_MIN <= value <= _INT_MAX:
+        raise ParseError(f"{what} leaves the 64-bit integer range", path=path,
+                         rule="integer-range")
+    return value
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, path: Optional[str] = None):
+        self.text = text
+        self.pos = 0
+        self.path = path
+        self.depth = 0
+
+    def fail(self, message: str, offset: Optional[int] = None) -> ExprSyntaxError:
+        return ExprSyntaxError(message, self.pos if offset is None else offset,
+                               path=self.path, rule="expression-syntax")
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise self.fail(f"expected '{ch}'")
+        self.pos += 1
+
+    def parse(self) -> Expr:
+        node = self.parse_node()
+        if isinstance(node, SetLiteral):
+            raise self.fail("set literal outside in()")
+        if self.pos != len(self.text):
+            raise self.fail("trailing characters after expression")
+        return node
+
+    def parse_node(self) -> Expr:
+        ch = self.peek()
+        if ch == "":
+            raise self.fail("unexpected end of expression")
+        if ch in "+-" or ch.isdigit():
+            return self.parse_int()
+        if ch.isalpha():
+            return self.parse_name()
+        raise self.fail(f"unexpected character {ch!r}")
+
+    def parse_int(self) -> IntConst:
+        m = _REF_INT.match(self.text, self.pos)
+        if not m:
+            raise self.fail("malformed integer")
+        self.pos = m.end()
+        return IntConst(reference_int(m.group(), self.path, "integer literal"))
+
+    def parse_name(self) -> Expr:
+        start = self.pos
+        m = _REF_IDENT.match(self.text, self.pos)
+        if m is None:  # a letter outside A-Z and a-z
+            raise self.fail("malformed identifier")
+        name = m.group()
+        self.pos = m.end()
+        if self.peek() == "(":
+            return self.parse_call(name, start)
+        if name in ARITIES:
+            raise self.fail(f"operator '{name}' used as a variable", start)
+        if name in KEYWORDS:
+            raise self.fail(f"reserved word '{name}' used as a variable", start)
+        return VarRef(name + self.parse_indexing())
+
+    def parse_indexing(self) -> str:
+        out = []
+        while self.peek() == "[":
+            m = _REF_INDEX.match(self.text, self.pos)
+            if not m:
+                raise self.fail("array index must be an unsigned integer")
+            self.pos = m.end()
+            out.append(m.group())
+        return "".join(out)
+
+    def parse_call(self, name: str, start: int) -> Expr:
+        if name != "set" and name not in ARITIES:
+            raise self.fail(f"unknown operator '{name}'", start)
+        self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise ExprSyntaxError("expression too deep", start, path=self.path,
+                                  rule="expression-depth")
+        args: List[Expr] = []
+        if self.peek() == ")":
+            self.pos += 1
+        else:
+            while True:
+                args.append(self.parse_node())
+                if isinstance(args[-1], SetLiteral) and not (name == "in" and len(args) == 2):
+                    raise self.fail("set literal outside in()")
+                ch = self.peek()
+                if ch == ",":
+                    self.pos += 1
+                    continue
+                if ch == ")":
+                    self.pos += 1
+                    break
+                raise self.fail("expected ',' or ')'")
+        self.depth -= 1
+        if name == "set":
+            values = []
+            for a in args:
+                if not isinstance(a, IntConst):
+                    raise self.fail("set literals may only contain integers", start)
+                values.append(a.value)
+            return SetLiteral(tuple(values))
+        lo, hi = ARITIES[name]
+        if len(args) < lo or (hi is not None and len(args) > hi):
+            raise ArityError(f"operator '{name}' takes another number of arguments",
+                             start, path=self.path, rule="operator-arity")
+        if name == "in" and not isinstance(args[1], SetLiteral):
+            raise self.fail("second argument of in() must be a set literal", start)
+        return OpCall(name, tuple(args))
+
+
+def reference_parse_expr(text: str, path: Optional[str] = None) -> Expr:
+    """Read an expression one character at a time, recursing once per call."""
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            raise WhitespaceError("whitespace inside functional expression", i,
+                                  path=path, rule="expression-whitespace")
+    if not text:
+        raise ExprSyntaxError("empty expression", 0, path=path, rule="expression-syntax")
+    return _ReferenceParser(text, path).parse()
+
+
+def reference_read_tuples(text: str, path: str, parse_field: Callable[[str], object],
+                          what: str = "tuple") -> List[Tuple[object, ...]]:
+    """Read a ()-delimited tuple sequence one tuple at a time. Whitespace may
+    separate tuples but never appear inside one."""
+    out: List[Tuple[object, ...]] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch != "(":
+            raise ParseError(f"expected '(' in {what} sequence", path=path,
+                             rule="tuple-syntax")
+        j = text.find(")", i)
+        if j < 0:
+            raise ParseError(f"unterminated {what}", path=path, rule="tuple-syntax")
+        inner = text[i + 1:j]
+        for k, c in enumerate(inner):
+            if c.isspace():
+                raise WhitespaceError(f"whitespace inside {what}", i + 1 + k,
+                                      path=path, rule="tuple-whitespace")
+        try:
+            out.append(tuple(parse_field(f) for f in inner.split(",")))
+        except ParseError as e:
+            if e.path is None:
+                e.path = path
+            raise
+        i = j + 1
+    return out
+
+
+def reference_table_field(token: str) -> Value:
+    """One field of an integer table: * or an integer."""
+    return STAR if token == "*" else reference_int(token, None, "tuple value")
 
 
 # -- automata / decision diagrams ---------------------------------------------------

@@ -498,3 +498,51 @@ def test_no_command_is_usage_error(capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate", "x.xml")
     assert code == 3
+
+
+NINES = "9" * 5000  # past the 4,300 digits that int() converts
+
+
+def small_document(constraint, domain="0..3", size="[2]"):
+    return ('<instance format="XCSP3" type="CSP"><variables>'
+            f'<var id="x"> {domain} </var><var id="y"> 0..3 </var>'
+            f'<array id="a" size="{size}"> 0..3 </array></variables>'
+            f"<constraints>{constraint}</constraints></instance>")
+
+
+@pytest.mark.parametrize("text", [
+    small_document(f"<intension> eq(x,{NINES}) </intension>"),
+    small_document(f"<intension> eq(x,-{NINES}) </intension>"),
+    small_document("<intension> eq(x,1) </intension>", domain=f"0..{NINES}"),
+    small_document("<extension><list> x y </list>"
+                   f"<supports> (1,{NINES}) </supports></extension>"),
+    small_document("<intension> eq(x,1) </intension>", size=f"[{NINES}]"),
+    small_document(f"<group><intension> eq(%{NINES},1) </intension>"
+                   "<args> x </args></group>"),
+], ids=["expression", "negative-expression", "domain", "tuple", "size", "parameter"])
+def test_integer_of_thousands_of_digits_is_out_of_range(capsys, tmp_path, text):
+    path = tmp_path / "huge.xml"
+    path.write_text(text)
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "[rule: integer-range]" in err
+
+
+def test_leading_zeros_do_not_count_as_digits(capsys, tmp_path):
+    path = tmp_path / "zeros.xml"
+    path.write_text(small_document(f"<intension> eq(x,{'0' * 5000}1) </intension>"))
+    code, out, _ = run(capsys, "validate", str(path), "--canonical-out", "-")
+    assert code == 0 and "eq(x,1)" in out
+
+
+@pytest.mark.parametrize("constraint", [
+    "<intension> eq(x,set(1)) </intension>",
+    "<intension> set(1) </intension>",
+    "<intension> add(set(1,2),x) </intension>",
+    "<intension> in(set(1),set(2)) </intension>",
+    "<allEqual> x set(1) </allEqual>",
+])
+def test_set_literal_outside_in_is_invalid(capsys, tmp_path, constraint):
+    path = tmp_path / "set.xml"
+    path.write_text(small_document(constraint))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "[rule: expression-syntax]" in err

@@ -21,3 +21,12 @@ def test_script_runs_without_pythonpath(argv, tmp_path):
                          env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+def test_fixture_report_times_each_parse():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts/fixture_report.py"),
+                          str(ROOT / "tests/fixtures")], capture_output=True, text=True,
+                         timeout=300)
+    rows = out.stdout.splitlines()
+    assert len(rows) == len(list((ROOT / "tests/fixtures").glob("*.xml")))
+    assert all(" ms parse " in row for row in rows)

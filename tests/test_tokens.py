@@ -22,7 +22,7 @@ from xcsp3core.errors import (
     UnknownArray,
     WhitespaceError,
 )
-from xcsp3core.expr import IntConst, OpCall, VarRef
+from xcsp3core.expr import IntConst, OpCall, SetLiteral, VarRef
 from xcsp3core.model import STAR, Interval, IntSet
 from xcsp3core.parser import parse_string
 
@@ -139,8 +139,22 @@ ROWS = [
     ("operands", "x[%0]", Fails(ParseError, "parameter")),
     ("operands", "add(y,1", Fails(ExprSyntaxError, "expression-syntax")),
     ("intension", "eq(y,x[2])", OpCall("eq", (Y, X2))),
-    ("intension", "eq(y,x[9])", Fails(MissingVariables, "unknown-variable")),
+    ("intension", "eq(y,x[9])", Fails(IndexOutOfBounds, "index-range")),
+    ("intension", "eq(y,x[0][0])", Fails(IndexOutOfBounds, "index-range")),
+    ("intension", "eq(y,m[1])", Fails(IndexOutOfBounds, "index-range")),
+    ("intension", "eq(y,q[0])", Fails(MissingVariables, "unknown-variable")),
     ("intension", "eq(y,%0)", Fails(ParseError, "parameter")),
+    # a set literal is only the second operand of in()
+    ("intension", "in(y,set(1,2))", OpCall("in", (Y, SetLiteral((1, 2))))),
+    ("intension", "in(y,set())", OpCall("in", (Y, SetLiteral(())))),
+    ("intension", "eq(y,set(1))", Fails(ExprSyntaxError, "expression-syntax")),
+    ("intension", "set(1)", Fails(ExprSyntaxError, "expression-syntax")),
+    ("intension", "in(set(1),set(1))", Fails(ExprSyntaxError, "expression-syntax")),
+    ("operands", "set(1)", Fails(ExprSyntaxError, "expression-syntax")),
+    ("operands", "add(set(1,2),y)", Fails(ExprSyntaxError, "expression-syntax")),
+    ("objective", "add(y,set(1))", Fails(ExprSyntaxError, "expression-syntax")),
+    ("intension", "eq(y,\u00e9)", Fails(ExprSyntaxError, "expression-syntax")),
+    ("intension", "eq(y,\u0661)", Fails(ExprSyntaxError, "expression-syntax")),
     ("intension", "eq(y,%...)", Fails(ParseError, "parameter")),
     ("objective", "add(y,x[2])", OpCall("add", (Y, X2))),
     ("objective", "add(y,%1)", Fails(ParseError, "parameter")),
@@ -203,10 +217,15 @@ ROWS = [
     ("table-field", "a", Fails(ParseError, "integer")),
     ("table-field", "", Fails(ParseError, "integer")),
     ("table-field", "1..2", Fails(ParseError, "integer")),
+    ("table-field", "007", 7),
+    ("table-field", "+" + "0" * 30 + "5", 5),
+    ("table-field", "1_0", Fails(ParseError, "integer")),
+    ("table-field", "\u0661", Fails(ParseError, "integer")),
+    ("table-field", "**", Fails(ParseError, "integer")),
     ("origin-field", "y", "y"),
     ("origin-field", "x[1]", "x[1]"),
     ("origin-field", "m[1][2]", "m[1][2]"),
-    ("origin-field", "x[9]", Fails(MissingVariables, "unknown-variable")),
+    ("origin-field", "x[9]", Fails(IndexOutOfBounds, "index-range")),
     ("origin-field", "x[]", Fails(ParseError, "variable-token")),
     ("origin-field", "3", Fails(ParseError, "variable-token")),
     ("length-field", "4", 4),
@@ -259,7 +278,7 @@ ROWS = [
 # wherever it appears, and vxk is read by one rule in every slot.
 CHANGED = [
     ("condition", "(eq,x[2])", X2),
-    ("condition", "(eq,x[9])", Fails(MissingVariables, "unknown-variable")),
+    ("condition", "(eq,x[9])", Fails(IndexOutOfBounds, "index-range")),
     ("group-condition", "x[2]", X2),
     ("condition", "(in,5..2)", Fails(MalformedInterval, "interval-bounds")),
     ("occurs", "5..2", Fails(MalformedInterval, "interval-bounds")),
