@@ -5,9 +5,12 @@ Each instance is also counted with partial checks off: pruning must keep
 the count and may only save nodes. The verifier is audited on the same
 instances: check_solution must accept every solution of the naive filter,
 and on a few random total assignments report exactly the constraints that
-check_constraint rejects. Also cross-checks regular/mdd membership against
-brute-force path enumeration. Any disagreement prints the offending seed
-and exits nonzero.
+check_constraint rejects. Random COPs (sum, minimum, maximum and expression
+objectives) are solved with and without partial checks, and the status,
+the optimum and the best solution's cost must match those computed from
+the naive filter's solutions with the reference evaluator. Also
+cross-checks regular/mdd membership against brute-force path enumeration.
+Any disagreement prints the offending seed and exits nonzero.
 """
 
 import argparse
@@ -26,7 +29,7 @@ from xcsp3core import kinds as K  # noqa: E402
 from xcsp3core.checker import VerdictKind, check_constraint, check_solution  # noqa: E402
 from xcsp3core.model import Instance, Instantiation  # noqa: E402
 from xcsp3core.parser import parse_string  # noqa: E402
-from xcsp3core.solver import SearchConfig, count_solutions  # noqa: E402
+from xcsp3core.solver import SearchConfig, Status, count_solutions, solve  # noqa: E402
 
 
 RANDOM_ASSIGNMENTS = 3  # total assignments per instance whose verdict is audited
@@ -91,6 +94,36 @@ def run_instances(n: int, base_seed: int, verbose: bool) -> int:
     return failures + wrong_verdicts
 
 
+def run_optima(n: int, base_seed: int, verbose: bool) -> int:
+    failures = 0
+    optima = 0
+    started = time.monotonic()
+    for k in range(n):
+        seed = base_seed + k
+        xml = oracles.random_cop_xml(random.Random(seed))
+        inst = parse_string(xml)
+        want = oracles.naive_optimum(inst)
+        optima += want is not None
+        expected = (Status.UNSATISFIABLE, None) if want is None else (Status.OPTIMUM, want)
+        for cfg in (SearchConfig(), SearchConfig(partial_checks=False)):
+            result = solve(inst, cfg)
+            got = (result.status, result.best_cost)
+            best_cost = (None if result.best is None
+                         else oracles.naive_cost(inst.objective, dict(result.best)))
+            if got != expected or best_cost != want:
+                failures += 1
+                print(f"DISAGREE seed={seed} partial_checks={cfg.partial_checks}: "
+                      f"solve={got[0].value} {got[1]} (best costs {best_cost}) "
+                      f"naive={expected[0].value} {want}")
+                if verbose:
+                    print(xml)
+                break
+    elapsed = time.monotonic() - started
+    print(f"optima: {n} COPs checked, {failures} disagreements, "
+          f"{optima} with a solution, {elapsed:.1f}s")
+    return failures
+
+
 def run_machines(n: int, base_seed: int) -> int:
     failures = 0
     started = time.monotonic()
@@ -125,12 +158,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=500,
                         help="random instances to compare (default 500)")
+    parser.add_argument("--cops", type=int, default=500,
+                        help="random COPs whose optimum is compared (default 500)")
     parser.add_argument("--machines", type=int, default=500,
                         help="random automata/diagrams to compare (default 500)")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
     failures = run_instances(args.instances, args.seed, args.verbose)
+    failures += run_optima(args.cops, args.seed, args.verbose)
     failures += run_machines(args.machines, args.seed)
     return 1 if failures else 0
 

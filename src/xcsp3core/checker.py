@@ -2,12 +2,17 @@
 
 The semantics of every constraint kind sit in one table, _CHECKERS: a
 complete check and, for kinds that prune, a partial violation detector.
-allDifferent and sum also have a staged partial check (_STAGED) that a
-search with a fixed variable order runs depth by depth instead.
+allDifferent and sum also have staged checks (_STAGED) that a search with a
+fixed variable order runs depth by depth instead: each depth's check starts
+from the state the earlier depths left, and the check at the depth that
+completes the scope gives the complete verdict from that state.
 check_constraint evaluates one constraint under a complete assignment of
 its scope. partial_violated detects certain violations from a partial
 assignment (used for pruning; it never flags a satisfiable extension).
 check_solution verifies a candidate instantiation against an instance.
+eval_objective costs a complete assignment; objective_cost gives a search
+the same cost as one function, without range checks for a sum objective
+whose domain bounds prove that none can fire.
 Nothing is prepared here per call: each kind carries its own var_ids, its
 compiled expressions and, for a table without *, a set of its tuples (see
 kinds.py), and the instance its useful variables and the constraints that
@@ -21,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from . import kinds as K
 from .errors import (
@@ -530,27 +536,38 @@ _CHECKERS: Dict[type, Tuple[_Check, Optional[_Check]]] = {
 }
 
 
-# -- staged partial checks ------------------------------------------------------------
+# -- staged checks ----------------------------------------------------------------
 #
-# A search that assigns the variables in a fixed order can run a kind's
-# partial check in stages: the check at one depth starts from the state the
-# check at the previous depth left, instead of rescanning the whole scope.
-# A builder gets the depth at which each variable is assigned, each
-# variable's domain bounds (min, max) and the assignment the search mutates.
-# It returns (depth, check) pairs in depth order, for depths that assign a
-# variable of the constraint without completing its scope. A check returns
-# True only when no extension can satisfy the constraint, like
-# partial_violated, and may be called only after the checks of the earlier
-# depths have passed under the current assignment. None means the
-# constraint does not qualify, and the search falls back to
-# partial_violated.
+# A search that assigns the variables in a fixed order can check a kind in
+# stages: the check at one depth starts from the state the check at the
+# previous depth left, instead of rescanning the whole scope. A builder gets
+# the depth at which each variable is assigned, each variable's domain
+# bounds (min, max) and the assignment the search mutates. It returns
+# (depth, check) pairs in depth order, one for each depth that assigns a
+# variable of the constraint, or a subset of those depths that ends with the
+# one completing the scope. Every check returns True when it finds the
+# constraint violated and may be called only after the checks of the
+# earlier depths have passed under the current assignment. Before the last
+# depth it returns True only when no extension can satisfy the constraint,
+# like partial_violated; at the last depth it is the complete check: True
+# exactly when check_constraint would return False, raising what
+# check_constraint would raise. None means the constraint does not qualify,
+# and the search falls back to check_constraint and partial_violated.
 
 Stage = Tuple[int, Callable[[], bool]]
 
 
-def _slot_depths(kind: K.ConstraintKind, depth_of: Mapping[str, int]) -> List[int]:
-    """Depths that assign a variable of kind, except the one completing its scope."""
-    return sorted({depth_of[v] for v in kind.var_ids})[:-1]
+def _scope_depths(kind: K.ConstraintKind, depth_of: Mapping[str, int]) -> List[int]:
+    """Depths that assign a variable of kind, the one completing its scope last."""
+    return sorted({depth_of[v] for v in kind.var_ids})
+
+
+def _fits_int64(terms: Iterable[Tuple[int, Tuple[int, int]]]) -> bool:
+    """True when no product c*x or partial sum of them can leave int64.
+
+    terms: each coefficient c with the bounds (lo, hi) of its value x.
+    """
+    return sum(abs(c) * max(abs(lo), abs(hi)) for c, (lo, hi) in terms) <= INT_MAX
 
 
 def _staged_all_different(kind: K.AllDifferent, depth_of: Mapping[str, int],
@@ -558,20 +575,19 @@ def _staged_all_different(kind: K.AllDifferent, depth_of: Mapping[str, int],
                           env: Mapping[str, int]) -> List[Stage]:
     """Evaluate each operand once, at the depth where it becomes ready.
 
-    The scan keeps partial_violated's operand order: it stops where that
-    scan would meet its first repeated value, so an operand that raises is
-    evaluated, and raises, exactly when it would have been there.
+    Before the last depth the scan keeps partial_violated's operand order:
+    it stops where that scan would meet its first repeated value, so an
+    operand that raises is evaluated, and raises, exactly when it would
+    have been there. At the last depth every fresh operand is evaluated, in
+    order, before any value is compared, as the complete check does.
     """
-    slots = _slot_depths(kind, depth_of)
-    if not slots:
-        return []
-    fresh: Dict[int, List[Tuple[int, Callable]]] = {d: [] for d in slots}
+    depths = _scope_depths(kind, depth_of)
+    fresh: Dict[int, List[Tuple[int, Callable]]] = {d: [] for d in depths}
     for pos, (op, (evaluate, free)) in enumerate(zip(kind.operands, kind.compiled)):
         ids = (op.id,) if free is None else free
         # an operand without variables is ready at the first check
-        ready = max((depth_of[v] for v in ids), default=slots[0])
-        if ready in fresh:
-            fresh[ready].append((pos, evaluate))
+        ready = max((depth_of[v] for v in ids), default=depths[0])
+        fresh[ready].append((pos, evaluate))
     excepts = frozenset(kind.excepts)
     # seen[i + 1]: value -> position of the operand that holds it, for every
     # operand ready by the i-th stage (distinct, since that stage passed)
@@ -599,9 +615,23 @@ def _staged_all_different(kind: K.AllDifferent, depth_of: Mapping[str, int],
         seen[i + 1] = values
         return False
 
-    stages = [(d, ops) for d, ops in fresh.items() if ops]
-    seen.extend({} for _ in stages)
-    return [(d, partial(stage, i, tuple(ops))) for i, (d, ops) in enumerate(stages)]
+    def finish(i: int, evaluators: Tuple[Callable, ...]) -> bool:
+        before = seen[i]
+        values = set()
+        for v in [evaluate(env) for evaluate in evaluators]:
+            if v in excepts:
+                continue
+            if v in before or v in values:
+                return True
+            values.add(v)
+        return False
+
+    # the completing depth always has a fresh operand: one holding its variable
+    *early, (last, last_ops) = [(d, ops) for d, ops in fresh.items() if ops]
+    seen.extend({} for _ in early)
+    checks = [(d, partial(stage, i, tuple(ops))) for i, (d, ops) in enumerate(early)]
+    checks.append((last, partial(finish, len(early), tuple(e for _, e in last_ops))))
+    return checks
 
 
 _BOUNDED_OPS = frozenset({CondOp.LT, CondOp.LE, CondOp.GE, CondOp.GT, CondOp.EQ})
@@ -615,7 +645,9 @@ def _staged_sum(kind: K.Sum, depth_of: Mapping[str, int],
     Only for integer coefficients over bare variables, a relational
     condition other than ne with an integer operand, and domains small
     enough that no partial or total sum can leave the 64-bit range, so that
-    the complete check could never raise Overflow on this constraint.
+    the complete check could never raise Overflow on this constraint. At the
+    completing depth no term is left unassigned, so the same comparison is
+    the complete verdict.
     """
     coeffs, condition = kind.int_coeffs, kind.condition
     if (coeffs is None or condition.op not in _BOUNDED_OPS
@@ -623,7 +655,7 @@ def _staged_sum(kind: K.Sum, depth_of: Mapping[str, int],
             or any(free is not None for _, free in kind.compiled)):
         return None
     terms = [(c, op.id, bounds[op.id]) for c, op in zip(coeffs, kind.terms)]
-    if sum(abs(c) * max(abs(lo), abs(hi)) for c, _, (lo, hi) in terms) > INT_MAX:
+    if not _fits_int64((c, ends) for c, _, ends in terms):
         return None
     k, op = condition.operand, condition.op
     # the totals that satisfy the condition; one past the int64 range is unbounded
@@ -639,7 +671,7 @@ def _staged_sum(kind: K.Sum, depth_of: Mapping[str, int],
         return total < lo_cut or total > hi_cut
 
     stages = []
-    for i, d in enumerate(_slot_depths(kind, depth_of)):
+    for i, d in enumerate(_scope_depths(kind, depth_of)):
         here = tuple((c, vid) for c, vid, _ in terms if depth_of[vid] == d)
         rest = [(c * lo, c * hi) for c, vid, (lo, hi) in terms if depth_of[vid] > d]
         rest_lo = sum(min(ends) for ends in rest)
@@ -649,7 +681,7 @@ def _staged_sum(kind: K.Sum, depth_of: Mapping[str, int],
     return stages
 
 
-# kind -> builder of its staged partial checks
+# kind -> builder of its staged checks
 _STAGED: Dict[type, Callable[..., Optional[List[Stage]]]] = {
     K.AllDifferent: _staged_all_different,
     K.Sum: _staged_sum,
@@ -659,7 +691,7 @@ _STAGED: Dict[type, Callable[..., Optional[List[Stage]]]] = {
 def staged_checks(kind: K.ConstraintKind, depth_of: Mapping[str, int],
                   bounds: Mapping[str, Tuple[int, int]],
                   env: Mapping[str, int]) -> Optional[List[Stage]]:
-    """The kind's staged partial checks for a fixed variable order, or None."""
+    """The kind's staged checks for a fixed variable order, or None."""
     build = _STAGED.get(type(kind))
     return None if build is None else build(kind, depth_of, bounds, env)
 
@@ -692,7 +724,11 @@ def objective_scope(obj: K.Objective) -> List[str]:
     return list(obj.var_ids)
 
 
-def eval_objective(obj: K.Objective, env: Mapping[str, int]) -> Union[int, Tuple[int, ...]]:
+# a lex objective's value is a tuple, every other one an int
+Cost = Union[int, Tuple[int, ...]]
+
+
+def eval_objective(obj: K.Objective, env: Mapping[str, int]) -> Cost:
     if obj.kind is K.ObjKind.EXPRESSION:
         return obj.compiled[0][0](env)
     values = _values(obj, env)
@@ -712,6 +748,25 @@ def eval_objective(obj: K.Objective, env: Mapping[str, int]) -> Union[int, Tuple
     if obj.kind is K.ObjKind.NVALUES:
         return len(set(weighted))
     raise TypeError(f"unknown objective kind {obj.kind}")
+
+
+def objective_cost(obj: K.Objective,
+                   bounds: Mapping[str, Tuple[int, int]]) -> Callable[[Mapping[str, int]], Cost]:
+    """The objective's cost of a complete assignment, as one function.
+
+    bounds: the domain (min, max) of each variable the caller assigns. A sum
+    over bare variables whose terms those bounds prove to stay in int64
+    (see _fits_int64) is summed without range checks, since none could
+    fire; any other objective goes through eval_objective.
+    """
+    if obj.kind is K.ObjKind.SUM and all(isinstance(op, VarRef) for op in obj.operands):
+        ids = [op.id for op in obj.operands]
+        coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(ids)
+        if all(v in bounds for v in ids) and _fits_int64(
+                (c, bounds[v]) for c, v in zip(coeffs, ids)):
+            terms = tuple(zip(coeffs, ids))
+            return lambda env: sum([c * env[v] for c, v in terms])
+    return partial(eval_objective, obj)
 
 
 # -- whole-solution verdicts ------------------------------------------------------

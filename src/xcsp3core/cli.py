@@ -4,6 +4,8 @@ Subcommands: validate, check, solve, stats. Exit codes:
   0   success (valid instance / satisfied solution / solution found)
   2   the instance (or solution file) failed to parse or validate
   3   usage error
+  4   evaluating the instance failed during check or solve (div by zero,
+      overflow, ...)
   10  candidate solution violated (or cost/domain/variable mismatch)
   11  candidate solution incomplete
   20  no solution exists (or zero solutions counted)
@@ -18,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 from .canonical import render_instance
 from .checker import CheckMode, VerdictKind, check_solution
-from .errors import CheckError, ParseError, XcspError
+from .errors import CheckError, EvalError, ParseError, XcspError
 from .expr import read_int
 from .kinds import ObjKind
 from .model import Instance, Instantiation
@@ -28,6 +30,7 @@ from .solver import SearchConfig, Status, VarOrder, solve
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_USAGE = 3
+EXIT_EVAL = 4
 EXIT_VIOLATED = 10
 EXIT_INCOMPLETE = 11
 EXIT_UNSAT = 20
@@ -320,6 +323,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except EvalError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_EVAL
     except (OSError, XcspError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -114,6 +114,10 @@ class RawElement:
 # interpreter stack.
 MAX_XML_DEPTH = 100
 
+# Most cells one array may declare. Each cell becomes a variable, so a larger
+# size attribute is rejected (rule array-size) before anything is allocated.
+MAX_ARRAY_CELLS = 1_000_000
+
 
 def _wrap(el: ET.Element, path: str, depth: int = 1) -> RawElement:
     for key, value in el.attrib.items():
@@ -526,6 +530,10 @@ def _parse_size(text: str, path: str) -> Tuple[int, ...]:
     if any(d <= 0 for d in dims):
         raise BadSize(f"array dimensions must be positive: {text!r}",
                       path=path, rule="array-size")
+    cells = math.prod(dims)
+    if cells > MAX_ARRAY_CELLS:
+        raise BadSize(f"array size {text!r} declares {cells} cells, more than "
+                      f"{MAX_ARRAY_CELLS}", path=path, rule="array-size")
     return dims
 
 

@@ -6,13 +6,17 @@ order is compiled into a plan: for each depth, the checks that run when
 that depth's variable is set, in constraint order. A constraint's complete
 check runs at the depth that completes its scope, and its partial check at
 the earlier depths that assign one of its variables. allDifferent and sum
-have staged partial checks that carry state from depth to depth, and a sum
-is bounded by the domain min/max of its unassigned terms (see
-checker.staged_checks). Partial checks only skip subtrees that hold no
-solution; no domain is ever filtered. So counts, solution order and optima
-are those of plain enumeration, easy to compare against a brute-force
-filter. The loop runs over an explicit stack of per-depth value iterators,
-so the number of variables is not bounded by Python's recursion limit.
+are checked in stages instead, carrying state from depth to depth: the
+stage at the completing depth gives the complete verdict from that state,
+and a sum is bounded by the domain min/max of its unassigned terms (see
+checker.staged_checks). The objective is costed by one function built
+before search (checker.objective_cost). Partial checks only skip subtrees
+that hold no solution; no domain is ever filtered. So counts, solution
+order and optima are those of plain enumeration, easy to compare against a
+brute-force filter. With partial_checks off, every complete check goes
+through check_constraint and every cost through eval_objective. The loop
+runs over an explicit stack of per-depth value iterators, so the number of
+variables is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .checker import (
     check_constraint,
     eval_objective,
     named_error,
+    objective_cost,
     partial_violated,
     prunes,
     staged_checks,
@@ -78,8 +83,9 @@ class _LimitReached(Exception):
     pass
 
 
-# One check of the plan: the constraint's position, the constraint, and its
-# partial check (True when violated), or None for its complete check.
+# One check of the plan: the constraint's position, the constraint, and a
+# check of its own (a partial detector or a stage of checker.staged_checks,
+# True when violated), or None for check_constraint.
 _Check = Tuple[int, ConstraintKind, Optional[Callable[[], bool]]]
 
 
@@ -135,36 +141,41 @@ class _Search:
                 if not holds:
                     self.infeasible = True
                     break
-        self._plan()
+        bounds = {v.id: (v.domain.min_value, v.domain.max_value) for v in self.order}
+        self._plan(bounds)
 
         self.objective = instance.objective
         if self.objective is not None:
             self.sense = self.objective.sense
+            self.cost = (objective_cost(self.objective, bounds) if cfg.partial_checks
+                         else partial(eval_objective, self.objective))
 
-    def _plan(self) -> None:
+    def _plan(self, bounds: Dict[str, Tuple[int, int]]) -> None:
         """For each depth, the checks its variable triggers, in constraint order.
 
-        staged[d] lists the staged checks at depth d: a forced variable
-        rebuilds their state for its chosen value.
+        A staged constraint is checked by its stages alone, the last of them
+        at the depth completing its scope. staged[d] lists the stages at
+        depth d whose state later stages read: a forced variable rebuilds it
+        for its chosen value.
         """
         env = self.env
         depth_of = {v.id: d for d, v in enumerate(self.order)}
-        bounds = {v.id: (v.domain.min_value, v.domain.max_value) for v in self.order}
         plan: List[List[_Check]] = [[] for _ in self.order]
         self.staged: List[List[Callable[[], bool]]] = [[] for _ in self.order]
         for ci, kind in enumerate(self.kinds):
             if not kind.var_ids:
                 continue
-            depths = sorted({depth_of[v] for v in kind.var_ids})
-            plan[depths[-1]].append((ci, kind, None))
-            if not self.cfg.partial_checks:
-                continue
-            stages = staged_checks(kind, depth_of, bounds, env)
+            stages = (staged_checks(kind, depth_of, bounds, env)
+                      if self.cfg.partial_checks else None)
             if stages is not None:
                 for d, check in stages:
                     plan[d].append((ci, kind, check))
+                for d, check in stages[:-1]:
                     self.staged[d].append(check)
-            elif prunes(kind):
+                continue
+            depths = sorted({depth_of[v] for v in kind.var_ids})
+            plan[depths[-1]].append((ci, kind, None))
+            if self.cfg.partial_checks and prunes(kind):
                 detector = partial(partial_violated, kind, env)
                 for d in depths[:-1]:
                     plan[d].append((ci, kind, detector))
@@ -185,7 +196,7 @@ class _Search:
     def _record(self) -> None:
         self.count += 1
         if self.objective is not None:
-            cost = eval_objective(self.objective, self.env)
+            cost = self.cost(self.env)
             if self.best_cost is None or self._better(cost, self.best_cost):
                 self.best_cost = cost
                 self.best = Instantiation(dict(self.env))

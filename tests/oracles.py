@@ -603,9 +603,9 @@ def _rand_comparison(rng: random.Random, names: Sequence[str]) -> str:
             f"      <condition> ({op},{k}) </condition>\n    </{kind}>")
 
 
-def random_instance_xml(rng: random.Random, max_vars: int = 6,
-                        max_values: int = 5) -> str:
-    """A small CSP drawn from the core constraint menu."""
+def _random_model(rng: random.Random, max_vars: int,
+                  max_values: int) -> Tuple[List[str], List[str], List[str]]:
+    """Variable names, <var> lines and constraint lines of a small random CSP."""
     n = rng.randint(2, max_vars)
     names = [f"x{i}" for i in range(n)]
     domains: Dict[str, List[int]] = {}
@@ -623,11 +623,85 @@ def random_instance_xml(rng: random.Random, max_vars: int = 6,
         lambda: _rand_comparison(rng, names),
     ]
     ctr_lines = [rng.choice(makers)() for _ in range(n_constraints)]
+    return names, var_lines, ctr_lines
+
+
+def _instance_xml(framework: str, var_lines: Sequence[str], ctr_lines: Sequence[str],
+                  objective: str = "") -> str:
     return (
-        '<instance format="XCSP3" type="CSP">\n'
+        f'<instance format="XCSP3" type="{framework}">\n'
         "  <variables>\n" + "\n".join(var_lines) + "\n  </variables>\n"
         "  <constraints>\n" + "\n".join(ctr_lines) + "\n  </constraints>\n"
-        "</instance>\n")
+        + objective + "</instance>\n")
+
+
+def random_instance_xml(rng: random.Random, max_vars: int = 6,
+                        max_values: int = 5) -> str:
+    """A small CSP drawn from the core constraint menu."""
+    _, var_lines, ctr_lines = _random_model(rng, max_vars, max_values)
+    return _instance_xml("CSP", var_lines, ctr_lines)
+
+
+def _rand_objective_expr(rng: random.Random, names: Sequence[str], depth: int = 2) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(names) if rng.random() < 0.8 else str(rng.randint(-3, 3))
+    op = rng.choice(["add", "sub", "mul", "dist", "min", "max", "abs", "neg"])
+    arity = 1 if op in ("abs", "neg") else 2
+    args = ",".join(_rand_objective_expr(rng, names, depth - 1) for _ in range(arity))
+    return f"{op}({args})"
+
+
+def random_cop_xml(rng: random.Random, max_vars: int = 6, max_values: int = 5) -> str:
+    """A small COP: random_instance_xml's constraint menu and a random objective.
+
+    The objective is a sum, minimum or maximum over a list of variables (and
+    sometimes a non-bare operand), with or without coefficients, or an
+    expression; minimized or maximized.
+    """
+    names, var_lines, ctr_lines = _random_model(rng, max_vars, max_values)
+    sense = rng.choice(["minimize", "maximize"])
+    kind = rng.choice(["sum", "minimum", "maximum", "expression"])
+    if kind == "expression":
+        body = f"<{sense}> {_rand_objective_expr(rng, names)} </{sense}>"
+    else:
+        operands = [rng.choice(names) for _ in range(rng.randint(1, len(names)))]
+        if rng.random() < 0.2:
+            operands[0] = f"add({operands[0]},{rng.randint(-2, 2)})"
+        body = f'<{sense} type="{kind}"><list> {" ".join(operands)} </list>'
+        if rng.random() < 0.6:
+            coeffs = [rng.randint(-3, 3) for _ in operands]
+            body += f"<coeffs> {' '.join(map(str, coeffs))} </coeffs>"
+        body += f"</{sense}>"
+    objective = f"  <objectives>\n    {body}\n  </objectives>\n"
+    return _instance_xml("COP", var_lines, ctr_lines, objective)
+
+
+def naive_cost(objective: K.Objective, env: Dict[str, int]) -> int:
+    """The objective's value, from reference_eval and checked int64 arithmetic."""
+    if objective.kind is K.ObjKind.EXPRESSION:
+        return reference_eval(objective.expression, env)
+    values = [reference_eval(e, env) for e in objective.operands]
+    coeffs = objective.coeffs or [1] * len(values)
+    weighted = [_int64(c * v, "objective term") for c, v in zip(coeffs, values)]
+    if objective.kind is K.ObjKind.SUM:
+        total = 0
+        for w in weighted:
+            total = _int64(total + w, "objective")
+        return total
+    if objective.kind is K.ObjKind.MINIMUM:
+        return min(weighted)
+    if objective.kind is K.ObjKind.MAXIMUM:
+        return max(weighted)
+    raise ValueError(f"no reference cost for a {objective.kind.value} objective")
+
+
+def naive_optimum(instance: Instance) -> Optional[int]:
+    """The best cost over naive_solutions, or None when there is no solution."""
+    objective = instance.objective
+    costs = [naive_cost(objective, env) for env in naive_solutions(instance)]
+    if not costs:
+        return None
+    return min(costs) if objective.sense is K.Sense.MINIMIZE else max(costs)
 
 
 def random_automaton(rng: random.Random) -> Tuple[

@@ -3,7 +3,7 @@
   0 ok / satisfied / solution found     10 violated (or rejected)
   2 invalid instance or solution file   11 incomplete
   3 usage error                         20 unsatisfiable / zero solutions
-                                        21 stopped on a limit
+  4 evaluation error in check or solve  21 stopped on a limit
 """
 
 import tracemalloc
@@ -14,7 +14,7 @@ from conftest import fixture_path
 from xcsp3core.canonical import instances_equivalent
 from xcsp3core.cli import main
 from xcsp3core.expr import MAX_EXPR_DEPTH
-from xcsp3core.parser import MAX_XML_DEPTH, parse_file, parse_string
+from xcsp3core.parser import MAX_ARRAY_CELLS, MAX_XML_DEPTH, parse_file, parse_string
 
 
 def run(capsys, *argv):
@@ -319,7 +319,7 @@ def test_search_error_names_the_constraint_and_its_assignment(capsys, tmp_path):
                     '<constraints><intension id="c1"> eq(div(6,x),y) </intension>'
                     "</constraints></instance>")
     code, out, err = run(capsys, "solve", str(path), "--count")
-    assert code == 2 and out == ""
+    assert code == 4 and out == ""
     assert err.strip() == "error: c1: div(6,0) at x=0 y=0"
 
 
@@ -339,7 +339,7 @@ def test_check_error_names_the_constraint_and_its_assignment(capsys, tmp_path, i
                    "<values> 0 0 1 </values></instantiation>")
     code, out, err = run(capsys, "check", str(instance), str(sol),
                          *(["--allow-partial"] if partial else []))
-    assert code == 2 and out == ""
+    assert code == 4 and out == ""
     assert err.strip() == f"error: {label}: div(6,0) at x=0 y=0"
 
 
@@ -440,6 +440,34 @@ def test_elements_past_the_nesting_limit_are_invalid(capsys, tmp_path, depth):
     path.write_text(nested_blocks(depth))
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2 and "[rule: nesting-depth]" in err
+
+
+@pytest.mark.parametrize("size", ["[9223372036854775807]", "[3037000500][3037000500]",
+                                  f"[{MAX_ARRAY_CELLS + 1}]", f"[{MAX_ARRAY_CELLS}][2]"])
+def test_arrays_past_the_cell_limit_are_invalid(capsys, tmp_path, size):
+    # rejected from the size attribute alone, before any cell is built
+    path = tmp_path / "huge.xml"
+    path.write_text('<instance format="XCSP3" type="CSP"><variables>'
+                    f'<array id="a" size="{size}"> 0..1 </array></variables>'
+                    "<constraints/></instance>")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "validate", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "[rule: array-size]" in err and str(MAX_ARRAY_CELLS) in err
+    assert peak < 10_000_000
+
+
+def test_an_array_under_the_cell_limit_is_valid(capsys, tmp_path):
+    path = tmp_path / "wide.xml"
+    path.write_text('<instance format="XCSP3" type="CSP"><variables>'
+                    '<array id="a" size="[10][1000]"> 0..1 </array></variables>'
+                    "<constraints/></instance>")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0 and "10000 variables" in out
 
 
 @pytest.mark.parametrize("text", ["<instantiation><list> x[] </list>"
