@@ -157,16 +157,15 @@ def run_machines(n: int, base_seed: int) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=500,
-                        help="random instances to compare (default 500)")
-    parser.add_argument("--cops", type=int, default=500,
-                        help="random COPs whose optimum is compared (default 500)")
+                        help="random instances, and as many random COPs, to compare "
+                             "(default 500)")
     parser.add_argument("--machines", type=int, default=500,
                         help="random automata/diagrams to compare (default 500)")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
     failures = run_instances(args.instances, args.seed, args.verbose)
-    failures += run_optima(args.cops, args.seed, args.verbose)
+    failures += run_optima(args.instances, args.seed, args.verbose)
     failures += run_machines(args.machines, args.seed)
     return 1 if failures else 0
 

@@ -114,9 +114,10 @@ class RawElement:
 # interpreter stack.
 MAX_XML_DEPTH = 100
 
-# Most cells one array may declare. Each cell becomes a variable, so a larger
-# size attribute is rejected (rule array-size) before anything is allocated.
-MAX_ARRAY_CELLS = 1_000_000
+# Most variables one document may declare, each array cell counting as one.
+# Sizes are read and summed before any variable is built, so a document
+# declaring more is rejected (rule array-size) before anything is allocated.
+MAX_VARIABLES = 1_000_000
 
 
 def _wrap(el: ET.Element, path: str, depth: int = 1) -> RawElement:
@@ -530,10 +531,6 @@ def _parse_size(text: str, path: str) -> Tuple[int, ...]:
     if any(d <= 0 for d in dims):
         raise BadSize(f"array dimensions must be positive: {text!r}",
                       path=path, rule="array-size")
-    cells = math.prod(dims)
-    if cells > MAX_ARRAY_CELLS:
-        raise BadSize(f"array size {text!r} declares {cells} cells, more than "
-                      f"{MAX_ARRAY_CELLS}", path=path, rule="array-size")
     return dims
 
 
@@ -570,6 +567,7 @@ class _VariablesBuilder:
     def __init__(self, cfg: ParserConfig):
         self.cfg = cfg
         self.declarations: List[Union[Variable, VarArray]] = []
+        self.sizes: Dict[str, Tuple[int, ...]] = {}
         self.arrays: Dict[str, VarArray] = {}
         self.var_domains: Dict[str, Optional[Domain]] = {}
         self.array_plans: Dict[str, _DomainPlan] = {}
@@ -577,7 +575,9 @@ class _VariablesBuilder:
         self.alias_of: Dict[str, Optional[str]] = {}
 
     def build(self, section: RawElement) -> None:
+        # first pass: every declaration's id, attributes and size; second: domains
         order: List[str] = []
+        declared = 0
         for el in section.children:
             if el.tag not in ("var", "array"):
                 raise UnknownElement(f"unexpected <{el.tag}> under <variables>",
@@ -600,6 +600,19 @@ class _VariablesBuilder:
             self.kind_of[vid] = el.tag
             self.alias_of[vid] = el.attr("as")
             order.append(vid)
+            if el.tag == "array":
+                size_text = el.attr("size")
+                if size_text is None:
+                    raise BadSize(f"array {vid!r} without size", path=el.path,
+                                  rule="array-size")
+                self.sizes[vid] = _parse_size(size_text, el.path)
+                declared += math.prod(self.sizes[vid])
+            else:
+                declared += 1
+            if declared > MAX_VARIABLES:
+                raise BadSize(f"<{el.tag}> {vid!r} brings the variables declared to "
+                              f"{declared}, more than {MAX_VARIABLES}",
+                              path=el.path, rule="array-size")
         position = {vid: i for i, vid in enumerate(order)}
         for el in section.children:
             if el.tag == "var":
@@ -650,10 +663,7 @@ class _VariablesBuilder:
     def _build_array(self, el: RawElement, position: Dict[str, int]) -> None:
         self._check_type(el)
         vid = el.attr("id")
-        size_text = el.attr("size")
-        if size_text is None:
-            raise BadSize(f"array {vid!r} without size", path=el.path, rule="array-size")
-        size = _parse_size(size_text, el.path)
+        size = self.sizes[vid]
         if self.alias_of[vid] is not None:
             plan = self.array_plans[self._alias_target(el, vid, position)]
         else:

@@ -12,9 +12,10 @@ import pytest
 
 from conftest import fixture_path
 from xcsp3core.canonical import instances_equivalent
+from xcsp3core import parser
 from xcsp3core.cli import main
 from xcsp3core.expr import MAX_EXPR_DEPTH
-from xcsp3core.parser import MAX_ARRAY_CELLS, MAX_XML_DEPTH, parse_file, parse_string
+from xcsp3core.parser import MAX_VARIABLES, MAX_XML_DEPTH, parse_file, parse_string
 
 
 def run(capsys, *argv):
@@ -442,23 +443,64 @@ def test_elements_past_the_nesting_limit_are_invalid(capsys, tmp_path, depth):
     assert code == 2 and "[rule: nesting-depth]" in err
 
 
-@pytest.mark.parametrize("size", ["[9223372036854775807]", "[3037000500][3037000500]",
-                                  f"[{MAX_ARRAY_CELLS + 1}]", f"[{MAX_ARRAY_CELLS}][2]"])
-def test_arrays_past_the_cell_limit_are_invalid(capsys, tmp_path, size):
-    # rejected from the size attribute alone, before any cell is built
+def _validate_variables(capsys, tmp_path, declarations):
+    """validate's exit code, stdout, stderr and tracemalloc peak on a document
+    declaring only the given variables."""
     path = tmp_path / "huge.xml"
     path.write_text('<instance format="XCSP3" type="CSP"><variables>'
-                    f'<array id="a" size="{size}"> 0..1 </array></variables>'
-                    "<constraints/></instance>")
+                    f"{declarations}</variables><constraints/></instance>")
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "validate", str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, out, err, peak
+
+
+@pytest.mark.parametrize("size", ["[9223372036854775807]", "[3037000500][3037000500]",
+                                  f"[{MAX_VARIABLES + 1}]", f"[{MAX_VARIABLES}][2]"])
+def test_arrays_past_the_cell_limit_are_invalid(capsys, tmp_path, size):
+    # rejected from the size attribute alone, before any cell is built
+    code, out, err, peak = _validate_variables(
+        capsys, tmp_path, f'<array id="a" size="{size}"> 0..1 </array>')
     assert code == 2 and out == ""
-    assert "[rule: array-size]" in err and str(MAX_ARRAY_CELLS) in err
+    assert "[rule: array-size]" in err and str(MAX_VARIABLES) in err
     assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("tail", ['<array id="c" size="[2]"> 0..1 </array>',
+                                  '<var id="c"> 0..1 </var>',
+                                  '<array id="c" as="a" size="[2]"/>'])
+def test_the_cell_limit_holds_for_the_whole_document(capsys, tmp_path, tail):
+    # two arrays at half the limit each leave room for no further variable:
+    # the document is rejected before either array is built
+    half = f"[{MAX_VARIABLES // 2}]"
+    code, out, err, peak = _validate_variables(
+        capsys, tmp_path, f'<array id="a" size="{half}"> 0..1 </array>'
+                          f'<array id="b" size="{half}"> 0..1 </array>{tail}')
+    assert code == 2 and out == ""
+    assert "'c'" in err and "[rule: array-size]" in err and str(MAX_VARIABLES) in err
+    assert peak < 10_000_000
+
+
+def test_many_huge_arrays_fail_at_the_first_past_the_limit(capsys, tmp_path):
+    arrays = "".join(f'<array id="a{i}" size="[1000000]"> 0..1 </array>' for i in range(50))
+    code, _, err, peak = _validate_variables(capsys, tmp_path, arrays)
+    assert code == 2 and "'a1'" in err and "[rule: array-size]" in err
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("declared, code", [(10, 0), (11, 2)])
+def test_the_cell_limit_counts_arrays_aliases_and_vars(capsys, tmp_path, monkeypatch,
+                                                       declared, code):
+    monkeypatch.setattr(parser, "MAX_VARIABLES", 10)
+    declarations = ('<array id="a" size="[2][2]"> 0..1 </array>'
+                    '<array id="b" as="a" size="[2][2]"/><var id="x"> 0..1 </var>'
+                    + "".join(f'<var id="y{i}"> 0..1 </var>' for i in range(declared - 9)))
+    got, out, err, _ = _validate_variables(capsys, tmp_path, declarations)
+    assert got == code
+    assert (f"{declared} variables" in out) if code == 0 else "[rule: array-size]" in err
 
 
 def test_an_array_under_the_cell_limit_is_valid(capsys, tmp_path):

@@ -11,8 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("argv", [
-    [ROOT / "scripts/random_agreement.py", "--instances", "20", "--cops", "20",
-     "--machines", "20"],
+    [ROOT / "scripts/random_agreement.py", "--instances", "20", "--machines", "20"],
     [ROOT / "scripts/fixture_report.py", ROOT / "tests/fixtures"],
 ])
 def test_script_runs_without_pythonpath(argv, tmp_path):
