@@ -6,6 +6,8 @@ Subcommands: validate, check, solve, stats. Exit codes:
   3   usage error
   4   evaluating the instance failed during check or solve (div by zero,
       overflow, ...)
+  5   solve --restrict-to-decision met a variable the decision variables
+      do not force
   10  candidate solution violated (or cost/domain/variable mismatch)
   11  candidate solution incomplete
   20  no solution exists (or zero solutions counted)
@@ -16,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .canonical import render_instance
 from .checker import CheckMode, VerdictKind, check_solution
-from .errors import CheckError, EvalError, ParseError, XcspError
+from .errors import CheckError, EvalError, ParseError, UnforcedVariable, XcspError
 from .expr import read_int
 from .kinds import ObjKind
 from .model import Instance, Instantiation
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_USAGE = 3
 EXIT_EVAL = 4
+EXIT_UNFORCED = 5
 EXIT_VIOLATED = 10
 EXIT_INCOMPLETE = 11
 EXIT_UNSAT = 20
@@ -46,7 +50,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _ArgumentParser:
+    """The argument parser, built on the first main() call and then reused:
+    each parse_args call starts from a fresh namespace, and the append
+    action copies its default list, so no call sees an earlier one's
+    arguments."""
     parser = _ArgumentParser(prog="xcsp3core",
                              description="Parse, check and solve XCSP3-core instances.")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -326,6 +335,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EvalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EVAL
+    except UnforcedVariable as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_UNFORCED
     except (OSError, XcspError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -11,8 +11,8 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import (Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Dict, FrozenSet, ItemsView, Iterable, Iterator, Mapping, Optional,
+                    Sequence, Tuple, Union, ValuesView)
 
 from .errors import (
     DuplicateId,
@@ -234,6 +234,13 @@ class Instantiation(MappingABC):
 
     def __len__(self) -> int:
         return len(self._values)
+
+    # The dict's own views: the Mapping defaults go through __getitem__ per item.
+    def items(self) -> ItemsView[str, Value]:
+        return self._values.items()
+
+    def values(self) -> ValuesView[Value]:
+        return self._values.values()
 
     def __repr__(self) -> str:
         inner = " ".join(f"{k}={v}" for k, v in self._values.items())

@@ -273,9 +273,11 @@ class _Search:
                         if depth < branch_len:
                             break
                         if chosen is not None:
+                            at = " ".join(f"{v}={env[v]}" for v in ids[:branch_len])
                             raise UnforcedVariable(
                                 f"variable {vid} is not determined by the decision "
-                                f"variables (both {chosen} and {value} extend)")
+                                f"variables (both {chosen} and {value} extend)"
+                                + (f" at {at}" if at else ""))
                         chosen = value
                 else:
                     if chosen is None:

@@ -4,6 +4,7 @@
   2 invalid instance or solution file   11 incomplete
   3 usage error                         20 unsatisfiable / zero solutions
   4 evaluation error in check or solve  21 stopped on a limit
+  5 a variable the decision does not force (solve --restrict-to-decision)
 """
 
 import tracemalloc
@@ -374,6 +375,25 @@ def test_solve_node_limit(capsys, tmp_path):
     assert "LIMIT" in out
 
 
+UNFORCED = ('<instance format="XCSP3" type="CSP"><variables>'
+            '<var id="x"> 0..4 </var><var id="y"> 0..9 </var></variables>'
+            "<constraints><intension> le(y,x) </intension></constraints>"
+            "<annotations><decision> x </decision></annotations></instance>")
+
+
+def test_restrict_to_decision_checks_only_the_assignments_reached(capsys, tmp_path):
+    # y is forced at x=0, the first solution, and free at x=1, which only
+    # counting reaches
+    path = tmp_path / "unforced.xml"
+    path.write_text(UNFORCED)
+    code, out, _ = run(capsys, "solve", str(path), "--restrict-to-decision")
+    assert code == 0 and "<values> 0 0 </values>" in out
+    code, out, err = run(capsys, "solve", str(path), "--restrict-to-decision", "--count")
+    assert code == 5 and out == ""
+    assert err == ("error: variable y is not determined by the decision variables "
+                   "(both 0 and 1 extend) at x=1\n")
+
+
 def test_solve_restrict_to_decision(capsys, tmp_path):
     path = tmp_path / "decided.xml"
     path.write_text('<instance format="XCSP3" type="CSP"><variables>'
@@ -568,6 +588,30 @@ def test_no_command_is_usage_error(capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate", "x.xml")
     assert code == 3
+
+
+CLASSED = ('<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..2 </var>'
+           '</variables><constraints><intension class="a"> ne(x,0) </intension>'
+           '<intension class="b"> ne(x,1) </intension><intension> ge(x,0) </intension>'
+           "</constraints></instance>")
+
+
+def test_one_parser_serves_calls_in_turn(capsys, tmp_path):
+    # the parser is built once per process; no call sees an earlier one's arguments
+    path = tmp_path / "classed.xml"
+    path.write_text(CLASSED)
+    code, out, _ = run(capsys, "validate", str(path), "--drop-class", "a", "--drop-class", "b")
+    assert code == 0 and "1 constraints" in out
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0 and "3 constraints" in out
+    code, out, _ = run(capsys, "validate", str(path), "--drop-class", "b")
+    assert code == 0 and "2 constraints" in out
+    code, _, err = run(capsys, "solve", str(path), "--node-limit", "many")
+    assert code == 3 and "usage error" in err
+    code, out, _ = run(capsys, "solve", str(path), "--count")
+    assert code == 0 and "solutions=1" in out
+    assert run(capsys, )[0] == 3
+    assert run(capsys, )[0] == 3
 
 
 NINES = "9" * 5000  # past the 4,300 digits that int() converts

@@ -1,11 +1,16 @@
 """Functional expression syntax and evaluation."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from xcsp3core import expr
 from xcsp3core.errors import (
     ArityError,
     DivisionByZero,
@@ -18,6 +23,7 @@ from xcsp3core.errors import (
 )
 from xcsp3core.expr import (
     ARITIES,
+    MAX_EXPR_DEPTH,
     IntConst,
     OpCall,
     SetLiteral,
@@ -28,6 +34,7 @@ from xcsp3core.expr import (
     parse_expr,
     print_expr,
 )
+from xcsp3core.parser import parse_string
 
 
 def ev(text, **env):
@@ -266,9 +273,19 @@ def _call(op, args, members):
 
 
 def _any_call(children):
-    return st.builds(_call, st.sampled_from(sorted(ARITIES)),
-                     st.lists(children, min_size=2, max_size=4),
-                     st.lists(_ints, max_size=3))
+    # any operator; if() and in() over any operands; an operator whose
+    # operands repeat one subtree, often a variable
+    return st.one_of(
+        st.builds(_call, st.sampled_from(sorted(ARITIES)),
+                  st.lists(children, min_size=2, max_size=4),
+                  st.lists(_ints, max_size=3)),
+        st.builds(lambda *args: OpCall("if", args), children, children, children),
+        st.builds(_call, st.just("in"), st.lists(children, min_size=1, max_size=1),
+                  st.lists(_ints, max_size=3)),
+        st.builds(lambda op, c, n: _call(op, [c] * n, []),
+                  st.sampled_from(sorted(set(ARITIES) - {"in"})), children,
+                  st.integers(2, 3)),
+    )
 
 
 def _outcome(evaluate):
@@ -301,3 +318,121 @@ def test_each_operator_agrees_with_reference_on_edge_operands(op):
             e = OpCall(op, tuple(map(IntConst, values)))
             compiled = _outcome(lambda: compile_expr(e)({}))
             assert compiled == _outcome(lambda: oracles.reference_eval(e, {})), e
+
+
+# -- generated evaluators -------------------------------------------------------------
+
+
+def _agree(e, env):
+    """The compiled outcome, after checking it against the reference's."""
+    compiled = _outcome(lambda: compile_expr(e)(env))
+    assert compiled == _outcome(lambda: oracles.reference_eval(e, env))
+    return compiled
+
+
+def _nested_ifs(depth):
+    """depth if() calls, each with div(1,0) as the branch it does not take at
+    x >= 0, taking its then branch and its else branch in turn."""
+    text = "x"
+    for k in range(depth):
+        text = (f"if(ge(x,0),{text},div(1,0))" if k % 2 else
+                f"if(lt(x,0),div(1,0),{text})")
+    return text
+
+
+def test_generated_code_holds_expressions_at_the_depth_limit():
+    ifs = parse_expr(_nested_ifs(MAX_EXPR_DEPTH - 1))
+    assert _agree(ifs, {"x": 7}) == 7
+    assert _agree(ifs, {"x": -1}) is DivisionByZero
+    negs = parse_expr("neg(" * (MAX_EXPR_DEPTH - 1) + "x" + ")" * (MAX_EXPR_DEPTH - 1))
+    assert _agree(negs, {"x": 5}) == -5
+    assert _agree(negs, {"x": INT_MIN}) is Overflow
+    assert _agree(negs, {}) is UnboundVariable
+    wide = parse_expr("add(" + ",".join(f"x,{k}" for k in range(2500)) + ")")
+    assert len(wide.args) == 5000
+    assert _agree(wide, {"x": 1}) == 2500 + sum(range(2500))
+    assert _agree(wide, {"x": INT_MAX - 1}) is Overflow
+
+
+def test_one_group_generates_one_shape(monkeypatch):
+    monkeypatch.setattr(expr, "_FACTORIES", {})
+    args = "".join(f"<args> x[{k}] x[{k + 1}] {k % 7 - 3} </args>" for k in range(1000))
+    inst = parse_string(
+        '<instance format="XCSP3" type="CSP"><variables><array id="x" size="[1001]">'
+        "0..9 </array></variables><constraints><group><intension> le(add(%0,%1),%2) "
+        f"</intension>{args}</group></constraints></instance>")
+    assert expr._FACTORIES == {}  # parsing generates nothing
+    env = {f"x[{k}]": k % 5 for k in range(1001)}
+    for posted in inst.constraints:
+        (evaluate, _), = posted.kind.compiled
+        assert evaluate(env) == oracles.reference_eval(posted.kind.function, env)
+    assert len(expr._FACTORIES) == 1
+    # each member reads its own cells
+    del env["x[500]"]
+    outcomes = [_outcome(lambda: posted.kind.compiled[0][0](env))
+                for posted in inst.constraints]
+    assert [k for k, o in enumerate(outcomes) if o is UnboundVariable] == [499, 500]
+
+
+def test_import_and_parse_generate_nothing():
+    fixture = str(Path(__file__).parent / "fixtures" / "group_g.xml")
+    code = ("import xcsp3core, xcsp3core.cli; from xcsp3core import expr; "
+            f"xcsp3core.parse_file({fixture!r}); print(len(expr._FACTORIES))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_operator_text_is_only_a_key(monkeypatch):
+    ran = []
+    monkeypatch.setattr(os, "system", lambda command: ran.append(command) or 0)
+    op = "__import__('os').system('false')"
+    e = OpCall(op, (VarRef("x"), IntConst(1)))
+    assert "system" not in expr._Writer().source(e)
+    with pytest.raises(EvalError) as caught:
+        compile_expr(e)({"x": 1})
+    assert str(caught.value) == f"unhandled operator {op!r}"
+    assert _agree(e, {"x": 1}) is EvalError
+    assert _agree(e, {}) is UnboundVariable  # its operands first, as the reference
+    assert ran == []
+
+
+def test_constants_never_enter_the_source():
+    e = parse_expr("le(add(secretvar,987654321),if(in(other,set(-123456789,31337)),"
+                   "mul(other,55555),dist(secretvar,-424242)))")
+    source = expr._Writer().source(e)
+    for text in ("secretvar", "other", "987654321", "123456789", "31337", "55555",
+                 "424242", "set"):
+        assert text not in source
+    env = {"secretvar": 3, "other": 31337}
+    assert _agree(e, env) == 1 and _agree(e, {**env, "other": 2}) == 0
+
+
+QUOTED_IDS = ['a"b', "c'd", "e\nf", "{g}", "h\\", "'''", '"""', "}{", "x) or (1"]
+
+
+def test_ids_are_looked_up_verbatim():
+    e = OpCall("add", tuple(map(VarRef, QUOTED_IDS)))
+    env = {vid: 2 ** k for k, vid in enumerate(QUOTED_IDS)}
+    assert _agree(e, env) == 2 ** len(QUOTED_IDS) - 1
+    assert not any(vid in expr._Writer().source(e) for vid in QUOTED_IDS)
+    for vid in QUOTED_IDS:
+        with pytest.raises(UnboundVariable) as caught:
+            compile_expr(e)({k: v for k, v in env.items() if k != vid})
+        assert caught.value.args == (vid,)
+
+
+def test_results_stay_right_past_the_cache_bound(monkeypatch):
+    monkeypatch.setattr(expr, "_FACTORIES", {})
+    monkeypatch.setattr(expr, "MAX_SHAPES", 4)
+    texts = [f"add({'neg(' * k}x{')' * k},{k})" for k in range(10)] + [
+        "le(x,3)", "if(x,div(9,x),mod(x,0))", "in(x,set(1,2))", "eq(x,x,x)"]
+    env = {"x": 2}
+    early = [(compile_expr(parse_expr(text)), text) for text in texts]
+    assert len(expr._FACTORIES) == 4
+    for evaluate, text in early:  # evaluators of dropped shapes keep their code
+        assert evaluate(env) == oracles.reference_eval(parse_expr(text), env)
+    for text in reversed(texts):  # and a dropped shape is generated again
+        assert _agree(parse_expr(text), env) == oracles.reference_eval(parse_expr(text), env)
+    assert len(expr._FACTORIES) == 4

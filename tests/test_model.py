@@ -209,6 +209,17 @@ def test_instantiation_stars():
     assert sol["y"] is STAR
 
 
+def test_instantiation_views_compare_and_iterate_as_a_dict():
+    pairs = [("y", 2), ("x", 1), ("z", STAR)]
+    sol, plain = Instantiation(pairs), dict(pairs)
+    assert list(sol.items()) == pairs and list(sol.values()) == [2, 1, STAR]
+    assert sol.items() == plain.items() and ("x", 1) in sol.items()
+    assert list(sol.keys()) == list(sol) == ["y", "x", "z"]
+    assert len(sol.items()) == len(sol.values()) == 3
+    assert sol == Instantiation(reversed(pairs)) == plain
+    assert sol != Instantiation(pairs[:2]) and dict(sol) == plain
+
+
 # -- ids -----------------------------------------------------------------------------
 
 def test_export_id_flattens_brackets():

@@ -562,7 +562,7 @@ def test_objective_cost_evaluates_other_objectives_with_eval_objective():
 @pytest.mark.parametrize("condition,outcome", [
     ("(eq,4)", (Status.SATISFIABLE, 5, 55)),
     ("(le,4)", (UnforcedVariable, "variable y is not determined by the decision "
-                "variables (both 0 and 1 extend)", 3)),
+                "variables (both 0 and 1 extend) at x=0", 3)),
 ])
 def test_staged_sum_completing_at_a_forced_depth(monkeypatch, condition, outcome):
     # y is forced; the sum's last stage runs at y's depth for every value of y
