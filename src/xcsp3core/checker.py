@@ -11,8 +11,8 @@ its scope. partial_violated detects certain violations from a partial
 assignment (used for pruning; it never flags a satisfiable extension).
 check_solution verifies a candidate instantiation against an instance.
 eval_objective costs a complete assignment; objective_cost gives a search
-the same cost as one function, without range checks for a sum objective
-whose domain bounds prove that none can fire.
+the same cost as one function: generated straight-line code without range
+checks for a sum objective whose domain bounds prove that none can fire.
 Nothing is prepared here per call: each kind carries its own var_ids, its
 compiled expressions and, for a table without *, a set of its tuples (see
 kinds.py), and the instance its useful variables and the constraints that
@@ -41,7 +41,7 @@ from .errors import (
     ValueOutsideDomain,
     check_int64,
 )
-from .expr import VarRef
+from .expr import VarRef, generated
 from .model import (
     Condition,
     CondOp,
@@ -750,22 +750,62 @@ def eval_objective(obj: K.Objective, env: Mapping[str, int]) -> Cost:
     raise TypeError(f"unknown objective kind {obj.kind}")
 
 
+# Generated sum costs: a function adds at most SUM_CHUNK terms, or the
+# costs of at most SUM_CHUNK such functions. The factories are keyed by
+# that count and kind, so there are never more than MAX_SUMS of them.
+SUM_CHUNK = 32
+MAX_SUMS = 2 * (SUM_CHUNK + 1)
+_SUMS: Dict[Tuple[int, bool], Callable[..., Callable[[Mapping[str, int]], int]]] = {}
+
+
+def _sum_source(n: int, group: bool) -> str:
+    """_make(c0, v0, ...) whose cost(env) is c0 * env[v0] + ..., in straight-line code.
+
+    For a group, _make(f0, ...) whose cost(env) is f0(env) + ...
+    """
+    if group:
+        params, terms = [f"f{i}" for i in range(n)], [f"f{i}(env)" for i in range(n)]
+    else:
+        params = [f"c{i}, v{i}" for i in range(n)]
+        terms = [f"c{i} * env[v{i}]" for i in range(n)]
+    return "\n".join([f"def _make({', '.join(params)}):", "    def cost(env):",
+                      f"        return {' + '.join(terms) or '0'}", "    return cost", ""])
+
+
+def _generated_sum(terms: Sequence[Tuple[int, str]]) -> Callable[[Mapping[str, int]], int]:
+    """sum(c * env[v] for c, v in terms) as a tree of generated functions."""
+    args: List[Tuple[object, ...]] = list(terms)
+    group = False
+    while True:
+        parts = []
+        for i in range(0, len(args) or 1, SUM_CHUNK):
+            chunk = args[i:i + SUM_CHUNK]
+            make = generated(_SUMS, MAX_SUMS, (len(chunk), group),
+                             partial(_sum_source, len(chunk), group), {}, "<sum cost>")
+            parts.append(make(*[a for arg in chunk for a in arg]))
+        if len(parts) == 1:
+            return parts[0]
+        args, group = [(part,) for part in parts], True
+
+
 def objective_cost(obj: K.Objective,
                    bounds: Mapping[str, Tuple[int, int]]) -> Callable[[Mapping[str, int]], Cost]:
     """The objective's cost of a complete assignment, as one function.
 
     bounds: the domain (min, max) of each variable the caller assigns. A sum
     over bare variables whose terms those bounds prove to stay in int64
-    (see _fits_int64) is summed without range checks, since none could
-    fire; any other objective goes through eval_objective.
+    (see _fits_int64) is summed by generated straight-line code without
+    range checks, since none could fire (see _generated_sum). Its
+    coefficients and ids are arguments of factories shared by every sum, so
+    no input text enters the source. Any other objective goes through
+    eval_objective.
     """
     if obj.kind is K.ObjKind.SUM and all(isinstance(op, VarRef) for op in obj.operands):
         ids = [op.id for op in obj.operands]
         coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(ids)
         if all(v in bounds for v in ids) and _fits_int64(
                 (c, bounds[v]) for c, v in zip(coeffs, ids)):
-            terms = tuple(zip(coeffs, ids))
-            return lambda env: sum([c * env[v] for c, v in terms])
+            return _generated_sum(list(zip(coeffs, ids)))
     return partial(eval_objective, obj)
 
 

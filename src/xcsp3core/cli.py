@@ -233,28 +233,31 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_INCOMPLETE
 
 
-def _search_config(args: argparse.Namespace, keep: bool) -> SearchConfig:
+def _search_config(args: argparse.Namespace) -> SearchConfig:
+    """The search options; a limit SearchConfig rejects is a usage error."""
     max_solutions = args.max_solutions
-    if not args.count and not args.all and max_solutions is None \
-            and args.command == "solve":
+    if not args.count and not args.all and max_solutions is None:
         max_solutions = 1
-    return SearchConfig(
-        max_solutions=max_solutions,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        var_order=VarOrder(args.order),
-        restrict_to_decision=args.restrict_to_decision,
-        keep_solutions=keep,
-    )
+    try:
+        return SearchConfig(
+            max_solutions=max_solutions,
+            node_limit=args.node_limit,
+            time_limit=args.time_limit,
+            var_order=VarOrder(args.order),
+            restrict_to_decision=args.restrict_to_decision,
+            keep_solutions=not args.count,
+        )
+    except ValueError as e:
+        raise _UsageError(str(e)) from e
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    config = _search_config(args)
     instance = _load(args)
     is_cop = instance.objective is not None
     if args.optimize and not is_cop:
         raise _UsageError("--optimize needs an instance with an objective")
-    keep = not args.count
-    result = solve(instance, _search_config(args, keep))
+    result = solve(instance, config)
     if args.count:
         print(f"solutions={result.count}")
         print(f"nodes={result.nodes}")

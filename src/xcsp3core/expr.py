@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
     INT_MAX,
@@ -536,15 +536,30 @@ def compile_expr(e: Expr) -> Evaluator:
     ARITIES does not allow). Compiling raises none of them.
     """
     key, consts = _shape(e)
-    make = _FACTORIES.get(key)
-    if make is None:
-        namespace = dict(_NAMESPACE)
-        exec(compile(_Writer().source(e), "<expression shape>", "exec"), namespace)
-        make = namespace["_make"]
-        if len(_FACTORIES) >= MAX_SHAPES:
-            del _FACTORIES[next(iter(_FACTORIES))]
-        _FACTORIES[key] = make
+    make = generated(_FACTORIES, MAX_SHAPES, key, lambda: _Writer().source(e),
+                     _NAMESPACE, "<expression shape>")
     return make(*consts)
+
+
+def generated(cache: Dict[Any, Callable[..., Any]], bound: int, key: Any,
+              write: Callable[[], str], namespace: Mapping[str, object],
+              filename: str) -> Callable[..., Any]:
+    """The factory _make of shape key: from cache, or compiled from write().
+
+    The source is executed in a copy of namespace. cache holds at most
+    bound factories, the oldest dropped first. compile_expr, the solver's
+    depth functions and checker's sum costs all use it, each with its own
+    cache.
+    """
+    make = cache.get(key)
+    if make is None:
+        scope = dict(namespace)
+        exec(compile(write(), filename, "exec"), scope)
+        make = scope["_make"]
+        if len(cache) >= bound:
+            del cache[next(iter(cache))]
+        cache[key] = make
+    return make
 
 
 def eval_expr(e: Expr, env: Mapping[str, int]) -> int:

@@ -9,18 +9,39 @@ the earlier depths that assign one of its variables. allDifferent and sum
 are checked in stages instead, carrying state from depth to depth: the
 stage at the completing depth gives the complete verdict from that state,
 and a sum is bounded by the domain min/max of its unassigned terms (see
-checker.staged_checks). The objective is costed by one function built
-before search (checker.objective_cost). Partial checks only skip subtrees
-that hold no solution; no domain is ever filtered. So counts, solution
-order and optima are those of plain enumeration, easy to compare against a
-brute-force filter. With partial_checks off, every complete check goes
-through check_constraint and every cost through eval_objective. The loop
-runs over an explicit stack of per-depth value iterators, so the number of
-variables is not bounded by Python's recursion limit.
+checker.staged_checks). Partial checks only skip subtrees that hold no
+solution; no domain is ever filtered. So counts, solution order and optima
+are those of plain enumeration, easy to compare against a brute-force
+filter.
+
+The plan is then compiled into code, once per search: one function per
+depth that runs the depth's checks in plan order and returns True at the
+first that fails. A check is written by its form alone: an intension calls
+its compiled evaluator, a stage or partial detector is called as it is,
+and any other kind calls its complete check from checker's table. The
+callables, the kinds and the constraint positions that name an evaluation
+error are arguments of the factory that builds the function: as in expr's
+generator, no id, label or other input text enters the source, and one
+factory serves every function with the same sequence of forms. A
+generated function makes at most MAX_CHUNK calls: a depth with more checks
+gets a tree of them, so planning stays linear in the number of checks. At
+most MAX_SHAPES factories are kept, the oldest dropped first. With
+partial_checks off, every complete check goes through check_constraint and
+every cost through eval_objective: that is the reference path.
+
+A complete assignment reaches one leaf, chosen when the search is built:
+count it; cost it and keep the best (checker.objective_cost builds the
+cost as one function); or keep solutions, and stop after max_solutions.
+The search visits at most node_limit nodes and stops with LIMIT only when
+it needs one more. The clock is read before the first node and then
+every CLOCK_NODES nodes. Both cost one comparison of the node count per
+node. The loop runs over an explicit stack of per-depth value iterators,
+so the number of variables is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -29,6 +50,7 @@ from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .checker import (
+    _CHECKERS,
     check_constraint,
     eval_objective,
     named_error,
@@ -38,7 +60,8 @@ from .checker import (
     staged_checks,
 )
 from .errors import EvalError, SolverError, UnforcedVariable
-from .kinds import ConstraintKind, Sense
+from .expr import generated
+from .kinds import ConstraintKind, Intension, Sense
 from .model import Instance, Instantiation, Variable
 
 
@@ -56,6 +79,12 @@ class VarOrder(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search options. A limit of None means none.
+
+    max_solutions must be at least 1, node_limit at least 0 and time_limit
+    (seconds) at least 0; anything else raises ValueError.
+    """
+
     max_solutions: Optional[int] = None
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
@@ -63,6 +92,15 @@ class SearchConfig:
     restrict_to_decision: bool = False
     partial_checks: bool = True
     keep_solutions: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_solutions is not None and self.max_solutions < 1:
+            raise ValueError(f"max_solutions must be at least 1, not {self.max_solutions}")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node_limit must be at least 0, not {self.node_limit}")
+        if self.time_limit is not None and (math.isnan(self.time_limit)
+                                            or self.time_limit < 0):
+            raise ValueError(f"time_limit must be at least 0 seconds, not {self.time_limit}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +123,46 @@ class _LimitReached(Exception):
 
 # One check of the plan: the constraint's position, the constraint, and a
 # check of its own (a partial detector or a stage of checker.staged_checks,
-# True when violated), or None for check_constraint.
+# True when violated), or None for its complete check.
 _Check = Tuple[int, ConstraintKind, Optional[Callable[[], bool]]]
+
+# -- generated depth functions ----------------------------------------------------
+
+MAX_CHUNK = 32      # checks, or functions of checks, per generated function
+MAX_SHAPES = 256    # factories kept, one per sequence of forms
+CLOCK_NODES = 256   # nodes between two readings of the clock
+
+# How a call of each form fails, in the factory's parameters for call k:
+# "e" an intension's evaluator (0 is false), "s" a stage or partial detector
+# (True when violated), "c" the complete check of kind a{k}, and "g" a
+# generated function of checks, whose errors are named already.
+_FAILS = {"e": "not f{k}(env)", "s": "f{k}()", "c": "not f{k}(a{k}, env)", "g": "f{k}()"}
+_FACTORIES: Dict[Tuple[str, ...], Callable[..., Callable[[], bool]]] = {}
+_NAMESPACE = {"EvalError": EvalError}
+
+# the reference path's complete check
+_reference_check = partial(check_constraint, validate=False)
+
+
+def _source(forms: Tuple[str, ...]) -> str:
+    """The factory of one shape: _make(env, named, f0, n0[, a0], ...).
+
+    fails() makes the calls in order and returns True at the first that
+    fails. An EvalError raised by check k is raised again as
+    named(error, n{k}); a "g" call takes f{k} alone.
+    """
+    params, body = ["env", "named"], ["    def fails():"]
+    for k, form in enumerate(forms):
+        test = [f"if {_FAILS[form].format(k=k)}:", "    return True"]
+        if form == "g":
+            params.append(f"f{k}")
+            body += [f"        {line}" for line in test]
+            continue
+        params += [f"f{k}", f"n{k}"] + ([f"a{k}"] if form == "c" else [])
+        body += (["        try:"] + [f"            {line}" for line in test]
+                 + ["        except EvalError as e:", f"            raise named(e, n{k}) from e"])
+    body.append("        return False")
+    return "\n".join([f"def _make({', '.join(params)}):"] + body + ["    return fails", ""])
 
 
 class _Search:
@@ -143,25 +219,24 @@ class _Search:
                     break
         bounds = {v.id: (v.domain.min_value, v.domain.max_value) for v in self.order}
         self._plan(bounds)
+        self.fails = [self._compile(checks) for checks in self.plan]
 
         self.objective = instance.objective
         if self.objective is not None:
             self.sense = self.objective.sense
             self.cost = (objective_cost(self.objective, bounds) if cfg.partial_checks
                          else partial(eval_objective, self.objective))
+        self.leaf = self._leaf()
 
     def _plan(self, bounds: Dict[str, Tuple[int, int]]) -> None:
         """For each depth, the checks its variable triggers, in constraint order.
 
         A staged constraint is checked by its stages alone, the last of them
-        at the depth completing its scope. staged[d] lists the stages at
-        depth d whose state later stages read: a forced variable rebuilds it
-        for its chosen value.
+        at the depth completing its scope.
         """
         env = self.env
         depth_of = {v.id: d for d, v in enumerate(self.order)}
         plan: List[List[_Check]] = [[] for _ in self.order]
-        self.staged: List[List[Callable[[], bool]]] = [[] for _ in self.order]
         for ci, kind in enumerate(self.kinds):
             if not kind.var_ids:
                 continue
@@ -170,8 +245,6 @@ class _Search:
             if stages is not None:
                 for d, check in stages:
                     plan[d].append((ci, kind, check))
-                for d, check in stages[:-1]:
-                    self.staged[d].append(check)
                 continue
             depths = sorted({depth_of[v] for v in kind.var_ids})
             plan[depths[-1]].append((ci, kind, None))
@@ -182,36 +255,93 @@ class _Search:
         # each constraint adds at most one check per depth, in position order
         self.plan = [tuple(checks) for checks in plan]
 
+    def _compile(self, checks: Tuple[_Check, ...]) -> Callable[[], bool]:
+        """One depth's checks as one function: True when one of them fails.
+
+        The checks are split into generated functions of MAX_CHUNK checks,
+        and while there is more than one, those are grouped MAX_CHUNK at a
+        time under a generated function that calls them in order. So no
+        function grows with the depth's checks, and the calls nest only
+        log base MAX_CHUNK deep.
+        """
+        calls: List[Tuple[str, Tuple[object, ...]]] = []
+        for ci, kind, check in checks:
+            if check is not None:
+                calls.append(("s", (check, ci)))
+            elif not self.cfg.partial_checks:
+                calls.append(("c", (_reference_check, ci, kind)))
+            elif type(kind) is Intension:
+                calls.append(("e", (kind.compiled[0][0], ci)))
+            else:
+                calls.append(("c", (_CHECKERS[type(kind)][0], ci, kind)))
+        while True:
+            functions = [self._function(calls[i:i + MAX_CHUNK])
+                         for i in range(0, len(calls) or 1, MAX_CHUNK)]
+            if len(functions) == 1:
+                return functions[0]
+            calls = [("g", (f,)) for f in functions]
+
+    def _function(self, calls: List[Tuple[str, Tuple[object, ...]]]) -> Callable[[], bool]:
+        forms = tuple(form for form, _ in calls)
+        make = generated(_FACTORIES, MAX_SHAPES, forms, partial(_source, forms),
+                         _NAMESPACE, "<search depth>")
+        return make(self.env, self._named, *[arg for _, args in calls for arg in args])
+
     # -- bookkeeping ---------------------------------------------------------
 
-    def _limit_reached(self, nodes: int) -> bool:
-        if self.cfg.node_limit is not None and nodes >= self.cfg.node_limit:
-            return True
-        return self.deadline is not None and time.monotonic() > self.deadline
+    def _checkpoint(self, nodes: int) -> int:
+        """Stop with LIMIT if a limit is reached after nodes nodes; else the
+        count at which to test again, -1 when never.
+
+        The node limit is tested when the count reaches it, before one more
+        node would be visited, and the clock at 0 nodes and every
+        CLOCK_NODES nodes after.
+        """
+        limit = self.cfg.node_limit
+        if limit is not None and nodes >= limit:
+            raise _LimitReached()
+        if self.deadline is None:
+            return -1 if limit is None else limit
+        if time.monotonic() > self.deadline:
+            raise _LimitReached()
+        clock = nodes + CLOCK_NODES
+        return clock if limit is None else min(clock, limit)
 
     def _named(self, error: EvalError, ci: int) -> EvalError:
         return named_error(error, self.instance.constraints[ci].label(ci),
                            self.kinds[ci].var_ids, self.env)
 
-    def _record(self) -> None:
-        self.count += 1
+    def _leaf(self) -> Callable[[], None]:
+        """What a complete assignment does: count it, cost it, or keep it."""
+        env, cfg = self.env, self.cfg
         if self.objective is not None:
-            cost = self.cost(self.env)
-            if self.best_cost is None or self._better(cost, self.best_cost):
-                self.best_cost = cost
-                self.best = Instantiation(dict(self.env))
-        else:
-            if self.cfg.keep_solutions:
-                self.solutions.append(Instantiation(dict(self.env)))
-            if self.best is None:
-                self.best = self.solutions[-1] if self.solutions \
-                    else Instantiation(dict(self.env))
-            if (self.cfg.max_solutions is not None
-                    and self.count >= self.cfg.max_solutions):
-                raise _Stop()
+            cost, minimize = self.cost, self.sense is Sense.MINIMIZE
 
-    def _better(self, a, b) -> bool:
-        return a < b if self.sense is Sense.MINIMIZE else a > b
+            def keep_best() -> None:
+                self.count += 1
+                value, best = cost(env), self.best_cost
+                if best is None or (value < best if minimize else value > best):
+                    self.best_cost = value
+                    self.best = Instantiation(dict(env))
+            return keep_best
+
+        if not cfg.keep_solutions and cfg.max_solutions is None:
+            def count() -> None:
+                self.count += 1
+                if self.best is None:
+                    self.best = Instantiation(dict(env))
+            return count
+
+        def keep() -> None:
+            self.count += 1
+            solution = Instantiation(dict(env))
+            if cfg.keep_solutions:
+                self.solutions.append(solution)
+            if self.best is None:
+                self.best = solution
+            if cfg.max_solutions is not None and self.count >= cfg.max_solutions:
+                raise _Stop()
+        return keep
 
     # -- search --------------------------------------------------------------
 
@@ -236,68 +366,57 @@ class _Search:
                            self.best, self.best_cost, self.nodes)
 
     def _search(self) -> None:
-        """Depth-first over the plan, with one value iterator per depth.
+        """Depth-first over the compiled plan, with one value iterator per depth.
 
         A branching depth descends on its first value that passes every
         check and resumes its iterator on the way back. A forced depth
         (restrict_to_decision) tries all its values first: exactly one may
-        pass, and search descends with it after rebuilding the staged state.
+        pass, and search descends with it after running its checks again,
+        which rebuilds the staged state for that value.
         """
-        n = len(self.order)
+        n, leaf = len(self.order), self.leaf
         if n == 0:
-            self._record()
+            leaf()
             return
-        env, plan, staged, branch_len = self.env, self.plan, self.staged, self.branch_len
+        env, fails, branch_len = self.env, self.fails, self.branch_len
         ids = [v.id for v in self.order]
         runs = [tuple(range(lo, hi + 1) for lo, hi in v.domain.items) for v in self.order]
         iters = [chain.from_iterable(runs[0])] + [iter(())] * (n - 1)
-        nodes = self.nodes
+        nodes = test_at = self.nodes  # the limits are first tested before the first node
         depth = 0
-        ci: Optional[int] = None  # the constraint whose check is running
         try:
             while depth >= 0:
-                vid, checks = ids[depth], plan[depth]
+                vid, failed = ids[depth], fails[depth]
                 chosen = None
                 for value in iters[depth]:
+                    if nodes == test_at:
+                        test_at = self._checkpoint(nodes)
                     nodes += 1
-                    if not nodes & 0xFF and self._limit_reached(nodes):
-                        raise _LimitReached()
                     env[vid] = value
-                    for ci, kind, detector in checks:
-                        if detector is None:
-                            if not check_constraint(kind, env, validate=False):
-                                break
-                        elif detector():
-                            break
-                    else:
-                        if depth < branch_len:
-                            break
-                        if chosen is not None:
-                            at = " ".join(f"{v}={env[v]}" for v in ids[:branch_len])
-                            raise UnforcedVariable(
-                                f"variable {vid} is not determined by the decision "
-                                f"variables (both {chosen} and {value} extend)"
-                                + (f" at {at}" if at else ""))
-                        chosen = value
+                    if failed():
+                        continue
+                    if depth < branch_len:
+                        break
+                    if chosen is not None:
+                        at = " ".join(f"{v}={env[v]}" for v in ids[:branch_len])
+                        raise UnforcedVariable(
+                            f"variable {vid} is not determined by the decision "
+                            f"variables (both {chosen} and {value} extend)"
+                            + (f" at {at}" if at else ""))
+                    chosen = value
                 else:
                     if chosen is None:
                         env.pop(vid, None)
                         depth -= 1
                         continue
                     env[vid] = chosen
-                    for check in staged[depth]:
-                        check()
+                    failed()
                 depth += 1
                 if depth < n:
                     iters[depth] = chain.from_iterable(runs[depth])
                     continue
-                ci = None
-                self._record()
+                leaf()
                 depth -= 1
-        except EvalError as e:
-            if ci is None:
-                raise
-            raise self._named(e, ci) from e
         finally:
             self.nodes = nodes
 

@@ -375,6 +375,35 @@ def test_solve_node_limit(capsys, tmp_path):
     assert "LIMIT" in out
 
 
+def test_solve_node_limit_is_exact(capsys):
+    code, out, _ = run(capsys, "solve", fixture_path("queens_8.xml"), "--count",
+                       "--node-limit", "10")
+    assert code == 21
+    assert out.splitlines() == ["solutions=0", "nodes=10", "LIMIT"]
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--max-solutions", "0", "max_solutions must be at least 1, not 0"),
+    ("--max-solutions", "-3", "max_solutions must be at least 1, not -3"),
+    ("--node-limit", "-1", "node_limit must be at least 0, not -1"),
+    ("--time-limit", "-0.5", "time_limit must be at least 0 seconds, not -0.5"),
+    ("--time-limit", "nan", "time_limit must be at least 0 seconds, not nan"),
+])
+def test_solve_rejects_a_limit_out_of_range(capsys, option, value, message):
+    code, out, err = run(capsys, "solve", fixture_path("queens_8.xml"), option, value)
+    assert code == 3
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_solve_accepts_the_least_limits(capsys):
+    path = fixture_path("queens_8.xml")
+    code, out, _ = run(capsys, "solve", path, "--count", "--node-limit", "0")
+    assert code == 21 and "nodes=0\n" in out
+    code, out, _ = run(capsys, "solve", path, "--max-solutions", "1", "--time-limit", "0")
+    assert code in (0, 21)
+
+
 UNFORCED = ('<instance format="XCSP3" type="CSP"><variables>'
             '<var id="x"> 0..4 </var><var id="y"> 0..9 </var></variables>'
             "<constraints><intension> le(y,x) </intension></constraints>"

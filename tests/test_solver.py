@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import fixture_path
-from xcsp3core import checker, solver
+from xcsp3core import checker, expr, solver
 from xcsp3core import kinds as K
 from xcsp3core.checker import (
     check_constraint,
@@ -23,7 +24,7 @@ from xcsp3core.checker import (
 from xcsp3core.errors import (INT_MAX, DivisionByZero, EvalError, Overflow, UnforcedVariable,
                               XcspError)
 from xcsp3core.expr import IntConst, OpCall, VarRef
-from xcsp3core.model import CondOp, Condition
+from xcsp3core.model import CondOp, Condition, Domain, Instance, PostedConstraint, Variable
 from xcsp3core.parser import parse_file, parse_string
 from xcsp3core.solver import (
     SearchConfig,
@@ -111,7 +112,33 @@ def test_node_limit_yields_limit_status():
     inst = parse_string(BIG_SPACE)
     result = count_solutions(inst, SearchConfig(node_limit=300))
     assert result.status is Status.LIMIT
-    assert result.nodes <= 600  # stops soon after the threshold
+    assert result.nodes == 300
+
+
+@pytest.mark.parametrize("fixture,search,cfg", [
+    ("queens_8.xml", count_solutions, SearchConfig()),
+    ("queens_8.xml", solve, SearchConfig(max_solutions=1)),
+    ("queens_8.xml", count_solutions, SearchConfig(time_limit=60.0)),
+    ("cake_sums.xml", solve, SearchConfig()),
+    ("coins_83.xml", solve, SearchConfig(time_limit=60.0)),
+])
+def test_node_limit_is_exact(fixture, search, cfg):
+    inst = parse_file(fixture_path(fixture))
+    full = search(inst, cfg)
+    assert full.status is not Status.LIMIT
+    at = search(inst, replace(cfg, node_limit=full.nodes))
+    assert at == full
+    below = search(inst, replace(cfg, node_limit=full.nodes - 1))
+    assert (below.status, below.nodes) == (Status.LIMIT, full.nodes - 1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_solutions", 0), ("max_solutions", -3), ("node_limit", -1),
+    ("time_limit", -0.5), ("time_limit", float("nan")),
+])
+def test_search_config_rejects_a_limit_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: value})
 
 
 def test_time_limit_yields_limit_status():
@@ -571,3 +598,100 @@ def test_staged_sum_completing_at_a_forced_depth(monkeypatch, condition, outcome
     cfg = SearchConfig(restrict_to_decision=True)
     assert _outcome(_Search(inst, cfg)) == outcome
     assert _outcome(_fallback_search(monkeypatch, inst, cfg)) == outcome
+
+
+# -- the generated plan -----------------------------------------------------------
+
+ERROR_AT_THIRD = ('<instance format="XCSP3" type="CSP"><variables>'
+                  '<var id="x"> 0..2 </var><var id="y"> 0..2 </var><var id="z"> 0..2 </var>'
+                  "</variables><constraints>"
+                  "<intension> le(x,y) </intension>"
+                  "<allDifferent> y z </allDifferent>"
+                  "<extension><list> x z </list><conflicts> (0,0) </conflicts></extension>"
+                  '<intension id="bad"> gt(div(6,sub(z,1)),x) </intension>'
+                  "</constraints></instance>")
+
+
+def test_an_error_raised_after_other_checks_of_its_depth_is_named_by_its_constraint():
+    # at z's depth allDifferent's last stage, the table and the intension run
+    # in that order; x=0 y=0 z=1 passes the first two and divides by zero in
+    # the third, where nothing pruned before, so with or without partial
+    # checks the search meets it at its fourth node
+    inst = parse_string(ERROR_AT_THIRD)
+    assert [type(kind) for _, kind, _ in _Search(inst, SearchConfig()).plan[2]] \
+        == [K.AllDifferent, K.Extension, K.Intension]
+    outcome = _outcome(_Search(inst, SearchConfig()))
+    assert outcome == (DivisionByZero, "bad: div(6,0) at z=1 x=0", 4)
+    assert outcome == _outcome(_Search(inst, SearchConfig(partial_checks=False)))
+
+
+def _many_intensions(n, raising):
+    """n ne() intensions at y's depth, the one at position raising dividing by y-3."""
+    ctrs = [f"<intension> ne(add(x,{k}),y) </intension>" for k in range(1, n + 1)]
+    if raising is not None:
+        ctrs[raising] = "<intension> ne(div(6,sub(y,3)),x) </intension>"
+    return parse_string('<instance format="XCSP3" type="CSP"><variables>'
+                        '<var id="x"> 0..3 </var><var id="y"> 0..3 </var></variables>'
+                        f"<constraints>{''.join(ctrs)}</constraints></instance>")
+
+
+@pytest.mark.parametrize("chunk", [solver.MAX_CHUNK, 2])
+@pytest.mark.parametrize("raising,x", [(None, None), (0, 0), (69, 3), (99, 3)])
+def test_a_depth_with_more_checks_than_a_function_holds(monkeypatch, chunk, raising, x):
+    monkeypatch.setattr(solver, "MAX_CHUNK", chunk)
+    inst = _many_intensions(100, raising)
+    generated = _outcome(_Search(inst, SearchConfig()))
+    assert generated == _outcome(_Search(inst, SearchConfig(partial_checks=False)))
+    if raising is None:
+        assert generated == (Status.SATISFIABLE, 10, 20)  # the pairs with y <= x
+    else:
+        # at y=3, x is the first value that passes the checks before the division
+        assert generated[:2] == (DivisionByZero, f"#{raising}: div(6,0) at y=3 x={x}")
+
+
+def test_generated_code_holds_no_input_text(monkeypatch):
+    # each name holds a word that would survive any quoting of it
+    ids = ['x"\n{IDONE}', "y'}{\nIDTWO", 'z{"\'}\\IDTHREE']
+    labels = ['c"\n{}\'LABELONE', "t'\n}{LABELTWO", 'bad{"}\nLABELTHREE']
+    sources = []
+
+    def recording_compile(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(expr, "compile", recording_compile, raising=False)
+    for module, cache in ((expr, "_FACTORIES"), (solver, "_FACTORIES"), (checker, "_SUMS")):
+        monkeypatch.setattr(module, cache, {})
+    x, y, z = map(VarRef, ids)
+    constraints = (
+        PostedConstraint(K.Intension(OpCall("le", (x, y))), id=labels[0]),
+        PostedConstraint(K.AllDifferent((x, y, z))),
+        PostedConstraint(K.Extension(scope=tuple(ids[:2]), positive=False, tuples=((0, 0),)),
+                         id=labels[1]),
+        PostedConstraint(K.Intension(OpCall("gt", (
+            OpCall("div", (IntConst(6), OpCall("sub", (z, IntConst(1))))), IntConst(-1)))),
+            id=labels[2]))
+    inst = Instance(tuple(Variable(v, Domain(((0, 2),))) for v in ids), constraints,
+                    K.Objective(K.Sense.MINIMIZE, K.ObjKind.SUM, operands=(x, y, z),
+                                coeffs=(1, 2, 3)))
+    outcome = _outcome(_Search(inst, SearchConfig()))
+    # the ids and labels reach the message as arguments, never as source
+    assert outcome[:2] == (DivisionByZero, f"{labels[2]}: div(6,0) at {ids[2]}=1")
+    assert any("def fails" in s for s in sources) and any("def cost" in s for s in sources)
+    assert any("def evaluate" in s for s in sources)
+    words = ["IDONE", "IDTWO", "IDTHREE", "LABELONE", "LABELTWO", "LABELTHREE"]
+    for source in sources:
+        for text in ids + labels + words:
+            assert text not in source
+
+
+def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
+    names = ["misc_core_1.xml", "misc_core_2.xml", "queens_8.xml", "magic_square_3.xml",
+             "cake_sums.xml", "langford_2_04.xml", "scheduling_small.xml"]
+    instances = [parse_file(fixture_path(name)) for name in names]
+    expected = [_full_outcome(_Search(inst, SearchConfig())) for inst in instances]
+    monkeypatch.setattr(solver, "MAX_SHAPES", 2)
+    monkeypatch.setattr(solver, "_FACTORIES", {})
+    for _ in range(2):
+        assert [_full_outcome(_Search(inst, SearchConfig())) for inst in instances] == expected
+        assert len(solver._FACTORIES) == 2
