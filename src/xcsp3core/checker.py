@@ -5,7 +5,9 @@ complete check and, for kinds that prune, a partial violation detector.
 allDifferent and sum also have staged checks (_STAGED) that a search with a
 fixed variable order runs depth by depth instead: each depth's check starts
 from the state the earlier depths left, and the check at the depth that
-completes the scope gives the complete verdict from that state.
+completes the scope gives the complete verdict from that state. A sum
+stage, and an allDifferent stage whose operands cannot raise, is a form of
+STAGE_FORMS: code that the search writes into its generated depth functions.
 check_constraint evaluates one constraint under a complete assignment of
 its scope. partial_violated detects certain violations from a partial
 assignment (used for pruning; it never flags a satisfiable extension).
@@ -26,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from . import kinds as K
 from .errors import (
@@ -41,7 +43,7 @@ from .errors import (
     ValueOutsideDomain,
     check_int64,
 )
-from .expr import VarRef, generated
+from .expr import Expr, VarRef, compile_bounded, free_vars, generated
 from .model import (
     Condition,
     CondOp,
@@ -543,18 +545,65 @@ _CHECKERS: Dict[type, Tuple[_Check, Optional[_Check]]] = {
 # previous depth left, instead of rescanning the whole scope. A builder gets
 # the depth at which each variable is assigned, each variable's domain
 # bounds (min, max) and the assignment the search mutates. It returns
-# (depth, check) pairs in depth order, one for each depth that assigns a
-# variable of the constraint, or a subset of those depths that ends with the
-# one completing the scope. Every check returns True when it finds the
-# constraint violated and may be called only after the checks of the
-# earlier depths have passed under the current assignment. Before the last
-# depth it returns True only when no extension can satisfy the constraint,
-# like partial_violated; at the last depth it is the complete check: True
-# exactly when check_constraint would return False, raising what
-# check_constraint would raise. None means the constraint does not qualify,
-# and the search falls back to check_constraint and partial_violated.
+# stages (depth, form, arguments) in depth order: the depths are those that
+# assign a variable of the constraint, or a subset of them that ends with
+# the one completing the scope, and a depth may have more than one stage.
+# The search writes each stage into its depth's generated function as the
+# code of its form, in order. Form "s" calls its one argument, a function
+# that may raise; the forms of STAGE_FORMS are code of their own, which
+# cannot raise. A stage fails (returns True) when it finds the constraint
+# violated, and runs only after the stages before it, at its depth and the
+# earlier ones, have passed under the current assignment. Before the last
+# depth it fails only when no extension can satisfy the constraint, like
+# partial_violated; the stages of the last depth together are the complete
+# check: one fails exactly when check_constraint would return False, and
+# one raises what check_constraint would raise. None means the constraint
+# does not qualify, and the search falls back to check_constraint and
+# partial_violated.
 
-Stage = Tuple[int, Callable[[], bool]]
+Stage = Tuple[int, str, Tuple[object, ...]]
+
+
+# how an allDifferent operand's check reads its value: its parameter and line
+_READS = {"v": ("p", "v = env[p{k}]"), "f": ("f", "v = f{k}(env)")}
+
+
+def _distinct_form(read: str, excepts: bool, last: bool) -> Tuple[Tuple[str, ...], ...]:
+    """An allDifferent operand's check: its value v against the set S[i] of
+    the values of the operands checked before it; unless it is the last,
+    the set with v goes to S[i + 1], where the next one reads it. A value in
+    the excepts E enters no set."""
+    param, line = _READS[read]
+    lines = [line, "s = S{k}[i{k}]"]
+    test = ["if v in s:", "    return True"]
+    if excepts:
+        lines += ["if v not in E{k}:"] + [f"    {line}" for line in test]
+        if not last:
+            lines += ["    s = {{*s, v}}", "S{k}[i{k} + 1] = s"]
+    else:
+        lines += test + ([] if last else ["S{k}[i{k} + 1] = {{*s, v}}"])
+    return (param, "S", "i") + (("E",) if excepts else ()), tuple(lines)
+
+
+# The stage forms written as code of their own: each one's parameters,
+# which the search suffixes with the number k of the check, and its lines,
+# str.format()ed with k, which return True when the check fails. A sum
+# stage adds its variable's term c * x (the coefficients of a variable
+# merged) to the total T[i] of the stages before, keeps it in T[i + 1] and
+# fails outside lo..hi. An allDifferent operand ("d": "v" a bare variable
+# read from env, "f" a call of a bounded evaluator that cannot raise; "x"
+# with excepts; "." the last operand checked) is a membership test. Every
+# argument is a value or callable: no input text enters the code.
+STAGE_FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "sum": (("T", "i", "c", "v", "lo", "hi"),
+            ("t = T{k}[i{k}] + c{k} * env[v{k}]",
+             "T{k}[i{k} + 1] = t",
+             "if t < lo{k} or t > hi{k}:",
+             "    return True")),
+    **{f"d{read}{'x' if excepts else ''}{'.' if last else ''}":
+       _distinct_form(read, excepts, last)
+       for read in _READS for excepts in (False, True) for last in (False, True)},
+}
 
 
 def _scope_depths(kind: K.ConstraintKind, depth_of: Mapping[str, int]) -> List[int]:
@@ -575,26 +624,53 @@ def _staged_all_different(kind: K.AllDifferent, depth_of: Mapping[str, int],
                           env: Mapping[str, int]) -> List[Stage]:
     """Evaluate each operand once, at the depth where it becomes ready.
 
-    Before the last depth the scan keeps partial_violated's operand order:
-    it stops where that scan would meet its first repeated value, so an
-    operand that raises is evaluated, and raises, exactly when it would
-    have been there. At the last depth every fresh operand is evaluated, in
-    order, before any value is compared, as the complete check does.
+    Each operand is a bare variable or a bounded evaluator (compile_bounded).
+    When none can raise, each one is a check of its own ("d" forms of
+    STAGE_FORMS), in depth then position order: the verdicts are those of
+    partial_violated and the complete check, and no order of evaluation can
+    be seen. Otherwise each depth has one stage, a closure keeping the order
+    in which the operands raise. Before the last depth its scan keeps
+    partial_violated's operand order: it stops where that scan would meet
+    its first repeated value, so an operand that raises is evaluated, and
+    raises, exactly when it would have been there. At the last depth every
+    fresh operand is evaluated, in order, before any value is compared, as
+    the complete check does.
     """
     depths = _scope_depths(kind, depth_of)
-    fresh: Dict[int, List[Tuple[int, Callable]]] = {d: [] for d in depths}
-    for pos, (op, (evaluate, free)) in enumerate(zip(kind.operands, kind.compiled)):
-        ids = (op.id,) if free is None else free
+    # each depth's fresh operands: position, operand, bounded evaluator (None
+    # for a bare variable)
+    fresh: Dict[int, List[Tuple[int, Expr, Optional[Callable]]]] = {d: [] for d in depths}
+    raises = False
+    for pos, op in enumerate(kind.operands):
+        if type(op) is VarRef:
+            fresh[depth_of[op.id]].append((pos, op, None))
+            continue
+        evaluate, may_raise = compile_bounded(op, bounds)
+        raises = raises or may_raise
         # an operand without variables is ready at the first check
-        ready = max((depth_of[v] for v in ids), default=depths[0])
-        fresh[ready].append((pos, evaluate))
+        ready = max((depth_of[v] for v in free_vars(op)), default=depths[0])
+        fresh[ready].append((pos, op, evaluate))
     excepts = frozenset(kind.excepts)
-    # seen[i + 1]: value -> position of the operand that holds it, for every
-    # operand ready by the i-th stage (distinct, since that stage passed)
-    seen: List[Dict[int, int]] = [{}]
+    if not raises:
+        ready = [(d, op, evaluate) for d in depths for _, op, evaluate in fresh[d]]
+        # sets[i]: the values of the operands checked before check i, but excepts
+        sets: List[Optional[FrozenSet[int]]] = [frozenset()] + [None] * (len(ready) - 1)
+        suffix = "x" if excepts else ""
+        stages: List[Stage] = []
+        for i, (d, op, evaluate) in enumerate(ready):
+            form = ("dv" if evaluate is None else "df") + suffix
+            if i == len(ready) - 1:
+                form += "."
+            args = (op.id if evaluate is None else evaluate, sets, i)
+            stages.append((d, form, args + ((excepts,) if excepts else ())))
+        return stages
+
+    # values_at[i + 1]: value -> position of the operand that holds it, for
+    # every operand ready by the i-th stage (distinct, since that stage passed)
+    values_at: List[Dict[int, int]] = [{}]
 
     def stage(i: int, operands: Tuple[Tuple[int, Callable], ...]) -> bool:
-        values = seen[i].copy()
+        values = values_at[i].copy()
         # an operand ready before this stage, later in the scan, whose value a
         # fresh operand repeats: the scan stops at the first such position
         clash = None
@@ -612,11 +688,11 @@ def _staged_all_different(kind: K.AllDifferent, depth_of: Mapping[str, int],
             values[v] = pos
         if clash is not None:
             return True
-        seen[i + 1] = values
+        values_at[i + 1] = values
         return False
 
     def finish(i: int, evaluators: Tuple[Callable, ...]) -> bool:
-        before = seen[i]
+        before = values_at[i]
         values = set()
         for v in [evaluate(env) for evaluate in evaluators]:
             if v in excepts:
@@ -626,12 +702,19 @@ def _staged_all_different(kind: K.AllDifferent, depth_of: Mapping[str, int],
             values.add(v)
         return False
 
+    def evaluators(ops: List[Tuple[int, Expr, Optional[Callable]]]
+                   ) -> Tuple[Tuple[int, Callable], ...]:
+        return tuple((pos, compile_bounded(op, bounds)[0] if evaluate is None else evaluate)
+                     for pos, op, evaluate in ops)
+
     # the completing depth always has a fresh operand: one holding its variable
-    *early, (last, last_ops) = [(d, ops) for d, ops in fresh.items() if ops]
-    seen.extend({} for _ in early)
-    checks = [(d, partial(stage, i, tuple(ops))) for i, (d, ops) in enumerate(early)]
-    checks.append((last, partial(finish, len(early), tuple(e for _, e in last_ops))))
-    return checks
+    *early, (last_depth, last_ops) = [(d, ops) for d, ops in fresh.items() if ops]
+    values_at.extend({} for _ in early)
+    closures: List[Stage] = [(d, "s", (partial(stage, i, evaluators(ops)),))
+                             for i, (d, ops) in enumerate(early)]
+    closures.append((last_depth, "s", (partial(finish, len(early), tuple(
+        e for _, e in evaluators(last_ops))),)))
+    return closures
 
 
 _BOUNDED_OPS = frozenset({CondOp.LT, CondOp.LE, CondOp.GE, CondOp.GT, CondOp.EQ})
@@ -645,14 +728,15 @@ def _staged_sum(kind: K.Sum, depth_of: Mapping[str, int],
     Only for integer coefficients over bare variables, a relational
     condition other than ne with an integer operand, and domains small
     enough that no partial or total sum can leave the 64-bit range, so that
-    the complete check could never raise Overflow on this constraint. At the
-    completing depth no term is left unassigned, so the same comparison is
-    the complete verdict.
+    the complete check could never raise Overflow on this constraint. Each
+    stage is a "sum" form of STAGE_FORMS, adding the term of the one
+    variable its depth assigns. At the completing depth no term is left
+    unassigned, so the same comparison is the complete verdict.
     """
     coeffs, condition = kind.int_coeffs, kind.condition
     if (coeffs is None or condition.op not in _BOUNDED_OPS
             or not isinstance(condition.operand, int)
-            or any(free is not None for _, free in kind.compiled)):
+            or any(type(term) is not VarRef for term in kind.terms)):
         return None
     terms = [(c, op.id, bounds[op.id]) for c, op in zip(coeffs, kind.terms)]
     if not _fits_int64((c, ends) for c, _, ends in terms):
@@ -661,23 +745,16 @@ def _staged_sum(kind: K.Sum, depth_of: Mapping[str, int],
     # the totals that satisfy the condition; one past the int64 range is unbounded
     want_lo = k + 1 if op is CondOp.GT else k if op in (CondOp.GE, CondOp.EQ) else INT_MIN - 1
     want_hi = k - 1 if op is CondOp.LT else k if op in (CondOp.LE, CondOp.EQ) else INT_MAX + 1
-    totals = [0]  # totals[i + 1]: the terms assigned by the i-th stage, summed
-
-    def stage(i: int, here: Tuple[Tuple[int, str], ...], lo_cut: int, hi_cut: int) -> bool:
-        total = totals[i]
-        for c, vid in here:
-            total += c * env[vid]
-        totals[i + 1] = total
-        return total < lo_cut or total > hi_cut
-
-    stages = []
-    for i, d in enumerate(_scope_depths(kind, depth_of)):
-        here = tuple((c, vid) for c, vid, _ in terms if depth_of[vid] == d)
+    depths = _scope_depths(kind, depth_of)
+    totals = [0] * (len(depths) + 1)  # totals[i + 1]: the terms of stages 0..i, summed
+    stages: List[Stage] = []
+    for i, d in enumerate(depths):
+        here = [(c, vid) for c, vid, _ in terms if depth_of[vid] == d]
         rest = [(c * lo, c * hi) for c, vid, (lo, hi) in terms if depth_of[vid] > d]
         rest_lo = sum(min(ends) for ends in rest)
         rest_hi = sum(max(ends) for ends in rest)
-        stages.append((d, partial(stage, i, here, want_lo - rest_hi, want_hi - rest_lo)))
-        totals.append(0)
+        stages.append((d, "sum", (totals, i, sum(c for c, _ in here), here[0][1],
+                                  want_lo - rest_hi, want_hi - rest_lo)))
     return stages
 
 
@@ -797,9 +874,12 @@ def objective_cost(obj: K.Objective,
     (see _fits_int64) is summed by generated straight-line code without
     range checks, since none could fire (see _generated_sum). Its
     coefficients and ids are arguments of factories shared by every sum, so
-    no input text enters the source. Any other objective goes through
-    eval_objective.
+    no input text enters the source. An expression whose variables all have
+    bounds is evaluated by its bounded evaluator (expr.compile_bounded). Any
+    other objective goes through eval_objective.
     """
+    if obj.kind is K.ObjKind.EXPRESSION and all(v in bounds for v in obj.var_ids):
+        return compile_bounded(obj.expression, bounds)[0]
     if obj.kind is K.ObjKind.SUM and all(isinstance(op, VarRef) for op in obj.operands):
         ids = [op.id for op in obj.operands]
         coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(ids)

@@ -92,9 +92,10 @@ def _build_parser() -> _ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="search for solutions")
     add_common(p_solve)
-    p_solve.add_argument("--count", action="store_true",
+    listing = p_solve.add_mutually_exclusive_group()
+    listing.add_argument("--count", action="store_true",
                          help="count all solutions instead of printing one")
-    p_solve.add_argument("--all", action="store_true",
+    listing.add_argument("--all", action="store_true",
                          help="print every solution")
     p_solve.add_argument("--optimize", action="store_true",
                          help="insist on optimization (reject CSP instances)")

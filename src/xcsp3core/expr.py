@@ -24,6 +24,22 @@ integer or operator text of the input ever enters it. At most MAX_SHAPES
 factories are kept, the oldest dropped first. A new shape costs one
 compile() call, well under a millisecond but many times what a shape met
 again costs, a walk of the tree (compile_expr gives the measurements).
+
+compile_bounded is the same generator in a bounded mode, for a caller
+that evaluates only under environments binding every variable inside
+known (min, max) bounds, as the search does once a check's variables are
+assigned from their domains. Its walk also carries each node's span, the
+integer interval its values lie in (interval arithmetic, as in Apt and
+Zoeteweij, "An analysis of arithmetic constraints on integer intervals",
+Constraints 2007). Two things are then left out of the code: the
+isinstance test of each variable read, which such an environment cannot
+fail (it reads env[id]), and each int64 range test of neg, abs, sqr, add,
+sub, mul and dist whose span lies inside int64, which cannot fire. Python
+integers do not wrap, so a value is the same with or without a test; a
+test whose span reaches past int64 is kept, with its message. div, mod,
+pow, n-ary add and mul, and if() keep their code, so every error that can
+still happen is raised as compile_expr's function raises it. The shape
+key adds the list of kept tests, and shares compile_expr's cache.
 """
 
 from __future__ import annotations
@@ -396,27 +412,128 @@ def _form(op: str, args: Tuple[Expr, ...]) -> str:
     return "?"
 
 
-def _shape(e: Expr) -> Tuple[Tuple[object, ...], List[object]]:
-    """The shape key of e and its constants, in one preorder walk.
+# Value ranges for the bounded mode: the hull of the values an operator can
+# give when its operands' values lie in the given ranges. Exact hulls for the
+# operators with an inline range test; any superset for the others.
+Span = Tuple[int, int]
+_INT64: Span = (INT_MIN, INT_MAX)
+_BOOL: Span = (0, 1)
 
-    A call gives its operator (or "?" when it has no form) and its operand
-    count, a leaf "v", "i" or "s". The constants are each variable's id,
-    each integer's value, each in() call's set and each formless call's
-    error message, a call's own before its operands': the order in which
-    _Writer numbers the factory's parameters.
+
+def _abs_span(a: Span) -> Span:
+    lo, hi = a
+    if lo >= 0:
+        return a
+    return (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
+
+
+def _product(a: Span, b: Span) -> Span:
+    ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(ends), max(ends)
+
+
+def _quotient(a: Span, b: Span) -> Span:
+    # |div(x,y)| <= |x|; div(INT_MIN,-1) raises in _trunc_div
+    m = max(-a[0], a[1])
+    return -m, m
+
+
+def _remainder(a: Span, b: Span) -> Span:
+    # mod(x,y) has the sign of x, |mod(x,y)| <= |x| and |mod(x,y)| < |y|
+    m = max(-b[0], b[1]) - 1
+    return max(min(0, a[0]), -m), min(max(0, a[1]), m)
+
+
+_UNARY_SPANS: Dict[str, Callable[[Span], Span]] = {
+    "neg": lambda a: (-a[1], -a[0]),
+    "abs": _abs_span,
+    "sqr": lambda a: _product(_abs_span(a), _abs_span(a)),
+    "not": lambda a: _BOOL,
+}
+
+_BINARY_SPANS: Dict[str, Callable[[Span, Span], Span]] = {
+    "add": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "sub": lambda a, b: (a[0] - b[1], a[1] - b[0]),
+    "mul": _product,
+    "dist": lambda a, b: _abs_span((a[0] - b[1], a[1] - b[0])),
+    "div": _quotient,
+    "mod": _remainder,
+    "pow": lambda a, b: _INT64,
+    "min": lambda a, b: (min(a[0], b[0]), min(a[1], b[1])),
+    "max": lambda a, b: (max(a[0], b[0]), max(a[1], b[1])),
+    **{op: (lambda a, b: _BOOL) for op in
+       ("lt", "le", "ge", "gt", "ne", "eq", "imp", "and", "or", "xor", "iff")},
+}
+
+
+def _fold(step: Callable[[Span, Span], Span]) -> Callable[[List[Span]], Span]:
+    def fold(spans: List[Span]) -> Span:
+        span = spans[0]
+        for other in spans[1:]:
+            span = step(span, other)
+        return span
+    return fold
+
+
+# How _shape leaves a call of each (form, operator): the span of its values
+# from its operands' spans (one span, two, or a list of three or more), and
+# whether it has an inline range test (1), may raise whatever the values
+# (2: the code of div, mod, pow, n-ary add and mul, and formless calls), or
+# neither (0).
+_LEAVE: Dict[Tuple[str, str], Tuple[Callable[..., Span], int]] = {
+    **{("unary", op): (_UNARY_SPANS[op], 0 if context is None else 1)
+       for op, (_, context) in _UNARY_CODE.items()},
+    **{("binary", op): (_BINARY_SPANS[op], 1 if context is not None
+                        else 2 if op in ("div", "mod", "pow") else 0)
+       for op, (_, context) in _BINARY_CODE.items()},
+    **{("nary", op): (_fold(_BINARY_SPANS[op]) if op in ("add", "mul", "min", "max")
+                      else lambda s: _BOOL, 2 if op in ("add", "mul") else 0)
+       for op in _NARY_CODE},
+    ("if", "if"): (lambda s: (min(s[1][0], s[2][0]), max(s[1][1], s[2][1])), 0),
+    ("in", "in"): (lambda a: _BOOL, 0),
+    ("?", "?"): (lambda *s: _INT64, 2),
+}
+
+
+def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None
+           ) -> Tuple[Any, List[object], List[bool], bool]:
+    """The shape key of e, its constants, its range tests and whether it may raise.
+
+    One walk, preorder, of the tree. A call gives its operator (or "?" when
+    it has no form) and its operand count, a leaf "v", "i" or "s". The
+    constants are each variable's id, each integer's value, each in() call's
+    set and each formless call's error message, a call's own before its
+    operands': the order in which _Writer numbers the factory's parameters.
+
+    With bounds (each variable's (min, max)), the walk also leaves each call
+    after its operands, working out the span of its values (_LEAVE): the
+    range tests list, in the order _Writer writes them, which of the calls
+    with an inline range test can leave int64 (a call that passes its test
+    stays inside), and these flags join the key. The last result is True
+    when some call may raise whatever the values: a surviving range test,
+    div, mod, pow, an n-ary add or mul, a formless call or a stray set
+    literal. Without bounds the key is the tree's shape alone, every range
+    test is written and the last two results mean nothing.
     """
     key: List[object] = []
     consts: List[object] = []
-    stack = [e]
+    spans: List[Span] = []
+    tests: List[bool] = []
+    raises = False
+    stack: List[Any] = [e]
     while stack:
         node = stack.pop()
         kind = type(node)
         if kind is VarRef:
             key.append("v")
             consts.append(node.id)
+            if bounds is not None:
+                spans.append(bounds[node.id])
         elif kind is IntConst:
             key.append("i")
             consts.append(node.value)
+            if bounds is not None:
+                spans.append((node.value, node.value))
         elif kind is OpCall:
             op, args = node.op, node.args
             form = _form(op, args)
@@ -427,10 +544,33 @@ def _shape(e: Expr) -> Tuple[Tuple[object, ...], List[object]]:
                 consts.append(f"unhandled operator {op!r}")
                 op = "?"
             key += (op, len(args))
+            if bounds is not None:  # left once its operands' spans are on spans
+                stack.append((_LEAVE[form, op], len(args)))
             stack += args[::-1]
+        elif kind is tuple:
+            (span_of, effect), n = node
+            if n == 2:
+                b = spans.pop()
+                lo, hi = span_of(spans.pop(), b)
+            elif n == 1:
+                lo, hi = span_of(spans.pop())
+            else:
+                lo, hi = span_of(spans[-n:])
+                del spans[-n:]
+            outside = lo < INT_MIN or hi > INT_MAX
+            if effect == 1:
+                tests.append(outside)
+                raises = raises or outside
+            elif effect == 2:
+                raises = True
+            spans.append((max(lo, INT_MIN), min(hi, INT_MAX)) if outside else (lo, hi))
         else:
             key.append("s")
-    return tuple(key), consts
+            spans.append(_INT64)
+            raises = True
+    if bounds is None:
+        return tuple(key), consts, tests, raises
+    return (tuple(key), tuple(tests)), consts, tests, raises
 
 
 class _Writer:
@@ -442,12 +582,17 @@ class _Writer:
     definition nests deeper than one level whatever the expression's depth.
     Only parameter, temporary and function names and snippet table text are
     written: constants reach the code as arguments of _make.
+
+    Given tests (_shape's range-test flags), the code is bounded: a variable
+    is read as env[p], without a test, and a range test is written only where
+    its flag is True.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tests: Optional[List[bool]] = None) -> None:
         self.params = 0
         self.temps = 0
         self.functions: List[str] = []
+        self.tests = None if tests is None else iter(tests)
 
     def param(self) -> str:
         self.params += 1
@@ -472,8 +617,11 @@ class _Writer:
             return self.param()
         if kind is VarRef:
             p, t = self.param(), self.temp()
-            body += [f"{t} = env.get({p})",
-                     f"if not isinstance({t}, int): raise UnboundVariable({p})"]
+            if self.tests is not None:
+                body.append(f"{t} = env[{p}]")
+            else:
+                body += [f"{t} = env.get({p})",
+                         f"if not isinstance({t}, int): raise UnboundVariable({p})"]
             return t
         if kind is not OpCall:
             body.append("raise EvalError('set literal outside in()')")
@@ -500,7 +648,7 @@ class _Writer:
                 template, context = (_UNARY_CODE if form == "unary" else _BINARY_CODE)[e.op]
                 code = template.format(a=names[0], b=names[-1])
             body.append(f"{t} = {code}")
-            if context is not None:
+            if context is not None and (self.tests is None or next(self.tests)):
                 body.append(_RANGE_TEST.format(t=t, context=context))
         return t
 
@@ -535,10 +683,32 @@ def compile_expr(e: Expr) -> Evaluator:
     operator without a form (unknown, or with an operand count that
     ARITIES does not allow). Compiling raises none of them.
     """
-    key, consts = _shape(e)
+    key, consts, _, _ = _shape(e)
     make = generated(_FACTORIES, MAX_SHAPES, key, lambda: _Writer().source(e),
                      _NAMESPACE, "<expression shape>")
     return make(*consts)
+
+
+def compile_bounded(e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, bool]:
+    """compile_expr for environments that bind every variable of e inside bounds.
+
+    bounds: the (min, max) of each variable of e. The function reads each
+    variable as env[id] and omits each range test that the spans of _shape
+    prove can never fire; every other test, and the code and errors of div,
+    mod, pow, n-ary add and mul and if(), are those of compile_expr. So
+    under such an environment it returns what compile_expr's function
+    returns and raises what it raises, with the same message; under any
+    other its result is undefined. The second result is False when the
+    function cannot raise at all (see _shape).
+
+    Shapes with different surviving tests are different factories in the
+    same cache as compile_expr's; a shape met again costs one walk of the
+    tree and writes no source.
+    """
+    key, consts, tests, raises = _shape(e, bounds)
+    make = generated(_FACTORIES, MAX_SHAPES, key, lambda: _Writer(tests).source(e),
+                     _NAMESPACE, "<expression shape>")
+    return make(*consts), raises
 
 
 def generated(cache: Dict[Any, Callable[..., Any]], bound: int, key: Any,

@@ -16,18 +16,39 @@ filter.
 
 The plan is then compiled into code, once per search: one function per
 depth that runs the depth's checks in plan order and returns True at the
-first that fails. A check is written by its form alone: an intension calls
-its compiled evaluator, a stage or partial detector is called as it is,
-and any other kind calls its complete check from checker's table. The
-callables, the kinds and the constraint positions that name an evaluation
-error are arguments of the factory that builds the function: as in expr's
-generator, no id, label or other input text enters the source, and one
-factory serves every function with the same sequence of forms. A
-generated function makes at most MAX_CHUNK calls: a depth with more checks
-gets a tree of them, so planning stays linear in the number of checks. At
-most MAX_SHAPES factories are kept, the oldest dropped first. With
-partial_checks off, every complete check goes through check_constraint and
-every cost through eval_objective: that is the reference path.
+first that fails. Writing each check's code for the model, rather than
+calling a general one, follows Minion (Gent, Jefferson and Miguel, ECAI
+2006). Each check is written as the code of its form (_FORMS):
+- "e", an intension's complete check: a call of its bounded evaluator
+  (expr.compile_bounded over the domain bounds). The check runs only once
+  its variables are assigned from their domains, so the evaluator reads
+  them as env[id] and keeps only the int64 tests the bounds cannot rule
+  out: its value and errors are those of the unbounded one.
+- "sum", a stage of a sum: written inline, t = T[i] + c * env[v], kept in
+  T[i + 1], failing when t leaves the stage's cut-offs. A depth assigns
+  one variable, so its coefficients are merged into one c.
+- "d...", a stage of an allDifferent none of whose operands can raise: one
+  inline membership test per operand, of its value (env[id] for a bare
+  variable, else its bounded evaluator) against the set of the values of
+  the operands checked before it, excepts never entering the set.
+- "s", a closure: a partial detector, or a stage of an allDifferent an
+  operand of which may raise (a div by a domain holding 0, a range test
+  that survives). Its closure scans the operands in the order the
+  reference check does, so such an operand raises at the node, and with
+  the message, where check_constraint and partial_violated would raise.
+- "c", any other kind's complete check from checker's table.
+The callables, constants, state lists, kinds and the constraint positions
+that name an evaluation error are arguments of the factory that builds
+the function: as in expr's generator, no id, label or other input text
+enters the source, and one factory serves every function with the same
+sequence of forms. A generated function makes at most MAX_CHUNK checks: a
+depth with more gets a tree of functions ("g" calls one), so planning
+stays linear in the number of checks. At most MAX_SHAPES factories are
+kept, the oldest dropped first; a search of an instance met again writes
+no source. An EXPRESSION objective is costed by its bounded evaluator. With
+partial_checks off, every complete check goes through check_constraint
+and every cost through eval_objective, both with unbounded evaluators:
+that is the reference path.
 
 A complete assignment reaches one leaf, chosen when the search is built:
 count it; cost it and keep the best (checker.objective_cost builds the
@@ -51,6 +72,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .checker import (
     _CHECKERS,
+    STAGE_FORMS,
     check_constraint,
     eval_objective,
     named_error,
@@ -60,7 +82,7 @@ from .checker import (
     staged_checks,
 )
 from .errors import EvalError, SolverError, UnforcedVariable
-from .expr import generated
+from .expr import compile_bounded, generated
 from .kinds import ConstraintKind, Intension, Sense
 from .model import Instance, Instantiation, Variable
 
@@ -122,9 +144,10 @@ class _LimitReached(Exception):
 
 
 # One check of the plan: the constraint's position, the constraint, and a
-# check of its own (a partial detector or a stage of checker.staged_checks,
-# True when violated), or None for its complete check.
-_Check = Tuple[int, ConstraintKind, Optional[Callable[[], bool]]]
+# check of its own, (form, arguments) as in checker.staged_checks: a stage,
+# or ("s", (detector,)) for a partial detector (True when violated); or
+# None for its complete check.
+_Check = Tuple[int, ConstraintKind, Optional[Tuple[str, Tuple[object, ...]]]]
 
 # -- generated depth functions ----------------------------------------------------
 
@@ -132,37 +155,61 @@ MAX_CHUNK = 32      # checks, or functions of checks, per generated function
 MAX_SHAPES = 256    # factories kept, one per sequence of forms
 CLOCK_NODES = 256   # nodes between two readings of the clock
 
-# How a call of each form fails, in the factory's parameters for call k:
-# "e" an intension's evaluator (0 is false), "s" a stage or partial detector
-# (True when violated), "c" the complete check of kind a{k}, and "g" a
-# generated function of checks, whose errors are named already.
-_FAILS = {"e": "not f{k}(env)", "s": "f{k}()", "c": "not f{k}(a{k}, env)", "g": "f{k}()"}
+# The code of each form, for call k: its parameters, which get k as a
+# suffix, and its lines, which return True when the check fails. "e" calls
+# an intension's bounded evaluator (0 is false), "s" a closure stage or
+# partial detector (True when violated), "c" the complete check of kind
+# a{k}, and "g" a generated function of checks, whose errors are named
+# already; the stage forms are checker's. A form whose last parameter is n,
+# the constraint's position, may raise: its lines run in a try whose
+# handler raises the EvalError again as named(error, n{k}).
+_FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "e": (("f", "n"), ("if not f{k}(env):", "    return True")),
+    "s": (("f", "n"), ("if f{k}():", "    return True")),
+    "c": (("f", "a", "n"), ("if not f{k}(a{k}, env):", "    return True")),
+    "g": (("f",), ("if f{k}():", "    return True")),
+    **STAGE_FORMS,
+}
 _FACTORIES: Dict[Tuple[str, ...], Callable[..., Callable[[], bool]]] = {}
 _NAMESPACE = {"EvalError": EvalError}
 
 # the reference path's complete check
 _reference_check = partial(check_constraint, validate=False)
 
+# A call of a generated function: form, arguments, and the constraint's
+# position, which a form that names no error leaves unused.
+_Call = Tuple[str, Tuple[object, ...], Optional[int]]
+
 
 def _source(forms: Tuple[str, ...]) -> str:
-    """The factory of one shape: _make(env, named, f0, n0[, a0], ...).
+    """The factory of one shape: _make(env, named, <the forms' parameters>).
 
-    fails() makes the calls in order and returns True at the first that
-    fails. An EvalError raised by check k is raised again as
-    named(error, n{k}); a "g" call takes f{k} alone.
+    fails() runs the forms' code in order and returns True at the first
+    check that fails, False when all pass.
     """
     params, body = ["env", "named"], ["    def fails():"]
     for k, form in enumerate(forms):
-        test = [f"if {_FAILS[form].format(k=k)}:", "    return True"]
-        if form == "g":
-            params.append(f"f{k}")
-            body += [f"        {line}" for line in test]
-            continue
-        params += [f"f{k}", f"n{k}"] + ([f"a{k}"] if form == "c" else [])
-        body += (["        try:"] + [f"            {line}" for line in test]
-                 + ["        except EvalError as e:", f"            raise named(e, n{k}) from e"])
+        names, lines = _FORMS[form]
+        params += [f"{name}{k}" for name in names]
+        code = [line.format(k=k) for line in lines]
+        if names[-1] == "n":
+            code = (["try:"] + [f"    {line}" for line in code]
+                    + ["except EvalError as e:", f"    raise named(e, n{k}) from e"])
+        body += [f"        {line}" for line in code]
     body.append("        return False")
     return "\n".join([f"def _make({', '.join(params)}):"] + body + ["    return fails", ""])
+
+
+def _function(calls: List[_Call], env: Dict[str, int],
+              named: Callable[[EvalError, int], EvalError]) -> Callable[[], bool]:
+    """One generated function running calls in order over env: True at the
+    first that fails. named(error, position) names an error of a call."""
+    forms = tuple(form for form, _, _ in calls)
+    make = generated(_FACTORIES, MAX_SHAPES, forms, partial(_source, forms),
+                     _NAMESPACE, "<search depth>")
+    return make(env, named, *[arg for form, args, ci in calls
+                              for arg in (args + (ci,) if _FORMS[form][0][-1] == "n"
+                                          else args)])
 
 
 class _Search:
@@ -217,18 +264,18 @@ class _Search:
                 if not holds:
                     self.infeasible = True
                     break
-        bounds = {v.id: (v.domain.min_value, v.domain.max_value) for v in self.order}
-        self._plan(bounds)
+        self.bounds = {v.id: (v.domain.min_value, v.domain.max_value) for v in self.order}
+        self._plan()
         self.fails = [self._compile(checks) for checks in self.plan]
 
         self.objective = instance.objective
         if self.objective is not None:
             self.sense = self.objective.sense
-            self.cost = (objective_cost(self.objective, bounds) if cfg.partial_checks
+            self.cost = (objective_cost(self.objective, self.bounds) if cfg.partial_checks
                          else partial(eval_objective, self.objective))
         self.leaf = self._leaf()
 
-    def _plan(self, bounds: Dict[str, Tuple[int, int]]) -> None:
+    def _plan(self) -> None:
         """For each depth, the checks its variable triggers, in constraint order.
 
         A staged constraint is checked by its stages alone, the last of them
@@ -240,19 +287,19 @@ class _Search:
         for ci, kind in enumerate(self.kinds):
             if not kind.var_ids:
                 continue
-            stages = (staged_checks(kind, depth_of, bounds, env)
+            stages = (staged_checks(kind, depth_of, self.bounds, env)
                       if self.cfg.partial_checks else None)
             if stages is not None:
-                for d, check in stages:
-                    plan[d].append((ci, kind, check))
+                for d, form, args in stages:
+                    plan[d].append((ci, kind, (form, args)))
                 continue
             depths = sorted({depth_of[v] for v in kind.var_ids})
             plan[depths[-1]].append((ci, kind, None))
             if self.cfg.partial_checks and prunes(kind):
-                detector = partial(partial_violated, kind, env)
+                detector = ("s", (partial(partial_violated, kind, env),))
                 for d in depths[:-1]:
                     plan[d].append((ci, kind, detector))
-        # each constraint adds at most one check per depth, in position order
+        # a constraint's checks at one depth are consecutive, in position order
         self.plan = [tuple(checks) for checks in plan]
 
     def _compile(self, checks: Tuple[_Check, ...]) -> Callable[[], bool]:
@@ -264,28 +311,23 @@ class _Search:
         function grows with the depth's checks, and the calls nest only
         log base MAX_CHUNK deep.
         """
-        calls: List[Tuple[str, Tuple[object, ...]]] = []
+        calls: List[_Call] = []
         for ci, kind, check in checks:
             if check is not None:
-                calls.append(("s", (check, ci)))
+                form, args = check
             elif not self.cfg.partial_checks:
-                calls.append(("c", (_reference_check, ci, kind)))
+                form, args = "c", (_reference_check, kind)
             elif type(kind) is Intension:
-                calls.append(("e", (kind.compiled[0][0], ci)))
+                form, args = "e", (compile_bounded(kind.function, self.bounds)[0],)
             else:
-                calls.append(("c", (_CHECKERS[type(kind)][0], ci, kind)))
+                form, args = "c", (_CHECKERS[type(kind)][0], kind)
+            calls.append((form, args, ci))
         while True:
-            functions = [self._function(calls[i:i + MAX_CHUNK])
+            functions = [_function(calls[i:i + MAX_CHUNK], self.env, self._named)
                          for i in range(0, len(calls) or 1, MAX_CHUNK)]
             if len(functions) == 1:
                 return functions[0]
-            calls = [("g", (f,)) for f in functions]
-
-    def _function(self, calls: List[Tuple[str, Tuple[object, ...]]]) -> Callable[[], bool]:
-        forms = tuple(form for form, _ in calls)
-        make = generated(_FACTORIES, MAX_SHAPES, forms, partial(_source, forms),
-                         _NAMESPACE, "<search depth>")
-        return make(self.env, self._named, *[arg for _, args in calls for arg in args])
+            calls = [("g", (f,), None) for f in functions]
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -396,6 +396,22 @@ def test_solve_rejects_a_limit_out_of_range(capsys, option, value, message):
     assert err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("flags", [["--count", "--all"], ["--all", "--count"]])
+def test_solve_rejects_count_with_all(capsys, flags):
+    code, out, err = run(capsys, "solve", fixture_path("queens_8.xml"), *flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage error: argument ")
+    assert "not allowed with argument" in err
+
+
+def test_solve_counts_with_a_solution_cap(capsys):
+    code, out, _ = run(capsys, "solve", fixture_path("queens_8.xml"), "--count",
+                       "--max-solutions", "5")
+    assert code == 0
+    assert out.splitlines()[0] == "solutions=5"
+
+
 def test_solve_accepts_the_least_limits(capsys):
     path = fixture_path("queens_8.xml")
     code, out, _ = run(capsys, "solve", path, "--count", "--node-limit", "0")

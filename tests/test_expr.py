@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from xcsp3core import expr
 from xcsp3core.errors import (
+    INT_MAX,
+    INT_MIN,
     ArityError,
     DivisionByZero,
     EvalError,
@@ -28,6 +30,7 @@ from xcsp3core.expr import (
     OpCall,
     SetLiteral,
     VarRef,
+    compile_bounded,
     compile_expr,
     eval_expr,
     free_vars,
@@ -436,3 +439,133 @@ def test_results_stay_right_past_the_cache_bound(monkeypatch):
     for text in reversed(texts):  # and a dropped shape is generated again
         assert _agree(parse_expr(text), env) == oracles.reference_eval(parse_expr(text), env)
     assert len(expr._FACTORIES) == 4
+
+
+# -- bounded evaluators -------------------------------------------------------------
+
+
+def _detailed(evaluate):
+    """The value, or the class and message of the evaluation error."""
+    try:
+        return evaluate()
+    except EvalError as exc:
+        return type(exc), str(exc)
+
+
+def _around(value):
+    """A (min, max) holding value: tight, small, reaching an int64 end, or any."""
+    below = st.one_of(st.just(value), st.integers(max(INT_MIN, value - 3), value),
+                      st.just(INT_MIN), st.integers(INT_MIN, value))
+    above = st.one_of(st.just(value), st.integers(value, min(INT_MAX, value + 3)),
+                      st.just(INT_MAX), st.integers(value, INT_MAX))
+    return st.tuples(below, above)
+
+
+@settings(max_examples=400)
+@given(st.recursive(_any_leaf, _any_call, max_leaves=8),
+       st.fixed_dictionaries({"x": _ints, "y": _ints, "z": _ints, "unbound": _ints}),
+       st.data())
+def test_bounded_agrees_with_compiled_and_reference(e, env, data):
+    # under any bounds that hold env: the same value, or the same error and message
+    bounds = {vid: data.draw(_around(value), label=vid) for vid, value in env.items()}
+    evaluate, raises = compile_bounded(e, bounds)
+    bounded = _detailed(lambda: evaluate(env))
+    assert bounded == _detailed(lambda: compile_expr(e)(env))
+    reference = _outcome(lambda: oracles.reference_eval(e, env))
+    assert (bounded[0] if isinstance(bounded, tuple) else bounded) == reference
+    if not raises:  # proved unable to raise: no value in bounds makes it raise
+        assert not isinstance(bounded, tuple)
+
+
+# operand ranges: small ones, every value of which is tried, and ranges at
+# and across the int64 ends, tried at their ends, near them and around 0
+_SPANS = [(-3, 3), (0, 4), (-4, -1), (2, 2), (0, 0), (-7, 5), (INT_MIN, INT_MIN + 2),
+          (INT_MAX - 2, INT_MAX), (INT_MIN, INT_MAX), (-1, INT_MAX), (INT_MIN, 1)]
+# the value before the range test of the operators that have one
+_RAW = {"neg": lambda a: -a, "abs": abs, "sqr": lambda a: a * a,
+        "add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b,
+        "dist": lambda a, b: abs(a - b)}
+
+
+def _points(span):
+    lo, hi = span
+    if hi - lo <= 12:
+        return range(lo, hi + 1)
+    return sorted({v for v in (lo, lo + 1, lo + 2, -2, -1, 0, 1, 2, hi - 2, hi - 1, hi)
+                   if lo <= v <= hi})
+
+
+@pytest.mark.parametrize("form,op", sorted(expr._LEAVE))
+def test_each_span_holds_every_value_of_its_operator(form, op):
+    n = {"unary": 1, "binary": 2, "in": 1, "?": 2}.get(form, 3)
+    span_of = expr._LEAVE[form, op][0]
+    names = ["x", "y", "z"][:n]
+    e = (OpCall(op, (VarRef("x"), SetLiteral((0, 5)))) if form == "in"
+         else OpCall(op, tuple(map(VarRef, names))))
+    evaluate = compile_expr(e)
+    for spans in itertools.product(_SPANS, repeat=n):
+        lo, hi = span_of(*spans) if n < 3 else span_of(list(spans))
+        for values in itertools.product(*map(_points, spans)):
+            if op in _RAW and form in ("unary", "binary"):
+                value = _RAW[op](*values)
+            else:
+                value = _outcome(lambda: evaluate(dict(zip(names, values))))
+                if not isinstance(value, int):
+                    continue
+            assert lo <= value <= hi, (spans, values)
+
+
+def test_bounded_keeps_a_range_test_the_bounds_cannot_rule_out():
+    e = parse_expr("eq(add(x,y),z)")
+    narrow = {"x": (0, 9), "y": (0, 9), "z": (0, 1)}
+    wide = {**narrow, "x": (0, 2**62), "y": (0, 2**62)}
+    assert expr._shape(e, narrow)[2:] == ([False], False)
+    assert expr._shape(e, wide)[2:] == ([True], True)
+    assert "check_int64" not in expr._Writer([False]).source(e)
+    assert "check_int64" in expr._Writer([True]).source(e)
+    evaluate, raises = compile_bounded(e, wide)
+    assert raises
+    assert evaluate({"x": 2**62 - 1, "y": 2**62, "z": 0}) == 0
+    with pytest.raises(Overflow) as caught:
+        evaluate({"x": 2**62, "y": 2**62, "z": 0})
+    assert str(caught.value) == f"add: {2**63} leaves the 64-bit integer range"
+    with pytest.raises(Overflow) as same:
+        compile_expr(e)({"x": 2**62, "y": 2**62, "z": 0})
+    assert str(same.value) == str(caught.value)
+
+
+@pytest.mark.parametrize("text,raises", [
+    ("x", False), ("3", False), ("le(add(x,y),add(z,3))", False),
+    ("dist(mul(x,y),sqr(neg(z)))", False), ("if(x,min(y,z),abs(x))", False),
+    ("in(sub(x,y),set(1,2))", False), ("div(x,y)", True), ("mod(x,3)", True),
+    ("pow(x,2)", True), ("add(x,y,z)", True), ("mul(x,y,z)", True),
+])
+def test_bounded_says_when_it_cannot_raise(text, raises):
+    bounds = {"x": (-5, 5), "y": (-5, 5), "z": (0, 9)}
+    assert compile_bounded(parse_expr(text), bounds)[1] is raises
+
+
+def test_bounded_shares_the_cache_and_writes_source_once(monkeypatch):
+    monkeypatch.setattr(expr, "_FACTORIES", {})
+    written = []
+    source = expr._Writer.source
+    monkeypatch.setattr(expr._Writer, "source",
+                        lambda self, e: written.append(e) or source(self, e))
+    bounds = {f"x[{k}]": (0, 9) for k in range(4)}
+    texts = [f"le(add(x[{k}],x[{k + 1}]),{k})" for k in range(3)]
+    for text in texts:
+        compile_bounded(parse_expr(text), bounds)
+    compile_expr(parse_expr(texts[0]))
+    # one bounded shape, one unbounded, and one for a surviving range test
+    compile_bounded(parse_expr(texts[0]), {**bounds, "x[0]": (0, INT_MAX)})
+    assert len(written) == len(expr._FACTORIES) == 3
+
+
+def test_bounded_source_holds_no_input_text():
+    e = OpCall("le", (OpCall("add", tuple(map(VarRef, QUOTED_IDS))), IntConst(987654321)))
+    bounds = {vid: (0, 2**k) for k, vid in enumerate(QUOTED_IDS)}
+    key, consts, tests, _ = expr._shape(e, bounds)
+    source = expr._Writer(tests).source(e)
+    assert not any(vid in source for vid in QUOTED_IDS) and "987654321" not in source
+    env = {vid: 2 ** k for k, vid in enumerate(QUOTED_IDS)}
+    assert compile_bounded(e, bounds)[0](env) == 1

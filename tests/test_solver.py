@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 from dataclasses import replace
 from functools import partial
 
@@ -216,9 +217,19 @@ def test_optimum_agrees_with_naive_optimum(seed):
 
 
 def _stages_by_depth(kind, order, domains, env):
+    """The kind's stages for order, as (depth, check) pairs in depth order:
+    each check the generated function of its depth's stages, as the search
+    writes it, raising errors unnamed."""
     depth_of = {v: d for d, v in enumerate(order)}
     bounds = {v: (min(domains[v]), max(domains[v])) for v in order}
-    return staged_checks(kind, depth_of, bounds, env), depth_of
+    stages = staged_checks(kind, depth_of, bounds, env)
+    if stages is None:
+        return None, depth_of
+    by_depth = {}
+    for depth, form, args in stages:
+        by_depth.setdefault(depth, []).append((form, args, 0))
+    return [(depth, solver._function(calls, env, lambda error, ci: error))
+            for depth, calls in by_depth.items()], depth_of
 
 
 _names = st.sampled_from(["a", "b", "c", "d"])
@@ -319,7 +330,9 @@ def _complete_check_search(monkeypatch, inst, cfg=SearchConfig()):
             def complete():
                 return not check_constraint(kind, env, validate=False)
 
-            return stages[:-1] + [(stages[-1][0], complete)]
+            last = stages[-1][0]
+            return [stage for stage in stages if stage[0] != last] + [
+                (last, "s", (complete,))]
         return builder
 
     with monkeypatch.context() as m:
@@ -577,13 +590,27 @@ def test_objective_cost_skips_range_checks_only_for_a_proved_sum(kind, coeffs, p
 def test_objective_cost_evaluates_other_objectives_with_eval_objective():
     bounds = {"x": (0, 1), "y": (0, 1)}
     expression = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
-                             expression=OpCall("add", (VarRef("x"), VarRef("y"))))
+                             expression=OpCall("add", (VarRef("x"), VarRef("z"))))
     not_bare = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.SUM,
                            operands=(OpCall("add", (VarRef("x"), IntConst(1))),))
     unbounded = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.SUM, operands=(VarRef("z"),))
     for obj in (expression, not_bare, unbounded):
         cost = objective_cost(obj, bounds)
         assert isinstance(cost, partial) and cost.func is eval_objective
+
+
+@pytest.mark.parametrize("bound", [1, INT_MAX])
+def test_objective_cost_evaluates_a_bounded_expression_by_its_bounded_evaluator(bound):
+    # with y up to INT_MAX, add(x,y) keeps its range test, and x=1 fires it
+    obj = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
+                      expression=OpCall("add", (VarRef("x"), VarRef("y"))))
+    cost = objective_cost(obj, {"x": (0, 1), "y": (0, bound)})
+    assert not isinstance(cost, partial)
+    for x, y in itertools.product((0, 1), (0, bound)):
+        env = {"x": x, "y": y}
+        assert _verdict(partial(cost, env)) == _verdict(partial(eval_objective, obj, env))
+    if bound == INT_MAX:
+        assert _verdict(partial(cost, {"x": 1, "y": bound}))[0] is Overflow
 
 
 @pytest.mark.parametrize("condition,outcome", [
@@ -686,12 +713,113 @@ def test_generated_code_holds_no_input_text(monkeypatch):
 
 
 def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
-    names = ["misc_core_1.xml", "misc_core_2.xml", "queens_8.xml", "magic_square_3.xml",
-             "cake_sums.xml", "langford_2_04.xml", "scheduling_small.xml"]
-    instances = [parse_file(fixture_path(name)) for name in names]
-    expected = [_full_outcome(_Search(inst, SearchConfig())) for inst in instances]
-    monkeypatch.setattr(solver, "MAX_SHAPES", 2)
-    monkeypatch.setattr(solver, "_FACTORIES", {})
+    # every fixture, with fixture_report.py's node budget, on which only
+    # mixed_domains stops, at the same node
+    paths = sorted(Path(fixture_path("queens_8.xml")).parent.glob("*.xml"))
+    instances = [parse_file(str(path)) for path in paths]
+    cfg = SearchConfig(node_limit=2_000_000, keep_solutions=False)
+    expected = [_full_outcome(_Search(inst, cfg)) for inst in instances]
+    assert len(expected) == 28
+    assert [path.name for path, outcome in zip(paths, expected)
+            if outcome[0] is Status.LIMIT] == ["mixed_domains.xml"]
+    for module in (expr, solver):
+        monkeypatch.setattr(module, "MAX_SHAPES", 2)
+        monkeypatch.setattr(module, "_FACTORIES", {})
     for _ in range(2):
-        assert [_full_outcome(_Search(inst, SearchConfig())) for inst in instances] == expected
-        assert len(solver._FACTORIES) == 2
+        assert [_full_outcome(_Search(inst, cfg)) for inst in instances] == expected
+        assert len(solver._FACTORIES) == len(expr._FACTORIES) == 2
+
+
+def test_a_second_search_of_an_instance_writes_no_source(monkeypatch):
+    names = ["queens_8.xml", "cake_sums.xml", "cake_intension.xml", "magic_square_3.xml",
+             "slide_c2.xml", "misc_core_1.xml"]
+    instances = [parse_file(fixture_path(name)) for name in names]
+    outcomes = [_full_outcome(_Search(inst, SearchConfig())) for inst in instances]
+    written, compiled = [], []
+    source = expr._Writer.source
+    monkeypatch.setattr(expr._Writer, "source",
+                        lambda self, e: written.append(e) or source(self, e))
+    monkeypatch.setattr(expr, "compile",
+                        lambda *args: compiled.append(args) or compile(*args), raising=False)
+    assert [_full_outcome(_Search(inst, SearchConfig())) for inst in instances] == outcomes
+    assert written == [] and compiled == []
+
+
+# -- bounded evaluators and generated stages against the reference path -------------
+
+def _two_ways(text):
+    """The outcome with partial checks, after checking it against the
+    reference path's (partial_checks=False)."""
+    inst = parse_string(text)
+    outcome = _full_outcome(_Search(inst, SearchConfig()))
+    assert outcome == _full_outcome(_Search(inst, SearchConfig(partial_checks=False)))
+    return outcome
+
+
+def _csp(variables, constraints):
+    return ('<instance format="XCSP3" type="CSP"><variables>' + "".join(
+        f'<var id="{vid}"> {domain} </var>' for vid, domain in variables)
+        + f"</variables><constraints>{constraints}</constraints></instance>")
+
+
+def test_an_intension_overflows_where_the_reference_does():
+    # add(x,y) can reach 2^63, so its range test survives; it fires at the
+    # last node, after the one solution x=0 y=1 z=1
+    outcome = _two_ways(_csp([("x", f"0 {HUGE}"), ("y", f"1 {HUGE}"), ("z", "0 1")],
+                             '<intension id="c"> eq(add(x,y),z) </intension>'))
+    assert outcome == (Overflow, f"c: add: {2 * HUGE} leaves the 64-bit integer range "
+                       f"at x={HUGE} y={HUGE} z=0", 13)
+
+
+def test_an_all_different_that_may_raise_raises_where_the_reference_does():
+    # div(6,y) may divide by zero, so the constraint keeps its closure
+    text = _csp([("x", "0"), ("z", "1"), ("y", "0..2")],
+                '<allDifferent id="c"> x z div(6,y) </allDifferent>')
+    search = _Search(parse_string(text), SearchConfig())
+    assert [check[2][0] for checks in search.plan for check in checks] == ["s", "s", "s"]
+    assert _two_ways(text) == (DivisionByZero, "c: div(6,0) at x=0 z=1 y=0", 3)
+
+
+@pytest.mark.parametrize("operands,excepts,count", [
+    ("x add(x,1) y", "", 16),       # two operands ready at x's depth
+    ("y x add(x,1)", "", 16),
+    ("x y add(y,1)", "<except> 0 </except>", 17),
+    ("x y 2", "<except> 2 </except>", 21),
+])
+def test_a_proved_all_different_is_written_into_the_depth_functions(operands, excepts, count):
+    text = _csp([("y", "0..4"), ("x", "0..4")],
+                f"<allDifferent><list> {operands} </list>{excepts}</allDifferent>")
+    search = _Search(parse_string(text), SearchConfig())
+    forms = [check[2][0] for checks in search.plan for check in checks]
+    assert all(form.startswith("d") for form in forms) and forms[-1].endswith(".")
+    # no operand can clash before the last depth, so no node is pruned
+    status, found, _, _, nodes = _two_ways(text)
+    assert (status, found, nodes) == (Status.SATISFIABLE, count, 30)
+
+
+def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
+    ids = ['x"\n{IDONE}', "y'}{\nIDTWO", 'z{"\'}\\IDTHREE']
+    sources = []
+    monkeypatch.setattr(expr, "compile",
+                        lambda source, *rest: sources.append(source) or compile(source, *rest),
+                        raising=False)
+    for module in (expr, solver):
+        monkeypatch.setattr(module, "_FACTORIES", {})
+    x, y, z = map(VarRef, ids)
+    constraints = (
+        PostedConstraint(K.Sum((x, y, z, x), (1, 2, 3, 4), Condition(CondOp.LE, 9))),
+        PostedConstraint(K.AllDifferent((x, OpCall("add", (y, IntConst(1))), z), (7,))),
+        PostedConstraint(K.AllDifferent((y, OpCall("mod", (z, x))))),
+        PostedConstraint(K.Intension(OpCall("ne", (OpCall("sub", (x, y)), z)))))
+    inst = Instance(tuple(Variable(v, Domain(((0, 2),))) for v in ids), constraints,
+                    K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
+                                expression=OpCall("mul", (x, OpCall("add", (y, z))))))
+    search = _Search(inst, SearchConfig())
+    forms = {check[2][0] for checks in search.plan for check in checks if check[2]}
+    assert {"sum", "s", "dvx", "dfx", "dvx."} <= forms
+    assert _full_outcome(search) == _full_outcome(_Search(inst, SearchConfig(
+        partial_checks=False)))
+    assert any("def fails" in s for s in sources) and any("env[p0]" in s for s in sources)
+    for source in sources:
+        for text in ids + ["IDONE", "IDTWO", "IDTHREE"]:
+            assert text not in source
