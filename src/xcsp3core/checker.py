@@ -1,40 +1,32 @@
 """Constraint checking, solution verification and objective evaluation.
 
-The semantics of every constraint kind sit in one table, _CHECKERS: a
-complete check and, for kinds that prune, a partial violation detector.
-allDifferent and sum also have staged checks (_STAGED) that a search with a
-fixed variable order runs depth by depth instead: each depth's check starts
-from the state the earlier depths left, and the check at the depth that
-completes the scope gives the complete verdict from that state. A sum
-stage, and an allDifferent stage whose operands cannot raise, is a form of
-STAGE_FORMS: code that the search writes into its generated depth functions.
-check_constraint evaluates one constraint under a complete assignment of
-its scope. partial_violated detects certain violations from a partial
-assignment (used for pruning; it never flags a satisfiable extension).
-check_solution verifies a candidate instantiation against an instance.
-eval_objective costs a complete assignment; objective_cost gives a search
-the same cost as one function: generated straight-line code without range
-checks for a sum objective whose domain bounds prove that none can fire.
+This module is the reference for the semantics: it says what each
+constraint kind and objective means, written as the specification reads,
+and verifies candidate solutions with it. The semantics of every kind sit
+in one table, _CHECKERS: a complete check and, for kinds that prune, a
+partial violation detector. check_constraint evaluates one constraint under
+a complete assignment of its scope. partial_violated detects certain
+violations from a partial assignment (used for pruning; it never flags a
+satisfiable extension). check_solution verifies a candidate instantiation
+against an instance, and eval_objective costs a complete assignment. The
+search (solver.py) runs these, or code it writes from them and from the
+domain bounds; nothing here depends on a variable order or on bounds.
 Nothing is prepared here per call: each kind carries its own var_ids, its
 compiled expressions and, for a table without *, a set of its tuples (see
 kinds.py), and the instance its useful variables and the constraints that
 name an undeclared variable (see model.Instance), all built on first use.
-A candidate then pays only for its own checks; scope_of / objective_scope
-only copy var_ids into lists.
+A candidate then pays only for its own checks; scope_of only copies
+var_ids into a list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import kinds as K
 from .errors import (
-    INT_MAX,
-    INT_MIN,
     CostMismatch,
     EvalError,
     StarInScope,
@@ -43,10 +35,9 @@ from .errors import (
     ValueOutsideDomain,
     check_int64,
 )
-from .expr import Expr, VarRef, compile_bounded, free_vars, generated
+from .expr import VarRef
 from .model import (
     Condition,
-    CondOp,
     Instance,
     Instantiation,
     Interval,
@@ -350,11 +341,13 @@ def _check_cumulative(kind: K.Cumulative, env: Mapping[str, int]) -> bool:
         h = _resolve(height, env)
         if l > 0:
             tasks.append((o, l, h))
-    # Quantify only over time points covered by at least one task.
-    covered = sorted({t for o, l, _ in tasks for t in range(o, o + l)})
-    for t in covered:
-        load = sum(h for o, l, h in tasks if o <= t < o + l)
-        if not eval_condition(load, kind.condition, env):
+    # Quantify over the time points covered by at least one task. The load
+    # changes only where a task starts or ends, so each stretch of constant
+    # load begins at a start or at an end that another task covers: testing
+    # those points tests every covered one.
+    for t in sorted({o for o, _, _ in tasks} | {o + l for o, l, _ in tasks}):
+        heights = [h for o, l, h in tasks if o <= t < o + l]
+        if heights and not eval_condition(sum(heights), kind.condition, env):
             return False
     return True
 
@@ -538,252 +531,12 @@ _CHECKERS: Dict[type, Tuple[_Check, Optional[_Check]]] = {
 }
 
 
-# -- staged checks ----------------------------------------------------------------
-#
-# A search that assigns the variables in a fixed order can check a kind in
-# stages: the check at one depth starts from the state the check at the
-# previous depth left, instead of rescanning the whole scope. A builder gets
-# the depth at which each variable is assigned, each variable's domain
-# bounds (min, max) and the assignment the search mutates. It returns
-# stages (depth, form, arguments) in depth order: the depths are those that
-# assign a variable of the constraint, or a subset of them that ends with
-# the one completing the scope, and a depth may have more than one stage.
-# The search writes each stage into its depth's generated function as the
-# code of its form, in order. Form "s" calls its one argument, a function
-# that may raise; the forms of STAGE_FORMS are code of their own, which
-# cannot raise. A stage fails (returns True) when it finds the constraint
-# violated, and runs only after the stages before it, at its depth and the
-# earlier ones, have passed under the current assignment. Before the last
-# depth it fails only when no extension can satisfy the constraint, like
-# partial_violated; the stages of the last depth together are the complete
-# check: one fails exactly when check_constraint would return False, and
-# one raises what check_constraint would raise. None means the constraint
-# does not qualify, and the search falls back to check_constraint and
-# partial_violated.
-
-Stage = Tuple[int, str, Tuple[object, ...]]
-
-
-# how an allDifferent operand's check reads its value: its parameter and line
-_READS = {"v": ("p", "v = env[p{k}]"), "f": ("f", "v = f{k}(env)")}
-
-
-def _distinct_form(read: str, excepts: bool, last: bool) -> Tuple[Tuple[str, ...], ...]:
-    """An allDifferent operand's check: its value v against the set S[i] of
-    the values of the operands checked before it; unless it is the last,
-    the set with v goes to S[i + 1], where the next one reads it. A value in
-    the excepts E enters no set."""
-    param, line = _READS[read]
-    lines = [line, "s = S{k}[i{k}]"]
-    test = ["if v in s:", "    return True"]
-    if excepts:
-        lines += ["if v not in E{k}:"] + [f"    {line}" for line in test]
-        if not last:
-            lines += ["    s = {{*s, v}}", "S{k}[i{k} + 1] = s"]
-    else:
-        lines += test + ([] if last else ["S{k}[i{k} + 1] = {{*s, v}}"])
-    return (param, "S", "i") + (("E",) if excepts else ()), tuple(lines)
-
-
-# The stage forms written as code of their own: each one's parameters,
-# which the search suffixes with the number k of the check, and its lines,
-# str.format()ed with k, which return True when the check fails. A sum
-# stage adds its variable's term c * x (the coefficients of a variable
-# merged) to the total T[i] of the stages before, keeps it in T[i + 1] and
-# fails outside lo..hi. An allDifferent operand ("d": "v" a bare variable
-# read from env, "f" a call of a bounded evaluator that cannot raise; "x"
-# with excepts; "." the last operand checked) is a membership test. Every
-# argument is a value or callable: no input text enters the code.
-STAGE_FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "sum": (("T", "i", "c", "v", "lo", "hi"),
-            ("t = T{k}[i{k}] + c{k} * env[v{k}]",
-             "T{k}[i{k} + 1] = t",
-             "if t < lo{k} or t > hi{k}:",
-             "    return True")),
-    **{f"d{read}{'x' if excepts else ''}{'.' if last else ''}":
-       _distinct_form(read, excepts, last)
-       for read in _READS for excepts in (False, True) for last in (False, True)},
-}
-
-
-def _scope_depths(kind: K.ConstraintKind, depth_of: Mapping[str, int]) -> List[int]:
-    """Depths that assign a variable of kind, the one completing its scope last."""
-    return sorted({depth_of[v] for v in kind.var_ids})
-
-
-def _fits_int64(terms: Iterable[Tuple[int, Tuple[int, int]]]) -> bool:
-    """True when no product c*x or partial sum of them can leave int64.
-
-    terms: each coefficient c with the bounds (lo, hi) of its value x.
-    """
-    return sum(abs(c) * max(abs(lo), abs(hi)) for c, (lo, hi) in terms) <= INT_MAX
-
-
-def _staged_all_different(kind: K.AllDifferent, depth_of: Mapping[str, int],
-                          bounds: Mapping[str, Tuple[int, int]],
-                          env: Mapping[str, int]) -> List[Stage]:
-    """Evaluate each operand once, at the depth where it becomes ready.
-
-    Each operand is a bare variable or a bounded evaluator (compile_bounded).
-    When none can raise, each one is a check of its own ("d" forms of
-    STAGE_FORMS), in depth then position order: the verdicts are those of
-    partial_violated and the complete check, and no order of evaluation can
-    be seen. Otherwise each depth has one stage, a closure keeping the order
-    in which the operands raise. Before the last depth its scan keeps
-    partial_violated's operand order: it stops where that scan would meet
-    its first repeated value, so an operand that raises is evaluated, and
-    raises, exactly when it would have been there. At the last depth every
-    fresh operand is evaluated, in order, before any value is compared, as
-    the complete check does.
-    """
-    depths = _scope_depths(kind, depth_of)
-    # each depth's fresh operands: position, operand, bounded evaluator (None
-    # for a bare variable)
-    fresh: Dict[int, List[Tuple[int, Expr, Optional[Callable]]]] = {d: [] for d in depths}
-    raises = False
-    for pos, op in enumerate(kind.operands):
-        if type(op) is VarRef:
-            fresh[depth_of[op.id]].append((pos, op, None))
-            continue
-        evaluate, may_raise = compile_bounded(op, bounds)
-        raises = raises or may_raise
-        # an operand without variables is ready at the first check
-        ready = max((depth_of[v] for v in free_vars(op)), default=depths[0])
-        fresh[ready].append((pos, op, evaluate))
-    excepts = frozenset(kind.excepts)
-    if not raises:
-        ready = [(d, op, evaluate) for d in depths for _, op, evaluate in fresh[d]]
-        # sets[i]: the values of the operands checked before check i, but excepts
-        sets: List[Optional[FrozenSet[int]]] = [frozenset()] + [None] * (len(ready) - 1)
-        suffix = "x" if excepts else ""
-        stages: List[Stage] = []
-        for i, (d, op, evaluate) in enumerate(ready):
-            form = ("dv" if evaluate is None else "df") + suffix
-            if i == len(ready) - 1:
-                form += "."
-            args = (op.id if evaluate is None else evaluate, sets, i)
-            stages.append((d, form, args + ((excepts,) if excepts else ())))
-        return stages
-
-    # values_at[i + 1]: value -> position of the operand that holds it, for
-    # every operand ready by the i-th stage (distinct, since that stage passed)
-    values_at: List[Dict[int, int]] = [{}]
-
-    def stage(i: int, operands: Tuple[Tuple[int, Callable], ...]) -> bool:
-        values = values_at[i].copy()
-        # an operand ready before this stage, later in the scan, whose value a
-        # fresh operand repeats: the scan stops at the first such position
-        clash = None
-        for pos, evaluate in operands:
-            if clash is not None and pos > clash:
-                return True
-            v = evaluate(env)
-            if v in excepts:
-                continue
-            first = values.get(v)
-            if first is not None:
-                if first < pos:
-                    return True
-                clash = first if clash is None else min(clash, first)
-            values[v] = pos
-        if clash is not None:
-            return True
-        values_at[i + 1] = values
-        return False
-
-    def finish(i: int, evaluators: Tuple[Callable, ...]) -> bool:
-        before = values_at[i]
-        values = set()
-        for v in [evaluate(env) for evaluate in evaluators]:
-            if v in excepts:
-                continue
-            if v in before or v in values:
-                return True
-            values.add(v)
-        return False
-
-    def evaluators(ops: List[Tuple[int, Expr, Optional[Callable]]]
-                   ) -> Tuple[Tuple[int, Callable], ...]:
-        return tuple((pos, compile_bounded(op, bounds)[0] if evaluate is None else evaluate)
-                     for pos, op, evaluate in ops)
-
-    # the completing depth always has a fresh operand: one holding its variable
-    *early, (last_depth, last_ops) = [(d, ops) for d, ops in fresh.items() if ops]
-    values_at.extend({} for _ in early)
-    closures: List[Stage] = [(d, "s", (partial(stage, i, evaluators(ops)),))
-                             for i, (d, ops) in enumerate(early)]
-    closures.append((last_depth, "s", (partial(finish, len(early), tuple(
-        e for _, e in evaluators(last_ops))),)))
-    return closures
-
-
-_BOUNDED_OPS = frozenset({CondOp.LT, CondOp.LE, CondOp.GE, CondOp.GT, CondOp.EQ})
-
-
-def _staged_sum(kind: K.Sum, depth_of: Mapping[str, int],
-                bounds: Mapping[str, Tuple[int, int]],
-                env: Mapping[str, int]) -> Optional[List[Stage]]:
-    """Keep a running sum; prune when the unassigned terms' bounds cannot meet the condition.
-
-    Only for integer coefficients over bare variables, a relational
-    condition other than ne with an integer operand, and domains small
-    enough that no partial or total sum can leave the 64-bit range, so that
-    the complete check could never raise Overflow on this constraint. Each
-    stage is a "sum" form of STAGE_FORMS, adding the term of the one
-    variable its depth assigns. At the completing depth no term is left
-    unassigned, so the same comparison is the complete verdict.
-    """
-    coeffs, condition = kind.int_coeffs, kind.condition
-    if (coeffs is None or condition.op not in _BOUNDED_OPS
-            or not isinstance(condition.operand, int)
-            or any(type(term) is not VarRef for term in kind.terms)):
-        return None
-    terms = [(c, op.id, bounds[op.id]) for c, op in zip(coeffs, kind.terms)]
-    if not _fits_int64((c, ends) for c, _, ends in terms):
-        return None
-    k, op = condition.operand, condition.op
-    # the totals that satisfy the condition; one past the int64 range is unbounded
-    want_lo = k + 1 if op is CondOp.GT else k if op in (CondOp.GE, CondOp.EQ) else INT_MIN - 1
-    want_hi = k - 1 if op is CondOp.LT else k if op in (CondOp.LE, CondOp.EQ) else INT_MAX + 1
-    depths = _scope_depths(kind, depth_of)
-    totals = [0] * (len(depths) + 1)  # totals[i + 1]: the terms of stages 0..i, summed
-    stages: List[Stage] = []
-    for i, d in enumerate(depths):
-        here = [(c, vid) for c, vid, _ in terms if depth_of[vid] == d]
-        rest = [(c * lo, c * hi) for c, vid, (lo, hi) in terms if depth_of[vid] > d]
-        rest_lo = sum(min(ends) for ends in rest)
-        rest_hi = sum(max(ends) for ends in rest)
-        stages.append((d, "sum", (totals, i, sum(c for c, _ in here), here[0][1],
-                                  want_lo - rest_hi, want_hi - rest_lo)))
-    return stages
-
-
-# kind -> builder of its staged checks
-_STAGED: Dict[type, Callable[..., Optional[List[Stage]]]] = {
-    K.AllDifferent: _staged_all_different,
-    K.Sum: _staged_sum,
-}
-
-
-def staged_checks(kind: K.ConstraintKind, depth_of: Mapping[str, int],
-                  bounds: Mapping[str, Tuple[int, int]],
-                  env: Mapping[str, int]) -> Optional[List[Stage]]:
-    """The kind's staged checks for a fixed variable order, or None."""
-    build = _STAGED.get(type(kind))
-    return None if build is None else build(kind, depth_of, bounds, env)
-
-
 def check_constraint(kind: K.ConstraintKind, env: Mapping[str, int], *,
                      validate: bool = True) -> bool:
     """True iff the constraint holds under env (complete over its scope)."""
     if validate:
         ensure_scope_assigned(kind, env)
     return _CHECKERS[type(kind)][0](kind, env)
-
-
-def prunes(kind: K.ConstraintKind) -> bool:
-    """True when the kind has a partial violation detector."""
-    return _CHECKERS[type(kind)][1] is not None
 
 
 def partial_violated(kind: K.ConstraintKind, env: Mapping[str, int]) -> bool:
@@ -796,10 +549,6 @@ def partial_violated(kind: K.ConstraintKind, env: Mapping[str, int]) -> bool:
 
 
 # -- objectives -----------------------------------------------------------------
-
-def objective_scope(obj: K.Objective) -> List[str]:
-    return list(obj.var_ids)
-
 
 # a lex objective's value is a tuple, every other one an int
 Cost = Union[int, Tuple[int, ...]]
@@ -825,68 +574,6 @@ def eval_objective(obj: K.Objective, env: Mapping[str, int]) -> Cost:
     if obj.kind is K.ObjKind.NVALUES:
         return len(set(weighted))
     raise TypeError(f"unknown objective kind {obj.kind}")
-
-
-# Generated sum costs: a function adds at most SUM_CHUNK terms, or the
-# costs of at most SUM_CHUNK such functions. The factories are keyed by
-# that count and kind, so there are never more than MAX_SUMS of them.
-SUM_CHUNK = 32
-MAX_SUMS = 2 * (SUM_CHUNK + 1)
-_SUMS: Dict[Tuple[int, bool], Callable[..., Callable[[Mapping[str, int]], int]]] = {}
-
-
-def _sum_source(n: int, group: bool) -> str:
-    """_make(c0, v0, ...) whose cost(env) is c0 * env[v0] + ..., in straight-line code.
-
-    For a group, _make(f0, ...) whose cost(env) is f0(env) + ...
-    """
-    if group:
-        params, terms = [f"f{i}" for i in range(n)], [f"f{i}(env)" for i in range(n)]
-    else:
-        params = [f"c{i}, v{i}" for i in range(n)]
-        terms = [f"c{i} * env[v{i}]" for i in range(n)]
-    return "\n".join([f"def _make({', '.join(params)}):", "    def cost(env):",
-                      f"        return {' + '.join(terms) or '0'}", "    return cost", ""])
-
-
-def _generated_sum(terms: Sequence[Tuple[int, str]]) -> Callable[[Mapping[str, int]], int]:
-    """sum(c * env[v] for c, v in terms) as a tree of generated functions."""
-    args: List[Tuple[object, ...]] = list(terms)
-    group = False
-    while True:
-        parts = []
-        for i in range(0, len(args) or 1, SUM_CHUNK):
-            chunk = args[i:i + SUM_CHUNK]
-            make = generated(_SUMS, MAX_SUMS, (len(chunk), group),
-                             partial(_sum_source, len(chunk), group), {}, "<sum cost>")
-            parts.append(make(*[a for arg in chunk for a in arg]))
-        if len(parts) == 1:
-            return parts[0]
-        args, group = [(part,) for part in parts], True
-
-
-def objective_cost(obj: K.Objective,
-                   bounds: Mapping[str, Tuple[int, int]]) -> Callable[[Mapping[str, int]], Cost]:
-    """The objective's cost of a complete assignment, as one function.
-
-    bounds: the domain (min, max) of each variable the caller assigns. A sum
-    over bare variables whose terms those bounds prove to stay in int64
-    (see _fits_int64) is summed by generated straight-line code without
-    range checks, since none could fire (see _generated_sum). Its
-    coefficients and ids are arguments of factories shared by every sum, so
-    no input text enters the source. An expression whose variables all have
-    bounds is evaluated by its bounded evaluator (expr.compile_bounded). Any
-    other objective goes through eval_objective.
-    """
-    if obj.kind is K.ObjKind.EXPRESSION and all(v in bounds for v in obj.var_ids):
-        return compile_bounded(obj.expression, bounds)[0]
-    if obj.kind is K.ObjKind.SUM and all(isinstance(op, VarRef) for op in obj.operands):
-        ids = [op.id for op in obj.operands]
-        coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(ids)
-        if all(v in bounds for v in ids) and _fits_int64(
-                (c, bounds[v]) for c, v in zip(coeffs, ids)):
-            return _generated_sum(list(zip(coeffs, ids)))
-    return partial(eval_objective, obj)
 
 
 # -- whole-solution verdicts ------------------------------------------------------

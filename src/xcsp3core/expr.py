@@ -717,9 +717,8 @@ def generated(cache: Dict[Any, Callable[..., Any]], bound: int, key: Any,
     """The factory _make of shape key: from cache, or compiled from write().
 
     The source is executed in a copy of namespace. cache holds at most
-    bound factories, the oldest dropped first. compile_expr, the solver's
-    depth functions and checker's sum costs all use it, each with its own
-    cache.
+    bound factories, the oldest dropped first. compile_expr and the
+    solver's depth functions use it, each with its own cache.
     """
     make = cache.get(key)
     if make is None:

@@ -9,10 +9,11 @@ the earlier depths that assign one of its variables. allDifferent and sum
 are checked in stages instead, carrying state from depth to depth: the
 stage at the completing depth gives the complete verdict from that state,
 and a sum is bounded by the domain min/max of its unassigned terms (see
-checker.staged_checks). Partial checks only skip subtrees that hold no
-solution; no domain is ever filtered. So counts, solution order and optima
-are those of plain enumeration, easy to compare against a brute-force
-filter.
+staged_checks). Partial checks only skip subtrees that hold no solution; no
+domain is ever filtered. So counts, solution order and optima are those of
+plain enumeration, easy to compare against a brute-force filter. The
+semantics themselves are checker's: this module writes the search's code
+from them and from the domain bounds.
 
 The plan is then compiled into code, once per search: one function per
 depth that runs the depth's checks in plan order and returns True at the
@@ -26,17 +27,21 @@ calling a general one, follows Minion (Gent, Jefferson and Miguel, ECAI
   out: its value and errors are those of the unbounded one.
 - "sum", a stage of a sum: written inline, t = T[i] + c * env[v], kept in
   T[i + 1], failing when t leaves the stage's cut-offs. A depth assigns
-  one variable, so its coefficients are merged into one c.
+  one variable, so its coefficients are merged into one c. A sum
+  objective whose bounds prove it stays in int64 is summed by the same
+  stages, planned after each depth's constraint checks with cut-offs that
+  cannot fire; its cost is their last total.
 - "d...", a stage of an allDifferent none of whose operands can raise: one
   inline membership test per operand, of its value (env[id] for a bare
   variable, else its bounded evaluator) against the set of the values of
   the operands checked before it, excepts never entering the set.
-- "s", a closure: a partial detector, or a stage of an allDifferent an
+- "s", a partial detector: a call of partial_violated. An allDifferent an
   operand of which may raise (a div by a domain holding 0, a range test
-  that survives). Its closure scans the operands in the order the
-  reference check does, so such an operand raises at the node, and with
-  the message, where check_constraint and partial_violated would raise.
+  that survives) has no stages: its operands must be evaluated, and raise,
+  at the node and with the message where the reference scan would, and
+  partial_violated and the complete check are that scan.
 - "c", any other kind's complete check from checker's table.
+- "g", a generated function of checks (see below).
 The callables, constants, state lists, kinds and the constraint positions
 that name an evaluation error are arguments of the factory that builds
 the function: as in expr's generator, no id, label or other input text
@@ -51,13 +56,13 @@ and every cost through eval_objective, both with unbounded evaluators:
 that is the reference path.
 
 A complete assignment reaches one leaf, chosen when the search is built:
-count it; cost it and keep the best (checker.objective_cost builds the
-cost as one function); or keep solutions, and stop after max_solutions.
-The search visits at most node_limit nodes and stops with LIMIT only when
-it needs one more. The clock is read before the first node and then
-every CLOCK_NODES nodes. Both cost one comparison of the node count per
-node. The loop runs over an explicit stack of per-depth value iterators,
-so the number of variables is not bounded by Python's recursion limit.
+count it; cost it and keep the best; or keep solutions, and stop after
+max_solutions. The search visits at most node_limit nodes and stops with
+LIMIT only when it needs one more. The clock is read before the first node
+and then every CLOCK_NODES nodes. Both cost one comparison of the node
+count per node. The loop runs over an explicit stack of per-depth value
+iterators, so the number of variables is not bounded by Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -68,23 +73,20 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .checker import (
     _CHECKERS,
-    STAGE_FORMS,
+    Cost,
     check_constraint,
     eval_objective,
     named_error,
-    objective_cost,
     partial_violated,
-    prunes,
-    staged_checks,
 )
-from .errors import EvalError, SolverError, UnforcedVariable
-from .expr import compile_bounded, generated
-from .kinds import ConstraintKind, Intension, Sense
-from .model import Instance, Instantiation, Variable
+from .errors import INT_MAX, INT_MIN, EvalError, SolverError, UnforcedVariable
+from .expr import Expr, VarRef, compile_bounded, free_vars, generated
+from .kinds import AllDifferent, ConstraintKind, Intension, Objective, ObjKind, Sense, Sum
+from .model import CondOp, Instance, Instantiation, Variable
 
 
 class Status(Enum):
@@ -144,10 +146,12 @@ class _LimitReached(Exception):
 
 
 # One check of the plan: the constraint's position, the constraint, and a
-# check of its own, (form, arguments) as in checker.staged_checks: a stage,
-# or ("s", (detector,)) for a partial detector (True when violated); or
-# None for its complete check.
-_Check = Tuple[int, ConstraintKind, Optional[Tuple[str, Tuple[object, ...]]]]
+# check of its own, (form, arguments) as in staged_checks: a stage, or
+# ("s", (detector,)) for a partial detector (True when violated); or None
+# for its complete check. A stage of a sum objective has None and the
+# objective in place of the position and the constraint.
+_Check = Tuple[Optional[int], Union[ConstraintKind, Objective],
+               Optional[Tuple[str, Tuple[object, ...]]]]
 
 # -- generated depth functions ----------------------------------------------------
 
@@ -155,20 +159,53 @@ MAX_CHUNK = 32      # checks, or functions of checks, per generated function
 MAX_SHAPES = 256    # factories kept, one per sequence of forms
 CLOCK_NODES = 256   # nodes between two readings of the clock
 
+# how an allDifferent operand's check reads its value: its parameter and line
+_READS = {"v": ("p", "v = env[p{k}]"), "f": ("f", "v = f{k}(env)")}
+
+
+def _distinct_form(read: str, excepts: bool, last: bool) -> Tuple[Tuple[str, ...], ...]:
+    """An allDifferent operand's check: its value v against the set S[i] of
+    the values of the operands checked before it; unless it is the last,
+    the set with v goes to S[i + 1], where the next one reads it. A value in
+    the excepts E enters no set."""
+    param, line = _READS[read]
+    lines = [line, "s = S{k}[i{k}]"]
+    test = ["if v in s:", "    return True"]
+    if excepts:
+        lines += ["if v not in E{k}:"] + [f"    {line}" for line in test]
+        if not last:
+            lines += ["    s = {{*s, v}}", "S{k}[i{k} + 1] = s"]
+    else:
+        lines += test + ([] if last else ["S{k}[i{k} + 1] = {{*s, v}}"])
+    return (param, "S", "i") + (("E",) if excepts else ()), tuple(lines)
+
+
 # The code of each form, for call k: its parameters, which get k as a
-# suffix, and its lines, which return True when the check fails. "e" calls
-# an intension's bounded evaluator (0 is false), "s" a closure stage or
-# partial detector (True when violated), "c" the complete check of kind
+# suffix, and its lines, str.format()ed with k, which return True when the
+# check fails. "e" calls an intension's bounded evaluator (0 is false), "s"
+# a partial detector (True when violated), "c" the complete check of kind
 # a{k}, and "g" a generated function of checks, whose errors are named
-# already; the stage forms are checker's. A form whose last parameter is n,
-# the constraint's position, may raise: its lines run in a try whose
-# handler raises the EvalError again as named(error, n{k}).
+# already. A sum stage adds its variable's term c * x (the coefficients of
+# a variable merged) to the total T[i] of the stages before, keeps it in
+# T[i + 1] and fails outside lo..hi. An allDifferent operand ("d": "v" a
+# bare variable read from env, "f" a call of a bounded evaluator that
+# cannot raise; "x" with excepts; "." the last operand checked) is a
+# membership test. A form whose last parameter is n, the constraint's
+# position, may raise: its lines run in a try whose handler raises the
+# EvalError again as named(error, n{k}).
 _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "e": (("f", "n"), ("if not f{k}(env):", "    return True")),
     "s": (("f", "n"), ("if f{k}():", "    return True")),
     "c": (("f", "a", "n"), ("if not f{k}(a{k}, env):", "    return True")),
     "g": (("f",), ("if f{k}():", "    return True")),
-    **STAGE_FORMS,
+    "sum": (("T", "i", "c", "v", "lo", "hi"),
+            ("t = T{k}[i{k}] + c{k} * env[v{k}]",
+             "T{k}[i{k} + 1] = t",
+             "if t < lo{k} or t > hi{k}:",
+             "    return True")),
+    **{f"d{read}{'x' if excepts else ''}{'.' if last else ''}":
+       _distinct_form(read, excepts, last)
+       for read in _READS for excepts in (False, True) for last in (False, True)},
 }
 _FACTORIES: Dict[Tuple[str, ...], Callable[..., Callable[[], bool]]] = {}
 _NAMESPACE = {"EvalError": EvalError}
@@ -210,6 +247,158 @@ def _function(calls: List[_Call], env: Dict[str, int],
     return make(env, named, *[arg for form, args, ci in calls
                               for arg in (args + (ci,) if _FORMS[form][0][-1] == "n"
                                           else args)])
+
+
+# -- staged checks ----------------------------------------------------------------
+#
+# A search that assigns the variables in a fixed order can check a kind in
+# stages: the check at one depth starts from the state the check at the
+# previous depth left, instead of rescanning the whole scope. A builder gets
+# the depth at which each variable is assigned, each variable's domain
+# bounds (min, max) and the assignment the search mutates. It returns
+# stages (depth, form, arguments) in depth order: the depths are those that
+# assign a variable of the constraint, or a subset of them that ends with
+# the one completing the scope, and a depth may have more than one stage.
+# The search writes each stage into its depth's generated function as the
+# code of its form, in order; no stage form can raise. A stage fails
+# (returns True) when it finds the constraint violated, and runs only after
+# the stages before it, at its depth and the earlier ones, have passed
+# under the current assignment. Before the last depth it fails only when no
+# extension can satisfy the constraint, like partial_violated; the stages
+# of the last depth together are the complete check: one fails exactly
+# when check_constraint would return False. None means the constraint does
+# not qualify, and the search falls back to check_constraint and
+# partial_violated.
+
+Stage = Tuple[int, str, Tuple[object, ...]]
+
+
+def _scope_depths(kind: ConstraintKind, depth_of: Mapping[str, int]) -> List[int]:
+    """Depths that assign a variable of kind, the one completing its scope last."""
+    return sorted({depth_of[v] for v in kind.var_ids})
+
+
+# A term c * x of a sum: c, the id of x and the domain bounds (lo, hi) of x
+_Term = Tuple[int, str, Tuple[int, int]]
+
+
+def _proved_terms(operands: Sequence[Expr], coeffs: Sequence[int],
+                  bounds: Mapping[str, Tuple[int, int]]) -> Optional[List[_Term]]:
+    """The terms c * x of a sum, when every operand x is a variable with
+    bounds and no product c * x or partial sum of them can leave int64;
+    else None."""
+    if any(type(op) is not VarRef or op.id not in bounds for op in operands):
+        return None
+    terms = [(c, op.id, bounds[op.id]) for c, op in zip(coeffs, operands)]
+    fits = sum(abs(c) * max(abs(lo), abs(hi)) for c, _, (lo, hi) in terms) <= INT_MAX
+    return terms if fits else None
+
+
+def _staged_all_different(kind: AllDifferent, depth_of: Mapping[str, int],
+                          bounds: Mapping[str, Tuple[int, int]],
+                          env: Mapping[str, int]) -> Optional[List[Stage]]:
+    """Evaluate each operand once, at the depth where it becomes ready.
+
+    Each operand is a bare variable or a bounded evaluator (compile_bounded),
+    and each is a check of its own ("d" forms), in depth then position
+    order: none can raise, so the verdicts are those of partial_violated and
+    the complete check, and no order of evaluation can be seen. None when
+    an operand may raise: then partial_violated and the complete check,
+    which scan the operands in their own order, decide where it raises.
+    """
+    depths = _scope_depths(kind, depth_of)
+    # each depth's fresh operands: operand, bounded evaluator (None for a
+    # bare variable), in position order
+    fresh: Dict[int, List[Tuple[Expr, Optional[Callable]]]] = {d: [] for d in depths}
+    for op in kind.operands:
+        if type(op) is VarRef:
+            fresh[depth_of[op.id]].append((op, None))
+            continue
+        evaluate, may_raise = compile_bounded(op, bounds)
+        if may_raise:
+            return None
+        # an operand without variables is ready at the first check
+        ready = max((depth_of[v] for v in free_vars(op)), default=depths[0])
+        fresh[ready].append((op, evaluate))
+    excepts = frozenset(kind.excepts)
+    checks = [(d, op, evaluate) for d in depths for op, evaluate in fresh[d]]
+    # sets[i]: the values of the operands checked before check i, but excepts
+    sets: List[Optional[FrozenSet[int]]] = [frozenset()] + [None] * (len(checks) - 1)
+    suffix = "x" if excepts else ""
+    stages: List[Stage] = []
+    for i, (d, op, evaluate) in enumerate(checks):
+        form = ("dv" if evaluate is None else "df") + suffix
+        if i == len(checks) - 1:
+            form += "."
+        args = (op.id if evaluate is None else evaluate, sets, i)
+        stages.append((d, form, args + ((excepts,) if excepts else ())))
+    return stages
+
+
+def _sum_stages(terms: Sequence[_Term], depth_of: Mapping[str, int], want_lo: int,
+                want_hi: int) -> Tuple[List[Stage], List[int]]:
+    """"sum" stages of a running total of terms c * x, and the totals they keep.
+
+    One stage per depth that assigns a term's variable adds that
+    variable's terms, and fails when the unassigned terms' bounds leave the
+    total no way into want_lo..want_hi. After the last stage, totals[-1] is
+    the sum of every term.
+    """
+    depths = sorted({depth_of[vid] for _, vid, _ in terms})
+    totals = [0] * (len(depths) + 1)  # totals[i + 1]: the terms of stages 0..i, summed
+    stages: List[Stage] = []
+    for i, d in enumerate(depths):
+        here = [(c, vid) for c, vid, _ in terms if depth_of[vid] == d]
+        rest = [(c * lo, c * hi) for c, vid, (lo, hi) in terms if depth_of[vid] > d]
+        rest_lo = sum(min(ends) for ends in rest)
+        rest_hi = sum(max(ends) for ends in rest)
+        stages.append((d, "sum", (totals, i, sum(c for c, _ in here), here[0][1],
+                                  want_lo - rest_hi, want_hi - rest_lo)))
+    return stages, totals
+
+
+_BOUNDED_OPS = frozenset({CondOp.LT, CondOp.LE, CondOp.GE, CondOp.GT, CondOp.EQ})
+
+
+def _staged_sum(kind: Sum, depth_of: Mapping[str, int],
+                bounds: Mapping[str, Tuple[int, int]],
+                env: Mapping[str, int]) -> Optional[List[Stage]]:
+    """Keep a running sum; prune when the unassigned terms' bounds cannot meet the condition.
+
+    Only for integer coefficients over bare variables, a relational
+    condition other than ne with an integer operand, and domains small
+    enough that no partial or total sum can leave the 64-bit range, so that
+    the complete check could never raise Overflow on this constraint. At the
+    completing depth no term is left unassigned, so the same comparison is
+    the complete verdict.
+    """
+    coeffs, condition = kind.int_coeffs, kind.condition
+    if (coeffs is None or condition.op not in _BOUNDED_OPS
+            or not isinstance(condition.operand, int)):
+        return None
+    terms = _proved_terms(kind.terms, coeffs, bounds)
+    if terms is None:
+        return None
+    k, op = condition.operand, condition.op
+    # the totals that satisfy the condition; one past the int64 range is unbounded
+    want_lo = k + 1 if op is CondOp.GT else k if op in (CondOp.GE, CondOp.EQ) else INT_MIN - 1
+    want_hi = k - 1 if op is CondOp.LT else k if op in (CondOp.LE, CondOp.EQ) else INT_MAX + 1
+    return _sum_stages(terms, depth_of, want_lo, want_hi)[0]
+
+
+# kind -> builder of its staged checks
+_STAGED: Dict[type, Callable[..., Optional[List[Stage]]]] = {
+    AllDifferent: _staged_all_different,
+    Sum: _staged_sum,
+}
+
+
+def staged_checks(kind: ConstraintKind, depth_of: Mapping[str, int],
+                  bounds: Mapping[str, Tuple[int, int]],
+                  env: Mapping[str, int]) -> Optional[List[Stage]]:
+    """The kind's staged checks for a fixed variable order, or None."""
+    build = _STAGED.get(type(kind))
+    return None if build is None else build(kind, depth_of, bounds, env)
 
 
 class _Search:
@@ -265,21 +454,19 @@ class _Search:
                     self.infeasible = True
                     break
         self.bounds = {v.id: (v.domain.min_value, v.domain.max_value) for v in self.order}
-        self._plan()
-        self.fails = [self._compile(checks) for checks in self.plan]
-
         self.objective = instance.objective
         if self.objective is not None:
             self.sense = self.objective.sense
-            self.cost = (objective_cost(self.objective, self.bounds) if cfg.partial_checks
-                         else partial(eval_objective, self.objective))
+        self._plan()
+        self.fails = [self._compile(checks) for checks in self.plan]
         self.leaf = self._leaf()
 
     def _plan(self) -> None:
         """For each depth, the checks its variable triggers, in constraint order.
 
         A staged constraint is checked by its stages alone, the last of them
-        at the depth completing its scope.
+        at the depth completing its scope. The stages of a summed objective
+        (see _cost) come after every constraint's checks.
         """
         env = self.env
         depth_of = {v.id: d for d, v in enumerate(self.order)}
@@ -293,14 +480,42 @@ class _Search:
                 for d, form, args in stages:
                     plan[d].append((ci, kind, (form, args)))
                 continue
-            depths = sorted({depth_of[v] for v in kind.var_ids})
+            depths = _scope_depths(kind, depth_of)
             plan[depths[-1]].append((ci, kind, None))
-            if self.cfg.partial_checks and prunes(kind):
+            if self.cfg.partial_checks and _CHECKERS[type(kind)][1] is not None:
                 detector = ("s", (partial(partial_violated, kind, env),))
                 for d in depths[:-1]:
                     plan[d].append((ci, kind, detector))
+        if self.objective is not None:
+            self.cost = self._cost(plan, depth_of)
         # a constraint's checks at one depth are consecutive, in position order
         self.plan = [tuple(checks) for checks in plan]
+
+    def _cost(self, plan: List[List[_Check]],
+              depth_of: Mapping[str, int]) -> Callable[[Mapping[str, int]], Cost]:
+        """The objective's cost of a complete assignment, as one function.
+
+        An expression whose variables all have bounds is evaluated by its
+        bounded evaluator (expr.compile_bounded). A sum whose terms the
+        bounds prove to stay in int64 (see _proved_terms) is summed by "sum" stages, added to plan after each depth's checks:
+        their cut-offs lie one past int64, where no partial total can go, so
+        they never fail, and the cost reads their last total. Any other
+        objective, and every objective with partial_checks off, goes through
+        eval_objective.
+        """
+        obj, bounds = self.objective, self.bounds
+        if not self.cfg.partial_checks:
+            return partial(eval_objective, obj)
+        if obj.kind is ObjKind.EXPRESSION and all(v in bounds for v in obj.var_ids):
+            return compile_bounded(obj.expression, bounds)[0]
+        coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(obj.operands)
+        terms = _proved_terms(obj.operands, coeffs, bounds) if obj.kind is ObjKind.SUM else None
+        if terms is None:
+            return partial(eval_objective, obj)
+        stages, totals = _sum_stages(terms, depth_of, INT_MIN - 1, INT_MAX + 1)
+        for d, form, args in stages:
+            plan[d].append((None, obj, (form, args)))
+        return lambda env: totals[-1]
 
     def _compile(self, checks: Tuple[_Check, ...]) -> Callable[[], bool]:
         """One depth's checks as one function: True when one of them fails.

@@ -676,6 +676,53 @@ def random_cop_xml(rng: random.Random, max_vars: int = 6, max_values: int = 5) -
     return _instance_xml("COP", var_lines, ctr_lines, objective)
 
 
+def _rand_division(rng: random.Random, names: Sequence[str]) -> str:
+    dividend = rng.choice(list(names) + [str(rng.randint(-6, 6))])
+    return f"{rng.choice(['div', 'mod'])}({dividend},{rng.choice(names)})"
+
+
+def random_raising_all_different(rng: random.Random) -> Tuple[str, Dict[str, object]]:
+    """A small CSP around one allDifferent that may raise, and search options.
+
+    The allDifferent's operands are variables, constants, add()s and at
+    least one div or mod by a variable, over domains in -2..3 that often
+    hold 0; it may have excepts, and an intension may come before or after
+    it. The options are SearchConfig keywords, var_order by its value:
+    either order, restrict_to_decision over a decision annotation of a
+    prefix of the variables, max_solutions 3 or none.
+    """
+    names = [f"x{i}" for i in range(rng.randint(2, 4))]
+    var_lines = [f'    <var id="{name}"> '
+                 f'{" ".join(map(str, sorted(rng.sample(range(-2, 4), rng.randint(1, 4)))))}'
+                 " </var>" for name in names]
+    operands = [_rand_division(rng, names)]
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        operands.append(rng.choice(names) if roll < 0.45
+                        else _rand_division(rng, names) if roll < 0.7
+                        else f"add({rng.choice(names)},{rng.randint(-2, 2)})" if roll < 0.9
+                        else str(rng.randint(-2, 3)))
+    rng.shuffle(operands)
+    body = f"<list> {' '.join(operands)} </list>"
+    if rng.random() < 0.3:
+        excepts = rng.sample(range(-2, 4), rng.randint(1, 2))
+        body += f"<except> {' '.join(map(str, excepts))} </except>"
+    ctr_lines = [f'    <allDifferent id="c">{body}</allDifferent>']
+    where = rng.choice(["none", "before", "after"])
+    if where != "none":
+        a, b = rng.sample(names, 2)
+        line = f'    <intension id="i"> {rng.choice(["ne", "le"])}({a},{b}) </intension>'
+        ctr_lines.insert(0 if where == "before" else 1, line)
+    annotations = ""
+    options: Dict[str, object] = {"var_order": rng.choice(["declaration", "smallest-domain"]),
+                                  "max_solutions": rng.choice([None, 3])}
+    if rng.random() < 0.3:
+        decision = " ".join(names[:rng.randint(1, len(names) - 1)])
+        annotations = f"  <annotations><decision> {decision} </decision></annotations>\n"
+        options["restrict_to_decision"] = True
+    return _instance_xml("CSP", var_lines, ctr_lines, annotations), options
+
+
 def naive_cost(objective: K.Objective, env: Dict[str, int]) -> int:
     """The objective's value, from reference_eval and checked int64 arithmetic."""
     if objective.kind is K.ObjKind.EXPRESSION:

@@ -7,6 +7,7 @@
   5 a variable the decision does not force (solve --restrict-to-decision)
 """
 
+import time
 import tracemalloc
 
 import pytest
@@ -142,6 +143,24 @@ def test_check_violated_names_constraints(capsys, tmp_path):
     code, out, _ = run(capsys, "check", fixture_path("langford_2_04.xml"), str(sol))
     assert code == 10
     assert out.startswith("violated:")
+
+
+@pytest.mark.parametrize("capacity,code,verdict", [(3, 10, "violated: #0"), (4, 0, "satisfied")])
+def test_check_cumulative_of_a_task_of_length_10_to_the_12(capsys, tmp_path, capacity, code,
+                                                           verdict):
+    # a time point per unit of length would not fit in memory
+    inst = tmp_path / "long.xml"
+    inst.write_text('<instance format="XCSP3" type="CSP"><variables>'
+                    '<var id="a"> 0..5 </var><var id="b"> 0..5 </var></variables>'
+                    "<constraints><cumulative><origins> a b </origins>"
+                    f"<lengths> {10**12} {10**12} </lengths><heights> 2 2 </heights>"
+                    f"<condition> (le,{capacity}) </condition></cumulative></constraints>"
+                    "</instance>")
+    sol = tmp_path / "sol.xml"
+    sol.write_text("<instantiation><list> a b </list><values> 0 3 </values></instantiation>")
+    start = time.perf_counter()
+    assert run(capsys, "check", str(inst), str(sol))[:2] == (code, verdict + "\n")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_check_incomplete_lists_missing(capsys, tmp_path):

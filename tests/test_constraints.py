@@ -16,7 +16,6 @@ from xcsp3core.checker import (
     check_solution,
     ensure_scope_assigned,
     eval_objective,
-    objective_scope,
     partial_violated,
     scope_of,
     useful_variables,
@@ -44,6 +43,7 @@ from xcsp3core.model import (
     Domain,
     PostedConstraint,
     Variable,
+    eval_condition,
 )
 from xcsp3core.parser import parse_file, parse_string
 
@@ -506,6 +506,51 @@ def test_cumulative_with_variable_fields():
     assert check_constraint(kind, {"a": 0, "b": 0, "la": 0, "hb": 9, "cap": 9})
 
 
+def _cumulative_by_points(kind, env):
+    """The definition, point by point: the condition holds of the load at
+    every time point that a task of positive length covers."""
+    def value(val):
+        return env[val.id] if isinstance(val, VarRef) else val
+    tasks = [(env[o], value(l), value(h))
+             for o, l, h in zip(kind.origins, kind.lengths, kind.heights)]
+    tasks = [(o, l, h) for o, l, h in tasks if l > 0]
+    covered = {t for o, l, _ in tasks for t in range(o, o + l)}
+    return all(eval_condition(sum(h for o, l, h in tasks if o <= t < o + l), kind.condition, env)
+               for t in covered)
+
+
+_conditions = st.one_of(
+    st.tuples(st.sampled_from(["lt", "le", "gt", "ge", "eq", "ne"]),
+              st.one_of(st.integers(-4, 8), st.just(V("cap")))),
+    st.tuples(st.sampled_from(["in", "notin"]),
+              st.tuples(st.integers(-4, 6), st.integers(0, 4)).map(
+                  lambda p: Interval(p[0], p[0] + p[1]))),
+    st.tuples(st.sampled_from(["in", "notin"]),
+              st.lists(st.integers(-4, 8), min_size=1, max_size=3, unique=True).map(
+                  lambda values: IntSet(tuple(sorted(values))))),
+).map(lambda p: cond(*p))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tasks=st.lists(st.tuples(st.integers(-3, 6), st.integers(-2, 5), st.integers(-2, 3),
+                                st.booleans(), st.booleans()), min_size=1, max_size=5),
+       condition=_conditions, cap=st.integers(-2, 6))
+def test_cumulative_agrees_with_its_point_by_point_definition(tasks, condition, cap):
+    # lengths and heights are constants or variables; zero and negative
+    # ones included
+    env, lengths, heights = {"cap": cap}, [], []
+    for i, (origin, length, height, var_length, var_height) in enumerate(tasks):
+        env[f"o{i}"] = origin
+        for field, val, as_var, name in ((lengths, length, var_length, f"l{i}"),
+                                         (heights, height, var_height, f"h{i}")):
+            if as_var:
+                env[name] = val
+            field.append(V(name) if as_var else val)
+    kind = K.Cumulative(origins=tuple(f"o{i}" for i in range(len(tasks))),
+                        lengths=tuple(lengths), heights=tuple(heights), condition=condition)
+    assert check_constraint(kind, env) == _cumulative_by_points(kind, env)
+
+
 def test_circuit_semantics():
     kind = K.Circuit(vars=("a", "b", "c", "d"))
     # full tour 0 -> 1 -> 2 -> 3 -> 0
@@ -588,7 +633,7 @@ def test_objective_kinds_evaluate():
 def test_objective_scope_covers_expression_and_operands():
     obj = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
                       expression=expr("add(mul(b,400),mul(c,450))"))
-    assert objective_scope(obj) == ["b", "c"]
+    assert obj.var_ids == ("b", "c")
 
 
 # -- whole-solution verdicts -------------------------------------------------------

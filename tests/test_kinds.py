@@ -16,7 +16,6 @@ from xcsp3core.checker import (
     check_constraint,
     check_solution,
     eval_objective,
-    objective_scope,
     scope_of,
 )
 from xcsp3core.model import STAR, Instantiation
@@ -199,7 +198,7 @@ def test_objective_scope():
         "</instance>", "<objectives><minimize type=\"sum\"> <list> c x[1] c </list>"
                        "<coeffs> 1 2 3 </coeffs> </minimize></objectives></instance>")
     objective = parse_string(doc).objective
-    assert objective_scope(objective) == ["c", "x[1]"]
+    assert objective.var_ids == ("c", "x[1]")
     assert objective.var_ids is objective.var_ids
     assert "compiled" not in vars(objective)
     assert eval_objective(objective, {"c": 1, "x[1]": 2}) == 1 + 4 + 3

@@ -1,6 +1,7 @@
 """Exhaustive search: statuses, counts against the naive filter, optimization."""
 
 import itertools
+import json
 import random
 from pathlib import Path
 from dataclasses import replace
@@ -12,19 +13,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import fixture_path
-from xcsp3core import checker, expr, solver
+from xcsp3core import expr, solver
 from xcsp3core import kinds as K
-from xcsp3core.checker import (
-    check_constraint,
-    check_solution,
-    eval_objective,
-    objective_cost,
-    partial_violated,
-    staged_checks,
-)
+from xcsp3core.checker import check_constraint, check_solution, eval_objective, partial_violated
 from xcsp3core.errors import (INT_MAX, DivisionByZero, EvalError, Overflow, UnforcedVariable,
                               XcspError)
-from xcsp3core.expr import IntConst, OpCall, VarRef
+from xcsp3core.expr import IntConst, OpCall, VarRef, compile_bounded
 from xcsp3core.model import CondOp, Condition, Domain, Instance, PostedConstraint, Variable
 from xcsp3core.parser import parse_file, parse_string
 from xcsp3core.solver import (
@@ -34,6 +28,7 @@ from xcsp3core.solver import (
     VarOrder,
     count_solutions,
     solve,
+    staged_checks,
 )
 
 
@@ -297,8 +292,8 @@ def test_staged_sum_never_prunes_a_prefix_that_extends_to_a_solution(
             break
 
 
-def _costed_by_eval_objective(obj, bounds):
-    return partial(eval_objective, obj)
+def _costed_by_eval_objective(search, plan, depth_of):
+    return partial(eval_objective, search.objective)
 
 
 def _fallback_search(monkeypatch, inst, cfg=SearchConfig()):
@@ -308,8 +303,8 @@ def _fallback_search(monkeypatch, inst, cfg=SearchConfig()):
     through eval_objective.
     """
     with monkeypatch.context() as m:
-        m.setattr(checker, "_STAGED", {})
-        m.setattr(solver, "objective_cost", _costed_by_eval_objective)
+        m.setattr(solver, "_STAGED", {})
+        m.setattr(_Search, "_cost", _costed_by_eval_objective)
         return _Search(inst, cfg)
 
 
@@ -336,9 +331,9 @@ def _complete_check_search(monkeypatch, inst, cfg=SearchConfig()):
         return builder
 
     with monkeypatch.context() as m:
-        m.setattr(checker, "_STAGED", {kind: finished_by_check_constraint(build)
-                                       for kind, build in checker._STAGED.items()})
-        m.setattr(solver, "objective_cost", _costed_by_eval_objective)
+        m.setattr(solver, "_STAGED", {kind: finished_by_check_constraint(build)
+                                      for kind, build in solver._STAGED.items()})
+        m.setattr(_Search, "_cost", _costed_by_eval_objective)
         return _Search(inst, cfg)
 
 
@@ -454,6 +449,11 @@ def test_staged_all_different_finishes_as_the_complete_check_does(
     assume(kind.var_ids)
     env = {}
     stages, depth_of = _stages_by_depth(kind, order, domains, env)
+    # an operand that may raise leaves the constraint to the detector scan
+    bounds = {v: (min(domains[v]), max(domains[v])) for v in order}
+    assert (stages is None) == any(compile_bounded(op, bounds)[1] for op in operands)
+    if stages is None:
+        return
     for vid in order:  # a stage reads only the variables of its depth and earlier
         env[vid] = data.draw(st.sampled_from(domains[vid]))
     *earlier, (depth, finish) = stages
@@ -569,6 +569,29 @@ def test_an_unproved_sum_overflows_where_it_did(monkeypatch, constraint, cost_co
     assert outcome == _outcome(_fallback_search(monkeypatch, inst))
 
 
+def _costed_search(obj, domains):
+    """A search of no constraint over variables x and y with these domains
+    (each a tuple of (lo, hi) runs), costing obj."""
+    variables = tuple(Variable(vid, Domain(runs)) for vid, runs in zip("xy", domains))
+    return _Search(Instance(variables, (), obj), SearchConfig())
+
+
+def _costs(search):
+    """Each assignment of the search's variables, with the cost the search
+    gives it after running every depth's checks and stages, and the
+    assignment's eval_objective: the two agree when each pair is equal."""
+    env, ids = search.env, [v.id for v in search.order]
+    domains = [[value for lo, hi in v.domain.items for value in range(lo, hi + 1)]
+               for v in search.order]
+    pairs = []
+    for values in itertools.product(*domains):
+        env.update(zip(ids, values))
+        assert not any(fails() for fails in search.fails)
+        pairs.append((_verdict(partial(search.cost, env)),
+                      _verdict(partial(eval_objective, search.objective, dict(env)))))
+    return pairs
+
+
 @pytest.mark.parametrize("kind,coeffs,proved", [
     (K.ObjKind.SUM, (INT_MAX // 3, -1), True),        # exactly INT_MAX
     (K.ObjKind.SUM, (INT_MAX // 3, 2), False),        # one past it
@@ -580,22 +603,22 @@ def test_an_unproved_sum_overflows_where_it_did(monkeypatch, constraint, cost_co
 def test_objective_cost_skips_range_checks_only_for_a_proved_sum(kind, coeffs, proved):
     obj = K.Objective(K.Sense.MINIMIZE, kind, operands=(VarRef("x"), VarRef("y")),
                       coeffs=coeffs)
-    cost = objective_cost(obj, {"x": (-3, 2), "y": (0, 1)})
-    assert isinstance(cost, partial) != proved
-    for x, y in itertools.product((-3, 2), (0, 1)):
-        env = {"x": x, "y": y}
-        assert _verdict(partial(cost, env)) == _verdict(partial(eval_objective, obj, env))
+    search = _costed_search(obj, [((-3, 2),), ((0, 1),)])
+    assert isinstance(search.cost, partial) != proved
+    forms = [check[2][0] for checks in search.plan for check in checks]
+    assert forms == (["sum", "sum"] if proved else [])
+    assert all(cost == reference for cost, reference in _costs(search))
 
 
 def test_objective_cost_evaluates_other_objectives_with_eval_objective():
-    bounds = {"x": (0, 1), "y": (0, 1)}
     expression = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
                              expression=OpCall("add", (VarRef("x"), VarRef("z"))))
     not_bare = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.SUM,
                            operands=(OpCall("add", (VarRef("x"), IntConst(1))),))
     unbounded = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.SUM, operands=(VarRef("z"),))
+    # z is declared nowhere, so it has no bounds
     for obj in (expression, not_bare, unbounded):
-        cost = objective_cost(obj, bounds)
+        cost = _costed_search(obj, [((0, 1),), ((0, 1),)]).cost
         assert isinstance(cost, partial) and cost.func is eval_objective
 
 
@@ -604,13 +627,12 @@ def test_objective_cost_evaluates_a_bounded_expression_by_its_bounded_evaluator(
     # with y up to INT_MAX, add(x,y) keeps its range test, and x=1 fires it
     obj = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
                       expression=OpCall("add", (VarRef("x"), VarRef("y"))))
-    cost = objective_cost(obj, {"x": (0, 1), "y": (0, bound)})
-    assert not isinstance(cost, partial)
-    for x, y in itertools.product((0, 1), (0, bound)):
-        env = {"x": x, "y": y}
-        assert _verdict(partial(cost, env)) == _verdict(partial(eval_objective, obj, env))
+    search = _costed_search(obj, [((0, 1),), ((0, 0), (bound, bound))])
+    assert not isinstance(search.cost, partial)
+    pairs = _costs(search)
+    assert all(cost == reference for cost, reference in pairs)
     if bound == INT_MAX:
-        assert _verdict(partial(cost, {"x": 1, "y": bound}))[0] is Overflow
+        assert pairs[-1][0][0] is Overflow
 
 
 @pytest.mark.parametrize("condition,outcome", [
@@ -687,8 +709,8 @@ def test_generated_code_holds_no_input_text(monkeypatch):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(expr, "compile", recording_compile, raising=False)
-    for module, cache in ((expr, "_FACTORIES"), (solver, "_FACTORIES"), (checker, "_SUMS")):
-        monkeypatch.setattr(module, cache, {})
+    for module in (expr, solver):
+        monkeypatch.setattr(module, "_FACTORIES", {})
     x, y, z = map(VarRef, ids)
     constraints = (
         PostedConstraint(K.Intension(OpCall("le", (x, y))), id=labels[0]),
@@ -704,12 +726,29 @@ def test_generated_code_holds_no_input_text(monkeypatch):
     outcome = _outcome(_Search(inst, SearchConfig()))
     # the ids and labels reach the message as arguments, never as source
     assert outcome[:2] == (DivisionByZero, f"{labels[2]}: div(6,0) at {ids[2]}=1")
-    assert any("def fails" in s for s in sources) and any("def cost" in s for s in sources)
-    assert any("def evaluate" in s for s in sources)
+    # the objective's ids reach its sum stages as arguments too
+    assert [check[2][0] for checks in _Search(inst, SearchConfig()).plan
+            for check in checks if check[1] is inst.objective] == ["sum"] * 3
+    assert any("def fails" in s for s in sources) and any("def evaluate" in s for s in sources)
     words = ["IDONE", "IDTWO", "IDTHREE", "LABELONE", "LABELTWO", "LABELTHREE"]
     for source in sources:
         for text in ids + labels + words:
             assert text not in source
+
+
+# Search outcomes that must not change: each fixture's, and those of seeded
+# allDifferents that may raise (oracles.random_raising_all_different),
+# recorded from an implementation that checked those in stages of their own
+PINNED = json.loads((Path(__file__).parent / "pinned_outcomes.json").read_text())
+
+
+def _pinned(outcome):
+    """An outcome of _full_outcome as the pinned table writes it: the status
+    or error class by name, an assignment as pairs sorted by id."""
+    head, *rest = outcome
+    name = head.name if isinstance(head, Status) else head.__name__
+    return json.loads(json.dumps(
+        [name] + [sorted(v.items()) if isinstance(v, dict) else v for v in rest]))
 
 
 def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
@@ -722,12 +761,24 @@ def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
     assert len(expected) == 28
     assert [path.name for path, outcome in zip(paths, expected)
             if outcome[0] is Status.LIMIT] == ["mixed_domains.xml"]
+    # status, count, best cost and nodes
+    assert {path.name: [status, count, cost, nodes] for path, (status, count, _, cost, nodes)
+            in zip(paths, map(_pinned, expected))} == PINNED["fixtures"]
     for module in (expr, solver):
         monkeypatch.setattr(module, "MAX_SHAPES", 2)
         monkeypatch.setattr(module, "_FACTORIES", {})
     for _ in range(2):
         assert [_full_outcome(_Search(inst, cfg)) for inst in instances] == expected
         assert len(solver._FACTORIES) == len(expr._FACTORIES) == 2
+
+
+def test_all_differents_that_may_raise_keep_their_pinned_outcomes():
+    outcomes = []
+    for seed in range(len(PINNED["raising_all_different"])):
+        xml, options = oracles.random_raising_all_different(random.Random(seed))
+        cfg = SearchConfig(**dict(options, var_order=VarOrder(options["var_order"])))
+        outcomes.append(_pinned(_full_outcome(_Search(parse_string(xml), cfg))))
+    assert outcomes == PINNED["raising_all_different"]
 
 
 def test_a_second_search_of_an_instance_writes_no_source(monkeypatch):
@@ -772,11 +823,13 @@ def test_an_intension_overflows_where_the_reference_does():
 
 
 def test_an_all_different_that_may_raise_raises_where_the_reference_does():
-    # div(6,y) may divide by zero, so the constraint keeps its closure
+    # div(6,y) may divide by zero, so the constraint has no stages: its
+    # detector runs at x's and z's depths, its complete check at y's
     text = _csp([("x", "0"), ("z", "1"), ("y", "0..2")],
                 '<allDifferent id="c"> x z div(6,y) </allDifferent>')
     search = _Search(parse_string(text), SearchConfig())
-    assert [check[2][0] for checks in search.plan for check in checks] == ["s", "s", "s"]
+    assert [check[2] and check[2][0] for checks in search.plan for check in checks] \
+        == ["s", "s", None]
     assert _two_ways(text) == (DivisionByZero, "c: div(6,0) at x=0 z=1 y=0", 3)
 
 
