@@ -10,10 +10,8 @@ from .checker import (
     check_solution,
     eval_objective,
     partial_violated,
-    scope_of,
-    useful_variables,
 )
-from .expr import compile_expr, eval_expr, free_vars, parse_expr, print_expr
+from .expr import compile_expr, free_vars, parse_expr, print_expr
 from .kinds import Objective, ObjKind, Sense
 from .model import (
     STAR,
@@ -43,8 +41,8 @@ __all__ = [
     "errors",
     "instances_equivalent", "render_instance",
     "CheckMode", "Verdict", "VerdictKind", "check_constraint", "check_solution",
-    "eval_objective", "partial_violated", "scope_of", "useful_variables",
-    "compile_expr", "eval_expr", "free_vars", "parse_expr", "print_expr",
+    "eval_objective", "partial_violated",
+    "compile_expr", "free_vars", "parse_expr", "print_expr",
     "Objective", "ObjKind", "Sense",
     "STAR", "Condition", "CondOp", "Domain", "Framework", "Instance",
     "Instantiation", "PostedConstraint", "VarArray", "Variable",

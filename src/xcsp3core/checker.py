@@ -15,8 +15,7 @@ Nothing is prepared here per call: each kind carries its own var_ids, its
 compiled expressions and, for a table without *, a set of its tuples (see
 kinds.py), and the instance its useful variables and the constraints that
 name an undeclared variable (see model.Instance), all built on first use.
-A candidate then pays only for its own checks; scope_of only copies
-var_ids into a list.
+A candidate then pays only for its own checks.
 """
 
 from __future__ import annotations
@@ -26,15 +25,7 @@ from enum import Enum
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import kinds as K
-from .errors import (
-    CostMismatch,
-    EvalError,
-    StarInScope,
-    UnboundVariable,
-    UnknownVariable,
-    ValueOutsideDomain,
-    check_int64,
-)
+from .errors import CheckError, EvalError, UnboundVariable, check_int64
 from .expr import VarRef
 from .model import (
     Condition,
@@ -44,11 +35,6 @@ from .model import (
     Star,
     eval_condition,
 )
-
-
-def scope_of(kind: K.ConstraintKind) -> List[str]:
-    """Every variable id the constraint reads, in first-use order."""
-    return list(kind.var_ids)
 
 
 def _resolve(val: K.Val, env: Mapping[str, int]) -> int:
@@ -64,7 +50,7 @@ def ensure_scope_assigned(kind: K.ConstraintKind, env: Mapping[str, object]) -> 
     for vid in kind.var_ids:
         v = env.get(vid)
         if isinstance(v, Star):
-            raise StarInScope(vid)
+            raise CheckError(f"star in scope: {vid}")
         if not isinstance(v, int):
             raise UnboundVariable(vid)
 
@@ -600,11 +586,6 @@ class Verdict:
         return self.kind is VerdictKind.SATISFIED
 
 
-def useful_variables(instance: Instance) -> List[str]:
-    """Declared variables that a constraint or the objective involves, in document order."""
-    return list(instance.useful_ids)
-
-
 def named_error(error: EvalError, label: str, var_ids: Sequence[str],
                 env: Mapping[str, int]) -> EvalError:
     """The same error, naming the constraint and its scope's assigned values."""
@@ -656,9 +637,9 @@ def check_solution(
     for vid, val in solution.items():
         var = instance.variable(vid)
         if var is None:
-            raise UnknownVariable(vid)
+            raise CheckError(f"unknown variable {vid}")
         if isinstance(val, int) and var.domain is not None and not var.domain.contains(val):
-            raise ValueOutsideDomain(f"{vid}={val} outside {var.domain.render()}")
+            raise CheckError(f"{vid}={val} outside {var.domain.render()}")
 
     env = {vid: val for vid, val in solution.items() if isinstance(val, int)}
     missing = tuple(vid for vid in instance.useful_ids if vid not in env)
@@ -673,9 +654,9 @@ def check_solution(
 
     if declared_cost is not None:
         if instance.objective is None:
-            raise CostMismatch("cost declared but the instance has no objective")
+            raise CheckError("cost declared but the instance has no objective")
         if all(v in env for v in instance.objective.var_ids):
             actual = eval_objective(instance.objective, env)
             if actual != declared_cost:
-                raise CostMismatch(f"declared cost {declared_cost}, actual {actual}")
+                raise CheckError(f"declared cost {declared_cost}, actual {actual}")
     return Verdict(VerdictKind.SATISFIED)

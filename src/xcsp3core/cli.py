@@ -27,7 +27,8 @@ from .errors import CheckError, EvalError, ParseError, UnforcedVariable, XcspErr
 from .expr import read_int
 from .kinds import ObjKind
 from .model import Instance, Instantiation
-from .parser import ParserConfig, parse_file, read_int_values, read_var_ids, read_xml
+from .parser import (ParserConfig, parse_file, read_int_values, read_text, read_var_ids,
+                     read_xml)
 from .solver import SearchConfig, Status, VarOrder, solve
 
 EXIT_OK = 0
@@ -125,8 +126,7 @@ def _load(args: argparse.Namespace) -> Instance:
 
 def _read_solution(path: str, instance: Instance,
                    var_spec: Optional[str]) -> Tuple[Instantiation, Optional[int]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     arrays = instance.arrays_by_id
     if text.lstrip().startswith("<"):
         if var_spec is not None:

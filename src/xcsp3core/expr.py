@@ -51,15 +51,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 from .errors import (
     INT_MAX,
     INT_MIN,
-    ArityError,
     DivisionByZero,
     EvalError,
-    ExprSyntaxError,
     NegativeExponent,
     Overflow,
     ParseError,
     UnboundVariable,
-    WhitespaceError,
     check_int64,
 )
 
@@ -178,14 +175,13 @@ def parse_expr(text: str, path: Optional[str] = None) -> Expr:
     """
     space = _SPACE_RE.search(text)
     if space is not None:
-        raise WhitespaceError("whitespace inside functional expression", space.start(),
-                              path=path, rule="expression-whitespace")
+        raise ParseError(f"whitespace inside functional expression (offset {space.start()})",
+                         path=path, rule="expression-whitespace")
     if not text:
-        raise ExprSyntaxError("empty expression", 0, path=path, rule="expression-syntax")
+        raise ParseError("empty expression (offset 0)", path=path, rule="expression-syntax")
 
-    def fail(message: str, offset: int, cls: type = ExprSyntaxError,
-             rule: str = "expression-syntax") -> ExprSyntaxError:
-        return cls(message, offset, path=path, rule=rule)
+    def fail(message: str, offset: int, rule: str = "expression-syntax") -> ParseError:
+        return ParseError(f"{message} (offset {offset})", path=path, rule=rule)
 
     match, end = _OPERAND_RE.match, len(text)
     calls: List[Tuple[str, int, List[Expr]]] = []  # (operator, offset, outer operands)
@@ -242,7 +238,7 @@ def parse_expr(text: str, path: Optional[str] = None) -> Expr:
 
 
 def _close_call(op: str, args: List[Expr], start: int,
-                fail: Callable[..., ExprSyntaxError]) -> Expr:
+                fail: Callable[..., ParseError]) -> Expr:
     """The node of a call whose operands are all read, checked; start is
     the offset of its name."""
     if op == "set":
@@ -253,7 +249,7 @@ def _close_call(op: str, args: List[Expr], start: int,
     if len(args) < lo or (hi is not None and len(args) > hi):
         bound = str(lo) if hi == lo else (f">= {lo}" if hi is None else f"{lo}..{hi}")
         raise fail(f"operator '{op}' takes {bound} arguments, got {len(args)}", start,
-                   ArityError, "operator-arity")
+                   "operator-arity")
     if op == "in" and type(args[1]) is not SetLiteral:
         raise fail("second argument of in() must be a set literal", start)
     return OpCall(op, tuple(args))
@@ -729,15 +725,6 @@ def generated(cache: Dict[Any, Callable[..., Any]], bound: int, key: Any,
             del cache[next(iter(cache))]
         cache[key] = make
     return make
-
-
-def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
-    """Evaluate under env (variable id -> int). Booleans come back as 0/1.
-
-    Compiles e on every call; to evaluate one expression many times,
-    compile it once with compile_expr.
-    """
-    return compile_expr(e)(env)
 
 
 def free_vars(e: Expr) -> List[str]:

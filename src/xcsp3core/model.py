@@ -14,14 +14,7 @@ from functools import cached_property
 from typing import (Any, Dict, FrozenSet, ItemsView, Iterable, Iterator, Mapping, Optional,
                     Sequence, Tuple, Union, ValuesView)
 
-from .errors import (
-    DuplicateId,
-    IndexOutOfBounds,
-    MalformedInterval,
-    OutOfOrder,
-    UnresolvedOperand,
-    check_int64,
-)
+from .errors import ParseError, UnboundVariable, check_int64
 from .expr import VarRef
 
 
@@ -61,9 +54,9 @@ class Domain:
             check_int64(lo, "domain bound")
             check_int64(hi, "domain bound")
             if lo > hi:
-                raise MalformedInterval(f"empty interval {lo}..{hi}", rule="interval-bounds")
+                raise ParseError(f"empty interval {lo}..{hi}", rule="interval-bounds")
             if prev_hi is not None and lo <= prev_hi:
-                raise OutOfOrder(
+                raise ParseError(
                     f"domain values must be strictly increasing ({prev_hi} then {lo})",
                     rule="domain-order")
             prev_hi = hi
@@ -120,14 +113,15 @@ class VarArray:
         flat = 0
         for n, i in zip(self.size, indexes):
             if not 0 <= i < n:
-                raise IndexOutOfBounds(f"{self.id}: index {i} outside 0..{n - 1}")
+                raise ParseError(f"{self.id}: index {i} outside 0..{n - 1}", rule="index-range")
             flat = flat * n + i
         return flat
 
     def cell(self, indexes: Sequence[int]) -> Variable:
         if len(indexes) != len(self.size):
-            raise IndexOutOfBounds(
-                f"{self.id}: {len(indexes)} indexes for {len(self.size)} dimensions")
+            raise ParseError(
+                f"{self.id}: {len(indexes)} indexes for {len(self.size)} dimensions",
+                rule="index-range")
         return self.cells[self.flat_index(indexes)]
 
     def cell_id(self, indexes: Sequence[int]) -> str:
@@ -185,7 +179,7 @@ def eval_condition(lhs: int, condition: Condition, env: Mapping[str, int]) -> bo
     if isinstance(operand, VarRef):
         v = env.get(operand.id)
         if not isinstance(v, int):
-            raise UnresolvedOperand(operand.id)
+            raise UnboundVariable(operand.id)
         operand = v
     op = condition.op
     if op is CondOp.LT:
@@ -220,7 +214,7 @@ class Instantiation(MappingABC):
         values: Dict[str, Value] = {}
         for vid, val in items:
             if vid in values:
-                raise DuplicateId(f"variable {vid} assigned twice", rule="instantiation-ids")
+                raise ParseError(f"variable {vid} assigned twice", rule="instantiation-ids")
             if isinstance(val, int):
                 check_int64(val, f"value of {vid}")
             values[vid] = val
@@ -288,13 +282,13 @@ class Instance:
         for decl in self.declarations:
             if isinstance(decl, VarArray):
                 if decl.id in self._arrays_by_id or decl.id in self._vars_by_id:
-                    raise DuplicateId(f"id {decl.id!r} declared twice")
+                    raise ParseError(f"id {decl.id!r} declared twice", rule="duplicate-id")
                 self._arrays_by_id[decl.id] = decl
                 for cell in decl.cells:
                     self._vars_by_id[cell.id] = cell
             else:
                 if decl.id in self._vars_by_id or decl.id in self._arrays_by_id:
-                    raise DuplicateId(f"id {decl.id!r} declared twice")
+                    raise ParseError(f"id {decl.id!r} declared twice", rule="duplicate-id")
                 self._vars_by_id[decl.id] = decl
 
     @property
@@ -319,9 +313,6 @@ class Instance:
 
     def variable(self, vid: str) -> Optional[Variable]:
         return self._vars_by_id.get(vid)
-
-    def has_variable(self, vid: str) -> bool:
-        return vid in self._vars_by_id
 
     @cached_property
     def useful_ids(self) -> Tuple[str, ...]:

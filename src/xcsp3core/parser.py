@@ -22,34 +22,7 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, NoReturn
                     Sequence, Tuple, Union)
 
 from . import kinds as K
-from .errors import (
-    AliasOnForbiddenElement,
-    ArityMismatch,
-    BadFramework,
-    BadSize,
-    DuplicateId,
-    ForwardAlias,
-    IndexOutOfBounds,
-    LengthMismatch,
-    MalformedCompactToken,
-    MalformedInterval,
-    MatrixContextError,
-    MisplacedOthers,
-    MissingArgument,
-    MissingVariables,
-    ObjectiveCountError,
-    OutOfOrder,
-    OverlappingFor,
-    ParseError,
-    RestInsideExpression,
-    RestInSlide,
-    TemplateNotCore,
-    TransitiveAlias,
-    UnknownAliasTarget,
-    UnknownArray,
-    UnknownElement,
-    WhitespaceError,
-)
+from .errors import ParseError, UnknownElement
 from .expr import INDEX_RE, INT_RE, IDENT_RE, Expr, VarRef, is_identifier, parse_expr, read_int
 from .kinds import Objective, ObjKind, OrderOp, Sense
 from .model import (
@@ -123,8 +96,8 @@ MAX_VARIABLES = 1_000_000
 def _wrap(el: ET.Element, path: str, depth: int = 1) -> RawElement:
     for key, value in el.attrib.items():
         if value != value.strip():
-            raise WhitespaceError(
-                f"attribute {key}={value!r} carries surrounding whitespace", 0,
+            raise ParseError(
+                f"attribute {key}={value!r} carries surrounding whitespace (offset 0)",
                 path=path, rule="attribute-whitespace")
     children_et = list(el)
     if children_et and (el.text or "").strip():
@@ -182,7 +155,7 @@ def read_interval(token: str, path: Optional[str] = None) -> Optional[Tuple[int,
     lo = read_int(m.group(1), path, "interval bound")
     hi = read_int(m.group(2), path, "interval bound")
     if lo > hi:
-        raise MalformedInterval(f"empty interval {token}", path=path, rule="interval-bounds")
+        raise ParseError(f"empty interval {token}", path=path, rule="interval-bounds")
     return lo, hi
 
 
@@ -199,18 +172,17 @@ def expand_vxk(tokens: Sequence[str], path: Optional[str] = None,
         if m:
             k = read_int(m.group(2), path, "repeat count")
             if k <= 0:
-                raise MalformedCompactToken(f"repeat count must be positive in {token!r}",
-                                            path=path, rule="vxk-count")
+                raise ParseError(f"repeat count must be positive in {token!r}",
+                                 path=path, rule="vxk-count")
             v = read_int(m.group(1), path, "vxk value")
             if limit is not None and len(out) + k > limit:
-                raise LengthMismatch(f"{token!r} gives {k} values where "
-                                     f"{limit - len(out)} are left", path=path, rule=rule)
+                raise ParseError(f"{token!r} gives {k} values where "
+                                 f"{limit - len(out)} are left", path=path, rule=rule)
             out.extend([v] * k)
         elif INT_RE.fullmatch(token):
             out.append(read_int(token, path, "value"))
         else:
-            raise MalformedCompactToken(f"bad integer token {token!r}", path=path,
-                                        rule="vxk-token")
+            raise ParseError(f"bad integer token {token!r}", path=path, rule="vxk-token")
     return out
 
 
@@ -243,13 +215,12 @@ def _slot_ranges(token: str, size_of: Callable[[str], Sequence[int]]
     raises), the index range of each slot, and the slots not fixed to one index."""
     m = _COMPACT_RE.fullmatch(token)
     if not m:
-        raise MalformedCompactToken(f"not a compact array reference: {token!r}",
-                                    rule="compact-token")
+        raise ParseError(f"not a compact array reference: {token!r}", rule="compact-token")
     name = m.group(1)
     size = size_of(name)
     slots = _SLOT_RE.findall(m.group(2))
     if len(slots) != len(size):
-        raise IndexOutOfBounds(
+        raise ParseError(
             f"{token!r}: {len(slots)} index slots for {len(size)}-dimensional array",
             rule="index-range")
     ranges: List[range] = []
@@ -261,12 +232,11 @@ def _slot_ranges(token: str, size_of: Callable[[str], Sequence[int]]
             free.append(axis)
             interval = (0, dim - 1) if slot == "" else read_interval(slot)
             if interval is None:
-                raise MalformedCompactToken(f"bad index slot [{slot}] in {token!r}",
-                                            rule="compact-token")
+                raise ParseError(f"bad index slot [{slot}] in {token!r}", rule="compact-token")
             lo, hi = interval
         if not 0 <= lo <= hi < dim:
-            raise IndexOutOfBounds(f"{token!r}: indexes {lo}..{hi} outside 0..{dim - 1}",
-                                   rule="index-range")
+            raise ParseError(f"{token!r}: indexes {lo}..{hi} outside 0..{dim - 1}",
+                             rule="index-range")
         ranges.append(range(lo, hi + 1))
     return name, ranges, free
 
@@ -285,7 +255,7 @@ def expand_compact_variable_list(
     """
     def size_of(name: str) -> Sequence[int]:
         if name not in arrays:
-            raise UnknownArray(f"unknown array {name!r}", rule="unknown-array")
+            raise ParseError(f"unknown array {name!r}", rule="unknown-array")
         return arrays[name].size
 
     name, ranges, free = _slot_ranges(token, size_of)
@@ -293,7 +263,7 @@ def expand_compact_variable_list(
     if context is Context.LIST:
         return ids
     if len(free) != 2:
-        raise MatrixContextError(
+        raise ParseError(
             f"{token!r} selects a {len(free)}-dimensional grid; matrix slots need 2",
             rule="matrix-shape")
     width = len(ranges[free[1]])  # the other slots select one index each
@@ -325,8 +295,8 @@ def parse_domain_text(text: str, path: str, allow_empty: bool = False) -> Domain
     items: List[Tuple[int, int]] = []
     for token in tokens:
         if token == ".." or token.startswith("..") or token.endswith(".."):
-            raise WhitespaceError(f"whitespace around '..' near {token!r}", 0,
-                                  path=path, rule="interval-whitespace")
+            raise ParseError(f"whitespace around '..' near {token!r} (offset 0)",
+                             path=path, rule="interval-whitespace")
         interval = read_interval(token, path)
         if interval is not None:
             items.append(interval)
@@ -343,8 +313,8 @@ def parse_condition_text(text: str, path: str) -> Condition:
     body = text.strip()
     for i, ch in enumerate(body):
         if ch.isspace():
-            raise WhitespaceError("whitespace inside condition", i,
-                                  path=path, rule="condition-whitespace")
+            raise ParseError(f"whitespace inside condition (offset {i})",
+                             path=path, rule="condition-whitespace")
     if not (body.startswith("(") and body.endswith(")")):
         raise ParseError(f"condition must look like (op,operand): {body!r}",
                          path=path, rule="condition-syntax")
@@ -404,8 +374,9 @@ def _tuple_texts(text: str, path: str, what: str) -> Iterator[str]:
         inner = m.group(1)
         space = _SPACE_RE.search(inner)
         if space is not None:
-            raise WhitespaceError(f"whitespace inside {what}", start + 1 + space.start(),
-                                  path=path, rule="tuple-whitespace")
+            raise ParseError(f"whitespace inside {what} "
+                             f"(offset {start + 1 + space.start()})",
+                             path=path, rule="tuple-whitespace")
         yield inner
         pos = m.end()
     rest = text[pos:].lstrip()
@@ -511,8 +482,7 @@ def _read_matrix(el: RawElement, arrays: Dict[str, VarArray],
         raise ParseError("empty matrix", path=el.path, rule="matrix-shape")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise LengthMismatch("matrix rows differ in length", path=el.path,
-                             rule="matrix-shape")
+        raise ParseError("matrix rows differ in length", path=el.path, rule="matrix-shape")
     return rows
 
 
@@ -526,11 +496,11 @@ def _val_field(token: str) -> K.Val:
 
 def _parse_size(text: str, path: str) -> Tuple[int, ...]:
     if not _SIZE_RE.fullmatch(text):
-        raise BadSize(f"bad size attribute {text!r}", path=path, rule="array-size")
+        raise ParseError(f"bad size attribute {text!r}", path=path, rule="array-size")
     dims = tuple(read_int(d, path, "array dimension") for d in INDEX_RE.findall(text))
     if any(d <= 0 for d in dims):
-        raise BadSize(f"array dimensions must be positive: {text!r}",
-                      path=path, rule="array-size")
+        raise ParseError(f"array dimensions must be positive: {text!r}",
+                         path=path, rule="array-size")
     return dims
 
 
@@ -541,7 +511,8 @@ def _for_token_cells(token: str, array_id: str, size: Sequence[int], path: str) 
 
     def size_of(name: str) -> Sequence[int]:
         if name != array_id:
-            raise ParseError(f"for= token {token!r} does not select cells of {array_id!r}")
+            raise ParseError(f"for= token {token!r} does not select cells of {array_id!r}",
+                             rule="for-target")
         return size
 
     try:
@@ -595,24 +566,24 @@ class _VariablesBuilder:
             if not is_identifier(vid):
                 raise ParseError(f"bad identifier {vid!r}", path=el.path, rule="identifier")
             if vid in self.kind_of:
-                raise DuplicateId(f"id {vid!r} declared twice", path=el.path,
-                                  rule="duplicate-id")
+                raise ParseError(f"id {vid!r} declared twice", path=el.path,
+                                 rule="duplicate-id")
             self.kind_of[vid] = el.tag
             self.alias_of[vid] = el.attr("as")
             order.append(vid)
             if el.tag == "array":
                 size_text = el.attr("size")
                 if size_text is None:
-                    raise BadSize(f"array {vid!r} without size", path=el.path,
-                                  rule="array-size")
+                    raise ParseError(f"array {vid!r} without size", path=el.path,
+                                     rule="array-size")
                 self.sizes[vid] = _parse_size(size_text, el.path)
                 declared += math.prod(self.sizes[vid])
             else:
                 declared += 1
             if declared > MAX_VARIABLES:
-                raise BadSize(f"<{el.tag}> {vid!r} brings the variables declared to "
-                              f"{declared}, more than {MAX_VARIABLES}",
-                              path=el.path, rule="array-size")
+                raise ParseError(f"<{el.tag}> {vid!r} brings the variables declared to "
+                                 f"{declared}, more than {MAX_VARIABLES}",
+                                 path=el.path, rule="array-size")
         position = {vid: i for i, vid in enumerate(order)}
         for el in section.children:
             if el.tag == "var":
@@ -633,16 +604,16 @@ class _VariablesBuilder:
             raise ParseError(f"alias {vid!r} must have empty content",
                              path=el.path, rule="alias-content")
         if target not in self.kind_of:
-            raise UnknownAliasTarget(f"alias target {target!r} is not declared",
-                                     path=el.path, rule="alias-target")
+            raise ParseError(f"alias target {target!r} is not declared",
+                             path=el.path, rule="alias-target")
         if position[target] > position[vid]:
-            raise ForwardAlias(f"alias target {target!r} is declared later",
-                               path=el.path, rule="alias-order")
+            raise ParseError(f"alias target {target!r} is declared later",
+                             path=el.path, rule="alias-order")
         if self.alias_of[target] is not None:
-            raise TransitiveAlias(f"alias target {target!r} is itself an alias",
-                                  path=el.path, rule="alias-chain")
+            raise ParseError(f"alias target {target!r} is itself an alias",
+                             path=el.path, rule="alias-chain")
         if self.kind_of[target] != el.tag:
-            raise AliasOnForbiddenElement(
+            raise ParseError(
                 f"{el.tag} {vid!r} cannot alias {self.kind_of[target]} {target!r}",
                 path=el.path, rule="alias-kind")
         return target
@@ -692,15 +663,15 @@ class _VariablesBuilder:
             tokens = tuple(for_text.split())
             if tokens == ("others",):
                 if others is not None:
-                    raise MisplacedOthers("several for=\"others\" entries",
-                                          path=child.path, rule="for-others")
+                    raise ParseError("several for=\"others\" entries",
+                                     path=child.path, rule="for-others")
                 if i != len(el.children) - 1:
-                    raise MisplacedOthers("for=\"others\" must come last",
-                                          path=child.path, rule="for-others")
+                    raise ParseError("for=\"others\" must come last",
+                                     path=child.path, rule="for-others")
                 others = domain
             elif "others" in tokens:
-                raise MisplacedOthers("others cannot be mixed with cell tokens",
-                                      path=child.path, rule="for-others")
+                raise ParseError("others cannot be mixed with cell tokens",
+                                 path=child.path, rule="for-others")
             else:
                 if not tokens:
                     raise ParseError("empty for= attribute", path=child.path,
@@ -718,7 +689,7 @@ class _VariablesBuilder:
                 for token in tokens:
                     for flat in _for_token_cells(token, vid, size, path):
                         if taken[flat]:
-                            raise OverlappingFor(
+                            raise ParseError(
                                 f"cell selected by two for= entries in {vid!r}",
                                 path=path, rule="for-overlap")
                         taken[flat] = True
@@ -768,8 +739,8 @@ def _check_attrs(el: RawElement, extra: FrozenSet[str] = frozenset()) -> None:
     allowed = {"id", "class", "note"} | extra
     for key in el.attrs:
         if key == "as":
-            raise AliasOnForbiddenElement(f"as= is not allowed on <{el.tag}>",
-                                          path=el.path, rule="alias-element")
+            raise ParseError(f"as= is not allowed on <{el.tag}>",
+                             path=el.path, rule="alias-element")
         if key not in allowed:
             raise UnknownElement(f"unsupported attribute {key}= on <{el.tag}>",
                                  path=el.path, rule="attribute")
@@ -840,7 +811,7 @@ class _ConstraintReader:
         if not is_identifier(cid):
             raise ParseError(f"bad identifier {cid!r}", path=el.path, rule="identifier")
         if cid in self.used_ids:
-            raise DuplicateId(f"id {cid!r} declared twice", path=el.path, rule="duplicate-id")
+            raise ParseError(f"id {cid!r} declared twice", path=el.path, rule="duplicate-id")
         self.used_ids.add(cid)
         if member_base and el.tag in _STRUCTURAL_TAGS:
             self.group_ids.append(cid)
@@ -878,8 +849,8 @@ class _ConstraintReader:
                 return " ".join(tokens[highest + 1:])
             k = int(token)
             if k >= len(tokens):
-                raise MissingArgument(f"no argument for parameter %{k}",
-                                      path=path, rule="group-arity")
+                raise ParseError(f"no argument for parameter %{k}",
+                                 path=path, rule="group-arity")
             return tokens[k]
         children = [self._substitute(c, tokens, highest, path) for c in el.children]
         text = _PARAM_RE.sub(replace, el.text)
@@ -905,18 +876,18 @@ class _ConstraintReader:
                              path=el.path, rule="group-shape")
         highest, has_rest = self._template_params(template)
         if has_rest and template.tag == "intension":
-            raise RestInsideExpression(
+            raise ParseError(
                 "%... cannot occur inside a functional expression",
                 path=template.path, rule="rest-placement")
         for k, args_el in enumerate(rest_children):
             tokens = args_el.text.split()
             if has_rest:
                 if len(tokens) < highest + 1:
-                    raise ArityMismatch(
+                    raise ParseError(
                         f"args #{k} has {len(tokens)} tokens, template needs at "
                         f"least {highest + 1}", path=args_el.path, rule="group-arity")
             elif len(tokens) != highest + 1:
-                raise ArityMismatch(
+                raise ParseError(
                     f"args #{k} has {len(tokens)} tokens, template takes "
                     f"{highest + 1}", path=args_el.path, rule="group-arity")
             member = self._substitute(template, tokens, highest, args_el.path)
@@ -937,13 +908,13 @@ class _ConstraintReader:
         if template.tag not in ("intension", "extension"):
             if not self.cfg.strict:
                 return  # lenient: the whole slide is skipped
-            raise TemplateNotCore(
+            raise ParseError(
                 f"slide template must be intension or extension, not <{template.tag}>",
                 path=template.path, rule="slide-template")
         highest, has_rest = self._template_params(template)
         if has_rest:
-            raise RestInSlide("%... cannot occur in a slide template",
-                              path=template.path, rule="rest-placement")
+            raise ParseError("%... cannot occur in a slide template",
+                             path=template.path, rule="rest-placement")
         q = highest + 1
         if q < 1:
             raise ParseError("slide template has no parameters", path=template.path,
@@ -967,7 +938,7 @@ class _ConstraintReader:
                                  path=lst.path, rule="slide-collect")
             per_list.append((ids, offset, collect))
         if sum(c for _, _, c in per_list) != q:
-            raise ArityMismatch(
+            raise ParseError(
                 f"slide collects {sum(c for _, _, c in per_list)} variables per "
                 f"member but the template takes {q}", path=el.path, rule="slide-arity")
         if circular:
@@ -980,20 +951,20 @@ class _ConstraintReader:
                                  path=el.path, rule="slide-circular")
             n = len(ids)
             if n < q:
-                raise LengthMismatch(f"list of {n} variables cannot slide a window "
-                                     f"of {q}", path=el.path, rule="slide-length")
+                raise ParseError(f"list of {n} variables cannot slide a window "
+                                 f"of {q}", path=el.path, rule="slide-length")
             # one window per start position, wrapping past the end
             members = [[ids[(i + t) % n] for t in range(q)] for i in range(n)]
         else:
             counts = []
             for ids, offset, collect in per_list:
                 if len(ids) < collect:
-                    raise LengthMismatch(
+                    raise ParseError(
                         f"list of {len(ids)} variables cannot collect {collect}",
                         path=el.path, rule="slide-length")
                 counts.append((len(ids) - collect) // offset + 1)
             if len(set(counts)) > 1:
-                raise LengthMismatch(
+                raise ParseError(
                     f"slide lists disagree on member count: {counts}",
                     path=el.path, rule="slide-length")
             members = []
@@ -1033,12 +1004,12 @@ class _ConstraintReader:
         tuples, has_star = read_table(text, table.path)
         for t in tuples:
             if len(t) != len(scope):
-                raise LengthMismatch(
+                raise ParseError(
                     f"tuple of {len(t)} values for a scope of {len(scope)}",
                     path=table.path, rule="tuple-arity")
         if self.cfg.strict and not has_star and not all(map(operator.lt, tuples, tuples[1:])):
             a, b = next((a, b) for a, b in zip(tuples, tuples[1:]) if not a < b)
-            raise OutOfOrder(f"table tuples must be lexicographically increasing "
+            raise ParseError(f"table tuples must be lexicographically increasing "
                              f"without repetition: {a} then {b}",
                              path=table.path, rule="table-order")
         return K.Extension(scope, positive, tuples=tuple(tuples))
@@ -1097,15 +1068,15 @@ class _ConstraintReader:
             id_lists = [tuple(read_var_ids(l.text, self.arrays, l.path)) for l in lists]
             width = len(id_lists[0])
             if any(len(l) != width for l in id_lists):
-                raise LengthMismatch("allDifferent lists differ in length",
-                                     path=el.path, rule="lists-length")
+                raise ParseError("allDifferent lists differ in length",
+                                 path=el.path, rule="lists-length")
             excepts: Tuple[Tuple[int, ...], ...] = ()
             if except_el is not None:
                 raw = read_tuples(except_el.text, except_el.path, read_int)
                 for t in raw:
                     if len(t) != width:
-                        raise LengthMismatch("except tuple arity differs from lists",
-                                             path=except_el.path, rule="tuple-arity")
+                        raise ParseError("except tuple arity differs from lists",
+                                         path=except_el.path, rule="tuple-arity")
                 excepts = tuple(raw)
             return K.AllDifferentLists(tuple(id_lists), excepts)
         text_el = lists[0] if lists else el
@@ -1140,7 +1111,7 @@ class _ConstraintReader:
         if lengths_el is not None:
             lengths = tuple(read_vals(lengths_el.text, self.arrays, lengths_el.path))
             if len(lengths) != len(ids) - 1:
-                raise LengthMismatch(
+                raise ParseError(
                     f"{len(lengths)} lengths for {len(ids)} variables",
                     path=lengths_el.path, rule="lengths-count")
         return K.Ordered(ids, op, lengths)
@@ -1158,8 +1129,7 @@ class _ConstraintReader:
         id_lists = [tuple(read_var_ids(l.text, self.arrays, l.path)) for l in lists]
         width = len(id_lists[0])
         if any(len(l) != width for l in id_lists):
-            raise LengthMismatch("lex lists differ in length", path=el.path,
-                                 rule="lists-length")
+            raise ParseError("lex lists differ in length", path=el.path, rule="lists-length")
         return K.Lex(tuple(id_lists), op)
 
     def _read_condition(self, el: RawElement) -> Condition:
@@ -1174,8 +1144,8 @@ class _ConstraintReader:
             coeffs = tuple(read_vals(coeffs_el.text, self.arrays, coeffs_el.path,
                                      len(terms), "coeffs-count"))
             if len(coeffs) != len(terms):
-                raise LengthMismatch(f"{len(coeffs)} coefficients for {len(terms)} terms",
-                                     path=coeffs_el.path, rule="coeffs-count")
+                raise ParseError(f"{len(coeffs)} coefficients for {len(terms)} terms",
+                                 path=coeffs_el.path, rule="coeffs-count")
         else:
             coeffs = (1,) * len(terms)
         return K.Sum(terms, coeffs, self._read_condition(el))
@@ -1212,8 +1182,8 @@ class _ConstraintReader:
             else:
                 occurs.extend(VarRef(i) for i in _var_ids(token, self.arrays, occurs_el.path))
         if len(values) != len(occurs):
-            raise LengthMismatch(f"{len(values)} values for {len(occurs)} occurrences",
-                                 path=occurs_el.path, rule="occurs-count")
+            raise ParseError(f"{len(values)} values for {len(occurs)} occurrences",
+                             path=occurs_el.path, rule="occurs-count")
         return K.Cardinality(ids, values, tuple(occurs), closed)
 
     def _read_minimum(self, el: RawElement) -> K.Minimum:
@@ -1299,7 +1269,7 @@ class _ConstraintReader:
         first = tuple(read_var_ids(lists[0].text, self.arrays, lists[0].path))
         second = tuple(read_var_ids(lists[1].text, self.arrays, lists[1].path))
         if len(first) > len(second):
-            raise LengthMismatch(
+            raise ParseError(
                 f"first channel list ({len(first)}) is longer than the second "
                 f"({len(second)})", path=el.path, rule="channel-lengths")
         return K.ChannelTwo(first, second)
@@ -1314,19 +1284,19 @@ class _ConstraintReader:
             length_rows = read_tuples(lengths_el.text, lengths_el.path, _val_field,
                                       what="length tuple")
             if len(origin_rows) != len(length_rows):
-                raise LengthMismatch(f"{len(origin_rows)} origin tuples for "
-                                     f"{len(length_rows)} length tuples",
-                                     path=el.path, rule="noOverlap-count")
+                raise ParseError(f"{len(origin_rows)} origin tuples for "
+                                 f"{len(length_rows)} length tuples",
+                                 path=el.path, rule="noOverlap-count")
             dims = {len(t) for t in origin_rows} | {len(t) for t in length_rows}
             if len(dims) != 1:
-                raise LengthMismatch("origin/length tuples differ in dimension",
-                                     path=el.path, rule="noOverlap-count")
+                raise ParseError("origin/length tuples differ in dimension",
+                                 path=el.path, rule="noOverlap-count")
             return K.NoOverlapK(tuple(origin_rows), tuple(length_rows), zero_ignored)
         origins = tuple(read_var_ids(origins_el.text, self.arrays, origins_el.path))
         lengths = tuple(read_vals(lengths_el.text, self.arrays, lengths_el.path))
         if len(origins) != len(lengths):
-            raise LengthMismatch(f"{len(origins)} origins for {len(lengths)} lengths",
-                                 path=el.path, rule="noOverlap-count")
+            raise ParseError(f"{len(origins)} origins for {len(lengths)} lengths",
+                             path=el.path, rule="noOverlap-count")
         return K.NoOverlap1(origins, lengths, zero_ignored)
 
     def _read_cumulative(self, el: RawElement) -> K.Cumulative:
@@ -1337,7 +1307,7 @@ class _ConstraintReader:
         heights_el = _required(el, "heights")
         heights = tuple(read_vals(heights_el.text, self.arrays, heights_el.path))
         if not len(origins) == len(lengths) == len(heights):
-            raise LengthMismatch(
+            raise ParseError(
                 f"{len(origins)} origins, {len(lengths)} lengths, "
                 f"{len(heights)} heights", path=el.path, rule="cumulative-count")
         return K.Cumulative(origins, lengths, heights, self._read_condition(el))
@@ -1365,8 +1335,8 @@ class _ConstraintReader:
         values = tuple(read_int_values(values_el.text, values_el.path, len(ids),
                                        "instantiation-count", allow_star=True))
         if len(ids) != len(values):
-            raise LengthMismatch(f"{len(ids)} variables for {len(values)} values",
-                                 path=el.path, rule="instantiation-count")
+            raise ParseError(f"{len(ids)} variables for {len(values)} values",
+                             path=el.path, rule="instantiation-count")
         return K.InstantiationCtr(ids, values)
 
     # Each constraint tag: its reader, the attributes it takes beyond id, class
@@ -1410,7 +1380,7 @@ def _read_objective(section: RawElement, arrays: Dict[str, VarArray]) -> Objecti
         raise UnknownElement("objective combinations are not supported",
                              path=section.path, rule="objectives-content")
     if len(section.children) != 1:
-        raise ObjectiveCountError(
+        raise ParseError(
             f"exactly one objective expected, found {len(section.children)}",
             path=section.path, rule="objective-count")
     el = section.children[0]
@@ -1473,12 +1443,12 @@ def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
                          path=root.path, rule="root")
     fmt = root.attr("format")
     if fmt != "XCSP3":
-        raise BadFramework(f"format attribute must be XCSP3, found {fmt!r}",
-                           path=root.path, rule="instance-format")
+        raise ParseError(f"format attribute must be XCSP3, found {fmt!r}",
+                         path=root.path, rule="instance-format")
     type_text = root.attr("type")
     if type_text not in ("CSP", "COP"):
-        raise BadFramework(f"type attribute must be CSP or COP, found {type_text!r}",
-                           path=root.path, rule="instance-type")
+        raise ParseError(f"type attribute must be CSP or COP, found {type_text!r}",
+                         path=root.path, rule="instance-type")
 
     sections: Dict[str, RawElement] = {}
     last_rank = -1
@@ -1509,11 +1479,11 @@ def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
     if "objectives" in sections:
         objective = _read_objective(sections["objectives"], vars_builder.arrays)
     if type_text == "CSP" and objective is not None:
-        raise BadFramework("a CSP instance cannot declare an objective",
-                           path=sections["objectives"].path, rule="instance-type")
+        raise ParseError("a CSP instance cannot declare an objective",
+                         path=sections["objectives"].path, rule="instance-type")
     if type_text == "COP" and objective is None:
-        raise ObjectiveCountError("a COP instance needs an objective",
-                                  path=root.path, rule="objective-count")
+        raise ParseError("a COP instance needs an objective",
+                         path=root.path, rule="objective-count")
 
     decision: Optional[Tuple[str, ...]] = None
     if "annotations" in sections:
@@ -1538,7 +1508,7 @@ def _validate_references(instance: Instance, decision: Optional[Tuple[str, ...]]
     if objective is not None and not defined.issuperset(objective.var_ids):
         _reject_ids(instance, objective.var_ids, "objective")
     for vid in decision or ():
-        if not instance.has_variable(vid):
+        if instance.variable(vid) is None:
             _undeclared(instance, vid, "decision annotation references")
 
 
@@ -1549,8 +1519,8 @@ def _reject_ids(instance: Instance, ids: Sequence[str], who: str) -> NoReturn:
         if variable is None:
             _undeclared(instance, vid, f"{who} references")
         if variable.domain is None:
-            raise MissingVariables(f"{who} involves undefined variable {vid!r}",
-                                   rule="undefined-useful")
+            raise ParseError(f"{who} involves undefined variable {vid!r}",
+                             rule="undefined-useful")
     raise AssertionError(f"{who}: every id names a variable with a domain")
 
 
@@ -1560,9 +1530,9 @@ def _undeclared(instance: Instance, vid: str, who: str) -> NoReturn:
     array = instance.arrays_by_id.get(vid.partition("[")[0])
     if array is not None and _CELL_RE.fullmatch(vid):
         size = "".join(f"[{n}]" for n in array.size)
-        raise IndexOutOfBounds(f"{who} {vid!r}, no cell of array {array.id}{size}",
-                               rule="index-range")
-    raise MissingVariables(f"{who} undeclared variable {vid!r}", rule="unknown-variable")
+        raise ParseError(f"{who} {vid!r}, no cell of array {array.id}{size}",
+                         rule="index-range")
+    raise ParseError(f"{who} undeclared variable {vid!r}", rule="unknown-variable")
 
 
 def _check_id_prefixes(vars_builder: _VariablesBuilder,
@@ -1579,6 +1549,14 @@ def _check_id_prefixes(vars_builder: _VariablesBuilder,
                     f"must not prefix other ids", rule="id-prefix")
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; other bytes are a parse error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text ({e.reason})", path=path, rule="encoding") from None
+
+
 def parse_file(path: str, config: Optional[ParserConfig] = None) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_string(fh.read(), config)
+    return parse_string(read_text(path), config)

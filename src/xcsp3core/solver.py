@@ -295,8 +295,7 @@ def _proved_terms(operands: Sequence[Expr], coeffs: Sequence[int],
 
 
 def _staged_all_different(kind: AllDifferent, depth_of: Mapping[str, int],
-                          bounds: Mapping[str, Tuple[int, int]],
-                          env: Mapping[str, int]) -> Optional[List[Stage]]:
+                          bounds: Mapping[str, Tuple[int, int]]) -> Optional[List[Stage]]:
     """Evaluate each operand once, at the depth where it becomes ready.
 
     Each operand is a bare variable or a bounded evaluator (compile_bounded),
@@ -361,8 +360,7 @@ _BOUNDED_OPS = frozenset({CondOp.LT, CondOp.LE, CondOp.GE, CondOp.GT, CondOp.EQ}
 
 
 def _staged_sum(kind: Sum, depth_of: Mapping[str, int],
-                bounds: Mapping[str, Tuple[int, int]],
-                env: Mapping[str, int]) -> Optional[List[Stage]]:
+                bounds: Mapping[str, Tuple[int, int]]) -> Optional[List[Stage]]:
     """Keep a running sum; prune when the unassigned terms' bounds cannot meet the condition.
 
     Only for integer coefficients over bare variables, a relational
@@ -394,11 +392,10 @@ _STAGED: Dict[type, Callable[..., Optional[List[Stage]]]] = {
 
 
 def staged_checks(kind: ConstraintKind, depth_of: Mapping[str, int],
-                  bounds: Mapping[str, Tuple[int, int]],
-                  env: Mapping[str, int]) -> Optional[List[Stage]]:
+                  bounds: Mapping[str, Tuple[int, int]]) -> Optional[List[Stage]]:
     """The kind's staged checks for a fixed variable order, or None."""
     build = _STAGED.get(type(kind))
-    return None if build is None else build(kind, depth_of, bounds, env)
+    return None if build is None else build(kind, depth_of, bounds)
 
 
 class _Search:
@@ -474,7 +471,7 @@ class _Search:
         for ci, kind in enumerate(self.kinds):
             if not kind.var_ids:
                 continue
-            stages = (staged_checks(kind, depth_of, self.bounds, env)
+            stages = (staged_checks(kind, depth_of, self.bounds)
                       if self.cfg.partial_checks else None)
             if stages is not None:
                 for d, form, args in stages:

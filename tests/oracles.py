@@ -21,18 +21,13 @@ from xcsp3core.checker import (
     eval_objective,
 )
 from xcsp3core.errors import (
-    ArityError,
-    CostMismatch,
+    CheckError,
     DivisionByZero,
     EvalError,
-    ExprSyntaxError,
     NegativeExponent,
     Overflow,
     ParseError,
     UnboundVariable,
-    UnknownVariable,
-    ValueOutsideDomain,
-    WhitespaceError,
 )
 from xcsp3core.expr import (ARITIES, KEYWORDS, MAX_EXPR_DEPTH, Expr, IntConst, OpCall,
                             SetLiteral, VarRef)
@@ -83,9 +78,9 @@ def reference_check_solution(instance: Instance, solution: Instantiation,
     for vid, val in solution.items():
         var = instance.variable(vid)
         if var is None:
-            raise UnknownVariable(vid)
+            raise CheckError(f"unknown variable {vid}")
         if isinstance(val, int) and var.domain is not None and not var.domain.contains(val):
-            raise ValueOutsideDomain(f"{vid}={val} outside {var.domain.render()}")
+            raise CheckError(f"{vid}={val} outside {var.domain.render()}")
     useful: Set[str] = set()
     for posted in instance.constraints:
         useful.update(posted.kind.var_ids)
@@ -121,11 +116,11 @@ def reference_check_solution(instance: Instance, solution: Instantiation,
             return Verdict(VerdictKind.INCOMPLETE, missing=missing)
     if declared_cost is not None:
         if instance.objective is None:
-            raise CostMismatch("cost declared but the instance has no objective")
+            raise CheckError("cost declared but the instance has no objective")
         if all(isinstance(env.get(v), int) for v in instance.objective.var_ids):
             actual = eval_objective(instance.objective, env)
             if actual != declared_cost:
-                raise CostMismatch(f"declared cost {declared_cost}, actual {actual}")
+                raise CheckError(f"declared cost {declared_cost}, actual {actual}")
     return Verdict(VerdictKind.SATISFIED)
 
 
@@ -274,9 +269,9 @@ class _ReferenceParser:
         self.path = path
         self.depth = 0
 
-    def fail(self, message: str, offset: Optional[int] = None) -> ExprSyntaxError:
-        return ExprSyntaxError(message, self.pos if offset is None else offset,
-                               path=self.path, rule="expression-syntax")
+    def fail(self, message: str, offset: Optional[int] = None) -> ParseError:
+        return ParseError(f"{message} (offset {self.pos if offset is None else offset})",
+                          path=self.path, rule="expression-syntax")
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -342,8 +337,8 @@ class _ReferenceParser:
         self.expect("(")
         self.depth += 1
         if self.depth > MAX_EXPR_DEPTH:
-            raise ExprSyntaxError("expression too deep", start, path=self.path,
-                                  rule="expression-depth")
+            raise ParseError(f"expression too deep (offset {start})", path=self.path,
+                             rule="expression-depth")
         args: List[Expr] = []
         if self.peek() == ")":
             self.pos += 1
@@ -370,8 +365,8 @@ class _ReferenceParser:
             return SetLiteral(tuple(values))
         lo, hi = ARITIES[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
-            raise ArityError(f"operator '{name}' takes another number of arguments",
-                             start, path=self.path, rule="operator-arity")
+            raise ParseError(f"operator '{name}' takes another number of arguments "
+                             f"(offset {start})", path=self.path, rule="operator-arity")
         if name == "in" and not isinstance(args[1], SetLiteral):
             raise self.fail("second argument of in() must be a set literal", start)
         return OpCall(name, tuple(args))
@@ -381,10 +376,10 @@ def reference_parse_expr(text: str, path: Optional[str] = None) -> Expr:
     """Read an expression one character at a time, recursing once per call."""
     for i, ch in enumerate(text):
         if ch.isspace():
-            raise WhitespaceError("whitespace inside functional expression", i,
-                                  path=path, rule="expression-whitespace")
+            raise ParseError(f"whitespace inside functional expression (offset {i})",
+                             path=path, rule="expression-whitespace")
     if not text:
-        raise ExprSyntaxError("empty expression", 0, path=path, rule="expression-syntax")
+        raise ParseError("empty expression (offset 0)", path=path, rule="expression-syntax")
     return _ReferenceParser(text, path).parse()
 
 
@@ -408,8 +403,8 @@ def reference_read_tuples(text: str, path: str, parse_field: Callable[[str], obj
         inner = text[i + 1:j]
         for k, c in enumerate(inner):
             if c.isspace():
-                raise WhitespaceError(f"whitespace inside {what}", i + 1 + k,
-                                      path=path, rule="tuple-whitespace")
+                raise ParseError(f"whitespace inside {what} (offset {i + 1 + k})",
+                                 path=path, rule="tuple-whitespace")
         try:
             out.append(tuple(parse_field(f) for f in inner.split(",")))
         except ParseError as e:

@@ -65,6 +65,18 @@ def test_validate_missing_file(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_validate_rejects_an_instance_that_is_not_utf8(capsys, tmp_path):
+    instance = tmp_path / "latin1.xml"
+    instance.write_bytes(b'<instance format="XCSP3" type="CSP"><!-- caf\xe9 -->'
+                         b'<variables><var id="x"> 0 1 </var></variables>'
+                         b"<constraints><intension> eq(x,0) </intension></constraints>"
+                         b"</instance>")
+    code, _, err = run(capsys, "validate", str(instance))
+    assert code == 2
+    assert err == f"error: {instance}: not UTF-8 text (invalid continuation byte) " \
+                  "[rule: encoding]\n"
+
+
 def test_canonical_out_reparses_equivalent(capsys, tmp_path):
     target = tmp_path / "flat.xml"
     code, _, _ = run(capsys, "validate", fixture_path("latin_group.xml"),
@@ -212,6 +224,23 @@ def test_check_value_outside_domain_is_rejected(capsys, tmp_path):
                    "<values> 2 500 </values></instantiation>")
     code, _, err = run(capsys, "check", fixture_path("cake_intension.xml"), str(sol))
     assert code == 10 and "rejected:" in err
+
+
+def test_check_unknown_variable_is_rejected(capsys, tmp_path):
+    sol = tmp_path / "sol.xml"
+    sol.write_text("<instantiation><list> b c zz </list>"
+                   "<values> 2 2 0 </values></instantiation>")
+    code, _, err = run(capsys, "check", fixture_path("cake_intension.xml"), str(sol))
+    assert (code, err) == (10, "rejected: unknown variable zz\n")
+
+
+def test_check_rejects_a_solution_that_is_not_utf8(capsys, tmp_path):
+    sol = tmp_path / "values.txt"
+    sol.write_bytes(b"2 2\xff\n")
+    code, _, err = run(capsys, "check", fixture_path("cake_intension.xml"),
+                       str(sol), "--vars", "b c")
+    assert code == 2
+    assert err == f"error: {sol}: not UTF-8 text (invalid start byte) [rule: encoding]\n"
 
 
 def test_check_length_mismatch_is_invalid(capsys, tmp_path):

@@ -4,14 +4,7 @@ import pytest
 
 from xcsp3core import kinds as K
 from xcsp3core.canonical import instances_equivalent
-from xcsp3core.errors import (
-    ArityMismatch,
-    LengthMismatch,
-    ParseError,
-    RestInSlide,
-    RestInsideExpression,
-    TemplateNotCore,
-)
+from xcsp3core.errors import ParseError
 from xcsp3core.parser import parse_file, parse_string
 
 from conftest import fixture_path
@@ -62,22 +55,25 @@ def test_group_substitutes_by_parameter_number():
 
 def test_group_arity_too_few_tokens():
     text = wrap("<group><intension> eq(%0,%1) </intension><args> x[0] </args></group>")
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "group-arity"
 
 
 def test_group_arity_too_many_tokens():
     text = wrap("<group><intension> eq(%0,%1) </intension>"
                 "<args> x[0] x[1] x[2] </args></group>")
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "group-arity"
 
 
 def test_group_rest_forbidden_inside_expression():
     text = wrap("<group><intension> eq(add(%...),0) </intension>"
                 "<args> x[0] x[1] </args></group>")
-    with pytest.raises(RestInsideExpression):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "rest-placement"
 
 
 def test_group_rest_collects_tail_arguments():
@@ -92,8 +88,9 @@ def test_group_rest_collects_tail_arguments():
 def test_group_rest_requires_minimum_arity():
     text = wrap("<group><sum><list> %... </list><condition> (eq,%1) </condition></sum>"
                 "<args> 6 </args></group>")
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "group-arity"
 
 
 def test_group_template_must_be_constraint():
@@ -122,38 +119,43 @@ def test_slide_window_and_offset():
 def test_slide_template_not_core():
     text = wrap("<slide><list> x[] </list>"
                 "<sum><list> %0 %1 </list><condition> (eq,3) </condition></sum></slide>")
-    with pytest.raises(TemplateNotCore):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "slide-template"
 
 
 def test_slide_rest_forbidden():
     text = wrap("<slide><list> x[] </list>"
                 "<extension><list> %... </list><supports> (0,0) </supports>"
                 "</extension></slide>")
-    with pytest.raises(RestInSlide):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "rest-placement"
 
 
 def test_slide_collect_must_match_template_arity():
     text = wrap('<slide><list collect="3"> x[] </list>'
                 "<intension> ne(%0,%1) </intension></slide>")
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "slide-arity"
 
 
 def test_slide_lists_must_agree_on_member_count():
     text = wrap('<slide><list collect="1"> x[0] x[1] x[2] </list>'
                 '<list collect="1"> x[3] x[4] </list>'
                 "<intension> ne(%0,%1) </intension></slide>")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "slide-length"
 
 
 def test_slide_list_shorter_than_window():
     text = wrap("<slide><list> x[0] </list>"
                 "<intension> ne(%0,%1) </intension></slide>")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "slide-length"
 
 
 def test_circular_slide_wraps_around():

@@ -14,14 +14,12 @@ from xcsp3core import expr
 from xcsp3core.errors import (
     INT_MAX,
     INT_MIN,
-    ArityError,
     DivisionByZero,
     EvalError,
-    ExprSyntaxError,
     NegativeExponent,
     Overflow,
+    ParseError,
     UnboundVariable,
-    WhitespaceError,
 )
 from xcsp3core.expr import (
     ARITIES,
@@ -32,7 +30,6 @@ from xcsp3core.expr import (
     VarRef,
     compile_bounded,
     compile_expr,
-    eval_expr,
     free_vars,
     parse_expr,
     print_expr,
@@ -41,7 +38,7 @@ from xcsp3core.parser import parse_string
 
 
 def ev(text, **env):
-    return eval_expr(parse_expr(text), env)
+    return compile_expr(parse_expr(text))(env)
 
 
 def test_parse_atoms():
@@ -57,31 +54,40 @@ def test_parse_nested_call():
 
 
 def test_whitespace_inside_expression_rejected():
-    with pytest.raises(WhitespaceError):
+    with pytest.raises(ParseError) as err:
         parse_expr("add(x,y )")
-    with pytest.raises(WhitespaceError):
+    assert err.value.rule == "expression-whitespace"
+    with pytest.raises(ParseError) as err:
         parse_expr("eq( x,y)")
+    assert err.value.rule == "expression-whitespace"
 
 
 def test_arity_checked():
-    with pytest.raises(ArityError):
+    with pytest.raises(ParseError) as err:
         parse_expr("neg(x,y)")
-    with pytest.raises(ArityError):
+    assert err.value.rule == "operator-arity"
+    with pytest.raises(ParseError) as err:
         parse_expr("if(x,y)")
-    with pytest.raises(ArityError):
+    assert err.value.rule == "operator-arity"
+    with pytest.raises(ParseError) as err:
         parse_expr("add(x)")
+    assert err.value.rule == "operator-arity"
 
 
 def test_malformed_rejected():
-    for text in ("add(x,", "add(x,y))", "", "x y", "5..6", "eq(,x)"):
-        with pytest.raises(ExprSyntaxError):
+    for text, rule in (("add(x,", "expression-syntax"), ("add(x,y))", "expression-syntax"),
+                       ("", "expression-syntax"), ("x y", "expression-whitespace"),
+                       ("5..6", "expression-syntax"), ("eq(,x)", "expression-syntax")):
+        with pytest.raises(ParseError) as err:
             parse_expr(text)
+        assert err.value.rule == rule
 
 
 def test_operator_names_are_not_variables():
     # an operator token without parentheses cannot denote a variable
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ParseError) as err:
         parse_expr("eq(add,2)")
+    assert err.value.rule == "expression-syntax"
 
 
 # -- arithmetic semantics (division truncates toward zero, mod follows dividend) ----
@@ -237,7 +243,7 @@ def test_eval_total_or_flagged(e, x, y, z, w0):
     # evaluation either yields an int64 or raises a typed evaluation error
     env = {"x": x, "y": y, "z": z, "w0": w0}
     try:
-        value = eval_expr(e, env)
+        value = compile_expr(e)(env)
     except (DivisionByZero, Overflow, NegativeExponent):
         return
     assert isinstance(value, int)
@@ -247,8 +253,8 @@ def test_eval_total_or_flagged(e, x, y, z, w0):
 @given(a=st.integers(0, 1), b=st.integers(0, 1))
 def test_de_morgan(a, b):
     env = {"x": a, "y": b}
-    lhs = eval_expr(parse_expr("not(and(eq(x,1),eq(y,1)))"), env)
-    rhs = eval_expr(parse_expr("or(not(eq(x,1)),not(eq(y,1)))"), env)
+    lhs = ev("not(and(eq(x,1),eq(y,1)))", **env)
+    rhs = ev("or(not(eq(x,1)),not(eq(y,1)))", **env)
     assert lhs == rhs
 
 

@@ -16,7 +16,6 @@ from xcsp3core.checker import (
     check_constraint,
     check_solution,
     eval_objective,
-    scope_of,
 )
 from xcsp3core.model import STAR, Instantiation
 from xcsp3core.parser import parse_file, parse_string
@@ -102,7 +101,7 @@ def only_kind(constraint: str):
 def test_scope_by_hand(name, constraint, scope):
     kind = only_kind(constraint)
     assert type(kind).__name__ == name
-    assert scope_of(kind) == scope
+    assert list(kind.var_ids) == scope
 
 
 @pytest.mark.parametrize("name,constraint,scope", CASES, ids=IDS)

@@ -3,15 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from xcsp3core.errors import (
-    DuplicateId,
-    IndexOutOfBounds,
-    MalformedCompactToken,
-    MalformedInterval,
-    MatrixContextError,
-    OutOfOrder,
-    UnknownArray,
-)
+from xcsp3core.errors import ParseError
 from xcsp3core.model import (
     Condition,
     CondOp,
@@ -55,17 +47,21 @@ def test_domain_mixes_values_and_intervals():
 
 
 def test_domain_order_enforced():
-    with pytest.raises(OutOfOrder):
+    with pytest.raises(ParseError) as err:
         parse_domain_text("0..10 10", "/x")
-    with pytest.raises(OutOfOrder):
+    assert err.value.rule == "domain-order"
+    with pytest.raises(ParseError) as err:
         parse_domain_text("5 3", "/x")
-    with pytest.raises(OutOfOrder):
+    assert err.value.rule == "domain-order"
+    with pytest.raises(ParseError) as err:
         parse_domain_text("1..3 2..5", "/x")
+    assert err.value.rule == "domain-order"
 
 
 def test_interval_bounds_checked():
-    with pytest.raises(MalformedInterval):
+    with pytest.raises(ParseError) as err:
         parse_domain_text("5..3", "/x")
+    assert err.value.rule == "interval-bounds"
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12, unique=True))
@@ -145,21 +141,26 @@ def test_compact_matrix_needs_two_free_dims():
     amap = {"x": arr}
     rows = expand_compact_variable_list("x[][]", amap, Context.MATRIX)
     assert rows == [[f"x[{i}][{j}]" for j in range(3)] for i in range(3)]
-    with pytest.raises(MatrixContextError):
+    with pytest.raises(ParseError) as err:
         expand_compact_variable_list("x[0][]", amap, Context.MATRIX)
+    assert err.value.rule == "matrix-shape"
 
 
 def test_compact_errors():
     arr = make_array("x", 3)
     amap = {"x": arr}
-    with pytest.raises(UnknownArray):
+    with pytest.raises(ParseError) as err:
         expand_compact_variable_list("nope[]", amap, Context.LIST)
-    with pytest.raises(IndexOutOfBounds):
+    assert err.value.rule == "unknown-array"
+    with pytest.raises(ParseError) as err:
         expand_compact_variable_list("x[7]", amap, Context.LIST)
-    with pytest.raises(IndexOutOfBounds):
+    assert err.value.rule == "index-range"
+    with pytest.raises(ParseError) as err:
         expand_compact_variable_list("x[][]", amap, Context.LIST)
-    with pytest.raises(MalformedCompactToken):
+    assert err.value.rule == "index-range"
+    with pytest.raises(ParseError) as err:
         expand_compact_variable_list("x[1..]", amap, Context.LIST)
+    assert err.value.rule == "compact-token"
 
 
 def test_is_compact_token():
@@ -199,8 +200,9 @@ def test_condition_with_variable_rhs():
 # -- instantiation mapping -----------------------------------------------------------
 
 def test_instantiation_rejects_duplicates():
-    with pytest.raises(DuplicateId):
+    with pytest.raises(ParseError) as err:
         Instantiation([("x", 1), ("x", 2)])
+    assert err.value.rule == "instantiation-ids"
 
 
 def test_instantiation_stars():

@@ -4,22 +4,7 @@ import tracemalloc
 
 import pytest
 
-from xcsp3core.errors import (
-    AliasOnForbiddenElement,
-    BadFramework,
-    BadSize,
-    DuplicateId,
-    ForwardAlias,
-    MisplacedOthers,
-    MissingVariables,
-    ObjectiveCountError,
-    OverlappingFor,
-    ParseError,
-    TransitiveAlias,
-    UnknownAliasTarget,
-    UnknownElement,
-    WhitespaceError,
-)
+from xcsp3core.errors import ParseError, UnknownElement
 from xcsp3core.kinds import Extension, Intension, Sum
 from xcsp3core.model import Framework
 from xcsp3core.parser import ParserConfig, parse_string
@@ -38,31 +23,36 @@ TRIVIAL = "<intension> eq(0,0) </intension>"
 # -- instance envelope ---------------------------------------------------------------
 
 def test_framework_attribute_checked():
-    with pytest.raises(BadFramework):
+    with pytest.raises(ParseError) as err:
         parse_string('<instance format="XCSP2" type="CSP">'
                      "<variables><var id=\"x\"> 0 </var></variables>"
                      "<constraints/></instance>")
-    with pytest.raises(BadFramework):
+    assert err.value.rule == "instance-format"
+    with pytest.raises(ParseError) as err:
         parse_string('<instance format="XCSP3" type="WCSP">'
                      "<variables><var id=\"x\"> 0 </var></variables>"
                      "<constraints/></instance>")
+    assert err.value.rule == "instance-type"
 
 
 def test_csp_must_not_carry_objective():
     text = wrap('<var id="x"> 0 1 </var>', TRIVIAL,
                 objectives="<objectives><minimize> x </minimize></objectives>")
-    with pytest.raises(BadFramework):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "instance-type"
 
 
 def test_cop_needs_exactly_one_objective():
     base = '<var id="x"> 0 1 </var>'
-    with pytest.raises(ObjectiveCountError):
+    with pytest.raises(ParseError) as err:
         parse_string(wrap(base, TRIVIAL, type_="COP"))
+    assert err.value.rule == "objective-count"
     both = ("<objectives><minimize> x </minimize>"
             "<maximize> x </maximize></objectives>")
-    with pytest.raises(ObjectiveCountError):
+    with pytest.raises(ParseError) as err:
         parse_string(wrap(base, TRIVIAL, type_="COP", objectives=both))
+    assert err.value.rule == "objective-count"
 
 
 def test_section_order_enforced():
@@ -106,7 +96,7 @@ def test_undefined_useful_variable_rejected():
     text = wrap('<array id="z" size="[3]">'
                 '<domain for="z[0..1]"> 0 1 </domain></array>',
                 "<intension> eq(z[2],0) </intension>")
-    with pytest.raises(MissingVariables) as err:
+    with pytest.raises(ParseError) as err:
         parse_string(text)
     assert err.value.rule == "undefined-useful"
 
@@ -120,8 +110,9 @@ def test_arrays_flatten_row_major():
 
 
 def test_array_size_must_be_positive():
-    with pytest.raises(BadSize):
+    with pytest.raises(ParseError) as err:
         parse_string(wrap('<array id="x" size="[0]"> 0 1 </array>', TRIVIAL))
+    assert err.value.rule == "array-size"
 
 
 def test_array_domain_groups():
@@ -152,8 +143,9 @@ def test_others_must_come_last():
                 '<domain for="others"> 5..8 </domain>'
                 '<domain for="z[0]"> 0 1 </domain>'
                 "</array>", TRIVIAL)
-    with pytest.raises(MisplacedOthers):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "for-others"
 
 
 def test_overlapping_for_groups_rejected():
@@ -161,8 +153,9 @@ def test_overlapping_for_groups_rejected():
                 '<domain for="z[0..2]"> 0 1 </domain>'
                 '<domain for="z[2..3]"> 3 4 </domain>'
                 "</array>", TRIVIAL)
-    with pytest.raises(OverlappingFor):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "for-overlap"
 
 
 def test_for_tokens_select_row_major_cells():
@@ -192,7 +185,7 @@ def test_bad_for_token_rejected(token):
 
 
 def test_duplicate_variable_id():
-    with pytest.raises(DuplicateId) as err:
+    with pytest.raises(ParseError) as err:
         parse_string(wrap('<var id="x"> 0 </var><var id="x"> 1 </var>', TRIVIAL))
     assert err.value.rule == "duplicate-id"
 
@@ -213,13 +206,16 @@ def test_alias_on_array_reuses_shape():
 
 
 def test_alias_errors():
-    with pytest.raises(UnknownAliasTarget):
+    with pytest.raises(ParseError) as err:
         parse_string(wrap('<var id="x" as="ghost"/>', TRIVIAL))
-    with pytest.raises(ForwardAlias):
+    assert err.value.rule == "alias-target"
+    with pytest.raises(ParseError) as err:
         parse_string(wrap('<var id="x" as="y"/><var id="y"> 0 1 </var>', TRIVIAL))
-    with pytest.raises(TransitiveAlias):
+    assert err.value.rule == "alias-order"
+    with pytest.raises(ParseError) as err:
         parse_string(wrap('<var id="x"> 0 1 </var><var id="y" as="x"/>'
                           '<var id="z" as="y"/>', TRIVIAL))
+    assert err.value.rule == "alias-chain"
     with pytest.raises(ParseError):
         # aliased elements must have no content of their own
         parse_string(wrap('<var id="x"> 0 1 </var><var id="y" as="x"> 2 </var>',
@@ -230,8 +226,9 @@ def test_alias_forbidden_on_constraints():
     text = wrap('<var id="x"> 0 1 </var>',
                 '<intension id="c"> eq(x,0) </intension>'
                 '<intension as="c"/>')
-    with pytest.raises(AliasOnForbiddenElement):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "alias-element"
 
 
 # -- constraints section -------------------------------------------------------------
@@ -261,9 +258,10 @@ def test_lenient_skips_group_or_slide_with_non_core_template(structure, rule):
     assert len(inst.constraints) == 1
     assert isinstance(inst.constraints[0].kind, Intension)
     # the skipped structure keeps its id
-    with pytest.raises(DuplicateId):
+    with pytest.raises(ParseError) as err:
         parse_string(text.replace("<intension>", '<intension id="g">'),
                      ParserConfig(strict=False))
+    assert err.value.rule == "duplicate-id"
 
 
 def test_drop_class_removes_tagged_constraints():
@@ -286,15 +284,16 @@ def test_block_classes_accumulate():
 
 def test_constraint_references_validated():
     text = wrap('<var id="x"> 0 1 </var>', "<intension> eq(ghost,0) </intension>")
-    with pytest.raises(MissingVariables):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "unknown-variable"
 
 
 def test_duplicate_constraint_id():
     text = wrap('<var id="x"> 0 1 </var>',
                 '<intension id="c"> eq(x,0) </intension>'
                 '<intension id="c"> ne(x,1) </intension>')
-    with pytest.raises(DuplicateId) as err:
+    with pytest.raises(ParseError) as err:
         parse_string(text)
     assert err.value.rule == "duplicate-id"
 
@@ -321,10 +320,12 @@ def test_strict_id_prefix_rule_for_groups():
 
 
 def test_attribute_whitespace_rejected_everywhere():
-    with pytest.raises(WhitespaceError):
+    with pytest.raises(ParseError) as err:
         parse_string(wrap('<var id=" x"> 0 1 </var>', TRIVIAL))
-    with pytest.raises(WhitespaceError):
+    assert err.value.rule == "attribute-whitespace"
+    with pytest.raises(ParseError) as err:
         parse_string(wrap('<var id="x "> 0 1 </var>', TRIVIAL))
+    assert err.value.rule == "attribute-whitespace"
 
 
 def test_element_text_padding_tolerated():
@@ -409,8 +410,9 @@ def test_sum_objective_with_bare_list():
 def test_objective_scope_validated():
     text = wrap('<var id="x"> 0..5 </var>', TRIVIAL, type_="COP",
                 objectives="<objectives><minimize> ghost </minimize></objectives>")
-    with pytest.raises(MissingVariables):
+    with pytest.raises(ParseError) as err:
         parse_string(text)
+    assert err.value.rule == "unknown-variable"
 
 
 def test_decision_annotation():

@@ -217,7 +217,7 @@ def _stages_by_depth(kind, order, domains, env):
     writes it, raising errors unnamed."""
     depth_of = {v: d for d, v in enumerate(order)}
     bounds = {v: (min(domains[v]), max(domains[v])) for v in order}
-    stages = staged_checks(kind, depth_of, bounds, env)
+    stages = staged_checks(kind, depth_of, bounds)
     if stages is None:
         return None, depth_of
     by_depth = {}
@@ -316,14 +316,16 @@ def _complete_check_search(monkeypatch, inst, cfg=SearchConfig()):
     eval_objective: the plan as it was before the stages finished their own
     scopes, with the same pruning and so the same node count.
     """
+    searches = []  # the search, once built: its env is read when a check runs
+
     def finished_by_check_constraint(build):
-        def builder(kind, depth_of, bounds, env):
-            stages = build(kind, depth_of, bounds, env)
+        def builder(kind, depth_of, bounds):
+            stages = build(kind, depth_of, bounds)
             if stages is None:
                 return None
 
             def complete():
-                return not check_constraint(kind, env, validate=False)
+                return not check_constraint(kind, searches[0].env, validate=False)
 
             last = stages[-1][0]
             return [stage for stage in stages if stage[0] != last] + [
@@ -334,7 +336,8 @@ def _complete_check_search(monkeypatch, inst, cfg=SearchConfig()):
         m.setattr(solver, "_STAGED", {kind: finished_by_check_constraint(build)
                                       for kind, build in solver._STAGED.items()})
         m.setattr(_Search, "_cost", _costed_by_eval_objective)
-        return _Search(inst, cfg)
+        searches.append(_Search(inst, cfg))
+    return searches[0]
 
 
 def _outcome(search):
