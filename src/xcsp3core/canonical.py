@@ -8,7 +8,6 @@ instances_equivalent compares two instances modulo that id rewriting.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, fields
 from typing import Any, Callable, Dict, List, Tuple
 
 from . import kinds as K
@@ -168,7 +167,7 @@ def _text(value: Any) -> str:
 
 # Each kind's element: its tag and its children in the order written, as
 # (child tag, field name); a tuple of field names shares one child. A field
-# left at its dataclass default is not written. The child tag "owner@name"
+# left at its value in the kind's DEFAULTS is not written. The child tag "owner@name"
 # writes the field as attribute name= of the child just written, or of the
 # constraint element when owner is empty. The rules that no row states are in
 # _write_constraint.
@@ -213,9 +212,6 @@ _LAYOUT: Dict[type, Tuple[str, tuple]] = {
     K.InstantiationCtr: ("instantiation", (("list", "vars"), ("values", "values"))),
 }
 
-_DEFAULTS = {cls: {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-             for cls in _LAYOUT}
-
 
 def _write_constraint(w: _Writer, posted: PostedConstraint) -> None:
     """Write posted by its kind's _LAYOUT row. Beyond the row: sum coefficients
@@ -224,13 +220,12 @@ def _write_constraint(w: _Writer, posted: PostedConstraint) -> None:
     a lone <list> or <function> child becomes the element's text."""
     kind = posted.kind
     tag, rows = _LAYOUT[type(kind)]
-    defaults = _DEFAULTS[type(kind)]
     attrs = _constraint_attrs(posted)
     children: List[Tuple[str, str, Dict[str, str]]] = []
     for child, name in rows:
         if type(name) is str:
             value = getattr(kind, name)
-            if value == defaults.get(name, MISSING):
+            if name in kind.DEFAULTS and value == kind.DEFAULTS[name]:
                 continue
             if name == "coeffs" and all(c == 1 for c in value):
                 continue

@@ -11,6 +11,10 @@ the token readers in parser.py build on them. Template parameters (%k,
 %...) are not part of this grammar; groups and slides substitute them in
 the text before an expression is parsed.
 
+Record, the base of the expression nodes and of the value classes of
+model.py and kinds.py, is here, the lowest module they all import; the
+generator of compile_expr writes its methods from each class's fields.
+
 compile_expr generates Python code once per expression shape: the
 operators, their operand counts and the kinds of the leaves. The first
 expression of a shape generates and compiles a factory whose parameters
@@ -45,7 +49,6 @@ key adds the list of kept tests, and shares compile_expr's cache.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
@@ -61,27 +64,110 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class IntConst:
-    value: int
+def generated(cache: Dict[Any, Callable[..., Any]], bound: int, key: Any,
+              write: Callable[[], str], namespace: Mapping[str, object],
+              filename: str) -> Callable[..., Any]:
+    """The factory _make of shape key: from cache, or compiled from write().
+
+    The source is executed in a copy of namespace. cache holds at most
+    bound factories, the oldest dropped first. compile_expr, the solver's
+    depth functions and the record classes use it, each with its own cache.
+    """
+    make = cache.get(key)
+    if make is None:
+        scope = dict(namespace)
+        exec(compile(write(), filename, "exec"), scope)
+        make = scope["_make"]
+        if len(cache) >= bound:
+            del cache[next(iter(cache))]
+        cache[key] = make
+    return make
 
 
-@dataclass(frozen=True)
-class VarRef:
+def _record_source(fields: Tuple[str, ...], defaults: Dict[str, Any], validate: bool) -> str:
+    """The source of _make(setters..., defaults...) -> (__init__, __eq__, __hash__)."""
+    values = ", ".join(f"self.{f}" for f in fields)  # a lone field is hashed as it is
+    return "\n".join(
+        ["def _make(" + ", ".join([f"_set_{f}" for f in fields]
+                                  + [f"_default_{f}" for f in defaults]) + "):",
+         "    def __init__(self, " + ", ".join(
+             f"{f}=_default_{f}" if f in defaults else f for f in fields) + "):"]
+        + [f"        _set_{f}(self, {f})" for f in fields]
+        + ["        self._validate()"] * validate
+        + ["    def __eq__(self, other):",
+           "        if other.__class__ is self.__class__:",
+           "            return " + " and ".join(f"self.{f} == other.{f}" for f in fields),
+           "        return NotImplemented",
+           "    def __hash__(self):",
+           f"        return hash({values if len(fields) == 1 else f'({values})'})",
+           "    return __init__, __eq__, __hash__", ""])
+
+
+_RECORD_FACTORIES: Dict[Any, Callable[..., Any]] = {}  # shared by equal field lists
+
+
+class _RecordType(type):
+    """Gives a record class a slot per field its bases lack and, when it
+    declares FIELDS, its generated __init__, __eq__ and __hash__."""
+
+    def __new__(mcs, name: str, bases: tuple, namespace: dict) -> type:
+        inherited = {f for base in bases for f in getattr(base, "FIELDS", ())}
+        namespace.setdefault("__slots__", tuple(
+            f for f in namespace.get("FIELDS", ()) if f not in inherited))
+        cls = super().__new__(mcs, name, bases, namespace)
+        if namespace.get("FIELDS"):
+            fields, defaults = cls.FIELDS, cls.DEFAULTS
+            validate = hasattr(cls, "_validate")
+            make = generated(_RECORD_FACTORIES, 256, (fields, tuple(defaults), validate),
+                             lambda: _record_source(fields, defaults, validate), {},
+                             "<record>")
+            cls.__init__, cls.__eq__, cls.__hash__ = make(
+                *[getattr(cls, f).__set__ for f in fields], *defaults.values())
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """An immutable value: its class and the values of its FIELDS.
+
+    A subclass lists its fields in FIELDS (a base's first), the values of
+    the trailing ones that may be left out in DEFAULTS, and may define
+    _validate, which __init__ calls last. Records are equal when of one
+    class with equal fields; assigning or deleting an attribute raises
+    AttributeError; pickling and copying rebuild a record from its fields.
+    """
+
+    FIELDS: Tuple[str, ...] = ()
+    DEFAULTS: Dict[str, Any] = {}
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> Tuple[type, tuple]:
+        return type(self), tuple(getattr(self, f) for f in self.FIELDS)
+
+
+class IntConst(Record):
+    FIELDS = ("value",)
+
+
+class VarRef(Record):
     """Reference to a variable, possibly an array cell like ``x[0][3]``."""
-    id: str
+    FIELDS = ("id",)
 
 
-@dataclass(frozen=True)
-class SetLiteral:
+class SetLiteral(Record):
     """set(...) of integer constants; only valid as the second slot of in()."""
-    values: Tuple[int, ...]
+    FIELDS = ("values",)  # Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OpCall:
-    op: str
-    args: Tuple["Expr", ...]
+class OpCall(Record):
+    FIELDS = ("op", "args")  # str, Tuple[Expr, ...]
 
 
 Expr = Union[IntConst, VarRef, SetLiteral, OpCall]
@@ -705,26 +791,6 @@ def compile_bounded(e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, boo
     make = generated(_FACTORIES, MAX_SHAPES, key, lambda: _Writer(tests).source(e),
                      _NAMESPACE, "<expression shape>")
     return make(*consts), raises
-
-
-def generated(cache: Dict[Any, Callable[..., Any]], bound: int, key: Any,
-              write: Callable[[], str], namespace: Mapping[str, object],
-              filename: str) -> Callable[..., Any]:
-    """The factory _make of shape key: from cache, or compiled from write().
-
-    The source is executed in a copy of namespace. cache holds at most
-    bound factories, the oldest dropped first. compile_expr and the
-    solver's depth functions use it, each with its own cache.
-    """
-    make = cache.get(key)
-    if make is None:
-        scope = dict(namespace)
-        exec(compile(write(), filename, "exec"), scope)
-        make = scope["_make"]
-        if len(cache) >= bound:
-            del cache[next(iter(cache))]
-        cache[key] = make
-    return make
 
 
 def free_vars(e: Expr) -> List[str]:

@@ -1,54 +1,40 @@
 """Typed constraint kinds and objectives.
 
-Each constraint family from the core subset gets one frozen dataclass
-deriving from ConstraintKind. Variable lists are tuples of variable ids
-(strings); where the format grants integer-expression views (allDifferent,
-allEqual, sum, count, nValues, minimum, maximum and specialized
-objectives) the operand lists hold expression trees instead.
+Each constraint family from the core subset gets one record class
+(expr.Record) deriving from ConstraintKind, which lists its FIELDS, its
+DEFAULTS and its EXPRESSIONS fields once. Variable lists are tuples of
+variable ids (strings); where the format grants integer-expression views
+(allDifferent, allEqual, sum, count, nValues, minimum, maximum and
+specialized objectives) the operand lists hold expression trees instead.
 
 Every kind and the Objective carry ``var_ids``: the variables they
-involve, derived once by one rule over the dataclass fields (see
-_Involving). Extension, Regular and Mdd take it from their scope instead
-(see _Scoped): walking a table costs time and finds only values, and
+involve, derived once by one rule over FIELDS (see _Involving).
+Extension, Regular and Mdd take it from their scope instead (see
+_Scoped): walking a table costs time and finds only values, and
 transitions hold state names, not variable ids. Kinds and the Objective
-also carry ``compiled``: every expression held in a field declared as
-Expr, Optional[Expr] or Tuple[Expr, ...], compiled once, on first
-evaluation. An Extension without * rows likewise builds its ``table``, a
-set of its tuples, on first check.
+also carry ``compiled``: every expression held in their EXPRESSIONS
+fields, compiled once, on first evaluation. An Extension without * rows
+likewise builds its ``table``, a set of its tuples, on first check. These
+caches live in __dict__; a copied or unpickled record starts without them.
 The semantics of each kind live in one table in checker.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import operator
 from enum import Enum
-from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union, get_type_hints
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .errors import ParseError
-from .expr import Evaluator, Expr, OpCall, VarRef, compile_expr, free_vars
-from .model import Condition, Domain, Interval, Star, Value
+from .expr import Evaluator, OpCall, Record, VarRef, compile_expr, free_vars
+from .model import Condition, Star
 
 # value-or-variable slot (coeffs, lengths, heights, counted values, size)
 Val = Union[int, VarRef]
 
 # a compiled expression and its free variables (None for a bare variable)
 Compiled = Tuple[Evaluator, Optional[Tuple[str, ...]]]
-
-_EXPRESSION_TYPES = (Expr, Optional[Expr], Tuple[Expr, ...])
-
-
-@lru_cache(maxsize=None)
-def _field_names(cls: type) -> Tuple[str, ...]:
-    """Names of the fields of cls, in declaration order."""
-    return tuple(f.name for f in fields(cls))
-
-
-@lru_cache(maxsize=None)
-def _expression_fields(cls: type) -> Tuple[str, ...]:
-    """Names of the fields of cls declared to hold expressions."""
-    hints = get_type_hints(cls)
-    return tuple(f.name for f in fields(cls) if hints[f.name] in _EXPRESSION_TYPES)
 
 
 def _collect(value: object, ids: Dict[str, None]) -> None:
@@ -65,20 +51,23 @@ def _collect(value: object, ids: Dict[str, None]) -> None:
             _collect(item, ids)
 
 
-class _Involving:
+class _Involving(Record):
     """Something that involves variables: a constraint kind or an objective."""
+
+    __slots__ = ("__dict__",)  # for the cached properties
+    EXPRESSIONS: Tuple[str, ...] = ()  # fields holding Expr, Optional[Expr] or Expr tuples
 
     @cached_property
     def var_ids(self) -> Tuple[str, ...]:
         """Ids of the variables involved, in first-use order, no duplicates.
 
-        Fields are walked in declaration order: a str is a variable id, a
-        VarRef gives its id, an expression its free variables, a Condition
-        its operand's id (if any); tuples are walked item by item and
-        anything else adds nothing.
+        FIELDS are walked in order: a str is a variable id, a VarRef gives
+        its id, an expression its free variables, a Condition its operand's
+        id (if any); tuples are walked item by item and anything else adds
+        nothing.
         """
         ids: Dict[str, None] = {}
-        for name in _field_names(type(self)):
+        for name in self.FIELDS:
             _collect(getattr(self, name), ids)
         return tuple(ids)
 
@@ -86,11 +75,11 @@ class _Involving:
     def compiled(self) -> Tuple[Compiled, ...]:
         """Every expression held, compiled, with its free variables.
 
-        Expression fields are taken in declaration order, tuples item by
-        item. Built on first evaluation, never while parsing.
+        EXPRESSIONS fields are taken in order, tuples item by item. Built on
+        first evaluation, never while parsing.
         """
         out: List[Compiled] = []
-        for name in _expression_fields(type(self)):
+        for name in self.EXPRESSIONS:
             value = getattr(self, name)
             for e in value if isinstance(value, tuple) else (value,):
                 if e is not None:
@@ -110,41 +99,32 @@ class OrderOp(Enum):
     GT = "gt"
 
     def holds(self, a, b) -> bool:
-        if self is OrderOp.LT:
-            return a < b
-        if self is OrderOp.LE:
-            return a <= b
-        if self is OrderOp.GE:
-            return a >= b
-        return a > b
+        return getattr(operator, self.value)(a, b)
 
 
-@dataclass(frozen=True)
 class Intension(ConstraintKind):
-    function: Expr
+    FIELDS = ("function",)  # Expr
+    EXPRESSIONS = ("function",)
 
 
-@dataclass(frozen=True)
 class _Scoped(ConstraintKind):
     """A kind whose variables are exactly its scope: Extension, Regular, Mdd."""
 
-    scope: Tuple[str, ...]
+    FIELDS = ("scope",)
 
     @cached_property
     def var_ids(self) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(self.scope))
 
 
-@dataclass(frozen=True)
 class Extension(_Scoped):
     """Table constraint. Non-unary tables hold tuples (with * wildcards
     allowed); unary tables hold a Domain built from value/interval tokens."""
 
-    positive: bool
-    tuples: Optional[Tuple[Tuple[Value, ...], ...]] = None
-    unary: Optional[Domain] = None
+    FIELDS = ("scope", "positive", "tuples", "unary")  # ids, bool, rows, Domain
+    DEFAULTS = {"tuples": None, "unary": None}
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if (self.tuples is None) == (self.unary is None):
             raise ValueError("exactly one of tuples/unary must be set")
         if self.unary is not None and len(self.scope) != 1:
@@ -162,20 +142,16 @@ class Extension(_Scoped):
         return frozenset(self.tuples)
 
 
-@dataclass(frozen=True)
 class _Automaton(_Scoped):
-    """Regular and Mdd: labelled transitions between states along the scope."""
+    """Regular and Mdd: (state, value, state) transitions along the scope."""
 
-    transitions: Tuple[Tuple[str, int, str], ...]
+    FIELDS = ("scope", "transitions")
 
 
-@dataclass(frozen=True)
 class Regular(_Automaton):
-    start: str
-    finals: Tuple[str, ...]
+    FIELDS = ("scope", "transitions", "start", "finals")  # ..., str, Tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Mdd(_Automaton):
     @cached_property
     def root_terminal(self) -> Tuple[str, str]:
@@ -190,54 +166,44 @@ class Mdd(_Automaton):
         return next(iter(roots)), next(iter(terminals))
 
 
-@dataclass(frozen=True)
 class AllDifferent(ConstraintKind):
-    operands: Tuple[Expr, ...]
-    excepts: Tuple[int, ...] = ()
+    FIELDS = ("operands", "excepts")  # Tuple[Expr, ...], Tuple[int, ...]
+    DEFAULTS = {"excepts": ()}
+    EXPRESSIONS = ("operands",)
 
 
-@dataclass(frozen=True)
 class AllDifferentLists(ConstraintKind):
-    lists: Tuple[Tuple[str, ...], ...]
-    excepts: Tuple[Tuple[int, ...], ...] = ()
+    FIELDS = ("lists", "excepts")  # lists of ids, tuples of excepted values
+    DEFAULTS = {"excepts": ()}
 
 
-@dataclass(frozen=True)
 class AllDifferentMatrix(ConstraintKind):
-    rows: Tuple[Tuple[str, ...], ...]
+    FIELDS = ("rows",)  # Tuple[Tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
 class AllEqual(ConstraintKind):
-    operands: Tuple[Expr, ...]
+    FIELDS = ("operands",)
+    EXPRESSIONS = ("operands",)
 
 
-@dataclass(frozen=True)
 class Ordered(ConstraintKind):
-    vars: Tuple[str, ...]
-    op: OrderOp
-    lengths: Optional[Tuple[Val, ...]] = None
+    FIELDS = ("vars", "op", "lengths")  # ids, OrderOp, Optional[Tuple[Val, ...]]
+    DEFAULTS = {"lengths": None}
 
 
-@dataclass(frozen=True)
 class Lex(ConstraintKind):
-    lists: Tuple[Tuple[str, ...], ...]
-    op: OrderOp
+    FIELDS = ("lists", "op")
 
 
-@dataclass(frozen=True)
 class Lex2(ConstraintKind):
     """Lex chain over the rows and over the columns of a matrix."""
 
-    rows: Tuple[Tuple[str, ...], ...]
-    op: OrderOp
+    FIELDS = ("rows", "op")
 
 
-@dataclass(frozen=True)
 class Sum(ConstraintKind):
-    terms: Tuple[Expr, ...]
-    coeffs: Tuple[Val, ...]
-    condition: Condition
+    FIELDS = ("terms", "coeffs", "condition")  # Tuple[Expr, ...], Tuple[Val, ...]
+    EXPRESSIONS = ("terms",)
 
     @cached_property
     def int_coeffs(self) -> Optional[Tuple[int, ...]]:
@@ -247,119 +213,85 @@ class Sum(ConstraintKind):
         return self.coeffs
 
 
-@dataclass(frozen=True)
 class Count(ConstraintKind):
-    operands: Tuple[Expr, ...]
-    values: Tuple[Val, ...]
-    condition: Condition
+    FIELDS = ("operands", "values", "condition")  # values: Tuple[Val, ...]
+    EXPRESSIONS = ("operands",)
 
 
-@dataclass(frozen=True)
 class NValues(ConstraintKind):
-    operands: Tuple[Expr, ...]
-    condition: Condition
-    excepts: Tuple[int, ...] = ()
+    FIELDS = ("operands", "condition", "excepts")
+    DEFAULTS = {"excepts": ()}
+    EXPRESSIONS = ("operands",)
 
 
-@dataclass(frozen=True)
 class Cardinality(ConstraintKind):
-    vars: Tuple[str, ...]
-    values: Tuple[Val, ...]
-    occurs: Tuple[Union[int, VarRef, Interval], ...]
-    closed: bool = False
+    FIELDS = ("vars", "values", "occurs", "closed")  # occurs: int, VarRef or Interval
+    DEFAULTS = {"closed": False}
 
 
-@dataclass(frozen=True)
 class Minimum(ConstraintKind):
-    operands: Tuple[Expr, ...]
-    condition: Condition
+    FIELDS = ("operands", "condition")
+    EXPRESSIONS = ("operands",)
 
 
-@dataclass(frozen=True)
 class Maximum(ConstraintKind):
-    operands: Tuple[Expr, ...]
-    condition: Condition
+    FIELDS = ("operands", "condition")
+    EXPRESSIONS = ("operands",)
 
 
 # right-hand side of element: a target value/variable or a full condition
 ElementRhs = Union[int, VarRef, Condition]
 
 
-@dataclass(frozen=True)
 class ElementVarList(ConstraintKind):
-    vars: Tuple[str, ...]
-    index: str
-    rhs: ElementRhs
+    FIELDS = ("vars", "index", "rhs")  # ids, id, ElementRhs
 
 
-@dataclass(frozen=True)
 class ElementValList(ConstraintKind):
-    values: Tuple[int, ...]
-    index: str
-    rhs: ElementRhs
+    FIELDS = ("values", "index", "rhs")  # Tuple[int, ...], id, ElementRhs
 
 
-@dataclass(frozen=True)
 class ElementMatrix(ConstraintKind):
     """cells holds variable ids (str) or plain values (int), homogeneously."""
 
-    cells: Tuple[Tuple[Union[str, int], ...], ...]
-    row_index: str
-    col_index: str
-    rhs: ElementRhs
+    FIELDS = ("cells", "row_index", "col_index", "rhs")
 
 
-@dataclass(frozen=True)
 class ChannelOne(ConstraintKind):
-    vars: Tuple[str, ...]
+    FIELDS = ("vars",)
 
 
-@dataclass(frozen=True)
 class ChannelTwo(ConstraintKind):
-    first: Tuple[str, ...]
-    second: Tuple[str, ...]
+    FIELDS = ("first", "second")
 
 
-@dataclass(frozen=True)
 class ChannelValue(ConstraintKind):
-    vars: Tuple[str, ...]
-    value: str
+    FIELDS = ("vars", "value")  # ids, id
 
 
-@dataclass(frozen=True)
 class NoOverlap1(ConstraintKind):
-    origins: Tuple[str, ...]
-    lengths: Tuple[Val, ...]
-    zero_ignored: bool = True
+    FIELDS = ("origins", "lengths", "zero_ignored")  # ids, Tuple[Val, ...], bool
+    DEFAULTS = {"zero_ignored": True}
 
 
-@dataclass(frozen=True)
 class NoOverlapK(ConstraintKind):
-    origins: Tuple[Tuple[str, ...], ...]
-    lengths: Tuple[Tuple[Val, ...], ...]
-    zero_ignored: bool = True
+    FIELDS = ("origins", "lengths", "zero_ignored")  # one tuple per box of each
+    DEFAULTS = {"zero_ignored": True}
 
 
-@dataclass(frozen=True)
 class Cumulative(ConstraintKind):
-    origins: Tuple[str, ...]
-    lengths: Tuple[Val, ...]
-    heights: Tuple[Val, ...]
-    condition: Condition
+    FIELDS = ("origins", "lengths", "heights", "condition")
 
 
-@dataclass(frozen=True)
 class Circuit(ConstraintKind):
-    vars: Tuple[str, ...]
-    size: Optional[Val] = None
+    FIELDS = ("vars", "size")  # ids, Optional[Val]
+    DEFAULTS = {"size": None}
 
 
-@dataclass(frozen=True)
 class InstantiationCtr(ConstraintKind):
     """instantiation posted as a constraint; * entries restrict nothing."""
 
-    vars: Tuple[str, ...]
-    values: Tuple[Value, ...]
+    FIELDS = ("vars", "values")  # ids, Tuple[Value, ...]
 
 
 class Sense(Enum):
@@ -376,15 +308,12 @@ class ObjKind(Enum):
     LEX = "lex"
 
 
-@dataclass(frozen=True)
 class Objective(_Involving):
-    sense: Sense
-    kind: ObjKind
-    expression: Optional[Expr] = None
-    operands: Tuple[Expr, ...] = ()
-    coeffs: Optional[Tuple[int, ...]] = None
+    FIELDS = ("sense", "kind", "expression", "operands", "coeffs")
+    DEFAULTS = {"expression": None, "operands": (), "coeffs": None}
+    EXPRESSIONS = ("expression", "operands")
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.kind is ObjKind.EXPRESSION:
             if self.expression is None:
                 raise ValueError("expression objective without an expression")
@@ -394,3 +323,4 @@ class Objective(_Involving):
             raise ValueError("coeffs length differs from operand count")
         if self.kind is ObjKind.LEX and self.coeffs is not None:
             raise ValueError("lex objectives take no coefficients")
+

@@ -7,6 +7,7 @@ short extension tuples, never in a domain.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from enum import Enum
@@ -15,7 +16,7 @@ from typing import (Any, Dict, FrozenSet, ItemsView, Iterable, Iterator, Mapping
                     Sequence, Tuple, Union, ValuesView)
 
 from .errors import ParseError, UnboundVariable, check_int64
-from .expr import VarRef
+from .expr import Record, VarRef
 
 
 class Star:
@@ -37,8 +38,7 @@ STAR = Star()
 Value = Union[int, Star]
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """Finite ordered set of integers, stored as closed (lo, hi) runs.
 
     Runs must be strictly increasing and non-overlapping; single values
@@ -46,9 +46,9 @@ class Domain:
     are not merged) so rendering stays close to the source text.
     """
 
-    items: Tuple[Tuple[int, int], ...]
+    FIELDS = ("items",)  # Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         prev_hi: Optional[int] = None
         for lo, hi in self.items:
             check_int64(lo, "domain bound")
@@ -87,26 +87,19 @@ class Domain:
         return " ".join(out)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Record):
     """An integer variable; domain None means declared-but-undefined."""
 
-    id: str
-    domain: Optional[Domain]
+    FIELDS = ("id", "domain")  # str, Optional[Domain]
 
-@dataclass(frozen=True)
-class VarArray:
+
+class VarArray(Record):
     """Dense array of variables; cells stored row-major, 0-based."""
 
-    id: str
-    size: Tuple[int, ...]
-    cells: Tuple[Variable, ...]
+    FIELDS = ("id", "size", "cells")  # str, Tuple[int, ...], Tuple[Variable, ...]
 
-    def __post_init__(self) -> None:
-        expected = 1
-        for n in self.size:
-            expected *= n
-        if len(self.cells) != expected:
+    def _validate(self) -> None:
+        if len(self.cells) != math.prod(self.size):
             raise ValueError(f"array {self.id}: {len(self.cells)} cells for size {self.size}")
 
     def flat_index(self, indexes: Sequence[int]) -> int:
@@ -145,28 +138,23 @@ RELATIONAL_OPS = frozenset({CondOp.LT, CondOp.LE, CondOp.GT, CondOp.GE, CondOp.E
 MEMBERSHIP_OPS = frozenset({CondOp.IN, CondOp.NOTIN})
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: int
-    hi: int
+class Interval(Record):
+    FIELDS = ("lo", "hi")
 
 
-@dataclass(frozen=True)
-class IntSet:
-    values: Tuple[int, ...]
+class IntSet(Record):
+    FIELDS = ("values",)  # Tuple[int, ...]
 
 
 Operand = Union[int, VarRef, Interval, IntSet]
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     """Numerical condition (op, operand) attached to many constraints."""
 
-    op: CondOp
-    operand: Operand
+    FIELDS = ("op", "operand")  # CondOp, Operand
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.op in RELATIONAL_OPS and not isinstance(self.operand, (int, VarRef)):
             raise ValueError(f"{self.op.value} needs a value or variable operand")
         if self.op in MEMBERSHIP_OPS and not isinstance(self.operand, (Interval, IntSet)):
@@ -248,14 +236,12 @@ class Framework(Enum):
     COP = "COP"
 
 
-@dataclass(frozen=True)
-class PostedConstraint:
-    """A constraint occurrence with identity and block metadata."""
+class PostedConstraint(Record):
+    """A constraint occurrence (kind: a kinds.ConstraintKind) with identity
+    and block metadata."""
 
-    kind: Any  # one of the dataclasses in kinds.py
-    id: Optional[str] = None
-    classes: Tuple[str, ...] = ()
-    note: Optional[str] = None
+    FIELDS = ("kind", "id", "classes", "note")
+    DEFAULTS = {"id": None, "classes": (), "note": None}
 
     def label(self, position: int) -> str:
         """Stable name for reports: the id, or a positional #k fallback."""

@@ -606,6 +606,89 @@ def test_partial_violated_on_extension_prefix():
     assert not partial_violated(kind, {"a": 1})
 
 
+# Small random constraints of every kind with a partial detector, over the
+# variables v0..v3 with domain {0,1,2}. Each generator returns its variant's
+# name (one per detector branch the test must see fire) and the kind.
+_POOL = ("v0", "v1", "v2", "v3")
+
+
+def _scope(rng, lo=2, hi=4):
+    return tuple(rng.choice(_POOL) for _ in range(rng.randint(lo, hi)))
+
+
+def _operand(rng):
+    vid = rng.choice(_POOL)
+    return rng.choice([V(vid), V(vid), parse_expr(f"add({vid},1)"), parse_expr("1")])
+
+
+def _random_extension(rng):
+    positive = rng.random() < 0.5
+    if rng.random() < 0.4:
+        values = sorted(rng.sample(range(3), rng.randint(0, 3)))
+        unary = Domain(tuple((v, v) for v in values))
+        return "unary", K.Extension((rng.choice(_POOL),), positive, unary=unary)
+    scope = _scope(rng, 2, 3)
+    rows = {tuple(rng.choice((0, 1, 2, 0, 1, 2, STAR)) for _ in scope)
+            for _ in range(rng.randint(1, 6))}
+    return "table", K.Extension(scope, positive, tuples=tuple(rows))
+
+
+def _random_ordered(rng):
+    scope = _scope(rng)
+    op = rng.choice(list(K.OrderOp))
+    if rng.random() < 0.5:
+        return "plain", K.Ordered(scope, op)
+    lengths = tuple(rng.choice((0, 1, V(rng.choice(_POOL)))) for _ in scope[1:])
+    return "lengths", K.Ordered(scope, op, lengths)
+
+
+def _random_lex(rng):
+    width = rng.randint(1, 2)
+    lists = tuple(tuple(rng.choice(_POOL) for _ in range(width))
+                  for _ in range(rng.randint(2, 3)))
+    return "lex", K.Lex(lists, rng.choice(list(K.OrderOp)))
+
+
+def _random_instantiation(rng):
+    scope = _scope(rng)
+    return "instantiation", K.InstantiationCtr(
+        scope, tuple(rng.choice((0, 1, 2, STAR)) for _ in scope))
+
+
+def _random_all_different(rng):
+    operands = tuple(_operand(rng) for _ in range(rng.randint(2, 4)))
+    excepts = tuple(rng.sample(range(3), rng.randint(0, 1)))
+    return "allDifferent", K.AllDifferent(operands, excepts)
+
+
+def _random_all_equal(rng):
+    return "allEqual", K.AllEqual(tuple(_operand(rng) for _ in range(rng.randint(2, 4))))
+
+
+@pytest.mark.parametrize("generate", [_random_extension, _random_ordered, _random_lex,
+                                      _random_instantiation, _random_all_different,
+                                      _random_all_equal], ids=lambda g: g.__name__[8:])
+def test_partial_detectors_are_sound(generate):
+    """Whenever a detector declares a partial assignment dead, no completion
+    of it satisfies the complete check; and every variant's detector fires."""
+    rng = random.Random(f"partial-{generate.__name__}")
+    fired = {}
+    for _ in range(150):
+        variant, kind = generate(rng)
+        fired.setdefault(variant, 0)
+        ids = kind.var_ids
+        solutions = [dict(zip(ids, values))
+                     for values in itertools.product(range(3), repeat=len(ids))
+                     if check_constraint(kind, dict(zip(ids, values)))]
+        for cells in itertools.product((None, 0, 1, 2), repeat=len(ids)):
+            env = {vid: v for vid, v in zip(ids, cells) if v is not None}
+            if partial_violated(kind, env):
+                fired[variant] += 1
+                assert not any(all(s[vid] == v for vid, v in env.items())
+                               for s in solutions), (kind, env)
+    assert all(fired.values()), fired
+
+
 # -- objectives -----------------------------------------------------------------
 
 

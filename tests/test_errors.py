@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import xcsp3core
+from xcsp3core import cli
 from conftest import FIXTURES
 from xcsp3core.errors import ParseError
 from xcsp3core.parser import parse_string
@@ -106,3 +107,71 @@ def test_mutated_documents_fail_with_a_rule(seed):
             assert e.rule, f"{e!s} without a rule, from {text!r}"
             failures += 1
     assert failures > 0
+
+
+# One minimal document per rule that a constraint reader raises: the rule,
+# the path of the element it names, and the constraint element itself.
+_RULE_DECLARATIONS = "".join(f'<var id="{v}"> 0..2 </var>' for v in "abcd")
+_CONSTRAINTS = "/instance/constraints/"
+READER_RULES = [
+    ("allDifferent-shape", "allDifferent",
+     "<allDifferent><matrix> (a,b)(c,d) </matrix><list> a b </list></allDifferent>"),
+    ("boolean-attribute", "noOverlap", '<noOverlap zeroIgnored="yes"><origins> a b </origins>'
+                                       "<lengths> 1 1 </lengths></noOverlap>"),
+    ("channel-lengths", "channel", "<channel><list> a b c </list><list> a b </list></channel>"),
+    ("channel-shape", "channel",
+     "<channel><list> a </list><list> b </list><list> c </list></channel>"),
+    ("channel-value", "channel/value",
+     "<channel><list> a b </list><value> a b </value></channel>"),
+    ("circuit-size", "circuit/size", "<circuit><list> a b c </list><size> 1 2 </size></circuit>"),
+    ("condition-operator", "sum/condition",
+     "<sum><list> a b </list><condition> (lq,3) </condition></sum>"),
+    ("condition-syntax", "sum/condition",
+     "<sum><list> a b </list><condition> le,3 </condition></sum>"),
+    ("constraint-tag", "knapsack", "<knapsack> a b </knapsack>"),
+    ("cumulative-count", "cumulative", "<cumulative><origins> a b </origins><lengths> 1 </lengths>"
+                                       "<heights> 1 1 </heights><condition> (le,2) </condition>"
+                                       "</cumulative>"),
+    ("element-index", "element/index",
+     "<element><list> a b </list><index> c d </index><value> a </value></element>"),
+    ("element-rhs", "element", "<element><list> a b </list><index> c </index></element>"),
+    ("extension-shape", "extension/list",
+     "<extension><list> </list><supports> (0) </supports></extension>"),
+    ("extension-tables", "extension", "<extension><list> a b </list></extension>"),
+    ("lengths-count", "ordered/lengths", "<ordered><list> a b c </list><lengths> 1 </lengths>"
+                                         "<operator> le </operator></ordered>"),
+    ("lex-shape", "lex", "<lex><list> a b </list><operator> le </operator></lex>"),
+    ("lists-length", "lex",
+     "<lex><list> a b </list><list> c </list><operator> le </operator></lex>"),
+    ("mdd-shape", "mdd",
+     "<mdd><list> a b </list><transitions> (r,0,s)(q,0,s)(s,1,t) </transitions></mdd>"),
+    ("noOverlap-count", "noOverlap",
+     "<noOverlap><origins> a b </origins><lengths> 1 </lengths></noOverlap>"),
+    ("order-operator", "ordered/operator",
+     "<ordered><list> a b </list><operator> lq </operator></ordered>"),
+    ("regular-final", "regular/final", "<regular><list> a </list><transitions> (p,0,q) "
+                                       "</transitions><start> p </start><final> </final>"
+                                       "</regular>"),
+    ("regular-start", "regular/start", "<regular><list> a </list><transitions> (p,0,q) "
+                                       "</transitions><start> p q </start><final> q </final>"
+                                       "</regular>"),
+    ("start-index", "extension/list",
+     '<extension><list startIndex="1"> a b </list><supports> (0,1) </supports></extension>'),
+    ("table-order", "extension/supports",
+     "<extension><list> a b </list><supports> (1,0)(0,1) </supports></extension>"),
+    ("tuple-arity", "extension/supports",
+     "<extension><list> a b </list><supports> (0,1,2) </supports></extension>"),
+]
+
+
+@pytest.mark.parametrize("rule,path,constraint", READER_RULES,
+                         ids=[rule for rule, _, _ in READER_RULES])
+def test_constraint_reader_rules(rule, path, constraint, tmp_path, capsys):
+    document = tmp_path / "instance.xml"
+    document.write_text(f'<instance format="XCSP3" type="CSP"><variables>{_RULE_DECLARATIONS}'
+                        f"</variables><constraints>{constraint}</constraints></instance>")
+    with pytest.raises(ParseError) as caught:
+        parse_string(document.read_text())
+    assert (caught.value.rule, caught.value.path) == (rule, _CONSTRAINTS + path)
+    assert cli.main(["validate", str(document)]) == 2
+    assert capsys.readouterr().err == f"error: {caught.value}\n"

@@ -135,7 +135,7 @@ def test_compiled_lazily_and_once(name, constraint, scope):
     kind = only_kind(constraint)
     assert "compiled" not in vars(kind)  # parsing compiles nothing
     check_constraint(kind, {vid: 1 for vid in scope})
-    if K._expression_fields(type(kind)):
+    if type(kind).EXPRESSIONS:
         assert "compiled" in vars(kind)  # built by the check
     assert kind.compiled is kind.compiled
 
@@ -174,8 +174,8 @@ def test_expression_fields_by_hand():
                 "AllEqual": operands, "Sum": ("terms",), "Count": operands,
                 "NValues": operands, "Minimum": operands, "Maximum": operands}
     for kind in _concrete_kinds(K.ConstraintKind):
-        assert K._expression_fields(kind) == expected.get(kind.__name__, ()), kind
-    assert K._expression_fields(K.Objective) == ("expression", "operands")
+        assert kind.EXPRESSIONS == expected.get(kind.__name__, ()), kind
+    assert K.Objective.EXPRESSIONS == ("expression", "operands")
 
 
 def _concrete_kinds(cls):
@@ -183,6 +183,20 @@ def _concrete_kinds(cls):
         if not sub.__name__.startswith("_"):
             yield sub
         yield from _concrete_kinds(sub)
+
+
+@pytest.mark.parametrize("kind", sorted(_concrete_kinds(K.ConstraintKind),
+                                        key=lambda k: k.__name__), ids=lambda k: k.__name__)
+def test_writer_row_and_roles_follow_fields(kind):
+    """The writer's row names each field once (Extension.positive picks the
+    <supports> or <conflicts> tag instead); EXPRESSIONS are fields and
+    DEFAULTS are the trailing ones. A field added without a row fails here."""
+    _, row = _LAYOUT[kind]
+    written = [f for _, names in row for f in ((names,) if type(names) is str else names)]
+    expected = [f for f in kind.FIELDS if (kind, f) != (K.Extension, "positive")]
+    assert sorted(written) == sorted(expected)
+    assert set(kind.EXPRESSIONS) <= set(kind.FIELDS)
+    assert tuple(kind.DEFAULTS) == kind.FIELDS[len(kind.FIELDS) - len(kind.DEFAULTS):]
 
 
 def test_every_kind_has_a_case_and_a_table_row():
