@@ -4,13 +4,16 @@
 Prints one row per instance: framework, variable and constraint counts, the
 time parse_file took (reading the file included), the constraint kinds
 present, and (with --solve) the solution count or optimum, the search
-time, the nodes visited and the nodes per second.
+time, the nodes visited and the nodes per second. With --solve a last row
+totals the fixtures, their nodes and search seconds, and the nodes per
+second over all of them.
 """
 
 import argparse
 import sys
 import time
 from pathlib import Path
+from typing import Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's
 
@@ -18,7 +21,9 @@ from xcsp3core.parser import parse_file  # noqa: E402
 from xcsp3core.solver import SearchConfig, Status, count_solutions, solve  # noqa: E402
 
 
-def describe(path: Path, do_solve: bool, node_limit: int) -> str:
+def describe(path: Path, do_solve: bool, node_limit: int) -> Tuple[str, int, float]:
+    """The instance's row, with the nodes and seconds its search took (0
+    without --solve)."""
     started = time.perf_counter()
     instance = parse_file(str(path))
     parse_ms = 1000 * (time.perf_counter() - started)
@@ -28,7 +33,7 @@ def describe(path: Path, do_solve: bool, node_limit: int) -> str:
            f"{n_vars:3} vars {len(instance.constraints):3} ctrs "
            f"{parse_ms:7.2f} ms parse  {','.join(kinds)}")
     if not do_solve:
-        return row
+        return row, 0, 0.0
     started = time.monotonic()
     if instance.objective is not None:
         result = solve(instance, SearchConfig(node_limit=node_limit))
@@ -45,7 +50,7 @@ def describe(path: Path, do_solve: bool, node_limit: int) -> str:
     took = time.monotonic() - started
     rate = f"{result.nodes / took:,.0f}" if took > 0 else "-"
     return (f"{row}  [{verdict} in {took:.2f}s, nodes={result.nodes:,}, "
-            f"{rate} nodes/s]")
+            f"{rate} nodes/s]", result.nodes, took)
 
 
 def main() -> int:
@@ -62,8 +67,15 @@ def main() -> int:
     if not paths:
         print(f"no instances under {args.directory}", file=sys.stderr)
         return 1
+    nodes, seconds = 0, 0.0
     for path in paths:
-        print(describe(path, args.solve, args.node_limit))
+        row, searched, took = describe(path, args.solve, args.node_limit)
+        print(row)
+        nodes, seconds = nodes + searched, seconds + took
+    if args.solve:
+        rate = f"{nodes / seconds:,.0f}" if seconds > 0 else "-"
+        print(f"total: {len(paths)} fixtures, nodes={nodes:,}, {seconds:.2f}s, "
+              f"{rate} nodes/s")
     return 0
 
 

@@ -119,7 +119,13 @@ def _parser_config(args: argparse.Namespace) -> ParserConfig:
 
 
 def _load(args: argparse.Namespace) -> Instance:
-    return parse_file(args.instance, _parser_config(args))
+    """The instance; what --lenient or --drop-class left out of it is
+    named on stderr, so that no answer passes for the whole document's."""
+    instance = parse_file(args.instance, _parser_config(args))
+    if instance.removed:
+        print(f"removed {len(instance.removed)} constraint elements: "
+              + " ".join(instance.removed), file=sys.stderr)
+    return instance
 
 
 # -- solution files ---------------------------------------------------------------

@@ -14,8 +14,10 @@ _Scoped): walking a table costs time and finds only values, and
 transitions hold state names, not variable ids. Kinds and the Objective
 also carry ``compiled``: every expression held in their EXPRESSIONS
 fields, compiled once, on first evaluation. An Extension without * rows
-likewise builds its ``table``, a set of its tuples, on first check. These
-caches live in __dict__; a copied or unpickled record starts without them.
+likewise builds its ``table``, a set of its tuples, on first check, and
+``bounded`` keeps the bounded evaluator of each expression for the bounds
+of its variables. These caches live in __dict__; a copied or unpickled
+record starts without them.
 The semantics of each kind live in one table in checker.py.
 """
 
@@ -24,10 +26,11 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from .errors import ParseError
-from .expr import Evaluator, OpCall, Record, VarRef, compile_expr, free_vars
+from .expr import (Evaluator, Expr, OpCall, Record, Span, VarRef, compile_bounded, compile_expr,
+                   free_vars)
 from .model import Condition, Star
 
 # value-or-variable slot (coeffs, lengths, heights, counted values, size)
@@ -86,6 +89,23 @@ class _Involving(Record):
                     free = None if isinstance(e, VarRef) else tuple(free_vars(e))
                     out.append((compile_expr(e), free))
         return tuple(out)
+
+    def bounded(self, e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, bool]:
+        """compile_bounded(e, bounds), for an expression e this record holds.
+
+        The result is kept for e with the bounds of e's own variables, so a
+        later call that gives them the same bounds returns it without
+        walking e; one that gives others replaces it. At most one result is
+        kept per expression.
+        """
+        memo = self.__dict__.setdefault("_bounded", {})
+        entry = memo.get(id(e))
+        if entry is None or entry[0] is not e:
+            entry = (e, tuple(free_vars(e)), None, None)
+        key = tuple(bounds.get(v) for v in entry[1])
+        if entry[2] != key:
+            entry = memo[id(e)] = (e, entry[1], key, compile_bounded(e, bounds))
+        return entry[3]
 
 
 class ConstraintKind(_Involving):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping as MappingABC
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import (Any, Dict, FrozenSet, ItemsView, Iterable, Iterator, Mapping, Optional,
@@ -254,13 +254,17 @@ class Instance:
 
     useful_ids and undeclared_scopes are derived on first use (a check or a
     search), never while parsing. From then on the Instance is treated as
-    immutable: replacing its fields would leave them stale.
+    immutable: replacing its fields would leave them stale. removed holds
+    the element paths of the constraints, blocks, groups and slides that
+    the parser left out (lenient mode, dropped classes); it takes no part in
+    equality.
     """
 
     declarations: Tuple[Union[Variable, VarArray], ...]
     constraints: Tuple[PostedConstraint, ...]
     objective: Optional[Any] = None  # kinds.Objective
     decision: Optional[Tuple[str, ...]] = None
+    removed: Tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         self._vars_by_id: Dict[str, Variable] = {}

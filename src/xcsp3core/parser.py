@@ -768,6 +768,7 @@ class _ConstraintReader:
         self.used_ids = used_ids
         self.posted: List[PostedConstraint] = []
         self.group_ids: List[str] = []
+        self.removed: List[str] = []  # paths of what drop_classes or lenient mode left out
 
     # entry point -------------------------------------------------------------
 
@@ -778,6 +779,7 @@ class _ConstraintReader:
         for el in children:
             cls = classes + _classes(el)
             if set(cls) & self.cfg.drop_classes:
+                self.removed.append(el.path)
                 continue
             if el.tag == "block":
                 _check_attrs(el)
@@ -792,6 +794,8 @@ class _ConstraintReader:
             elif self.cfg.strict:
                 raise UnknownElement(f"unsupported constraint <{el.tag}>",
                                      path=el.path, rule="constraint-tag")
+            else:
+                self.removed.append(el.path)
 
     def _post_single(self, el: RawElement, classes: Tuple[str, ...],
                      forced_id: Optional[str] = None) -> None:
@@ -801,6 +805,7 @@ class _ConstraintReader:
         except UnknownElement:
             if self.cfg.strict:
                 raise
+            self.removed.append(el.path)
             return
         self.posted.append(PostedConstraint(kind, cid, classes, el.attr("note")))
 
@@ -868,7 +873,8 @@ class _ConstraintReader:
                              path=el.path, rule="group-shape")
         if template.tag not in self._TAGS:
             if not self.cfg.strict:
-                return  # lenient: the whole group is skipped
+                self.removed.append(el.path)  # lenient: the whole group is skipped
+                return
             raise ParseError(f"<{template.tag}> cannot be a group template",
                              path=template.path, rule="group-template")
         if not rest_children or any(c.tag != "args" for c in rest_children):
@@ -907,7 +913,8 @@ class _ConstraintReader:
                              path=el.path, rule="slide-shape")
         if template.tag not in ("intension", "extension"):
             if not self.cfg.strict:
-                return  # lenient: the whole slide is skipped
+                self.removed.append(el.path)  # lenient: the whole slide is skipped
+                return
             raise ParseError(
                 f"slide template must be intension or extension, not <{template.tag}>",
                 path=template.path, rule="slide-template")
@@ -1491,7 +1498,7 @@ def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
                                   cfg.strict)
 
     instance = Instance(tuple(vars_builder.declarations), tuple(reader.posted),
-                        objective, decision)
+                        objective, decision, tuple(reader.removed))
     _validate_references(instance, decision)
     if cfg.strict:
         _check_id_prefixes(vars_builder, reader)

@@ -55,14 +55,19 @@ partial_checks off, every complete check goes through check_constraint
 and every cost through eval_objective, both with unbounded evaluators:
 that is the reference path.
 
-A complete assignment reaches one leaf, chosen when the search is built:
-count it; cost it and keep the best; or keep solutions, and stop after
-max_solutions. The search visits at most node_limit nodes and stops with
-LIMIT only when it needs one more. The clock is read before the first node
-and then every CLOCK_NODES nodes. Both cost one comparison of the node
-count per node. The loop runs over an explicit stack of per-depth value
-iterators, so the number of variables is not bounded by Python's recursion
-limit.
+The loop around the depth functions is generated as well (_loop_source):
+one generator per block of at most LOOP_DEPTHS consecutive depths, in
+which each depth is one nested for over its domain's values, a range per
+interval. The last block does the leaf inline, chosen when the search is
+built: count a complete assignment; keep it too, and stop after
+max_solutions; or cost it and keep the best. An inner block yields to
+descend, and an explicit stack of blocks drives the search, so the number
+of variables is not bounded by Python's recursion limit. A block's source
+depends only on its length, how many of its depths are forced
+(restrict_to_decision) and its leaf; at most MAX_LOOPS are kept. The
+search visits at most node_limit nodes and stops with LIMIT only when it
+needs one more. The clock is read before the first node and then every
+CLOCK_NODES nodes. Both cost one comparison of the node count per node.
 """
 
 from __future__ import annotations
@@ -72,8 +77,8 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-from itertools import chain
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from .checker import (
     _CHECKERS,
@@ -84,9 +89,9 @@ from .checker import (
     partial_violated,
 )
 from .errors import INT_MAX, INT_MIN, EvalError, SolverError, UnforcedVariable
-from .expr import Expr, VarRef, compile_bounded, free_vars, generated
+from .expr import Expr, VarRef, free_vars, generated
 from .kinds import AllDifferent, ConstraintKind, Intension, Objective, ObjKind, Sense, Sum
-from .model import CondOp, Instance, Instantiation, Variable
+from .model import CondOp, Domain, Instance, Instantiation, Variable
 
 
 class Status(Enum):
@@ -249,6 +254,120 @@ def _function(calls: List[_Call], env: Dict[str, int],
                                           else args)])
 
 
+# -- generated search loop --------------------------------------------------------
+
+LOOP_DEPTHS = 16    # depths per block; Python allows 20 statically nested blocks
+MAX_LOOPS = 64      # loop factories kept, one per block shape
+
+# What a block runs where its last depth's value passes, by mode: the
+# parameters it takes, the search state it keeps in locals (read from the
+# search on entry, written back on every exit) and its lines. "descend"
+# yields to the next block; the other modes are the leaf: count (and stop at
+# max_solutions; stop is None for no limit), keep each solution too, or cost
+# the assignment and keep the best by the sense's comparison.
+_INNER: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {
+    "descend": ((), ("nodes", "test_at"),
+                ("search.nodes, search.test_at = nodes, test_at",
+                 "yield True",
+                 "nodes, test_at = search.nodes, search.test_at")),
+    "count": (("Instantiation", "Stop", "stop"), ("nodes", "test_at", "count"),
+              ("count += 1",
+               "if count == 1:",
+               "    search.best = Instantiation(dict(env))",
+               "if count == stop:",
+               "    raise Stop()")),
+    "keep": (("Instantiation", "Stop", "stop", "keep"), ("nodes", "test_at", "count"),
+             ("count += 1",
+              "solution = Instantiation(dict(env))",
+              "keep(solution)",
+              "if count == 1:",
+              "    search.best = solution",
+              "if count == stop:",
+              "    raise Stop()")),
+    **{mode: (("Instantiation", "cost"), ("nodes", "test_at", "count", "best_cost"),
+              ("count += 1",
+               "value = cost(env)",
+               f"if best_cost is None or value {op} best_cost:",
+               "    best_cost = value",
+               "    search.best = Instantiation(dict(env))"))
+       for mode, op in (("min", "<"), ("max", ">"))},
+}
+_LOOPS: Dict[Tuple[int, int, str], Callable[..., Iterator[bool]]] = {}
+
+
+def _loop_source(length: int, forced: int, mode: str) -> str:
+    """The generator _make(search, env, checkpoint, unforced, <the mode's
+    parameters>, i0, r0, f0, ...) of one block of length depths, the last
+    forced of them forced.
+
+    Depth d assigns variable i<d> each value of r<d> in turn, as one nested
+    for: it tests the limits when the node count reaches test_at (see
+    _Search._checkpoint), counts the node, writes env and skips the value
+    when f<d>() fails. A forced depth tries every value first: a second that
+    passes raises unforced(...); the one that passed is assigned again and
+    its checks rerun, which rebuilds their staged state, before going deeper.
+    A depth whose values run out drops its variable from env, where partial
+    detectors would read it. The innermost code is the mode's (_INNER).
+    Every block is a generator, so that _search steps them all alike.
+    """
+    params, state, inner = _INNER[mode]
+    names, fields = ", ".join(state), ", ".join(f"search.{name}" for name in state)
+    body: List[Tuple[int, str]] = []
+    for d in range(length):
+        depth = 2 + d  # the indent of depth d's for
+        is_forced = d >= length - forced
+        if is_forced:
+            body.append((depth, f"c{d} = None"))
+        body += [(depth, f"for v{d} in r{d}:"),
+                 (depth + 1, "if nodes == test_at:"),
+                 (depth + 2, "test_at = checkpoint(nodes)"),
+                 (depth + 1, "nodes += 1"),
+                 (depth + 1, f"env[i{d}] = v{d}"),
+                 (depth + 1, f"if f{d}():"),
+                 (depth + 2, "continue")]
+        if is_forced:
+            body += [(depth + 1, f"if c{d} is not None:"),
+                     (depth + 2, f"raise unforced(i{d}, c{d}, v{d})"),
+                     (depth + 1, f"c{d} = v{d}"),
+                     (depth, f"if c{d} is not None:"),
+                     (depth + 1, f"env[i{d}] = c{d}"),
+                     (depth + 1, f"f{d}()")]
+    body += [(2 + length, line) for line in inner]
+    body += [(2 + d, f"env.pop(i{d}, None)") for d in reversed(range(length))]
+    head = ["search", "env", "checkpoint", "unforced", *params,
+            *[f"{p}{d}" for d in range(length) for p in "irf"]]
+    return "\n".join(
+        [f"def _make({', '.join(head)}):",
+         f"    {names} = {fields}",
+         "    try:"]
+        + ["    " * indent + line for indent, line in body]
+        # an exception ends the search, and the counts are read where it
+        # stopped; a block closed at its yield (GeneratorExit) writes nothing
+        + ["    except Exception:",
+           f"        {fields} = {names}",
+           "        raise",
+           f"    {fields} = {names}"]
+        + ([] if mode == "descend" else ["    yield from ()"]) + [""])
+
+
+class _Values:
+    """A domain of several intervals as an iterable of its values."""
+
+    __slots__ = ("domain",)
+
+    def __init__(self, domain: Domain):
+        self.domain = domain
+
+    def __iter__(self) -> Iterator[int]:
+        return self.domain.values()
+
+
+def _values(domain: Domain) -> Iterable[int]:
+    """A domain's values, lazily: a range when it is one interval."""
+    (lo, hi), *rest = domain.items
+    return _Values(domain) if rest else range(lo, hi + 1)
+
+
 # -- staged checks ----------------------------------------------------------------
 #
 # A search that assigns the variables in a fixed order can check a kind in
@@ -313,7 +432,7 @@ def _staged_all_different(kind: AllDifferent, depth_of: Mapping[str, int],
         if type(op) is VarRef:
             fresh[depth_of[op.id]].append((op, None))
             continue
-        evaluate, may_raise = compile_bounded(op, bounds)
+        evaluate, may_raise = kind.bounded(op, bounds)
         if may_raise:
             return None
         # an operand without variables is ready at the first check
@@ -403,7 +522,7 @@ class _Search:
         self.instance = instance
         self.cfg = cfg
         self.env: Dict[str, int] = {}
-        self.nodes = 0
+        self.nodes = self.test_at = 0  # the limits are first tested before the first node
         self.count = 0
         self.solutions: List[Instantiation] = []
         self.best: Optional[Instantiation] = None
@@ -456,7 +575,7 @@ class _Search:
             self.sense = self.objective.sense
         self._plan()
         self.fails = [self._compile(checks) for checks in self.plan]
-        self.leaf = self._leaf()
+        self.blocks = self._blocks()
 
     def _plan(self) -> None:
         """For each depth, the checks its variable triggers, in constraint order.
@@ -504,7 +623,7 @@ class _Search:
         if not self.cfg.partial_checks:
             return partial(eval_objective, obj)
         if obj.kind is ObjKind.EXPRESSION and all(v in bounds for v in obj.var_ids):
-            return compile_bounded(obj.expression, bounds)[0]
+            return obj.bounded(obj.expression, bounds)[0]
         coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(obj.operands)
         terms = _proved_terms(obj.operands, coeffs, bounds) if obj.kind is ObjKind.SUM else None
         if terms is None:
@@ -530,7 +649,7 @@ class _Search:
             elif not self.cfg.partial_checks:
                 form, args = "c", (_reference_check, kind)
             elif type(kind) is Intension:
-                form, args = "e", (compile_bounded(kind.function, self.bounds)[0],)
+                form, args = "e", (kind.bounded(kind.function, self.bounds)[0],)
             else:
                 form, args = "c", (_CHECKERS[type(kind)][0], kind)
             calls.append((form, args, ci))
@@ -565,37 +684,37 @@ class _Search:
         return named_error(error, self.instance.constraints[ci].label(ci),
                            self.kinds[ci].var_ids, self.env)
 
-    def _leaf(self) -> Callable[[], None]:
-        """What a complete assignment does: count it, cost it, or keep it."""
-        env, cfg = self.env, self.cfg
+    def _unforced(self, vid: str, chosen: int, value: int) -> UnforcedVariable:
+        """The error of a forced depth where both chosen and value extend."""
+        at = " ".join(f"{v.id}={self.env[v.id]}" for v in self.order[:self.branch_len])
+        return UnforcedVariable(f"variable {vid} is not determined by the decision "
+                                f"variables (both {chosen} and {value} extend)"
+                                + (f" at {at}" if at else ""))
+
+    def _blocks(self) -> List[Callable[[], Iterator[bool]]]:
+        """The search loop: generated blocks of at most LOOP_DEPTHS depths
+        each, in depth order, the last doing the leaf (see _loop_source)."""
+        cfg, n = self.cfg, len(self.order)
         if self.objective is not None:
-            cost, minimize = self.cost, self.sense is Sense.MINIMIZE
-
-            def keep_best() -> None:
-                self.count += 1
-                value, best = cost(env), self.best_cost
-                if best is None or (value < best if minimize else value > best):
-                    self.best_cost = value
-                    self.best = Instantiation(dict(env))
-            return keep_best
-
-        if not cfg.keep_solutions and cfg.max_solutions is None:
-            def count() -> None:
-                self.count += 1
-                if self.best is None:
-                    self.best = Instantiation(dict(env))
-            return count
-
-        def keep() -> None:
-            self.count += 1
-            solution = Instantiation(dict(env))
-            if cfg.keep_solutions:
-                self.solutions.append(solution)
-            if self.best is None:
-                self.best = solution
-            if cfg.max_solutions is not None and self.count >= cfg.max_solutions:
-                raise _Stop()
-        return keep
+            mode = "min" if self.sense is Sense.MINIMIZE else "max"
+            leaf_args: Tuple[object, ...] = (Instantiation, self.cost)
+        elif cfg.keep_solutions:
+            mode, leaf_args = "keep", (Instantiation, _Stop, cfg.max_solutions,
+                                       self.solutions.append)
+        else:
+            mode, leaf_args = "count", (Instantiation, _Stop, cfg.max_solutions)
+        depths = [(v.id, _values(v.domain), fails) for v, fails in zip(self.order, self.fails)]
+        blocks = []
+        for start in range(0, n, LOOP_DEPTHS) if n else (0,):
+            end = min(start + LOOP_DEPTHS, n)
+            shape = (end - start, max(0, end - max(start, self.branch_len)),
+                     mode if end == n else "descend")
+            make = generated(_LOOPS, MAX_LOOPS, shape, partial(_loop_source, *shape), {},
+                             "<search loop>")
+            blocks.append(partial(make, self, self.env, self._checkpoint, self._unforced,
+                                  *(leaf_args if end == n else ()),
+                                  *[arg for depth in depths[start:end] for arg in depth]))
+        return blocks
 
     # -- search --------------------------------------------------------------
 
@@ -620,59 +739,19 @@ class _Search:
                            self.best, self.best_cost, self.nodes)
 
     def _search(self) -> None:
-        """Depth-first over the compiled plan, with one value iterator per depth.
+        """Depth-first over the generated blocks, kept on an explicit stack.
 
-        A branching depth descends on its first value that passes every
-        check and resumes its iterator on the way back. A forced depth
-        (restrict_to_decision) tries all its values first: exactly one may
-        pass, and search descends with it after running its checks again,
-        which rebuilds the staged state for that value.
+        A block that yields has assigned its last depth: the next block is
+        started below it. A block that ends is popped, and the one above
+        resumes at its last depth's next value.
         """
-        n, leaf = len(self.order), self.leaf
-        if n == 0:
-            leaf()
-            return
-        env, fails, branch_len = self.env, self.fails, self.branch_len
-        ids = [v.id for v in self.order]
-        runs = [tuple(range(lo, hi + 1) for lo, hi in v.domain.items) for v in self.order]
-        iters = [chain.from_iterable(runs[0])] + [iter(())] * (n - 1)
-        nodes = test_at = self.nodes  # the limits are first tested before the first node
-        depth = 0
-        try:
-            while depth >= 0:
-                vid, failed = ids[depth], fails[depth]
-                chosen = None
-                for value in iters[depth]:
-                    if nodes == test_at:
-                        test_at = self._checkpoint(nodes)
-                    nodes += 1
-                    env[vid] = value
-                    if failed():
-                        continue
-                    if depth < branch_len:
-                        break
-                    if chosen is not None:
-                        at = " ".join(f"{v}={env[v]}" for v in ids[:branch_len])
-                        raise UnforcedVariable(
-                            f"variable {vid} is not determined by the decision "
-                            f"variables (both {chosen} and {value} extend)"
-                            + (f" at {at}" if at else ""))
-                    chosen = value
-                else:
-                    if chosen is None:
-                        env.pop(vid, None)
-                        depth -= 1
-                        continue
-                    env[vid] = chosen
-                    failed()
-                depth += 1
-                if depth < n:
-                    iters[depth] = chain.from_iterable(runs[depth])
-                    continue
-                leaf()
-                depth -= 1
-        finally:
-            self.nodes = nodes
+        blocks = self.blocks
+        stack = [blocks[0]()]
+        while stack:
+            if next(stack[-1], False):
+                stack.append(blocks[len(stack)]())
+            else:
+                stack.pop()
 
 
 def solve(instance: Instance, config: Optional[SearchConfig] = None) -> SolveResult:

@@ -55,6 +55,24 @@ def naive_count(instance: Instance) -> int:
     return len(naive_solutions(instance))
 
 
+def window_count(length: int, domain: Sequence[int], arity: int,
+                 relation: Callable[..., bool]) -> int:
+    """Sequences of length values from domain whose every window of arity
+    consecutive values satisfies relation, counted by a transfer matrix
+    over the last arity - 1 values: no sequence is built."""
+    counts: Dict[Tuple[int, ...], int] = dict.fromkeys(
+        itertools.product(domain, repeat=arity - 1), 1)
+    for _ in range(length - arity + 1):
+        after: Dict[Tuple[int, ...], int] = {}
+        for last, n in counts.items():
+            for v in domain:
+                if relation(*last, v):
+                    key = last[1:] + (v,)
+                    after[key] = after.get(key, 0) + n
+        counts = after
+    return sum(counts.values())
+
+
 # -- solution verification -----------------------------------------------------------
 #
 # check_solution as first written: nothing is kept between calls, every

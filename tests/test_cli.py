@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 from conftest import fixture_path
-from xcsp3core.canonical import instances_equivalent
+from xcsp3core.canonical import instances_equivalent, render_instance
 from xcsp3core import parser
 from xcsp3core.cli import main
 from xcsp3core.expr import MAX_EXPR_DEPTH
@@ -111,6 +111,70 @@ def test_lenient_skips_non_core_constraint(capsys, tmp_path):
     lenient_code, out, _ = run(capsys, "validate", str(path), "--lenient")
     assert lenient_code == 0
     assert "1 constraints" in out
+
+
+REMOVABLE = ('<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..2 </var>'
+             '<var id="y"> 0..2 </var></variables><constraints>'
+             '<knapsack><list> x y </list></knapsack>'
+             '<group><regular8> %0 </regular8><args> x </args><args> y </args></group>'
+             '<block class="extra"><intension> ne(x,y) </intension></block>'
+             '<intension class="extra"> lt(x,y) </intension>'
+             "<intension> le(x,y) </intension></constraints></instance>")
+
+
+@pytest.mark.parametrize("options,removed", [
+    (["--lenient"], []),
+    (["--lenient", "--drop-class", "extra"], ["block", "intension[1]"]),
+], ids=["lenient", "lenient-and-drop-class"])
+@pytest.mark.parametrize("command", ["validate", "check", "solve", "stats"])
+def test_what_lenient_parsing_removes_is_named_on_stderr(capsys, tmp_path, command, options,
+                                                         removed):
+    # an unknown tag, a group whose template is skipped and, by class, a
+    # block and a constraint
+    path = tmp_path / "removable.xml"
+    path.write_text(REMOVABLE)
+    solution = tmp_path / "solution.txt"
+    solution.write_text("0 1")
+    extra = {"check": [str(solution)], "solve": ["--count"]}.get(command, [])
+    paths = [f"/instance/constraints/{tag}" for tag in ["knapsack", "group"] + removed]
+    # the same command on the document without them prints the same
+    kept = tmp_path / "kept.xml"
+    kept_text = REMOVABLE.replace('<knapsack><list> x y </list></knapsack>', "").replace(
+        '<group><regular8> %0 </regular8><args> x </args><args> y </args></group>', "")
+    if removed:
+        kept_text = kept_text.replace('<block class="extra"><intension> ne(x,y) </intension>'
+                                      '</block><intension class="extra"> lt(x,y) </intension>',
+                                      "")
+    kept.write_text(kept_text)
+    expected = run(capsys, command, str(kept), *extra, *options)
+    assert expected[2] == ""
+    code, out, err = run(capsys, command, str(path), *extra, *options)
+    assert (code, out) == expected[:2]
+    assert err == f"removed {len(paths)} constraint elements: {' '.join(paths)}\n"
+
+
+def test_what_was_removed_takes_no_part_in_equality_or_rendering():
+    lenient = parse_string(REMOVABLE, parser.ParserConfig(strict=False))
+    kept = parse_string(REMOVABLE.replace('<knapsack><list> x y </list></knapsack>', "").replace(
+        '<group><regular8> %0 </regular8><args> x </args><args> y </args></group>', ""))
+    assert lenient.removed == ("/instance/constraints/knapsack", "/instance/constraints/group")
+    assert kept.removed == ()
+    assert lenient == kept and instances_equivalent(lenient, kept)
+    assert render_instance(lenient) == render_instance(kept)
+
+
+def test_a_group_member_that_lenient_parsing_removes_is_named_by_its_args(capsys, tmp_path):
+    path = tmp_path / "member.xml"
+    path.write_text('<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..2 </var>'
+                    '</variables><constraints><group><intension unknown="1"> ne(%0,1) '
+                    "</intension><args> x </args><args> x </args></group></constraints>"
+                    "</instance>")
+    code, out, err = run(capsys, "solve", str(path), "--count", "--lenient")
+    assert (code, out) == (0, "solutions=3\nnodes=3\n")
+    assert err == ("removed 2 constraint elements: /instance/constraints/group/args[1] "
+                   "/instance/constraints/group/args[2]\n")
+    code, _, err = run(capsys, "solve", str(path), "--count")
+    assert code == 2 and "[rule: attribute]" in err
 
 
 # -- check ------------------------------------------------------------------------

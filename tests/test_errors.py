@@ -42,6 +42,19 @@ def test_every_parse_error_raised_names_its_rule():
     assert unnamed == []
 
 
+def test_every_rule_is_named_by_a_test():
+    # a rule written as a literal in src/ is named, quoted or as "[rule: ...]",
+    # by some test: a new rule cannot land without one
+    rules = {node.value.value for _, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.keyword) and node.arg == "rule"
+             and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)}
+    tests = " ".join(path.read_text(encoding="utf-8")
+                     for path in Path(__file__).parent.glob("test_*.py"))
+    assert len(rules) > 100
+    assert sorted(rule for rule in rules if not any(
+        f"{quote}{rule}{quote}" in tests or f"[rule: {rule}]" in tests for quote in "\"'")) == []
+
+
 def test_every_error_class_is_raised_or_caught():
     trees = _trees()
     errors = dict(trees)["errors.py"]
@@ -140,6 +153,7 @@ READER_RULES = [
     ("extension-tables", "extension", "<extension><list> a b </list></extension>"),
     ("lengths-count", "ordered/lengths", "<ordered><list> a b c </list><lengths> 1 </lengths>"
                                          "<operator> le </operator></ordered>"),
+    ("identifier", "intension", '<intension id="1c"> lt(a,b) </intension>'),
     ("lex-shape", "lex", "<lex><list> a b </list><operator> le </operator></lex>"),
     ("lists-length", "lex",
      "<lex><list> a b </list><list> c </list><operator> le </operator></lex>"),
@@ -159,8 +173,16 @@ READER_RULES = [
      '<extension><list startIndex="1"> a b </list><supports> (0,1) </supports></extension>'),
     ("table-order", "extension/supports",
      "<extension><list> a b </list><supports> (1,0)(0,1) </supports></extension>"),
+    ("transition", "regular/transitions", "<regular><list> a </list><transitions> (p,0) "
+                                          "</transitions><start> p </start><final> p </final>"
+                                          "</regular>"),
+    ("transition", "regular/transitions", "<regular><list> a </list><transitions> (p,0,) "
+                                          "</transitions><start> p </start><final> p </final>"
+                                          "</regular>"),
     ("tuple-arity", "extension/supports",
      "<extension><list> a b </list><supports> (0,1,2) </supports></extension>"),
+    ("tuple-syntax", "extension/supports",
+     "<extension><list> a b </list><supports> (0,1)(1,2 </supports></extension>"),
 ]
 
 
@@ -174,4 +196,86 @@ def test_constraint_reader_rules(rule, path, constraint, tmp_path, capsys):
         parse_string(document.read_text())
     assert (caught.value.rule, caught.value.path) == (rule, _CONSTRAINTS + path)
     assert cli.main(["validate", str(document)]) == 2
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+
+# One minimal document per rule that the document, variable, alias, slide,
+# objective and annotation readers raise, written from the format's
+# description of each element: the rule, the path of the element it names,
+# and the document. A rule raised at two sites has a row for each.
+_X = '<var id="x"> 0..2 </var>'
+
+
+def _document(variables=_X, constraints="", tail="", framework="CSP"):
+    return (f'<instance format="XCSP3" type="{framework}"><variables>{variables}</variables>'
+            f"<constraints>{constraints}</constraints>{tail}</instance>")
+
+
+_SLIDE = '<var id="y"> 0..2 </var><var id="z"> 0..2 </var>' + _X
+DOCUMENT_RULES = [
+    ("alias-content", "/instance/variables/var[2]",
+     _document(_X + '<var id="w" as="x"> 0..2 </var>')),
+    ("alias-kind", "/instance/variables/array",
+     _document(_X + '<array id="a" as="x" size="[2]"/>')),
+    ("annotations-content", "/instance/annotations/decision[2]",
+     _document(tail="<annotations><decision> x </decision><decision> x </decision>"
+                    "</annotations>")),
+    ("annotations-content", "/instance/annotations/varHeuristic",
+     _document(tail="<annotations><varHeuristic> x </varHeuristic></annotations>")),
+    ("array-content", "/instance/variables/array/var",
+     _document('<array id="a" size="[2]"><var id="b"> 0 </var></array>')),
+    ("instance-content", "/instance/solution", _document(tail="<solution> 0 </solution>")),
+    ("mixed-content", "/instance/variables", _document(" x " + _X)),
+    ("mixed-content", "/instance/variables", _document(_X + " 0..2 ")),
+    ("objective-type", "/instance/objectives/minimize",
+     _document(tail='<objectives><minimize type="product"> x </minimize></objectives>',
+               framework="COP")),
+    ("objectives-content", "/instance/objectives",
+     _document(tail='<objectives combination="lexico"><minimize> x </minimize>'
+                    "</objectives>", framework="COP")),
+    ("objectives-content", "/instance/objectives/optimize",
+     _document(tail="<objectives><optimize> x </optimize></objectives>", framework="COP")),
+    ("root", "/instantiation", "<instantiation><list> x </list><values> 0 </values>"
+                               "</instantiation>"),
+    ("section-order", "/instance/variables",
+     f'<instance format="XCSP3" type="CSP"><constraints/><variables>{_X}</variables>'
+     "</instance>"),
+    ("section-order", "/instance/variables[2]",
+     f'<instance format="XCSP3" type="CSP"><variables>{_X}</variables><variables/>'
+     "</instance>"),
+    ("slide-collect", "/instance/constraints/slide/list",
+     _document(_SLIDE, '<slide><list collect="0"> x y z </list>'
+                       "<intension> lt(%0,%1) </intension></slide>")),
+    ("slide-offset", "/instance/constraints/slide/list",
+     _document(_SLIDE, '<slide><list offset="0"> x y z </list>'
+                       "<intension> lt(%0,%1) </intension></slide>")),
+    ("slide-params", "/instance/constraints/slide/intension",
+     _document(_SLIDE, "<slide><list> x y z </list><intension> lt(x,y) </intension>"
+                       "</slide>")),
+    ("slide-shape", "/instance/constraints/slide",
+     _document(_SLIDE, "<slide><intension> lt(%0,%1) </intension></slide>")),
+    ("slide-shape", "/instance/constraints/slide",
+     _document(_SLIDE, "<slide><list> x y </list><args> z </args>"
+                       "<intension> lt(%0,%1) </intension></slide>")),
+    ("identifier", "/instance/variables/var", _document("<var> 0..2 </var>")),
+    ("identifier", "/instance/variables/var", _document('<var id="2x"> 0..2 </var>')),
+    ("var-content", "/instance/variables/var",
+     _document('<var id="x"><domain> 0 </domain></var>')),
+    ("var-domain", "/instance/variables/var", _document('<var id="x">  </var>')),
+    ("variable-type", "/instance/variables/var",
+     _document('<var id="x" type="symbolic"> a b </var>')),
+    ("variables-content", "/instance/variables/domain",
+     _document(_X + '<domain for="x"> 0 </domain>')),
+]
+
+
+@pytest.mark.parametrize("rule,path,document", DOCUMENT_RULES,
+                         ids=[f"{rule}-{k}" for k, (rule, _, _) in enumerate(DOCUMENT_RULES)])
+def test_document_rules(rule, path, document, tmp_path, capsys):
+    file = tmp_path / "instance.xml"
+    file.write_text(document)
+    with pytest.raises(ParseError) as caught:
+        parse_string(document)
+    assert (caught.value.rule, caught.value.path) == (rule, path)
+    assert cli.main(["validate", str(file)]) == 2
     assert capsys.readouterr().err == f"error: {caught.value}\n"

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 from dataclasses import replace
 from functools import partial
@@ -19,7 +20,8 @@ from xcsp3core.checker import check_constraint, check_solution, eval_objective, 
 from xcsp3core.errors import (INT_MAX, DivisionByZero, EvalError, Overflow, UnforcedVariable,
                               XcspError)
 from xcsp3core.expr import IntConst, OpCall, VarRef, compile_bounded
-from xcsp3core.model import CondOp, Condition, Domain, Instance, PostedConstraint, Variable
+from xcsp3core.model import (CondOp, Condition, Domain, Instance, Instantiation, PostedConstraint,
+                             Variable)
 from xcsp3core.parser import parse_file, parse_string
 from xcsp3core.solver import (
     SearchConfig,
@@ -770,9 +772,14 @@ def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
     for module in (expr, solver):
         monkeypatch.setattr(module, "MAX_SHAPES", 2)
         monkeypatch.setattr(module, "_FACTORIES", {})
+    monkeypatch.setattr(solver, "MAX_LOOPS", 2)
+    monkeypatch.setattr(solver, "_LOOPS", {})
     for _ in range(2):
+        # parsed again, so that no kind keeps a bounded evaluator (kinds.bounded)
+        # and every expression is compiled under the cap
+        instances = [parse_file(str(path)) for path in paths]
         assert [_full_outcome(_Search(inst, cfg)) for inst in instances] == expected
-        assert len(solver._FACTORIES) == len(expr._FACTORIES) == 2
+        assert len(solver._FACTORIES) == len(expr._FACTORIES) == len(solver._LOOPS) == 2
 
 
 def test_all_differents_that_may_raise_keep_their_pinned_outcomes():
@@ -789,14 +796,16 @@ def test_a_second_search_of_an_instance_writes_no_source(monkeypatch):
              "slide_c2.xml", "misc_core_1.xml"]
     instances = [parse_file(fixture_path(name)) for name in names]
     outcomes = [_full_outcome(_Search(inst, SearchConfig())) for inst in instances]
-    written, compiled = [], []
-    source = expr._Writer.source
+    written, compiled, walked = [], [], []
+    source, shape = expr._Writer.source, expr._shape
     monkeypatch.setattr(expr._Writer, "source",
                         lambda self, e: written.append(e) or source(self, e))
     monkeypatch.setattr(expr, "compile",
                         lambda *args: compiled.append(args) or compile(*args), raising=False)
+    # nor walks an expression again: each kind keeps its bounded evaluators
+    monkeypatch.setattr(expr, "_shape", lambda *args: walked.append(args) or shape(*args))
     assert [_full_outcome(_Search(inst, SearchConfig())) for inst in instances] == outcomes
-    assert written == [] and compiled == []
+    assert written == [] and compiled == [] and walked == []
 
 
 # -- bounded evaluators and generated stages against the reference path -------------
@@ -878,4 +887,151 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
     assert any("def fails" in s for s in sources) and any("env[p0]" in s for s in sources)
     for source in sources:
         for text in ids + ["IDONE", "IDTWO", "IDTHREE"]:
+            assert text not in source
+
+
+# -- the generated search loop ------------------------------------------------------
+
+def _chain(length, domain, template, arity):
+    """A slide of template over the length cells of x, each with domain."""
+    return parse_string(
+        '<instance format="XCSP3" type="CSP"><variables>'
+        f'<array id="x" size="[{length}]"> {domain} </array></variables><constraints>'
+        f"<slide><list> x[] </list><intension> {template} </intension></slide>"
+        "</constraints></instance>")
+
+
+# 40 cells: blocks of depths 0-15, 16-31 and 32-39
+CHAINS = [
+    ("0..2", "eq(mod(add(%0,%1),3),%2)", 3, lambda a, b, c: (a + b) % 3 == c),
+    ("0..2", "le(%0,%1)", 2, lambda a, b: a <= b),
+    ("0 2 5", "eq(%2,dist(%0,%1))", 3, lambda a, b, c: c == abs(a - b)),
+]
+
+
+@pytest.mark.parametrize("domain,template,arity,relation", CHAINS)
+def test_a_chain_over_three_blocks_counts_as_its_transfer_matrix(
+        domain, template, arity, relation):
+    assert 2 * solver.LOOP_DEPTHS < 40 <= 3 * solver.LOOP_DEPTHS
+    inst = _chain(40, domain, template, arity)
+    values = list(inst.variable("x[0]").domain.values())
+    expected = oracles.window_count(40, values, arity, relation)
+    counted = count_solutions(inst)
+    plain = count_solutions(inst, SearchConfig(partial_checks=False))
+    assert counted.count == plain.count == expected
+    assert counted.nodes == plain.nodes
+    # the first solution is the smallest, as in plain enumeration
+    first = solve(inst, SearchConfig(max_solutions=1)).solutions[0]
+    assert first == plain.best
+
+
+def _traced(monkeypatch, inst, cfg):
+    """The outcome of a search, and the depth of each of its nodes with
+    whether its checks failed: a node runs its depth's function once."""
+    trace, depths = [], itertools.count()
+    compile_depth = _Search._compile
+
+    def traced(self, checks):
+        fails, depth = compile_depth(self, checks), next(depths)
+        return lambda: trace.append((depth, fails())) or trace[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Search, "_compile", traced)
+        return _Search(inst, cfg).run(), trace
+
+
+def test_the_node_limit_stays_exact_around_every_block_boundary(monkeypatch):
+    inst = _chain(40, "0..2", "le(%0,%1)", 2)
+    cfg = SearchConfig(keep_solutions=False)
+    full, trace = _traced(monkeypatch, inst, cfg)
+    assert full.nodes == len(trace) and full.status is Status.SATISFIABLE
+    depths = [depth for depth, _ in trace]
+    leaves = [k + 1 for k, (depth, failed) in enumerate(trace) if depth == 39 and not failed]
+    assert len(leaves) == full.count
+    # node k + 1 is the first in a block after one in the block above, or
+    # the reverse; take the first crossing each way at each boundary
+    limits = set()
+    for boundary in range(solver.LOOP_DEPTHS, 40, solver.LOOP_DEPTHS):
+        down = next(k for k in range(1, len(depths)) if depths[k - 1] < boundary <= depths[k])
+        up = next(k for k in range(1, len(depths)) if depths[k] < boundary <= depths[k - 1])
+        for k in (down, up):
+            limits.update(range(k - 2, k + 5))  # one depth's 3 values on each side
+    assert len(limits) == 4 * 7
+    for limit in sorted(limits):
+        result = count_solutions(inst, replace(cfg, node_limit=limit))
+        assert (result.status, result.nodes) == (Status.LIMIT, limit)
+        assert result.count == sum(1 for leaf in leaves if leaf <= limit)
+
+
+def test_a_search_reaches_depth_five_thousand_without_recursion():
+    inst = _chain(5000, "0..1", "le(%0,%1)", 2)
+    result = solve(inst, SearchConfig(max_solutions=1))
+    assert (result.status, result.count, result.nodes) == (Status.SATISFIABLE, 1, 5000)
+    assert result.solutions[0] == Instantiation({f"x[{i}]": 0 for i in range(5000)})
+
+
+def _decided(forced_ctr, n_decision=10, n_forced=12):
+    """x[0..n_decision-1] decide; y[i] = x[i mod n_decision] + 1 is forced,
+    as is y[-1] by forced_ctr."""
+    ctrs = "".join(f"<intension> eq(y[{i}],add(x[{i % n_decision}],1)) </intension>"
+                   for i in range(n_forced - 1))
+    return parse_string(
+        '<instance format="XCSP3" type="CSP"><variables>'
+        f'<array id="x" size="[{n_decision}]"> 0..1 </array>'
+        f'<array id="y" size="[{n_forced}]"> 0..2 </array></variables>'
+        f"<constraints>{ctrs}{forced_ctr}</constraints>"
+        "<annotations><decision> x[] </decision></annotations></instance>")
+
+
+def test_forced_depths_across_a_block_boundary():
+    # depths 10-21 are forced: the boundary at 16 falls among them
+    inst = _decided("<intension> eq(y[11],add(x[3],x[4])) </intension>")
+    restricted = solve(inst, SearchConfig(restrict_to_decision=True))
+    plain = count_solutions(inst)
+    assert restricted.count == plain.count == 1024
+    assert restricted.solutions[0] == plain.best
+    assert all(s["y[11]"] == s["x[3]"] + s["x[4]"] for s in restricted.solutions)
+    # y[11], at depth 21, has two values that extend x = 0...0
+    inst = _decided("<intension> le(y[11],1) </intension>")
+    at = " ".join(f"x[{i}]=0" for i in range(10))
+    with pytest.raises(UnforcedVariable, match=re.escape(
+            f"variable y[11] is not determined by the decision variables "
+            f"(both 0 and 1 extend) at {at}")):
+        solve(inst, SearchConfig(restrict_to_decision=True))
+
+
+@pytest.mark.parametrize("cfg,sense", [
+    (SearchConfig(), None),
+    (SearchConfig(keep_solutions=False, max_solutions=3), None),
+    (SearchConfig(restrict_to_decision=True), None),
+    (SearchConfig(), "minimize"),
+    (SearchConfig(), "maximize"),
+])
+def test_the_loop_source_holds_no_id_or_constant(monkeypatch, cfg, sense):
+    ids = [f'v{k}"\n{{IDWORD}}' for k in range(20)]
+    sources = []
+
+    def recording_compile(source, filename, mode):
+        if filename == "<search loop>":
+            sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(expr, "compile", recording_compile, raising=False)
+    monkeypatch.setattr(solver, "_LOOPS", {})
+    refs = [VarRef(v) for v in ids]
+    # distinct values, and one domain of two intervals
+    domains = [Domain(((70001, 70002),))] * 19 + [Domain(((70001, 70001), (80005, 80006)))]
+    # the three forced depths of restrict_to_decision follow v16 by eq()
+    constraints = tuple(PostedConstraint(K.Intension(OpCall("le" if k < 16 else "eq", (a, b))),
+                                         id=f"LABEL{k}")
+                        for k, (a, b) in enumerate(zip(refs, refs[1:])))
+    objective = sense and K.Objective(K.Sense(sense), K.ObjKind.SUM, operands=tuple(refs),
+                                      coeffs=(90017,) * 20)
+    inst = Instance(tuple(map(Variable, ids, domains)), constraints, objective,
+                    tuple(ids[:17]))
+    result = _Search(inst, cfg).run()
+    assert result.status in (Status.SATISFIABLE, Status.OPTIMUM)
+    assert len(sources) == 2  # blocks of 16 and of 4 depths
+    for source in sources:
+        for text in ["IDWORD", "LABEL", "7000", "8000", "9001"]:
             assert text not in source
