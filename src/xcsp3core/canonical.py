@@ -165,61 +165,12 @@ def _text(value: Any) -> str:
     return _SPELLING[type(value)](value)
 
 
-# Each kind's element: its tag and its children in the order written, as
-# (child tag, field name); a tuple of field names shares one child. A field
-# left at its value in the kind's DEFAULTS is not written. The child tag "owner@name"
-# writes the field as attribute name= of the child just written, or of the
-# constraint element when owner is empty. The rules that no row states are in
-# _write_constraint.
-_LAYOUT: Dict[type, Tuple[str, tuple]] = {
-    K.Intension: ("intension", (("function", "function"),)),
-    K.Extension: ("extension", (("list", "scope"), ("supports", "tuples"),
-                                ("supports", "unary"))),
-    K.Regular: ("regular", (("list", "scope"), ("transitions", "transitions"),
-                            ("start", "start"), ("final", "finals"))),
-    K.Mdd: ("mdd", (("list", "scope"), ("transitions", "transitions"))),
-    K.AllDifferent: ("allDifferent", (("list", "operands"), ("except", "excepts"))),
-    K.AllDifferentLists: ("allDifferent", (("list", "lists"), ("except", "excepts"))),
-    K.AllDifferentMatrix: ("allDifferent", (("matrix", "rows"),)),
-    K.AllEqual: ("allEqual", (("list", "operands"),)),
-    K.Ordered: ("ordered", (("list", "vars"), ("lengths", "lengths"), ("operator", "op"))),
-    K.Lex: ("lex", (("list", "lists"), ("operator", "op"))),
-    K.Lex2: ("lex", (("matrix", "rows"), ("operator", "op"))),
-    K.Sum: ("sum", (("list", "terms"), ("coeffs", "coeffs"), ("condition", "condition"))),
-    K.Count: ("count", (("list", "operands"), ("values", "values"),
-                        ("condition", "condition"))),
-    K.NValues: ("nValues", (("list", "operands"), ("except", "excepts"),
-                            ("condition", "condition"))),
-    K.Cardinality: ("cardinality", (("list", "vars"), ("values", "values"),
-                                    ("values@closed", "closed"), ("occurs", "occurs"))),
-    K.Minimum: ("minimum", (("list", "operands"), ("condition", "condition"))),
-    K.Maximum: ("maximum", (("list", "operands"), ("condition", "condition"))),
-    K.ElementVarList: ("element", (("list", "vars"), ("index", "index"), ("value", "rhs"))),
-    K.ElementValList: ("element", (("list", "values"), ("index", "index"),
-                                   ("value", "rhs"))),
-    K.ElementMatrix: ("element", (("matrix", "cells"), ("index", ("row_index", "col_index")),
-                                  ("value", "rhs"))),
-    K.ChannelOne: ("channel", (("list", "vars"),)),
-    K.ChannelTwo: ("channel", (("list", "first"), ("list", "second"))),
-    K.ChannelValue: ("channel", (("list", "vars"), ("value", "value"))),
-    K.NoOverlap1: ("noOverlap", (("@zeroIgnored", "zero_ignored"), ("origins", "origins"),
-                                 ("lengths", "lengths"))),
-    K.NoOverlapK: ("noOverlap", (("@zeroIgnored", "zero_ignored"), ("origins", "origins"),
-                                 ("lengths", "lengths"))),
-    K.Cumulative: ("cumulative", (("origins", "origins"), ("lengths", "lengths"),
-                                  ("heights", "heights"), ("condition", "condition"))),
-    K.Circuit: ("circuit", (("list", "vars"), ("size", "size"))),
-    K.InstantiationCtr: ("instantiation", (("list", "vars"), ("values", "values"))),
-}
-
-
 def _write_constraint(w: _Writer, posted: PostedConstraint) -> None:
-    """Write posted by its kind's _LAYOUT row. Beyond the row: sum coefficients
-    that are all 1 are left out, a Condition goes in <condition>, the lists
-    field gives one <list> per item, a negative table goes in <conflicts>, and
-    a lone <list> or <function> child becomes the element's text."""
+    """Write posted by its kind's K.LAYOUT row. Beyond the row: sum coefficients
+    that are all 1 are left out, the lists field gives one <list> per item,
+    and a lone <list> or <function> child becomes the element's text."""
     kind = posted.kind
-    tag, rows = _LAYOUT[type(kind)]
+    tag, rows = K.LAYOUT[type(kind)]
     attrs = _constraint_attrs(posted)
     children: List[Tuple[str, str, Dict[str, str]]] = []
     for child, name in rows:
@@ -237,10 +188,9 @@ def _write_constraint(w: _Writer, posted: PostedConstraint) -> None:
         elif name == "lists":
             children.extend(("list", _text(item), {}) for item in value)
         else:
-            if type(value) is Condition:
-                child = "condition"
-            elif child == "supports" and not kind.positive:
-                child = "conflicts"
+            child, _, alternate = child.partition("|")
+            if alternate and (type(value) is Condition or not getattr(kind, "positive", True)):
+                child = alternate
             children.append((child, _text(value), {}))
     if len(children) == 1 and children[0][0] in ("list", "function"):
         w.leaf(tag, children[0][1], **attrs)

@@ -557,9 +557,7 @@ def eval_objective(obj: K.Objective, env: Mapping[str, int]) -> Cost:
         return min(weighted)
     if obj.kind is K.ObjKind.MAXIMUM:
         return max(weighted)
-    if obj.kind is K.ObjKind.NVALUES:
-        return len(set(weighted))
-    raise TypeError(f"unknown objective kind {obj.kind}")
+    return len(set(weighted))  # NVALUES, the last kind
 
 
 # -- whole-solution verdicts ------------------------------------------------------

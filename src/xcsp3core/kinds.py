@@ -18,7 +18,8 @@ likewise builds its ``table``, a set of its tuples, on first check, and
 ``bounded`` keeps the bounded evaluator of each expression for the bounds
 of its variables. These caches live in __dict__; a copied or unpickled
 record starts without them.
-The semantics of each kind live in one table in checker.py.
+The semantics of each kind live in one table in checker.py, and its
+element in LAYOUT, which the writer and the parser both read.
 """
 
 from __future__ import annotations
@@ -344,3 +345,54 @@ class Objective(_Involving):
         if self.kind is ObjKind.LEX and self.coeffs is not None:
             raise ValueError("lex objectives take no coefficients")
 
+
+
+# Each kind's element: its tag and its children in the order written and
+# read, as (child tag, field name); a tuple of field names shares one child.
+# A child "a|b" is <b> when the field holds a Condition or the kind's table is
+# negative (Extension.positive is false), else <a>. The child "owner@name"
+# holds the field as attribute name= of the child before it, or of the
+# constraint element when owner is empty. A field left at its value in the
+# kind's DEFAULTS is not written and may be absent. canonical.py writes each
+# kind by its row; parser.py derives from the rows the attributes and children
+# each tag takes, and reads the plain kinds by them.
+LAYOUT: Dict[type, Tuple[str, tuple]] = {
+    Intension: ("intension", (("function", "function"),)),
+    Extension: ("extension", (("list", "scope"), ("supports|conflicts", "tuples"),
+                              ("supports|conflicts", "unary"))),
+    Regular: ("regular", (("list", "scope"), ("transitions", "transitions"),
+                          ("start", "start"), ("final", "finals"))),
+    Mdd: ("mdd", (("list", "scope"), ("transitions", "transitions"))),
+    AllDifferent: ("allDifferent", (("list", "operands"), ("except", "excepts"))),
+    AllDifferentLists: ("allDifferent", (("list", "lists"), ("except", "excepts"))),
+    AllDifferentMatrix: ("allDifferent", (("matrix", "rows"),)),
+    AllEqual: ("allEqual", (("list", "operands"),)),
+    Ordered: ("ordered", (("list", "vars"), ("lengths", "lengths"), ("operator", "op"))),
+    Lex: ("lex", (("list", "lists"), ("operator", "op"))),
+    Lex2: ("lex", (("matrix", "rows"), ("operator", "op"))),
+    Sum: ("sum", (("list", "terms"), ("coeffs", "coeffs"), ("condition", "condition"))),
+    Count: ("count", (("list", "operands"), ("values", "values"), ("condition", "condition"))),
+    NValues: ("nValues", (("list", "operands"), ("except", "excepts"),
+                          ("condition", "condition"))),
+    Cardinality: ("cardinality", (("list", "vars"), ("values", "values"),
+                                  ("values@closed", "closed"), ("occurs", "occurs"))),
+    Minimum: ("minimum", (("list", "operands"), ("condition", "condition"))),
+    Maximum: ("maximum", (("list", "operands"), ("condition", "condition"))),
+    ElementVarList: ("element", (("list", "vars"), ("index", "index"),
+                                 ("value|condition", "rhs"))),
+    ElementValList: ("element", (("list", "values"), ("index", "index"),
+                                 ("value|condition", "rhs"))),
+    ElementMatrix: ("element", (("matrix", "cells"), ("index", ("row_index", "col_index")),
+                                ("value|condition", "rhs"))),
+    ChannelOne: ("channel", (("list", "vars"),)),
+    ChannelTwo: ("channel", (("list", "first"), ("list", "second"))),
+    ChannelValue: ("channel", (("list", "vars"), ("value", "value"))),
+    NoOverlap1: ("noOverlap", (("@zeroIgnored", "zero_ignored"), ("origins", "origins"),
+                               ("lengths", "lengths"))),
+    NoOverlapK: ("noOverlap", (("@zeroIgnored", "zero_ignored"), ("origins", "origins"),
+                               ("lengths", "lengths"))),
+    Cumulative: ("cumulative", (("origins", "origins"), ("lengths", "lengths"),
+                                ("heights", "heights"), ("condition", "condition"))),
+    Circuit: ("circuit", (("list", "vars"), ("size", "size"))),
+    InstantiationCtr: ("instantiation", (("list", "vars"), ("values", "values"))),
+}

@@ -478,8 +478,6 @@ def _read_matrix(el: RawElement, arrays: Dict[str, VarArray],
         with _at(el.path):
             grid = expand_compact_variable_list(tokens[0], arrays, Context.MATRIX)
         rows = [tuple(row) for row in grid]
-    if not rows:
-        raise ParseError("empty matrix", path=el.path, rule="matrix-shape")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("matrix rows differ in length", path=el.path, rule="matrix-shape")
@@ -525,23 +523,12 @@ def _for_token_cells(token: str, array_id: str, size: Sequence[int], path: str) 
     return flats
 
 
-# A domain plan tells how to populate an array's cells; storing it by shape
-# (not by cell names) lets an alias reuse the plan of its target.
-@dataclass(frozen=True)
-class _DomainPlan:
-    uniform: Optional[Domain]
-    groups: Tuple[Tuple[Tuple[str, ...], Domain], ...]  # (for tokens, domain)
-    others: Optional[Domain]
-
-
 class _VariablesBuilder:
     def __init__(self, cfg: ParserConfig):
         self.cfg = cfg
         self.declarations: List[Union[Variable, VarArray]] = []
         self.sizes: Dict[str, Tuple[int, ...]] = {}
         self.arrays: Dict[str, VarArray] = {}
-        self.var_domains: Dict[str, Optional[Domain]] = {}
-        self.array_plans: Dict[str, _DomainPlan] = {}
         self.kind_of: Dict[str, str] = {}
         self.alias_of: Dict[str, Optional[str]] = {}
 
@@ -597,7 +584,9 @@ class _VariablesBuilder:
             raise UnknownElement(f"only integer variables are supported, not {t!r}",
                                  path=el.path, rule="variable-type")
 
-    def _alias_target(self, el: RawElement, vid: str, position: Dict[str, int]) -> str:
+    def _alias_target(self, el: RawElement, vid: str, position: Dict[str, int]
+                      ) -> Union[Variable, VarArray]:
+        """The declaration vid aliases; declared earlier, so already built."""
         target = self.alias_of[vid]
         assert target is not None
         if el.children or el.text.strip():
@@ -616,7 +605,7 @@ class _VariablesBuilder:
             raise ParseError(
                 f"{el.tag} {vid!r} cannot alias {self.kind_of[target]} {target!r}",
                 path=el.path, rule="alias-kind")
-        return target
+        return self.declarations[position[target]]
 
     def _build_var(self, el: RawElement, position: Dict[str, int]) -> None:
         self._check_type(el)
@@ -625,32 +614,44 @@ class _VariablesBuilder:
             raise UnknownElement(f"unexpected children under <var>", path=el.path,
                                  rule="var-content")
         if self.alias_of[vid] is not None:
-            domain = self.var_domains[self._alias_target(el, vid, position)]
+            domain = self._alias_target(el, vid, position).domain
         else:
             domain = parse_domain_text(el.text, el.path)
-        self.var_domains[vid] = domain
         self.declarations.append(Variable(vid, domain))
 
     def _build_array(self, el: RawElement, position: Dict[str, int]) -> None:
         self._check_type(el)
         vid = el.attr("id")
         size = self.sizes[vid]
-        if self.alias_of[vid] is not None:
-            plan = self.array_plans[self._alias_target(el, vid, position)]
+        if self.alias_of[vid] is None:
+            domains = self._cell_domains(el, size)
         else:
-            plan = self._read_plan(el)
-        self.array_plans[vid] = plan
-        cells = self._apply_plan(vid, size, plan, el.path)
-        array = VarArray(vid, size, tuple(cells))
+            # the target's cell domains, index by index; one domain that every
+            # cell of the target shares fits any size
+            target = self._alias_target(el, vid, position)
+            domains = [cell.domain for cell in target.cells]
+            if size != target.size:
+                if len(set(domains)) > 1:
+                    raise ParseError(
+                        f"alias {vid!r} of size {el.attr('size')} cannot take the cell "
+                        f"domains of {target.id!r}: the sizes differ and the cells of "
+                        f"{target.id!r} differ in domain", path=el.path, rule="alias-size")
+                domains = domains[:1] * math.prod(size)
+        cells = tuple(Variable(vid + "".join(f"[{i}]" for i in idx), domain)
+                      for idx, domain in zip(itertools.product(*map(range, size)), domains))
+        array = VarArray(vid, size, cells)
         self.arrays[vid] = array
         self.declarations.append(array)
 
-    def _read_plan(self, el: RawElement) -> _DomainPlan:
+    @staticmethod
+    def _cell_domains(el: RawElement, size: Tuple[int, ...]) -> List[Optional[Domain]]:
+        """The domain of each cell, in flat order, from the element's text or
+        its <domain for=...> children; None for a cell that none covers."""
+        total = math.prod(size)
         if not el.children:
             text = el.text.strip()
-            uniform = parse_domain_text(text, el.path) if text else None
-            return _DomainPlan(uniform, (), None)
-        groups: List[Tuple[Tuple[str, ...], Domain]] = []
+            return [parse_domain_text(text, el.path) if text else None] * total
+        groups: List[Tuple[List[str], Domain]] = []
         others: Optional[Domain] = None
         for i, child in enumerate(el.children):
             if child.tag != "domain":
@@ -660,11 +661,8 @@ class _VariablesBuilder:
             if for_text is None:
                 raise ParseError("<domain> without for=", path=child.path, rule="for-target")
             domain = parse_domain_text(child.text, child.path)
-            tokens = tuple(for_text.split())
-            if tokens == ("others",):
-                if others is not None:
-                    raise ParseError("several for=\"others\" entries",
-                                     path=child.path, rule="for-others")
+            tokens = for_text.split()
+            if tokens == ["others"]:
                 if i != len(el.children) - 1:
                     raise ParseError("for=\"others\" must come last",
                                      path=child.path, rule="for-others")
@@ -672,37 +670,22 @@ class _VariablesBuilder:
             elif "others" in tokens:
                 raise ParseError("others cannot be mixed with cell tokens",
                                  path=child.path, rule="for-others")
+            elif not tokens:
+                raise ParseError("empty for= attribute", path=child.path, rule="for-target")
             else:
-                if not tokens:
-                    raise ParseError("empty for= attribute", path=child.path,
-                                     rule="for-target")
                 groups.append((tokens, domain))
-        return _DomainPlan(None, tuple(groups), others)
-
-    def _apply_plan(self, vid: str, size: Tuple[int, ...], plan: _DomainPlan,
-                    path: str) -> List[Variable]:
-        total = math.prod(size)
-        assigned: List[Optional[Domain]] = [plan.uniform] * total
-        if plan.groups or plan.others is not None:
-            taken = [False] * total
-            for tokens, domain in plan.groups:
-                for token in tokens:
-                    for flat in _for_token_cells(token, vid, size, path):
-                        if taken[flat]:
-                            raise ParseError(
-                                f"cell selected by two for= entries in {vid!r}",
-                                path=path, rule="for-overlap")
-                        taken[flat] = True
-                        assigned[flat] = domain
-            if plan.others is not None:
-                for flat in range(total):
-                    if not taken[flat]:
-                        assigned[flat] = plan.others
-        cells = []
-        for flat, idx in enumerate(itertools.product(*(range(n) for n in size))):
-            cell_id = vid + "".join(f"[{i}]" for i in idx)
-            cells.append(Variable(cell_id, assigned[flat]))
-        return cells
+        vid = el.attr("id")
+        assigned: List[Optional[Domain]] = [None] * total
+        taken = [False] * total
+        for tokens, domain in groups:
+            for token in tokens:
+                for flat in _for_token_cells(token, vid, size, el.path):
+                    if taken[flat]:
+                        raise ParseError(f"cell selected by two for= entries in {vid!r}",
+                                         path=el.path, rule="for-overlap")
+                    taken[flat] = True
+                    assigned[flat] = domain
+        return [domain if t else others for domain, t in zip(assigned, taken)]
 
 
 # -- constraints section -----------------------------------------------------------
@@ -759,6 +742,97 @@ def _required(el: RawElement, tag: str) -> RawElement:
         raise ParseError(f"<{el.tag}> needs a <{tag}> child", path=el.path,
                          rule=f"{el.tag}-shape")
     return child
+
+
+def _read_transitions(el: RawElement) -> Tuple[Tuple[str, int, str], ...]:
+    def field(token: str) -> str:
+        if not token:
+            raise ParseError("empty field in transition", rule="transition")
+        return token
+    out = []
+    for t in read_tuples(el.text, el.path, field, what="transition"):
+        if len(t) != 3:
+            raise ParseError(f"transition needs (state,value,state): {t}",
+                             path=el.path, rule="transition")
+        src, val, dst = t
+        out.append((src, read_int(val, el.path, "transition value"), dst))
+    return tuple(out)
+
+
+def _read_start(el: RawElement) -> str:
+    tokens = el.text.split()
+    if len(tokens) != 1:
+        raise ParseError("start must name one state", path=el.path, rule="regular-start")
+    return tokens[0]
+
+
+def _read_finals(el: RawElement) -> Tuple[str, ...]:
+    finals = tuple(el.text.split())
+    if not finals:
+        raise ParseError("final must name at least one state", path=el.path,
+                         rule="regular-final")
+    return finals
+
+
+# How a field of each name that a plain kind holds is read from its child
+# or, for the first field, from the element's text.
+_FIELD_READERS: Dict[str, Callable[[RawElement, Dict[str, VarArray]], object]] = {
+    "function": lambda el, arrays: _read_expr(el.text.strip(), el.path),
+    "operands": lambda el, arrays: tuple(read_exprs(el.text, arrays, el.path)),
+    "values": lambda el, arrays: tuple(read_vals(el.text, arrays, el.path)),
+    "excepts": lambda el, arrays: tuple(read_int_values(el.text, el.path)),
+    "condition": lambda el, arrays: parse_condition_text(el.text, el.path),
+    "scope": lambda el, arrays: tuple(read_var_ids(el.text, arrays, el.path)),
+    "transitions": lambda el, arrays: _read_transitions(el),
+    "start": lambda el, arrays: _read_start(el),
+    "finals": lambda el, arrays: _read_finals(el),
+}
+
+
+def _plain_reader(kind: type) -> Callable[["_ConstraintReader", RawElement], K.ConstraintKind]:
+    """The reader of a kind whose every field has a _FIELD_READERS entry, by
+    its K.LAYOUT row and the writer's rules: each field from its child, a
+    field in DEFAULTS left at its default when its child is absent and, when
+    the first field is the only required one, that field from the text of an
+    element without children."""
+    fields = [(child, name, _FIELD_READERS[name], name not in kind.DEFAULTS)
+              for child, name in K.LAYOUT[kind][1]]
+    as_text = [required for *_, required in fields] == [True] + [False] * (len(fields) - 1)
+    read_first = fields[0][2]
+
+    def read(self: "_ConstraintReader", el: RawElement) -> K.ConstraintKind:
+        if as_text and not el.children:
+            return kind(read_first(el, self.arrays))
+        values = {}
+        for child, name, read_field, required in fields:
+            src = _required(el, child) if required else el.find(child)
+            if src is not None:
+                values[name] = read_field(src, self.arrays)
+        return kind(**values)
+    return read
+
+
+def _tag_table(readers: Dict[str, Callable]
+               ) -> Dict[str, Tuple[Callable, FrozenSet[str], FrozenSet[str]]]:
+    """Each constraint tag: its reader, the attributes it takes beyond id,
+    class and note, and the child tags it allows, each that a K.LAYOUT row of
+    one of its kinds names. A tag without an entry in readers names one kind,
+    read by _plain_reader. _dispatch checks attributes and children, then
+    reads."""
+    kinds: Dict[str, List[type]] = {}
+    extra: Dict[str, set] = {}
+    children: Dict[str, set] = {}
+    for kind, (tag, rows) in K.LAYOUT.items():
+        kinds.setdefault(tag, []).append(kind)
+        for child, _ in rows:
+            owner, at, attr = child.partition("@")
+            if not at:
+                children.setdefault(tag, set()).update(child.split("|"))
+            elif not owner:
+                extra.setdefault(tag, set()).add(attr)
+    return {tag: (readers[tag] if tag in readers else _plain_reader(*kinds[tag]),
+                  frozenset(extra.get(tag, ())), frozenset(children[tag]))
+            for tag in kinds}
 
 
 class _ConstraintReader:
@@ -848,15 +922,9 @@ class _ConstraintReader:
 
     def _substitute(self, el: RawElement, tokens: Sequence[str], highest: int,
                     path: str) -> RawElement:
-        def replace(m: re.Match) -> str:
+        def replace(m: re.Match) -> str:  # the caller checked that tokens has each %k
             token = m.group()[1:]
-            if token == "...":
-                return " ".join(tokens[highest + 1:])
-            k = int(token)
-            if k >= len(tokens):
-                raise ParseError(f"no argument for parameter %{k}",
-                                 path=path, rule="group-arity")
-            return tokens[k]
+            return " ".join(tokens[highest + 1:]) if token == "..." else tokens[int(token)]
         children = [self._substitute(c, tokens, highest, path) for c in el.children]
         text = _PARAM_RE.sub(replace, el.text)
         attrs = {k: v for k, v in el.attrs.items() if k != "id"}
@@ -987,10 +1055,6 @@ class _ConstraintReader:
 
     # single constraints ----------------------------------------------------------
 
-    def _read_intension(self, el: RawElement) -> K.Intension:
-        src = _required(el, "function") if el.children else el
-        return K.Intension(_read_expr(src.text.strip(), src.path))
-
     def _read_extension(self, el: RawElement) -> K.Extension:
         list_el = _required(el, "list")
         _check_start_index(list_el, "startIndex")
@@ -1021,42 +1085,10 @@ class _ConstraintReader:
                              path=table.path, rule="table-order")
         return K.Extension(scope, positive, tuples=tuple(tuples))
 
-    def _read_regular(self, el: RawElement) -> K.Regular:
-        list_el = _required(el, "list")
-        scope = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
-        trans_el = _required(el, "transitions")
-        transitions = self._read_transitions(trans_el)
-        start_el = _required(el, "start")
-        start_tokens = start_el.text.split()
-        if len(start_tokens) != 1:
-            raise ParseError("start must name one state", path=start_el.path,
-                             rule="regular-start")
-        final_el = _required(el, "final")
-        finals = tuple(final_el.text.split())
-        if not finals:
-            raise ParseError("final must name at least one state",
-                             path=final_el.path, rule="regular-final")
-        return K.Regular(scope, transitions, start_tokens[0], finals)
-
-    def _read_transitions(self, el: RawElement) -> Tuple[Tuple[str, int, str], ...]:
-        def field(token: str) -> str:
-            if not token:
-                raise ParseError("empty field in transition", rule="transition")
-            return token
-        raw = read_tuples(el.text, el.path, field, what="transition")
-        out = []
-        for t in raw:
-            if len(t) != 3:
-                raise ParseError(f"transition needs (state,value,state): {t}",
-                                 path=el.path, rule="transition")
-            src, val, dst = t
-            out.append((src, read_int(val, el.path, "transition value"), dst))
-        return tuple(out)
-
     def _read_mdd(self, el: RawElement) -> K.Mdd:
         list_el = _required(el, "list")
         scope = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
-        mdd = K.Mdd(scope, self._read_transitions(_required(el, "transitions")))
+        mdd = K.Mdd(scope, _read_transitions(_required(el, "transitions")))
         with _at(el.path):
             mdd.root_terminal  # reject a bad shape now, not when checking
         return mdd
@@ -1095,10 +1127,6 @@ class _ConstraintReader:
         if except_el is not None:
             except_values = tuple(read_int_values(except_el.text, except_el.path))
         return K.AllDifferent(operands, except_values)
-
-    def _read_allEqual(self, el: RawElement) -> K.AllEqual:
-        src = el.find("list") or el
-        return K.AllEqual(tuple(read_exprs(src.text, self.arrays, src.path)))
 
     def _read_order_operator(self, el: RawElement) -> OrderOp:
         op_el = _required(el, "operator")
@@ -1157,21 +1185,6 @@ class _ConstraintReader:
             coeffs = (1,) * len(terms)
         return K.Sum(terms, coeffs, self._read_condition(el))
 
-    def _read_count(self, el: RawElement) -> K.Count:
-        list_el = _required(el, "list")
-        operands = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
-        values_el = _required(el, "values")
-        values = tuple(read_vals(values_el.text, self.arrays, values_el.path))
-        return K.Count(operands, values, self._read_condition(el))
-
-    def _read_nValues(self, el: RawElement) -> K.NValues:
-        list_el = _required(el, "list")
-        operands = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
-        except_el = el.find("except")
-        excepts = (tuple(read_int_values(except_el.text, except_el.path))
-                   if except_el is not None else ())
-        return K.NValues(operands, self._read_condition(el), excepts)
-
     def _read_cardinality(self, el: RawElement) -> K.Cardinality:
         list_el = _required(el, "list")
         ids = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
@@ -1192,16 +1205,6 @@ class _ConstraintReader:
             raise ParseError(f"{len(values)} values for {len(occurs)} occurrences",
                              path=occurs_el.path, rule="occurs-count")
         return K.Cardinality(ids, values, tuple(occurs), closed)
-
-    def _read_minimum(self, el: RawElement) -> K.Minimum:
-        list_el = _required(el, "list")
-        operands = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
-        return K.Minimum(operands, self._read_condition(el))
-
-    def _read_maximum(self, el: RawElement) -> K.Maximum:
-        list_el = _required(el, "list")
-        operands = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
-        return K.Maximum(operands, self._read_condition(el))
 
     def _read_element_rhs(self, el: RawElement, values_form: bool) -> K.ElementRhs:
         value_el, cond_el = el.find("value"), el.find("condition")
@@ -1346,32 +1349,12 @@ class _ConstraintReader:
                              path=el.path, rule="instantiation-count")
         return K.InstantiationCtr(ids, values)
 
-    # Each constraint tag: its reader, the attributes it takes beyond id, class
-    # and note, and the child tags it allows. _dispatch checks both, then reads.
-    _TAGS: Dict[str, Tuple[Callable[..., K.ConstraintKind], FrozenSet[str], FrozenSet[str]]] = {
-        tag: (read, frozenset(extra.split()), frozenset(children.split()))
-        for tag, read, extra, children in (
-            ("intension", _read_intension, "", "function"),
-            ("extension", _read_extension, "", "list supports conflicts"),
-            ("regular", _read_regular, "", "list transitions start final"),
-            ("mdd", _read_mdd, "", "list transitions"),
-            ("allDifferent", _read_allDifferent, "", "list matrix except"),
-            ("allEqual", _read_allEqual, "", "list"),
-            ("ordered", _read_ordered, "", "list lengths operator"),
-            ("lex", _read_lex, "", "list matrix operator"),
-            ("sum", _read_sum, "", "list coeffs condition"),
-            ("count", _read_count, "", "list values condition"),
-            ("nValues", _read_nValues, "", "list except condition"),
-            ("cardinality", _read_cardinality, "", "list values occurs"),
-            ("minimum", _read_minimum, "", "list condition"),
-            ("maximum", _read_maximum, "", "list condition"),
-            ("element", _read_element, "", "list matrix index value condition"),
-            ("channel", _read_channel, "", "list value"),
-            ("noOverlap", _read_noOverlap, "zeroIgnored", "origins lengths"),
-            ("cumulative", _read_cumulative, "", "origins lengths heights condition"),
-            ("circuit", _read_circuit, "", "list size"),
-            ("instantiation", _read_instantiation, "", "list values"),
-        )}
+    _TAGS = _tag_table({
+        "extension": _read_extension, "mdd": _read_mdd, "allDifferent": _read_allDifferent,
+        "ordered": _read_ordered, "lex": _read_lex, "sum": _read_sum,
+        "cardinality": _read_cardinality, "element": _read_element, "channel": _read_channel,
+        "noOverlap": _read_noOverlap, "cumulative": _read_cumulative,
+        "circuit": _read_circuit, "instantiation": _read_instantiation})
 
 
 # -- objectives and annotations ------------------------------------------------------

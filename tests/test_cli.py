@@ -324,6 +324,25 @@ def test_check_bad_cost_attribute_is_invalid(capsys, tmp_path):
     assert "/instantiation" in err and "[rule: integer]" in err
 
 
+@pytest.mark.parametrize("text,options,code,message", [
+    ("<instantiation><list> b c </list><values> 2 2 </values></instantiation>",
+     ["--vars", "b c"], 3, "usage error: --vars only applies to bare value lists"),
+    ("<solution><list> b c </list><values> 2 2 </values></solution>", [], 2,
+     "error: /solution: solution root must be <instantiation>, not <solution> "
+     "[rule: solution]"),
+    ("<instantiation><list> b c </list></instantiation>", [], 2,
+     "error: /instantiation: instantiation needs <list> and <values> [rule: solution]"),
+    ("<instantiation><values> 2 2 </values></instantiation>", [], 2,
+     "error: /instantiation: instantiation needs <list> and <values> [rule: solution]"),
+])
+def test_check_rejects_a_malformed_xml_solution(capsys, tmp_path, text, options, code,
+                                                message):
+    sol = tmp_path / "sol.xml"
+    sol.write_text(text)
+    assert run(capsys, "check", fixture_path("cake_intension.xml"), str(sol),
+               *options) == (code, "", message + "\n")
+
+
 # -- solve ------------------------------------------------------------------------
 
 
@@ -435,6 +454,25 @@ def test_search_error_names_the_constraint_and_its_assignment(capsys, tmp_path):
     code, out, err = run(capsys, "solve", str(path), "--count")
     assert code == 4 and out == ""
     assert err.strip() == "error: c1: div(6,0) at x=0 y=0"
+
+
+def test_search_error_in_a_constraint_without_variables_names_it(capsys, tmp_path):
+    # such a constraint is settled once, before the first node
+    path = tmp_path / "div.xml"
+    path.write_text('<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..2 </var>'
+                    "</variables><constraints><intension> le(x,2) </intension>"
+                    "<intension> eq(div(1,0),0) </intension></constraints></instance>")
+    assert run(capsys, "solve", str(path)) == (4, "", "error: #1: div(1,0)\n")
+
+
+def test_restrict_to_decision_rejects_a_decision_cell_without_a_domain(capsys, tmp_path):
+    path = tmp_path / "decision.xml"
+    path.write_text('<instance format="XCSP3" type="CSP"><variables><array id="x" size="[2]">'
+                    '<domain for="x[0]"> 0..1 </domain></array></variables><constraints>'
+                    "<intension> le(x[0],1) </intension></constraints>"
+                    "<annotations><decision> x[1] </decision></annotations></instance>")
+    assert run(capsys, "solve", str(path), "--restrict-to-decision") == (
+        2, "", "error: decision variables without a domain: ['x[1]']\n")
 
 
 DIV_CSP = ('<instance format="XCSP3" type="CSP"><variables>'

@@ -17,8 +17,9 @@ import pytest
 import xcsp3core
 from xcsp3core import cli
 from conftest import FIXTURES
-from xcsp3core.errors import ParseError
-from xcsp3core.parser import parse_string
+from test_kinds import CASES, document as kind_document
+from xcsp3core.errors import ParseError, UnknownElement
+from xcsp3core.parser import ParserConfig, _ConstraintReader, parse_string
 
 SOURCES = sorted(Path(xcsp3core.__file__).parent.glob("*.py"))
 
@@ -42,9 +43,15 @@ def test_every_parse_error_raised_names_its_rule():
     assert unnamed == []
 
 
+# Tags that raise no {tag}-shape: their one child may be left out for the
+# element's text (a <function> or <list>), and a circuit's <size> is optional.
+_NO_REQUIRED_CHILD = {"intension", "allEqual", "circuit"}
+
+
 def test_every_rule_is_named_by_a_test():
     # a rule written as a literal in src/ is named, quoted or as "[rule: ...]",
-    # by some test: a new rule cannot land without one
+    # by some test: a new rule cannot land without one; so is each rule that a
+    # constraint tag computes from its name, whose rows build the names
     rules = {node.value.value for _, tree in _trees() for node in ast.walk(tree)
              if isinstance(node, ast.keyword) and node.arg == "rule"
              and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)}
@@ -53,6 +60,12 @@ def test_every_rule_is_named_by_a_test():
     assert len(rules) > 100
     assert sorted(rule for rule in rules if not any(
         f"{quote}{rule}{quote}" in tests or f"[rule: {rule}]" in tests for quote in "\"'")) == []
+    tags = set(_ConstraintReader._TAGS)
+    assert {tag for tag, _ in UNEXPECTED_CHILDREN} == tags
+    shape_rows = {_KIND_CASES[name][1:_KIND_CASES[name].index(">")]
+                  for name, _ in REQUIRED_CHILDREN}
+    assert sorted(tag for tag in tags - _NO_REQUIRED_CHILD - shape_rows
+                  if f'"{tag}-shape"' not in tests) == []
 
 
 def test_every_error_class_is_raised_or_caught():
@@ -279,3 +292,155 @@ def test_document_rules(rule, path, document, tmp_path, capsys):
     assert (caught.value.rule, caught.value.path) == (rule, path)
     assert cli.main(["validate", str(file)]) == 2
     assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+
+# The rules that a constraint tag computes from its name: {tag}-shape for a
+# required child that is missing, and {tag}-content for a child the tag does
+# not take. One row per required child of each tag, from test_kinds.CASES
+# with that child removed, and one row per tag with a child that belongs to
+# another element of the format.
+_KIND_CASES = {name: constraint for name, constraint, _ in CASES}
+REQUIRED_CHILDREN = [
+    ("Extension", "list"),
+    ("Regular", "list"), ("Regular", "transitions"), ("Regular", "start"), ("Regular", "final"),
+    ("Mdd", "list"), ("Mdd", "transitions"),
+    ("Ordered", "list"), ("Ordered", "operator"),
+    ("Lex", "operator"),
+    ("Sum", "list"), ("Sum", "condition"),
+    ("Count", "list"), ("Count", "values"), ("Count", "condition"),
+    ("NValues", "list"), ("NValues", "condition"),
+    ("Cardinality", "list"), ("Cardinality", "values"), ("Cardinality", "occurs"),
+    ("Minimum", "list"), ("Minimum", "condition"),
+    ("Maximum", "list"), ("Maximum", "condition"),
+    ("ElementVarList", "index"), ("ElementVarList", "list"),
+    ("NoOverlap1", "origins"), ("NoOverlap1", "lengths"),
+    ("Cumulative", "origins"), ("Cumulative", "lengths"), ("Cumulative", "heights"),
+    ("Cumulative", "condition"),
+    ("InstantiationCtr", "list"), ("InstantiationCtr", "values"),
+]
+
+
+@pytest.mark.parametrize("name,child", REQUIRED_CHILDREN,
+                         ids=[f"{name}-{child}" for name, child in REQUIRED_CHILDREN])
+def test_missing_required_child(name, child, tmp_path, capsys):
+    constraint, removed = re.subn(rf"<{child}>[^<]*</{child}>", "", _KIND_CASES[name])
+    assert removed == 1
+    tag = constraint[1:constraint.index(">")]
+    file = tmp_path / "instance.xml"
+    file.write_text(kind_document(constraint))
+    assert cli.main(["validate", str(file)]) == 2
+    assert capsys.readouterr().err == (f"error: /instance/constraints/{tag}: <{tag}> needs a "
+                                       f"<{child}> child [rule: {tag}-shape]\n")
+
+
+UNEXPECTED_CHILDREN = [
+    ("intension", "list"), ("extension", "values"), ("regular", "condition"),
+    ("mdd", "start"), ("allDifferent", "values"), ("allEqual", "condition"),
+    ("ordered", "condition"), ("lex", "lengths"), ("sum", "values"), ("count", "coeffs"),
+    ("nValues", "values"), ("cardinality", "condition"), ("minimum", "index"),
+    ("maximum", "index"), ("element", "coeffs"), ("channel", "index"),
+    ("noOverlap", "heights"), ("cumulative", "ends"), ("circuit", "values"),
+    ("instantiation", "condition"),
+]
+
+
+@pytest.mark.parametrize("tag,child", UNEXPECTED_CHILDREN,
+                         ids=[tag for tag, _ in UNEXPECTED_CHILDREN])
+def test_unexpected_child(tag, child, tmp_path, capsys):
+    file = tmp_path / "instance.xml"
+    file.write_text(kind_document(f"<{tag}><{child}> a </{child}></{tag}>"))
+    with pytest.raises(UnknownElement) as caught:
+        parse_string(file.read_text())
+    assert (caught.value.rule, caught.value.path) == (f"{tag}-content",
+                                                      f"/instance/constraints/{tag}/{child}")
+    lenient = parse_string(file.read_text(), ParserConfig(strict=False))
+    assert lenient.removed == (f"/instance/constraints/{tag}",)
+    assert cli.main(["validate", str(file)]) == 2
+    assert capsys.readouterr().err == (f"error: /instance/constraints/{tag}/{child}: unexpected "
+                                       f"<{child}> under <{tag}> [rule: {tag}-content]\n")
+
+
+# One row per raise site that no other test reaches, pinned by its message:
+# the rule, the path of the element it names (None when it names none), the
+# message and the document.
+def _constraints(constraint):
+    return _document(_RULE_DECLARATIONS, constraint)
+
+
+_ARRAY = '<array id="y" size="[2]">{}</array>'
+_COP = "<objectives>{}</objectives>"
+RAISE_SITES = [
+    ("alias-size", "/instance/variables/array[2]",
+     "alias 'z' of size [3] cannot take the cell domains of 'y': the sizes differ and the "
+     "cells of 'y' differ in domain",
+     _document(_ARRAY.format('<domain for="y[0]"> 0..1 </domain><domain for="others"> 5 '
+                             "</domain>") + '<array id="z" as="y" size="[3]"/>')),
+    ("allDifferent-shape", "/instance/constraints/allDifferent", "allDifferent without operands",
+     _constraints("<allDifferent> </allDifferent>")),
+    ("array-size", "/instance/variables/array", "array 'y' without size",
+     _document('<array id="y"> 0..2 </array>')),
+    ("element-index", "/instance/constraints/element/index",
+     "matrix element needs two index variables",
+     _constraints("<element><matrix> (a,b)(c,d) </matrix><index> a </index>"
+                  "<value> b </value></element>")),
+    ("expression-syntax", "/instance/constraints/intension",
+     "set literals may only contain integers (offset 5)",
+     _constraints("<intension> in(a,set(b)) </intension>")),
+    ("expression-syntax", "/instance/constraints/intension",
+     "second argument of in() must be a set literal (offset 0)",
+     _constraints("<intension> in(a,b) </intension>")),
+    ("for-others", "/instance/variables/array/domain", "others cannot be mixed with cell tokens",
+     _document(_ARRAY.format('<domain for="y[0] others"> 0..2 </domain>'))),
+    ("for-target", "/instance/variables/array/domain", "<domain> without for=",
+     _document(_ARRAY.format("<domain> 0..2 </domain>"))),
+    ("for-target", "/instance/variables/array/domain", "empty for= attribute",
+     _document(_ARRAY.format('<domain for=""> 0..2 </domain>'))),
+    ("group-shape", "/instance/constraints/group", "empty group", _constraints("<group/>")),
+    ("group-shape", "/instance/constraints/group", "group template must come before <args>",
+     _constraints("<group><args> a </args><intension> lt(%0,1) </intension></group>")),
+    ("lists-length", "/instance/constraints/allDifferent", "allDifferent lists differ in length",
+     _constraints("<allDifferent><list> a b </list><list> c </list></allDifferent>")),
+    ("matrix-shape", "/instance/constraints/allDifferent/matrix", "matrix rows differ in length",
+     _constraints("<allDifferent><matrix> (a,b)(c) </matrix></allDifferent>")),
+    ("maximize-content", "/instance/objectives/maximize/condition",
+     "unexpected <condition> under <maximize>",
+     _document(tail=_COP.format('<maximize type="maximum"><list> x </list>'
+                                "<condition> (le,1) </condition></maximize>"), framework="COP")),
+    ("minimize-content", "/instance/objectives/minimize/values",
+     "unexpected <values> under <minimize>",
+     _document(tail=_COP.format('<minimize type="sum"><list> x </list><values> 1 </values>'
+                                "</minimize>"), framework="COP")),
+    ("noOverlap-count", "/instance/constraints/noOverlap", "2 origin tuples for 1 length tuples",
+     _constraints("<noOverlap><origins> (a,b)(c,d) </origins><lengths> (1,1) </lengths>"
+                  "</noOverlap>")),
+    ("noOverlap-count", "/instance/constraints/noOverlap",
+     "origin/length tuples differ in dimension",
+     _constraints("<noOverlap><origins> (a,b)(c,d) </origins><lengths> (1,1)(1,1,1) "
+                  "</lengths></noOverlap>")),
+    ("objective-shape", "/instance/objectives/minimize",
+     "expression objectives carry the expression as text",
+     _document(tail=_COP.format("<minimize><list> x </list></minimize>"), framework="COP")),
+    ("slide-circular", "/instance/constraints/slide", "circular slide requires offset 1",
+     _document(_SLIDE, '<slide circular="true"><list offset="2"> x y z </list>'
+                       "<intension> lt(%0,%1) </intension></slide>")),
+    ("slide-length", "/instance/constraints/slide",
+     "list of 2 variables cannot slide a window of 3",
+     _document(_SLIDE, '<slide circular="true"><list> x y </list>'
+                       "<intension> lt(%0,add(%1,%2)) </intension></slide>")),
+    ("tuple-arity", "/instance/constraints/allDifferent/except",
+     "except tuple arity differs from lists",
+     _constraints("<allDifferent><list> a b </list><list> c d </list>"
+                  "<except> (0,0,0) </except></allDifferent>")),
+    ("unknown-variable", None, "decision annotation references undeclared variable 'q'",
+     _document(tail="<annotations><decision> q </decision></annotations>")),
+]
+
+
+@pytest.mark.parametrize("rule,path,message,document", RAISE_SITES,
+                         ids=[f"{rule}-{k}" for k, (rule, *_) in enumerate(RAISE_SITES)])
+def test_raise_sites(rule, path, message, document, tmp_path, capsys):
+    file = tmp_path / "instance.xml"
+    file.write_text(document)
+    assert cli.main(["validate", str(file)]) == 2
+    where = f"{path}: " if path else ""
+    assert capsys.readouterr().err == f"error: {where}{message} [rule: {rule}]\n"

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import FIXTURES
 from xcsp3core import kinds as K
-from xcsp3core.canonical import _LAYOUT, instances_equivalent, render_instance
+from xcsp3core.canonical import instances_equivalent, render_instance
 from xcsp3core.checker import (
     _CHECKERS,
     check_constraint,
@@ -18,7 +18,7 @@ from xcsp3core.checker import (
     eval_objective,
 )
 from xcsp3core.model import STAR, Instantiation
-from xcsp3core.parser import parse_file, parse_string
+from xcsp3core.parser import _ConstraintReader, parse_file, parse_string
 
 DECLARATIONS = """
     <var id="a"> 0..3 </var> <var id="b"> 0..3 </var> <var id="c"> 0..3 </var>
@@ -191,7 +191,7 @@ def test_writer_row_and_roles_follow_fields(kind):
     """The writer's row names each field once (Extension.positive picks the
     <supports> or <conflicts> tag instead); EXPRESSIONS are fields and
     DEFAULTS are the trailing ones. A field added without a row fails here."""
-    _, row = _LAYOUT[kind]
+    _, row = K.LAYOUT[kind]
     written = [f for _, names in row for f in ((names,) if type(names) is str else names)]
     expected = [f for f in kind.FIELDS if (kind, f) != (K.Extension, "positive")]
     assert sorted(written) == sorted(expected)
@@ -199,11 +199,44 @@ def test_writer_row_and_roles_follow_fields(kind):
     assert tuple(kind.DEFAULTS) == kind.FIELDS[len(kind.FIELDS) - len(kind.DEFAULTS):]
 
 
+# The attributes beyond id, class and note, and the children, that each tag
+# took when they were written out by hand: a layout row that widens or narrows
+# what a tag accepts fails here.
+TAG_COLUMNS = {
+    "intension": ("", "function"),
+    "extension": ("", "list supports conflicts"),
+    "regular": ("", "list transitions start final"),
+    "mdd": ("", "list transitions"),
+    "allDifferent": ("", "list matrix except"),
+    "allEqual": ("", "list"),
+    "ordered": ("", "list lengths operator"),
+    "lex": ("", "list matrix operator"),
+    "sum": ("", "list coeffs condition"),
+    "count": ("", "list values condition"),
+    "nValues": ("", "list except condition"),
+    "cardinality": ("", "list values occurs"),
+    "minimum": ("", "list condition"),
+    "maximum": ("", "list condition"),
+    "element": ("", "list matrix index value condition"),
+    "channel": ("", "list value"),
+    "noOverlap": ("zeroIgnored", "origins lengths"),
+    "cumulative": ("", "origins lengths heights condition"),
+    "circuit": ("", "list size"),
+    "instantiation": ("", "list values"),
+}
+
+
+def test_each_tag_takes_the_attributes_and_children_of_its_layout_rows():
+    derived = {tag: (extra, children) for tag, (_, extra, children) in _ConstraintReader._TAGS.items()}
+    assert derived == {tag: (frozenset(extra.split()), frozenset(children.split()))
+                       for tag, (extra, children) in TAG_COLUMNS.items()}
+
+
 def test_every_kind_has_a_case_and_a_table_row():
     kinds = set(_concrete_kinds(K.ConstraintKind))
     assert {k.__name__ for k in kinds} == set(IDS)
     assert kinds == set(_CHECKERS)
-    assert kinds == set(_LAYOUT)
+    assert kinds == set(K.LAYOUT)
 
 
 def test_objective_scope():

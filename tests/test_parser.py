@@ -205,6 +205,37 @@ def test_alias_on_array_reuses_shape():
     assert inst.arrays_by_id["b"].cell((1,)).domain.max_value == 3
 
 
+MIXED = ('<array id="x" size="[4]"><domain for="x[0..1]"> 0..1 </domain>'
+         '<domain for="others"> 5..6 </domain></array>')
+
+
+def test_alias_copies_cell_domains_index_by_index():
+    inst = parse_string(wrap(MIXED + '<array id="y" as="x" size="[4]"/>', TRIVIAL))
+    x, y = inst.arrays_by_id["x"], inst.arrays_by_id["y"]
+    assert [c.domain for c in y.cells] == [c.domain for c in x.cells]
+    assert [c.domain.max_value for c in y.cells] == [1, 1, 6, 6]
+
+
+@pytest.mark.parametrize("target", [
+    '<array id="x" size="[4]"> 0..3 </array>',
+    '<array id="x" size="[4]"><domain for="x[0..1]"> 0..3 </domain>'
+    '<domain for="others"> 0..3 </domain></array>',
+])
+@pytest.mark.parametrize("size", ["[4]", "[2][3]", "[1]"])
+def test_alias_of_cells_sharing_one_domain_takes_any_size(target, size):
+    inst = parse_string(wrap(f'{target}<array id="y" as="x" size="{size}"/>', TRIVIAL))
+    y = inst.arrays_by_id["y"]
+    assert y.size == tuple(int(n) for n in size[1:-1].split("]["))
+    assert {c.domain.items for c in y.cells} == {((0, 3),)}
+
+
+@pytest.mark.parametrize("size", ["[5]", "[2][2]"])
+def test_alias_of_cells_differing_in_domain_needs_the_same_size(size):
+    with pytest.raises(ParseError) as err:
+        parse_string(wrap(MIXED + f'<array id="y" as="x" size="{size}"/>', TRIVIAL))
+    assert (err.value.rule, err.value.path) == ("alias-size", "/instance/variables/array[2]")
+
+
 def test_alias_errors():
     with pytest.raises(ParseError) as err:
         parse_string(wrap('<var id="x" as="ghost"/>', TRIVIAL))
