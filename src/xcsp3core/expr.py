@@ -7,9 +7,18 @@ integer may feed a boolean slot (nonzero counts as true) and any boolean
 result may feed an integer slot.
 
 The integer and identifier patterns here are the only ones in the package:
-the token readers in parser.py build on them. Template parameters (%k,
-%...) are not part of this grammar; groups and slides substitute them in
-the text before an expression is parsed.
+the token readers in parser.py build on them.
+
+A template of a group or slide is read once, in the template mode of
+parse_expr: there a parameter %k that is a whole operand (it stands where
+a variable or an integer could, between "(" or "," and "," or ")") reads
+as a Param leaf. binder turns such a tree into a function that builds
+each member's tree from the leaves bound to its parameters; operand_leaf
+gives the leaf a token reads as in an operand's place, the same one
+parse_expr would read from the substituted text. Any other use of a
+parameter (x[%0], %0[1], %1x, set(%0), a parameter as in()'s set) is not
+part of the grammar: template mode fails on it, and the parser substitutes
+the tokens into the text and parses each member as it stands.
 
 Record, the base of the expression nodes and of the value classes of
 model.py and kinds.py, is here, the lowest module they all import; the
@@ -48,8 +57,9 @@ key adds the list of kept tests, and shares compile_expr's cache.
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     INT_MAX,
@@ -170,6 +180,11 @@ class OpCall(Record):
     FIELDS = ("op", "args")  # str, Tuple[Expr, ...]
 
 
+class Param(Record):
+    """Template parameter %index, a leaf only of a tree read in template mode."""
+    FIELDS = ("index",)
+
+
 Expr = Union[IntConst, VarRef, SetLiteral, OpCall]
 
 # operator -> (min arity, max arity or None when unbounded)
@@ -246,10 +261,12 @@ def read_int(token: str, path: Optional[str] = None, what: str = "integer") -> i
 # indexes (a variable, maybe with none), or an integer.
 _OPERAND_RE = re.compile(
     rf"({IDENT_RE.pattern})(\(|(?:\[[0-9]+\])*)|{INT_RE.pattern}")
+# In template mode, a parameter %k is an operand too.
+_TEMPLATE_OPERAND_RE = re.compile(rf"{_OPERAND_RE.pattern}|%[0-9]+")
 _SPACE_RE = re.compile(r"\s")
 
 
-def parse_expr(text: str, path: Optional[str] = None) -> Expr:
+def parse_expr(text: str, path: Optional[str] = None, template: bool = False) -> Expr:
     """Parse a functional expression. The text must contain no whitespace.
 
     One pass over the text: each operand is one match of one pattern, ","
@@ -258,6 +275,9 @@ def parse_expr(text: str, path: Optional[str] = None) -> Expr:
     when its name is, the depth when its call opens, the arity and the
     operand kinds when it closes. A set literal is valid only as the
     second operand of in().
+
+    In template mode, %k in an operand's place reads as Param(k). A Param
+    is neither an integer nor a set, so set(%0) and in(x,%0) fail.
     """
     space = _SPACE_RE.search(text)
     if space is not None:
@@ -269,7 +289,7 @@ def parse_expr(text: str, path: Optional[str] = None) -> Expr:
     def fail(message: str, offset: int, rule: str = "expression-syntax") -> ParseError:
         return ParseError(f"{message} (offset {offset})", path=path, rule=rule)
 
-    match, end = _OPERAND_RE.match, len(text)
+    match, end = (_TEMPLATE_OPERAND_RE if template else _OPERAND_RE).match, len(text)
     calls: List[Tuple[str, int, List[Expr]]] = []  # (operator, offset, outer operands)
     operands: List[Expr] = []  # of the innermost open call; at the root, the result
     pos = 0
@@ -282,8 +302,11 @@ def parse_expr(text: str, path: Optional[str] = None) -> Expr:
         pos = m.end()
         if name is None:  # an integer; one of 18 characters or fewer lies in int64
             token = m.group()
-            operands.append(IntConst(int(token) if len(token) < 19 else
-                                     _int64(token, path, "integer literal")))
+            if token[0] == "%":  # a parameter, in template mode
+                operands.append(Param(int(token[1:])))
+            else:
+                operands.append(IntConst(int(token) if len(token) < 19 else
+                                         _int64(token, path, "integer literal")))
         elif tail == "(":
             if name != "set" and name not in ARITIES:
                 raise fail(f"unknown operator '{name}'", m.start())
@@ -321,6 +344,53 @@ def parse_expr(text: str, path: Optional[str] = None) -> Expr:
                 raise fail("a set literal may only be the second operand of in()", start)
             outer.append(node)
             operands = outer
+
+
+def operand_leaf(token: str) -> Optional[Expr]:
+    """The leaf parse_expr reads from token in an operand's place: VarRef for
+    an identifier or cell id whose name is no keyword, IntConst for an integer
+    of fewer than 19 characters; None for any other token, which may read
+    otherwise, or fail."""
+    m = _OPERAND_RE.fullmatch(token)
+    if m is None:
+        return None
+    name, tail = m.group(1, 2)
+    if name is None:
+        return IntConst(int(token)) if len(token) < 19 else None
+    if tail == "(" or name in KEYWORDS:
+        return None
+    return VarRef(token)
+
+
+def binder(template: Expr) -> Tuple[Tuple[int, ...], Callable[[Sequence[Expr]], Expr]]:
+    """The parameter indexes a template-mode tree holds, increasing, and a
+    function of the leaves bound to the parameters, leaves[k] for %k, that
+    builds the tree with each Param replaced by its leaf. The subtrees that
+    hold no parameter are shared by every tree built, as records are
+    immutable."""
+    used = set()
+
+    def make(node: Expr) -> Optional[Callable[[Sequence[Expr]], Expr]]:
+        """The builder of node, None when node holds no parameter."""
+        if type(node) is Param:
+            used.add(node.index)
+            return operator.itemgetter(node.index)
+        if type(node) is not OpCall:
+            return None
+        parts = [(i, part) for i, part in enumerate(map(make, node.args)) if part is not None]
+        if not parts:
+            return None
+        op, fixed = node.op, list(node.args)
+
+        def build(leaves: Sequence[Expr]) -> Expr:
+            args = fixed[:]
+            for i, part in parts:
+                args[i] = part(leaves)
+            return OpCall(op, tuple(args))
+        return build
+
+    build = make(template)
+    return tuple(sorted(used)), (build if build is not None else lambda leaves: template)
 
 
 def _close_call(op: str, args: List[Expr], start: int,

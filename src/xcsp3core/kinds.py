@@ -42,17 +42,27 @@ Compiled = Tuple[Evaluator, Optional[Tuple[str, ...]]]
 
 
 def _collect(value: object, ids: Dict[str, None]) -> None:
-    if isinstance(value, str):
-        ids.setdefault(value, None)
-    elif isinstance(value, VarRef):
-        ids.setdefault(value.id, None)
-    elif isinstance(value, OpCall):
-        _collect(value.args, ids)
-    elif isinstance(value, Condition):
-        _collect(value.operand, ids)
-    elif isinstance(value, tuple):
+    """Add the ids value involves to ids, by the rule of _Involving.var_ids.
+
+    A field holds these types exactly, never a subclass, so each is told by
+    its type alone; an id met again keeps its first place in ids.
+    """
+    kind = type(value)
+    if kind is str:
+        ids[value] = None
+    elif kind is VarRef:
+        ids[value.id] = None
+    elif kind is tuple:
         for item in value:
             _collect(item, ids)
+    elif kind is OpCall:
+        for arg in value.args:
+            if type(arg) is VarRef:
+                ids[arg.id] = None
+            else:
+                _collect(arg, ids)
+    elif kind is Condition:
+        _collect(value.operand, ids)
 
 
 class _Involving(Record):

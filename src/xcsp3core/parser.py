@@ -23,7 +23,8 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, NoReturn
 
 from . import kinds as K
 from .errors import ParseError, UnknownElement
-from .expr import INDEX_RE, INT_RE, IDENT_RE, Expr, VarRef, is_identifier, parse_expr, read_int
+from .expr import (INDEX_RE, INT_RE, IDENT_RE, Expr, VarRef, binder, is_identifier, operand_leaf,
+                   parse_expr, read_int)
 from .kinds import Objective, ObjKind, OrderOp, Sense
 from .model import (
     STAR,
@@ -270,8 +271,25 @@ def expand_compact_variable_list(
     return [ids[i:i + width] for i in range(0, len(ids), width)]
 
 
+def _is_cell(token: str, arrays: Mapping[str, VarArray]) -> bool:
+    """Whether token is the id of a declared cell as VarArray.cell_id spells
+    it, such as x[3][5]: no index with a leading zero, each in range."""
+    name, bracket, rest = token.partition("[")
+    array = arrays.get(name)
+    if array is None or not bracket or not _CELL_RE.fullmatch(token):
+        return False
+    indexes = rest[:-1].split("][")
+    return len(indexes) == len(array.size) and all(
+        len(i) < 19 and int(i) < n and (i[0] != "0" or i == "0")
+        for i, n in zip(indexes, array.size))
+
+
 def _var_ids(token: str, arrays: Dict[str, VarArray], path: str) -> List[str]:
-    """The variables one token of a variable list names."""
+    """The variables one token of a variable list names. A token that spells
+    a declared cell names that cell, as its compact expansion would, with no
+    index ranges built."""
+    if _is_cell(token, arrays):
+        return [token]
     if is_compact_token(token):
         with _at(path):
             return expand_compact_variable_list(token, arrays, Context.LIST)
@@ -843,6 +861,7 @@ class _ConstraintReader:
         self.posted: List[PostedConstraint] = []
         self.group_ids: List[str] = []
         self.removed: List[str] = []  # paths of what drop_classes or lenient mode left out
+        self.leaves: Dict[str, Union[Expr, bool]] = {}  # _bind's leaf of each token, or False
 
     # entry point -------------------------------------------------------------
 
@@ -903,6 +922,16 @@ class _ConstraintReader:
         return read(self, el)
 
     # template machinery --------------------------------------------------------
+    #
+    # A group or slide posts one member per <args> or window: its template
+    # with the member's tokens for %0, %1, ... An <intension> template is
+    # checked and its expression read once, in expr's template mode, and
+    # each member's expression is built by binding its tokens into that
+    # tree. Every other member is substituted as text and read as a lone
+    # constraint would be: one of another template, of an intension
+    # template that template mode cannot read, or with a token that is no
+    # leaf. Both routes give the same constraints and the same errors
+    # (tests/test_expansion.py).
 
     def _template_params(self, el: RawElement) -> Tuple[int, bool]:
         """(highest %k index or -1, whether %... occurs) across all text."""
@@ -930,6 +959,57 @@ class _ConstraintReader:
         attrs = {k: v for k, v in el.attrs.items() if k != "id"}
         return RawElement(el.tag, attrs, children, text, path)
 
+    def _binding(self, template: RawElement
+                 ) -> Optional[Tuple[Tuple[int, ...], Callable[..., Expr]]]:
+        """For an <intension> template that _dispatch accepts and whose
+        expression reads in template mode: the parameters that expression
+        uses and the builder of each member's expression from their leaves
+        (expr.binder). None for any other template, whose members are each
+        substituted and read as text."""
+        if template.tag != "intension":
+            return None
+        _, extra, children = self._TAGS["intension"]
+        try:
+            _check_attrs(template, extra)
+            _check_children(template, children)
+            src = template.find("function") or template
+            return binder(parse_expr(src.text.strip(), src.path, template=True))
+        except ParseError:
+            return None
+
+    def _bind(self, tokens: Sequence[str], used: Tuple[int, ...]
+              ) -> Optional[List[Optional[Expr]]]:
+        """The leaves a member binds: operand_leaf(tokens[k]) at each k in used,
+        None at the others; None when some token in used is no leaf."""
+        leaves: List[Optional[Expr]] = [None] * len(tokens)
+        for k in used:
+            token = tokens[k]
+            leaf = self.leaves.get(token)
+            if leaf is None:
+                leaf = self.leaves[token] = operand_leaf(token) or False
+            if leaf is False:
+                return None
+            leaves[k] = leaf
+        return leaves
+
+    def _post_members(self, template: RawElement, highest: int,
+                      members: Iterator[Tuple[Sequence[str], str]], base_id: Optional[str],
+                      classes: Tuple[str, ...]) -> None:
+        """Post one constraint per member, template with its tokens for %0,
+        %1, ... at the member's path, its id base_id[k] for the k-th: bound
+        into the template's expression (_binding, _bind) or, where that
+        cannot be, substituted as text and read as it stands."""
+        binding, note = self._binding(template), template.attr("note")
+        for k, (tokens, path) in enumerate(members):
+            member_id = f"{base_id}[{k}]" if base_id is not None else None
+            leaves = self._bind(tokens, binding[0]) if binding is not None else None
+            if leaves is None:
+                member = self._substitute(template, tokens, highest, path)
+                self._post_single(member, classes, forced_id=member_id)
+            else:
+                self.posted.append(PostedConstraint(K.Intension(binding[1](leaves)), member_id,
+                                                    classes, note))
+
     def _expand_group(self, el: RawElement, classes: Tuple[str, ...]) -> None:
         _check_attrs(el)
         gid = self._register_id(el)
@@ -953,20 +1033,21 @@ class _ConstraintReader:
             raise ParseError(
                 "%... cannot occur inside a functional expression",
                 path=template.path, rule="rest-placement")
-        for k, args_el in enumerate(rest_children):
-            tokens = args_el.text.split()
-            if has_rest:
-                if len(tokens) < highest + 1:
+
+        def members() -> Iterator[Tuple[List[str], str]]:
+            for k, args_el in enumerate(rest_children):
+                tokens = args_el.text.split()
+                if has_rest:
+                    if len(tokens) < highest + 1:
+                        raise ParseError(
+                            f"args #{k} has {len(tokens)} tokens, template needs at "
+                            f"least {highest + 1}", path=args_el.path, rule="group-arity")
+                elif len(tokens) != highest + 1:
                     raise ParseError(
-                        f"args #{k} has {len(tokens)} tokens, template needs at "
-                        f"least {highest + 1}", path=args_el.path, rule="group-arity")
-            elif len(tokens) != highest + 1:
-                raise ParseError(
-                    f"args #{k} has {len(tokens)} tokens, template takes "
-                    f"{highest + 1}", path=args_el.path, rule="group-arity")
-            member = self._substitute(template, tokens, highest, args_el.path)
-            member_id = f"{gid}[{k}]" if gid is not None else None
-            self._post_single(member, classes, forced_id=member_id)
+                        f"args #{k} has {len(tokens)} tokens, template takes "
+                        f"{highest + 1}", path=args_el.path, rule="group-arity")
+                yield tokens, args_el.path
+        self._post_members(template, highest, members(), gid, classes)
 
     def _expand_slide(self, el: RawElement, classes: Tuple[str, ...]) -> None:
         _check_attrs(el, frozenset({"circular"}))
@@ -1048,10 +1129,8 @@ class _ConstraintReader:
                 for ids, offset, collect in per_list:
                     window.extend(ids[i * offset:i * offset + collect])
                 members.append(window)
-        for k, window in enumerate(members):
-            member = self._substitute(template, window, highest, el.path)
-            member_id = f"{sid}[{k}]" if sid is not None else None
-            self._post_single(member, classes, forced_id=member_id)
+        self._post_members(template, highest, ((window, el.path) for window in members),
+                           sid, classes)
 
     # single constraints ----------------------------------------------------------
 
@@ -1328,6 +1407,8 @@ class _ConstraintReader:
         if list_el is not None:
             _check_start_index(list_el, "startIndex")
         ids = tuple(read_var_ids(src.text, self.arrays, src.path))
+        if not ids:
+            raise ParseError("circuit without variables", path=src.path, rule="circuit-shape")
         size_el = el.find("size")
         size: Optional[K.Val] = None
         if size_el is not None:
@@ -1497,9 +1578,8 @@ def _validate_references(instance: Instance, decision: Optional[Tuple[str, ...]]
     objective = instance.objective
     if objective is not None and not defined.issuperset(objective.var_ids):
         _reject_ids(instance, objective.var_ids, "objective")
-    for vid in decision or ():
-        if instance.variable(vid) is None:
-            _undeclared(instance, vid, "decision annotation references")
+    if decision is not None and not defined.issuperset(decision):
+        _reject_ids(instance, decision, "decision annotation")
 
 
 def _reject_ids(instance: Instance, ids: Sequence[str], who: str) -> NoReturn:

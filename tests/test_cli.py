@@ -471,8 +471,11 @@ def test_restrict_to_decision_rejects_a_decision_cell_without_a_domain(capsys, t
                     '<domain for="x[0]"> 0..1 </domain></array></variables><constraints>'
                     "<intension> le(x[0],1) </intension></constraints>"
                     "<annotations><decision> x[1] </decision></annotations></instance>")
-    assert run(capsys, "solve", str(path), "--restrict-to-decision") == (
-        2, "", "error: decision variables without a domain: ['x[1]']\n")
+    # the reader rejects it, so plain solve and validate fail alike
+    error = "error: decision annotation involves undefined variable 'x[1]' [rule: undefined-useful]\n"
+    assert run(capsys, "solve", str(path), "--restrict-to-decision") == (2, "", error)
+    assert run(capsys, "solve", str(path)) == (2, "", error)
+    assert run(capsys, "validate", str(path)) == (2, "", error)
 
 
 DIV_CSP = ('<instance format="XCSP3" type="CSP"><variables>'

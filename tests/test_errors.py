@@ -16,7 +16,7 @@ import pytest
 
 import xcsp3core
 from xcsp3core import cli
-from conftest import FIXTURES
+from mutants import DOCUMENTS, mutant
 from test_kinds import CASES, document as kind_document
 from xcsp3core.errors import ParseError, UnknownElement
 from xcsp3core.parser import ParserConfig, _ConstraintReader, parse_string
@@ -44,8 +44,8 @@ def test_every_parse_error_raised_names_its_rule():
 
 
 # Tags that raise no {tag}-shape: their one child may be left out for the
-# element's text (a <function> or <list>), and a circuit's <size> is optional.
-_NO_REQUIRED_CHILD = {"intension", "allEqual", "circuit"}
+# element's text (a <function> or <list>).
+_NO_REQUIRED_CHILD = {"intension", "allEqual"}
 
 
 def test_every_rule_is_named_by_a_test():
@@ -85,40 +85,7 @@ def test_every_error_class_is_raised_or_caught():
     assert len(defined) == 11
 
 
-# -- whole documents, mutated ----------------------------------------------------------
-
-# What the mutations insert: the token characters of the format, characters
-# that int() or str.isspace take but the format does not, and, anywhere
-# in the document, its markup characters.
-TOKEN_CHARS = " ()[],.%*x0123456789abcdeilnqrstv_-+\t\n\xa0١é"
-MARKUP_CHARS = "<>/=\"'&"
-# the text of an element that holds more than whitespace: domains, lists,
-# conditions, expressions, tuples
-_TEXT_RE = re.compile(r">\s*([^<\s][^<]*?)\s*<")
-DOCUMENTS = sorted(FIXTURES.glob("*.xml"))
-
-
-def mutant(rng, text):
-    """text with one to three characters inserted, deleted, replaced or
-    swapped with their neighbour, three edits in four inside element text."""
-    for _ in range(rng.randint(1, 3)):
-        spans = [m.span(1) for m in _TEXT_RE.finditer(text)]
-        if spans and rng.random() < 0.75:
-            lo, hi = rng.choice(spans)
-            i, chars = rng.randrange(lo, hi), TOKEN_CHARS
-        else:
-            i, chars = rng.randrange(max(1, len(text))), TOKEN_CHARS + MARKUP_CHARS
-        edit = rng.choice(("insert", "delete", "replace", "swap"))
-        if edit == "insert":
-            text = text[:i] + rng.choice(chars) + text[i:]
-        elif edit == "delete":
-            text = text[:i] + text[i + 1:]
-        elif edit == "replace":
-            text = text[:i] + rng.choice(chars) + text[i + 1:]
-        elif i + 1 < len(text):
-            text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
-    return text
-
+# -- whole documents, mutated (tests/mutants.py) ---------------------------------------
 
 @pytest.mark.parametrize("seed", range(4))
 def test_mutated_documents_fail_with_a_rule(seed):
@@ -149,6 +116,9 @@ READER_RULES = [
      "<channel><list> a </list><list> b </list><list> c </list></channel>"),
     ("channel-value", "channel/value",
      "<channel><list> a b </list><value> a b </value></channel>"),
+    ("circuit-shape", "circuit", "<circuit/>"),
+    ("circuit-shape", "circuit", "<circuit><size> 2 </size></circuit>"),
+    ("circuit-shape", "circuit/list", "<circuit><list> </list><size> 2 </size></circuit>"),
     ("circuit-size", "circuit/size", "<circuit><list> a b c </list><size> 1 2 </size></circuit>"),
     ("condition-operator", "sum/condition",
      "<sum><list> a b </list><condition> (lq,3) </condition></sum>"),

@@ -1,13 +1,19 @@
 """Group and slide expansion: meta-constraints must equal their hand-expanded twins."""
 
+import re
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xcsp3core import kinds as K
 from xcsp3core.canonical import instances_equivalent
 from xcsp3core.errors import ParseError
-from xcsp3core.parser import parse_file, parse_string
+from xcsp3core.expr import VarRef
+from xcsp3core.parser import ParserConfig, _ConstraintReader, parse_file, parse_string, read_xml
 
 from conftest import fixture_path
+from mutants import outcome
 
 TWIN_PAIRS = [
     ("group_g.xml", "group_g_expanded.xml"),
@@ -202,3 +208,95 @@ def test_slide_two_lists_with_collect():
     from xcsp3core.expr import free_vars
     assert free_vars(inst.constraints[0].kind.function) == ["x[0]", "x[1]", "y[0]"]
     assert free_vars(inst.constraints[1].kind.function) == ["x[2]", "x[3]", "y[1]"]
+
+
+# -- templates read once --------------------------------------------------------------
+#
+# An intension template that reads in template mode is read once and each
+# member built by binding its tokens (_ConstraintReader._binding); any
+# other template, and any member with a token that is no leaf, is expanded
+# by substituting the text. The bound route must give what the text route
+# gives: the same instance, or the same error.
+
+def _outcome(text, strict=True, bound=True):
+    """mutants.outcome of text; bound=False expands every template as text."""
+    with mock.patch.object(_ConstraintReader, "_binding",
+                           _ConstraintReader._binding if bound else lambda self, template: None):
+        return outcome(text, strict)
+
+
+def _group(template, members, attrs=' id="g"'):
+    args = "".join(f"<args> {' '.join(tokens)} </args>" for tokens in members)
+    return wrap(f"<group{attrs}>{template}{args}</group>", '<var id="y"> 0..3 </var>')
+
+
+# Tokens of each kind: leaves, and the tokens that are no leaf and so send
+# their member to the text route (a keyword, an integer of 19 characters
+# or more, a compound, a %, and tokens that fail wherever they stand).
+LEAF_TOKENS = ["x[0]", "x[5]", "y", "0", "-3", "+4", "007", "x[9]", "z", "x[1][0]", "x"]
+OTHER_TOKENS = ["add", "others", "set", "1234567890123456789", "-123456789012345678901",
+                "add(x[0],1)", "set(1,2)", "%0", "%", "3x", "x(", "x[0]y", "x[a]"]
+# Templates that template mode cannot read, each read as text instead.
+UNREAD_TEMPLATES = ["eq(x[%0],1)", "eq(%0[1],1)", "eq(%1x,%0)", "in(x[0],set(%0))",
+                    "in(x[0],%0)", "eq(%0,add(%1,%...))", "%0(x[0],1)", "eq(%0,%a)"]
+
+
+@pytest.mark.parametrize("template", UNREAD_TEMPLATES)
+def test_a_template_that_template_mode_cannot_read_is_expanded_as_text(template):
+    text = _group(f"<intension> {template} </intension>", [["x[0]", "1"], ["set(1,2)", "2"]])
+    reader = _ConstraintReader(ParserConfig(), {}, set())
+    assert reader._binding(read_xml(f"<intension> {template} </intension>")) is None
+    assert _outcome(text) == _outcome(text, bound=False)
+
+
+@pytest.mark.parametrize("token", LEAF_TOKENS + OTHER_TOKENS)
+def test_each_token_binds_as_its_text_reads(token):
+    for template in ("ne(%0,add(%1,2))", "<function>in(%1,set(1,2))</function>"):
+        text = _group(f"<intension> {template} </intension>",
+                      [["x[1]", "x[2]"], [token, "x[3]"], ["x[4]", token]])
+        assert _outcome(text) == _outcome(text, bound=False)
+
+
+def test_members_share_the_parameter_free_subtrees_of_their_template():
+    text = _group("<intension> ne(%0,add(y,1)) </intension>", [["x[0]"], ["x[1]"]])
+    first, second = (p.kind.function for p in parse_string(text).constraints)
+    assert first.args[1] is second.args[1]
+    assert (first.args[0], second.args[0]) == (VarRef("x[0]"), VarRef("x[1]"))
+
+
+_LEAF = st.sampled_from(["%0", "%1", "%2", "%3", "x[0]", "x[3]", "y", "5", "-2",
+                         "x[%0]", "%0[1]", "%1x", "set(%0)", "add"])
+_EXPR = st.recursive(_LEAF, lambda inner: st.one_of(
+    st.builds(lambda op, args: f"{op}({','.join(args)})",
+              st.sampled_from(["add", "sub", "ne", "eq", "le", "not", "abs", "if", "max", "mul"]),
+              st.lists(inner, min_size=0, max_size=4)),
+    st.builds(lambda e, s: f"in({e},{s})", inner, st.sampled_from(["set(1,2)", "%1", "set()"])),
+), max_leaves=8)
+
+
+@st.composite
+def _documents(draw):
+    expression = draw(_EXPR)
+    template = draw(st.sampled_from([
+        "<intension> {} </intension>", "<intension><function> {} </function></intension>",
+        '<intension note="n" class="c"> {} </intension>', '<intension foo="1"> {} </intension>',
+        "<intension><list> {} </list></intension>"])).format(expression)
+    highest = max(map(int, re.findall(r"%([0-9]+)", expression)), default=-1)
+    tokens = st.sampled_from(LEAF_TOKENS + OTHER_TOKENS)
+    if draw(st.booleans()):
+        width = highest + 1 + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+        members = draw(st.lists(st.lists(tokens, min_size=max(width, 0), max_size=max(width, 0)),
+                                min_size=1, max_size=4))
+        attrs = draw(st.sampled_from([' id="g"', "", ' class="c"']))
+        return _group(template, members, attrs)
+    lists = draw(st.sampled_from(["<list> x[] </list>", '<list offset="2"> x[] </list>',
+                                  "<list> x[0] y x[2] </list>"]))
+    circular = draw(st.sampled_from(["", ' circular="true"']))
+    return wrap(f'<slide id="s"{circular}>{lists}{template}</slide>', '<var id="y"> 0..3 </var>')
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents(), st.booleans())
+def test_bound_expansion_equals_text_expansion(text, strict):
+    assert _outcome(text, strict) == _outcome(text, strict, bound=False)
+

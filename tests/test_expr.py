@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,11 +27,14 @@ from xcsp3core.expr import (
     MAX_EXPR_DEPTH,
     IntConst,
     OpCall,
+    Param,
     SetLiteral,
     VarRef,
+    binder,
     compile_bounded,
     compile_expr,
     free_vars,
+    operand_leaf,
     parse_expr,
     print_expr,
 )
@@ -235,6 +239,59 @@ _exprs = st.recursive(_leaf, _calls, max_leaves=12)
 @given(_exprs)
 def test_print_parse_round_trip(e):
     assert parse_expr(print_expr(e)) == e
+
+
+# -- template mode ----------------------------------------------------------------------
+
+def test_template_mode_reads_a_whole_operand_parameter_as_a_leaf():
+    assert parse_expr("ne(%0,add(%12,x))", template=True) == OpCall(
+        "ne", (Param(0), OpCall("add", (Param(12), VarRef("x")))))
+    assert parse_expr("%3", template=True) == Param(3)
+    assert parse_expr("in(%0,set(1,2))", template=True) == OpCall(
+        "in", (Param(0), SetLiteral((1, 2))))
+
+
+@pytest.mark.parametrize("text", ["eq(x[%0],1)", "eq(%0[1],1)", "eq(%1x,1)", "in(x,set(%0))",
+                                  "in(x,%0)", "%0(x,1)", "eq(%,1)", "eq(%...,1)", "eq(%0,%a)"])
+def test_template_mode_reads_no_other_use_of_a_parameter(text):
+    for template in (True, False):
+        with pytest.raises(ParseError):
+            parse_expr(text, template=template)
+
+
+@pytest.mark.parametrize("token,leaf", [
+    ("x", VarRef("x")), ("x[3][0]", VarRef("x[3][0]")), ("x[03]", VarRef("x[03]")),
+    ("w_0", VarRef("w_0")), ("0", IntConst(0)), ("-7", IntConst(-7)), ("+5", IntConst(5)),
+    ("007", IntConst(7)), ("123456789012345678", IntConst(123456789012345678)),
+    ("1234567890123456789", None), ("add", None), ("others", None), ("add[1]", None),
+    ("x(", None), ("x[0]y", None), ("x[]", None), ("%0", None), ("add(x,1)", None),
+    ("set(1)", None), ("3x", None), ("", None),
+])
+def test_operand_leaf(token, leaf):
+    assert operand_leaf(token) == leaf
+
+
+def _template_text(t):
+    """print_expr, with %k for Param(k)."""
+    if type(t) is Param:
+        return f"%{t.index}"
+    if type(t) is OpCall:
+        return t.op + "(" + ",".join(map(_template_text, t.args)) + ")"
+    return print_expr(t)
+
+
+_templates = st.recursive(st.one_of(_leaf, st.integers(0, 3).map(Param)), _calls, max_leaves=12)
+
+
+@given(_templates, st.lists(st.sampled_from(["x", "y", "x[3]", "0", "-7", "+5", "0012"]),
+                            min_size=4, max_size=4))
+def test_binding_leaves_builds_what_the_substituted_text_reads(template, tokens):
+    text = _template_text(template)
+    assert parse_expr(text, template=True) == template
+    used, build = binder(template)
+    assert list(used) == sorted({int(k) for k in re.findall(r"%([0-9])", text)})
+    substituted = re.sub(r"%([0-9])", lambda m: tokens[int(m.group(1))], text)
+    assert build([operand_leaf(token) for token in tokens]) == parse_expr(substituted)
 
 
 @given(_exprs, st.integers(-5, 5), st.integers(-5, 5),

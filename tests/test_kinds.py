@@ -17,7 +17,8 @@ from xcsp3core.checker import (
     check_solution,
     eval_objective,
 )
-from xcsp3core.model import STAR, Instantiation
+from xcsp3core.expr import OpCall, VarRef, free_vars
+from xcsp3core.model import STAR, Condition, Instantiation
 from xcsp3core.parser import _ConstraintReader, parse_file, parse_string
 
 DECLARATIONS = """
@@ -102,6 +103,49 @@ def test_scope_by_hand(name, constraint, scope):
     kind = only_kind(constraint)
     assert type(kind).__name__ == name
     assert list(kind.var_ids) == scope
+
+
+def _walk(value, ids):
+    """The field walk of var_ids, by isinstance: a str is an id, a VarRef
+    gives its id, an expression its free variables, a Condition its operand's
+    id; tuples are walked item by item."""
+    if isinstance(value, str):
+        ids.setdefault(value, None)
+    elif isinstance(value, VarRef):
+        ids.setdefault(value.id, None)
+    elif isinstance(value, OpCall):
+        for vid in free_vars(value):
+            ids.setdefault(vid, None)
+    elif isinstance(value, Condition):
+        _walk(value.operand, ids)
+    elif isinstance(value, tuple):
+        for item in value:
+            _walk(item, ids)
+
+
+def _walked(kind):
+    ids = {}
+    for name in kind.FIELDS:
+        _walk(getattr(kind, name), ids)
+    return tuple(ids)
+
+
+@pytest.mark.parametrize("name,constraint,scope", CASES, ids=IDS)
+def test_var_ids_follow_the_field_walk(name, constraint, scope):
+    kind = only_kind(constraint)
+    expected = (tuple(dict.fromkeys(kind.scope)) if isinstance(kind, K._Scoped)
+                else _walked(kind))
+    assert kind.var_ids == expected == tuple(scope)
+
+
+def test_var_ids_follow_the_field_walk_in_every_fixture():
+    for path in sorted(FIXTURES.glob("*.xml")):
+        instance = parse_file(path)
+        for posted in instance.constraints:
+            if not isinstance(posted.kind, K._Scoped):
+                assert posted.kind.var_ids == _walked(posted.kind), (path.name, posted)
+        if instance.objective is not None:
+            assert instance.objective.var_ids == _walked(instance.objective), path.name
 
 
 @pytest.mark.parametrize("name,constraint,scope", CASES, ids=IDS)

@@ -20,6 +20,7 @@ from xcsp3core.model import (
 from xcsp3core.expr import VarRef
 from xcsp3core.parser import (
     Context,
+    _var_ids,
     expand_compact_variable_list,
     expand_vxk,
     is_compact_token,
@@ -162,6 +163,24 @@ def test_compact_errors():
         expand_compact_variable_list("x[1..]", amap, Context.LIST)
     assert err.value.rule == "compact-token"
 
+
+
+@pytest.mark.parametrize("token", [
+    "x[1][2]", "x[0][0]", "x[2][3]", "x[01][2]", "x[1][00]", "x[3][0]", "x[1][4]", "x[1]",
+    "x[1][2][0]", "x[1][99999999999999999999]", "y[0]", "x[+1][2]", "x[-0][2]",
+])
+def test_a_cell_token_names_what_its_compact_expansion_names(token):
+    # _var_ids names a cell that a token spells as it is written, without
+    # expanding the token as a compact reference; x[01][2] is x[1][2]
+    amap = {"x": make_array("x", 3, 4)}
+    try:
+        expected = expand_compact_variable_list(token, amap, Context.LIST)
+    except ParseError as e:
+        with pytest.raises(ParseError) as err:
+            _var_ids(token, amap, "/list")
+        assert (err.value.rule, err.value.path) == (e.rule, "/list")
+    else:
+        assert _var_ids(token, amap, "/list") == expected
 
 def test_is_compact_token():
     assert is_compact_token("x[]")

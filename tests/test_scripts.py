@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [
     [ROOT / "scripts/random_agreement.py", "--instances", "20", "--machines", "20"],
     [ROOT / "scripts/fixture_report.py", ROOT / "tests/fixtures"],
+    [ROOT / "scripts/parse_digest.py", "--mutants", "20"],
 ])
 def test_script_runs_without_pythonpath(argv, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -43,3 +44,22 @@ def test_fixture_report_times_each_parse():
     rows = out.stdout.splitlines()
     assert len(rows) == len(list((ROOT / "tests/fixtures").glob("*.xml")))
     assert all(" ms parse " in row for row in rows)
+
+
+def test_parse_digest_prints_each_outcome_and_their_digest():
+    def run(*args):
+        out = subprocess.run([sys.executable, str(ROOT / "scripts/parse_digest.py"),
+                              "--mutants", "30", "--seed", "3", *args],
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        return out.stdout.splitlines()
+
+    *lines, total = run("--show")
+    fixtures = ROOT / "tests/fixtures"
+    documents = len(list(fixtures.glob("*.xml"))) + len(list(fixtures.glob("bad/*.xml"))) + 30
+    assert len(lines) == 2 * documents
+    parsed = sum(line.split(" ", 2)[2].startswith("removed=") for line in lines)
+    assert parsed >= 2 * len(list(fixtures.glob("*.xml")))  # every fixture parses
+    assert re.fullmatch(rf"documents={documents} outcomes={2 * documents} parsed={parsed} "
+                        rf"failed={2 * documents - parsed} sha256=[0-9a-f]{{64}}", total), total
+    assert run() == [total]  # the same documents give the same digest
