@@ -80,6 +80,8 @@ class Domain(Record):
         for lo, hi in self.items:
             yield from range(lo, hi + 1)
 
+    __iter__ = values
+
     def render(self) -> str:
         out = []
         for lo, hi in self.items:
@@ -116,9 +118,6 @@ class VarArray(Record):
                 f"{self.id}: {len(indexes)} indexes for {len(self.size)} dimensions",
                 rule="index-range")
         return self.cells[self.flat_index(indexes)]
-
-    def cell_id(self, indexes: Sequence[int]) -> str:
-        return self.id + "".join(f"[{i}]" for i in indexes)
 
 
 # -- conditions ---------------------------------------------------------------

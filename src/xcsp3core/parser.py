@@ -18,8 +18,8 @@ import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, NoReturn, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NoReturn,
+                    Optional, Sequence, Tuple, Union)
 
 from . import kinds as K
 from .errors import ParseError, UnknownElement
@@ -242,6 +242,14 @@ def _slot_ranges(token: str, size_of: Callable[[str], Sequence[int]]
     return name, ranges, free
 
 
+def _cell_ids(name: str, ranges: Iterable[range]) -> List[str]:
+    """The ids name[i][j]... of the cells over the product of the index
+    ranges, in row-major order: each cell's id joins one precomputed suffix
+    per axis."""
+    suffixes = [[f"[{i}]" for i in indexes] for indexes in ranges]
+    return list(map("".join, itertools.product((name,), *suffixes)))
+
+
 def expand_compact_variable_list(
     token: str,
     arrays: Mapping[str, VarArray],
@@ -260,7 +268,7 @@ def expand_compact_variable_list(
         return arrays[name].size
 
     name, ranges, free = _slot_ranges(token, size_of)
-    ids = [arrays[name].cell_id(idx) for idx in itertools.product(*ranges)]
+    ids = _cell_ids(name, ranges)
     if context is Context.LIST:
         return ids
     if len(free) != 2:
@@ -272,8 +280,8 @@ def expand_compact_variable_list(
 
 
 def _is_cell(token: str, arrays: Mapping[str, VarArray]) -> bool:
-    """Whether token is the id of a declared cell as VarArray.cell_id spells
-    it, such as x[3][5]: no index with a leading zero, each in range."""
+    """Whether token is the id of a declared cell as _cell_ids spells it, such
+    as x[3][5]: no index with a leading zero, each in range."""
     name, bracket, rest = token.partition("[")
     array = arrays.get(name)
     if array is None or not bracket or not _CELL_RE.fullmatch(token):
@@ -655,9 +663,8 @@ class _VariablesBuilder:
                         f"domains of {target.id!r}: the sizes differ and the cells of "
                         f"{target.id!r} differ in domain", path=el.path, rule="alias-size")
                 domains = domains[:1] * math.prod(size)
-        cells = tuple(Variable(vid + "".join(f"[{i}]" for i in idx), domain)
-                      for idx, domain in zip(itertools.product(*map(range, size)), domains))
-        array = VarArray(vid, size, cells)
+        ids = _cell_ids(vid, map(range, size))
+        array = VarArray(vid, size, tuple(map(Variable, ids, domains)))
         self.arrays[vid] = array
         self.declarations.append(array)
 
@@ -1570,28 +1577,28 @@ def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
 
 
 def _validate_references(instance: Instance, decision: Optional[Tuple[str, ...]]) -> None:
-    # a variable may be undefined or useful, never both
-    defined = {v.id for v in instance.variables() if v.domain is not None}
+    """Raise at the first id that a constraint, the objective or the decision
+    annotation names, in that order, and that is undeclared or has no
+    domain: a variable may be undefined or useful, never both."""
     for position, posted in enumerate(instance.constraints):
-        if not defined.issuperset(posted.kind.var_ids):
-            _reject_ids(instance, posted.kind.var_ids, f"constraint {posted.label(position)}")
-    objective = instance.objective
-    if objective is not None and not defined.issuperset(objective.var_ids):
-        _reject_ids(instance, objective.var_ids, "objective")
-    if decision is not None and not defined.issuperset(decision):
-        _reject_ids(instance, decision, "decision annotation")
+        _check_ids(instance, posted.kind.var_ids,
+                   lambda: f"constraint {posted.label(position)}")
+    if instance.objective is not None:
+        _check_ids(instance, instance.objective.var_ids, lambda: "objective")
+    if decision is not None:
+        _check_ids(instance, decision, lambda: "decision annotation")
 
 
-def _reject_ids(instance: Instance, ids: Sequence[str], who: str) -> NoReturn:
-    """Raise for the first of ids that names no variable with a domain."""
+def _check_ids(instance: Instance, ids: Sequence[str], who: Callable[[], str]) -> None:
+    """Raise for the first of ids that names no variable with a domain;
+    who() names what refers to them."""
     for vid in ids:
         variable = instance.variable(vid)
         if variable is None:
-            _undeclared(instance, vid, f"{who} references")
+            _undeclared(instance, vid, f"{who()} references")
         if variable.domain is None:
-            raise ParseError(f"{who} involves undefined variable {vid!r}",
+            raise ParseError(f"{who()} involves undefined variable {vid!r}",
                              rule="undefined-useful")
-    raise AssertionError(f"{who}: every id names a variable with a domain")
 
 
 def _undeclared(instance: Instance, vid: str, who: str) -> NoReturn:

@@ -2,24 +2,25 @@
 
 The solver is a ground-truth oracle for desk-scale instances: depth-first
 search over the variables in an order fixed before search starts. That
-order is compiled into a plan: for each depth, the checks that run when
-that depth's variable is set, in constraint order. A constraint's complete
-check runs at the depth that completes its scope, and its partial check at
-the earlier depths that assign one of its variables. allDifferent and sum
-are checked in stages instead, carrying state from depth to depth: the
-stage at the completing depth gives the complete verdict from that state,
-and a sum is bounded by the domain min/max of its unassigned terms (see
-staged_checks). Partial checks only skip subtrees that hold no solution; no
-domain is ever filtered. So counts, solution order and optima are those of
-plain enumeration, easy to compare against a brute-force filter. The
-semantics themselves are checker's: this module writes the search's code
-from them and from the domain bounds.
+order is compiled into a plan: for each depth, the calls that run when
+that depth's variable is set, in constraint order, each a (form,
+arguments, position) triple exactly as it is generated. A constraint's
+complete check runs at the depth that completes its scope, and its partial
+check at the earlier depths that assign one of its variables. allDifferent
+and sum are checked in stages instead, carrying state from depth to depth:
+the stage at the completing depth gives the complete verdict from that
+state, and a sum is bounded by the domain min/max of its unassigned terms
+(see staged_checks). Partial checks only skip subtrees that hold no
+solution; no domain is ever filtered. So counts, solution order and optima
+are those of plain enumeration, easy to compare against a brute-force
+filter. The semantics themselves are checker's: this module writes the
+search's code from them and from the domain bounds.
 
 The plan is then compiled into code, once per search: one function per
-depth that runs the depth's checks in plan order and returns True at the
+depth that makes the depth's calls in plan order and returns True at the
 first that fails. Writing each check's code for the model, rather than
 calling a general one, follows Minion (Gent, Jefferson and Miguel, ECAI
-2006). Each check is written as the code of its form (_FORMS):
+2006). Each call is written as the code of its form (_FORMS):
 - "e", an intension's complete check: a call of its bounded evaluator
   (expr.compile_bounded over the domain bounds). The check runs only once
   its variables are assigned from their domains, so the evaluator reads
@@ -35,24 +36,25 @@ calling a general one, follows Minion (Gent, Jefferson and Miguel, ECAI
   inline membership test per operand, of its value (env[id] for a bare
   variable, else its bounded evaluator) against the set of the values of
   the operands checked before it, excepts never entering the set.
-- "s", a partial detector: a call of partial_violated. An allDifferent an
-  operand of which may raise (a div by a domain holding 0, a range test
-  that survives) has no stages: its operands must be evaluated, and raise,
-  at the node and with the message where the reference scan would, and
-  partial_violated and the complete check are that scan.
+- "s", a partial check: a call of the kind's detector from checker's
+  table, bound to the constraint and env. An allDifferent an operand of
+  which may raise (a div by a domain holding 0, a range test that
+  survives) has no stages: its operands must be evaluated, and raise, at
+  the node and with the message where the reference scan would, and the
+  detector and the complete check are that scan.
 - "c", any other kind's complete check from checker's table.
 - "g", a generated function of checks (see below).
 The callables, constants, state lists, kinds and the constraint positions
 that name an evaluation error are arguments of the factory that builds
 the function: as in expr's generator, no id, label or other input text
 enters the source, and one factory serves every function with the same
-sequence of forms. A generated function makes at most MAX_CHUNK checks: a
+sequence of forms. A generated function makes at most MAX_CHUNK calls: a
 depth with more gets a tree of functions ("g" calls one), so planning
 stays linear in the number of checks. At most MAX_SHAPES factories are
 kept, the oldest dropped first; a search of an instance met again writes
 no source. An EXPRESSION objective is costed by its bounded evaluator. With
-partial_checks off, every complete check goes through check_constraint
-and every cost through eval_objective, both with unbounded evaluators:
+partial_checks off, every constraint is one "c" call of its checker and
+every cost goes through eval_objective, both with unbounded evaluators:
 that is the reference path.
 
 The loop around the depth functions is generated as well (_loop_source):
@@ -86,11 +88,10 @@ from .checker import (
     check_constraint,
     eval_objective,
     named_error,
-    partial_violated,
 )
 from .errors import INT_MAX, INT_MIN, EvalError, SolverError, UnforcedVariable
 from .expr import Expr, VarRef, free_vars, generated
-from .kinds import AllDifferent, ConstraintKind, Intension, Objective, ObjKind, Sense, Sum
+from .kinds import AllDifferent, ConstraintKind, Intension, ObjKind, Sense, Sum
 from .model import CondOp, Domain, Instance, Instantiation, Variable
 
 
@@ -150,14 +151,6 @@ class _LimitReached(Exception):
     pass
 
 
-# One check of the plan: the constraint's position, the constraint, and a
-# check of its own, (form, arguments) as in staged_checks: a stage, or
-# ("s", (detector,)) for a partial detector (True when violated); or None
-# for its complete check. A stage of a sum objective has None and the
-# objective in place of the position and the constraint.
-_Check = Tuple[Optional[int], Union[ConstraintKind, Objective],
-               Optional[Tuple[str, Tuple[object, ...]]]]
-
 # -- generated depth functions ----------------------------------------------------
 
 MAX_CHUNK = 32      # checks, or functions of checks, per generated function
@@ -215,9 +208,6 @@ _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 _FACTORIES: Dict[Tuple[str, ...], Callable[..., Callable[[], bool]]] = {}
 _NAMESPACE = {"EvalError": EvalError}
 
-# the reference path's complete check
-_reference_check = partial(check_constraint, validate=False)
-
 # A call of a generated function: form, arguments, and the constraint's
 # position, which a form that names no error leaves unused.
 _Call = Tuple[str, Tuple[object, ...], Optional[int]]
@@ -242,7 +232,7 @@ def _source(forms: Tuple[str, ...]) -> str:
     return "\n".join([f"def _make({', '.join(params)}):"] + body + ["    return fails", ""])
 
 
-def _function(calls: List[_Call], env: Dict[str, int],
+def _function(calls: Sequence[_Call], env: Dict[str, int],
               named: Callable[[EvalError, int], EvalError]) -> Callable[[], bool]:
     """One generated function running calls in order over env: True at the
     first that fails. named(error, position) names an error of a call."""
@@ -350,22 +340,10 @@ def _loop_source(length: int, forced: int, mode: str) -> str:
         + ([] if mode == "descend" else ["    yield from ()"]) + [""])
 
 
-class _Values:
-    """A domain of several intervals as an iterable of its values."""
-
-    __slots__ = ("domain",)
-
-    def __init__(self, domain: Domain):
-        self.domain = domain
-
-    def __iter__(self) -> Iterator[int]:
-        return self.domain.values()
-
-
 def _values(domain: Domain) -> Iterable[int]:
     """A domain's values, lazily: a range when it is one interval."""
     (lo, hi), *rest = domain.items
-    return _Values(domain) if rest else range(lo, hi + 1)
+    return domain if rest else range(lo, hi + 1)
 
 
 # -- staged checks ----------------------------------------------------------------
@@ -386,8 +364,8 @@ def _values(domain: Domain) -> Iterable[int]:
 # extension can satisfy the constraint, like partial_violated; the stages
 # of the last depth together are the complete check: one fails exactly
 # when check_constraint would return False. None means the constraint does
-# not qualify, and the search falls back to check_constraint and
-# partial_violated.
+# not qualify, and the search falls back to its kind's complete check and
+# detector.
 
 Stage = Tuple[int, str, Tuple[object, ...]]
 
@@ -421,7 +399,7 @@ def _staged_all_different(kind: AllDifferent, depth_of: Mapping[str, int],
     and each is a check of its own ("d" forms), in depth then position
     order: none can raise, so the verdicts are those of partial_violated and
     the complete check, and no order of evaluation can be seen. None when
-    an operand may raise: then partial_violated and the complete check,
+    an operand may raise: then the detector and the complete check,
     which scan the operands in their own order, decide where it raises.
     """
     depths = _scope_depths(kind, depth_of)
@@ -574,46 +552,54 @@ class _Search:
         if self.objective is not None:
             self.sense = self.objective.sense
         self._plan()
-        self.fails = [self._compile(checks) for checks in self.plan]
+        self.fails = [self._compile(calls) for calls in self.plan]
         self.blocks = self._blocks()
 
     def _plan(self) -> None:
-        """For each depth, the checks its variable triggers, in constraint order.
+        """For each depth, the calls its variable triggers, in constraint order:
+        (form, arguments, position), as _function writes them.
 
         A staged constraint is checked by its stages alone, the last of them
-        at the depth completing its scope. The stages of a summed objective
-        (see _cost) come after every constraint's checks.
+        at the depth completing its scope. Any other constraint's complete
+        check is at that depth: an intension's bounded evaluator ("e") or
+        its kind's checker ("c"), and its kind's detector ("s") at the
+        earlier depths of its scope. With partial_checks off, each
+        constraint is one "c" call of its checker. The stages of a summed
+        objective (see _cost) come after every constraint's checks.
         """
-        env = self.env
+        env, bounds, partial_checks = self.env, self.bounds, self.cfg.partial_checks
         depth_of = {v.id: d for d, v in enumerate(self.order)}
-        plan: List[List[_Check]] = [[] for _ in self.order]
+        plan: List[List[_Call]] = [[] for _ in self.order]
         for ci, kind in enumerate(self.kinds):
             if not kind.var_ids:
                 continue
-            stages = (staged_checks(kind, depth_of, self.bounds)
-                      if self.cfg.partial_checks else None)
+            stages = staged_checks(kind, depth_of, bounds) if partial_checks else None
             if stages is not None:
                 for d, form, args in stages:
-                    plan[d].append((ci, kind, (form, args)))
+                    plan[d].append((form, args, ci))
                 continue
             depths = _scope_depths(kind, depth_of)
-            plan[depths[-1]].append((ci, kind, None))
-            if self.cfg.partial_checks and _CHECKERS[type(kind)][1] is not None:
-                detector = ("s", (partial(partial_violated, kind, env),))
+            check, detector = _CHECKERS[type(kind)]
+            if partial_checks and type(kind) is Intension:
+                plan[depths[-1]].append(("e", (kind.bounded(kind.function, bounds)[0],), ci))
+            else:
+                plan[depths[-1]].append(("c", (check, kind), ci))
+            if partial_checks and detector is not None:
                 for d in depths[:-1]:
-                    plan[d].append((ci, kind, detector))
+                    plan[d].append(("s", (partial(detector, kind, env),), ci))
         if self.objective is not None:
             self.cost = self._cost(plan, depth_of)
-        # a constraint's checks at one depth are consecutive, in position order
-        self.plan = [tuple(checks) for checks in plan]
+        # a constraint's calls at one depth are consecutive, in position order
+        self.plan = [tuple(calls) for calls in plan]
 
-    def _cost(self, plan: List[List[_Check]],
+    def _cost(self, plan: List[List[_Call]],
               depth_of: Mapping[str, int]) -> Callable[[Mapping[str, int]], Cost]:
         """The objective's cost of a complete assignment, as one function.
 
         An expression whose variables all have bounds is evaluated by its
         bounded evaluator (expr.compile_bounded). A sum whose terms the
-        bounds prove to stay in int64 (see _proved_terms) is summed by "sum" stages, added to plan after each depth's checks:
+        bounds prove to stay in int64 (see _proved_terms) is summed by "sum"
+        stages, added to plan after each depth's checks with no position:
         their cut-offs lie one past int64, where no partial total can go, so
         they never fail, and the cost reads their last total. Any other
         objective, and every objective with partial_checks off, goes through
@@ -630,29 +616,18 @@ class _Search:
             return partial(eval_objective, obj)
         stages, totals = _sum_stages(terms, depth_of, INT_MIN - 1, INT_MAX + 1)
         for d, form, args in stages:
-            plan[d].append((None, obj, (form, args)))
+            plan[d].append((form, args, None))
         return lambda env: totals[-1]
 
-    def _compile(self, checks: Tuple[_Check, ...]) -> Callable[[], bool]:
-        """One depth's checks as one function: True when one of them fails.
+    def _compile(self, calls: Sequence[_Call]) -> Callable[[], bool]:
+        """One depth's calls as one function: True when one of them fails.
 
-        The checks are split into generated functions of MAX_CHUNK checks,
+        The calls are split into generated functions of MAX_CHUNK calls,
         and while there is more than one, those are grouped MAX_CHUNK at a
         time under a generated function that calls them in order. So no
         function grows with the depth's checks, and the calls nest only
         log base MAX_CHUNK deep.
         """
-        calls: List[_Call] = []
-        for ci, kind, check in checks:
-            if check is not None:
-                form, args = check
-            elif not self.cfg.partial_checks:
-                form, args = "c", (_reference_check, kind)
-            elif type(kind) is Intension:
-                form, args = "e", (kind.bounded(kind.function, self.bounds)[0],)
-            else:
-                form, args = "c", (_CHECKERS[type(kind)][0], kind)
-            calls.append((form, args, ci))
         while True:
             functions = [_function(calls[i:i + MAX_CHUNK], self.env, self._named)
                          for i in range(0, len(calls) or 1, MAX_CHUNK)]

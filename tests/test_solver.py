@@ -13,12 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from xcsp3core import expr, solver
 from xcsp3core import kinds as K
-from xcsp3core.checker import check_constraint, check_solution, eval_objective, partial_violated
-from xcsp3core.errors import (INT_MAX, DivisionByZero, EvalError, Overflow, UnforcedVariable,
-                              XcspError)
+from xcsp3core.checker import (_CHECKERS, check_constraint, check_solution, eval_objective,
+                               partial_violated)
+from xcsp3core.errors import (INT_MAX, DivisionByZero, EvalError, Overflow, SolverError,
+                              UnforcedVariable, XcspError)
 from xcsp3core.expr import IntConst, OpCall, VarRef, compile_bounded
 from xcsp3core.model import (CondOp, Condition, Domain, Instance, Instantiation, PostedConstraint,
                              Variable)
@@ -181,6 +182,30 @@ def test_restrict_to_decision_rejects_unforced_variables():
         solve(inst, SearchConfig(restrict_to_decision=True))
 
 
+# The parser rejects both instances below (undefined-useful), so only a
+# hand-built Instance reaches the search's own guards.
+X_AND_UNDEFINED_Y = (Variable("x", Domain(((0, 1),))), Variable("y", None))
+
+
+def test_a_constrained_variable_without_a_domain_is_not_searched():
+    inst = Instance(X_AND_UNDEFINED_Y,
+                    (PostedConstraint(K.Intension(OpCall("le", (VarRef("x"), VarRef("y"))))),))
+    with pytest.raises(SolverError, match=re.escape(
+            "variable y has no domain but is constrained; cannot search")):
+        _Search(inst, SearchConfig())
+
+
+def test_a_decision_variable_without_a_domain_is_not_searched():
+    inst = Instance(X_AND_UNDEFINED_Y,
+                    (PostedConstraint(K.Intension(OpCall("le", (VarRef("x"), IntConst(1))))),),
+                    decision=("x", "y"))
+    with pytest.raises(SolverError, match=re.escape(
+            "decision variables without a domain: ['y']")):
+        _Search(inst, SearchConfig(restrict_to_decision=True))
+    # searched over every variable, y is neither branched on nor constrained
+    assert solve(inst).count == 2
+
+
 def test_partial_check_pruning_is_transparent():
     inst = parse_string(BIG_SPACE)
     pruned = count_solutions(inst)
@@ -301,8 +326,8 @@ def _costed_by_eval_objective(search, plan, depth_of):
 def _fallback_search(monkeypatch, inst, cfg=SearchConfig()):
     """A search whose partial checks are the generic detectors alone.
 
-    Every complete check goes through check_constraint and every cost
-    through eval_objective.
+    No constraint is staged, so each is checked by its complete check and
+    its kind's detector, and every cost goes through eval_objective.
     """
     with monkeypatch.context() as m:
         m.setattr(solver, "_STAGED", {})
@@ -402,7 +427,7 @@ INELIGIBLE_SUMS = [
 def test_sum_outside_the_bounded_shape_enumerates_as_before(monkeypatch, body):
     inst = parse_string(TWO_VARS.format(body))
     search = _Search(inst, SearchConfig())
-    assert all(check[2] is None for checks in search.plan for check in checks)
+    assert all(form in ("e", "c") for calls in search.plan for form, _, _ in calls)
     assert _outcome(search) == _outcome(_fallback_search(monkeypatch, inst))
 
 
@@ -541,13 +566,25 @@ def test_staged_sums_and_costs_agree_with_the_complete_checks(xml, order, decisi
 def test_without_partial_checks_every_verdict_and_cost_is_the_complete_one():
     inst = parse_file(fixture_path("cake_sums.xml"))
     plain = _Search(inst, SearchConfig(partial_checks=False))
-    assert all(check[2] is None for checks in plain.plan for check in checks)
+    assert all(form == "c" for calls in plain.plan for form, _, _ in calls)
     assert plain.cost.func is eval_objective
     # with them, every sum is checked by its stages alone, the cost summed plainly
     staged = _Search(inst, SearchConfig())
-    assert all(check[2] is not None for checks in staged.plan for check in checks)
+    assert all(form not in ("e", "c") for calls in staged.plan for form, _, _ in calls)
     assert not isinstance(staged.cost, partial)
     assert _full_outcome(staged)[:4] == _full_outcome(plain)[:4]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.xml")))
+def test_the_reference_plan_is_one_checker_call_per_constraint(name):
+    inst = parse_file(fixture_path(name))
+    plan = _Search(inst, SearchConfig(partial_checks=False)).plan
+    calls = [call for calls in plan for call in calls]
+    for form, args, ci in calls:
+        kind = inst.constraints[ci].kind
+        assert (form, args) == ("c", (_CHECKERS[type(kind)][0], kind))
+    assert sorted(ci for _, _, ci in calls) \
+        == [ci for ci, posted in enumerate(inst.constraints) if posted.kind.var_ids]
 
 
 HUGE = 2**62
@@ -610,7 +647,7 @@ def test_objective_cost_skips_range_checks_only_for_a_proved_sum(kind, coeffs, p
                       coeffs=coeffs)
     search = _costed_search(obj, [((-3, 2),), ((0, 1),)])
     assert isinstance(search.cost, partial) != proved
-    forms = [check[2][0] for checks in search.plan for check in checks]
+    forms = [form for calls in search.plan for form, _, _ in calls]
     assert forms == (["sum", "sum"] if proved else [])
     assert all(cost == reference for cost, reference in _costs(search))
 
@@ -672,7 +709,8 @@ def test_an_error_raised_after_other_checks_of_its_depth_is_named_by_its_constra
     # the third, where nothing pruned before, so with or without partial
     # checks the search meets it at its fourth node
     inst = parse_string(ERROR_AT_THIRD)
-    assert [type(kind) for _, kind, _ in _Search(inst, SearchConfig()).plan[2]] \
+    depth_2 = _Search(inst, SearchConfig()).plan[2]
+    assert [type(inst.constraints[ci].kind) for _, _, ci in depth_2] \
         == [K.AllDifferent, K.Extension, K.Intension]
     outcome = _outcome(_Search(inst, SearchConfig()))
     assert outcome == (DivisionByZero, "bad: div(6,0) at z=1 x=0", 4)
@@ -732,8 +770,8 @@ def test_generated_code_holds_no_input_text(monkeypatch):
     # the ids and labels reach the message as arguments, never as source
     assert outcome[:2] == (DivisionByZero, f"{labels[2]}: div(6,0) at {ids[2]}=1")
     # the objective's ids reach its sum stages as arguments too
-    assert [check[2][0] for checks in _Search(inst, SearchConfig()).plan
-            for check in checks if check[1] is inst.objective] == ["sum"] * 3
+    assert [form for calls in _Search(inst, SearchConfig()).plan
+            for form, _, ci in calls if ci is None] == ["sum"] * 3
     assert any("def fails" in s for s in sources) and any("def evaluate" in s for s in sources)
     words = ["IDONE", "IDTWO", "IDTHREE", "LABELONE", "LABELTWO", "LABELTHREE"]
     for source in sources:
@@ -840,8 +878,7 @@ def test_an_all_different_that_may_raise_raises_where_the_reference_does():
     text = _csp([("x", "0"), ("z", "1"), ("y", "0..2")],
                 '<allDifferent id="c"> x z div(6,y) </allDifferent>')
     search = _Search(parse_string(text), SearchConfig())
-    assert [check[2] and check[2][0] for checks in search.plan for check in checks] \
-        == ["s", "s", None]
+    assert [form for calls in search.plan for form, _, _ in calls] == ["s", "s", "c"]
     assert _two_ways(text) == (DivisionByZero, "c: div(6,0) at x=0 z=1 y=0", 3)
 
 
@@ -855,7 +892,7 @@ def test_a_proved_all_different_is_written_into_the_depth_functions(operands, ex
     text = _csp([("y", "0..4"), ("x", "0..4")],
                 f"<allDifferent><list> {operands} </list>{excepts}</allDifferent>")
     search = _Search(parse_string(text), SearchConfig())
-    forms = [check[2][0] for checks in search.plan for check in checks]
+    forms = [form for calls in search.plan for form, _, _ in calls]
     assert all(form.startswith("d") for form in forms) and forms[-1].endswith(".")
     # no operand can clash before the last depth, so no node is pruned
     status, found, _, _, nodes = _two_ways(text)
@@ -880,7 +917,7 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
                     K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
                                 expression=OpCall("mul", (x, OpCall("add", (y, z))))))
     search = _Search(inst, SearchConfig())
-    forms = {check[2][0] for checks in search.plan for check in checks if check[2]}
+    forms = {form for calls in search.plan for form, _, _ in calls}
     assert {"sum", "s", "dvx", "dfx", "dvx."} <= forms
     assert _full_outcome(search) == _full_outcome(_Search(inst, SearchConfig(
         partial_checks=False)))
