@@ -49,10 +49,13 @@ isinstance test of each variable read, which such an environment cannot
 fail (it reads env[id]), and each int64 range test of neg, abs, sqr, add,
 sub, mul and dist whose span lies inside int64, which cannot fire. Python
 integers do not wrap, so a value is the same with or without a test; a
-test whose span reaches past int64 is kept, with its message. div, mod,
-pow, n-ary add and mul, and if() keep their code, so every error that can
-still happen is raised as compile_expr's function raises it. The shape
-key adds the list of kept tests, and shares compile_expr's cache.
+test whose span reaches past int64 is kept, with its message. A div or
+mod whose dividend's span has lo >= 0 and whose divisor's has lo >= 1 is
+Python's // or %, exact there and unable to raise. Every other div and
+mod, pow, n-ary add and mul, and if() keep their code, so every error that
+can still happen is raised as compile_expr's function raises it. The
+shape key adds the list of kept tests and checked divs and mods, and
+shares compile_expr's cache.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def generated(cache: Dict[Any, Callable[..., Any]], bound: int, key: Any,
 
     The source is executed in a copy of namespace. cache holds at most
     bound factories, the oldest dropped first. compile_expr, the solver's
-    depth functions and the record classes use it, each with its own cache.
+    loop blocks and functions of checks and the record classes use it, each
+    with its own cache.
     """
     make = cache.get(key)
     if make is None:
@@ -528,6 +532,11 @@ _BINARY_CODE: Dict[str, Tuple[str, Optional[str]]] = {
 
 _NARY_CODE: Dict[str, str] = {op: f"_nary_{op}([{{a}}])" for op in _NARY}
 
+# div and mod where the bounds prove the dividend >= 0 and the divisor >= 1:
+# Python's floor division and remainder are then the truncated ones, exact
+# and unable to raise
+_PROVED_CODE: Dict[str, str] = {"div": "{a} // {b}", "mod": "{a} % {b}"}
+
 _RANGE_TEST = ("if {t} < -9223372036854775808 or {t} > 9223372036854775807: "
                "check_int64({t}, {context!r})")
 
@@ -630,13 +639,14 @@ def _fold(step: Callable[[Span, Span], Span]) -> Callable[[List[Span]], Span]:
 # How _shape leaves a call of each (form, operator): the span of its values
 # from its operands' spans (one span, two, or a list of three or more), and
 # whether it has an inline range test (1), may raise whatever the values
-# (2: the code of div, mod, pow, n-ary add and mul, and formless calls), or
+# (2: the code of pow, n-ary add and mul, and formless calls), is div or
+# mod, which may raise unless the operands' signs are proved (3), or
 # neither (0).
 _LEAVE: Dict[Tuple[str, str], Tuple[Callable[..., Span], int]] = {
     **{("unary", op): (_UNARY_SPANS[op], 0 if context is None else 1)
        for op, (_, context) in _UNARY_CODE.items()},
     **{("binary", op): (_BINARY_SPANS[op], 1 if context is not None
-                        else 2 if op in ("div", "mod", "pow") else 0)
+                        else 3 if op in _PROVED_CODE else 2 if op == "pow" else 0)
        for op, (_, context) in _BINARY_CODE.items()},
     **{("nary", op): (_fold(_BINARY_SPANS[op]) if op in ("add", "mul", "min", "max")
                       else lambda s: _BOOL, 2 if op in ("add", "mul") else 0)
@@ -661,11 +671,13 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None
     after its operands, working out the span of its values (_LEAVE): the
     range tests list, in the order _Writer writes them, which of the calls
     with an inline range test can leave int64 (a call that passes its test
-    stays inside), and these flags join the key. The last result is True
-    when some call may raise whatever the values: a surviving range test,
-    div, mod, pow, an n-ary add or mul, a formless call or a stray set
-    literal. Without bounds the key is the tree's shape alone, every range
-    test is written and the last two results mean nothing.
+    stays inside) and which div and mod calls need their checked code (the
+    spans do not prove the dividend >= 0 and the divisor >= 1), and these
+    flags join the key. The last result is True when some call may raise
+    whatever the values: a surviving range test, a checked div or mod,
+    pow, an n-ary add or mul, a formless call or a stray set literal.
+    Without bounds the key is the tree's shape alone, every range test and
+    checked call is written and the last two results mean nothing.
     """
     key: List[object] = []
     consts: List[object] = []
@@ -703,7 +715,8 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None
             (span_of, effect), n = node
             if n == 2:
                 b = spans.pop()
-                lo, hi = span_of(spans.pop(), b)
+                a = spans.pop()
+                lo, hi = span_of(a, b)
             elif n == 1:
                 lo, hi = span_of(spans.pop())
             else:
@@ -715,6 +728,10 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None
                 raises = raises or outside
             elif effect == 2:
                 raises = True
+            elif effect == 3:
+                checked = a[0] < 0 or b[0] < 1
+                tests.append(checked)
+                raises = raises or checked
             spans.append((max(lo, INT_MIN), min(hi, INT_MAX)) if outside else (lo, hi))
         else:
             key.append("s")
@@ -735,9 +752,9 @@ class _Writer:
     Only parameter, temporary and function names and snippet table text are
     written: constants reach the code as arguments of _make.
 
-    Given tests (_shape's range-test flags), the code is bounded: a variable
-    is read as env[p], without a test, and a range test is written only where
-    its flag is True.
+    Given tests (_shape's flags), the code is bounded: a variable is read as
+    env[p], without a test, a range test is written only where its flag is
+    True, and a div or mod whose flag is False is Python's // or %.
     """
 
     def __init__(self, tests: Optional[List[bool]] = None) -> None:
@@ -798,6 +815,8 @@ class _Writer:
                 code, context = _NARY_CODE[e.op].format(a=", ".join(names)), None
             else:
                 template, context = (_UNARY_CODE if form == "unary" else _BINARY_CODE)[e.op]
+                if e.op in _PROVED_CODE and self.tests is not None and not next(self.tests):
+                    template = _PROVED_CODE[e.op]
                 code = template.format(a=names[0], b=names[-1])
             body.append(f"{t} = {code}")
             if context is not None and (self.tests is None or next(self.tests)):
@@ -845,9 +864,11 @@ def compile_bounded(e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, boo
     """compile_expr for environments that bind every variable of e inside bounds.
 
     bounds: the (min, max) of each variable of e. The function reads each
-    variable as env[id] and omits each range test that the spans of _shape
-    prove can never fire; every other test, and the code and errors of div,
-    mod, pow, n-ary add and mul and if(), are those of compile_expr. So
+    variable as env[id], omits each range test that the spans of _shape
+    prove can never fire and writes div and mod as // and % where the spans
+    prove their signs; every other test, and the code and errors of every
+    other div and mod, pow, n-ary add and mul and if(), are those of
+    compile_expr. So
     under such an environment it returns what compile_expr's function
     returns and raises what it raises, with the same message; under any
     other its result is undefined. The second result is False when the

@@ -16,11 +16,12 @@ are those of plain enumeration, easy to compare against a brute-force
 filter. The semantics themselves are checker's: this module writes the
 search's code from them and from the domain bounds.
 
-The plan is then compiled into code, once per search: one function per
-depth that makes the depth's calls in plan order and returns True at the
-first that fails. Writing each check's code for the model, rather than
-calling a general one, follows Minion (Gent, Jefferson and Miguel, ECAI
-2006). Each call is written as the code of its form (_FORMS):
+The search is then one piece of generated code, built once per search:
+a loop in which each depth's calls are written, in plan order, after the
+line that assigns its variable. Writing each check's code for the model,
+rather than calling a general one, follows Minion (Gent, Jefferson and
+Miguel, ECAI 2006). Each call is written as the code of its form (_FORMS),
+which goes on to the depth's next value where the check fails:
 - "e", an intension's complete check: a call of its bounded evaluator
   (expr.compile_bounded over the domain bounds). The check runs only once
   its variables are assigned from their domains, so the evaluator reads
@@ -31,7 +32,7 @@ calling a general one, follows Minion (Gent, Jefferson and Miguel, ECAI
   one variable, so its coefficients are merged into one c. A sum
   objective whose bounds prove it stays in int64 is summed by the same
   stages, planned after each depth's constraint checks with cut-offs that
-  cannot fire; its cost is their last total.
+  cannot fire; the leaf reads its cost inline, as their last total.
 - "d...", a stage of an allDifferent none of whose operands can raise: one
   inline membership test per operand, of its value (env[id] for a bare
   variable, else its bounded evaluator) against the set of the values of
@@ -43,33 +44,40 @@ calling a general one, follows Minion (Gent, Jefferson and Miguel, ECAI
   the node and with the message where the reference scan would, and the
   detector and the complete check are that scan.
 - "c", any other kind's complete check from checker's table.
-- "g", a generated function of checks (see below).
+- "g", a generated function of calls (_function), for a depth with more
+  than MAX_CHUNK calls: it returns True at the first that fails, and a
+  depth with more than MAX_CHUNK of these gets a tree of them, so no
+  piece of code grows with a depth's checks and planning stays linear.
 The callables, constants, state lists, kinds and the constraint positions
 that name an evaluation error are arguments of the factory that builds
-the function: as in expr's generator, no id, label or other input text
-enters the source, and one factory serves every function with the same
-sequence of forms. A generated function makes at most MAX_CHUNK calls: a
-depth with more gets a tree of functions ("g" calls one), so planning
-stays linear in the number of checks. At most MAX_SHAPES factories are
-kept, the oldest dropped first; a search of an instance met again writes
-no source. An EXPRESSION objective is costed by its bounded evaluator. With
+the code: as in expr's generator, no id, label or other input text enters
+the source, and one factory serves all code of the same forms. An
+EXPRESSION objective is costed by its bounded evaluator. With
 partial_checks off, every constraint is one "c" call of its checker and
 every cost goes through eval_objective, both with unbounded evaluators:
 that is the reference path.
 
-The loop around the depth functions is generated as well (_loop_source):
-one generator per block of at most LOOP_DEPTHS consecutive depths, in
-which each depth is one nested for over its domain's values, a range per
-interval. The last block does the leaf inline, chosen when the search is
-built: count a complete assignment; keep it too, and stop after
-max_solutions; or cost it and keep the best. An inner block yields to
-descend, and an explicit stack of blocks drives the search, so the number
-of variables is not bounded by Python's recursion limit. A block's source
-depends only on its length, how many of its depths are forced
-(restrict_to_decision) and its leaf; at most MAX_LOOPS are kept. The
-search visits at most node_limit nodes and stops with LIMIT only when it
-needs one more. The clock is read before the first node and then every
-CLOCK_NODES nodes. Both cost one comparison of the node count per node.
+The loop (_loop_source) is one generator per block of at most
+LOOP_DEPTHS consecutive depths, in which each depth is one nested for
+over its domain's values, a range per interval, its calls' code inside.
+The last block does the leaf inline, chosen when the search is built:
+count a complete assignment; keep it too, and stop after max_solutions;
+or cost it and keep the best. An inner block yields to descend, and an
+explicit stack of blocks drives the search, so the number of variables is
+not bounded by Python's recursion limit. A block's source depends only on
+its length, how many of its depths are forced (restrict_to_decision), its
+leaf and the forms of each depth's calls; at most MAX_LOOPS factories are
+kept, and at most MAX_SHAPES of "g" functions, the oldest dropped first,
+so a search of an instance met again writes no source. The search visits
+at most node_limit nodes and stops with LIMIT only when it needs one more.
+The clock is read before the first node and then every CLOCK_NODES nodes;
+the time limit counts from the start of the run. Both cost one comparison
+of the node count per node.
+
+solve and count_solutions build a search once per instance and config:
+the instance holds the search built last, and a call that differs from it
+only in node_limit or time_limit runs it again, from a fresh state, with
+no planning or code generation (see _run).
 """
 
 from __future__ import annotations
@@ -151,9 +159,9 @@ class _LimitReached(Exception):
     pass
 
 
-# -- generated depth functions ----------------------------------------------------
+# -- generated checks -------------------------------------------------------------
 
-MAX_CHUNK = 32      # checks, or functions of checks, per generated function
+MAX_CHUNK = 32      # calls per depth in the loop, and per generated function
 MAX_SHAPES = 256    # factories kept, one per sequence of forms
 CLOCK_NODES = 256   # nodes between two readings of the clock
 
@@ -168,7 +176,7 @@ def _distinct_form(read: str, excepts: bool, last: bool) -> Tuple[Tuple[str, ...
     the excepts E enters no set."""
     param, line = _READS[read]
     lines = [line, "s = S{k}[i{k}]"]
-    test = ["if v in s:", "    return True"]
+    test = ["if v in s:", "    {fail}"]
     if excepts:
         lines += ["if v not in E{k}:"] + [f"    {line}" for line in test]
         if not last:
@@ -179,28 +187,28 @@ def _distinct_form(read: str, excepts: bool, last: bool) -> Tuple[Tuple[str, ...
 
 
 # The code of each form, for call k: its parameters, which get k as a
-# suffix, and its lines, str.format()ed with k, which return True when the
-# check fails. "e" calls an intension's bounded evaluator (0 is false), "s"
-# a partial detector (True when violated), "c" the complete check of kind
-# a{k}, and "g" a generated function of checks, whose errors are named
-# already. A sum stage adds its variable's term c * x (the coefficients of
-# a variable merged) to the total T[i] of the stages before, keeps it in
-# T[i + 1] and fails outside lo..hi. An allDifferent operand ("d": "v" a
-# bare variable read from env, "f" a call of a bounded evaluator that
-# cannot raise; "x" with excepts; "." the last operand checked) is a
-# membership test. A form whose last parameter is n, the constraint's
-# position, may raise: its lines run in a try whose handler raises the
-# EvalError again as named(error, n{k}).
+# suffix, and its lines, str.format()ed with k and fail, the statement that
+# runs when the check fails. "e" calls an intension's bounded evaluator (0
+# is false), "s" a partial detector (True when violated), "c" the complete
+# check of kind a{k}, and "g" a generated function of checks, whose errors
+# are named already. A sum stage adds its variable's term c * x (the
+# coefficients of a variable merged) to the total T[i] of the stages
+# before, keeps it in T[i + 1] and fails outside lo..hi. An allDifferent
+# operand ("d": "v" a bare variable read from env, "f" a call of a bounded
+# evaluator that cannot raise; "x" with excepts; "." the last operand
+# checked) is a membership test. A form whose last parameter is n, the
+# constraint's position, may raise: its lines run in a try whose handler
+# raises the EvalError again as named(error, n{k}).
 _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "e": (("f", "n"), ("if not f{k}(env):", "    return True")),
-    "s": (("f", "n"), ("if f{k}():", "    return True")),
-    "c": (("f", "a", "n"), ("if not f{k}(a{k}, env):", "    return True")),
-    "g": (("f",), ("if f{k}():", "    return True")),
+    "e": (("f", "n"), ("if not f{k}(env):", "    {fail}")),
+    "s": (("f", "n"), ("if f{k}():", "    {fail}")),
+    "c": (("f", "a", "n"), ("if not f{k}(a{k}, env):", "    {fail}")),
+    "g": (("f",), ("if f{k}():", "    {fail}")),
     "sum": (("T", "i", "c", "v", "lo", "hi"),
             ("t = T{k}[i{k}] + c{k} * env[v{k}]",
              "T{k}[i{k} + 1] = t",
              "if t < lo{k} or t > hi{k}:",
-             "    return True")),
+             "    {fail}")),
     **{f"d{read}{'x' if excepts else ''}{'.' if last else ''}":
        _distinct_form(read, excepts, last)
        for read in _READS for excepts in (False, True) for last in (False, True)},
@@ -208,9 +216,32 @@ _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 _FACTORIES: Dict[Tuple[str, ...], Callable[..., Callable[[], bool]]] = {}
 _NAMESPACE = {"EvalError": EvalError}
 
-# A call of a generated function: form, arguments, and the constraint's
-# position, which a form that names no error leaves unused.
+# A call of generated code: form, arguments, and the constraint's position,
+# which a form that names no error leaves unused.
 _Call = Tuple[str, Tuple[object, ...], Optional[int]]
+
+
+def _code(forms: Sequence[str], suffix: str, fail: str) -> Tuple[List[str], List[str]]:
+    """The parameters and lines of calls of forms, in order: call j's
+    names get suffix + j, and fail is what runs where one of them fails."""
+    params: List[str] = []
+    code: List[str] = []
+    for j, form in enumerate(forms):
+        names, lines = _FORMS[form]
+        k = f"{suffix}{j}"
+        params += [f"{name}{k}" for name in names]
+        block = [line.format(k=k, fail=fail) for line in lines]
+        if names[-1] == "n":
+            block = (["try:"] + [f"    {line}" for line in block]
+                     + ["except EvalError as e:", f"    raise named(e, n{k}) from e"])
+        code += block
+    return params, code
+
+
+def _arguments(calls: Sequence[_Call]) -> List[object]:
+    """The arguments of calls, in the order of _code's parameters."""
+    return [arg for form, args, ci in calls
+            for arg in (args + (ci,) if _FORMS[form][0][-1] == "n" else args)]
 
 
 def _source(forms: Tuple[str, ...]) -> str:
@@ -219,17 +250,10 @@ def _source(forms: Tuple[str, ...]) -> str:
     fails() runs the forms' code in order and returns True at the first
     check that fails, False when all pass.
     """
-    params, body = ["env", "named"], ["    def fails():"]
-    for k, form in enumerate(forms):
-        names, lines = _FORMS[form]
-        params += [f"{name}{k}" for name in names]
-        code = [line.format(k=k) for line in lines]
-        if names[-1] == "n":
-            code = (["try:"] + [f"    {line}" for line in code]
-                    + ["except EvalError as e:", f"    raise named(e, n{k}) from e"])
-        body += [f"        {line}" for line in code]
-    body.append("        return False")
-    return "\n".join([f"def _make({', '.join(params)}):"] + body + ["    return fails", ""])
+    params, code = _code(forms, "", "return True")
+    return "\n".join([f"def _make({', '.join(['env', 'named', *params])}):",
+                      "    def fails():"] + [f"        {line}" for line in code]
+                     + ["        return False", "    return fails", ""])
 
 
 def _function(calls: Sequence[_Call], env: Dict[str, int],
@@ -238,10 +262,8 @@ def _function(calls: Sequence[_Call], env: Dict[str, int],
     first that fails. named(error, position) names an error of a call."""
     forms = tuple(form for form, _, _ in calls)
     make = generated(_FACTORIES, MAX_SHAPES, forms, partial(_source, forms),
-                     _NAMESPACE, "<search depth>")
-    return make(env, named, *[arg for form, args, ci in calls
-                              for arg in (args + (ci,) if _FORMS[form][0][-1] == "n"
-                                          else args)])
+                     _NAMESPACE, "<search checks>")
+    return make(env, named, *_arguments(calls))
 
 
 # -- generated search loop --------------------------------------------------------
@@ -254,7 +276,9 @@ MAX_LOOPS = 64      # loop factories kept, one per block shape
 # search on entry, written back on every exit) and its lines. "descend"
 # yields to the next block; the other modes are the leaf: count (and stop at
 # max_solutions; stop is None for no limit), keep each solution too, or cost
-# the assignment and keep the best by the sense's comparison.
+# the assignment and keep the best by the sense's comparison: "min" and
+# "max" call cost(env), "min_sum" and "max_sum" read the last of the
+# objective's sum totals T.
 _INNER: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {
     "descend": ((), ("nodes", "test_at"),
                 ("search.nodes, search.test_at = nodes, test_at",
@@ -274,58 +298,63 @@ _INNER: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {
               "    search.best = solution",
               "if count == stop:",
               "    raise Stop()")),
-    **{mode: (("Instantiation", "cost"), ("nodes", "test_at", "count", "best_cost"),
-              ("count += 1",
-               "value = cost(env)",
-               f"if best_cost is None or value {op} best_cost:",
-               "    best_cost = value",
-               "    search.best = Instantiation(dict(env))"))
-       for mode, op in (("min", "<"), ("max", ">"))},
+    **{mode + suffix: (("Instantiation", param), ("nodes", "test_at", "count", "best_cost"),
+                       ("count += 1",
+                        f"value = {read}",
+                        f"if best_cost is None or value {op} best_cost:",
+                        "    best_cost = value",
+                        "    search.best = Instantiation(dict(env))"))
+       for mode, op in (("min", "<"), ("max", ">"))
+       for suffix, param, read in (("", "cost", "cost(env)"), ("_sum", "T", "T[-1]"))},
 }
-_LOOPS: Dict[Tuple[int, int, str], Callable[..., Iterator[bool]]] = {}
+_LOOPS: Dict[Tuple[object, ...], Callable[..., Iterator[bool]]] = {}
 
 
-def _loop_source(length: int, forced: int, mode: str) -> str:
-    """The generator _make(search, env, checkpoint, unforced, <the mode's
-    parameters>, i0, r0, f0, ...) of one block of length depths, the last
-    forced of them forced.
+def _loop_source(length: int, forced: int, mode: str,
+                 forms: Tuple[Tuple[str, ...], ...]) -> str:
+    """The generator _make(search, env, checkpoint, unforced, named, <the
+    mode's parameters>, i0, r0, <depth 0's call parameters>, i1, ...) of
+    one block of length depths, the last forced of them forced, depth d
+    making calls of forms[d].
 
     Depth d assigns variable i<d> each value of r<d> in turn, as one nested
     for: it tests the limits when the node count reaches test_at (see
-    _Search._checkpoint), counts the node, writes env and skips the value
-    when f<d>() fails. A forced depth tries every value first: a second that
-    passes raises unforced(...); the one that passed is assigned again and
-    its checks rerun, which rebuilds their staged state, before going deeper.
-    A depth whose values run out drops its variable from env, where partial
-    detectors would read it. The innermost code is the mode's (_INNER).
-    Every block is a generator, so that _search steps them all alike.
+    _Search._checkpoint), counts the node, writes env and runs its calls'
+    code (_code), which goes on to the next value where one fails. A forced
+    depth tries every value first: a second that passes raises
+    unforced(...); the one that passed is assigned again and the same code
+    runs again, failing into a no-op, which rebuilds the staged state,
+    before going deeper. A depth whose values run out drops its variable
+    from env, where partial detectors would read it. The innermost code is
+    the mode's (_INNER). Every block is a generator, so that _search steps
+    them all alike.
     """
     params, state, inner = _INNER[mode]
     names, fields = ", ".join(state), ", ".join(f"search.{name}" for name in state)
+    head = ["search", "env", "checkpoint", "unforced", "named", *params]
     body: List[Tuple[int, str]] = []
     for d in range(length):
         depth = 2 + d  # the indent of depth d's for
         is_forced = d >= length - forced
+        args, code = _code(forms[d], f"{d}_", "continue")
+        head += [f"i{d}", f"r{d}", *args]
         if is_forced:
             body.append((depth, f"c{d} = None"))
         body += [(depth, f"for v{d} in r{d}:"),
                  (depth + 1, "if nodes == test_at:"),
                  (depth + 2, "test_at = checkpoint(nodes)"),
                  (depth + 1, "nodes += 1"),
-                 (depth + 1, f"env[i{d}] = v{d}"),
-                 (depth + 1, f"if f{d}():"),
-                 (depth + 2, "continue")]
+                 (depth + 1, f"env[i{d}] = v{d}")]
+        body += [(depth + 1, line) for line in code]
         if is_forced:
             body += [(depth + 1, f"if c{d} is not None:"),
                      (depth + 2, f"raise unforced(i{d}, c{d}, v{d})"),
                      (depth + 1, f"c{d} = v{d}"),
                      (depth, f"if c{d} is not None:"),
-                     (depth + 1, f"env[i{d}] = c{d}"),
-                     (depth + 1, f"f{d}()")]
+                     (depth + 1, f"env[i{d}] = c{d}")]
+            body += [(depth + 1, line) for line in _code(forms[d], f"{d}_", "pass")[1]]
     body += [(2 + length, line) for line in inner]
     body += [(2 + d, f"env.pop(i{d}, None)") for d in reversed(range(length))]
-    head = ["search", "env", "checkpoint", "unforced", *params,
-            *[f"{p}{d}" for d in range(length) for p in "irf"]]
     return "\n".join(
         [f"def _make({', '.join(head)}):",
          f"    {names} = {fields}",
@@ -356,7 +385,7 @@ def _values(domain: Domain) -> Iterable[int]:
 # stages (depth, form, arguments) in depth order: the depths are those that
 # assign a variable of the constraint, or a subset of them that ends with
 # the one completing the scope, and a depth may have more than one stage.
-# The search writes each stage into its depth's generated function as the
+# The search writes each stage into its depth's code in the loop as the
 # code of its form, in order; no stage form can raise. A stage fails
 # (returns True) when it finds the constraint violated, and runs only after
 # the stages before it, at its depth and the earlier ones, have passed
@@ -499,14 +528,10 @@ class _Search:
     def __init__(self, instance: Instance, cfg: SearchConfig):
         self.instance = instance
         self.cfg = cfg
+        # the generated code holds env, and the leaf solutions.append: run()
+        # clears both in place, and resets the rest of the search's state
         self.env: Dict[str, int] = {}
-        self.nodes = self.test_at = 0  # the limits are first tested before the first node
-        self.count = 0
         self.solutions: List[Instantiation] = []
-        self.best: Optional[Instantiation] = None
-        self.best_cost: Optional[Union[int, Tuple[int, ...]]] = None
-        self.deadline = (time.monotonic() + cfg.time_limit
-                         if cfg.time_limit is not None else None)
 
         useful = set(instance.useful_ids)
         defined: List[Variable] = []
@@ -552,7 +577,6 @@ class _Search:
         if self.objective is not None:
             self.sense = self.objective.sense
         self._plan()
-        self.fails = [self._compile(calls) for calls in self.plan]
         self.blocks = self._blocks()
 
     def _plan(self) -> None:
@@ -592,18 +616,19 @@ class _Search:
         # a constraint's calls at one depth are consecutive, in position order
         self.plan = [tuple(calls) for calls in plan]
 
-    def _cost(self, plan: List[List[_Call]],
-              depth_of: Mapping[str, int]) -> Callable[[Mapping[str, int]], Cost]:
-        """The objective's cost of a complete assignment, as one function.
+    def _cost(self, plan: List[List[_Call]], depth_of: Mapping[str, int]
+              ) -> Union[Callable[[Mapping[str, int]], Cost], List[int]]:
+        """The objective's cost of a complete assignment: one function of
+        the assignment, or the list of sum totals whose last is the cost.
 
         An expression whose variables all have bounds is evaluated by its
         bounded evaluator (expr.compile_bounded). A sum whose terms the
         bounds prove to stay in int64 (see _proved_terms) is summed by "sum"
         stages, added to plan after each depth's checks with no position:
         their cut-offs lie one past int64, where no partial total can go, so
-        they never fail, and the cost reads their last total. Any other
-        objective, and every objective with partial_checks off, goes through
-        eval_objective.
+        they never fail, and the leaf reads their last total inline. Any
+        other objective, and every objective with partial_checks off, goes
+        through eval_objective.
         """
         obj, bounds = self.objective, self.bounds
         if not self.cfg.partial_checks:
@@ -617,23 +642,20 @@ class _Search:
         stages, totals = _sum_stages(terms, depth_of, INT_MIN - 1, INT_MAX + 1)
         for d, form, args in stages:
             plan[d].append((form, args, None))
-        return lambda env: totals[-1]
+        return totals
 
-    def _compile(self, calls: Sequence[_Call]) -> Callable[[], bool]:
-        """One depth's calls as one function: True when one of them fails.
+    def _chunked(self, calls: Sequence[_Call]) -> Sequence[_Call]:
+        """One depth's calls as at most MAX_CHUNK calls, written into its loop.
 
-        The calls are split into generated functions of MAX_CHUNK calls,
-        and while there is more than one, those are grouped MAX_CHUNK at a
-        time under a generated function that calls them in order. So no
-        function grows with the depth's checks, and the calls nest only
+        While there are more, they are split into generated functions of
+        MAX_CHUNK calls each, which take their place as "g" calls. So no
+        loop block grows with a depth's checks, and the calls nest only
         log base MAX_CHUNK deep.
         """
-        while True:
-            functions = [_function(calls[i:i + MAX_CHUNK], self.env, self._named)
-                         for i in range(0, len(calls) or 1, MAX_CHUNK)]
-            if len(functions) == 1:
-                return functions[0]
-            calls = [("g", (f,), None) for f in functions]
+        while len(calls) > MAX_CHUNK:
+            calls = [("g", (_function(calls[i:i + MAX_CHUNK], self.env, self._named),), None)
+                     for i in range(0, len(calls), MAX_CHUNK)]
+        return calls
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -643,14 +665,14 @@ class _Search:
 
         The node limit is tested when the count reaches it, before one more
         node would be visited, and the clock at 0 nodes and every
-        CLOCK_NODES nodes after.
+        CLOCK_NODES nodes after; a time limit of 0 stops before a node.
         """
         limit = self.cfg.node_limit
         if limit is not None and nodes >= limit:
             raise _LimitReached()
         if self.deadline is None:
             return -1 if limit is None else limit
-        if time.monotonic() > self.deadline:
+        if time.monotonic() >= self.deadline:
             raise _LimitReached()
         clock = nodes + CLOCK_NODES
         return clock if limit is None else min(clock, limit)
@@ -668,33 +690,50 @@ class _Search:
 
     def _blocks(self) -> List[Callable[[], Iterator[bool]]]:
         """The search loop: generated blocks of at most LOOP_DEPTHS depths
-        each, in depth order, the last doing the leaf (see _loop_source)."""
+        each, in depth order, each depth's calls written in, the last block
+        doing the leaf (see _loop_source)."""
         cfg, n = self.cfg, len(self.order)
         if self.objective is not None:
             mode = "min" if self.sense is Sense.MINIMIZE else "max"
+            if type(self.cost) is list:
+                mode += "_sum"
             leaf_args: Tuple[object, ...] = (Instantiation, self.cost)
         elif cfg.keep_solutions:
             mode, leaf_args = "keep", (Instantiation, _Stop, cfg.max_solutions,
                                        self.solutions.append)
         else:
             mode, leaf_args = "count", (Instantiation, _Stop, cfg.max_solutions)
-        depths = [(v.id, _values(v.domain), fails) for v, fails in zip(self.order, self.fails)]
+        depths = [(v.id, _values(v.domain), self._chunked(calls))
+                  for v, calls in zip(self.order, self.plan)]
         blocks = []
         for start in range(0, n, LOOP_DEPTHS) if n else (0,):
             end = min(start + LOOP_DEPTHS, n)
+            block = depths[start:end]
             shape = (end - start, max(0, end - max(start, self.branch_len)),
-                     mode if end == n else "descend")
-            make = generated(_LOOPS, MAX_LOOPS, shape, partial(_loop_source, *shape), {},
-                             "<search loop>")
+                     mode if end == n else "descend",
+                     tuple(tuple(form for form, _, _ in calls) for _, _, calls in block))
+            make = generated(_LOOPS, MAX_LOOPS, shape, partial(_loop_source, *shape),
+                             _NAMESPACE, "<search loop>")
             blocks.append(partial(make, self, self.env, self._checkpoint, self._unforced,
-                                  *(leaf_args if end == n else ()),
-                                  *[arg for depth in depths[start:end] for arg in depth]))
+                                  self._named, *(leaf_args if end == n else ()),
+                                  *[arg for vid, values, calls in block
+                                    for arg in (vid, values, *_arguments(calls))]))
         return blocks
 
     # -- search --------------------------------------------------------------
 
     def run(self) -> SolveResult:
+        """Search under self.cfg from a fresh state; a search built once
+        runs again under other limits (see solve)."""
         status: Status
+        self.env.clear()
+        self.solutions.clear()
+        self.nodes = self.test_at = 0  # the limits are first tested before the first node
+        self.count = 0
+        self.best: Optional[Instantiation] = None
+        self.best_cost: Optional[Union[int, Tuple[int, ...]]] = None
+        limit = self.cfg.time_limit
+        self.deadline = None if limit is None else time.monotonic() + limit
         if self.infeasible:
             return self._result(Status.UNSATISFIABLE)
         try:
@@ -710,8 +749,9 @@ class _Search:
         return self._result(status)
 
     def _result(self, status: Status) -> SolveResult:
-        return SolveResult(status, self.count, tuple(self.solutions),
-                           self.best, self.best_cost, self.nodes)
+        solutions = tuple(self.solutions)
+        self.solutions.clear()  # a search held for reuse keeps no solutions alive
+        return SolveResult(status, self.count, solutions, self.best, self.best_cost, self.nodes)
 
     def _search(self) -> None:
         """Depth-first over the generated blocks, kept on an explicit stack.
@@ -729,11 +769,28 @@ class _Search:
                 stack.pop()
 
 
+def _run(instance: Instance, cfg: SearchConfig) -> SolveResult:
+    """cfg's search of instance, on the search built last for it when that
+    was built for the same config but its limits.
+
+    The instance holds one built search, with its config but the limits as
+    the key. The search is out of the instance while it runs, so that a
+    nested or concurrent search builds its own, and a search that raised is
+    not put back.
+    """
+    key = replace(cfg, node_limit=None, time_limit=None)
+    held = vars(instance).pop("_search", None)  # one call: no other caller gets it too
+    search = held[1] if held is not None and held[0] == key else _Search(instance, cfg)
+    search.cfg = cfg
+    result = search.run()
+    instance._search = (key, search)
+    return result
+
+
 def solve(instance: Instance, config: Optional[SearchConfig] = None) -> SolveResult:
-    return _Search(instance, config or SearchConfig()).run()
+    return _run(instance, config or SearchConfig())
 
 
 def count_solutions(instance: Instance,
                     config: Optional[SearchConfig] = None) -> SolveResult:
-    cfg = replace(config or SearchConfig(), keep_solutions=False)
-    return _Search(instance, cfg).run()
+    return _run(instance, replace(config or SearchConfig(), keep_solutions=False))

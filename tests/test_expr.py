@@ -597,10 +597,39 @@ def test_bounded_keeps_a_range_test_the_bounds_cannot_rule_out():
     assert str(same.value) == str(caught.value)
 
 
+# a (min, max) span: small, or reaching an int64 end
+_sign_spans = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(0, 6)).map(lambda p: (p[0], p[0] + p[1])),
+    st.sampled_from([(0, INT_MAX), (1, INT_MAX), (INT_MIN, 0), (INT_MIN, -1),
+                     (INT_MIN, INT_MAX), (INT_MAX - 2, INT_MAX)]))
+
+
+@settings(max_examples=400)
+@given(op=st.sampled_from(["div", "mod"]), dividend=_sign_spans, divisor=_sign_spans,
+       nested=st.booleans(), data=st.data())
+def test_div_and_mod_are_inlined_exactly_where_the_spans_prove_their_signs(
+        op, dividend, divisor, nested, data):
+    # mod(add(x,z),y) as a slide's chain writes it, z adding nothing
+    x = OpCall("add", (VarRef("x"), VarRef("z"))) if nested else VarRef("x")
+    e = OpCall("eq", (OpCall(op, (x, VarRef("y"))), VarRef("z")))
+    bounds = {"x": dividend, "y": divisor, "z": (0, 0)}
+    proved = dividend[0] >= 0 and divisor[0] >= 1
+    _, _, tests, raises = expr._shape(e, bounds)
+    assert tests[-1] is not proved and raises is not proved
+    assert (f"_trunc_{op}" in expr._Writer(tests).source(e)) is not proved
+    evaluate = compile_bounded(e, bounds)[0]
+    for _ in range(5):
+        env = {"x": data.draw(st.integers(*dividend)), "y": data.draw(st.integers(*divisor)),
+               "z": 0}
+        bounded = _detailed(lambda: evaluate(env))
+        assert bounded == _detailed(lambda: compile_expr(e)(env))
+        assert bounded == _detailed(lambda: oracles.reference_eval(e, env))
+
 @pytest.mark.parametrize("text,raises", [
     ("x", False), ("3", False), ("le(add(x,y),add(z,3))", False),
     ("dist(mul(x,y),sqr(neg(z)))", False), ("if(x,min(y,z),abs(x))", False),
     ("in(sub(x,y),set(1,2))", False), ("div(x,y)", True), ("mod(x,3)", True),
+    ("mod(z,3)", False), ("div(z,add(x,6))", False), ("div(z,add(x,5))", True),
     ("pow(x,2)", True), ("add(x,y,z)", True), ("mul(x,y,z)", True),
 ])
 def test_bounded_says_when_it_cannot_raise(text, raises):

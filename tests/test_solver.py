@@ -620,16 +620,21 @@ def _costed_search(obj, domains):
 
 def _costs(search):
     """Each assignment of the search's variables, with the cost the search
-    gives it after running every depth's checks and stages, and the
-    assignment's eval_objective: the two agree when each pair is equal."""
+    gives it after running every depth's checks and stages (each depth's
+    calls as one generated function), and the assignment's eval_objective:
+    the two agree when each pair is equal. A cost that is a list of sum
+    totals is read as the leaf reads it, its last total."""
     env, ids = search.env, [v.id for v in search.order]
     domains = [[value for lo, hi in v.domain.items for value in range(lo, hi + 1)]
                for v in search.order]
+    depths = [solver._function(calls, env, search._named) for calls in search.plan]
+    cost = search.cost
+    read = (lambda: cost[-1]) if type(cost) is list else partial(cost, env)
     pairs = []
     for values in itertools.product(*domains):
         env.update(zip(ids, values))
-        assert not any(fails() for fails in search.fails)
-        pairs.append((_verdict(partial(search.cost, env)),
+        assert not any(fails() for fails in depths)
+        pairs.append((_verdict(read),
                       _verdict(partial(eval_objective, search.objective, dict(env)))))
     return pairs
 
@@ -754,6 +759,7 @@ def test_generated_code_holds_no_input_text(monkeypatch):
     monkeypatch.setattr(expr, "compile", recording_compile, raising=False)
     for module in (expr, solver):
         monkeypatch.setattr(module, "_FACTORIES", {})
+    monkeypatch.setattr(solver, "_LOOPS", {})
     x, y, z = map(VarRef, ids)
     constraints = (
         PostedConstraint(K.Intension(OpCall("le", (x, y))), id=labels[0]),
@@ -772,7 +778,10 @@ def test_generated_code_holds_no_input_text(monkeypatch):
     # the objective's ids reach its sum stages as arguments too
     assert [form for calls in _Search(inst, SearchConfig()).plan
             for form, _, ci in calls if ci is None] == ["sum"] * 3
-    assert any("def fails" in s for s in sources) and any("def evaluate" in s for s in sources)
+    # the checks are written into the loop, each naming its errors by position
+    assert any("raise named(e, n2_1) from e" in s and "T2_2[i2_2 + 1] = t" in s
+               and "value = T[-1]" in s for s in sources)
+    assert any("def evaluate" in s for s in sources)
     words = ["IDONE", "IDTWO", "IDTHREE", "LABELONE", "LABELTWO", "LABELTHREE"]
     for source in sources:
         for text in ids + labels + words:
@@ -812,6 +821,9 @@ def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
         monkeypatch.setattr(module, "_FACTORIES", {})
     monkeypatch.setattr(solver, "MAX_LOOPS", 2)
     monkeypatch.setattr(solver, "_LOOPS", {})
+    # depths of more than 2 calls write generated functions of them, so
+    # that solver's cap is met too
+    monkeypatch.setattr(solver, "MAX_CHUNK", 2)
     for _ in range(2):
         # parsed again, so that no kind keeps a bounded evaluator (kinds.bounded)
         # and every expression is compiled under the cap
@@ -844,6 +856,117 @@ def test_a_second_search_of_an_instance_writes_no_source(monkeypatch):
     monkeypatch.setattr(expr, "_shape", lambda *args: walked.append(args) or shape(*args))
     assert [_full_outcome(_Search(inst, SearchConfig())) for inst in instances] == outcomes
     assert written == [] and compiled == [] and walked == []
+
+
+# -- a search built once per instance -------------------------------------------------
+
+def _reference_run(inst, cfg):
+    """What a search built for cfg alone gives, or its error and message."""
+    try:
+        return _Search(inst, cfg).run()
+    except XcspError as e:
+        return type(e), str(e)
+
+
+def _held_run(inst, cfg, run=solve):
+    try:
+        return run(inst, cfg)
+    except XcspError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.xml")))
+def test_a_search_run_again_gives_what_a_fresh_one_gives(name):
+    inst = parse_file(fixture_path(name))
+    pinned_status, _, _, pinned_nodes = PINNED["fixtures"][name]
+    # unlimited, but for the one fixture that no search here can finish
+    budget = 20_000
+    unlimited = None if pinned_status != "LIMIT" else budget
+    limited = SearchConfig(node_limit=min(pinned_nodes, budget) // 2)
+    first_one = SearchConfig(max_solutions=1)
+    sequence = [
+        (limited, None),                               # built: stops on the limit
+        (replace(limited, node_limit=unlimited), 0),   # the same search, to the end
+        (first_one, None),                             # built again
+        (replace(first_one, time_limit=0), 2),         # held: stops before a node
+        # without partial checks queens_8 and coins_83 take millions of nodes
+        (SearchConfig(partial_checks=False, node_limit=budget), None),
+    ]
+    results, built = [], []
+    for cfg, again in sequence:
+        results.append(_held_run(inst, cfg))
+        assert results[-1] == _reference_run(inst, cfg)
+        built.append(inst._search[1])
+        if again is not None:
+            assert built[-1] is built[again]
+        else:
+            assert all(search is not built[-1] for search in built[:-1])
+    # the first run stops on its node limit, the fourth on its clock
+    assert results[0].status is results[3].status is Status.LIMIT
+
+
+def test_a_search_that_raised_is_not_held():
+    inst = parse_string(ERROR_AT_THIRD)
+    raised = (DivisionByZero, "bad: div(6,0) at z=1 x=0")
+    for run in (solve, count_solutions):
+        assert _held_run(inst, SearchConfig(), run) == raised
+        assert inst._search is None
+    # a clean run after it, stopping the node before the error, is held
+    cfg = SearchConfig(node_limit=3)
+    clean = solve(inst, cfg)
+    assert clean == _reference_run(inst, cfg) and clean.status is Status.LIMIT
+    assert inst._search is not None
+    # run again to the error, it is dropped
+    assert _held_run(inst, SearchConfig(node_limit=4)) == raised
+    assert inst._search is None
+
+
+def test_a_search_is_out_of_its_instance_while_it_runs(monkeypatch):
+    # a checkpoint of the held search runs a nested search of the same
+    # instance and config: it builds its own, and the held one is put back
+    inst = parse_file(fixture_path("queens_8.xml"))
+    cfg = SearchConfig(max_solutions=3)
+    held, nested = [], []
+    checkpoint = _Search._checkpoint
+
+    def nesting(self, nodes):
+        if held and self is held[0] and not nested:
+            nested.append((inst._search, solve(inst, cfg), inst._search[1]))
+        return checkpoint(self, nodes)
+
+    monkeypatch.setattr(_Search, "_checkpoint", nesting)  # before the search holds it
+    outer = solve(inst, cfg)
+    held.append(inst._search[1])
+    assert solve(inst, cfg) == outer
+    (slot, result, built), = nested
+    assert slot is None and result == outer and built is not held[0]
+    assert inst._search[1] is held[0]
+
+
+def test_a_second_round_of_fixture_and_benchmark_searches_compiles_nothing(monkeypatch):
+    # every fixture, then every perfbench search item (seed 1), each searched
+    # by a search built for it, twice: the second builds write no source
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+    from workloads import SEARCH_LIMITS
+
+    fixtures = [parse_file(str(path)) for path in sorted(FIXTURES.glob("*.xml"))]
+    items = gen.search_items(random.Random("search:1"))
+    searches = ([(inst, SearchConfig(node_limit=20_000)) for inst in fixtures]
+                + [(parse_string(item.xml),
+                    replace(SEARCH_LIMITS, keep_solutions=item.optimum is not None))
+                   for item in items])
+    compiled = []
+    monkeypatch.setattr(expr, "compile",
+                        lambda *args: compiled.append(args) or compile(*args), raising=False)
+    monkeypatch.setattr(solver, "_LOOPS", {})
+    outcomes = [_full_outcome(_Search(inst, cfg)) for inst, cfg in searches[:len(fixtures)]]
+    assert 0 < len(solver._LOOPS) < solver.MAX_LOOPS  # the fixtures' loop shapes
+    outcomes += [_full_outcome(_Search(inst, cfg)) for inst, cfg in searches[len(fixtures):]]
+    assert len(solver._LOOPS) <= solver.MAX_LOOPS and compiled
+    compiled.clear()
+    assert [_full_outcome(_Search(inst, cfg)) for inst, cfg in searches] == outcomes
+    assert compiled == []
 
 
 # -- bounded evaluators and generated stages against the reference path -------------
@@ -907,6 +1030,7 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
                         raising=False)
     for module in (expr, solver):
         monkeypatch.setattr(module, "_FACTORIES", {})
+    monkeypatch.setattr(solver, "_LOOPS", {})
     x, y, z = map(VarRef, ids)
     constraints = (
         PostedConstraint(K.Sum((x, y, z, x), (1, 2, 3, 4), Condition(CondOp.LE, 9))),
@@ -921,7 +1045,9 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
     assert {"sum", "s", "dvx", "dfx", "dvx."} <= forms
     assert _full_outcome(search) == _full_outcome(_Search(inst, SearchConfig(
         partial_checks=False)))
-    assert any("def fails" in s for s in sources) and any("env[p0]" in s for s in sources)
+    # the stages are written into the loop; the bounded evaluators read env[p0]
+    assert any("S1_1[i1_1 + 1] = s" in s and "value = cost(env)" in s for s in sources)
+    assert any("env[p0]" in s for s in sources)
     for source in sources:
         for text in ids + ["IDONE", "IDTWO", "IDTHREE"]:
             assert text not in source
@@ -964,16 +1090,27 @@ def test_a_chain_over_three_blocks_counts_as_its_transfer_matrix(
 
 def _traced(monkeypatch, inst, cfg):
     """The outcome of a search, and the depth of each of its nodes with
-    whether its checks failed: a node runs its depth's function once."""
-    trace, depths = [], itertools.count()
-    compile_depth = _Search._compile
+    whether its checks failed: each depth's calls are written between a
+    partial check that records a failing node and one that records that it
+    passed, neither of which fails."""
+    trace = []
+    plan = _Search._plan
 
-    def traced(self, checks):
-        fails, depth = compile_depth(self, checks), next(depths)
-        return lambda: trace.append((depth, fails())) or trace[-1][1]
+    def node(depth):
+        trace.append((depth, True))
+        return False
+
+    def passed():
+        trace[-1] = (trace[-1][0], False)
+        return False
+
+    def traced(self):
+        plan(self)
+        self.plan = [(("s", (partial(node, depth),), None), *calls, ("s", (passed,), None))
+                     for depth, calls in enumerate(self.plan)]
 
     with monkeypatch.context() as patch:
-        patch.setattr(_Search, "_compile", traced)
+        patch.setattr(_Search, "_plan", traced)
         return _Search(inst, cfg).run(), trace
 
 
