@@ -252,10 +252,8 @@ class Instance:
     """A parsed instance: declarations in document order plus constraints.
 
     useful_ids and undeclared_scopes are derived on first use (a check or a
-    search), never while parsing, and the solver keeps the search it built
-    last in _search. From then on the Instance is treated as immutable:
-    replacing its fields would leave them stale. Pickles and copies start
-    without a built search. removed holds
+    search), never while parsing. From then on the Instance is treated as
+    immutable: replacing its fields would leave them stale. removed holds
     the element paths of the constraints, blocks, groups and slides that
     the parser left out (lenient mode, dropped classes); it takes no part in
     equality.
@@ -281,15 +279,6 @@ class Instance:
                 if decl.id in self._vars_by_id or decl.id in self._arrays_by_id:
                     raise ParseError(f"id {decl.id!r} declared twice", rule="duplicate-id")
                 self._vars_by_id[decl.id] = decl
-
-    # (key, solver._Search): the search the solver built last, or None; not
-    # annotated, so that it is no field
-    _search = None
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_search", None)
-        return state
 
     @property
     def framework(self) -> Framework:

@@ -71,13 +71,9 @@ kept, and at most MAX_SHAPES of "g" functions, the oldest dropped first,
 so a search of an instance met again writes no source. The search visits
 at most node_limit nodes and stops with LIMIT only when it needs one more.
 The clock is read before the first node and then every CLOCK_NODES nodes;
-the time limit counts from the start of the run. Both cost one comparison
-of the node count per node.
-
-solve and count_solutions build a search once per instance and config:
-the instance holds the search built last, and a call that differs from it
-only in node_limit or time_limit runs it again, from a fresh state, with
-no planning or code generation (see _run).
+the time limit counts from the start of building the search, so planning
+and code generation count against it too. Both cost one comparison of the
+node count per node.
 """
 
 from __future__ import annotations
@@ -269,7 +265,11 @@ def _function(calls: Sequence[_Call], env: Dict[str, int],
 # -- generated search loop --------------------------------------------------------
 
 LOOP_DEPTHS = 16    # depths per block; Python allows 20 statically nested blocks
-MAX_LOOPS = 64      # loop factories kept, one per block shape
+# Loop factories kept, one per block shape. The shape holds each depth's
+# forms, so the cap serves models searched again in one process (the
+# fixtures and one seed's perfbench search items make 34 shapes); a new
+# model mostly brings new shapes, compiled whatever the cap.
+MAX_LOOPS = 64
 
 # What a block runs where its last depth's value passes, by mode: the
 # parameters it takes, the search state it keeps in locals (read from the
@@ -528,10 +528,15 @@ class _Search:
     def __init__(self, instance: Instance, cfg: SearchConfig):
         self.instance = instance
         self.cfg = cfg
-        # the generated code holds env, and the leaf solutions.append: run()
-        # clears both in place, and resets the rest of the search's state
         self.env: Dict[str, int] = {}
+        self.nodes = self.test_at = 0  # the limits are first tested before the first node
+        self.count = 0
         self.solutions: List[Instantiation] = []
+        self.best: Optional[Instantiation] = None
+        self.best_cost: Optional[Union[int, Tuple[int, ...]]] = None
+        # the time limit counts from here, so that it bounds building too
+        self.deadline = (time.monotonic() + cfg.time_limit
+                         if cfg.time_limit is not None else None)
 
         useful = set(instance.useful_ids)
         defined: List[Variable] = []
@@ -723,17 +728,7 @@ class _Search:
     # -- search --------------------------------------------------------------
 
     def run(self) -> SolveResult:
-        """Search under self.cfg from a fresh state; a search built once
-        runs again under other limits (see solve)."""
         status: Status
-        self.env.clear()
-        self.solutions.clear()
-        self.nodes = self.test_at = 0  # the limits are first tested before the first node
-        self.count = 0
-        self.best: Optional[Instantiation] = None
-        self.best_cost: Optional[Union[int, Tuple[int, ...]]] = None
-        limit = self.cfg.time_limit
-        self.deadline = None if limit is None else time.monotonic() + limit
         if self.infeasible:
             return self._result(Status.UNSATISFIABLE)
         try:
@@ -749,9 +744,8 @@ class _Search:
         return self._result(status)
 
     def _result(self, status: Status) -> SolveResult:
-        solutions = tuple(self.solutions)
-        self.solutions.clear()  # a search held for reuse keeps no solutions alive
-        return SolveResult(status, self.count, solutions, self.best, self.best_cost, self.nodes)
+        return SolveResult(status, self.count, tuple(self.solutions),
+                           self.best, self.best_cost, self.nodes)
 
     def _search(self) -> None:
         """Depth-first over the generated blocks, kept on an explicit stack.
@@ -769,28 +763,11 @@ class _Search:
                 stack.pop()
 
 
-def _run(instance: Instance, cfg: SearchConfig) -> SolveResult:
-    """cfg's search of instance, on the search built last for it when that
-    was built for the same config but its limits.
-
-    The instance holds one built search, with its config but the limits as
-    the key. The search is out of the instance while it runs, so that a
-    nested or concurrent search builds its own, and a search that raised is
-    not put back.
-    """
-    key = replace(cfg, node_limit=None, time_limit=None)
-    held = vars(instance).pop("_search", None)  # one call: no other caller gets it too
-    search = held[1] if held is not None and held[0] == key else _Search(instance, cfg)
-    search.cfg = cfg
-    result = search.run()
-    instance._search = (key, search)
-    return result
-
-
 def solve(instance: Instance, config: Optional[SearchConfig] = None) -> SolveResult:
-    return _run(instance, config or SearchConfig())
+    return _Search(instance, config or SearchConfig()).run()
 
 
 def count_solutions(instance: Instance,
                     config: Optional[SearchConfig] = None) -> SolveResult:
-    return _run(instance, replace(config or SearchConfig(), keep_solutions=False))
+    cfg = replace(config or SearchConfig(), keep_solutions=False)
+    return _Search(instance, cfg).run()

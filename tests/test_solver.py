@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import time
 from pathlib import Path
 from dataclasses import replace
 from functools import partial
@@ -144,6 +145,21 @@ def test_time_limit_yields_limit_status():
     inst = parse_string(BIG_SPACE)
     result = count_solutions(inst, SearchConfig(time_limit=1e-9))
     assert result.status is Status.LIMIT
+
+
+def test_the_time_limit_counts_the_building_of_the_search(monkeypatch):
+    # building that outlasts the limit leaves no time for a node
+    blocks = _Search._blocks
+
+    def slow_blocks(self):
+        time.sleep(0.05)
+        return blocks(self)
+
+    monkeypatch.setattr(_Search, "_blocks", slow_blocks)
+    inst = parse_string(BIG_SPACE)
+    for run in (solve, count_solutions):
+        result = run(inst, SearchConfig(time_limit=0.01))
+        assert (result.status, result.nodes) == (Status.LIMIT, 0)
 
 
 def test_variable_order_does_not_change_the_count():
@@ -856,91 +872,6 @@ def test_a_second_search_of_an_instance_writes_no_source(monkeypatch):
     monkeypatch.setattr(expr, "_shape", lambda *args: walked.append(args) or shape(*args))
     assert [_full_outcome(_Search(inst, SearchConfig())) for inst in instances] == outcomes
     assert written == [] and compiled == [] and walked == []
-
-
-# -- a search built once per instance -------------------------------------------------
-
-def _reference_run(inst, cfg):
-    """What a search built for cfg alone gives, or its error and message."""
-    try:
-        return _Search(inst, cfg).run()
-    except XcspError as e:
-        return type(e), str(e)
-
-
-def _held_run(inst, cfg, run=solve):
-    try:
-        return run(inst, cfg)
-    except XcspError as e:
-        return type(e), str(e)
-
-
-@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.xml")))
-def test_a_search_run_again_gives_what_a_fresh_one_gives(name):
-    inst = parse_file(fixture_path(name))
-    pinned_status, _, _, pinned_nodes = PINNED["fixtures"][name]
-    # unlimited, but for the one fixture that no search here can finish
-    budget = 20_000
-    unlimited = None if pinned_status != "LIMIT" else budget
-    limited = SearchConfig(node_limit=min(pinned_nodes, budget) // 2)
-    first_one = SearchConfig(max_solutions=1)
-    sequence = [
-        (limited, None),                               # built: stops on the limit
-        (replace(limited, node_limit=unlimited), 0),   # the same search, to the end
-        (first_one, None),                             # built again
-        (replace(first_one, time_limit=0), 2),         # held: stops before a node
-        # without partial checks queens_8 and coins_83 take millions of nodes
-        (SearchConfig(partial_checks=False, node_limit=budget), None),
-    ]
-    results, built = [], []
-    for cfg, again in sequence:
-        results.append(_held_run(inst, cfg))
-        assert results[-1] == _reference_run(inst, cfg)
-        built.append(inst._search[1])
-        if again is not None:
-            assert built[-1] is built[again]
-        else:
-            assert all(search is not built[-1] for search in built[:-1])
-    # the first run stops on its node limit, the fourth on its clock
-    assert results[0].status is results[3].status is Status.LIMIT
-
-
-def test_a_search_that_raised_is_not_held():
-    inst = parse_string(ERROR_AT_THIRD)
-    raised = (DivisionByZero, "bad: div(6,0) at z=1 x=0")
-    for run in (solve, count_solutions):
-        assert _held_run(inst, SearchConfig(), run) == raised
-        assert inst._search is None
-    # a clean run after it, stopping the node before the error, is held
-    cfg = SearchConfig(node_limit=3)
-    clean = solve(inst, cfg)
-    assert clean == _reference_run(inst, cfg) and clean.status is Status.LIMIT
-    assert inst._search is not None
-    # run again to the error, it is dropped
-    assert _held_run(inst, SearchConfig(node_limit=4)) == raised
-    assert inst._search is None
-
-
-def test_a_search_is_out_of_its_instance_while_it_runs(monkeypatch):
-    # a checkpoint of the held search runs a nested search of the same
-    # instance and config: it builds its own, and the held one is put back
-    inst = parse_file(fixture_path("queens_8.xml"))
-    cfg = SearchConfig(max_solutions=3)
-    held, nested = [], []
-    checkpoint = _Search._checkpoint
-
-    def nesting(self, nodes):
-        if held and self is held[0] and not nested:
-            nested.append((inst._search, solve(inst, cfg), inst._search[1]))
-        return checkpoint(self, nodes)
-
-    monkeypatch.setattr(_Search, "_checkpoint", nesting)  # before the search holds it
-    outer = solve(inst, cfg)
-    held.append(inst._search[1])
-    assert solve(inst, cfg) == outer
-    (slot, result, built), = nested
-    assert slot is None and result == outer and built is not held[0]
-    assert inst._search[1] is held[0]
 
 
 def test_a_second_round_of_fixture_and_benchmark_searches_compiles_nothing(monkeypatch):
