@@ -56,13 +56,22 @@ mod, pow, n-ary add and mul, and if() keep their code, so every error that
 can still happen is raised as compile_expr's function raises it. The
 shape key adds the list of kept tests and checked divs and mods, and
 shares compile_expr's cache.
+
+bounded_shape is that walk alone, kept as a Bounded with the tree, and
+Bounded.write the generator's inline mode: it writes the expression's
+statements into code of the caller's (the solver writes intensions and
+allDifferent operands into its search loop), with a suffix on every
+name, and reads each variable that the caller holds in a local from that
+local, without env; an if() branch's function reads env. The caller
+passes the constants, in the walk's order, as it passes its own.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import (
     INT_MAX,
@@ -657,8 +666,8 @@ _LEAVE: Dict[Tuple[str, str], Tuple[Callable[..., Span], int]] = {
 }
 
 
-def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None
-           ) -> Tuple[Any, List[object], List[bool], bool]:
+def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None,
+           ids: Optional[List[str]] = None) -> Tuple[Any, List[object], List[bool], bool]:
     """The shape key of e, its constants, its range tests and whether it may raise.
 
     One walk, preorder, of the tree. A call gives its operator (or "?" when
@@ -677,7 +686,9 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None
     whatever the values: a surviving range test, a checked div or mod,
     pow, an n-ary add or mul, a formless call or a stray set literal.
     Without bounds the key is the tree's shape alone, every range test and
-    checked call is written and the last two results mean nothing.
+    checked call is written and the last two results mean nothing. With
+    bounds and a list ids, the walk appends to ids the id of each variable
+    read, in the order of the constants: the order in which _Writer reads.
     """
     key: List[object] = []
     consts: List[object] = []
@@ -693,6 +704,8 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None
             consts.append(node.id)
             if bounds is not None:
                 spans.append(bounds[node.id])
+                if ids is not None:
+                    ids.append(node.id)
         elif kind is IntConst:
             key.append("i")
             consts.append(node.value)
@@ -755,28 +768,39 @@ class _Writer:
     Given tests (_shape's flags), the code is bounded: a variable is read as
     env[p], without a test, a range test is written only where its flag is
     True, and a div or mod whose flag is False is Python's // or %.
+
+    The inline mode (Bounded.write) writes a bounded expression's statements
+    into code of the caller's: its names get a suffix, and reads gives, for
+    each variable read in _shape's order, the name of a local that holds
+    its value, or None to read env. A read inside an if() branch, whose
+    function runs apart from that code, always reads env.
     """
 
-    def __init__(self, tests: Optional[List[bool]] = None) -> None:
+    def __init__(self, tests: Optional[List[bool]] = None,
+                 reads: Optional[Sequence[Optional[str]]] = None, suffix: str = "") -> None:
         self.params = 0
         self.temps = 0
-        self.functions: List[str] = []
+        self.functions: List[str] = []  # the lines of each if() branch's function
         self.tests = None if tests is None else iter(tests)
+        self.reads = None if reads is None else iter(reads)
+        self.suffix = suffix
+        self.nested = 0  # branch functions being written
 
     def param(self) -> str:
         self.params += 1
-        return f"p{self.params - 1}"
+        return f"p{self.suffix}{self.params - 1}"
 
     def temp(self) -> str:
         self.temps += 1
-        return f"t{self.temps - 1}"
+        return f"t{self.suffix}{self.temps - 1}"
 
     def function(self, name: str, e: Expr) -> str:
         body: List[str] = []
+        self.nested += 1
         result = self.node(e, body)
-        self.functions.append("\n".join(
-            [f"    def {name}(env):"] + [f"        {line}" for line in body]
-            + [f"        return {result}"]))
+        self.nested -= 1
+        self.functions += ([f"def {name}(env):"] + [f"    {line}" for line in body]
+                           + [f"    return {result}"])
         return name
 
     def node(self, e: Expr, body: List[str]) -> str:
@@ -785,12 +809,17 @@ class _Writer:
         if kind is IntConst:
             return self.param()
         if kind is VarRef:
-            p, t = self.param(), self.temp()
-            if self.tests is not None:
-                body.append(f"{t} = env[{p}]")
-            else:
+            p = self.param()
+            if self.tests is None:
+                t = self.temp()
                 body += [f"{t} = env.get({p})",
                          f"if not isinstance({t}, int): raise UnboundVariable({p})"]
+                return t
+            local = None if self.reads is None else next(self.reads)
+            if local is not None and not self.nested:
+                return local
+            t = self.temp()
+            body.append(f"{t} = env[{p}]")
             return t
         if kind is not OpCall:
             body.append("raise EvalError('set literal outside in()')")
@@ -826,7 +855,7 @@ class _Writer:
     def source(self, e: Expr) -> str:
         self.function("evaluate", e)
         params = ", ".join(f"p{i}" for i in range(self.params))
-        return "\n".join([f"def _make({params}):"] + self.functions
+        return "\n".join([f"def _make({params}):"] + [f"    {line}" for line in self.functions]
                          + ["    return evaluate", ""])
 
 
@@ -860,6 +889,57 @@ def compile_expr(e: Expr) -> Evaluator:
     return make(*consts)
 
 
+class Bounded(NamedTuple):
+    """An expression under bounds, as one walk of _shape finds it: what
+    compiling it or writing it into other code needs.
+
+    ids holds the variable each read reads, in _shape's order. raises is
+    False when its code cannot raise at all.
+    """
+
+    expr: Expr
+    key: Any
+    consts: List[object]
+    tests: List[bool]
+    raises: bool
+    ids: Tuple[str, ...]
+
+    def evaluator(self) -> Tuple[Evaluator, bool]:
+        """compile_bounded's results, from this walk."""
+        make = generated(_FACTORIES, MAX_SHAPES, self.key,
+                         lambda: _Writer(self.tests).source(self.expr),
+                         _NAMESPACE, "<expression shape>")
+        return make(*self.consts), self.raises
+
+    def reads(self, local: Mapping[str, str]) -> Tuple[Optional[str], ...]:
+        """Each read's local name in local, or None where it reads env."""
+        return tuple(map(local.get, self.ids))
+
+    def write(self, suffix: str, local: Mapping[str, str]
+              ) -> Tuple[List[str], List[str], str, List[str]]:
+        """The code of the expression inside the caller's code (_Writer's
+        inline mode): its parameters (the constants' names, each with
+        suffix, in the order of consts), its statements, the name of its
+        value and the lines of its if() branches' functions, which the
+        caller defines where its statements can call them. A variable in
+        local is read from the local named there, any other from env.
+        The code names only what _NAMESPACE holds; it raises what
+        compile_bounded's function raises.
+        """
+        writer = _Writer(self.tests, self.reads(local), f"{suffix}_")
+        body: List[str] = []
+        value = writer.node(self.expr, body)
+        return ([f"p{suffix}_{i}" for i in range(writer.params)], body, value,
+                writer.functions)
+
+
+def bounded_shape(e: Expr, bounds: Mapping[str, Span]) -> Bounded:
+    """e under bounds (see compile_bounded): one walk of the tree."""
+    ids: List[str] = []
+    key, consts, tests, raises = _shape(e, bounds, ids)
+    return Bounded(e, key, consts, tests, raises, tuple(ids))
+
+
 def compile_bounded(e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, bool]:
     """compile_expr for environments that bind every variable of e inside bounds.
 
@@ -878,10 +958,7 @@ def compile_bounded(e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, boo
     same cache as compile_expr's; a shape met again costs one walk of the
     tree and writes no source.
     """
-    key, consts, tests, raises = _shape(e, bounds)
-    make = generated(_FACTORIES, MAX_SHAPES, key, lambda: _Writer(tests).source(e),
-                     _NAMESPACE, "<expression shape>")
-    return make(*consts), raises
+    return bounded_shape(e, bounds).evaluator()
 
 
 def free_vars(e: Expr) -> List[str]:

@@ -15,8 +15,9 @@ transitions hold state names, not variable ids. Kinds and the Objective
 also carry ``compiled``: every expression held in their EXPRESSIONS
 fields, compiled once, on first evaluation. An Extension without * rows
 likewise builds its ``table``, a set of its tuples, on first check, and
-``bounded`` keeps the bounded evaluator of each expression for the bounds
-of its variables. These caches live in __dict__; a copied or unpickled
+``bounded_shape`` keeps the bounded shape of each expression for the
+bounds of its variables (and ``bounded`` its bounded evaluator, once
+asked for). These caches live in __dict__; a copied or unpickled
 record starts without them.
 The semantics of each kind live in one table in checker.py, and its
 element in LAYOUT, which the writer and the parser both read.
@@ -30,8 +31,8 @@ from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from .errors import ParseError
-from .expr import (Evaluator, Expr, OpCall, Record, Span, VarRef, compile_bounded, compile_expr,
-                   free_vars)
+from .expr import (Bounded, Evaluator, Expr, OpCall, Record, Span, VarRef, bounded_shape,
+                   compile_expr, free_vars)
 from .model import Condition, Star
 
 # value-or-variable slot (coeffs, lengths, heights, counted values, size)
@@ -101,22 +102,34 @@ class _Involving(Record):
                     out.append((compile_expr(e), free))
         return tuple(out)
 
-    def bounded(self, e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, bool]:
-        """compile_bounded(e, bounds), for an expression e this record holds.
+    def bounded_shape(self, e: Expr, bounds: Mapping[str, Span]) -> Bounded:
+        """expr.bounded_shape(e, bounds), for an expression e this record holds.
 
         The result is kept for e with the bounds of e's own variables, so a
         later call that gives them the same bounds returns it without
         walking e; one that gives others replaces it. At most one result is
         kept per expression.
         """
+        return self._bounded_entry(e, bounds)[3]
+
+    def bounded(self, e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, bool]:
+        """compile_bounded(e, bounds), from bounded_shape and kept with it."""
+        entry = self._bounded_entry(e, bounds)
+        if entry[4] is None:
+            entry[4] = entry[3].evaluator()
+        return entry[4]
+
+    def _bounded_entry(self, e: Expr, bounds: Mapping[str, Span]) -> list:
+        """The entry kept for e: [e, its free variables, their bounds, its
+        bounded shape, its bounded evaluator or None until asked for]."""
         memo = self.__dict__.setdefault("_bounded", {})
         entry = memo.get(id(e))
         if entry is None or entry[0] is not e:
-            entry = (e, tuple(free_vars(e)), None, None)
-        key = tuple(bounds.get(v) for v in entry[1])
+            entry = [e, tuple(free_vars(e)), None, None, None]
+        key = tuple(map(bounds.get, entry[1]))
         if entry[2] != key:
-            entry = memo[id(e)] = (e, entry[1], key, compile_bounded(e, bounds))
-        return entry[3]
+            entry = memo[id(e)] = [e, entry[1], key, bounded_shape(e, bounds), None]
+        return entry
 
 
 class ConstraintKind(_Involving):

@@ -22,21 +22,23 @@ line that assigns its variable. Writing each check's code for the model,
 rather than calling a general one, follows Minion (Gent, Jefferson and
 Miguel, ECAI 2006). Each call is written as the code of its form (_FORMS),
 which goes on to the depth's next value where the check fails:
-- "e", an intension's complete check: a call of its bounded evaluator
-  (expr.compile_bounded over the domain bounds). The check runs only once
-  its variables are assigned from their domains, so the evaluator reads
-  them as env[id] and keeps only the int64 tests the bounds cannot rule
-  out: its value and errors are those of the unbounded one.
-- "sum", a stage of a sum: written inline, t = T[i] + c * env[v], kept in
-  T[i + 1], failing when t leaves the stage's cut-offs. A depth assigns
-  one variable, so its coefficients are merged into one c. A sum
-  objective whose bounds prove it stays in int64 is summed by the same
-  stages, planned after each depth's constraint checks with cut-offs that
-  cannot fire; the leaf reads its cost inline, as their last total.
+- "i", an intension's complete check: the code of its expression, written
+  by expr's generator in its bounded mode (expr.Bounded.write) over the
+  domain bounds. The check runs only once its variables are assigned from
+  their domains, so the code reads them without a test and keeps only the
+  int64 tests the bounds cannot rule out: its value and errors are those
+  of the unbounded evaluator.
+- "sum", a stage of a sum: t = T[i] + c * x, kept in T[i + 1], failing
+  when t leaves the stage's cut-offs. A depth assigns one variable, so its
+  coefficients are merged into one c. A sum objective whose bounds prove
+  it stays in int64 is summed by "total" stages, the same sum without
+  cut-offs, planned after each depth's constraint checks; the leaf reads
+  its cost inline, as their last total.
 - "d...", a stage of an allDifferent none of whose operands can raise: one
-  inline membership test per operand, of its value (env[id] for a bare
-  variable, else its bounded evaluator) against the set of the values of
-  the operands checked before it, excepts never entering the set.
+  inline membership test per operand, of its value (a bare variable's, or
+  the value of its expression's code, written as for "i") against the set
+  of the values of the operands checked before it, excepts never entering
+  the set.
 - "s", a partial check: a call of the kind's detector from checker's
   table, bound to the constraint and env. An allDifferent an operand of
   which may raise (a div by a domain holding 0, a range test that
@@ -48,11 +50,15 @@ which goes on to the depth's next value where the check fails:
   than MAX_CHUNK calls: it returns True at the first that fails, and a
   depth with more than MAX_CHUNK of these gets a tree of them, so no
   piece of code grows with a depth's checks and planning stays linear.
-The callables, constants, state lists, kinds and the constraint positions
-that name an evaluation error are arguments of the factory that builds
-the code: as in expr's generator, no id, label or other input text enters
-the source, and one factory serves all code of the same forms. An
-EXPRESSION objective is costed by its bounded evaluator. With
+In the loop, written code reads a variable that a depth of its block
+assigns from that depth's loop variable, and any other from env, where
+every depth also writes its value; code in a "g" function, and in an
+if() branch's function, reads env alone. The callables, constants, state
+lists, kinds and the constraint positions that name an evaluation error
+are arguments of the factory that builds the code: as in expr's
+generator, no id, label or other input text enters the source, and one
+factory serves all code of the same forms, expression shapes and reads.
+An EXPRESSION objective is costed by its bounded evaluator. With
 partial_checks off, every constraint is one "c" call of its checker and
 every cost goes through eval_objective, both with unbounded evaluators:
 that is the reference path.
@@ -66,7 +72,10 @@ or cost it and keep the best. An inner block yields to descend, and an
 explicit stack of blocks drives the search, so the number of variables is
 not bounded by Python's recursion limit. A block's source depends only on
 its length, how many of its depths are forced (restrict_to_decision), its
-leaf and the forms of each depth's calls; at most MAX_LOOPS factories are
+leaf and each depth's calls' forms, with the bounded shape of each
+expression and which of its reads are of which loop variable; a forced
+depth reruns its calls' code on the value it chose, assigned again to
+its loop variable and env. At most MAX_LOOPS factories are
 kept, and at most MAX_SHAPES of "g" functions, the oldest dropped first,
 so a search of an instance met again writes no source. The search visits
 at most node_limit nodes and stops with LIMIT only when it needs one more.
@@ -94,7 +103,8 @@ from .checker import (
     named_error,
 )
 from .errors import INT_MAX, INT_MIN, EvalError, SolverError, UnforcedVariable
-from .expr import Expr, VarRef, free_vars, generated
+from .expr import _NAMESPACE as _EXPR_NAMESPACE
+from .expr import Bounded, Expr, VarRef, generated
 from .kinds import AllDifferent, ConstraintKind, Intension, ObjKind, Sense, Sum
 from .model import CondOp, Domain, Instance, Instantiation, Variable
 
@@ -158,97 +168,146 @@ class _LimitReached(Exception):
 # -- generated checks -------------------------------------------------------------
 
 MAX_CHUNK = 32      # calls per depth in the loop, and per generated function
-MAX_SHAPES = 256    # factories kept, one per sequence of forms
+MAX_SHAPES = 256    # functions' factories kept, one per sequence of forms
 CLOCK_NODES = 256   # nodes between two readings of the clock
 
-# how an allDifferent operand's check reads its value: its parameter and line
-_READS = {"v": ("p", "v = env[p{k}]"), "f": ("f", "v = f{k}(env)")}
 
-
-def _distinct_form(read: str, excepts: bool, last: bool) -> Tuple[Tuple[str, ...], ...]:
-    """An allDifferent operand's check: its value v against the set S[i] of
+def _distinct_form(excepts: bool, last: bool) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """An allDifferent operand's check: its value x against the set S[i] of
     the values of the operands checked before it; unless it is the last,
-    the set with v goes to S[i + 1], where the next one reads it. A value in
+    the set with x goes to S[i + 1], where the next one reads it. A value in
     the excepts E enters no set."""
-    param, line = _READS[read]
-    lines = [line, "s = S{k}[i{k}]"]
-    test = ["if v in s:", "    {fail}"]
+    lines = ["s = S{k}[i{k}]"]
+    test = ["if {x} in s:", "    {fail}"]
     if excepts:
-        lines += ["if v not in E{k}:"] + [f"    {line}" for line in test]
+        lines += ["if {x} not in E{k}:"] + [f"    {line}" for line in test]
         if not last:
-            lines += ["    s = {{*s, v}}", "S{k}[i{k} + 1] = s"]
+            lines += ["    s = {{*s, {x}}}", "S{k}[i{k} + 1] = s"]
     else:
-        lines += test + ([] if last else ["S{k}[i{k} + 1] = {{*s, v}}"])
-    return (param, "S", "i") + (("E",) if excepts else ()), tuple(lines)
+        lines += test + ([] if last else ["S{k}[i{k} + 1] = {{*s, {x}}}"])
+    return ("x", "S", "i") + (("E",) if excepts else ()), tuple(lines)
 
 
 # The code of each form, for call k: its parameters, which get k as a
-# suffix, and its lines, str.format()ed with k and fail, the statement that
-# runs when the check fails. "e" calls an intension's bounded evaluator (0
-# is false), "s" a partial detector (True when violated), "c" the complete
+# suffix, and its lines, str.format()ed with k, fail, the statement that
+# runs when the check fails, and x, the name of the value the call reads.
+# A form whose first parameter is x (_SOURCED) takes as its first argument
+# where that value comes from: the id of the variable its depth assigns,
+# read as the loop variable (or from env in a generated function), or an
+# expression's bounded shape (expr.Bounded), whose code is written before
+# the lines and names x. "i" is an intension's complete check (0 is
+# false), "s" a partial detector (True when violated), "c" the complete
 # check of kind a{k}, and "g" a generated function of checks, whose errors
 # are named already. A sum stage adds its variable's term c * x (the
 # coefficients of a variable merged) to the total T[i] of the stages
-# before, keeps it in T[i + 1] and fails outside lo..hi. An allDifferent
-# operand ("d": "v" a bare variable read from env, "f" a call of a bounded
-# evaluator that cannot raise; "x" with excepts; "." the last operand
-# checked) is a membership test. A form whose last parameter is n, the
-# constraint's position, may raise: its lines run in a try whose handler
-# raises the EvalError again as named(error, n{k}).
+# before and keeps it in T[i + 1]: "sum" fails outside lo..hi, "total" (an
+# objective's) never fails. An allDifferent operand ("d"; "x" with
+# excepts, "." the last operand checked) is a membership test. A call of a
+# form in _RAISING, or whose expression may raise, runs in a try whose
+# handler raises the EvalError again as named(error, n{k}), n{k} the
+# constraint's position.
 _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "e": (("f", "n"), ("if not f{k}(env):", "    {fail}")),
-    "s": (("f", "n"), ("if f{k}():", "    {fail}")),
-    "c": (("f", "a", "n"), ("if not f{k}(a{k}, env):", "    {fail}")),
+    "i": (("x",), ("if not {x}:", "    {fail}")),
+    "s": (("f",), ("if f{k}():", "    {fail}")),
+    "c": (("f", "a"), ("if not f{k}(a{k}, env):", "    {fail}")),
     "g": (("f",), ("if f{k}():", "    {fail}")),
-    "sum": (("T", "i", "c", "v", "lo", "hi"),
-            ("t = T{k}[i{k}] + c{k} * env[v{k}]",
+    "sum": (("x", "T", "i", "c", "lo", "hi"),
+            ("t = T{k}[i{k}] + c{k} * {x}",
              "T{k}[i{k} + 1] = t",
              "if t < lo{k} or t > hi{k}:",
              "    {fail}")),
-    **{f"d{read}{'x' if excepts else ''}{'.' if last else ''}":
-       _distinct_form(read, excepts, last)
-       for read in _READS for excepts in (False, True) for last in (False, True)},
+    "total": (("x", "T", "i", "c"), ("T{k}[i{k} + 1] = T{k}[i{k}] + c{k} * {x}",)),
+    **{f"d{'x' if excepts else ''}{'.' if last else ''}": _distinct_form(excepts, last)
+       for excepts in (False, True) for last in (False, True)},
 }
-_FACTORIES: Dict[Tuple[str, ...], Callable[..., Callable[[], bool]]] = {}
-_NAMESPACE = {"EvalError": EvalError}
+_SOURCED = frozenset(form for form, (names, _) in _FORMS.items() if names[0] == "x")
+_RAISING = frozenset({"s", "c"})
+_FACTORIES: Dict[Tuple[object, ...], Callable[..., Callable[[], bool]]] = {}
+_NAMESPACE = {**_EXPR_NAMESPACE, "EvalError": EvalError}
 
 # A call of generated code: form, arguments, and the constraint's position,
 # which a form that names no error leaves unused.
 _Call = Tuple[str, Tuple[object, ...], Optional[int]]
 
 
-def _code(forms: Sequence[str], suffix: str, fail: str) -> Tuple[List[str], List[str]]:
-    """The parameters and lines of calls of forms, in order: call j's
-    names get suffix + j, and fail is what runs where one of them fails."""
+def _raises(form: str, source: object) -> bool:
+    """Whether a call's code may raise, and so names its errors."""
+    return form in _RAISING or (type(source) is Bounded and source.raises)
+
+
+def _written(calls: Sequence[_Call], local: Mapping[str, str]
+             ) -> Tuple[Tuple[object, ...], List[object]]:
+    """What the code of calls (_code) depends on, and its arguments, in the
+    order of its parameters.
+
+    The first is each call's form and, for an expression, its bounded shape
+    key and which of its reads are of which loop variable. A variable's id
+    read by a stage is always local in the loop and never in a generated
+    function, which have caches of their own.
+    """
+    keys: List[object] = []
+    out: List[object] = []
+    for form, args, ci in calls:
+        source = args[0]
+        if type(source) is Bounded:
+            keys.append((form, source.key, source.reads(local)))
+            out += source.consts
+            out += args[1:]
+            if source.raises:
+                out.append(ci)
+        else:
+            keys.append(form)
+            out += args[1:] if form in _SOURCED and source in local else args
+            if form in _RAISING:
+                out.append(ci)
+    return tuple(keys), out
+
+
+def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, str]
+          ) -> Tuple[List[str], List[str], List[str]]:
+    """The parameters, lines and function definitions of calls, in order:
+    call j's names get suffix + j, fail is what runs where one of them
+    fails, and a variable in local is read from the local named there."""
     params: List[str] = []
     code: List[str] = []
-    for j, form in enumerate(forms):
+    functions: List[str] = []
+    for j, (form, args, _) in enumerate(calls):
         names, lines = _FORMS[form]
         k = f"{suffix}{j}"
+        block: List[str] = []
+        x = None
+        if form in _SOURCED:
+            names, source = names[1:], args[0]
+            if type(source) is Bounded:
+                written, block, x, defined = source.write(k, local)
+                params += written
+                functions += defined
+            else:
+                x = local.get(source)
+                if x is None:
+                    params.append(f"x{k}")
+                    block.append(f"u{k} = env[x{k}]")
+                    x = f"u{k}"
         params += [f"{name}{k}" for name in names]
-        block = [line.format(k=k, fail=fail) for line in lines]
-        if names[-1] == "n":
+        block += [line.format(k=k, fail=fail, x=x) for line in lines]
+        if _raises(form, args[0]):
+            params.append(f"n{k}")
             block = (["try:"] + [f"    {line}" for line in block]
                      + ["except EvalError as e:", f"    raise named(e, n{k}) from e"])
         code += block
-    return params, code
+    return params, code, functions
 
 
-def _arguments(calls: Sequence[_Call]) -> List[object]:
-    """The arguments of calls, in the order of _code's parameters."""
-    return [arg for form, args, ci in calls
-            for arg in (args + (ci,) if _FORMS[form][0][-1] == "n" else args)]
+def _source(calls: Sequence[_Call]) -> str:
+    """The factory of one shape: _make(env, named, <the calls' parameters>).
 
-
-def _source(forms: Tuple[str, ...]) -> str:
-    """The factory of one shape: _make(env, named, <the forms' parameters>).
-
-    fails() runs the forms' code in order and returns True at the first
-    check that fails, False when all pass.
+    fails() runs the calls' code in order and returns True at the first
+    check that fails, False when all pass. Every variable is read from env.
     """
-    params, code = _code(forms, "", "return True")
-    return "\n".join([f"def _make({', '.join(['env', 'named', *params])}):",
-                      "    def fails():"] + [f"        {line}" for line in code]
+    params, code, functions = _code(calls, "", "return True", {})
+    return "\n".join([f"def _make({', '.join(['env', 'named', *params])}):"]
+                     + [f"    {line}" for line in functions]
+                     + ["    def fails():"] + [f"        {line}" for line in code]
                      + ["        return False", "    return fails", ""])
 
 
@@ -256,19 +315,20 @@ def _function(calls: Sequence[_Call], env: Dict[str, int],
               named: Callable[[EvalError, int], EvalError]) -> Callable[[], bool]:
     """One generated function running calls in order over env: True at the
     first that fails. named(error, position) names an error of a call."""
-    forms = tuple(form for form, _, _ in calls)
-    make = generated(_FACTORIES, MAX_SHAPES, forms, partial(_source, forms),
+    key, args = _written(calls, {})
+    make = generated(_FACTORIES, MAX_SHAPES, key, partial(_source, calls),
                      _NAMESPACE, "<search checks>")
-    return make(env, named, *_arguments(calls))
+    return make(env, named, *args)
 
 
 # -- generated search loop --------------------------------------------------------
 
 LOOP_DEPTHS = 16    # depths per block; Python allows 20 statically nested blocks
 # Loop factories kept, one per block shape. The shape holds each depth's
-# forms, so the cap serves models searched again in one process (the
-# fixtures and one seed's perfbench search items make 34 shapes); a new
-# model mostly brings new shapes, compiled whatever the cap.
+# forms and expression shapes, so the cap serves models searched again in
+# one process (the fixtures make 22 shapes, 36 with one seed's perfbench
+# search items); a new model mostly brings new shapes, compiled whatever
+# the cap.
 MAX_LOOPS = 64
 
 # What a block runs where its last depth's value passes, by mode: the
@@ -310,34 +370,38 @@ _INNER: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {
 _LOOPS: Dict[Tuple[object, ...], Callable[..., Iterator[bool]]] = {}
 
 
-def _loop_source(length: int, forced: int, mode: str,
-                 forms: Tuple[Tuple[str, ...], ...]) -> str:
+def _loop_source(length: int, forced: int, mode: str, calls: Sequence[Sequence[_Call]],
+                 local: Mapping[str, str]) -> str:
     """The generator _make(search, env, checkpoint, unforced, named, <the
     mode's parameters>, i0, r0, <depth 0's call parameters>, i1, ...) of
     one block of length depths, the last forced of them forced, depth d
-    making calls of forms[d].
+    making calls[d]; local names the loop variable of each depth's variable.
 
-    Depth d assigns variable i<d> each value of r<d> in turn, as one nested
-    for: it tests the limits when the node count reaches test_at (see
-    _Search._checkpoint), counts the node, writes env and runs its calls'
-    code (_code), which goes on to the next value where one fails. A forced
-    depth tries every value first: a second that passes raises
-    unforced(...); the one that passed is assigned again and the same code
+    Depth d assigns variable i<d> each value v<d> of r<d> in turn, as one
+    nested for: it tests the limits when the node count reaches test_at
+    (see _Search._checkpoint), counts the node, writes env and runs its
+    calls' code (_code), which goes on to the next value where one fails and
+    reads the block's variables from their loop variables. A forced depth
+    tries every value first: a second that passes raises unforced(...); the
+    one that passed is assigned again, to v<d> and env, and the same code
     runs again, failing into a no-op, which rebuilds the staged state,
     before going deeper. A depth whose values run out drops its variable
     from env, where partial detectors would read it. The innermost code is
-    the mode's (_INNER). Every block is a generator, so that _search steps
-    them all alike.
+    the mode's (_INNER). The if() branches' functions of the calls'
+    expressions are defined first, once. Every block is a generator, so
+    that _search steps them all alike.
     """
     params, state, inner = _INNER[mode]
     names, fields = ", ".join(state), ", ".join(f"search.{name}" for name in state)
     head = ["search", "env", "checkpoint", "unforced", "named", *params]
+    functions: List[str] = []
     body: List[Tuple[int, str]] = []
     for d in range(length):
         depth = 2 + d  # the indent of depth d's for
         is_forced = d >= length - forced
-        args, code = _code(forms[d], f"{d}_", "continue")
+        args, code, defined = _code(calls[d], f"{d}_", "continue", local)
         head += [f"i{d}", f"r{d}", *args]
+        functions += defined
         if is_forced:
             body.append((depth, f"c{d} = None"))
         body += [(depth, f"for v{d} in r{d}:"),
@@ -351,14 +415,17 @@ def _loop_source(length: int, forced: int, mode: str,
                      (depth + 2, f"raise unforced(i{d}, c{d}, v{d})"),
                      (depth + 1, f"c{d} = v{d}"),
                      (depth, f"if c{d} is not None:"),
-                     (depth + 1, f"env[i{d}] = c{d}")]
-            body += [(depth + 1, line) for line in _code(forms[d], f"{d}_", "pass")[1]]
+                     (depth + 1, f"v{d} = c{d}"),
+                     (depth + 1, f"env[i{d}] = v{d}")]
+            body += [(depth + 1, line)
+                     for line in _code(calls[d], f"{d}_", "pass", local)[1]]
     body += [(2 + length, line) for line in inner]
     body += [(2 + d, f"env.pop(i{d}, None)") for d in reversed(range(length))]
     return "\n".join(
-        [f"def _make({', '.join(head)}):",
-         f"    {names} = {fields}",
-         "    try:"]
+        [f"def _make({', '.join(head)}):"]
+        + [f"    {line}" for line in functions]
+        + [f"    {names} = {fields}",
+           "    try:"]
         + ["    " * indent + line for indent, line in body]
         # an exception ends the search, and the counts are read where it
         # stopped; a block closed at its yield (GeneratorExit) writes nothing
@@ -424,61 +491,60 @@ def _staged_all_different(kind: AllDifferent, depth_of: Mapping[str, int],
                           bounds: Mapping[str, Tuple[int, int]]) -> Optional[List[Stage]]:
     """Evaluate each operand once, at the depth where it becomes ready.
 
-    Each operand is a bare variable or a bounded evaluator (compile_bounded),
-    and each is a check of its own ("d" forms), in depth then position
-    order: none can raise, so the verdicts are those of partial_violated and
-    the complete check, and no order of evaluation can be seen. None when
-    an operand may raise: then the detector and the complete check,
-    which scan the operands in their own order, decide where it raises.
+    Each operand is a bare variable or an expression's bounded shape
+    (kinds.bounded_shape), whose code is written before the check, and each
+    is a check of its own ("d" forms), in depth then position order: none
+    can raise, so the verdicts are those of partial_violated and the
+    complete check, and no order of evaluation can be seen. None when an
+    operand may raise: then the detector and the complete check, which scan
+    the operands in their own order, decide where it raises.
     """
     depths = _scope_depths(kind, depth_of)
-    # each depth's fresh operands: operand, bounded evaluator (None for a
-    # bare variable), in position order
-    fresh: Dict[int, List[Tuple[Expr, Optional[Callable]]]] = {d: [] for d in depths}
+    # each depth's fresh operands, a bare variable's id or a bounded shape,
+    # in position order
+    fresh: Dict[int, List[Union[str, Bounded]]] = {d: [] for d in depths}
     for op in kind.operands:
         if type(op) is VarRef:
-            fresh[depth_of[op.id]].append((op, None))
+            fresh[depth_of[op.id]].append(op.id)
             continue
-        evaluate, may_raise = kind.bounded(op, bounds)
-        if may_raise:
+        shape = kind.bounded_shape(op, bounds)
+        if shape.raises:
             return None
         # an operand without variables is ready at the first check
-        ready = max((depth_of[v] for v in free_vars(op)), default=depths[0])
-        fresh[ready].append((op, evaluate))
+        fresh[max(map(depth_of.__getitem__, shape.ids), default=depths[0])].append(shape)
     excepts = frozenset(kind.excepts)
-    checks = [(d, op, evaluate) for d in depths for op, evaluate in fresh[d]]
+    checks = [(d, source) for d in depths for source in fresh[d]]
     # sets[i]: the values of the operands checked before check i, but excepts
     sets: List[Optional[FrozenSet[int]]] = [frozenset()] + [None] * (len(checks) - 1)
-    suffix = "x" if excepts else ""
-    stages: List[Stage] = []
-    for i, (d, op, evaluate) in enumerate(checks):
-        form = ("dv" if evaluate is None else "df") + suffix
-        if i == len(checks) - 1:
-            form += "."
-        args = (op.id if evaluate is None else evaluate, sets, i)
-        stages.append((d, form, args + ((excepts,) if excepts else ())))
-    return stages
+    form = "dx" if excepts else "d"
+    return [(d, form + "." * (i == len(checks) - 1),
+             (source, sets, i) + ((excepts,) if excepts else ()))
+            for i, (d, source) in enumerate(checks)]
 
 
-def _sum_stages(terms: Sequence[_Term], depth_of: Mapping[str, int], want_lo: int,
-                want_hi: int) -> Tuple[List[Stage], List[int]]:
-    """"sum" stages of a running total of terms c * x, and the totals they keep.
+def _sum_stages(terms: Sequence[_Term], depth_of: Mapping[str, int],
+                want: Optional[Tuple[int, int]] = None) -> Tuple[List[Stage], List[int]]:
+    """Stages of a running total of terms c * x, and the totals they keep.
 
     One stage per depth that assigns a term's variable adds that
-    variable's terms, and fails when the unassigned terms' bounds leave the
-    total no way into want_lo..want_hi. After the last stage, totals[-1] is
-    the sum of every term.
+    variable's terms. With want (lo, hi), each is a "sum" stage, failing
+    when the unassigned terms' bounds leave the total no way into lo..hi;
+    without, a "total" stage that never fails. After the last stage,
+    totals[-1] is the sum of every term.
     """
     depths = sorted({depth_of[vid] for _, vid, _ in terms})
     totals = [0] * (len(depths) + 1)  # totals[i + 1]: the terms of stages 0..i, summed
     stages: List[Stage] = []
     for i, d in enumerate(depths):
         here = [(c, vid) for c, vid, _ in terms if depth_of[vid] == d]
+        args = (here[0][1], totals, i, sum(c for c, _ in here))
+        if want is None:
+            stages.append((d, "total", args))
+            continue
         rest = [(c * lo, c * hi) for c, vid, (lo, hi) in terms if depth_of[vid] > d]
         rest_lo = sum(min(ends) for ends in rest)
         rest_hi = sum(max(ends) for ends in rest)
-        stages.append((d, "sum", (totals, i, sum(c for c, _ in here), here[0][1],
-                                  want_lo - rest_hi, want_hi - rest_lo)))
+        stages.append((d, "sum", args + (want[0] - rest_hi, want[1] - rest_lo)))
     return stages, totals
 
 
@@ -507,7 +573,7 @@ def _staged_sum(kind: Sum, depth_of: Mapping[str, int],
     # the totals that satisfy the condition; one past the int64 range is unbounded
     want_lo = k + 1 if op is CondOp.GT else k if op in (CondOp.GE, CondOp.EQ) else INT_MIN - 1
     want_hi = k - 1 if op is CondOp.LT else k if op in (CondOp.LE, CondOp.EQ) else INT_MAX + 1
-    return _sum_stages(terms, depth_of, want_lo, want_hi)[0]
+    return _sum_stages(terms, depth_of, (want_lo, want_hi))[0]
 
 
 # kind -> builder of its staged checks
@@ -590,9 +656,9 @@ class _Search:
 
         A staged constraint is checked by its stages alone, the last of them
         at the depth completing its scope. Any other constraint's complete
-        check is at that depth: an intension's bounded evaluator ("e") or
-        its kind's checker ("c"), and its kind's detector ("s") at the
-        earlier depths of its scope. With partial_checks off, each
+        check is at that depth: an intension's bounded shape, written as
+        code ("i"), or its kind's checker ("c"), and its kind's detector
+        ("s") at the earlier depths of its scope. With partial_checks off, each
         constraint is one "c" call of its checker. The stages of a summed
         objective (see _cost) come after every constraint's checks.
         """
@@ -610,7 +676,7 @@ class _Search:
             depths = _scope_depths(kind, depth_of)
             check, detector = _CHECKERS[type(kind)]
             if partial_checks and type(kind) is Intension:
-                plan[depths[-1]].append(("e", (kind.bounded(kind.function, bounds)[0],), ci))
+                plan[depths[-1]].append(("i", (kind.bounded_shape(kind.function, bounds),), ci))
             else:
                 plan[depths[-1]].append(("c", (check, kind), ci))
             if partial_checks and detector is not None:
@@ -628,12 +694,11 @@ class _Search:
 
         An expression whose variables all have bounds is evaluated by its
         bounded evaluator (expr.compile_bounded). A sum whose terms the
-        bounds prove to stay in int64 (see _proved_terms) is summed by "sum"
-        stages, added to plan after each depth's checks with no position:
-        their cut-offs lie one past int64, where no partial total can go, so
-        they never fail, and the leaf reads their last total inline. Any
-        other objective, and every objective with partial_checks off, goes
-        through eval_objective.
+        bounds prove to stay in int64 (see _proved_terms) is summed by
+        "total" stages, which never fail, added to plan after each depth's
+        checks with no position; the leaf reads their last total inline.
+        Any other objective, and every objective with partial_checks off,
+        goes through eval_objective.
         """
         obj, bounds = self.objective, self.bounds
         if not self.cfg.partial_checks:
@@ -644,7 +709,7 @@ class _Search:
         terms = _proved_terms(obj.operands, coeffs, bounds) if obj.kind is ObjKind.SUM else None
         if terms is None:
             return partial(eval_objective, obj)
-        stages, totals = _sum_stages(terms, depth_of, INT_MIN - 1, INT_MAX + 1)
+        stages, totals = _sum_stages(terms, depth_of)
         for d, form, args in stages:
             plan[d].append((form, args, None))
         return totals
@@ -714,15 +779,18 @@ class _Search:
         for start in range(0, n, LOOP_DEPTHS) if n else (0,):
             end = min(start + LOOP_DEPTHS, n)
             block = depths[start:end]
+            local = {vid: f"v{d}" for d, (vid, _, _) in enumerate(block)}
+            calls = [calls for _, _, calls in block]
+            written = [_written(depth, local) for depth in calls]
             shape = (end - start, max(0, end - max(start, self.branch_len)),
-                     mode if end == n else "descend",
-                     tuple(tuple(form for form, _, _ in calls) for _, _, calls in block))
-            make = generated(_LOOPS, MAX_LOOPS, shape, partial(_loop_source, *shape),
+                     mode if end == n else "descend", tuple(keys for keys, _ in written))
+            make = generated(_LOOPS, MAX_LOOPS, shape,
+                             partial(_loop_source, *shape[:3], calls, local),
                              _NAMESPACE, "<search loop>")
             blocks.append(partial(make, self, self.env, self._checkpoint, self._unforced,
                                   self._named, *(leaf_args if end == n else ()),
-                                  *[arg for vid, values, calls in block
-                                    for arg in (vid, values, *_arguments(calls))]))
+                                  *[arg for (vid, values, _), (_, args) in zip(block, written)
+                                    for arg in (vid, values, *args)]))
         return blocks
 
     # -- search --------------------------------------------------------------

@@ -19,7 +19,7 @@ from xcsp3core import expr, solver
 from xcsp3core import kinds as K
 from xcsp3core.checker import (_CHECKERS, check_constraint, check_solution, eval_objective,
                                partial_violated)
-from xcsp3core.errors import (INT_MAX, DivisionByZero, EvalError, Overflow, SolverError,
+from xcsp3core.errors import (INT_MAX, INT_MIN, DivisionByZero, EvalError, Overflow, SolverError,
                               UnforcedVariable, XcspError)
 from xcsp3core.expr import IntConst, OpCall, VarRef, compile_bounded
 from xcsp3core.model import (CondOp, Condition, Domain, Instance, Instantiation, PostedConstraint,
@@ -443,7 +443,7 @@ INELIGIBLE_SUMS = [
 def test_sum_outside_the_bounded_shape_enumerates_as_before(monkeypatch, body):
     inst = parse_string(TWO_VARS.format(body))
     search = _Search(inst, SearchConfig())
-    assert all(form in ("e", "c") for calls in search.plan for form, _, _ in calls)
+    assert all(form in ("i", "c") for calls in search.plan for form, _, _ in calls)
     assert _outcome(search) == _outcome(_fallback_search(monkeypatch, inst))
 
 
@@ -586,7 +586,7 @@ def test_without_partial_checks_every_verdict_and_cost_is_the_complete_one():
     assert plain.cost.func is eval_objective
     # with them, every sum is checked by its stages alone, the cost summed plainly
     staged = _Search(inst, SearchConfig())
-    assert all(form not in ("e", "c") for calls in staged.plan for form, _, _ in calls)
+    assert all(form not in ("i", "c") for calls in staged.plan for form, _, _ in calls)
     assert not isinstance(staged.cost, partial)
     assert _full_outcome(staged)[:4] == _full_outcome(plain)[:4]
 
@@ -669,7 +669,7 @@ def test_objective_cost_skips_range_checks_only_for_a_proved_sum(kind, coeffs, p
     search = _costed_search(obj, [((-3, 2),), ((0, 1),)])
     assert isinstance(search.cost, partial) != proved
     forms = [form for calls in search.plan for form, _, _ in calls]
-    assert forms == (["sum", "sum"] if proved else [])
+    assert forms == (["total", "total"] if proved else [])
     assert all(cost == reference for cost, reference in _costs(search))
 
 
@@ -793,11 +793,13 @@ def test_generated_code_holds_no_input_text(monkeypatch):
     assert outcome[:2] == (DivisionByZero, f"{labels[2]}: div(6,0) at {ids[2]}=1")
     # the objective's ids reach its sum stages as arguments too
     assert [form for calls in _Search(inst, SearchConfig()).plan
-            for form, _, ci in calls if ci is None] == ["sum"] * 3
-    # the checks are written into the loop, each naming its errors by position
-    assert any("raise named(e, n2_1) from e" in s and "T2_2[i2_2 + 1] = t" in s
+            for form, _, ci in calls if ci is None] == ["total"] * 3
+    # the checks are written into the loop, each naming its errors by
+    # position, the intensions' code with them: no bounded evaluator is built
+    assert any("raise named(e, n2_1) from e" in s and "_trunc_div(" in s
+               and "T2_2[i2_2 + 1] = T2_2[i2_2] + c2_2 * v2" in s
                and "value = T[-1]" in s for s in sources)
-    assert any("def evaluate" in s for s in sources)
+    assert not any("def evaluate" in s for s in sources)
     words = ["IDONE", "IDTWO", "IDTHREE", "LABELONE", "LABELTWO", "LABELTHREE"]
     for source in sources:
         for text in ids + labels + words:
@@ -841,8 +843,8 @@ def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
     # that solver's cap is met too
     monkeypatch.setattr(solver, "MAX_CHUNK", 2)
     for _ in range(2):
-        # parsed again, so that no kind keeps a bounded evaluator (kinds.bounded)
-        # and every expression is compiled under the cap
+        # parsed again, so that no kind keeps a bounded shape or evaluator
+        # (kinds.bounded_shape) and every expression is written under the cap
         instances = [parse_file(str(path)) for path in paths]
         assert [_full_outcome(_Search(inst, cfg)) for inst in instances] == expected
         assert len(solver._FACTORIES) == len(expr._FACTORIES) == len(solver._LOOPS) == 2
@@ -863,12 +865,15 @@ def test_a_second_search_of_an_instance_writes_no_source(monkeypatch):
     instances = [parse_file(fixture_path(name)) for name in names]
     outcomes = [_full_outcome(_Search(inst, SearchConfig())) for inst in instances]
     written, compiled, walked = [], [], []
-    source, shape = expr._Writer.source, expr._shape
+    source, write, shape = expr._Writer.source, expr.Bounded.write, expr._shape
     monkeypatch.setattr(expr._Writer, "source",
                         lambda self, e: written.append(e) or source(self, e))
+    # nor the code of an expression written into the loop
+    monkeypatch.setattr(expr.Bounded, "write",
+                        lambda self, *args: written.append(self) or write(self, *args))
     monkeypatch.setattr(expr, "compile",
                         lambda *args: compiled.append(args) or compile(*args), raising=False)
-    # nor walks an expression again: each kind keeps its bounded evaluators
+    # nor walks an expression again: each kind keeps its bounded shapes
     monkeypatch.setattr(expr, "_shape", lambda *args: walked.append(args) or shape(*args))
     assert [_full_outcome(_Search(inst, SearchConfig())) for inst in instances] == outcomes
     assert written == [] and compiled == [] and walked == []
@@ -902,12 +907,15 @@ def test_a_second_round_of_fixture_and_benchmark_searches_compiles_nothing(monke
 
 # -- bounded evaluators and generated stages against the reference path -------------
 
-def _two_ways(text):
+def _two_ways(text, cfg=SearchConfig(), pruned=False):
     """The outcome with partial checks, after checking it against the
-    reference path's (partial_checks=False)."""
+    reference path's (partial_checks=False): equal, or equal but for the
+    node count when partial checks may prune nodes that the reference
+    visits (pruned)."""
     inst = parse_string(text)
-    outcome = _full_outcome(_Search(inst, SearchConfig()))
-    assert outcome == _full_outcome(_Search(inst, SearchConfig(partial_checks=False)))
+    outcome = _full_outcome(_Search(inst, cfg))
+    reference = _full_outcome(_Search(inst, replace(cfg, partial_checks=False)))
+    assert (outcome[:-1] == reference[:-1]) if pruned else (outcome == reference)
     return outcome
 
 
@@ -963,25 +971,162 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
         monkeypatch.setattr(module, "_FACTORIES", {})
     monkeypatch.setattr(solver, "_LOOPS", {})
     x, y, z = map(VarRef, ids)
+    # an id and an integer of its own inside expressions written into the loop
+    q, big = VarRef("qZ7[3]"), IntConst(987654321)
     constraints = (
         PostedConstraint(K.Sum((x, y, z, x), (1, 2, 3, 4), Condition(CondOp.LE, 9))),
         PostedConstraint(K.AllDifferent((x, OpCall("add", (y, IntConst(1))), z), (7,))),
         PostedConstraint(K.AllDifferent((y, OpCall("mod", (z, x))))),
-        PostedConstraint(K.Intension(OpCall("ne", (OpCall("sub", (x, y)), z)))))
-    inst = Instance(tuple(Variable(v, Domain(((0, 2),))) for v in ids), constraints,
+        PostedConstraint(K.Intension(OpCall("ne", (OpCall("sub", (x, y)), z)))),
+        PostedConstraint(K.Intension(OpCall("ne", (OpCall("mul", (q, big)), OpCall("if", (
+            OpCall("in", (y, expr.SetLiteral((987654321, 1)))), x, big)))))),
+        PostedConstraint(K.AllDifferent((q, OpCall("add", (q, big))))))
+    inst = Instance(tuple(Variable(v, Domain(((0, 2),))) for v in ids + [q.id]), constraints,
                     K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
                                 expression=OpCall("mul", (x, OpCall("add", (y, z))))))
     search = _Search(inst, SearchConfig())
     forms = {form for calls in search.plan for form, _, _ in calls}
-    assert {"sum", "s", "dvx", "dfx", "dvx."} <= forms
+    assert {"sum", "s", "dx", "dx.", "i", "d", "d."} <= forms
+    # the first allDifferent's operands: x and z bare, add(y,1) written as code
+    assert [type(args[0]) for calls in search.plan for form, args, ci in calls
+            if ci == 1] == [str, expr.Bounded, str]
     assert _full_outcome(search) == _full_outcome(_Search(inst, SearchConfig(
         partial_checks=False)))
-    # the stages are written into the loop; the bounded evaluators read env[p0]
-    assert any("S1_1[i1_1 + 1] = s" in s and "value = cost(env)" in s for s in sources)
+    # the stages and add(y,1) are written into the loop, which reads y as v1,
+    # and the last two constraints' code at q's depth; the objective's
+    # bounded evaluator reads env[p0]
+    assert any("t1_1_0 = v1 + p1_1_1" in s and "S1_1[i1_1 + 1] = s" in s
+               and "value = cost(env)" in s and " in p3_" in s and "(env) if " in s
+               for s in sources)
     assert any("env[p0]" in s for s in sources)
     for source in sources:
-        for text in ids + ["IDONE", "IDTWO", "IDTHREE"]:
+        for text in ids + ["IDONE", "IDTWO", "IDTHREE", "qZ7", "987654321"]:
             assert text not in source
+        # no intension or allDifferent operand is a call of a bounded evaluator
+        assert not re.search(r"\bf[0-9_]+\(env\)", source)
+
+
+# the operators drawn
+_UNARY = ["neg", "abs", "sqr", "not"]
+_BINARY = ["sub", "div", "mod", "dist", "lt", "le", "ne", "imp", "xor"]
+_NARY_OPS = ["add", "mul", "min", "max", "eq", "and", "or"]
+
+
+@st.composite
+def _bounded_expressions(draw, names, depth=3):
+    """An expression over names: arithmetic with div and mod, comparisons,
+    booleans, if() and in() sets, its leaves variables and integers, some
+    of them at the int64 ends."""
+    if depth == 0 or draw(st.integers(0, 4)) == 0:
+        if draw(st.integers(0, 2)):
+            return VarRef(draw(st.sampled_from(names)))
+        return IntConst(draw(st.sampled_from([*range(-3, 4), INT_MIN, INT_MAX])))
+    operand = _bounded_expressions(names, depth - 1)
+    op = draw(st.sampled_from(_UNARY + _BINARY + _NARY_OPS + ["if", "in"]))
+    if op in _UNARY:
+        return OpCall(op, (draw(operand),))
+    if op == "in":
+        values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+        return OpCall("in", (draw(operand), expr.SetLiteral(tuple(values))))
+    count = 3 if op == "if" else draw(st.integers(2, 3)) if op in _NARY_OPS else 2
+    return OpCall(op, tuple(draw(operand) for _ in range(count)))
+
+
+# a variable's values when it has more than one: some keep a range test alive
+_small_domains = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=3, unique=True),
+    st.sampled_from([[0, 1, 2], [1, 2, 3], [INT_MAX - 1, INT_MAX], [INT_MIN, INT_MIN + 1]]))
+
+
+@st.composite
+def _written_expression_instances(draw):
+    """Two instances over 17-20 variables, most of them with one value,
+    so that blocks are crossed and the reference path stays small, and
+    whether to search only the decision variables.
+
+    The first posts the drawn expressions that have variables, in ne()
+    intensions, which may raise: the checks of both paths then run at the
+    same nodes. The second posts those that cannot raise, and an
+    allDifferent of bare variables, an operand without variables and the
+    same expressions: there partial checks prune nodes that the reference
+    visits. With a decision annotation, each other variable is fixed by an
+    eq() intension over the decision variables and the ones declared
+    before it: it must take their value, at least the value of the one
+    before it, clamped to its bounds.
+    """
+    n = draw(st.integers(17, 20))
+    names = [f"x{i}" for i in range(n)]
+    decision = draw(st.none() | st.integers(1, n - 1))
+    # at most 5 variables have more than one value, forced ones among them
+    wide = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    if decision is not None:
+        wide |= draw(st.sets(st.integers(decision, n - 1), min_size=1, max_size=2))
+    domains = [draw(_small_domains) if i in wide else [draw(st.integers(-20, 20))]
+               for i in range(n)]
+    bounds = {v: (min(values), max(values)) for v, values in zip(names, domains)}
+    # the variables with more than one value are read more often
+    weighted = names + [names[i] for i in sorted(wide)] * 4
+    expressions = draw(st.lists(_bounded_expressions(weighted), min_size=3, max_size=6))
+
+    def raises(e):
+        return compile_bounded(e, bounds)[1]
+
+    # a constraint without variables is settled before search, so none is
+    # posted; ne() holds for most values
+    posted = [OpCall("ne", (e, IntConst(draw(st.integers(-3, 3)))))
+              for e in expressions if expr.free_vars(e)]
+
+    fixed = []
+    if decision is not None:
+        for i in range(decision, n):
+            # at least the one before, clamped to the variable's bounds: the
+            # value is often in its domain, and reads the depth before
+            lo, hi = map(IntConst, bounds[names[i]])
+            earlier = [v for v in weighted if int(v[1:]) < i]
+            e = OpCall("min", (OpCall("max", (VarRef(names[i - 1]),
+                                              draw(_bounded_expressions(earlier)), lo)), hi))
+            fixed.append((e, OpCall("eq", (VarRef(names[i]), e))))
+    operands = [VarRef(v) for v in draw(st.lists(st.sampled_from(names), min_size=1,
+                                                  max_size=4, unique=True))]
+    operands += [e for e in expressions if expr.free_vars(e) and not raises(e)]
+    operands.insert(draw(st.integers(0, len(operands))), OpCall("add", (IntConst(2), IntConst(3))))
+    # comparisons and booleans give 0 and 1, which an except often lets repeat
+    excepts = draw(st.lists(st.integers(-1, 2), max_size=3, unique=True))
+
+    def document(constraints):
+        variables = "".join(f'<var id="{v}"> {" ".join(map(str, sorted(values)))} </var>'
+                            for v, values in zip(names, domains))
+        annotation = ("" if decision is None else
+                      f"<annotations><decision> {' '.join(names[:decision])} </decision>"
+                      "</annotations>")
+        return ('<instance format="XCSP3" type="CSP"><variables>' + variables
+                + f"</variables><constraints>{constraints}</constraints>{annotation}</instance>")
+
+    def intensions(es):
+        return "".join(f"<intension> {expr.print_expr(e)} </intension>" for e in es)
+
+    raising = document(intensions(posted + [eq for _, eq in fixed]))
+    proved = document(
+        intensions([e for e in posted if not raises(e)]
+                   + [eq if not raises(e) else OpCall("eq", (eq.args[0], IntConst(0)))
+                      for e, eq in fixed])
+        + f"<allDifferent><list> {' '.join(map(expr.print_expr, operands))} </list>"
+        + (f"<except> {' '.join(map(str, excepts))} </except>" if excepts else "")
+        + "</allDifferent>")
+    return raising, proved, decision is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_written_expression_instances())
+def test_written_expressions_agree_with_the_reference_path(instances):
+    raising, proved, restrict = instances
+    cfg = SearchConfig(restrict_to_decision=restrict)
+    # each intension is checked at the depth that completes it on both paths
+    _two_ways(raising, cfg)
+    _two_ways(proved, cfg, pruned=True)
+    plan = _Search(parse_string(proved), cfg).plan
+    assert all(type(args[0]) is expr.Bounded
+               for calls in plan for form, args, _ in calls if form == "i")
 
 
 # -- the generated search loop ------------------------------------------------------
@@ -1130,13 +1275,28 @@ def test_the_loop_source_holds_no_id_or_constant(monkeypatch, cfg, sense):
     constraints = tuple(PostedConstraint(K.Intension(OpCall("le" if k < 16 else "eq", (a, b))),
                                          id=f"LABEL{k}")
                         for k, (a, b) in enumerate(zip(refs, refs[1:])))
+    # a variable of its own, declared last and a decision variable, and an
+    # integer of its own: an intension and an allDifferent whose expressions
+    # hold both, at its depth in the second block, and read v3 from the
+    # first; neither ever fails
+    q, big = VarRef("qZ7[3]"), IntConst(987654321)
+    constraints += (
+        PostedConstraint(K.Intension(OpCall("ne", (OpCall("add", (q, big)), OpCall("if", (
+            OpCall("in", (refs[3], expr.SetLiteral((987654321, 70001)))), refs[5], big)))))),
+        PostedConstraint(K.AllDifferent((q, OpCall("add", (refs[3], big)),
+                                         OpCall("sub", (q, big))))))
     objective = sense and K.Objective(K.Sense(sense), K.ObjKind.SUM, operands=tuple(refs),
                                       coeffs=(90017,) * 20)
-    inst = Instance(tuple(map(Variable, ids, domains)), constraints, objective,
-                    tuple(ids[:17]))
+    inst = Instance(tuple(map(Variable, ids + [q.id], domains + [Domain(((70001, 70002),))])),
+                    constraints, objective, tuple(ids[:17]) + (q.id,))
     result = _Search(inst, cfg).run()
     assert result.status in (Status.SATISFIABLE, Status.OPTIMUM)
-    assert len(sources) == 2  # blocks of 16 and of 4 depths
+    assert len(sources) == 2  # blocks of 16 and of 5 depths
+    # the expressions are written into the second block, which reads q as
+    # its loop variable and v3 from env
+    assert any(" in p" in source and "= env[p" in source for source in sources)
     for source in sources:
-        for text in ["IDWORD", "LABEL", "7000", "8000", "9001"]:
+        for text in ["IDWORD", "LABEL", "7000", "8000", "9001", "qZ7", "987654321"]:
             assert text not in source
+        # no intension or allDifferent operand is a call of a bounded evaluator
+        assert not re.search(r"\bf[0-9_]+\(env\)", source)
