@@ -2,7 +2,8 @@
 """Stress the search against the naive Cartesian filter on random instances.
 
 Each instance is also counted with partial checks off: pruning must keep
-the count and may only save nodes. The verifier is audited on the same
+the count and may only save nodes. The solutions that solve() keeps must
+be the naive filter's, in its order. The verifier is audited on the same
 instances: check_solution must accept every solution of the naive filter,
 and on a few random total assignments report exactly the constraints that
 check_constraint rejects. Random COPs (sum, minimum, maximum and expression
@@ -58,6 +59,7 @@ def run_instances(n: int, base_seed: int, verbose: bool) -> int:
     total_solutions = 0
     pruned_nodes = plain_nodes = 0
     verdicts = wrong_verdicts = 0
+    kept = wrong_kept = 0
     started = time.monotonic()
     for k in range(n):
         seed = base_seed + k
@@ -69,6 +71,13 @@ def run_instances(n: int, base_seed: int, verbose: bool) -> int:
         solutions = oracles.naive_solutions(inst)
         want = len(solutions)
         total_solutions += want
+        found = [dict(s) for s in solve(inst).solutions]
+        kept += len(found)
+        if found != solutions:
+            wrong_kept += 1
+            print(f"DISAGREE seed={seed}: solve kept {len(found)} solutions, "
+                  f"the naive filter finds {want}"
+                  + (", in another order or with others" if len(found) == want else ""))
         compared, wrong = audit_verifier(inst, solutions, rng)
         verdicts += compared
         wrong_verdicts += wrong
@@ -91,7 +100,8 @@ def run_instances(n: int, base_seed: int, verbose: bool) -> int:
           f"{total_solutions} solutions total, {elapsed:.1f}s")
     print(f"nodes: {pruned_nodes} pruned / {plain_nodes} unpruned = {ratio:.3f}")
     print(f"verdicts: {verdicts} compared, {wrong_verdicts} disagreements")
-    return failures + wrong_verdicts
+    print(f"kept solutions: {kept} compared in order, {wrong_kept} disagreements")
+    return failures + wrong_verdicts + wrong_kept
 
 
 def run_optima(n: int, base_seed: int, verbose: bool) -> int:

@@ -38,32 +38,31 @@ factories are kept, the oldest dropped first. A new shape costs one
 compile() call, well under a millisecond but many times what a shape met
 again costs, a walk of the tree (compile_expr gives the measurements).
 
-compile_bounded is the same generator in a bounded mode, for a caller
-that evaluates only under environments binding every variable inside
-known (min, max) bounds, as the search does once a check's variables are
-assigned from their domains. Its walk also carries each node's span, the
-integer interval its values lie in (interval arithmetic, as in Apt and
-Zoeteweij, "An analysis of arithmetic constraints on integer intervals",
-Constraints 2007). Two things are then left out of the code: the
-isinstance test of each variable read, which such an environment cannot
-fail (it reads env[id]), and each int64 range test of neg, abs, sqr, add,
-sub, mul and dist whose span lies inside int64, which cannot fire. Python
-integers do not wrap, so a value is the same with or without a test; a
-test whose span reaches past int64 is kept, with its message. A div or
-mod whose dividend's span has lo >= 0 and whose divisor's has lo >= 1 is
-Python's // or %, exact there and unable to raise. Every other div and
-mod, pow, n-ary add and mul, and if() keep their code, so every error that
-can still happen is raised as compile_expr's function raises it. The
-shape key adds the list of kept tests and checked divs and mods, and
-shares compile_expr's cache.
-
-bounded_shape is that walk alone, kept as a Bounded with the tree, and
-Bounded.write the generator's inline mode: it writes the expression's
-statements into code of the caller's (the solver writes intensions and
-allDifferent operands into its search loop), with a suffix on every
+bounded_shape and Bounded.write are the same generator in a bounded,
+inline mode, for a caller that runs the code only under environments
+binding every variable inside known (min, max) bounds, as the search does
+once a check's variables are assigned from their domains. bounded_shape's
+walk also carries each node's span, the integer interval its values lie
+in (interval arithmetic, as in Apt and Zoeteweij, "An analysis of
+arithmetic constraints on integer intervals", Constraints 2007). Two
+things are then left out of the code: the isinstance test of each
+variable read, which such an environment cannot fail, and each int64
+range test of neg, abs, sqr, add, sub, mul and dist whose span lies
+inside int64, which cannot fire. Python integers do not wrap, so a value
+is the same with or without a test; a test whose span reaches past int64
+is kept, with its message. A div or mod whose dividend's span has lo >= 0
+and whose divisor's has lo >= 1 is Python's // or %, exact there and
+unable to raise. Every other div and mod, pow, n-ary add and mul, and
+if() keep their code, so every error that can still happen is raised as
+compile_expr's function raises it. The walk's result, a Bounded, keeps
+the tree, the shape key with the list of kept tests and checked divs and
+mods, and the constants. Bounded.write writes the expression's statements
+into code of the caller's (the solver writes intensions, allDifferent
+operands and an objective into its search loop), with a suffix on every
 name, and reads each variable that the caller holds in a local from that
-local, without env; an if() branch's function reads env. The caller
-passes the constants, in the walk's order, as it passes its own.
+local, any other from env; an if() branch's function reads env. The
+caller passes the constants, in the walk's order, as it passes its own,
+and keys its own code by the shape key.
 """
 
 from __future__ import annotations
@@ -765,15 +764,14 @@ class _Writer:
     Only parameter, temporary and function names and snippet table text are
     written: constants reach the code as arguments of _make.
 
-    Given tests (_shape's flags), the code is bounded: a variable is read as
-    env[p], without a test, a range test is written only where its flag is
-    True, and a div or mod whose flag is False is Python's // or %.
-
-    The inline mode (Bounded.write) writes a bounded expression's statements
-    into code of the caller's: its names get a suffix, and reads gives, for
-    each variable read in _shape's order, the name of a local that holds
-    its value, or None to read env. A read inside an if() branch, whose
-    function runs apart from that code, always reads env.
+    Given tests (_shape's flags) and reads, the code is bounded and inline
+    (Bounded.write): a variable is read without a test, a range test is
+    written only where its flag is True, and a div or mod whose flag is
+    False is Python's // or %. The statements go into code of the
+    caller's, their names with a suffix, and reads gives, for each variable
+    read in _shape's order, the name of a local that holds its value, or
+    None to read env[p]. A read inside an if() branch, whose function runs
+    apart from that code, always reads env.
     """
 
     def __init__(self, tests: Optional[List[bool]] = None,
@@ -815,7 +813,7 @@ class _Writer:
                 body += [f"{t} = env.get({p})",
                          f"if not isinstance({t}, int): raise UnboundVariable({p})"]
                 return t
-            local = None if self.reads is None else next(self.reads)
+            local = next(self.reads)
             if local is not None and not self.nested:
                 return local
             t = self.temp()
@@ -891,7 +889,7 @@ def compile_expr(e: Expr) -> Evaluator:
 
 class Bounded(NamedTuple):
     """An expression under bounds, as one walk of _shape finds it: what
-    compiling it or writing it into other code needs.
+    writing it into other code needs.
 
     ids holds the variable each read reads, in _shape's order. raises is
     False when its code cannot raise at all.
@@ -903,13 +901,6 @@ class Bounded(NamedTuple):
     tests: List[bool]
     raises: bool
     ids: Tuple[str, ...]
-
-    def evaluator(self) -> Tuple[Evaluator, bool]:
-        """compile_bounded's results, from this walk."""
-        make = generated(_FACTORIES, MAX_SHAPES, self.key,
-                         lambda: _Writer(self.tests).source(self.expr),
-                         _NAMESPACE, "<expression shape>")
-        return make(*self.consts), self.raises
 
     def reads(self, local: Mapping[str, str]) -> Tuple[Optional[str], ...]:
         """Each read's local name in local, or None where it reads env."""
@@ -923,8 +914,10 @@ class Bounded(NamedTuple):
         value and the lines of its if() branches' functions, which the
         caller defines where its statements can call them. A variable in
         local is read from the local named there, any other from env.
-        The code names only what _NAMESPACE holds; it raises what
-        compile_bounded's function raises.
+        The code names only what _NAMESPACE holds. Under an environment
+        that binds every variable inside the bounds, its value is what
+        compile_expr's function returns, and it raises what that raises,
+        with the same message.
         """
         writer = _Writer(self.tests, self.reads(local), f"{suffix}_")
         body: List[str] = []
@@ -934,31 +927,11 @@ class Bounded(NamedTuple):
 
 
 def bounded_shape(e: Expr, bounds: Mapping[str, Span]) -> Bounded:
-    """e under bounds (see compile_bounded): one walk of the tree."""
+    """e under bounds, each variable's (min, max): one walk of the tree (see
+    _shape), kept with the tree for Bounded.write."""
     ids: List[str] = []
     key, consts, tests, raises = _shape(e, bounds, ids)
     return Bounded(e, key, consts, tests, raises, tuple(ids))
-
-
-def compile_bounded(e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, bool]:
-    """compile_expr for environments that bind every variable of e inside bounds.
-
-    bounds: the (min, max) of each variable of e. The function reads each
-    variable as env[id], omits each range test that the spans of _shape
-    prove can never fire and writes div and mod as // and % where the spans
-    prove their signs; every other test, and the code and errors of every
-    other div and mod, pow, n-ary add and mul and if(), are those of
-    compile_expr. So
-    under such an environment it returns what compile_expr's function
-    returns and raises what it raises, with the same message; under any
-    other its result is undefined. The second result is False when the
-    function cannot raise at all (see _shape).
-
-    Shapes with different surviving tests are different factories in the
-    same cache as compile_expr's; a shape met again costs one walk of the
-    tree and writes no source.
-    """
-    return bounded_shape(e, bounds).evaluator()
 
 
 def free_vars(e: Expr) -> List[str]:

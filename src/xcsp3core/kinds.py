@@ -16,9 +16,8 @@ also carry ``compiled``: every expression held in their EXPRESSIONS
 fields, compiled once, on first evaluation. An Extension without * rows
 likewise builds its ``table``, a set of its tuples, on first check, and
 ``bounded_shape`` keeps the bounded shape of each expression for the
-bounds of its variables (and ``bounded`` its bounded evaluator, once
-asked for). These caches live in __dict__; a copied or unpickled
-record starts without them.
+bounds of its variables. These caches live in __dict__; a copied or
+unpickled record starts without them.
 The semantics of each kind live in one table in checker.py, and its
 element in LAYOUT, which the writer and the parser both read.
 """
@@ -110,26 +109,15 @@ class _Involving(Record):
         walking e; one that gives others replaces it. At most one result is
         kept per expression.
         """
-        return self._bounded_entry(e, bounds)[3]
-
-    def bounded(self, e: Expr, bounds: Mapping[str, Span]) -> Tuple[Evaluator, bool]:
-        """compile_bounded(e, bounds), from bounded_shape and kept with it."""
-        entry = self._bounded_entry(e, bounds)
-        if entry[4] is None:
-            entry[4] = entry[3].evaluator()
-        return entry[4]
-
-    def _bounded_entry(self, e: Expr, bounds: Mapping[str, Span]) -> list:
-        """The entry kept for e: [e, its free variables, their bounds, its
-        bounded shape, its bounded evaluator or None until asked for]."""
         memo = self.__dict__.setdefault("_bounded", {})
+        # [e, its free variables, their bounds, its bounded shape]
         entry = memo.get(id(e))
         if entry is None or entry[0] is not e:
-            entry = [e, tuple(free_vars(e)), None, None, None]
+            entry = [e, tuple(free_vars(e)), None, None]
         key = tuple(map(bounds.get, entry[1]))
         if entry[2] != key:
-            entry = memo[id(e)] = [e, entry[1], key, bounded_shape(e, bounds), None]
-        return entry
+            entry = memo[id(e)] = [e, entry[1], key, bounded_shape(e, bounds)]
+        return entry[3]
 
 
 class ConstraintKind(_Involving):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import (Any, Dict, FrozenSet, ItemsView, Iterable, Iterator, Mapping, Optional,
-                    Sequence, Tuple, Union, ValuesView)
+                    Tuple, Union, ValuesView)
 
 from .errors import ParseError, UnboundVariable, check_int64
 from .expr import Record, VarRef
@@ -103,21 +103,6 @@ class VarArray(Record):
     def _validate(self) -> None:
         if len(self.cells) != math.prod(self.size):
             raise ValueError(f"array {self.id}: {len(self.cells)} cells for size {self.size}")
-
-    def flat_index(self, indexes: Sequence[int]) -> int:
-        flat = 0
-        for n, i in zip(self.size, indexes):
-            if not 0 <= i < n:
-                raise ParseError(f"{self.id}: index {i} outside 0..{n - 1}", rule="index-range")
-            flat = flat * n + i
-        return flat
-
-    def cell(self, indexes: Sequence[int]) -> Variable:
-        if len(indexes) != len(self.size):
-            raise ParseError(
-                f"{self.id}: {len(indexes)} indexes for {len(self.size)} dimensions",
-                rule="index-range")
-        return self.cells[self.flat_index(indexes)]
 
 
 # -- conditions ---------------------------------------------------------------

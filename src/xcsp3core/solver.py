@@ -32,8 +32,7 @@ which goes on to the depth's next value where the check fails:
   when t leaves the stage's cut-offs. A depth assigns one variable, so its
   coefficients are merged into one c. A sum objective whose bounds prove
   it stays in int64 is summed by "total" stages, the same sum without
-  cut-offs, planned after each depth's constraint checks; the leaf reads
-  its cost inline, as their last total.
+  cut-offs, planned after each depth's constraint checks.
 - "d...", a stage of an allDifferent none of whose operands can raise: one
   inline membership test per operand, of its value (a bare variable's, or
   the value of its expression's code, written as for "i") against the set
@@ -50,6 +49,11 @@ which goes on to the depth's next value where the check fails:
   than MAX_CHUNK calls: it returns True at the first that fails, and a
   depth with more than MAX_CHUNK of these gets a tree of them, so no
   piece of code grows with a depth's checks and planning stays linear.
+The leaf, which runs on each complete assignment that passes, makes calls
+too, which never fail and name no error: the objective's cost is an
+EXPRESSION objective's code, written as for "i" ("value"), the last
+total of a proved sum ("last") or a call of eval_objective ("cost"), and
+a search that keeps its solutions passes each to a call ("keep").
 In the loop, written code reads a variable that a depth of its block
 assigns from that depth's loop variable, and any other from env, where
 every depth also writes its value; code in a "g" function, and in an
@@ -58,22 +62,22 @@ lists, kinds and the constraint positions that name an evaluation error
 are arguments of the factory that builds the code: as in expr's
 generator, no id, label or other input text enters the source, and one
 factory serves all code of the same forms, expression shapes and reads.
-An EXPRESSION objective is costed by its bounded evaluator. With
-partial_checks off, every constraint is one "c" call of its checker and
-every cost goes through eval_objective, both with unbounded evaluators:
+With partial_checks off, every constraint is one "c" call of its checker
+and every cost a call of eval_objective, both with unbounded evaluators:
 that is the reference path.
 
 The loop (_loop_source) is one generator per block of at most
 LOOP_DEPTHS consecutive depths, in which each depth is one nested for
 over its domain's values, a range per interval, its calls' code inside.
 The last block does the leaf inline, chosen when the search is built:
-count a complete assignment; keep it too, and stop after max_solutions;
-or cost it and keep the best. An inner block yields to descend, and an
-explicit stack of blocks drives the search, so the number of variables is
-not bounded by Python's recursion limit. A block's source depends only on
-its length, how many of its depths are forced (restrict_to_decision), its
-leaf and each depth's calls' forms, with the bounded shape of each
-expression and which of its reads are of which loop variable; a forced
+count a complete assignment, and stop after max_solutions, or keep the
+best by its cost; its calls' code is written in, as a depth's is. An
+inner block yields to descend, and an explicit stack of blocks drives the
+search, so the number of variables is not bounded by Python's recursion
+limit. A block's source depends only on its length, how many of its
+depths are forced (restrict_to_decision), its leaf, and each depth's and
+the leaf's calls' forms, with the bounded shape of each expression and
+which of its reads are of which loop variable; a forced
 depth reruns its calls' code on the value it chose, assigned again to
 its loop variable and env. At most MAX_LOOPS factories are
 kept, and at most MAX_SHAPES of "g" functions, the oldest dropped first,
@@ -97,7 +101,6 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
 
 from .checker import (
     _CHECKERS,
-    Cost,
     check_constraint,
     eval_objective,
     named_error,
@@ -205,7 +208,11 @@ def _distinct_form(excepts: bool, last: bool) -> Tuple[Tuple[str, ...], Tuple[st
 # excepts, "." the last operand checked) is a membership test. A call of a
 # form in _RAISING, or whose expression may raise, runs in a try whose
 # handler raises the EvalError again as named(error, n{k}), n{k} the
-# constraint's position.
+# constraint's position; a call without a position (the leaf's, and an
+# objective's stages) lets its errors pass unnamed. The leaf's calls never
+# fail: "value" is an objective expression's value, "last" a proved sum
+# objective's last total, "cost" eval_objective's call, each kept in value,
+# and "keep" passes the solution to f{k}.
 _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "i": (("x",), ("if not {x}:", "    {fail}")),
     "s": (("f",), ("if f{k}():", "    {fail}")),
@@ -217,6 +224,10 @@ _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
              "if t < lo{k} or t > hi{k}:",
              "    {fail}")),
     "total": (("x", "T", "i", "c"), ("T{k}[i{k} + 1] = T{k}[i{k}] + c{k} * {x}",)),
+    "value": (("x",), ("value = {x}",)),
+    "last": (("T",), ("value = T{k}[-1]",)),
+    "cost": (("f",), ("value = f{k}(env)",)),
+    "keep": (("f",), ("f{k}(Instantiation(dict(env)))",)),
     **{f"d{'x' if excepts else ''}{'.' if last else ''}": _distinct_form(excepts, last)
        for excepts in (False, True) for last in (False, True)},
 }
@@ -230,9 +241,9 @@ _NAMESPACE = {**_EXPR_NAMESPACE, "EvalError": EvalError}
 _Call = Tuple[str, Tuple[object, ...], Optional[int]]
 
 
-def _raises(form: str, source: object) -> bool:
-    """Whether a call's code may raise, and so names its errors."""
-    return form in _RAISING or (type(source) is Bounded and source.raises)
+def _names_errors(form: str, source: object, ci: Optional[int]) -> bool:
+    """Whether a call's code names its errors: it has a position and may raise."""
+    return ci is not None and (form in _RAISING or (type(source) is Bounded and source.raises))
 
 
 def _written(calls: Sequence[_Call], local: Mapping[str, str]
@@ -253,13 +264,11 @@ def _written(calls: Sequence[_Call], local: Mapping[str, str]
             keys.append((form, source.key, source.reads(local)))
             out += source.consts
             out += args[1:]
-            if source.raises:
-                out.append(ci)
         else:
             keys.append(form)
             out += args[1:] if form in _SOURCED and source in local else args
-            if form in _RAISING:
-                out.append(ci)
+        if _names_errors(form, source, ci):
+            out.append(ci)
     return tuple(keys), out
 
 
@@ -271,7 +280,7 @@ def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, st
     params: List[str] = []
     code: List[str] = []
     functions: List[str] = []
-    for j, (form, args, _) in enumerate(calls):
+    for j, (form, args, ci) in enumerate(calls):
         names, lines = _FORMS[form]
         k = f"{suffix}{j}"
         block: List[str] = []
@@ -290,7 +299,7 @@ def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, st
                     x = f"u{k}"
         params += [f"{name}{k}" for name in names]
         block += [line.format(k=k, fail=fail, x=x) for line in lines]
-        if _raises(form, args[0]):
+        if _names_errors(form, args[0], ci):
             params.append(f"n{k}")
             block = (["try:"] + [f"    {line}" for line in block]
                      + ["except EvalError as e:", f"    raise named(e, n{k}) from e"])
@@ -334,11 +343,10 @@ MAX_LOOPS = 64
 # What a block runs where its last depth's value passes, by mode: the
 # parameters it takes, the search state it keeps in locals (read from the
 # search on entry, written back on every exit) and its lines. "descend"
-# yields to the next block; the other modes are the leaf: count (and stop at
-# max_solutions; stop is None for no limit), keep each solution too, or cost
-# the assignment and keep the best by the sense's comparison: "min" and
-# "max" call cost(env), "min_sum" and "max_sum" read the last of the
-# objective's sum totals T.
+# yields to the next block; the other modes are the leaf, whose calls'
+# code (_Search.leaf) is written after its first line: count (and stop at
+# max_solutions; stop is None for no limit), or keep the best by the
+# sense's comparison of the value that the objective's call sets.
 _INNER: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {
     "descend": ((), ("nodes", "test_at"),
                 ("search.nodes, search.test_at = nodes, test_at",
@@ -350,32 +358,23 @@ _INNER: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {
                "    search.best = Instantiation(dict(env))",
                "if count == stop:",
                "    raise Stop()")),
-    "keep": (("Instantiation", "Stop", "stop", "keep"), ("nodes", "test_at", "count"),
-             ("count += 1",
-              "solution = Instantiation(dict(env))",
-              "keep(solution)",
-              "if count == 1:",
-              "    search.best = solution",
-              "if count == stop:",
-              "    raise Stop()")),
-    **{mode + suffix: (("Instantiation", param), ("nodes", "test_at", "count", "best_cost"),
-                       ("count += 1",
-                        f"value = {read}",
-                        f"if best_cost is None or value {op} best_cost:",
-                        "    best_cost = value",
-                        "    search.best = Instantiation(dict(env))"))
-       for mode, op in (("min", "<"), ("max", ">"))
-       for suffix, param, read in (("", "cost", "cost(env)"), ("_sum", "T", "T[-1]"))},
+    **{mode: (("Instantiation",), ("nodes", "test_at", "count", "best_cost"),
+              ("count += 1",
+               f"if best_cost is None or value {op} best_cost:",
+               "    best_cost = value",
+               "    search.best = Instantiation(dict(env))"))
+       for mode, op in (("min", "<"), ("max", ">"))},
 }
 _LOOPS: Dict[Tuple[object, ...], Callable[..., Iterator[bool]]] = {}
 
 
-def _loop_source(length: int, forced: int, mode: str, calls: Sequence[Sequence[_Call]],
-                 local: Mapping[str, str]) -> str:
+def _loop_source(length: int, forced: int, mode: str, leaf: Sequence[_Call],
+                 calls: Sequence[Sequence[_Call]], local: Mapping[str, str]) -> str:
     """The generator _make(search, env, checkpoint, unforced, named, <the
-    mode's parameters>, i0, r0, <depth 0's call parameters>, i1, ...) of
-    one block of length depths, the last forced of them forced, depth d
-    making calls[d]; local names the loop variable of each depth's variable.
+    mode's parameters>, <the leaf calls' parameters>, i0, r0, <depth 0's
+    call parameters>, i1, ...) of one block of length depths, the last
+    forced of them forced, depth d making calls[d] and the leaf making
+    leaf; local names the loop variable of each depth's variable.
 
     Depth d assigns variable i<d> each value v<d> of r<d> in turn, as one
     nested for: it tests the limits when the node count reaches test_at
@@ -387,14 +386,15 @@ def _loop_source(length: int, forced: int, mode: str, calls: Sequence[Sequence[_
     runs again, failing into a no-op, which rebuilds the staged state,
     before going deeper. A depth whose values run out drops its variable
     from env, where partial detectors would read it. The innermost code is
-    the mode's (_INNER). The if() branches' functions of the calls'
-    expressions are defined first, once. Every block is a generator, so
-    that _search steps them all alike.
+    the mode's (_INNER), with the leaf calls' code after its first line.
+    The if() branches' functions of the calls' expressions are defined
+    first, once. Every block is a generator, so that _search steps them
+    all alike.
     """
     params, state, inner = _INNER[mode]
     names, fields = ", ".join(state), ", ".join(f"search.{name}" for name in state)
-    head = ["search", "env", "checkpoint", "unforced", "named", *params]
-    functions: List[str] = []
+    leaf_params, leaf_code, functions = _code(leaf, "L", "continue", local)
+    head = ["search", "env", "checkpoint", "unforced", "named", *params, *leaf_params]
     body: List[Tuple[int, str]] = []
     for d in range(length):
         depth = 2 + d  # the indent of depth d's for
@@ -419,7 +419,7 @@ def _loop_source(length: int, forced: int, mode: str, calls: Sequence[Sequence[_
                      (depth + 1, f"env[i{d}] = v{d}")]
             body += [(depth + 1, line)
                      for line in _code(calls[d], f"{d}_", "pass", local)[1]]
-    body += [(2 + length, line) for line in inner]
+    body += [(2 + length, line) for line in (*inner[:1], *leaf_code, *inner[1:])]
     body += [(2 + d, f"env.pop(i{d}, None)") for d in reversed(range(length))]
     return "\n".join(
         [f"def _make({', '.join(head)}):"]
@@ -660,7 +660,10 @@ class _Search:
         code ("i"), or its kind's checker ("c"), and its kind's detector
         ("s") at the earlier depths of its scope. With partial_checks off, each
         constraint is one "c" call of its checker. The stages of a summed
-        objective (see _cost) come after every constraint's checks.
+        objective (see _cost) come after every constraint's checks. The
+        leaf's calls, run on each complete assignment that passes, are the
+        objective's (_cost), or a call that keeps the solution when
+        keep_solutions is set, or none.
         """
         env, bounds, partial_checks = self.env, self.bounds, self.cfg.partial_checks
         depth_of = {v.id: d for d, v in enumerate(self.order)}
@@ -683,36 +686,39 @@ class _Search:
                 for d in depths[:-1]:
                     plan[d].append(("s", (partial(detector, kind, env),), ci))
         if self.objective is not None:
-            self.cost = self._cost(plan, depth_of)
+            self.leaf: Tuple[_Call, ...] = (self._cost(plan, depth_of),)
+        elif self.cfg.keep_solutions:
+            self.leaf = (("keep", (self.solutions.append,), None),)
+        else:
+            self.leaf = ()
         # a constraint's calls at one depth are consecutive, in position order
         self.plan = [tuple(calls) for calls in plan]
 
-    def _cost(self, plan: List[List[_Call]], depth_of: Mapping[str, int]
-              ) -> Union[Callable[[Mapping[str, int]], Cost], List[int]]:
-        """The objective's cost of a complete assignment: one function of
-        the assignment, or the list of sum totals whose last is the cost.
+    def _cost(self, plan: List[List[_Call]], depth_of: Mapping[str, int]) -> _Call:
+        """The leaf's call that sets value to the objective's cost.
 
-        An expression whose variables all have bounds is evaluated by its
-        bounded evaluator (expr.compile_bounded). A sum whose terms the
-        bounds prove to stay in int64 (see _proved_terms) is summed by
-        "total" stages, which never fail, added to plan after each depth's
-        checks with no position; the leaf reads their last total inline.
-        Any other objective, and every objective with partial_checks off,
-        goes through eval_objective.
+        An expression whose variables all have bounds is written inline
+        from its bounded shape ("value"), as an intension's check is. A sum
+        whose terms the bounds prove to stay in int64 (see _proved_terms)
+        is summed by "total" stages, which never fail, added to plan after
+        each depth's checks with no position; the leaf reads their last
+        total ("last"). Any other objective, and every objective with
+        partial_checks off, is a call of eval_objective ("cost"). The call
+        has no position, so an error of the objective passes unnamed.
         """
         obj, bounds = self.objective, self.bounds
-        if not self.cfg.partial_checks:
-            return partial(eval_objective, obj)
-        if obj.kind is ObjKind.EXPRESSION and all(v in bounds for v in obj.var_ids):
-            return obj.bounded(obj.expression, bounds)[0]
-        coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(obj.operands)
-        terms = _proved_terms(obj.operands, coeffs, bounds) if obj.kind is ObjKind.SUM else None
-        if terms is None:
-            return partial(eval_objective, obj)
-        stages, totals = _sum_stages(terms, depth_of)
-        for d, form, args in stages:
-            plan[d].append((form, args, None))
-        return totals
+        if self.cfg.partial_checks:
+            if obj.kind is ObjKind.EXPRESSION and all(v in bounds for v in obj.var_ids):
+                return "value", (obj.bounded_shape(obj.expression, bounds),), None
+            coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(obj.operands)
+            terms = (_proved_terms(obj.operands, coeffs, bounds)
+                     if obj.kind is ObjKind.SUM else None)
+            if terms is not None:
+                stages, totals = _sum_stages(terms, depth_of)
+                for d, form, args in stages:
+                    plan[d].append((form, args, None))
+                return "last", (totals,), None
+        return "cost", (partial(eval_objective, obj),), None
 
     def _chunked(self, calls: Sequence[_Call]) -> Sequence[_Call]:
         """One depth's calls as at most MAX_CHUNK calls, written into its loop.
@@ -761,18 +767,13 @@ class _Search:
     def _blocks(self) -> List[Callable[[], Iterator[bool]]]:
         """The search loop: generated blocks of at most LOOP_DEPTHS depths
         each, in depth order, each depth's calls written in, the last block
-        doing the leaf (see _loop_source)."""
-        cfg, n = self.cfg, len(self.order)
+        doing the leaf and its calls (see _loop_source)."""
+        n = len(self.order)
         if self.objective is not None:
             mode = "min" if self.sense is Sense.MINIMIZE else "max"
-            if type(self.cost) is list:
-                mode += "_sum"
-            leaf_args: Tuple[object, ...] = (Instantiation, self.cost)
-        elif cfg.keep_solutions:
-            mode, leaf_args = "keep", (Instantiation, _Stop, cfg.max_solutions,
-                                       self.solutions.append)
+            mode_args: Tuple[object, ...] = (Instantiation,)
         else:
-            mode, leaf_args = "count", (Instantiation, _Stop, cfg.max_solutions)
+            mode, mode_args = "count", (Instantiation, _Stop, self.cfg.max_solutions)
         depths = [(v.id, _values(v.domain), self._chunked(calls))
                   for v, calls in zip(self.order, self.plan)]
         blocks = []
@@ -782,13 +783,16 @@ class _Search:
             local = {vid: f"v{d}" for d, (vid, _, _) in enumerate(block)}
             calls = [calls for _, _, calls in block]
             written = [_written(depth, local) for depth in calls]
+            leaf = self.leaf if end == n else ()
+            leaf_keys, leaf_args = _written(leaf, local)
             shape = (end - start, max(0, end - max(start, self.branch_len)),
-                     mode if end == n else "descend", tuple(keys for keys, _ in written))
+                     mode if end == n else "descend", leaf_keys,
+                     tuple(keys for keys, _ in written))
             make = generated(_LOOPS, MAX_LOOPS, shape,
-                             partial(_loop_source, *shape[:3], calls, local),
+                             partial(_loop_source, *shape[:3], leaf, calls, local),
                              _NAMESPACE, "<search loop>")
             blocks.append(partial(make, self, self.env, self._checkpoint, self._unforced,
-                                  self._named, *(leaf_args if end == n else ()),
+                                  self._named, *(mode_args if end == n else ()), *leaf_args,
                                   *[arg for (vid, values, _), (_, args) in zip(block, written)
                                     for arg in (vid, values, *args)]))
         return blocks

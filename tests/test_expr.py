@@ -31,7 +31,7 @@ from xcsp3core.expr import (
     SetLiteral,
     VarRef,
     binder,
-    compile_bounded,
+    bounded_shape,
     compile_expr,
     free_vars,
     operand_leaf,
@@ -504,7 +504,35 @@ def test_results_stay_right_past_the_cache_bound(monkeypatch):
     assert len(expr._FACTORIES) == 4
 
 
-# -- bounded evaluators -------------------------------------------------------------
+# -- bounded expressions, written inline ---------------------------------------------
+
+# the written functions, by shape key and reads, as a caller of
+# Bounded.write keeps the code it writes
+_WRITTEN = {}
+
+
+def _written(e, bounds, local):
+    """e's code under bounds as Bounded.write writes it into a caller's,
+    run as a function: evaluate(env), whether the code may raise, and the
+    source it was written into.
+
+    With local, each variable is held in a local named after its position,
+    as the search's loop holds the variables its block assigns, and every
+    read outside an if() branch reads that local; without, every read
+    reads env. Functions of one shape key and reads share a factory.
+    """
+    shape = bounded_shape(e, bounds)
+    names = {vid: f"v{k}" for k, vid in enumerate(dict.fromkeys(shape.ids))} if local else {}
+    params, body, value, functions = shape.write("0", names)
+    source = "\n".join([f"def _make({', '.join(params)}):"]
+                       + [f"    {line}" for line in functions]
+                       + [f"    def evaluate({', '.join(['env', *names.values()])}):"]
+                       + [f"        {line}" for line in body]
+                       + [f"        return {value}", "    return evaluate", ""])
+    make = expr.generated(_WRITTEN, 64, (shape.key, shape.reads(names)), lambda: source,
+                          expr._NAMESPACE, "<written expression>")
+    function = make(*shape.consts)
+    return lambda env: function(env, *map(env.__getitem__, names)), shape.raises, source
 
 
 def _detailed(evaluate):
@@ -531,13 +559,14 @@ def _around(value):
 def test_bounded_agrees_with_compiled_and_reference(e, env, data):
     # under any bounds that hold env: the same value, or the same error and message
     bounds = {vid: data.draw(_around(value), label=vid) for vid, value in env.items()}
-    evaluate, raises = compile_bounded(e, bounds)
-    bounded = _detailed(lambda: evaluate(env))
-    assert bounded == _detailed(lambda: compile_expr(e)(env))
-    reference = _outcome(lambda: oracles.reference_eval(e, env))
-    assert (bounded[0] if isinstance(bounded, tuple) else bounded) == reference
-    if not raises:  # proved unable to raise: no value in bounds makes it raise
-        assert not isinstance(bounded, tuple)
+    for local in (False, True):
+        evaluate, raises, _ = _written(e, bounds, local)
+        bounded = _detailed(lambda: evaluate(env))
+        assert bounded == _detailed(lambda: compile_expr(e)(env))
+        reference = _outcome(lambda: oracles.reference_eval(e, env))
+        assert (bounded[0] if isinstance(bounded, tuple) else bounded) == reference
+        if not raises:  # proved unable to raise: no value in bounds makes it raise
+            assert not isinstance(bounded, tuple)
 
 
 # operand ranges: small ones, every value of which is tried, and ranges at
@@ -584,17 +613,17 @@ def test_bounded_keeps_a_range_test_the_bounds_cannot_rule_out():
     wide = {**narrow, "x": (0, 2**62), "y": (0, 2**62)}
     assert expr._shape(e, narrow)[2:] == ([False], False)
     assert expr._shape(e, wide)[2:] == ([True], True)
-    assert "check_int64" not in expr._Writer([False]).source(e)
-    assert "check_int64" in expr._Writer([True]).source(e)
-    evaluate, raises = compile_bounded(e, wide)
-    assert raises
-    assert evaluate({"x": 2**62 - 1, "y": 2**62, "z": 0}) == 0
-    with pytest.raises(Overflow) as caught:
-        evaluate({"x": 2**62, "y": 2**62, "z": 0})
-    assert str(caught.value) == f"add: {2**63} leaves the 64-bit integer range"
-    with pytest.raises(Overflow) as same:
-        compile_expr(e)({"x": 2**62, "y": 2**62, "z": 0})
-    assert str(same.value) == str(caught.value)
+    for local in (False, True):
+        assert "check_int64" not in _written(e, narrow, local)[2]
+        evaluate, raises, source = _written(e, wide, local)
+        assert raises and "check_int64" in source
+        assert evaluate({"x": 2**62 - 1, "y": 2**62, "z": 0}) == 0
+        with pytest.raises(Overflow) as caught:
+            evaluate({"x": 2**62, "y": 2**62, "z": 0})
+        assert str(caught.value) == f"add: {2**63} leaves the 64-bit integer range"
+        with pytest.raises(Overflow) as same:
+            compile_expr(e)({"x": 2**62, "y": 2**62, "z": 0})
+        assert str(same.value) == str(caught.value)
 
 
 # a (min, max) span: small, or reaching an int64 end
@@ -616,14 +645,15 @@ def test_div_and_mod_are_inlined_exactly_where_the_spans_prove_their_signs(
     proved = dividend[0] >= 0 and divisor[0] >= 1
     _, _, tests, raises = expr._shape(e, bounds)
     assert tests[-1] is not proved and raises is not proved
-    assert (f"_trunc_{op}" in expr._Writer(tests).source(e)) is not proved
-    evaluate = compile_bounded(e, bounds)[0]
+    written = [_written(e, bounds, local) for local in (False, True)]
+    assert all((f"_trunc_{op}" in source) is not proved for _, _, source in written)
     for _ in range(5):
         env = {"x": data.draw(st.integers(*dividend)), "y": data.draw(st.integers(*divisor)),
                "z": 0}
-        bounded = _detailed(lambda: evaluate(env))
-        assert bounded == _detailed(lambda: compile_expr(e)(env))
-        assert bounded == _detailed(lambda: oracles.reference_eval(e, env))
+        for evaluate, _, _ in written:
+            bounded = _detailed(lambda: evaluate(env))
+            assert bounded == _detailed(lambda: compile_expr(e)(env))
+            assert bounded == _detailed(lambda: oracles.reference_eval(e, env))
 
 @pytest.mark.parametrize("text,raises", [
     ("x", False), ("3", False), ("le(add(x,y),add(z,3))", False),
@@ -634,30 +664,34 @@ def test_div_and_mod_are_inlined_exactly_where_the_spans_prove_their_signs(
 ])
 def test_bounded_says_when_it_cannot_raise(text, raises):
     bounds = {"x": (-5, 5), "y": (-5, 5), "z": (0, 9)}
-    assert compile_bounded(parse_expr(text), bounds)[1] is raises
+    for local in (False, True):
+        assert _written(parse_expr(text), bounds, local)[1] is raises
 
 
 def test_bounded_shares_the_cache_and_writes_source_once(monkeypatch):
     monkeypatch.setattr(expr, "_FACTORIES", {})
-    written = []
-    source = expr._Writer.source
-    monkeypatch.setattr(expr._Writer, "source",
-                        lambda self, e: written.append(e) or source(self, e))
+    monkeypatch.setattr(sys.modules[__name__], "_WRITTEN", {})
+    compiled = []
+    monkeypatch.setattr(expr, "compile", lambda source, filename, mode: compiled.append(
+        filename) or compile(source, filename, mode), raising=False)
     bounds = {f"x[{k}]": (0, 9) for k in range(4)}
     texts = [f"le(add(x[{k}],x[{k + 1}]),{k})" for k in range(3)]
-    for text in texts:
-        compile_bounded(parse_expr(text), bounds)
+    for local in (False, True):
+        assert [_written(parse_expr(text), bounds, local)[0](dict.fromkeys(bounds, 1))
+                for text in texts] == [0, 0, 1]
     compile_expr(parse_expr(texts[0]))
-    # one bounded shape, one unbounded, and one for a surviving range test
-    compile_bounded(parse_expr(texts[0]), {**bounds, "x[0]": (0, INT_MAX)})
-    assert len(written) == len(expr._FACTORIES) == 3
+    # one bounded shape for each way of reading, one unbounded, and one for
+    # a surviving range test; the bounded ones make no factory of compile_expr's
+    _written(parse_expr(texts[0]), {**bounds, "x[0]": (0, INT_MAX)}, False)
+    assert len(_WRITTEN) == 3 and len(expr._FACTORIES) == 1
+    assert sorted(compiled) == ["<expression shape>"] + ["<written expression>"] * 3
 
 
 def test_bounded_source_holds_no_input_text():
     e = OpCall("le", (OpCall("add", tuple(map(VarRef, QUOTED_IDS))), IntConst(987654321)))
     bounds = {vid: (0, 2**k) for k, vid in enumerate(QUOTED_IDS)}
-    key, consts, tests, _ = expr._shape(e, bounds)
-    source = expr._Writer(tests).source(e)
-    assert not any(vid in source for vid in QUOTED_IDS) and "987654321" not in source
     env = {vid: 2 ** k for k, vid in enumerate(QUOTED_IDS)}
-    assert compile_bounded(e, bounds)[0](env) == 1
+    for local in (False, True):
+        evaluate, _, source = _written(e, bounds, local)
+        assert not any(vid in source for vid in QUOTED_IDS) and "987654321" not in source
+        assert evaluate(env) == 1

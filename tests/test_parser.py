@@ -105,7 +105,7 @@ def test_arrays_flatten_row_major():
     inst = parse_string(wrap('<array id="x" size="[2][3]"> 0..4 </array>', TRIVIAL))
     arr = inst.arrays_by_id["x"]
     assert arr.size == (2, 3)
-    assert arr.cell((1, 2)).id == "x[1][2]"
+    assert arr.cells[1 * 3 + 2] == inst.variable("x[1][2]")
     assert [v.id for v in inst.variables()][:3] == ["x[0][0]", "x[0][1]", "x[0][2]"]
 
 
@@ -121,10 +121,9 @@ def test_array_domain_groups():
                 '<domain for="z[6..9]"> 1..20 </domain>'
                 "</array>", TRIVIAL)
     inst = parse_string(text)
-    arr = inst.arrays_by_id["z"]
-    assert arr.cell((0,)).domain.max_value == 10
-    assert arr.cell((9,)).domain.max_value == 20
-    assert arr.cell((5,)).domain is None
+    assert inst.variable("z[0]").domain.max_value == 10
+    assert inst.variable("z[9]").domain.max_value == 20
+    assert inst.variable("z[5]").domain is None
 
 
 def test_array_domain_others():
@@ -133,9 +132,8 @@ def test_array_domain_others():
                 '<domain for="others"> 5..8 </domain>'
                 "</array>", TRIVIAL)
     inst = parse_string(text)
-    arr = inst.arrays_by_id["z"]
-    assert list(arr.cell((0,)).domain.values()) == [0, 1]
-    assert arr.cell((3,)).domain.min_value == 5
+    assert list(inst.variable("z[0]").domain.values()) == [0, 1]
+    assert inst.variable("z[3]").domain.min_value == 5
 
 
 def test_others_must_come_last():
@@ -202,7 +200,7 @@ def test_alias_on_array_reuses_shape():
     text = wrap('<array id="a" size="[2]"> 0..3 </array>'
                 '<array id="b" size="[2]" as="a"/>', TRIVIAL)
     inst = parse_string(text)
-    assert inst.arrays_by_id["b"].cell((1,)).domain.max_value == 3
+    assert inst.variable("b[1]").domain.max_value == 3
 
 
 MIXED = ('<array id="x" size="[4]"><domain for="x[0..1]"> 0..1 </domain>'

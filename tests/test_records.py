@@ -93,16 +93,16 @@ def test_a_searched_instance_pickles_and_copies(name):
             result.status, result.count, result.nodes)
 
 
-def test_a_kind_keeps_one_bounded_evaluator_per_expression():
-    """kinds.bounded keys its result by the bounds of the expression's own
-    variables; copies and pickles start without it."""
+def test_a_kind_keeps_one_bounded_shape_per_expression():
+    """kinds.bounded_shape keys its result by the bounds of the expression's
+    own variables; copies and pickles start without it."""
     e = OpCall("ne", (OpCall("add", (x, IntConst(1))), VarRef("y")))
     kind = K.Intension(e)
-    first = kind.bounded(e, {"x": (0, 3), "y": (0, 3), "z": (5, 9)})
-    assert kind.bounded(e, {"x": (0, 3), "y": (0, 3)}) is first
-    wider = kind.bounded(e, {"x": (0, 2**63 - 1), "y": (0, 3)})
+    first = kind.bounded_shape(e, {"x": (0, 3), "y": (0, 3), "z": (5, 9)})
+    assert kind.bounded_shape(e, {"x": (0, 3), "y": (0, 3)}) is first
+    wider = kind.bounded_shape(e, {"x": (0, 2**63 - 1), "y": (0, 3)})
     assert wider is not first and len(vars(kind)["_bounded"]) == 1
-    assert (first[1], wider[1]) == (False, True)  # only x + 1 past int64 may raise
-    assert kind.bounded(e, {"x": (0, 3), "y": (0, 3)}) is not first
+    assert (first.raises, wider.raises) == (False, True)  # only x + 1 past int64 may raise
+    assert kind.bounded_shape(e, {"x": (0, 3), "y": (0, 3)}) is not first
     for again in (pickle.loads(pickle.dumps(kind)), copy.copy(kind), copy.deepcopy(kind)):
         assert again == kind and "_bounded" not in vars(again)

@@ -21,7 +21,7 @@ from xcsp3core.checker import (_CHECKERS, check_constraint, check_solution, eval
                                partial_violated)
 from xcsp3core.errors import (INT_MAX, INT_MIN, DivisionByZero, EvalError, Overflow, SolverError,
                               UnforcedVariable, XcspError)
-from xcsp3core.expr import IntConst, OpCall, VarRef, compile_bounded
+from xcsp3core.expr import IntConst, OpCall, VarRef, bounded_shape
 from xcsp3core.model import (CondOp, Condition, Domain, Instance, Instantiation, PostedConstraint,
                              Variable)
 from xcsp3core.parser import parse_file, parse_string
@@ -336,7 +336,7 @@ def test_staged_sum_never_prunes_a_prefix_that_extends_to_a_solution(
 
 
 def _costed_by_eval_objective(search, plan, depth_of):
-    return partial(eval_objective, search.objective)
+    return "cost", (partial(eval_objective, search.objective),), None
 
 
 def _fallback_search(monkeypatch, inst, cfg=SearchConfig()):
@@ -497,7 +497,7 @@ def test_staged_all_different_finishes_as_the_complete_check_does(
     stages, depth_of = _stages_by_depth(kind, order, domains, env)
     # an operand that may raise leaves the constraint to the detector scan
     bounds = {v: (min(domains[v]), max(domains[v])) for v in order}
-    assert (stages is None) == any(compile_bounded(op, bounds)[1] for op in operands)
+    assert (stages is None) == any(bounded_shape(op, bounds).raises for op in operands)
     if stages is None:
         return
     for vid in order:  # a stage reads only the variables of its depth and earlier
@@ -568,7 +568,7 @@ def test_staged_sums_and_costs_agree_with_the_complete_checks(xml, order, decisi
     inst = parse_string(xml)
     cfg = SearchConfig(var_order=order, restrict_to_decision=decision)
     search = _Search(inst, cfg)
-    assert not isinstance(search.cost, partial)  # the domains here prove every sum
+    assert search.leaf[0][0] == "last"  # the domains here prove every sum
     staged = _full_outcome(search)
     # fresh patchers per example: the monkeypatch fixture is shared between them
     assert staged == _full_outcome(_complete_check_search(pytest.MonkeyPatch(), inst, cfg))
@@ -583,11 +583,12 @@ def test_without_partial_checks_every_verdict_and_cost_is_the_complete_one():
     inst = parse_file(fixture_path("cake_sums.xml"))
     plain = _Search(inst, SearchConfig(partial_checks=False))
     assert all(form == "c" for calls in plain.plan for form, _, _ in calls)
-    assert plain.cost.func is eval_objective
+    (form, (cost,), _), = plain.leaf
+    assert form == "cost" and cost.func is eval_objective
     # with them, every sum is checked by its stages alone, the cost summed plainly
     staged = _Search(inst, SearchConfig())
     assert all(form not in ("i", "c") for calls in staged.plan for form, _, _ in calls)
-    assert not isinstance(staged.cost, partial)
+    assert staged.leaf[0][0] == "last"
     assert _full_outcome(staged)[:4] == _full_outcome(plain)[:4]
 
 
@@ -621,7 +622,7 @@ HUGE_COP = ('<instance format="XCSP3" type="COP"><variables>'
 def test_an_unproved_sum_overflows_where_it_did(monkeypatch, constraint, cost_coeff, error):
     inst = parse_string(HUGE_COP.format(constraint, cost_coeff))
     search = _Search(inst, SearchConfig())
-    assert isinstance(search.cost, partial) == (cost_coeff == HUGE)
+    assert search.leaf[0][0] == ("cost" if cost_coeff == HUGE else "last")
     outcome = _outcome(search)
     assert outcome[:2] == (Overflow, error)
     assert outcome == _outcome(_fallback_search(monkeypatch, inst))
@@ -634,18 +635,29 @@ def _costed_search(obj, domains):
     return _Search(Instance(variables, (), obj), SearchConfig())
 
 
+def _leaf_value(search):
+    """A function running the leaf's calls over the search's env, written as
+    the loop writes them (every variable read from env), that returns the
+    value they set."""
+    params, code, functions = solver._code(search.leaf, "L", "pass", {})
+    scope = dict(solver._NAMESPACE)
+    exec("\n".join([f"def _make({', '.join(['env', *params])}):"]
+                   + [f"    {line}" for line in functions]
+                   + ["    def leaf():"] + [f"        {line}" for line in code]
+                   + ["        return value", "    return leaf"]), scope)
+    return scope["_make"](search.env, *solver._written(search.leaf, {})[1])
+
+
 def _costs(search):
     """Each assignment of the search's variables, with the cost the search
     gives it after running every depth's checks and stages (each depth's
-    calls as one generated function), and the assignment's eval_objective:
-    the two agree when each pair is equal. A cost that is a list of sum
-    totals is read as the leaf reads it, its last total."""
+    calls as one generated function) and then its leaf's call, and the
+    assignment's eval_objective: the two agree when each pair is equal."""
     env, ids = search.env, [v.id for v in search.order]
     domains = [[value for lo, hi in v.domain.items for value in range(lo, hi + 1)]
                for v in search.order]
     depths = [solver._function(calls, env, search._named) for calls in search.plan]
-    cost = search.cost
-    read = (lambda: cost[-1]) if type(cost) is list else partial(cost, env)
+    read = _leaf_value(search)
     pairs = []
     for values in itertools.product(*domains):
         env.update(zip(ids, values))
@@ -667,7 +679,7 @@ def test_objective_cost_skips_range_checks_only_for_a_proved_sum(kind, coeffs, p
     obj = K.Objective(K.Sense.MINIMIZE, kind, operands=(VarRef("x"), VarRef("y")),
                       coeffs=coeffs)
     search = _costed_search(obj, [((-3, 2),), ((0, 1),)])
-    assert isinstance(search.cost, partial) != proved
+    assert search.leaf[0][0] == ("last" if proved else "cost")
     forms = [form for calls in search.plan for form, _, _ in calls]
     assert forms == (["total", "total"] if proved else [])
     assert all(cost == reference for cost, reference in _costs(search))
@@ -681,17 +693,19 @@ def test_objective_cost_evaluates_other_objectives_with_eval_objective():
     unbounded = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.SUM, operands=(VarRef("z"),))
     # z is declared nowhere, so it has no bounds
     for obj in (expression, not_bare, unbounded):
-        cost = _costed_search(obj, [((0, 1),), ((0, 1),)]).cost
-        assert isinstance(cost, partial) and cost.func is eval_objective
+        (form, (cost,), ci), = _costed_search(obj, [((0, 1),), ((0, 1),)]).leaf
+        assert (form, cost.func, ci) == ("cost", eval_objective, None)
 
 
 @pytest.mark.parametrize("bound", [1, INT_MAX])
-def test_objective_cost_evaluates_a_bounded_expression_by_its_bounded_evaluator(bound):
+def test_objective_cost_writes_a_bounded_expression_inline(bound):
     # with y up to INT_MAX, add(x,y) keeps its range test, and x=1 fires it
     obj = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
                       expression=OpCall("add", (VarRef("x"), VarRef("y"))))
     search = _costed_search(obj, [((0, 1),), ((0, 0), (bound, bound))])
-    assert not isinstance(search.cost, partial)
+    (form, (shape,), ci), = search.leaf
+    assert (form, type(shape), shape.raises, ci) == ("value", expr.Bounded, bound == INT_MAX,
+                                                     None)
     pairs = _costs(search)
     assert all(cost == reference for cost, reference in pairs)
     if bound == INT_MAX:
@@ -795,10 +809,10 @@ def test_generated_code_holds_no_input_text(monkeypatch):
     assert [form for calls in _Search(inst, SearchConfig()).plan
             for form, _, ci in calls if ci is None] == ["total"] * 3
     # the checks are written into the loop, each naming its errors by
-    # position, the intensions' code with them: no bounded evaluator is built
+    # position, the intensions' code with them: no evaluator is compiled
     assert any("raise named(e, n2_1) from e" in s and "_trunc_div(" in s
                and "T2_2[i2_2 + 1] = T2_2[i2_2] + c2_2 * v2" in s
-               and "value = T[-1]" in s for s in sources)
+               and "value = TL0[-1]" in s for s in sources)
     assert not any("def evaluate" in s for s in sources)
     words = ["IDONE", "IDTWO", "IDTHREE", "LABELONE", "LABELTWO", "LABELTHREE"]
     for source in sources:
@@ -834,6 +848,10 @@ def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
     # status, count, best cost and nodes
     assert {path.name: [status, count, cost, nodes] for path, (status, count, _, cost, nodes)
             in zip(paths, map(_pinned, expected))} == PINNED["fixtures"]
+    # the reference path evaluates every expression by compile_expr, so
+    # that expr's cap is met too
+    reference = replace(cfg, node_limit=20_000, partial_checks=False)
+    referenced = [_full_outcome(_Search(inst, reference)) for inst in instances]
     for module in (expr, solver):
         monkeypatch.setattr(module, "MAX_SHAPES", 2)
         monkeypatch.setattr(module, "_FACTORIES", {})
@@ -843,10 +861,11 @@ def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
     # that solver's cap is met too
     monkeypatch.setattr(solver, "MAX_CHUNK", 2)
     for _ in range(2):
-        # parsed again, so that no kind keeps a bounded shape or evaluator
+        # parsed again, so that no kind keeps a bounded shape
         # (kinds.bounded_shape) and every expression is written under the cap
         instances = [parse_file(str(path)) for path in paths]
         assert [_full_outcome(_Search(inst, cfg)) for inst in instances] == expected
+        assert [_full_outcome(_Search(inst, reference)) for inst in instances] == referenced
         assert len(solver._FACTORIES) == len(expr._FACTORIES) == len(solver._LOOPS) == 2
 
 
@@ -905,7 +924,7 @@ def test_a_second_round_of_fixture_and_benchmark_searches_compiles_nothing(monke
     assert compiled == []
 
 
-# -- bounded evaluators and generated stages against the reference path -------------
+# -- written expressions, stages and leaf calls against the reference path ---------
 
 def _two_ways(text, cfg=SearchConfig(), pruned=False):
     """The outcome with partial checks, after checking it against the
@@ -981,9 +1000,11 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
         PostedConstraint(K.Intension(OpCall("ne", (OpCall("mul", (q, big)), OpCall("if", (
             OpCall("in", (y, expr.SetLiteral((987654321, 1)))), x, big)))))),
         PostedConstraint(K.AllDifferent((q, OpCall("add", (q, big))))))
+    # and an objective that holds both, with an if() whose branch reads q
+    objective = OpCall("add", (OpCall("mul", (x, OpCall("add", (y, z)))), OpCall("if", (
+        OpCall("in", (q, expr.SetLiteral((987654321, 1)))), OpCall("mul", (q, big)), z))))
     inst = Instance(tuple(Variable(v, Domain(((0, 2),))) for v in ids + [q.id]), constraints,
-                    K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
-                                expression=OpCall("mul", (x, OpCall("add", (y, z))))))
+                    K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION, expression=objective))
     search = _Search(inst, SearchConfig())
     forms = {form for calls in search.plan for form, _, _ in calls}
     assert {"sum", "s", "dx", "dx.", "i", "d", "d."} <= forms
@@ -993,16 +1014,17 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
     assert _full_outcome(search) == _full_outcome(_Search(inst, SearchConfig(
         partial_checks=False)))
     # the stages and add(y,1) are written into the loop, which reads y as v1,
-    # and the last two constraints' code at q's depth; the objective's
-    # bounded evaluator reads env[p0]
+    # the last two constraints' code at q's depth, and the objective's into
+    # the leaf, its if() branch a function that reads q from env
+    assert search.leaf[0][0] == "value"
     assert any("t1_1_0 = v1 + p1_1_1" in s and "S1_1[i1_1 + 1] = s" in s
-               and "value = cost(env)" in s and " in p3_" in s and "(env) if " in s
+               and " in p3_" in s and "(env) if " in s
+               and "value = tL0_" in s and " = env[pL0_" in s and " in pL0_" in s
                for s in sources)
-    assert any("env[p0]" in s for s in sources)
     for source in sources:
         for text in ids + ["IDONE", "IDTWO", "IDTHREE", "qZ7", "987654321"]:
             assert text not in source
-        # no intension or allDifferent operand is a call of a bounded evaluator
+        # no written expression is a call of a compiled evaluator
         assert not re.search(r"\bf[0-9_]+\(env\)", source)
 
 
@@ -1069,7 +1091,7 @@ def _written_expression_instances(draw):
     expressions = draw(st.lists(_bounded_expressions(weighted), min_size=3, max_size=6))
 
     def raises(e):
-        return compile_bounded(e, bounds)[1]
+        return bounded_shape(e, bounds).raises
 
     # a constraint without variables is settled before search, so none is
     # posted; ne() holds for most values
@@ -1127,6 +1149,74 @@ def test_written_expressions_agree_with_the_reference_path(instances):
     plan = _Search(parse_string(proved), cfg).plan
     assert all(type(args[0]) is expr.Bounded
                for calls in plan for form, args, _ in calls if form == "i")
+
+
+def _solved(search):
+    """_full_outcome, with the solutions kept."""
+    try:
+        result = search.run()
+    except XcspError as e:
+        return type(e), str(e), search.nodes
+    best = None if result.best is None else dict(result.best)
+    return (result.status, result.count, [dict(s) for s in result.solutions], best,
+            result.best_cost, result.nodes)
+
+
+@st.composite
+def _leaf_searches(draw):
+    """The first instance of _written_expression_instances, which posts
+    intensions alone, so that partial checks prune no node, searched as a
+    CSP or a COP; the config, with max_solutions None, 1 or 2; and the
+    forms the leaf's calls may take.
+
+    An EXPRESSION objective is a bare variable, an if() whose first branch
+    is one, a div whose divisor's domain holds 0, an add whose range test
+    survives when its variable has two values (and fires at any but the
+    smallest), or any drawn expression. A sum objective is proved or not
+    by its variables' bounds; a maximum objective is eval_objective's.
+    """
+    text, _, restrict = draw(_written_expression_instances())
+    cfg = SearchConfig(max_solutions=draw(st.sampled_from([None, 1, 2])),
+                       restrict_to_decision=restrict)
+    kind = draw(st.sampled_from(["csp", "bare", "if", "div", "range", "any", "sum", "maximum"]))
+    if kind == "csp":
+        return text, cfg, {"keep"}
+    variables = list(parse_string(text).variables())
+    names = [v.id for v in variables]
+    wide = [v for v in variables if v.domain.size > 1] or variables
+    var = draw(st.sampled_from(wide))
+    x, low = VarRef(var.id), IntConst(var.domain.min_value)
+    expressions = _bounded_expressions(names)
+    e = {"bare": lambda: x,
+         "if": lambda: OpCall("if", (draw(expressions), x, draw(expressions))),
+         "div": lambda: OpCall("div", (draw(expressions), OpCall("sub", (
+             x, IntConst(draw(st.sampled_from(list(var.domain.values())))))))),
+         "range": lambda: OpCall("add", (OpCall("sub", (x, low)), IntConst(INT_MAX))),
+         "any": lambda: draw(expressions)}.get(kind)
+    sense = draw(st.sampled_from(["minimize", "maximize"]))
+    if e is not None:
+        objective, forms = f"<{sense}> {expr.print_expr(e())} </{sense}>", {"value"}
+    else:
+        scope = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(scope), max_size=len(scope)))
+        objective = (f'<{sense} type="{kind}"><list> {" ".join(scope)} </list>'
+                     f'<coeffs> {" ".join(map(str, coeffs))} </coeffs></{sense}>')
+        forms = {"last", "cost"} if kind == "sum" else {"cost"}
+    text = text.replace('type="CSP"', 'type="COP"').replace(
+        "</constraints>", f"</constraints><objectives>{objective}</objectives>")
+    return text, cfg, forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_leaf_searches())
+def test_leaf_calls_agree_with_the_reference_path(search):
+    # the same status, count, solutions, best assignment and cost, nodes,
+    # or error and message, however the leaf's calls are written
+    text, cfg, forms = search
+    inst = parse_string(text)
+    leaf = _Search(inst, cfg)
+    assert {form for form, _, _ in leaf.leaf} <= forms
+    assert _solved(leaf) == _solved(_Search(inst, replace(cfg, partial_checks=False)))
 
 
 # -- the generated search loop ------------------------------------------------------
@@ -1285,8 +1375,14 @@ def test_the_loop_source_holds_no_id_or_constant(monkeypatch, cfg, sense):
             OpCall("in", (refs[3], expr.SetLiteral((987654321, 70001)))), refs[5], big)))))),
         PostedConstraint(K.AllDifferent((q, OpCall("add", (refs[3], big)),
                                          OpCall("sub", (q, big))))))
-    objective = sense and K.Objective(K.Sense(sense), K.ObjKind.SUM, operands=tuple(refs),
-                                      coeffs=(90017,) * 20)
+    # a sum objective, or one that holds q and the integer, read in the
+    # leaf with v3 and v19 (an if() branch reads v19 from env)
+    expression = OpCall("add", (OpCall("mul", (q, big)), OpCall("if", (
+        OpCall("in", (refs[3], expr.SetLiteral((987654321, 70001)))), refs[19], big))))
+    objective = sense and (
+        K.Objective(K.Sense(sense), K.ObjKind.SUM, operands=tuple(refs), coeffs=(90017,) * 20)
+        if sense == "minimize" else
+        K.Objective(K.Sense(sense), K.ObjKind.EXPRESSION, expression=expression))
     inst = Instance(tuple(map(Variable, ids + [q.id], domains + [Domain(((70001, 70002),))])),
                     constraints, objective, tuple(ids[:17]) + (q.id,))
     result = _Search(inst, cfg).run()
@@ -1295,8 +1391,10 @@ def test_the_loop_source_holds_no_id_or_constant(monkeypatch, cfg, sense):
     # the expressions are written into the second block, which reads q as
     # its loop variable and v3 from env
     assert any(" in p" in source and "= env[p" in source for source in sources)
+    leaf = {"minimize": "value = TL0[-1]", "maximize": "value = tL0_"}.get(sense, "")
+    assert leaf in sources[-1]
     for source in sources:
         for text in ["IDWORD", "LABEL", "7000", "8000", "9001", "qZ7", "987654321"]:
             assert text not in source
-        # no intension or allDifferent operand is a call of a bounded evaluator
+        # no written expression is a call of a compiled evaluator
         assert not re.search(r"\bf[0-9_]+\(env\)", source)
