@@ -2,8 +2,9 @@
 """Summarize every instance in a fixture directory, optionally solving each.
 
 Prints one row per instance: framework, variable and constraint counts, the
-time parse_file took (reading the file included), the constraint kinds
-present, and (with --solve) the solution count or optimum, the search
+most constraints that one variable completes in declaration order (the
+widest depth of a search in that order), the time parse_file took (reading
+the file included), the constraint kinds present, and (with --solve) the solution count or optimum, the search
 time, the nodes visited and the nodes per second. With --solve a last row
 totals the fixtures, their nodes and search seconds, and the nodes per
 second over all of them.
@@ -12,13 +13,24 @@ second over all of them.
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's
 
+from xcsp3core.model import Instance  # noqa: E402
 from xcsp3core.parser import parse_file  # noqa: E402
 from xcsp3core.solver import SearchConfig, Status, count_solutions, solve  # noqa: E402
+
+
+def widest_depth(instance: Instance) -> int:
+    """The most constraints whose latest-declared variable is one variable."""
+    position = {var.id: i for i, var in enumerate(instance.variables())}
+    completed = Counter(max(kind.var_ids, key=position.__getitem__)
+                        for kind in (posted.kind for posted in instance.constraints)
+                        if kind.var_ids)
+    return max(completed.values(), default=0)
 
 
 def describe(path: Path, do_solve: bool, node_limit: int) -> Tuple[str, int, float]:
@@ -31,7 +43,7 @@ def describe(path: Path, do_solve: bool, node_limit: int) -> Tuple[str, int, flo
     n_vars = sum(1 for _ in instance.variables())
     row = (f"{path.name:28} {instance.framework.value:3} "
            f"{n_vars:3} vars {len(instance.constraints):3} ctrs "
-           f"{parse_ms:7.2f} ms parse  {','.join(kinds)}")
+           f"{widest_depth(instance):3} widest {parse_ms:7.2f} ms parse  {','.join(kinds)}")
     if not do_solve:
         return row, 0, 0.0
     started = time.monotonic()

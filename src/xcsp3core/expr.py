@@ -92,8 +92,7 @@ def generated(cache: Dict[Any, Callable[..., Any]], bound: int, key: Any,
 
     The source is executed in a copy of namespace. cache holds at most
     bound factories, the oldest dropped first. compile_expr, the solver's
-    loop blocks and functions of checks and the record classes use it, each
-    with its own cache.
+    loop blocks and the record classes use it, each with its own cache.
     """
     make = cache.get(key)
     if make is None:

@@ -45,10 +45,6 @@ which goes on to the depth's next value where the check fails:
   the node and with the message where the reference scan would, and the
   detector and the complete check are that scan.
 - "c", any other kind's complete check from checker's table.
-- "g", a generated function of calls (_function), for a depth with more
-  than MAX_CHUNK calls: it returns True at the first that fails, and a
-  depth with more than MAX_CHUNK of these gets a tree of them, so no
-  piece of code grows with a depth's checks and planning stays linear.
 The leaf, which runs on each complete assignment that passes, makes calls
 too, which never fail and name no error: the objective's cost is an
 EXPRESSION objective's code, written as for "i" ("value"), the last
@@ -56,12 +52,12 @@ total of a proved sum ("last") or a call of eval_objective ("cost"), and
 a search that keeps its solutions passes each to a call ("keep").
 In the loop, written code reads a variable that a depth of its block
 assigns from that depth's loop variable, and any other from env, where
-every depth also writes its value; code in a "g" function, and in an
-if() branch's function, reads env alone. The callables, constants, state
-lists, kinds and the constraint positions that name an evaluation error
-are arguments of the factory that builds the code: as in expr's
-generator, no id, label or other input text enters the source, and one
-factory serves all code of the same forms, expression shapes and reads.
+every depth also writes its value; code in an if() branch's function
+reads env alone. The callables, constants, state lists, kinds and the
+constraint positions that name an evaluation error are arguments of the
+factory that builds the code: as in expr's generator, no id, label or
+other input text enters the source, and one factory serves all code of
+the same forms, expression shapes and reads.
 With partial_checks off, every constraint is one "c" call of its checker
 and every cost a call of eval_objective, both with unbounded evaluators:
 that is the reference path.
@@ -79,10 +75,12 @@ depths are forced (restrict_to_decision), its leaf, and each depth's and
 the leaf's calls' forms, with the bounded shape of each expression and
 which of its reads are of which loop variable; a forced
 depth reruns its calls' code on the value it chose, assigned again to
-its loop variable and env. At most MAX_LOOPS factories are
-kept, and at most MAX_SHAPES of "g" functions, the oldest dropped first,
-so a search of an instance met again writes no source. The search visits
-at most node_limit nodes and stops with LIMIT only when it needs one more.
+its loop variable and env. Every call of a depth is written into its
+block, so a block's code grows with its depths' calls: a depth that
+completes thousands of constraints is compiled as one long block. At most
+MAX_LOOPS factories are kept, the oldest dropped first, so a search of an
+instance met again writes no source. The search visits at most
+node_limit nodes and stops with LIMIT only when it needs one more.
 The clock is read before the first node and then every CLOCK_NODES nodes;
 the time limit counts from the start of building the search, so planning
 and code generation count against it too. Both cost one comparison of the
@@ -170,8 +168,6 @@ class _LimitReached(Exception):
 
 # -- generated checks -------------------------------------------------------------
 
-MAX_CHUNK = 32      # calls per depth in the loop, and per generated function
-MAX_SHAPES = 256    # functions' factories kept, one per sequence of forms
 CLOCK_NODES = 256   # nodes between two readings of the clock
 
 
@@ -196,28 +192,26 @@ def _distinct_form(excepts: bool, last: bool) -> Tuple[Tuple[str, ...], Tuple[st
 # runs when the check fails, and x, the name of the value the call reads.
 # A form whose first parameter is x (_SOURCED) takes as its first argument
 # where that value comes from: the id of the variable its depth assigns,
-# read as the loop variable (or from env in a generated function), or an
-# expression's bounded shape (expr.Bounded), whose code is written before
-# the lines and names x. "i" is an intension's complete check (0 is
-# false), "s" a partial detector (True when violated), "c" the complete
-# check of kind a{k}, and "g" a generated function of checks, whose errors
-# are named already. A sum stage adds its variable's term c * x (the
-# coefficients of a variable merged) to the total T[i] of the stages
-# before and keeps it in T[i + 1]: "sum" fails outside lo..hi, "total" (an
-# objective's) never fails. An allDifferent operand ("d"; "x" with
-# excepts, "." the last operand checked) is a membership test. A call of a
-# form in _RAISING, or whose expression may raise, runs in a try whose
-# handler raises the EvalError again as named(error, n{k}), n{k} the
-# constraint's position; a call without a position (the leaf's, and an
-# objective's stages) lets its errors pass unnamed. The leaf's calls never
-# fail: "value" is an objective expression's value, "last" a proved sum
-# objective's last total, "cost" eval_objective's call, each kept in value,
-# and "keep" passes the solution to f{k}.
+# read as that depth's loop variable, or an expression's bounded shape
+# (expr.Bounded), whose code is written before the lines and names x. "i"
+# is an intension's complete check (0 is false), "s" a partial detector
+# (True when violated) and "c" the complete check of kind a{k}. A sum
+# stage adds its variable's term c * x (the coefficients of a variable
+# merged) to the total T[i] of the stages before and keeps it in T[i + 1]:
+# "sum" fails outside lo..hi, "total" (an objective's) never fails. An
+# allDifferent operand ("d"; "x" with excepts, "." the last operand
+# checked) is a membership test. A call of a form in _RAISING, or whose
+# expression may raise, runs in a try whose handler raises the EvalError
+# again as named(error, n{k}), n{k} the constraint's position; a call
+# without a position (the leaf's, and an objective's stages) lets its
+# errors pass unnamed. The leaf's calls never fail: "value" is an
+# objective expression's value, "last" a proved sum objective's last
+# total, "cost" eval_objective's call, each kept in value, and "keep"
+# passes the solution to f{k}.
 _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "i": (("x",), ("if not {x}:", "    {fail}")),
     "s": (("f",), ("if f{k}():", "    {fail}")),
     "c": (("f", "a"), ("if not f{k}(a{k}, env):", "    {fail}")),
-    "g": (("f",), ("if f{k}():", "    {fail}")),
     "sum": (("x", "T", "i", "c", "lo", "hi"),
             ("t = T{k}[i{k}] + c{k} * {x}",
              "T{k}[i{k} + 1] = t",
@@ -233,7 +227,6 @@ _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 }
 _SOURCED = frozenset(form for form, (names, _) in _FORMS.items() if names[0] == "x")
 _RAISING = frozenset({"s", "c"})
-_FACTORIES: Dict[Tuple[object, ...], Callable[..., Callable[[], bool]]] = {}
 _NAMESPACE = {**_EXPR_NAMESPACE, "EvalError": EvalError}
 
 # A call of generated code: form, arguments, and the constraint's position,
@@ -252,9 +245,9 @@ def _written(calls: Sequence[_Call], local: Mapping[str, str]
     order of its parameters.
 
     The first is each call's form and, for an expression, its bounded shape
-    key and which of its reads are of which loop variable. A variable's id
-    read by a stage is always local in the loop and never in a generated
-    function, which have caches of their own.
+    key and which of its reads are of which loop variable. A stage reads
+    the variable of its own depth, always a loop variable, so its id is no
+    argument.
     """
     keys: List[object] = []
     out: List[object] = []
@@ -266,7 +259,7 @@ def _written(calls: Sequence[_Call], local: Mapping[str, str]
             out += args[1:]
         else:
             keys.append(form)
-            out += args[1:] if form in _SOURCED and source in local else args
+            out += args[1:] if form in _SOURCED else args
         if _names_errors(form, source, ci):
             out.append(ci)
     return tuple(keys), out
@@ -276,7 +269,8 @@ def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, st
           ) -> Tuple[List[str], List[str], List[str]]:
     """The parameters, lines and function definitions of calls, in order:
     call j's names get suffix + j, fail is what runs where one of them
-    fails, and a variable in local is read from the local named there."""
+    fails, and a variable in local is read from the local named there (a
+    stage's always is)."""
     params: List[str] = []
     code: List[str] = []
     functions: List[str] = []
@@ -292,11 +286,7 @@ def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, st
                 params += written
                 functions += defined
             else:
-                x = local.get(source)
-                if x is None:
-                    params.append(f"x{k}")
-                    block.append(f"u{k} = env[x{k}]")
-                    x = f"u{k}"
+                x = local[source]
         params += [f"{name}{k}" for name in names]
         block += [line.format(k=k, fail=fail, x=x) for line in lines]
         if _names_errors(form, args[0], ci):
@@ -305,29 +295,6 @@ def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, st
                      + ["except EvalError as e:", f"    raise named(e, n{k}) from e"])
         code += block
     return params, code, functions
-
-
-def _source(calls: Sequence[_Call]) -> str:
-    """The factory of one shape: _make(env, named, <the calls' parameters>).
-
-    fails() runs the calls' code in order and returns True at the first
-    check that fails, False when all pass. Every variable is read from env.
-    """
-    params, code, functions = _code(calls, "", "return True", {})
-    return "\n".join([f"def _make({', '.join(['env', 'named', *params])}):"]
-                     + [f"    {line}" for line in functions]
-                     + ["    def fails():"] + [f"        {line}" for line in code]
-                     + ["        return False", "    return fails", ""])
-
-
-def _function(calls: Sequence[_Call], env: Dict[str, int],
-              named: Callable[[EvalError, int], EvalError]) -> Callable[[], bool]:
-    """One generated function running calls in order over env: True at the
-    first that fails. named(error, position) names an error of a call."""
-    key, args = _written(calls, {})
-    make = generated(_FACTORIES, MAX_SHAPES, key, partial(_source, calls),
-                     _NAMESPACE, "<search checks>")
-    return make(env, named, *args)
 
 
 # -- generated search loop --------------------------------------------------------
@@ -652,7 +619,7 @@ class _Search:
 
     def _plan(self) -> None:
         """For each depth, the calls its variable triggers, in constraint order:
-        (form, arguments, position), as _function writes them.
+        (form, arguments, position), as _code writes them.
 
         A staged constraint is checked by its stages alone, the last of them
         at the depth completing its scope. Any other constraint's complete
@@ -720,19 +687,6 @@ class _Search:
                 return "last", (totals,), None
         return "cost", (partial(eval_objective, obj),), None
 
-    def _chunked(self, calls: Sequence[_Call]) -> Sequence[_Call]:
-        """One depth's calls as at most MAX_CHUNK calls, written into its loop.
-
-        While there are more, they are split into generated functions of
-        MAX_CHUNK calls each, which take their place as "g" calls. So no
-        loop block grows with a depth's checks, and the calls nest only
-        log base MAX_CHUNK deep.
-        """
-        while len(calls) > MAX_CHUNK:
-            calls = [("g", (_function(calls[i:i + MAX_CHUNK], self.env, self._named),), None)
-                     for i in range(0, len(calls), MAX_CHUNK)]
-        return calls
-
     # -- bookkeeping ---------------------------------------------------------
 
     def _checkpoint(self, nodes: int) -> int:
@@ -774,7 +728,7 @@ class _Search:
             mode_args: Tuple[object, ...] = (Instantiation,)
         else:
             mode, mode_args = "count", (Instantiation, _Stop, self.cfg.max_solutions)
-        depths = [(v.id, _values(v.domain), self._chunked(calls))
+        depths = [(v.id, _values(v.domain), calls)
                   for v, calls in zip(self.order, self.plan)]
         blocks = []
         for start in range(0, n, LOOP_DEPTHS) if n else (0,):

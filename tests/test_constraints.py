@@ -94,6 +94,8 @@ def test_extension_unary_domain():
 def test_extension_rejects_ambiguous_payload():
     with pytest.raises(ValueError):
         K.Extension(scope=("x",), positive=True)
+    with pytest.raises(ValueError, match="^unary table with non-unary scope$"):
+        K.Extension(scope=("x", "y"), positive=True, unary=Domain(((0, 1),)))
 
 
 @pytest.mark.parametrize("tag", ["supports", "conflicts"])

@@ -339,6 +339,7 @@ def _constraints(constraint):
 
 _ARRAY = '<array id="y" size="[2]">{}</array>'
 _COP = "<objectives>{}</objectives>"
+_XY = _X + '<var id="y"> 0..2 </var>'
 RAISE_SITES = [
     ("alias-size", "/instance/variables/array[2]",
      "alias 'z' of size [3] cannot take the cell domains of 'y': the sizes differ and the "
@@ -403,6 +404,17 @@ RAISE_SITES = [
                   "<except> (0,0,0) </except></allDifferent>")),
     ("unknown-variable", None, "decision annotation references undeclared variable 'q'",
      _document(tail="<annotations><decision> q </decision></annotations>")),
+    # appended, so that the rows above keep their ids
+    ("objective-shape", "/instance/objectives/minimize", "sum objective needs operands",
+     _document(tail=_COP.format('<minimize type="sum"><list></list></minimize>'),
+               framework="COP")),
+    ("objective-shape", "/instance/objectives/maximize", "lex objectives take no coefficients",
+     _document(_XY, tail=_COP.format('<maximize type="lex"><list>x y</list><coeffs>1 2</coeffs>'
+                                     "</maximize>"), framework="COP")),
+    ("objective-shape", "/instance/objectives/minimize",
+     "coeffs length differs from operand count",
+     _document(_XY, tail=_COP.format('<minimize type="sum"><list>x y</list><coeffs>1</coeffs>'
+                                     "</minimize>"), framework="COP")),
 ]
 
 

@@ -283,6 +283,11 @@ def test_every_kind_has_a_case_and_a_table_row():
     assert kinds == set(K.LAYOUT)
 
 
+def test_an_expression_objective_needs_its_expression():
+    with pytest.raises(ValueError, match="^expression objective without an expression$"):
+        K.Objective(K.Sense.MINIMIZE, K.ObjKind.EXPRESSION, operands=(VarRef("x"),))
+
+
 def test_objective_scope():
     doc = document("").replace('type="CSP"', 'type="COP"').replace(
         "</instance>", "<objectives><minimize type=\"sum\"> <list> c x[1] c </list>"

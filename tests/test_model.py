@@ -8,6 +8,7 @@ from xcsp3core.model import (
     Condition,
     CondOp,
     Domain,
+    Instance,
     Instantiation,
     Interval,
     IntSet,
@@ -35,6 +36,21 @@ def make_array(name, *dims, lo=0, hi=9):
     for idx in itertools.product(*(range(d) for d in dims)):
         cells.append(Variable(name + "".join(f"[{i}]" for i in idx), dom))
     return VarArray(name, tuple(dims), tuple(cells))
+
+
+def test_array_cells_must_fill_its_size():
+    cells = make_array("x", 2, 3).cells
+    with pytest.raises(ValueError, match=r"^array x: 5 cells for size \(2, 3\)$"):
+        VarArray("x", (2, 3), cells[:5])
+
+
+@pytest.mark.parametrize("first,second", [("var", "var"), ("array", "var"),
+                                          ("var", "array"), ("array", "array")])
+def test_an_instance_rejects_an_id_declared_twice(first, second):
+    declared = {"var": Variable("x", Domain(((0, 1),))), "array": make_array("x", 2)}
+    with pytest.raises(ParseError) as err:
+        Instance((declared[first], declared[second]), ())
+    assert (err.value.message, err.value.rule) == ("id 'x' declared twice", "duplicate-id")
 
 
 # -- domains -------------------------------------------------------------------------

@@ -44,6 +44,13 @@ def test_fixture_report_times_each_parse():
     rows = out.stdout.splitlines()
     assert len(rows) == len(list((ROOT / "tests/fixtures").glob("*.xml")))
     assert all(" ms parse " in row for row in rows)
+    # the most constraints one variable completes in declaration order:
+    # misc_core_1's q[3] completes 8 of its 14, toy_network's z 2
+    # of its 3 tables, and coins_83's sum has one variable that completes it
+    widest = {row.split()[0]: int(re.search(r" ([0-9]+) widest ", row).group(1))
+              for row in rows}
+    assert (widest["misc_core_1.xml"], widest["toy_network.xml"], widest["coins_83.xml"]) \
+        == (8, 2, 1)
 
 
 def test_parse_digest_prints_each_outcome_and_their_digest():

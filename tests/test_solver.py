@@ -254,10 +254,26 @@ def test_optimum_agrees_with_naive_optimum(seed):
 # -- the plan's staged checks -----------------------------------------------------
 
 
+def _written_function(calls, env, named, vid=None, fail="return True", result="False"):
+    """A function running the code of calls over env, as the loop writes
+    them (solver._code) at the depth that assigns vid: vid is read as that
+    depth's loop variable, every other variable from env. fail runs where a
+    check fails; after the last call the function returns result."""
+    local = {} if vid is None else {vid: "v"}
+    params, code, functions = solver._code(calls, "", fail, local)
+    scope = dict(solver._NAMESPACE)
+    exec("\n".join([f"def _make({', '.join(['env', 'named', 'i', *params])}):"]
+                   + [f"    {line}" for line in functions]
+                   + ["    def run():"] + ["        v = env[i]"] * (vid is not None)
+                   + [f"        {line}" for line in code]
+                   + [f"        return {result}", "    return run"]), scope)
+    return scope["_make"](env, named, vid, *solver._written(calls, local)[1])
+
+
 def _stages_by_depth(kind, order, domains, env):
     """The kind's stages for order, as (depth, check) pairs in depth order:
-    each check the generated function of its depth's stages, as the search
-    writes it, raising errors unnamed."""
+    each check its depth's stages written as the loop writes them, True at
+    the first that fails, raising errors unnamed."""
     depth_of = {v: d for d, v in enumerate(order)}
     bounds = {v: (min(domains[v]), max(domains[v])) for v in order}
     stages = staged_checks(kind, depth_of, bounds)
@@ -266,7 +282,7 @@ def _stages_by_depth(kind, order, domains, env):
     by_depth = {}
     for depth, form, args in stages:
         by_depth.setdefault(depth, []).append((form, args, 0))
-    return [(depth, solver._function(calls, env, lambda error, ci: error))
+    return [(depth, _written_function(calls, env, lambda error, ci: error, order[depth]))
             for depth, calls in by_depth.items()], depth_of
 
 
@@ -635,29 +651,18 @@ def _costed_search(obj, domains):
     return _Search(Instance(variables, (), obj), SearchConfig())
 
 
-def _leaf_value(search):
-    """A function running the leaf's calls over the search's env, written as
-    the loop writes them (every variable read from env), that returns the
-    value they set."""
-    params, code, functions = solver._code(search.leaf, "L", "pass", {})
-    scope = dict(solver._NAMESPACE)
-    exec("\n".join([f"def _make({', '.join(['env', *params])}):"]
-                   + [f"    {line}" for line in functions]
-                   + ["    def leaf():"] + [f"        {line}" for line in code]
-                   + ["        return value", "    return leaf"]), scope)
-    return scope["_make"](search.env, *solver._written(search.leaf, {})[1])
-
-
 def _costs(search):
     """Each assignment of the search's variables, with the cost the search
     gives it after running every depth's checks and stages (each depth's
-    calls as one generated function) and then its leaf's call, and the
-    assignment's eval_objective: the two agree when each pair is equal."""
+    calls written as the loop writes them) and then its leaf's call (every
+    variable read from env), and the assignment's eval_objective: the two
+    agree when each pair is equal."""
     env, ids = search.env, [v.id for v in search.order]
     domains = [[value for lo, hi in v.domain.items for value in range(lo, hi + 1)]
                for v in search.order]
-    depths = [solver._function(calls, env, search._named) for calls in search.plan]
-    read = _leaf_value(search)
+    depths = [_written_function(calls, env, search._named, vid)
+              for vid, calls in zip(ids, search.plan)]
+    read = _written_function(search.leaf, env, search._named, fail="pass", result="value")
     pairs = []
     for values in itertools.product(*domains):
         env.update(zip(ids, values))
@@ -762,18 +767,114 @@ def _many_intensions(n, raising):
                         f"<constraints>{''.join(ctrs)}</constraints></instance>")
 
 
-@pytest.mark.parametrize("chunk", [solver.MAX_CHUNK, 2])
 @pytest.mark.parametrize("raising,x", [(None, None), (0, 0), (69, 3), (99, 3)])
-def test_a_depth_with_more_checks_than_a_function_holds(monkeypatch, chunk, raising, x):
-    monkeypatch.setattr(solver, "MAX_CHUNK", chunk)
+def test_a_depth_with_a_hundred_checks(monkeypatch, raising, x):
     inst = _many_intensions(100, raising)
-    generated = _outcome(_Search(inst, SearchConfig()))
+    compiled = []
+    with monkeypatch.context() as m:
+        m.setattr(expr, "compile", lambda *args: compiled.append(args) or compile(*args),
+                  raising=False)
+        m.setattr(solver, "_LOOPS", {})
+        search = _Search(inst, SearchConfig())
+    # every check of y's depth is written into the one loop block, each
+    # going on to y's next value where it fails
+    assert [filename for _, filename, _ in compiled] == ["<search loop>"]
+    assert compiled[0][0].count("continue") == 100
+    generated = _outcome(search)
     assert generated == _outcome(_Search(inst, SearchConfig(partial_checks=False)))
     if raising is None:
         assert generated == (Status.SATISFIABLE, 10, 20)  # the pairs with y <= x
     else:
         # at y=3, x is the first value that passes the checks before the division
         assert generated[:2] == (DivisionByZero, f"#{raising}: div(6,0) at y=3 x={x}")
+
+
+def _holding(rng, value):
+    """A condition (op,k) that value satisfies."""
+    op = rng.choice(["lt", "le", "ge", "gt", "eq", "ne"])
+    slack = rng.randint(0 if op in ("le", "ge") else 1, 3)
+    k = {"lt": value + slack, "le": value + slack, "ge": value - slack, "gt": value - slack,
+         "eq": value, "ne": value + rng.choice((-slack, slack))}[op]
+    return op, k
+
+
+def _wide_xml(rng):
+    """A document of 3-4 variables with at most 4 values each, whose last
+    variable completes 33-120 constraints: first an intension over the last
+    variable alone whose div may divide by 0, then picks from a few
+    intensions, sums, allDifferents over expressions and tables, each
+    holding at a planted assignment; and an objective, or none. The planted
+    prefix is never pruned, so the search reaches the last depth and meets
+    the division with the message the reference gives."""
+    ids = [f"x{i}" for i in range(rng.randint(3, 4))]
+    *rest, last = ids
+    domains = {vid: sorted(rng.sample(range(-3, 4), rng.randint(1, 4))) for vid in ids}
+    plant = {vid: rng.choice(domains[vid]) for vid in ids}
+    c = rng.randint(domains[last][0] - 1, domains[last][-1] + 1)
+    pool = []
+    for _ in range(rng.randint(3, 12)):
+        x, kind = rng.choice(rest), rng.choice(["intension", "sum", "allDifferent", "table"])
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        if kind == "intension":
+            op, k = _holding(rng, plant[x] + plant[last] * a)
+            pool.append(f"<intension> {op}(add({x},mul({last},{a})),{k}) </intension>")
+        elif kind == "sum":
+            op, k = _holding(rng, a * plant[x] + b * plant[last])
+            pool.append(f"<sum><list> {x} {last} </list><coeffs> {a} {b} </coeffs>"
+                        f"<condition> ({op},{k}) </condition></sum>")
+        elif kind == "allDifferent":
+            y = rng.choice(rest)
+            while plant[x] + a == plant[y]:
+                a += 1
+            while plant[last] + b in (plant[x] + a, plant[y]):
+                b += 1
+            pool.append(f"<allDifferent> add({x},{a}) {y} add({last},{b}) </allDifferent>")
+        else:
+            rows = {(rng.choice(domains[x]), rng.choice(domains[last])) for _ in range(4)}
+            tag, rows = "supports", rows | {(plant[x], plant[last])}
+            if rng.random() < 0.5:
+                tag, rows = "conflicts", rows - {(plant[x], plant[last])}
+            text = "".join(f"({u},{v})" for u, v in sorted(rows))
+            pool.append(f"<extension><list> {x} {last} </list><{tag}> {text} </{tag}>"
+                        "</extension>")
+    ctrs = ([f"<intension> ne(div(6,sub({last},{c})),{rng.randint(-2, 2)}) </intension>"]
+            + rng.choices(pool, k=rng.randint(32, 119)))
+    objective = rng.choice([
+        "",
+        "<minimize type=\"sum\"><list> {} </list><coeffs> {} </coeffs></minimize>".format(
+            " ".join(ids), " ".join(str(rng.randint(-3, 3)) for _ in ids)),
+        f"<maximize> add(mul({rest[0]},{rng.randint(-3, 3)}),sub({last},{rest[1]})) </maximize>"])
+    return (f'<instance format="XCSP3" type="{"COP" if objective else "CSP"}"><variables>'
+            + "".join(f'<var id="{vid}"> {" ".join(map(str, domains[vid]))} </var>'
+                      for vid in ids)
+            + f"</variables><constraints>{''.join(ctrs)}</constraints>"
+            + (f"<objectives>{objective}</objectives>" if objective else "") + "</instance>")
+
+
+def _answer(run, inst, cfg):
+    """run's status, count, first kept solution, best assignment and cost,
+    or the class and message of its error."""
+    try:
+        result = run(inst, cfg)
+    except XcspError as e:
+        return type(e), str(e)
+    return (result.status, result.count, [dict(s) for s in result.solutions[:1]],
+            None if result.best is None else dict(result.best), result.best_cost)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 100_000))
+def test_wide_depths_agree_with_the_reference_and_the_naive_filter(seed):
+    inst = parse_string(_wide_xml(random.Random(seed)))
+    assert len(_Search(inst, SearchConfig()).plan[-1]) >= 33
+    for run in (count_solutions, solve):
+        answer = _answer(run, inst, SearchConfig())
+        assert answer == _answer(run, inst, SearchConfig(partial_checks=False))
+    if isinstance(answer[0], Status):
+        assert answer[1] == oracles.naive_count(inst)
+    else:
+        with pytest.raises(answer[0]):
+            oracles.naive_count(inst)
 
 
 def test_generated_code_holds_no_input_text(monkeypatch):
@@ -787,8 +888,7 @@ def test_generated_code_holds_no_input_text(monkeypatch):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(expr, "compile", recording_compile, raising=False)
-    for module in (expr, solver):
-        monkeypatch.setattr(module, "_FACTORIES", {})
+    monkeypatch.setattr(expr, "_FACTORIES", {})
     monkeypatch.setattr(solver, "_LOOPS", {})
     x, y, z = map(VarRef, ids)
     constraints = (
@@ -852,21 +952,17 @@ def test_results_stay_right_when_few_depth_functions_are_kept(monkeypatch):
     # that expr's cap is met too
     reference = replace(cfg, node_limit=20_000, partial_checks=False)
     referenced = [_full_outcome(_Search(inst, reference)) for inst in instances]
-    for module in (expr, solver):
-        monkeypatch.setattr(module, "MAX_SHAPES", 2)
-        monkeypatch.setattr(module, "_FACTORIES", {})
+    monkeypatch.setattr(expr, "MAX_SHAPES", 2)
+    monkeypatch.setattr(expr, "_FACTORIES", {})
     monkeypatch.setattr(solver, "MAX_LOOPS", 2)
     monkeypatch.setattr(solver, "_LOOPS", {})
-    # depths of more than 2 calls write generated functions of them, so
-    # that solver's cap is met too
-    monkeypatch.setattr(solver, "MAX_CHUNK", 2)
     for _ in range(2):
         # parsed again, so that no kind keeps a bounded shape
         # (kinds.bounded_shape) and every expression is written under the cap
         instances = [parse_file(str(path)) for path in paths]
         assert [_full_outcome(_Search(inst, cfg)) for inst in instances] == expected
         assert [_full_outcome(_Search(inst, reference)) for inst in instances] == referenced
-        assert len(solver._FACTORIES) == len(expr._FACTORIES) == len(solver._LOOPS) == 2
+        assert len(expr._FACTORIES) == len(solver._LOOPS) == 2
 
 
 def test_all_differents_that_may_raise_keep_their_pinned_outcomes():
@@ -986,8 +1082,7 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
     monkeypatch.setattr(expr, "compile",
                         lambda source, *rest: sources.append(source) or compile(source, *rest),
                         raising=False)
-    for module in (expr, solver):
-        monkeypatch.setattr(module, "_FACTORIES", {})
+    monkeypatch.setattr(expr, "_FACTORIES", {})
     monkeypatch.setattr(solver, "_LOOPS", {})
     x, y, z = map(VarRef, ids)
     # an id and an integer of its own inside expressions written into the loop
