@@ -13,9 +13,10 @@ search (solver.py) runs these, or code it writes from them and from the
 domain bounds; nothing here depends on a variable order or on bounds.
 Nothing is prepared here per call: each kind carries its own var_ids, its
 compiled expressions and, for a table without *, a set of its tuples (see
-kinds.py), and the instance its useful variables and the constraints that
-name an undeclared variable (see model.Instance), all built on first use.
-A candidate then pays only for its own checks.
+kinds.py), and the instance its useful variables (see model.Instance), all
+built on first use. An Instance checks its references when it is built, so
+nothing here looks for an undeclared variable. A candidate then pays only
+for its own checks.
 """
 
 from __future__ import annotations
@@ -594,26 +595,18 @@ def named_error(error: EvalError, label: str, var_ids: Sequence[str],
 def _violated(instance: Instance, env: Dict[str, int], complete: bool) -> Tuple[str, ...]:
     """Labels of the constraints that env violates, in constraint order.
 
-    complete: every useful declared variable holds an int, which proves the
-    scope of every constraint but those naming an undeclared variable.
+    complete: every useful variable holds an int, which proves the scope of
+    every constraint, since an Instance names only declared variables.
     Otherwise constraints whose scope is not fully assigned are skipped.
     """
-    undeclared = instance.undeclared_scopes
     bad = []
     try:
         for position, posted in enumerate(instance.constraints):
             kind = posted.kind
-            if complete:
-                holds = check_constraint(kind, env, validate=position in undeclared)
-            elif all(v in env for v in kind.var_ids):
-                holds = check_constraint(kind, env, validate=False)
-            else:
-                continue
-            if not holds:
-                bad.append(posted.label(position))
+            if complete or all(v in env for v in kind.var_ids):
+                if not check_constraint(kind, env, validate=False):
+                    bad.append(posted.label(position))
     except EvalError as e:
-        if position in undeclared:
-            raise  # the scope proof failed: nothing was evaluated
         raise named_error(e, posted.label(position), kind.var_ids, env) from e
     return tuple(bad)
 

@@ -6,8 +6,8 @@ rule, which is what tells one parse failure from another; UnknownElement
 is the one the lenient reader catches. EvalError aborts evaluating
 expressions or conditions (exit 4), and its subclasses keep the kind of
 undefined arithmetic. CheckError aborts verifying a candidate solution
-(exit 10 from check), SolverError aborts search (exit 2), and
-UnforcedVariable exits 5.
+(exit 10 from check), and UnforcedVariable aborts a search restricted to
+the decision variables (exit 5).
 """
 
 from __future__ import annotations
@@ -73,11 +73,7 @@ class CheckError(XcspError):
     pass
 
 
-class SolverError(XcspError):
-    pass
-
-
-class UnforcedVariable(SolverError):
+class UnforcedVariable(XcspError):
     """restrict_to_decision requires non-decision variables to be forced."""
 
 

@@ -223,6 +223,7 @@ KEYWORDS = frozenset(
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 INT_RE = re.compile(r"[+-]?[0-9]+")
 INDEX_RE = re.compile(r"\[([0-9]+)\]")  # one index of a cell id: x[2][3]
+CELL_RE = re.compile(rf"{IDENT_RE.pattern}(?:{INDEX_RE.pattern})+")  # a cell id
 
 
 # Deepest nesting of operator calls an expression may have. Printing and

@@ -185,6 +185,11 @@ class Regular(_Automaton):
 
 
 class Mdd(_Automaton):
+    FIELDS = ("scope", "transitions")  # declared again, so that __init__ calls _validate
+
+    def _validate(self) -> None:
+        self.root_terminal  # reject a bad shape when built, not when checked
+
     @cached_property
     def root_terminal(self) -> Tuple[str, str]:
         """Root has no incoming arcs, terminal no outgoing; both must be unique."""

@@ -12,11 +12,11 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import (Any, Dict, FrozenSet, ItemsView, Iterable, Iterator, Mapping, Optional,
+from typing import (Any, Callable, Dict, ItemsView, Iterable, Iterator, Mapping, Optional,
                     Tuple, Union, ValuesView)
 
 from .errors import ParseError, UnboundVariable, check_int64
-from .expr import Record, VarRef
+from .expr import CELL_RE, Record, VarRef
 
 
 class Star:
@@ -236,12 +236,15 @@ class PostedConstraint(Record):
 class Instance:
     """A parsed instance: declarations in document order plus constraints.
 
-    useful_ids and undeclared_scopes are derived on first use (a check or a
-    search), never while parsing. From then on the Instance is treated as
-    immutable: replacing its fields would leave them stale. removed holds
-    the element paths of the constraints, blocks, groups and slides that
-    the parser left out (lenient mode, dropped classes); it takes no part in
-    equality.
+    Building one checks its references: each id that a constraint, the
+    objective or the decision names, in that order, must be a declared
+    variable with a domain (see _check_ids). So a hand-built Instance fails
+    as its document would, and a check or a search trusts every Instance it
+    gets. useful_ids is derived on first use (a check or a search), never
+    while parsing. From then on the Instance is treated as immutable:
+    replacing its fields would leave it stale. removed holds the element
+    paths of the constraints, blocks, groups and slides that the parser left
+    out (lenient mode, dropped classes); it takes no part in equality.
     """
 
     declarations: Tuple[Union[Variable, VarArray], ...]
@@ -264,6 +267,31 @@ class Instance:
                 if decl.id in self._vars_by_id or decl.id in self._arrays_by_id:
                     raise ParseError(f"id {decl.id!r} declared twice", rule="duplicate-id")
                 self._vars_by_id[decl.id] = decl
+        for position, posted in enumerate(self.constraints):
+            self._check_ids(posted.kind.var_ids, lambda: f"constraint {posted.label(position)}")
+        if self.objective is not None:
+            self._check_ids(self.objective.var_ids, lambda: "objective")
+        if self.decision is not None:
+            self._check_ids(self.decision, lambda: "decision annotation")
+
+    def _check_ids(self, ids: Iterable[str], who: Callable[[], str]) -> None:
+        """Raise for the first of ids that names no variable with a domain;
+        who() names what refers to them: a variable may be undefined or
+        useful, never both."""
+        for vid in ids:
+            variable = self._vars_by_id.get(vid)
+            if variable is None:
+                # index-range for a cell of a declared array, else unknown-variable
+                array = self._arrays_by_id.get(vid.partition("[")[0])
+                if array is not None and CELL_RE.fullmatch(vid):
+                    size = "".join(f"[{n}]" for n in array.size)
+                    raise ParseError(f"{who()} references {vid!r}, no cell of array "
+                                     f"{array.id}{size}", rule="index-range")
+                raise ParseError(f"{who()} references undeclared variable {vid!r}",
+                                 rule="unknown-variable")
+            if variable.domain is None:
+                raise ParseError(f"{who()} involves undefined variable {vid!r}",
+                                 rule="undefined-useful")
 
     @property
     def framework(self) -> Framework:
@@ -295,15 +323,6 @@ class Instance:
         if self.objective is not None:
             used.update(self.objective.var_ids)
         return tuple(v.id for v in self.variables() if v.id in used)
-
-    @cached_property
-    def undeclared_scopes(self) -> FrozenSet[int]:
-        """Positions of the constraints that involve an undeclared variable.
-
-        Only a hand-built Instance has any: the parser rejects unknown ids.
-        """
-        return frozenset(position for position, posted in enumerate(self.constraints)
-                         if any(vid not in self._vars_by_id for vid in posted.kind.var_ids))
 
 
 def export_id(identifier: str) -> str:

@@ -18,13 +18,13 @@ import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NoReturn,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from . import kinds as K
 from .errors import ParseError, UnknownElement
-from .expr import (INDEX_RE, INT_RE, IDENT_RE, Expr, VarRef, binder, is_identifier, operand_leaf,
-                   parse_expr, read_int)
+from .expr import (CELL_RE, INDEX_RE, INT_RE, IDENT_RE, Expr, VarRef, binder, is_identifier,
+                   operand_leaf, parse_expr, read_int)
 from .kinds import Objective, ObjKind, OrderOp, Sense
 from .model import (
     STAR,
@@ -141,7 +141,6 @@ def read_xml(text: str) -> RawElement:
 
 _INTERVAL_RE = re.compile(rf"({INT_RE.pattern})\.\.({INT_RE.pattern})")
 _VXK_RE = re.compile(rf"({INT_RE.pattern})x({INT_RE.pattern})")
-_CELL_RE = re.compile(rf"{IDENT_RE.pattern}(?:{INDEX_RE.pattern})+")
 _COMPACT_RE = re.compile(rf"({IDENT_RE.pattern})((?:\[[^\[\]]*\])+)")
 _SLOT_RE = re.compile(r"\[([^\[\]]*)\]")
 _SIZE_RE = re.compile(rf"(?:{INDEX_RE.pattern})+")
@@ -193,7 +192,7 @@ def read_var(token: str, path: Optional[str] = None, rule: str = "variable-token
     A cell id is checked against the declarations once the instance is
     read, like a cell named inside an expression.
     """
-    if is_identifier(token) or _CELL_RE.fullmatch(token):
+    if is_identifier(token) or CELL_RE.fullmatch(token):
         return token
     raise ParseError(f"bad variable token {token!r}", path=path, rule=rule)
 
@@ -284,7 +283,7 @@ def _is_cell(token: str, arrays: Mapping[str, VarArray]) -> bool:
     as x[3][5]: no index with a leading zero, each in range."""
     name, bracket, rest = token.partition("[")
     array = arrays.get(name)
-    if array is None or not bracket or not _CELL_RE.fullmatch(token):
+    if array is None or not bracket or not CELL_RE.fullmatch(token):
         return False
     indexes = rest[:-1].split("][")
     return len(indexes) == len(array.size) and all(
@@ -819,7 +818,8 @@ def _plain_reader(kind: type) -> Callable[["_ConstraintReader", RawElement], K.C
     its K.LAYOUT row and the writer's rules: each field from its child, a
     field in DEFAULTS left at its default when its child is absent and, when
     the first field is the only required one, that field from the text of an
-    element without children."""
+    element without children. A ParseError of the kind's _validate (an Mdd's
+    mdd-shape) names the element."""
     fields = [(child, name, _FIELD_READERS[name], name not in kind.DEFAULTS)
               for child, name in K.LAYOUT[kind][1]]
     as_text = [required for *_, required in fields] == [True] + [False] * (len(fields) - 1)
@@ -827,13 +827,15 @@ def _plain_reader(kind: type) -> Callable[["_ConstraintReader", RawElement], K.C
 
     def read(self: "_ConstraintReader", el: RawElement) -> K.ConstraintKind:
         if as_text and not el.children:
-            return kind(read_first(el, self.arrays))
-        values = {}
-        for child, name, read_field, required in fields:
-            src = _required(el, child) if required else el.find(child)
-            if src is not None:
-                values[name] = read_field(src, self.arrays)
-        return kind(**values)
+            values = {fields[0][1]: read_first(el, self.arrays)}
+        else:
+            values = {}
+            for child, name, read_field, required in fields:
+                src = _required(el, child) if required else el.find(child)
+                if src is not None:
+                    values[name] = read_field(src, self.arrays)
+        with _at(el.path):
+            return kind(**values)
     return read
 
 
@@ -1171,14 +1173,6 @@ class _ConstraintReader:
                              path=table.path, rule="table-order")
         return K.Extension(scope, positive, tuples=tuple(tuples))
 
-    def _read_mdd(self, el: RawElement) -> K.Mdd:
-        list_el = _required(el, "list")
-        scope = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
-        mdd = K.Mdd(scope, _read_transitions(_required(el, "transitions")))
-        with _at(el.path):
-            mdd.root_terminal  # reject a bad shape now, not when checking
-        return mdd
-
     def _read_allDifferent(self, el: RawElement) -> K.ConstraintKind:
         matrix = el.find("matrix")
         lists = el.find_all("list")
@@ -1438,7 +1432,7 @@ class _ConstraintReader:
         return K.InstantiationCtr(ids, values)
 
     _TAGS = _tag_table({
-        "extension": _read_extension, "mdd": _read_mdd, "allDifferent": _read_allDifferent,
+        "extension": _read_extension, "allDifferent": _read_allDifferent,
         "ordered": _read_ordered, "lex": _read_lex, "sum": _read_sum,
         "cardinality": _read_cardinality, "element": _read_element, "channel": _read_channel,
         "noOverlap": _read_noOverlap, "cumulative": _read_cumulative,
@@ -1570,46 +1564,9 @@ def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
 
     instance = Instance(tuple(vars_builder.declarations), tuple(reader.posted),
                         objective, decision, tuple(reader.removed))
-    _validate_references(instance, decision)
     if cfg.strict:
         _check_id_prefixes(vars_builder, reader)
     return instance
-
-
-def _validate_references(instance: Instance, decision: Optional[Tuple[str, ...]]) -> None:
-    """Raise at the first id that a constraint, the objective or the decision
-    annotation names, in that order, and that is undeclared or has no
-    domain: a variable may be undefined or useful, never both."""
-    for position, posted in enumerate(instance.constraints):
-        _check_ids(instance, posted.kind.var_ids,
-                   lambda: f"constraint {posted.label(position)}")
-    if instance.objective is not None:
-        _check_ids(instance, instance.objective.var_ids, lambda: "objective")
-    if decision is not None:
-        _check_ids(instance, decision, lambda: "decision annotation")
-
-
-def _check_ids(instance: Instance, ids: Sequence[str], who: Callable[[], str]) -> None:
-    """Raise for the first of ids that names no variable with a domain;
-    who() names what refers to them."""
-    for vid in ids:
-        variable = instance.variable(vid)
-        if variable is None:
-            _undeclared(instance, vid, f"{who()} references")
-        if variable.domain is None:
-            raise ParseError(f"{who()} involves undefined variable {vid!r}",
-                             rule="undefined-useful")
-
-
-def _undeclared(instance: Instance, vid: str, who: str) -> NoReturn:
-    """Raise for an id that names no declared variable: index-range for a
-    cell of a declared array, unknown-variable for anything else."""
-    array = instance.arrays_by_id.get(vid.partition("[")[0])
-    if array is not None and _CELL_RE.fullmatch(vid):
-        size = "".join(f"[{n}]" for n in array.size)
-        raise ParseError(f"{who} {vid!r}, no cell of array {array.id}{size}",
-                         rule="index-range")
-    raise ParseError(f"{who} undeclared variable {vid!r}", rule="unknown-variable")
 
 
 def _check_id_prefixes(vars_builder: _VariablesBuilder,

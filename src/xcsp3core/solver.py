@@ -103,7 +103,7 @@ from .checker import (
     eval_objective,
     named_error,
 )
-from .errors import INT_MAX, INT_MIN, EvalError, SolverError, UnforcedVariable
+from .errors import INT_MAX, INT_MIN, EvalError, UnforcedVariable
 from .expr import _NAMESPACE as _EXPR_NAMESPACE
 from .expr import Bounded, Expr, VarRef, generated
 from .kinds import AllDifferent, ConstraintKind, Intension, ObjKind, Sense, Sum
@@ -444,10 +444,10 @@ _Term = Tuple[int, str, Tuple[int, int]]
 
 def _proved_terms(operands: Sequence[Expr], coeffs: Sequence[int],
                   bounds: Mapping[str, Tuple[int, int]]) -> Optional[List[_Term]]:
-    """The terms c * x of a sum, when every operand x is a variable with
-    bounds and no product c * x or partial sum of them can leave int64;
-    else None."""
-    if any(type(op) is not VarRef or op.id not in bounds for op in operands):
+    """The terms c * x of a sum, when every operand x is a bare variable
+    and no product c * x or partial sum of them can leave int64 within the
+    bounds of x; else None."""
+    if any(type(op) is not VarRef for op in operands):
         return None
     terms = [(c, op.id, bounds[op.id]) for c, op in zip(coeffs, operands)]
     fits = sum(abs(c) * max(abs(lo), abs(hi)) for c, _, (lo, hi) in terms) <= INT_MAX
@@ -571,25 +571,12 @@ class _Search:
         self.deadline = (time.monotonic() + cfg.time_limit
                          if cfg.time_limit is not None else None)
 
-        useful = set(instance.useful_ids)
-        defined: List[Variable] = []
-        for var in instance.variables():
-            if var.domain is None:
-                if var.id in useful:
-                    raise SolverError(f"variable {var.id} has no domain but is "
-                                      f"constrained; cannot search")
-                continue
-            defined.append(var)
-
+        # an Instance names only variables with domains (see model.Instance)
+        defined = [var for var in instance.variables() if var.domain is not None]
         if cfg.restrict_to_decision and instance.decision is not None:
-            decision = list(dict.fromkeys(instance.decision))
-            by_id = {v.id: v for v in defined}
-            missing = [d for d in decision if d not in by_id]
-            if missing:
-                raise SolverError(f"decision variables without a domain: {missing}")
-            branch = [by_id[d] for d in decision]
-            decided = set(decision)
-            forced = [v for v in defined if v.id not in decided and v.id in useful]
+            decided = dict.fromkeys(instance.decision)
+            branch = [instance.variable(d) for d in decided]
+            forced = [instance.variable(v) for v in instance.useful_ids if v not in decided]
         else:
             branch = defined
             forced = []
@@ -664,8 +651,8 @@ class _Search:
     def _cost(self, plan: List[List[_Call]], depth_of: Mapping[str, int]) -> _Call:
         """The leaf's call that sets value to the objective's cost.
 
-        An expression whose variables all have bounds is written inline
-        from its bounded shape ("value"), as an intension's check is. A sum
+        An expression is written inline from its bounded shape ("value"),
+        as an intension's check is. A sum
         whose terms the bounds prove to stay in int64 (see _proved_terms)
         is summed by "total" stages, which never fail, added to plan after
         each depth's checks with no position; the leaf reads their last
@@ -675,7 +662,7 @@ class _Search:
         """
         obj, bounds = self.objective, self.bounds
         if self.cfg.partial_checks:
-            if obj.kind is ObjKind.EXPRESSION and all(v in bounds for v in obj.var_ids):
+            if obj.kind is ObjKind.EXPRESSION:
                 return "value", (obj.bounded_shape(obj.expression, bounds),), None
             coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(obj.operands)
             terms = (_proved_terms(obj.operands, coeffs, bounds)

@@ -16,9 +16,12 @@ import pytest
 
 import xcsp3core
 from xcsp3core import cli
-from mutants import DOCUMENTS, mutant
+from xcsp3core import kinds as K
+from mutants import DOCUMENTS, FIXTURES, mutant
 from test_kinds import CASES, document as kind_document
 from xcsp3core.errors import ParseError, UnknownElement
+from xcsp3core.expr import IntConst, OpCall, VarRef
+from xcsp3core.model import Instance, PostedConstraint
 from xcsp3core.parser import ParserConfig, _ConstraintReader, parse_string
 
 SOURCES = sorted(Path(xcsp3core.__file__).parent.glob("*.py"))
@@ -82,7 +85,7 @@ def test_every_error_class_is_raised_or_caught():
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                 used.update(_name(t) for t in types)
     assert sorted(defined - used) == []
-    assert len(defined) == 11
+    assert len(defined) == 10
 
 
 # -- whole documents, mutated (tests/mutants.py) ---------------------------------------
@@ -426,3 +429,68 @@ def test_raise_sites(rule, path, message, document, tmp_path, capsys):
     assert cli.main(["validate", str(file)]) == 2
     where = f"{path}: " if path else ""
     assert capsys.readouterr().err == f"error: {where}{message} [rule: {rule}]\n"
+
+
+# -- references, checked where an Instance is built ------------------------------------
+
+# x is declared, a[1] has no domain and a[2] is no cell of a; ghost is nothing
+_REFERENCED = _X + '<array id="a" size="[2]"><domain for="a[0]"> 0 1 </domain></array>'
+_REFERENCE_DECLARATIONS = parse_string(_document(_REFERENCED)).declarations
+REFERENCES = [(where, vid) for where in ("constraint", "objective", "decision")
+              for vid in ("ghost", "a[2]", "a[1]")]
+
+
+def _referring(where, vid):
+    """The document and the hand-built Instance's parts (constraints,
+    objective, decision) whose one bad reference is vid, made by where."""
+    eq = K.Intension(OpCall("eq", (VarRef("x"), VarRef(vid) if where == "constraint"
+                                   else IntConst(0))))
+    constraints = (PostedConstraint(eq, id="c"),)
+    objective = decision = None
+    tail = ""
+    if where == "objective":
+        objective = K.Objective(K.Sense.MINIMIZE, K.ObjKind.EXPRESSION,
+                                expression=OpCall("add", (VarRef("x"), VarRef(vid))))
+        tail = _COP.format(f"<minimize> add(x,{vid}) </minimize>")
+    if where == "decision":
+        decision = ("x", vid)
+        tail = f"<annotations><decision> x {vid} </decision></annotations>"
+    constraint = f'<intension id="c"> eq(x,{vid if where == "constraint" else 0}) </intension>'
+    document = _document(_REFERENCED, constraint, tail,
+                         "COP" if objective is not None else "CSP")
+    return document, (constraints, objective, decision)
+
+
+@pytest.mark.parametrize("where,vid", REFERENCES)
+def test_a_hand_built_instance_fails_as_its_document_does(where, vid):
+    document, parts = _referring(where, vid)
+    with pytest.raises(ParseError) as built:
+        Instance(_REFERENCE_DECLARATIONS, *parts)
+    rule = {"ghost": "unknown-variable", "a[2]": "index-range", "a[1]": "undefined-useful"}[vid]
+    assert (type(built.value), built.value.rule) == (ParseError, rule)
+    assert str(built.value).startswith("decision annotation" if where == "decision" else where)
+    if (where, vid) == ("decision", "a[2]"):
+        # the decision's token reader rejects this cell first, naming its element
+        assert str(built.value) == ("decision annotation references 'a[2]', no cell of "
+                                    "array a[2] [rule: index-range]")
+        return
+    with pytest.raises(ParseError) as parsed:
+        parse_string(document)
+    assert (type(parsed.value), str(parsed.value)) == (ParseError, str(built.value))
+
+
+def test_references_are_checked_constraints_first_then_objective_then_decision():
+    eq = PostedConstraint(K.Intension(OpCall("eq", (VarRef("x"), VarRef("ghost")))))
+    objective = K.Objective(K.Sense.MINIMIZE, K.ObjKind.SUM, operands=(VarRef("a[1]"),))
+    for parts, first in [(((eq,), objective, ("a[2]",)), "constraint #0"),
+                         (((), objective, ("a[2]",)), "objective"),
+                         (((), None, ("a[2]",)), "decision annotation")]:
+        with pytest.raises(ParseError, match=f"^{re.escape(first)} "):
+            Instance(_REFERENCE_DECLARATIONS, *parts)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.xml")), ids=lambda p: p.name)
+def test_every_fixture_rebuilt_from_its_parts_equals_the_parsed_instance(path):
+    parsed = parse_string(path.read_text(encoding="utf-8"))
+    assert Instance(parsed.declarations, parsed.constraints, parsed.objective,
+                    parsed.decision) == parsed

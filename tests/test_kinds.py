@@ -191,7 +191,6 @@ def test_parsing_a_fixture_compiles_nothing(name):
     assert not any("compiled" in vars(h) for h in holders if h is not None)
     assert not any("table" in vars(h) for h in holders if h is not None)
     assert "useful_ids" not in vars(instance)
-    assert "undeclared_scopes" not in vars(instance)
     # the first check builds the tables and the instance's state
     lowest = {v.id: v.domain.min_value for v in instance.variables()
               if v.domain is not None}

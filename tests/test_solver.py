@@ -19,7 +19,7 @@ from xcsp3core import expr, solver
 from xcsp3core import kinds as K
 from xcsp3core.checker import (_CHECKERS, check_constraint, check_solution, eval_objective,
                                partial_violated)
-from xcsp3core.errors import (INT_MAX, INT_MIN, DivisionByZero, EvalError, Overflow, SolverError,
+from xcsp3core.errors import (INT_MAX, INT_MIN, DivisionByZero, EvalError, Overflow, ParseError,
                               UnforcedVariable, XcspError)
 from xcsp3core.expr import IntConst, OpCall, VarRef, bounded_shape
 from xcsp3core.model import (CondOp, Condition, Domain, Instance, Instantiation, PostedConstraint,
@@ -198,27 +198,25 @@ def test_restrict_to_decision_rejects_unforced_variables():
         solve(inst, SearchConfig(restrict_to_decision=True))
 
 
-# The parser rejects both instances below (undefined-useful), so only a
-# hand-built Instance reaches the search's own guards.
 X_AND_UNDEFINED_Y = (Variable("x", Domain(((0, 1),))), Variable("y", None))
 
 
 def test_a_constrained_variable_without_a_domain_is_not_searched():
-    inst = Instance(X_AND_UNDEFINED_Y,
-                    (PostedConstraint(K.Intension(OpCall("le", (VarRef("x"), VarRef("y"))))),))
-    with pytest.raises(SolverError, match=re.escape(
-            "variable y has no domain but is constrained; cannot search")):
-        _Search(inst, SearchConfig())
+    # the Instance is rejected as its document would be, before any search
+    with pytest.raises(ParseError, match=re.escape(
+            "constraint #0 involves undefined variable 'y' [rule: undefined-useful]")):
+        Instance(X_AND_UNDEFINED_Y,
+                 (PostedConstraint(K.Intension(OpCall("le", (VarRef("x"), VarRef("y"))))),))
 
 
 def test_a_decision_variable_without_a_domain_is_not_searched():
-    inst = Instance(X_AND_UNDEFINED_Y,
-                    (PostedConstraint(K.Intension(OpCall("le", (VarRef("x"), IntConst(1))))),),
-                    decision=("x", "y"))
-    with pytest.raises(SolverError, match=re.escape(
-            "decision variables without a domain: ['y']")):
-        _Search(inst, SearchConfig(restrict_to_decision=True))
+    le = (PostedConstraint(K.Intension(OpCall("le", (VarRef("x"), IntConst(1))))),)
+    with pytest.raises(ParseError, match=re.escape(
+            "decision annotation involves undefined variable 'y' [rule: undefined-useful]")):
+        Instance(X_AND_UNDEFINED_Y, le, decision=("x", "y"))
     # searched over every variable, y is neither branched on nor constrained
+    inst = Instance(X_AND_UNDEFINED_Y, le, decision=("x",))
+    assert [v.id for v in _Search(inst, SearchConfig(restrict_to_decision=True)).order] == ["x"]
     assert solve(inst).count == 2
 
 
@@ -691,15 +689,11 @@ def test_objective_cost_skips_range_checks_only_for_a_proved_sum(kind, coeffs, p
 
 
 def test_objective_cost_evaluates_other_objectives_with_eval_objective():
-    expression = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
-                             expression=OpCall("add", (VarRef("x"), VarRef("z"))))
+    # a sum of expressions is no sum of bare variables
     not_bare = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.SUM,
                            operands=(OpCall("add", (VarRef("x"), IntConst(1))),))
-    unbounded = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.SUM, operands=(VarRef("z"),))
-    # z is declared nowhere, so it has no bounds
-    for obj in (expression, not_bare, unbounded):
-        (form, (cost,), ci), = _costed_search(obj, [((0, 1),), ((0, 1),)]).leaf
-        assert (form, cost.func, ci) == ("cost", eval_objective, None)
+    (form, (cost,), ci), = _costed_search(not_bare, [((0, 1),), ((0, 1),)]).leaf
+    assert (form, cost.func, ci) == ("cost", eval_objective, None)
 
 
 @pytest.mark.parametrize("bound", [1, INT_MAX])
