@@ -141,11 +141,22 @@ def _read_solution(path: str, instance: Instance,
         if root.tag != "instantiation":
             raise ParseError(f"solution root must be <instantiation>, "
                              f"not <{root.tag}>", path=root.path, rule="solution")
+        for key in root.attrs:
+            if key not in ("type", "cost", "id", "note"):
+                raise ParseError(f"unsupported attribute {key}= on <instantiation>",
+                                 path=root.path, rule="solution")
         list_el = root.find("list")
         values_el = root.find("values")
         if list_el is None or values_el is None:
             raise ParseError("instantiation needs <list> and <values>",
                              path=root.path, rule="solution")
+        for el in root.children:  # an ignored part would make the file ambiguous
+            if el is not list_el and el is not values_el:
+                raise ParseError(f"unexpected <{el.tag}> under <instantiation>",
+                                 path=el.path, rule="solution")
+            if el.attrs:
+                raise ParseError(f"unsupported attribute {next(iter(el.attrs))}= on "
+                                 f"<{el.tag}>", path=el.path, rule="solution")
         ids = read_var_ids(list_el.text, arrays, list_el.path)
         values = read_int_values(values_el.text, values_el.path, len(ids), "solution",
                                  allow_star=True)

@@ -742,8 +742,12 @@ def _check_start_index(el: RawElement, *names: str) -> None:
                              path=el.path, rule="start-index")
 
 
-def _check_attrs(el: RawElement, extra: FrozenSet[str] = frozenset()) -> None:
-    allowed = {"id", "class", "note"} | extra
+_COMMON_ATTRS = frozenset({"id", "class", "note"})
+
+
+def _check_attrs(el: RawElement, extra: FrozenSet[str] = frozenset(),
+                 common: FrozenSet[str] = _COMMON_ATTRS) -> None:
+    allowed = common | extra
     for key in el.attrs:
         if key == "as":
             raise ParseError(f"as= is not allowed on <{el.tag}>",
@@ -753,11 +757,15 @@ def _check_attrs(el: RawElement, extra: FrozenSet[str] = frozenset()) -> None:
                                  path=el.path, rule="attribute")
 
 
-def _check_children(el: RawElement, allowed: FrozenSet[str]) -> None:
+def _check_children(el: RawElement, allowed: Mapping[str, FrozenSet[str]]) -> None:
+    """Reject a child of el whose tag allowed lacks, or that carries an
+    attribute outside allowed[tag]."""
     for child in el.children:
-        if child.tag not in allowed:
+        attrs = allowed.get(child.tag)
+        if attrs is None:
             raise UnknownElement(f"unexpected <{child.tag}> under <{el.tag}>",
                                  path=child.path, rule=f"{el.tag}-content")
+        _check_attrs(child, attrs, frozenset())
 
 
 def _required(el: RawElement, tag: str) -> RawElement:
@@ -839,26 +847,42 @@ def _plain_reader(kind: type) -> Callable[["_ConstraintReader", RawElement], K.C
     return read
 
 
+# The start indexes a constraint's child may carry beyond its K.LAYOUT rows;
+# the tag's reader accepts only 0 (_check_start_index).
+_START_INDEXES = {
+    ("extension", "list"): ("startIndex",),
+    ("element", "list"): ("startIndex",),
+    ("element", "matrix"): ("startRowIndex", "startColIndex"),
+    ("channel", "list"): ("startIndex",),
+    ("circuit", "list"): ("startIndex",),
+}
+
+
 def _tag_table(readers: Dict[str, Callable]
-               ) -> Dict[str, Tuple[Callable, FrozenSet[str], FrozenSet[str]]]:
+               ) -> Dict[str, Tuple[Callable, FrozenSet[str], Dict[str, FrozenSet[str]]]]:
     """Each constraint tag: its reader, the attributes it takes beyond id,
-    class and note, and the child tags it allows, each that a K.LAYOUT row of
-    one of its kinds names. A tag without an entry in readers names one kind,
-    read by _plain_reader. _dispatch checks attributes and children, then
-    reads."""
+    class and note, and the child tags it allows, each with the attributes
+    it takes, that a K.LAYOUT row of one of its kinds names (and
+    _START_INDEXES). A tag without an entry in readers names one kind, read
+    by _plain_reader. _dispatch checks attributes and children, then reads."""
     kinds: Dict[str, List[type]] = {}
     extra: Dict[str, set] = {}
-    children: Dict[str, set] = {}
+    children: Dict[str, Dict[str, set]] = {}
     for kind, (tag, rows) in K.LAYOUT.items():
         kinds.setdefault(tag, []).append(kind)
+        allowed = children.setdefault(tag, {})
         for child, _ in rows:
             owner, at, attr = child.partition("@")
             if not at:
-                children.setdefault(tag, set()).update(child.split("|"))
-            elif not owner:
+                for name in child.split("|"):
+                    allowed.setdefault(name, set()).update(_START_INDEXES.get((tag, name), ()))
+            elif owner:
+                allowed[owner].add(attr)
+            else:
                 extra.setdefault(tag, set()).add(attr)
     return {tag: (readers[tag] if tag in readers else _plain_reader(*kinds[tag]),
-                  frozenset(extra.get(tag, ())), frozenset(children[tag]))
+                  frozenset(extra.get(tag, ())),
+                  {child: frozenset(attrs) for child, attrs in children[tag].items()})
             for tag in kinds}
 
 
@@ -1045,6 +1069,7 @@ class _ConstraintReader:
 
         def members() -> Iterator[Tuple[List[str], str]]:
             for k, args_el in enumerate(rest_children):
+                _check_attrs(args_el, common=frozenset())
                 tokens = args_el.text.split()
                 if has_rest:
                     if len(tokens) < highest + 1:
@@ -1473,7 +1498,7 @@ def _read_objective(section: RawElement, arrays: Dict[str, VarArray]) -> Objecti
                                  path=el.path, rule="objective-shape")
             return Objective(sense, obj_kind,
                              expression=_read_expr(el.text.strip(), el.path))
-        _check_children(el, frozenset({"list", "coeffs"}))
+        _check_children(el, {"list": frozenset(), "coeffs": frozenset()})
         src = el.find("list") or el
         operands = tuple(read_exprs(src.text, arrays, src.path))
         coeffs_el = el.find("coeffs")

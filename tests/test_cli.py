@@ -334,6 +334,15 @@ def test_check_bad_cost_attribute_is_invalid(capsys, tmp_path):
      "error: /instantiation: instantiation needs <list> and <values> [rule: solution]"),
     ("<instantiation><values> 2 2 </values></instantiation>", [], 2,
      "error: /instantiation: instantiation needs <list> and <values> [rule: solution]"),
+    ("<instantiation><list> b c </list><values> 2 2 </values><extra/></instantiation>", [], 2,
+     "error: /instantiation/extra: unexpected <extra> under <instantiation> [rule: solution]"),
+    ("<instantiation><list> b c </list><list> b </list><values> 2 2 </values>"
+     "</instantiation>", [], 2,
+     "error: /instantiation/list[2]: unexpected <list> under <instantiation> [rule: solution]"),
+    ('<instantiation foo="1"><list> b c </list><values> 2 2 </values></instantiation>', [], 2,
+     "error: /instantiation: unsupported attribute foo= on <instantiation> [rule: solution]"),
+    ('<instantiation><list> b c </list><values foo="1"> 2 2 </values></instantiation>', [], 2,
+     "error: /instantiation/values: unsupported attribute foo= on <values> [rule: solution]"),
 ])
 def test_check_rejects_a_malformed_xml_solution(capsys, tmp_path, text, options, code,
                                                 message):
@@ -341,6 +350,23 @@ def test_check_rejects_a_malformed_xml_solution(capsys, tmp_path, text, options,
     sol.write_text(text)
     assert run(capsys, "check", fixture_path("cake_intension.xml"), str(sol),
                *options) == (code, "", message + "\n")
+
+
+def test_check_rejects_a_solution_with_a_second_values(capsys, tmp_path):
+    instance = tmp_path / "alldiff.xml"
+    instance.write_text('<instance format="XCSP3" type="CSP"><variables><array id="x" '
+                        'size="[3]"> 0..2 </array></variables><constraints><allDifferent> '
+                        "x[] </allDifferent></constraints></instance>")
+    sol = tmp_path / "sol.xml"
+    sol.write_text("<instantiation><list> x[] </list><values> 0 1 2 </values>"
+                   "<values> 0 0 0 </values></instantiation>")
+    assert run(capsys, "check", str(instance), str(sol)) == (
+        2, "", "error: /instantiation/values[2]: unexpected <values> under <instantiation> "
+               "[rule: solution]\n")
+    # the attributes that the solution files of the package and of solvers use pass
+    sol.write_text('<instantiation type="solution" id="s" note="n"><list> x[] </list>'
+                   "<values> 0 1 2 </values></instantiation>")
+    assert run(capsys, "check", str(instance), str(sol))[0] == 0
 
 
 # -- solve ------------------------------------------------------------------------

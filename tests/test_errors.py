@@ -431,6 +431,86 @@ def test_raise_sites(rule, path, message, document, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {where}{message} [rule: {rule}]\n"
 
 
+# An attribute that the reader does not read, on a constraint's child: the
+# child's path below the constraint element, and the constraint.
+CHILD_ATTRIBUTES = [
+    ("sum/list", "foo", '<sum><list foo="1"> a b </list><condition> (le,1) </condition></sum>'),
+    ("sum/condition", "bogus",
+     '<sum><list> a b </list><condition bogus="y"> (le,1) </condition></sum>'),
+    ("sum/list", "startIndex",
+     '<sum><list startIndex="1"> a b </list><condition> (le,1) </condition></sum>'),
+    ("ordered/list", "startIndex",
+     '<ordered><list startIndex="1"> a b </list><operator> le </operator></ordered>'),
+    ("allDifferent/list", "startIndex", '<allDifferent><list startIndex="1"> a b </list>'
+                                        "</allDifferent>"),
+    ("lex/list[1]", "startIndex", '<lex><list startIndex="1"> a b </list><list> c d </list>'
+                                  "<operator> le </operator></lex>"),
+    # honouring rank= would count other solutions
+    ("element/index", "rank", '<element><list> a b c </list><index rank="first"> d </index>'
+                              "<value> 1 </value></element>"),
+    ("cardinality/occurs", "closed", '<cardinality><list> a b </list><values> 0 1 </values>'
+                                     '<occurs closed="true"> 1 1 </occurs></cardinality>'),
+]
+
+
+@pytest.mark.parametrize("path,attribute,constraint", CHILD_ATTRIBUTES,
+                         ids=[f"{path}@{attribute}" for path, attribute, _ in CHILD_ATTRIBUTES])
+def test_an_attribute_of_a_constraint_child_that_is_not_read(path, attribute, constraint,
+                                                             tmp_path, capsys):
+    file = tmp_path / "instance.xml"
+    file.write_text(_constraints(constraint))
+    child = path.split("/")[1].partition("[")[0]
+    message = (f"error: {_CONSTRAINTS}{path}: unsupported attribute {attribute}= on <{child}> "
+               f"[rule: attribute]\n")
+    with pytest.raises(UnknownElement) as caught:
+        parse_string(file.read_text())
+    assert f"error: {caught.value}\n" == message
+    lenient = parse_string(file.read_text(), ParserConfig(strict=False))
+    assert (lenient.constraints, lenient.removed) == ((), (_CONSTRAINTS + path.split("/")[0],))
+    assert cli.main(["validate", str(file)]) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("path,document", [
+    ("/instance/constraints/group/args",
+     _constraints('<group><intension> lt(%0,1) </intension><args foo="1"> a </args></group>')),
+    ("/instance/objectives/minimize/list",
+     _document(_XY, tail=_COP.format('<minimize type="sum"><list foo="1"> x y </list>'
+                                     "</minimize>"), framework="COP")),
+], ids=["args", "objective-list"])
+def test_an_attribute_of_a_group_or_objective_child_that_is_not_read(path, document, tmp_path,
+                                                                     capsys):
+    # as for an unknown attribute on a group or an objective, lenient mode fails too
+    file = tmp_path / "instance.xml"
+    file.write_text(document)
+    child = path.rpartition("/")[2]
+    message = f"error: {path}: unsupported attribute foo= on <{child}> [rule: attribute]\n"
+    for config in (ParserConfig(), ParserConfig(strict=False)):
+        with pytest.raises(UnknownElement) as caught:
+            parse_string(document, config)
+        assert f"error: {caught.value}\n" == message
+    assert cli.main(["validate", str(file)]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_the_attributes_a_constraint_child_may_carry():
+    constraints = [
+        '<extension><list startIndex="0"> a b </list><supports> (0,1) </supports></extension>',
+        '<element><list startIndex="0"> a b </list><index> c </index><value> 1 </value>'
+        "</element>",
+        '<element><matrix startRowIndex="0" startColIndex="0"> (a,b)(b,a) </matrix>'
+        "<index> c d </index><value> 1 </value></element>",
+        '<channel><list startIndex="0"> a b </list></channel>',
+        '<circuit><list startIndex="0"> a b c </list></circuit>',
+        '<cardinality><list> a b </list><values closed="true"> 0 1 </values>'
+        "<occurs> 1 1 </occurs></cardinality>",
+        '<slide><list offset="1" collect="2" startIndex="0"> a b c </list>'
+        "<intension> lt(%0,%1) </intension></slide>",
+    ]
+    for constraint in constraints:
+        assert parse_string(_constraints(constraint)).constraints
+
+
 # -- references, checked where an Instance is built ------------------------------------
 
 # x is declared, a[1] has no domain and a[2] is no cell of a; ghost is nothing

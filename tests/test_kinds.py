@@ -242,12 +242,13 @@ def test_writer_row_and_roles_follow_fields(kind):
     assert tuple(kind.DEFAULTS) == kind.FIELDS[len(kind.FIELDS) - len(kind.DEFAULTS):]
 
 
-# The attributes beyond id, class and note, and the children, that each tag
-# took when they were written out by hand: a layout row that widens or narrows
-# what a tag accepts fails here.
+# The attributes beyond id, class and note, and the children, each written
+# child@attribute@... with the attributes it takes, that each tag took when
+# they were written out by hand: a layout row that widens or narrows what a
+# tag accepts fails here.
 TAG_COLUMNS = {
     "intension": ("", "function"),
-    "extension": ("", "list supports conflicts"),
+    "extension": ("", "list@startIndex supports conflicts"),
     "regular": ("", "list transitions start final"),
     "mdd": ("", "list transitions"),
     "allDifferent": ("", "list matrix except"),
@@ -257,21 +258,24 @@ TAG_COLUMNS = {
     "sum": ("", "list coeffs condition"),
     "count": ("", "list values condition"),
     "nValues": ("", "list except condition"),
-    "cardinality": ("", "list values occurs"),
+    "cardinality": ("", "list values@closed occurs"),
     "minimum": ("", "list condition"),
     "maximum": ("", "list condition"),
-    "element": ("", "list matrix index value condition"),
-    "channel": ("", "list value"),
+    "element": ("", "list@startIndex matrix@startRowIndex@startColIndex index value "
+                "condition"),
+    "channel": ("", "list@startIndex value"),
     "noOverlap": ("zeroIgnored", "origins lengths"),
     "cumulative": ("", "origins lengths heights condition"),
-    "circuit": ("", "list size"),
+    "circuit": ("", "list@startIndex size"),
     "instantiation": ("", "list values"),
 }
 
 
 def test_each_tag_takes_the_attributes_and_children_of_its_layout_rows():
     derived = {tag: (extra, children) for tag, (_, extra, children) in _ConstraintReader._TAGS.items()}
-    assert derived == {tag: (frozenset(extra.split()), frozenset(children.split()))
+    assert derived == {tag: (frozenset(extra.split()),
+                             {child: frozenset(attrs) for child, *attrs in
+                              (column.split("@") for column in children.split())})
                        for tag, (extra, children) in TAG_COLUMNS.items()}
 
 
