@@ -842,8 +842,11 @@ def _plain_reader(kind: type) -> Callable[["_ConstraintReader", RawElement], K.C
                 src = _required(el, child) if required else el.find(child)
                 if src is not None:
                     values[name] = read_field(src, self.arrays)
-        with _at(el.path):
+        try:
             return kind(**values)
+        except ParseError as e:  # raised by the kind's _validate, which knows no path
+            e.path = el.path
+            raise
     return read
 
 

@@ -572,13 +572,12 @@ class _Search:
                          if cfg.time_limit is not None else None)
 
         # an Instance names only variables with domains (see model.Instance)
-        defined = [var for var in instance.variables() if var.domain is not None]
         if cfg.restrict_to_decision and instance.decision is not None:
             decided = dict.fromkeys(instance.decision)
             branch = [instance.variable(d) for d in decided]
             forced = [instance.variable(v) for v in instance.useful_ids if v not in decided]
         else:
-            branch = defined
+            branch = [var for var in instance.variables() if var.domain is not None]
             forced = []
         if cfg.var_order is VarOrder.SMALLEST_DOMAIN:
             branch = sorted(branch, key=lambda v: v.domain.size)
