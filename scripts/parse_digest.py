@@ -12,7 +12,14 @@ outcomes in order: two checkouts whose parsers agree on every document
 print the same line. --show prints one line per outcome too, so that two
 runs can be compared with diff.
 
+--round-trip also reparses, in the same mode, the canonical form of each
+document that parses, and digests that outcome after the document's. The
+canonical form writes every constraint flat, so the reparses read many
+texts that share an expression shape; the last line then also counts the
+reparses and those whose canonical form is the first one's.
+
     python3 scripts/parse_digest.py --mutants 2000 --seed 0
+    python3 scripts/parse_digest.py --mutants 2000 --seed 0 --round-trip
 """
 
 import argparse
@@ -41,6 +48,8 @@ def main() -> int:
     parser.add_argument("--mutants", type=int, default=2000, help="mutants to parse")
     parser.add_argument("--seed", type=int, default=0, help="seed of the mutants")
     parser.add_argument("--show", action="store_true", help="print every outcome")
+    parser.add_argument("--round-trip", action="store_true",
+                        help="also reparse the canonical form of each parsed document")
     args = parser.parse_args()
 
     texts = [path.read_text(encoding="utf-8") for path in DOCUMENTS]
@@ -50,20 +59,28 @@ def main() -> int:
     documents += [mutant(rng, rng.choice(texts)) for _ in range(args.mutants)]
 
     digest = hashlib.sha256()
-    parsed = failed = 0
+    parsed = failed = reparsed = same = 0
     for k, text in enumerate(documents):
         for strict in (True, False):
-            result = spelled(outcome(text, strict))
-            if result.startswith("removed="):
-                parsed += 1
-            else:
+            mode = "strict" if strict else "lenient"
+            result = outcome(text, strict)
+            lines = [f"{k} {mode} {spelled(result)}"]
+            if isinstance(result[0], type):
                 failed += 1
-            line = f"{k} {'strict' if strict else 'lenient'} {result}"
-            digest.update(line.encode("utf-8") + b"\0")
-            if args.show:
-                print(line.replace("\n", "\\n"))
+            else:
+                parsed += 1
+                if args.round_trip:
+                    again = outcome(result[2], strict)
+                    reparsed += 1
+                    same += not isinstance(again[0], type) and again[2] == result[2]
+                    lines.append(f"{k} {mode} reparsed {spelled(again)}")
+            for line in lines:
+                digest.update(line.encode("utf-8") + b"\0")
+                if args.show:
+                    print(line.replace("\n", "\\n"))
+    counts = f" reparsed={reparsed} same={same}" if args.round_trip else ""
     print(f"documents={len(documents)} outcomes={parsed + failed} parsed={parsed} "
-          f"failed={failed} sha256={digest.hexdigest()}")
+          f"failed={failed}{counts} sha256={digest.hexdigest()}")
     return 0
 
 

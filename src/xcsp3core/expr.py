@@ -18,7 +18,10 @@ gives the leaf a token reads as in an operand's place, the same one
 parse_expr would read from the substituted text. Any other use of a
 parameter (x[%0], %0[1], %1x, set(%0), a parameter as in()'s set) is not
 part of the grammar: template mode fails on it, and the parser substitutes
-the tokens into the text and parses each member as it stands.
+the tokens into the text and parses each member as it stands. rebuild
+does the like for a text without parameters: the parser keeps the first
+tree of each shape, a text with its operand leaves cut out, and builds the
+tree of each later text of that shape from that tree and its own leaves.
 
 Record, the base of the expression nodes and of the value classes of
 model.py and kinds.py, is here, the lowest module they all import; the
@@ -69,8 +72,8 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .errors import (
     INT_MAX,
@@ -403,6 +406,21 @@ def binder(template: Expr) -> Tuple[Tuple[int, ...], Callable[[Sequence[Expr]], 
 
     build = make(template)
     return tuple(sorted(used)), (build if build is not None else lambda leaves: template)
+
+
+def rebuild(tree: Expr, leaves: Iterator[Expr]) -> Expr:
+    """The tree parse_expr reads from tree's text with its operand leaves, in
+    text order, replaced by leaves, each as operand_leaf reads it. A set
+    literal's leaves must be IntConst: another raises TypeError, where
+    parse_expr would reject the text."""
+    if type(tree) is OpCall:
+        return OpCall(tree.op, tuple([rebuild(arg, leaves) for arg in tree.args]))
+    if type(tree) is SetLiteral:
+        members = [next(leaves) for _ in tree.values]
+        if any(type(member) is not IntConst for member in members):
+            raise TypeError("set literals may only contain integers")
+        return SetLiteral(tuple([member.value for member in members]))
+    return next(leaves)
 
 
 def _close_call(op: str, args: List[Expr], start: int,

@@ -4,7 +4,8 @@ The reader is deliberately strict: attribute values must carry no
 surrounding whitespace, and no whitespace may appear inside functional
 expressions, conditions, tuples or intervals. Element text may be padded
 freely. Lenient mode only relaxes which constraints are accepted
-(unknown or non-core constraint forms are dropped instead of rejected);
+(unknown or non-core constraint forms, and groups, slides and blocks with
+an attribute the reader does not know, are dropped instead of rejected);
 it never relaxes the whitespace rules.
 """
 
@@ -24,7 +25,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
 from . import kinds as K
 from .errors import ParseError, UnknownElement
 from .expr import (CELL_RE, INDEX_RE, INT_RE, IDENT_RE, Expr, VarRef, binder, is_identifier,
-                   operand_leaf, parse_expr, read_int)
+                   operand_leaf, parse_expr, read_int, rebuild)
 from .kinds import Objective, ObjKind, OrderOp, Sense
 from .model import (
     STAR,
@@ -80,6 +81,12 @@ class RawElement:
 
     def find_all(self, tag: str) -> List["RawElement"]:
         return [c for c in self.children if c.tag == tag]
+
+
+def _content(el: RawElement) -> tuple:
+    """el's tag, attributes, text and children, alike for elements that read
+    alike wherever they stand."""
+    return el.tag, tuple(el.attrs.items()), el.text, tuple(map(_content, el.children))
 
 
 # Deepest nesting of elements a document may have, the root counting as one.
@@ -145,6 +152,10 @@ _COMPACT_RE = re.compile(rf"({IDENT_RE.pattern})((?:\[[^\[\]]*\])+)")
 _SLOT_RE = re.compile(r"\[([^\[\]]*)\]")
 _SIZE_RE = re.compile(rf"(?:{INDEX_RE.pattern})+")
 _PARAM_RE = re.compile(r"%(?:[0-9]+|\.\.\.)")
+# An expression's operand leaf, whatever it holds: a whole run of characters
+# other than ( , ) not followed by "(". The match is linear: possessive, and
+# tried only where a run starts.
+_LEAF_RE = re.compile(r"(?<![^(),])([^(),]++)(?!\()")
 
 
 def read_interval(token: str, path: Optional[str] = None) -> Optional[Tuple[int, int]]:
@@ -291,11 +302,16 @@ def _is_cell(token: str, arrays: Mapping[str, VarArray]) -> bool:
         for i, n in zip(indexes, array.size))
 
 
-def _var_ids(token: str, arrays: Dict[str, VarArray], path: str) -> List[str]:
+def _var_ids(token: str, arrays: Dict[str, VarArray], path: str,
+             cells: Optional[Dict[str, bool]] = None) -> List[str]:
     """The variables one token of a variable list names. A token that spells
     a declared cell names that cell, as its compact expansion would, with no
-    index ranges built."""
-    if _is_cell(token, arrays):
+    index ranges built. _is_cell's verdict on each token is kept in cells."""
+    if cells is None:
+        cells = {}
+    if token not in cells:
+        cells[token] = _is_cell(token, arrays)
+    if cells[token]:
         return [token]
     if is_compact_token(token):
         with _at(path):
@@ -303,14 +319,6 @@ def _var_ids(token: str, arrays: Dict[str, VarArray], path: str) -> List[str]:
     if is_identifier(token):
         return [token]
     raise ParseError(f"bad variable token {token!r}", path=path, rule="variable-token")
-
-
-def _read_expr(text: str, path: str) -> Expr:
-    """An expression outside any template, where no % may be left."""
-    if "%" in text:
-        raise ParseError(f"template parameter outside a template: {text!r}",
-                         path=path, rule="parameter")
-    return parse_expr(text, path)
 
 
 def parse_domain_text(text: str, path: str, allow_empty: bool = False) -> Domain:
@@ -445,19 +453,9 @@ def read_table(text: str, path: str) -> Tuple[List[Tuple[Value, ...]], bool]:
     return rows, has_star
 
 
-def read_var_ids(text: str, arrays: Dict[str, VarArray], path: str) -> List[str]:
-    return [vid for token in text.split() for vid in _var_ids(token, arrays, path)]
-
-
-def read_exprs(text: str, arrays: Dict[str, VarArray], path: str) -> List[Expr]:
-    """Operand list: variables, compact array references or expressions."""
-    out: List[Expr] = []
-    for token in text.split():
-        if "%" not in token and is_compact_token(token):
-            out.extend(VarRef(i) for i in _var_ids(token, arrays, path))
-        else:
-            out.append(_read_expr(token, path))
-    return out
+def read_var_ids(text: str, arrays: Dict[str, VarArray], path: str,
+                 cells: Optional[Dict[str, bool]] = None) -> List[str]:
+    return [vid for token in text.split() for vid in _var_ids(token, arrays, path, cells)]
 
 
 def read_vals(text: str, arrays: Dict[str, VarArray], path: str,
@@ -548,6 +546,10 @@ def _for_token_cells(token: str, array_id: str, size: Sequence[int], path: str) 
     return flats
 
 
+_DECLARATION_ATTRS = {"var": frozenset({"type", "as"}),
+                      "array": frozenset({"type", "as", "size"})}
+
+
 class _VariablesBuilder:
     def __init__(self, cfg: ParserConfig):
         self.cfg = cfg
@@ -565,13 +567,7 @@ class _VariablesBuilder:
             if el.tag not in ("var", "array"):
                 raise UnknownElement(f"unexpected <{el.tag}> under <variables>",
                                      path=el.path, rule="variables-content")
-            allowed = {"id", "type", "as", "class", "note"}
-            if el.tag == "array":
-                allowed.add("size")
-            for key in el.attrs:
-                if key not in allowed:
-                    raise UnknownElement(f"unsupported attribute {key}= on <{el.tag}>",
-                                         path=el.path, rule="attribute")
+            _check_attrs(el, _DECLARATION_ATTRS[el.tag])
             vid = el.attr("id")
             if vid is None:
                 raise ParseError(f"<{el.tag}> without id", path=el.path, rule="identifier")
@@ -681,6 +677,7 @@ class _VariablesBuilder:
             if child.tag != "domain":
                 raise UnknownElement(f"unexpected <{child.tag}> under <array>",
                                      path=child.path, rule="array-content")
+            _check_attrs(child, frozenset({"for"}))
             for_text = child.attr("for")
             if for_text is None:
                 raise ParseError("<domain> without for=", path=child.path, rule="for-target")
@@ -747,14 +744,14 @@ _COMMON_ATTRS = frozenset({"id", "class", "note"})
 
 def _check_attrs(el: RawElement, extra: FrozenSet[str] = frozenset(),
                  common: FrozenSet[str] = _COMMON_ATTRS) -> None:
-    allowed = common | extra
     for key in el.attrs:
+        if key in common or key in extra:
+            continue
         if key == "as":
             raise ParseError(f"as= is not allowed on <{el.tag}>",
                              path=el.path, rule="alias-element")
-        if key not in allowed:
-            raise UnknownElement(f"unsupported attribute {key}= on <{el.tag}>",
-                                 path=el.path, rule="attribute")
+        raise UnknownElement(f"unsupported attribute {key}= on <{el.tag}>",
+                             path=el.path, rule="attribute")
 
 
 def _check_children(el: RawElement, allowed: Mapping[str, FrozenSet[str]]) -> None:
@@ -808,16 +805,16 @@ def _read_finals(el: RawElement) -> Tuple[str, ...]:
 
 # How a field of each name that a plain kind holds is read from its child
 # or, for the first field, from the element's text.
-_FIELD_READERS: Dict[str, Callable[[RawElement, Dict[str, VarArray]], object]] = {
-    "function": lambda el, arrays: _read_expr(el.text.strip(), el.path),
-    "operands": lambda el, arrays: tuple(read_exprs(el.text, arrays, el.path)),
-    "values": lambda el, arrays: tuple(read_vals(el.text, arrays, el.path)),
-    "excepts": lambda el, arrays: tuple(read_int_values(el.text, el.path)),
-    "condition": lambda el, arrays: parse_condition_text(el.text, el.path),
-    "scope": lambda el, arrays: tuple(read_var_ids(el.text, arrays, el.path)),
-    "transitions": lambda el, arrays: _read_transitions(el),
-    "start": lambda el, arrays: _read_start(el),
-    "finals": lambda el, arrays: _read_finals(el),
+_FIELD_READERS: Dict[str, Callable[["_ConstraintReader", RawElement], object]] = {
+    "function": lambda reader, el: reader._read_expr(el.text.strip(), el.path),
+    "operands": lambda reader, el: tuple(reader._read_exprs(el)),
+    "values": lambda reader, el: tuple(read_vals(el.text, reader.arrays, el.path)),
+    "excepts": lambda reader, el: tuple(read_int_values(el.text, el.path)),
+    "condition": lambda reader, el: parse_condition_text(el.text, el.path),
+    "scope": lambda reader, el: tuple(reader._ids(el)),
+    "transitions": lambda reader, el: _read_transitions(el),
+    "start": lambda reader, el: _read_start(el),
+    "finals": lambda reader, el: _read_finals(el),
 }
 
 
@@ -835,13 +832,13 @@ def _plain_reader(kind: type) -> Callable[["_ConstraintReader", RawElement], K.C
 
     def read(self: "_ConstraintReader", el: RawElement) -> K.ConstraintKind:
         if as_text and not el.children:
-            values = {fields[0][1]: read_first(el, self.arrays)}
+            values = {fields[0][1]: read_first(self, el)}
         else:
             values = {}
             for child, name, read_field, required in fields:
                 src = _required(el, child) if required else el.find(child)
                 if src is not None:
-                    values[name] = read_field(src, self.arrays)
+                    values[name] = read_field(self, src)
         try:
             return kind(**values)
         except ParseError as e:  # raised by the kind's _validate, which knows no path
@@ -890,6 +887,10 @@ def _tag_table(readers: Dict[str, Callable]
 
 
 class _ConstraintReader:
+    """Reads one document's constraints, then its objective. What repeats in
+    the document is read once: each template (_template), expression shape
+    (_read_expr), token's leaf (_bind) and cell verdict (_var_ids)."""
+
     def __init__(self, cfg: ParserConfig, arrays: Dict[str, VarArray], used_ids: set):
         self.cfg = cfg
         self.arrays = arrays
@@ -898,6 +899,48 @@ class _ConstraintReader:
         self.group_ids: List[str] = []
         self.removed: List[str] = []  # paths of what drop_classes or lenient mode left out
         self.leaves: Dict[str, Union[Expr, bool]] = {}  # _bind's leaf of each token, or False
+        self.cells: Dict[str, bool] = {}  # _is_cell of each token
+        self.shapes: Dict[str, Expr] = {}  # _read_expr's first tree of each shape
+        self.templates: Dict[tuple, Tuple[int, bool, Optional[tuple]]] = {}  # _template's
+
+    def _ids(self, el: RawElement) -> List[str]:
+        return read_var_ids(el.text, self.arrays, el.path, self.cells)
+
+    def _read_exprs(self, el: RawElement) -> List[Expr]:
+        """Operand list: variables, compact array references or expressions."""
+        out: List[Expr] = []
+        for token in el.text.split():
+            if "%" not in token and is_compact_token(token):
+                out.extend(VarRef(i) for i in _var_ids(token, self.arrays, el.path, self.cells))
+            else:
+                out.append(self._read_expr(token, el.path))
+        return out
+
+    def _read_expr(self, text: str, path: str) -> Expr:
+        """An expression outside any template, where no % may be left. The
+        first text of a shape (the text with its operand leaves cut out) is
+        read by parse_expr and its tree kept; a later one is rebuilt from that
+        tree and its own leaves (expr.rebuild), unless one is no leaf or a
+        set's no integer. A lone operand is its leaf (_bind)."""
+        if "%" in text:
+            raise ParseError(f"template parameter outside a template: {text!r}",
+                             path=path, rule="parameter")
+        if "(" not in text:
+            leaves = self._bind((text,), (0,))
+            return leaves[0] if leaves is not None else parse_expr(text, path)
+        parts = _LEAF_RE.split(text)
+        shape = "%".join(parts[::2])  # no part holds a %, so no two shapes join alike
+        kept = self.shapes.get(shape)
+        if kept is None:
+            self.shapes[shape] = tree = parse_expr(text, path)  # a failed read is not kept
+            return tree
+        leaves = self._bind(parts[1::2], range(len(parts) // 2))
+        if leaves is not None:
+            try:
+                return rebuild(kept, iter(leaves))
+            except TypeError:  # a set member that is no integer
+                pass
+        return parse_expr(text, path)
 
     # entry point -------------------------------------------------------------
 
@@ -911,32 +954,45 @@ class _ConstraintReader:
                 self.removed.append(el.path)
                 continue
             if el.tag == "block":
-                _check_attrs(el)
-                self._register_id(el, member_base=False)
-                self._walk(el.children, cls)
+                if self._kept(el):
+                    self._register_id(el, member_base=False)
+                    self._walk(el.children, cls)
             elif el.tag == "group":
                 self._expand_group(el, cls)
             elif el.tag == "slide":
                 self._expand_slide(el, cls)
             elif el.tag in self._TAGS:
                 self._post_single(el, cls)
-            elif self.cfg.strict:
-                raise UnknownElement(f"unsupported constraint <{el.tag}>",
-                                     path=el.path, rule="constraint-tag")
             else:
-                self.removed.append(el.path)
+                self._leave_out(el, UnknownElement(f"unsupported constraint <{el.tag}>",
+                                                   path=el.path, rule="constraint-tag"))
 
     def _post_single(self, el: RawElement, classes: Tuple[str, ...],
                      forced_id: Optional[str] = None) -> None:
         cid = forced_id if forced_id is not None else self._register_id(el)
         try:
             kind = self._dispatch(el)
-        except UnknownElement:
-            if self.cfg.strict:
-                raise
-            self.removed.append(el.path)
-            return
+        except UnknownElement as e:
+            return self._leave_out(el, e)
         self.posted.append(PostedConstraint(kind, cid, classes, el.attr("note")))
+
+    def _leave_out(self, el: RawElement, error: ParseError) -> None:
+        """Raise error in strict mode; in lenient mode leave el out, its path in removed."""
+        if self.cfg.strict:
+            raise error
+        self.removed.append(el.path)
+
+    def _kept(self, el: RawElement, extra: FrozenSet[str] = frozenset(),
+              common: FrozenSet[str] = _COMMON_ATTRS, owner: Optional[RawElement] = None
+              ) -> bool:
+        """Whether el's attributes pass _check_attrs; else owner, el by default,
+        is left out (_leave_out)."""
+        try:
+            _check_attrs(el, extra, common)
+        except UnknownElement as e:
+            self._leave_out(owner or el, e)
+            return False
+        return True
 
     def _register_id(self, el: RawElement, member_base: bool = True) -> Optional[str]:
         cid = el.attr("id")
@@ -967,23 +1023,26 @@ class _ConstraintReader:
     # constraint would be: one of another template, of an intension
     # template that template mode cannot read, or with a token that is no
     # leaf. Both routes give the same constraints and the same errors
-    # (tests/test_expansion.py).
+    # (tests/test_expansion.py). Sibling groups that share a template read
+    # it once (_template).
 
-    def _template_params(self, el: RawElement) -> Tuple[int, bool]:
-        """(highest %k index or -1, whether %... occurs) across all text."""
-        highest, rest = -1, False
-        def scan(node: RawElement) -> None:
-            nonlocal highest, rest
-            for m in _PARAM_RE.finditer(node.text):
-                token = m.group()[1:]
-                if token == "...":
-                    rest = True
-                else:
-                    highest = max(highest, read_int(token, node.path, "parameter index"))
-            for child in node.children:
-                scan(child)
-        scan(el)
-        return highest, rest
+    def _template(self, template: RawElement) -> Tuple[int, bool, Optional[tuple]]:
+        """The highest %k index in a template's text or -1, whether %... occurs
+        there, and its _binding; kept per template text."""
+        key = _content(template)
+        if key not in self.templates:
+            highest, rest, nodes = -1, False, [template]
+            while nodes:  # in document order
+                node = nodes.pop()
+                nodes.extend(reversed(node.children))
+                for m in _PARAM_RE.finditer(node.text):
+                    token = m.group()[1:]
+                    if token == "...":
+                        rest = True
+                    else:
+                        highest = max(highest, read_int(token, node.path, "parameter index"))
+            self.templates[key] = highest, rest, self._binding(template)
+        return self.templates[key]
 
     def _substitute(self, el: RawElement, tokens: Sequence[str], highest: int,
                     path: str) -> RawElement:
@@ -1013,7 +1072,7 @@ class _ConstraintReader:
         except ParseError:
             return None
 
-    def _bind(self, tokens: Sequence[str], used: Tuple[int, ...]
+    def _bind(self, tokens: Sequence[str], used: Iterable[int]
               ) -> Optional[List[Optional[Expr]]]:
         """The leaves a member binds: operand_leaf(tokens[k]) at each k in used,
         None at the others; None when some token in used is no leaf."""
@@ -1028,15 +1087,18 @@ class _ConstraintReader:
             leaves[k] = leaf
         return leaves
 
-    def _post_members(self, template: RawElement, highest: int,
-                      members: Iterator[Tuple[Sequence[str], str]], base_id: Optional[str],
-                      classes: Tuple[str, ...]) -> None:
+    def _post_members(self, template: RawElement, highest: int, binding: Optional[tuple],
+                      members: Iterator[Tuple[Optional[Sequence[str]], str]],
+                      base_id: Optional[str], classes: Tuple[str, ...]) -> None:
         """Post one constraint per member, template with its tokens for %0,
         %1, ... at the member's path, its id base_id[k] for the k-th: bound
-        into the template's expression (_binding, _bind) or, where that
-        cannot be, substituted as text and read as it stands."""
-        binding, note = self._binding(template), template.attr("note")
+        into the template's expression (binding, _bind) or, where that
+        cannot be, substituted as text and read as it stands. Tokens None
+        stand for an <args> that lenient mode left out."""
+        note = template.attr("note")
         for k, (tokens, path) in enumerate(members):
+            if tokens is None:
+                continue
             member_id = f"{base_id}[{k}]" if base_id is not None else None
             leaves = self._bind(tokens, binding[0]) if binding is not None else None
             if leaves is None:
@@ -1047,7 +1109,8 @@ class _ConstraintReader:
                                                     classes, note))
 
     def _expand_group(self, el: RawElement, classes: Tuple[str, ...]) -> None:
-        _check_attrs(el)
+        if not self._kept(el):
+            return
         gid = self._register_id(el)
         if not el.children:
             raise ParseError("empty group", path=el.path, rule="group-shape")
@@ -1055,39 +1118,35 @@ class _ConstraintReader:
         if template.tag == "args":
             raise ParseError("group template must come before <args>",
                              path=el.path, rule="group-shape")
-        if template.tag not in self._TAGS:
-            if not self.cfg.strict:
-                self.removed.append(el.path)  # lenient: the whole group is skipped
-                return
-            raise ParseError(f"<{template.tag}> cannot be a group template",
-                             path=template.path, rule="group-template")
+        if template.tag not in self._TAGS:  # lenient: the whole group is skipped
+            return self._leave_out(el, ParseError(f"<{template.tag}> cannot be a group "
+                                                  "template", path=template.path,
+                                                  rule="group-template"))
         if not rest_children or any(c.tag != "args" for c in rest_children):
             raise ParseError("group needs one template followed by <args> elements",
                              path=el.path, rule="group-shape")
-        highest, has_rest = self._template_params(template)
+        highest, has_rest, binding = self._template(template)
         if has_rest and template.tag == "intension":
             raise ParseError(
                 "%... cannot occur inside a functional expression",
                 path=template.path, rule="rest-placement")
 
-        def members() -> Iterator[Tuple[List[str], str]]:
+        def members() -> Iterator[Tuple[Optional[List[str]], str]]:
             for k, args_el in enumerate(rest_children):
-                _check_attrs(args_el, common=frozenset())
+                if not self._kept(args_el, common=frozenset()):
+                    yield None, args_el.path  # later members keep their ids
+                    continue
                 tokens = args_el.text.split()
-                if has_rest:
-                    if len(tokens) < highest + 1:
-                        raise ParseError(
-                            f"args #{k} has {len(tokens)} tokens, template needs at "
-                            f"least {highest + 1}", path=args_el.path, rule="group-arity")
-                elif len(tokens) != highest + 1:
-                    raise ParseError(
-                        f"args #{k} has {len(tokens)} tokens, template takes "
-                        f"{highest + 1}", path=args_el.path, rule="group-arity")
+                if len(tokens) < highest + 1 or len(tokens) > highest + 1 and not has_rest:
+                    takes = "needs at least" if has_rest else "takes"
+                    raise ParseError(f"args #{k} has {len(tokens)} tokens, template {takes} "
+                                     f"{highest + 1}", path=args_el.path, rule="group-arity")
                 yield tokens, args_el.path
-        self._post_members(template, highest, members(), gid, classes)
+        self._post_members(template, highest, binding, members(), gid, classes)
 
     def _expand_slide(self, el: RawElement, classes: Tuple[str, ...]) -> None:
-        _check_attrs(el, frozenset({"circular"}))
+        if not self._kept(el, frozenset({"circular"})):
+            return
         sid = self._register_id(el)
         circular = _bool_attr(el, "circular", False)
         if len(el.children) < 2:
@@ -1097,14 +1156,11 @@ class _ConstraintReader:
         if any(c.tag != "list" for c in lists):
             raise ParseError("slide children must be <list> elements then a template",
                              path=el.path, rule="slide-shape")
-        if template.tag not in ("intension", "extension"):
-            if not self.cfg.strict:
-                self.removed.append(el.path)  # lenient: the whole slide is skipped
-                return
-            raise ParseError(
+        if template.tag not in ("intension", "extension"):  # lenient: the slide is skipped
+            return self._leave_out(el, ParseError(
                 f"slide template must be intension or extension, not <{template.tag}>",
-                path=template.path, rule="slide-template")
-        highest, has_rest = self._template_params(template)
+                path=template.path, rule="slide-template"))
+        highest, has_rest, binding = self._template(template)
         if has_rest:
             raise ParseError("%... cannot occur in a slide template",
                              path=template.path, rule="rest-placement")
@@ -1114,9 +1170,10 @@ class _ConstraintReader:
                              rule="slide-params")
         per_list: List[Tuple[List[str], int, int]] = []
         for lst in lists:
-            _check_attrs(lst, frozenset({"offset", "collect", "startIndex"}))
+            if not self._kept(lst, frozenset({"offset", "collect", "startIndex"}), owner=el):
+                return
             _check_start_index(lst, "startIndex")
-            ids = read_var_ids(lst.text, self.arrays, lst.path)
+            ids = self._ids(lst)
             offset_text = lst.attr("offset")
             offset = read_int(offset_text, lst.path, "offset") if offset_text else 1
             if offset < 1:
@@ -1166,15 +1223,15 @@ class _ConstraintReader:
                 for ids, offset, collect in per_list:
                     window.extend(ids[i * offset:i * offset + collect])
                 members.append(window)
-        self._post_members(template, highest, ((window, el.path) for window in members),
-                           sid, classes)
+        self._post_members(template, highest, binding,
+                           ((window, el.path) for window in members), sid, classes)
 
     # single constraints ----------------------------------------------------------
 
     def _read_extension(self, el: RawElement) -> K.Extension:
         list_el = _required(el, "list")
         _check_start_index(list_el, "startIndex")
-        scope = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
+        scope = tuple(self._ids(list_el))
         if not scope:
             raise ParseError("extension with empty scope", path=list_el.path,
                              rule="extension-shape")
@@ -1212,7 +1269,7 @@ class _ConstraintReader:
             rows = _read_matrix(matrix, self.arrays, read_var)
             return K.AllDifferentMatrix(tuple(tuple(r) for r in rows))
         if len(lists) >= 2:
-            id_lists = [tuple(read_var_ids(l.text, self.arrays, l.path)) for l in lists]
+            id_lists = [tuple(self._ids(l)) for l in lists]
             width = len(id_lists[0])
             if any(len(l) != width for l in id_lists):
                 raise ParseError("allDifferent lists differ in length",
@@ -1227,7 +1284,7 @@ class _ConstraintReader:
                 excepts = tuple(raw)
             return K.AllDifferentLists(tuple(id_lists), excepts)
         text_el = lists[0] if lists else el
-        operands = tuple(read_exprs(text_el.text, self.arrays, text_el.path))
+        operands = tuple(self._read_exprs(text_el))
         if not operands:
             raise ParseError("allDifferent without operands", path=el.path,
                              rule="allDifferent-shape")
@@ -1247,7 +1304,7 @@ class _ConstraintReader:
 
     def _read_ordered(self, el: RawElement) -> K.Ordered:
         list_el = _required(el, "list")
-        ids = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
+        ids = tuple(self._ids(list_el))
         op = self._read_order_operator(el)
         lengths_el = el.find("lengths")
         lengths: Optional[Tuple[K.Val, ...]] = None
@@ -1269,7 +1326,7 @@ class _ConstraintReader:
         if len(lists) < 2:
             raise ParseError("lex needs at least two lists or a matrix",
                              path=el.path, rule="lex-shape")
-        id_lists = [tuple(read_var_ids(l.text, self.arrays, l.path)) for l in lists]
+        id_lists = [tuple(self._ids(l)) for l in lists]
         width = len(id_lists[0])
         if any(len(l) != width for l in id_lists):
             raise ParseError("lex lists differ in length", path=el.path, rule="lists-length")
@@ -1281,7 +1338,7 @@ class _ConstraintReader:
 
     def _read_sum(self, el: RawElement) -> K.Sum:
         list_el = _required(el, "list")
-        terms = tuple(read_exprs(list_el.text, self.arrays, list_el.path))
+        terms = tuple(self._read_exprs(list_el))
         coeffs_el = el.find("coeffs")
         if coeffs_el is not None:
             coeffs = tuple(read_vals(coeffs_el.text, self.arrays, coeffs_el.path,
@@ -1295,7 +1352,7 @@ class _ConstraintReader:
 
     def _read_cardinality(self, el: RawElement) -> K.Cardinality:
         list_el = _required(el, "list")
-        ids = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
+        ids = tuple(self._ids(list_el))
         values_el = _required(el, "values")
         closed = _bool_attr(values_el, "closed", False)
         values = tuple(read_vals(values_el.text, self.arrays, values_el.path))
@@ -1308,7 +1365,8 @@ class _ConstraintReader:
             elif INT_RE.fullmatch(token):
                 occurs.append(read_int(token, occurs_el.path, "occurrence"))
             else:
-                occurs.extend(VarRef(i) for i in _var_ids(token, self.arrays, occurs_el.path))
+                occurs.extend(VarRef(i) for i in _var_ids(token, self.arrays, occurs_el.path,
+                                                               self.cells))
         if len(values) != len(occurs):
             raise ParseError(f"{len(values)} values for {len(occurs)} occurrences",
                              path=occurs_el.path, rule="occurs-count")
@@ -1342,7 +1400,7 @@ class _ConstraintReader:
             int_cells = "(" in text and all(c.isspace() or c in "(),+-0123456789"
                                             for c in text)
             rows = _read_matrix(matrix, self.arrays, read_int if int_cells else read_var)
-            indexes = read_var_ids(index_el.text, self.arrays, index_el.path)
+            indexes = self._ids(index_el)
             if len(indexes) != 2:
                 raise ParseError("matrix element needs two index variables",
                                  path=index_el.path, rule="element-index")
@@ -1353,7 +1411,7 @@ class _ConstraintReader:
         _check_start_index(list_el, "startIndex")
         tokens = list_el.text.split()
         values_form = bool(tokens) and all(INT_RE.fullmatch(t) for t in tokens)
-        indexes = read_var_ids(index_el.text, self.arrays, index_el.path)
+        indexes = self._ids(index_el)
         if len(indexes) != 1:
             raise ParseError("element needs one index variable",
                              path=index_el.path, rule="element-index")
@@ -1361,22 +1419,22 @@ class _ConstraintReader:
         if values_form:
             values = tuple(read_int(t, list_el.path, "element value") for t in tokens)
             return K.ElementValList(values, indexes[0], rhs)
-        ids = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
+        ids = tuple(self._ids(list_el))
         return K.ElementVarList(ids, indexes[0], rhs)
 
     def _read_channel(self, el: RawElement) -> K.ConstraintKind:
         lists = el.find_all("list")
         value_el = el.find("value")
         if not lists:
-            ids = tuple(read_var_ids(el.text, self.arrays, el.path))
+            ids = tuple(self._ids(el))
             return K.ChannelOne(ids)
         for lst in lists:
             _check_start_index(lst, "startIndex")
         if len(lists) == 1:
-            ids = tuple(read_var_ids(lists[0].text, self.arrays, lists[0].path))
+            ids = tuple(self._ids(lists[0]))
             if value_el is None:
                 return K.ChannelOne(ids)
-            value_ids = read_var_ids(value_el.text, self.arrays, value_el.path)
+            value_ids = self._ids(value_el)
             if len(value_ids) != 1:
                 raise ParseError("channel value must be a single variable",
                                  path=value_el.path, rule="channel-value")
@@ -1384,8 +1442,8 @@ class _ConstraintReader:
         if len(lists) != 2 or value_el is not None:
             raise ParseError("channel takes one or two lists", path=el.path,
                              rule="channel-shape")
-        first = tuple(read_var_ids(lists[0].text, self.arrays, lists[0].path))
-        second = tuple(read_var_ids(lists[1].text, self.arrays, lists[1].path))
+        first = tuple(self._ids(lists[0]))
+        second = tuple(self._ids(lists[1]))
         if len(first) > len(second):
             raise ParseError(
                 f"first channel list ({len(first)}) is longer than the second "
@@ -1410,7 +1468,7 @@ class _ConstraintReader:
                 raise ParseError("origin/length tuples differ in dimension",
                                  path=el.path, rule="noOverlap-count")
             return K.NoOverlapK(tuple(origin_rows), tuple(length_rows), zero_ignored)
-        origins = tuple(read_var_ids(origins_el.text, self.arrays, origins_el.path))
+        origins = tuple(self._ids(origins_el))
         lengths = tuple(read_vals(lengths_el.text, self.arrays, lengths_el.path))
         if len(origins) != len(lengths):
             raise ParseError(f"{len(origins)} origins for {len(lengths)} lengths",
@@ -1419,7 +1477,7 @@ class _ConstraintReader:
 
     def _read_cumulative(self, el: RawElement) -> K.Cumulative:
         origins_el = _required(el, "origins")
-        origins = tuple(read_var_ids(origins_el.text, self.arrays, origins_el.path))
+        origins = tuple(self._ids(origins_el))
         lengths_el = _required(el, "lengths")
         lengths = tuple(read_vals(lengths_el.text, self.arrays, lengths_el.path))
         heights_el = _required(el, "heights")
@@ -1435,7 +1493,7 @@ class _ConstraintReader:
         src = list_el if list_el is not None else el
         if list_el is not None:
             _check_start_index(list_el, "startIndex")
-        ids = tuple(read_var_ids(src.text, self.arrays, src.path))
+        ids = tuple(self._ids(src))
         if not ids:
             raise ParseError("circuit without variables", path=src.path, rule="circuit-shape")
         size_el = el.find("size")
@@ -1450,7 +1508,7 @@ class _ConstraintReader:
 
     def _read_instantiation(self, el: RawElement) -> K.InstantiationCtr:
         list_el = _required(el, "list")
-        ids = tuple(read_var_ids(list_el.text, self.arrays, list_el.path))
+        ids = tuple(self._ids(list_el))
         values_el = _required(el, "values")
         values = tuple(read_int_values(values_el.text, values_el.path, len(ids),
                                        "instantiation-count", allow_star=True))
@@ -1475,7 +1533,7 @@ _OBJ_KINDS = {
 }
 
 
-def _read_objective(section: RawElement, arrays: Dict[str, VarArray]) -> Objective:
+def _read_objective(section: RawElement, reader: _ConstraintReader) -> Objective:
     if section.attr("combination") is not None:
         raise UnknownElement("objective combinations are not supported",
                              path=section.path, rule="objectives-content")
@@ -1500,10 +1558,10 @@ def _read_objective(section: RawElement, arrays: Dict[str, VarArray]) -> Objecti
                 raise ParseError("expression objectives carry the expression as text",
                                  path=el.path, rule="objective-shape")
             return Objective(sense, obj_kind,
-                             expression=_read_expr(el.text.strip(), el.path))
+                             expression=reader._read_expr(el.text.strip(), el.path))
         _check_children(el, {"list": frozenset(), "coeffs": frozenset()})
         src = el.find("list") or el
-        operands = tuple(read_exprs(src.text, arrays, src.path))
+        operands = tuple(reader._read_exprs(src))
         coeffs_el = el.find("coeffs")
         coeffs: Optional[Tuple[int, ...]] = None
         if coeffs_el is not None:
@@ -1523,6 +1581,7 @@ def _read_decision(section: RawElement, arrays: Dict[str, VarArray],
             if decision is not None:
                 raise ParseError("several <decision> elements", path=el.path,
                                  rule="annotations-content")
+            _check_attrs(el)
             decision = tuple(read_var_ids(el.text, arrays, el.path))
         elif strict:
             raise UnknownElement(f"unsupported annotation <{el.tag}>",
@@ -1533,6 +1592,7 @@ def _read_decision(section: RawElement, arrays: Dict[str, VarArray],
 # -- whole documents --------------------------------------------------------------
 
 _SECTION_ORDER = ("variables", "constraints", "objectives", "annotations")
+_SECTION_ATTRS = {"objectives": frozenset({"combination"})}  # _read_objective rejects it
 
 
 def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
@@ -1549,6 +1609,7 @@ def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
     if type_text not in ("CSP", "COP"):
         raise ParseError(f"type attribute must be CSP or COP, found {type_text!r}",
                          path=root.path, rule="instance-type")
+    _check_attrs(root, frozenset({"format", "type"}))
 
     sections: Dict[str, RawElement] = {}
     last_rank = -1
@@ -1564,6 +1625,7 @@ def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
             raise ParseError(f"<{child.tag}> out of order", path=child.path,
                              rule="section-order")
         last_rank = rank
+        _check_attrs(child, _SECTION_ATTRS.get(child.tag, frozenset()))
         sections[child.tag] = child
 
     vars_builder = _VariablesBuilder(cfg)
@@ -1577,7 +1639,7 @@ def parse_string(text: str, config: Optional[ParserConfig] = None) -> Instance:
 
     objective: Optional[Objective] = None
     if "objectives" in sections:
-        objective = _read_objective(sections["objectives"], vars_builder.arrays)
+        objective = _read_objective(sections["objectives"], reader)
     if type_text == "CSP" and objective is not None:
         raise ParseError("a CSP instance cannot declare an objective",
                          path=sections["objectives"].path, rule="instance-type")

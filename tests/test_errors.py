@@ -480,14 +480,21 @@ def test_an_attribute_of_a_constraint_child_that_is_not_read(path, attribute, co
 ], ids=["args", "objective-list"])
 def test_an_attribute_of_a_group_or_objective_child_that_is_not_read(path, document, tmp_path,
                                                                      capsys):
-    # as for an unknown attribute on a group or an objective, lenient mode fails too
+    # lenient mode leaves out an <args>, as it does a constraint; an objective
+    # cannot be left out, so there lenient mode fails too
     file = tmp_path / "instance.xml"
     file.write_text(document)
     child = path.rpartition("/")[2]
     message = f"error: {path}: unsupported attribute foo= on <{child}> [rule: attribute]\n"
-    for config in (ParserConfig(), ParserConfig(strict=False)):
+    with pytest.raises(UnknownElement) as caught:
+        parse_string(document)
+    assert f"error: {caught.value}\n" == message
+    if child == "args":
+        lenient = parse_string(document, ParserConfig(strict=False))
+        assert (lenient.constraints, lenient.removed) == ((), (path,))
+    else:
         with pytest.raises(UnknownElement) as caught:
-            parse_string(document, config)
+            parse_string(document, ParserConfig(strict=False))
         assert f"error: {caught.value}\n" == message
     assert cli.main(["validate", str(file)]) == 2
     assert capsys.readouterr().err == message
@@ -509,6 +516,72 @@ def test_the_attributes_a_constraint_child_may_carry():
     ]
     for constraint in constraints:
         assert parse_string(_constraints(constraint)).constraints
+
+
+# An unknown attribute on a group, a slide, a slide's <list> or a block fails
+# the document in strict mode; lenient mode leaves out that group, slide or
+# block, as it leaves out a constraint, and reads what stands beside it.
+_BESIDE = "<intension> lt(a,b) </intension>"
+STRUCTURES = [
+    ("group", '<group foo="1"><intension> lt(%0,1) </intension><args> a </args></group>',
+     "group"),
+    ("slide", '<slide foo="1"><list> a b c </list><intension> lt(%0,%1) </intension></slide>',
+     "slide"),
+    ("slide/list", '<slide><list foo="1"> a b c </list><intension> lt(%0,%1) </intension>'
+     "</slide>", "slide"),
+    ("block", '<block foo="1"><intension> lt(a,c) </intension></block>', "block"),
+]
+
+
+@pytest.mark.parametrize("path,structure,left_out", STRUCTURES,
+                         ids=[path for path, _, _ in STRUCTURES])
+def test_lenient_mode_leaves_out_a_structure_with_an_unknown_attribute(path, structure,
+                                                                       left_out):
+    document = _constraints(structure + _BESIDE)
+    with pytest.raises(UnknownElement) as caught:
+        parse_string(document)
+    assert (caught.value.rule, caught.value.path) == ("attribute", _CONSTRAINTS + path)
+    lenient = parse_string(document, ParserConfig(strict=False))
+    assert lenient.removed == (_CONSTRAINTS + left_out,)
+    assert lenient.constraints == parse_string(_constraints(_BESIDE)).constraints
+
+
+def test_lenient_mode_leaves_out_one_args_and_keeps_the_member_ids():
+    document = _constraints('<group id="g"><intension> lt(%0,1) </intension><args> a </args>'
+                            '<args foo="1"> b </args><args> c </args></group>')
+    lenient = parse_string(document, ParserConfig(strict=False))
+    assert [p.id for p in lenient.constraints] == ["g[0]", "g[2]"]
+    assert lenient.removed == (_CONSTRAINTS + "group/args[2]",)
+
+
+# The elements that cannot be left out: an unknown attribute on one of them
+# fails the document in both modes.
+_DECIDED = _document(_XY, tail="<annotations><decision> x y </decision></annotations>")
+_OBJECTIVE = _document(_XY, tail=_COP.format("<minimize> add(x,y) </minimize>"), framework="COP")
+_CELLS = _document('<array id="y" size="[2]"><domain for="y[0]"> 0 </domain>'
+                   '<domain for="others"> 1 </domain></array>', "<intension> lt(y[0],y[1]) "
+                   "</intension>")
+UNDROPPABLE = [
+    ("/instance", _DECIDED.replace("<instance ", "<instance {} ")),
+    ("/instance/variables", _DECIDED.replace("<variables>", "<variables {}>")),
+    ("/instance/constraints", _DECIDED.replace("<constraints>", "<constraints {}>")),
+    ("/instance/objectives", _OBJECTIVE.replace("<objectives>", "<objectives {}>")),
+    ("/instance/annotations", _DECIDED.replace("<annotations>", "<annotations {}>")),
+    ("/instance/annotations/decision", _DECIDED.replace("<decision>", "<decision {}>")),
+    ("/instance/variables/array/domain[1]", _CELLS.replace('"y[0]"', '"y[0]" {}')),
+]
+
+
+@pytest.mark.parametrize("path,document", UNDROPPABLE, ids=[p for p, _ in UNDROPPABLE])
+def test_an_unknown_attribute_where_nothing_can_be_left_out(path, document):
+    for strict in (True, False):
+        with pytest.raises(UnknownElement) as caught:
+            parse_string(document.format('foo="1"'), ParserConfig(strict=strict))
+        assert (caught.value.rule, caught.value.path) == ("attribute", path)
+        assert str(caught.value) == f"{path}: unsupported attribute foo= on " \
+            f"<{path.rpartition('/')[2].partition('[')[0]}> [rule: attribute]"
+        # id, class and note are taken everywhere
+        assert parse_string(document.format('note="n" class="c"'), ParserConfig(strict=strict))
 
 
 # -- references, checked where an Instance is built ------------------------------------

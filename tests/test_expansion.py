@@ -1,12 +1,13 @@
 """Group and slide expansion: meta-constraints must equal their hand-expanded twins."""
 
+import itertools
 import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xcsp3core import kinds as K
+from xcsp3core import kinds as K, parser
 from xcsp3core.canonical import instances_equivalent
 from xcsp3core.errors import ParseError
 from xcsp3core.expr import VarRef
@@ -300,3 +301,141 @@ def _documents(draw):
 def test_bound_expansion_equals_text_expansion(text, strict):
     assert _outcome(text, strict) == _outcome(text, strict, bound=False)
 
+
+
+# -- shapes and templates read once per document ---------------------------------------
+#
+# A flat expression whose shape (its text but for its operand leaves) was met
+# earlier in the document is rebuilt from that shape's tree, and an operand
+# alone is read as its leaf (_ConstraintReader._read_expr); sibling groups
+# that share a template read it once (_ConstraintReader._template). With the
+# reuse turned off, every text is parsed and every template read afresh:
+# every outcome must be the same either way.
+
+def _parsed(self, text, path):
+    if "%" in text:  # the reader's own parameter error
+        return _read_expr(self, text, path)
+    return parser.parse_expr(text, path)
+
+
+def _template_afresh(self, template):
+    self.templates.clear()
+    return _template(self, template)
+
+
+_read_expr, _template = _ConstraintReader._read_expr, _ConstraintReader._template
+
+
+def _reused_outcome(text, strict=True, reuse=True):
+    """mutants.outcome of text; reuse=False parses every expression and
+    reads every template as if it were the first of its text."""
+    if reuse:
+        return outcome(text, strict)
+    with mock.patch.object(_ConstraintReader, "_read_expr", _parsed), \
+            mock.patch.object(_ConstraintReader, "_template", _template_afresh):
+        return outcome(text, strict)
+
+
+# A shape: an expression whose operand leaves are {} slots to fill, set
+# literal members included; of the right arities but for mul's.
+_ARITY = {"not": 1, "abs": 1, "sub": 2, "ne": 2, "le": 2, "add": 3, "max": 2, "if": 3, "mul": 1}
+
+
+def _calls(inner):
+    return st.sampled_from(sorted(_ARITY)).flatmap(lambda op: st.lists(
+        inner, min_size=_ARITY[op], max_size=_ARITY[op]).map(
+            lambda args: f"{op}({','.join(args)})"))
+
+
+_SHAPE = st.recursive(st.just("{}"), lambda inner: st.one_of(
+    _calls(inner),
+    st.builds(lambda e, n: f"in({e},set({','.join(['{}'] * n)}))", inner, st.integers(0, 3)),
+), max_leaves=6)
+_DECLARED = ["x[0]", "x[5]", "y", "0", "-3", "+4", "007"]  # the leaves that read and resolve
+_FILLER = st.sampled_from(_DECLARED * 6 + LEAF_TOKENS + OTHER_TOKENS
+                          + ["set(1,2)", "set()", "in(y,set(1))"])
+_HOLDERS = ["<intension> {} </intension>", "<intension><function> {} </function></intension>",
+            "<allDifferent> {} x[1] </allDifferent>",
+            "<sum><list> {} y </list><condition> (ge,0) </condition></sum>"]
+
+
+@st.composite
+def _flat_documents(draw):
+    shapes = st.sampled_from(draw(st.lists(_SHAPE, min_size=1, max_size=3)))
+
+    def text():
+        shape = draw(shapes)
+        n = shape.count("{}")
+        return shape.format(*draw(st.lists(_FILLER, min_size=n, max_size=n)))
+    constraints = [draw(st.sampled_from(_HOLDERS)).format(text())
+                   for _ in range(draw(st.integers(2, 6)))]
+    document = wrap("".join(constraints), '<var id="y"> 0..3 </var>')
+    if draw(st.booleans()):  # an objective reads through the same memo
+        document = document.replace('type="CSP"', 'type="COP"').replace(
+            "</instance>", f"<objectives><minimize> {text()} </minimize></objectives></instance>")
+    return document
+
+
+@settings(max_examples=400, deadline=None)
+@given(_flat_documents(), st.booleans())
+def test_flat_expressions_of_one_shape_read_as_each_text_alone(text, strict):
+    assert _reused_outcome(text, strict) == _reused_outcome(text, strict, reuse=False)
+
+
+# Templates that differ only in their attributes or in where the expression
+# stands share their text, so that a memo keyed by too little would mix them.
+_TEMPLATE_TEXTS = ["ne(%0,add(%1,2))", "in(%0,set(1,%1))", "eq(x[%0],%1)", "eq(%0,%3)"]
+_TEMPLATE_FORMS = ["<intension> {} </intension>", '<intension note="n"> {} </intension>',
+                   '<intension foo="1"> {} </intension>', '<intension class="c"> {} </intension>',
+                   "<intension><function> {} </function></intension>",
+                   "<extension><list> %0 %1 </list><supports> (0,1)(1,2) </supports></extension>"]
+
+
+@st.composite
+def _sibling_groups(draw):
+    text = st.sampled_from(_TEMPLATE_TEXTS[:draw(st.integers(1, len(_TEMPLATE_TEXTS)))])
+    forms = st.sampled_from(_TEMPLATE_FORMS)
+    templates = draw(st.lists(st.builds(str.format, forms, text), min_size=1, max_size=3))
+    token = st.sampled_from(_DECLARED * 20 + LEAF_TOKENS + OTHER_TOKENS)
+    groups = []
+    for g in range(draw(st.integers(2, 5))):
+        template = draw(st.sampled_from(templates))
+        members = draw(st.lists(st.lists(token, min_size=2, max_size=2), min_size=1, max_size=2))
+        args = "".join(f"<args> {' '.join(tokens)} </args>" for tokens in members)
+        groups.append(f'<group id="g{g}">{template}{args}</group>')
+    return wrap("".join(groups), '<var id="y"> 0..3 </var>')
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sibling_groups(), st.booleans())
+def test_sibling_groups_of_one_template_read_as_each_group_alone(text, strict):
+    assert _reused_outcome(text, strict) == _reused_outcome(text, strict, reuse=False)
+
+
+_SIBLING_PAIRS = list(itertools.permutations(
+    [form.format("ne(%0,add(%1,2))") for form in _TEMPLATE_FORMS[:5]]
+    + ["<intension><function> eq(%0,%1) </function></intension>"], 2))
+
+
+@pytest.mark.parametrize("first,second", _SIBLING_PAIRS)
+def test_sibling_templates_that_differ_outside_their_text(first, second):
+    text = wrap(f'<group id="g0">{first}<args> x[0] y </args></group>'
+                f'<group id="g1">{second}<args> y x[1] </args><args> 1 2 </args></group>',
+                '<var id="y"> 0..3 </var>')
+    for strict in (True, False):
+        assert _reused_outcome(text, strict) == _reused_outcome(text, strict, reuse=False)
+
+
+def test_a_repeated_shape_or_template_is_parsed_once():
+    n = 50
+    flat = wrap("".join(f"<intension> ne(x[{i % 6}],add(y,{i})) </intension>" for i in range(n)),
+                '<var id="y"> 0..3 </var>')
+    groups = wrap("".join(f'<group id="g{i:03d}"><intension> ne(%0,add(%1,1)) </intension>'
+                          f"<args> x[{i % 6}] y </args></group>" for i in range(n)),
+                  '<var id="y"> 0..3 </var>')
+    for text in (flat, groups):
+        with mock.patch("xcsp3core.parser.parse_expr", wraps=parser.parse_expr) as parse:
+            instance = parse_string(text)
+        assert len(instance.constraints) == n
+        assert parse.call_count == 1
+        assert instance == parse_string(text.replace("add(y,", "add(y,+"))  # one shape too

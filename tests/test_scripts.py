@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [ROOT / "scripts/random_agreement.py", "--instances", "20", "--machines", "20"],
     [ROOT / "scripts/fixture_report.py", ROOT / "tests/fixtures"],
     [ROOT / "scripts/parse_digest.py", "--mutants", "20"],
+    [ROOT / "scripts/parse_digest.py", "--mutants", "20", "--round-trip"],
 ])
 def test_script_runs_without_pythonpath(argv, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -70,3 +71,12 @@ def test_parse_digest_prints_each_outcome_and_their_digest():
     assert re.fullmatch(rf"documents={documents} outcomes={2 * documents} parsed={parsed} "
                         rf"failed={2 * documents - parsed} sha256=[0-9a-f]{{64}}", total), total
     assert run() == [total]  # the same documents give the same digest
+
+    # each parsed document's canonical form is reparsed, its outcome digested
+    # after the document's; the first line and the counts stay as they were
+    *with_reparses, round_trip = run("--show", "--round-trip")
+    assert [line for line in with_reparses if " reparsed " not in line] == lines
+    assert sum(" reparsed removed=" in line for line in with_reparses) == parsed
+    counts = rf"failed={2 * documents - parsed} reparsed={parsed} same={parsed} sha256="
+    assert re.search(counts, round_trip), round_trip
+    assert round_trip.split(" sha256=")[1] != total.split(" sha256=")[1]
