@@ -309,9 +309,10 @@ def _var_ids(token: str, arrays: Dict[str, VarArray], path: str,
     index ranges built. _is_cell's verdict on each token is kept in cells."""
     if cells is None:
         cells = {}
-    if token not in cells:
-        cells[token] = _is_cell(token, arrays)
-    if cells[token]:
+    is_cell = cells.get(token)
+    if is_cell is None:
+        is_cell = cells[token] = _is_cell(token, arrays)
+    if is_cell:
         return [token]
     if is_compact_token(token):
         with _at(path):
