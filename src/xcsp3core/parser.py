@@ -153,9 +153,10 @@ _SLOT_RE = re.compile(r"\[([^\[\]]*)\]")
 _SIZE_RE = re.compile(rf"(?:{INDEX_RE.pattern})+")
 _PARAM_RE = re.compile(r"%(?:[0-9]+|\.\.\.)")
 # An expression's operand leaf, whatever it holds: a whole run of characters
-# other than ( , ) not followed by "(". The match is linear: possessive, and
-# tried only where a run starts.
-_LEAF_RE = re.compile(r"(?<![^(),])([^(),]++)(?!\()")
+# other than ( , ) that ends at "," or ")" or the text's end, not at "(".
+# The match is linear: it starts only where a run starts, and backtracks
+# only within that run.
+_LEAF_RE = re.compile(r"(?<![^(),])([^(),]+)(?=[,)]|\Z)")
 
 
 def read_interval(token: str, path: Optional[str] = None) -> Optional[Tuple[int, int]]:
@@ -955,8 +956,8 @@ class _ConstraintReader:
                 self.removed.append(el.path)
                 continue
             if el.tag == "block":
+                self._register_id(el, member_base=False)
                 if self._kept(el):
-                    self._register_id(el, member_base=False)
                     self._walk(el.children, cls)
             elif el.tag == "group":
                 self._expand_group(el, cls)
@@ -1110,9 +1111,9 @@ class _ConstraintReader:
                                                     classes, note))
 
     def _expand_group(self, el: RawElement, classes: Tuple[str, ...]) -> None:
+        gid = self._register_id(el)
         if not self._kept(el):
             return
-        gid = self._register_id(el)
         if not el.children:
             raise ParseError("empty group", path=el.path, rule="group-shape")
         template, rest_children = el.children[0], el.children[1:]
@@ -1138,17 +1139,22 @@ class _ConstraintReader:
                     yield None, args_el.path  # later members keep their ids
                     continue
                 tokens = args_el.text.split()
-                if len(tokens) < highest + 1 or len(tokens) > highest + 1 and not has_rest:
-                    takes = "needs at least" if has_rest else "takes"
-                    raise ParseError(f"args #{k} has {len(tokens)} tokens, template {takes} "
-                                     f"{highest + 1}", path=args_el.path, rule="group-arity")
+                if has_rest:
+                    if len(tokens) < highest + 1:
+                        raise ParseError(
+                            f"args #{k} has {len(tokens)} tokens, template needs at "
+                            f"least {highest + 1}", path=args_el.path, rule="group-arity")
+                elif len(tokens) != highest + 1:
+                    raise ParseError(
+                        f"args #{k} has {len(tokens)} tokens, template takes "
+                        f"{highest + 1}", path=args_el.path, rule="group-arity")
                 yield tokens, args_el.path
         self._post_members(template, highest, binding, members(), gid, classes)
 
     def _expand_slide(self, el: RawElement, classes: Tuple[str, ...]) -> None:
+        sid = self._register_id(el)
         if not self._kept(el, frozenset({"circular"})):
             return
-        sid = self._register_id(el)
         circular = _bool_attr(el, "circular", False)
         if len(el.children) < 2:
             raise ParseError("slide needs lists and a template", path=el.path,

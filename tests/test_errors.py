@@ -544,6 +544,13 @@ def test_lenient_mode_leaves_out_a_structure_with_an_unknown_attribute(path, str
     lenient = parse_string(document, ParserConfig(strict=False))
     assert lenient.removed == (_CONSTRAINTS + left_out,)
     assert lenient.constraints == parse_string(_constraints(_BESIDE)).constraints
+    # its id stays taken, as a left-out constraint's does
+    taken = structure.replace(f"<{left_out}", f'<{left_out} id="k"', 1)
+    later = '<intension id="{}"> lt(a,c) </intension>'
+    assert parse_string(_constraints(taken + later.format("j")), ParserConfig(strict=False))
+    with pytest.raises(ParseError) as caught:
+        parse_string(_constraints(taken + later.format("k")), ParserConfig(strict=False))
+    assert caught.value.rule == "duplicate-id"
 
 
 def test_lenient_mode_leaves_out_one_args_and_keeps_the_member_ids():

@@ -439,3 +439,23 @@ def test_a_repeated_shape_or_template_is_parsed_once():
         assert len(instance.constraints) == n
         assert parse.call_count == 1
         assert instance == parse_string(text.replace("add(y,", "add(y,+"))  # one shape too
+
+
+# _LEAF_RE cuts each operand leaf, whole, out of an expression's text: a run
+# of characters other than ( , ) that names no call. The pattern stays within
+# the syntax of every Python the package supports: no possessive quantifier
+# and no atomic group, which re reads only from Python 3.11.
+@pytest.mark.parametrize("text,leaves", [
+    ("add(x[0],mul(y,3))", ["x[0]", "y", "3"]),
+    ("in(x,set(1,-2))", ["x", "1", "-2"]),
+    ("x[2][3]", ["x[2][3]"]),
+    ("not(f(a)b)", ["a", "b"]),
+    ("set()", []),
+    ("add(,x,,)", ["x"]),
+    ("ab(cd(", []),
+])
+def test_the_leaf_pattern_cuts_whole_runs(text, leaves):
+    parts = parser._LEAF_RE.split(text)
+    assert parts[1::2] == leaves
+    assert "".join(parts) == text
+    assert not re.search(r"[+*?}]\+|\(\?>", parser._LEAF_RE.pattern)
