@@ -7,7 +7,8 @@ widest depth of a search in that order), the time parse_file took (reading
 the file included), the constraint kinds present, and (with --solve) the solution count or optimum, the search
 time, the nodes visited and the nodes per second. With --solve a last row
 totals the fixtures, their nodes and search seconds, and the nodes per
-second over all of them.
+second over all of them, and a row after it counts the loop shapes that
+the searches compiled (solver._LOOPS).
 """
 
 import argparse
@@ -19,6 +20,7 @@ from typing import Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's
 
+from xcsp3core import solver  # noqa: E402
 from xcsp3core.model import Instance  # noqa: E402
 from xcsp3core.parser import parse_file  # noqa: E402
 from xcsp3core.solver import SearchConfig, Status, count_solutions, solve  # noqa: E402
@@ -88,6 +90,7 @@ def main() -> int:
         rate = f"{nodes / seconds:,.0f}" if seconds > 0 else "-"
         print(f"total: {len(paths)} fixtures, nodes={nodes:,}, {seconds:.2f}s, "
               f"{rate} nodes/s")
+        print(f"loop shapes={len(solver._LOOPS)}")
     return 0
 
 

@@ -64,8 +64,11 @@ into code of the caller's (the solver writes intensions, allDifferent
 operands and an objective into its search loop), with a suffix on every
 name, and reads each variable that the caller holds in a local from that
 local, any other from env; an if() branch's function reads env. The
-caller passes the constants, in the walk's order, as it passes its own,
-and keys its own code by the shape key.
+caller passes the constants that the code reads (Bounded.args: all but
+the ids of the variables read from locals), in the walk's order, as it
+passes its own, and keys its own code by the shape key and the reads. A
+caller that only tests the value (an intension's check) has a top
+comparison written as its negation in place, not stored as 0/1.
 """
 
 from __future__ import annotations
@@ -558,6 +561,10 @@ _BINARY_CODE: Dict[str, Tuple[str, Optional[str]]] = {
 
 _NARY_CODE: Dict[str, str] = {op: f"_nary_{op}([{{a}}])" for op in _NARY}
 
+# Where each comparison gives 0: how Bounded.write tests one in place
+_FAILED: Dict[str, str] = {"lt": "{a} >= {b}", "le": "{a} > {b}", "ge": "{a} < {b}",
+                           "gt": "{a} <= {b}", "ne": "{a} == {b}", "eq": "{a} != {b}"}
+
 # div and mod where the bounds prove the dividend >= 0 and the divisor >= 1:
 # Python's floor division and remainder are then the truncated ones, exact
 # and unable to raise
@@ -684,7 +691,8 @@ _LEAVE: Dict[Tuple[str, str], Tuple[Callable[..., Span], int]] = {
 
 
 def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None,
-           ids: Optional[List[str]] = None) -> Tuple[Any, List[object], List[bool], bool]:
+           reads: Optional[List[Tuple[str, Optional[int]]]] = None
+           ) -> Tuple[Any, List[object], List[bool], bool]:
     """The shape key of e, its constants, its range tests and whether it may raise.
 
     One walk, preorder, of the tree. A call gives its operator (or "?" when
@@ -704,14 +712,17 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None,
     pow, an n-ary add or mul, a formless call or a stray set literal.
     Without bounds the key is the tree's shape alone, every range test and
     checked call is written and the last two results mean nothing. With
-    bounds and a list ids, the walk appends to ids the id of each variable
-    read, in the order of the constants: the order in which _Writer reads.
+    bounds and a list reads, the walk appends to reads each variable read,
+    in the order of the constants (the order in which _Writer reads): its
+    id and the position of that id among the constants, or None for a read
+    inside an if() branch.
     """
     key: List[object] = []
     consts: List[object] = []
     spans: List[Span] = []
     tests: List[bool] = []
     raises = False
+    branches = 0  # the if() branches the walk is inside
     stack: List[Any] = [e]
     while stack:
         node = stack.pop()
@@ -721,8 +732,8 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None,
             consts.append(node.id)
             if bounds is not None:
                 spans.append(bounds[node.id])
-                if ids is not None:
-                    ids.append(node.id)
+                if reads is not None:
+                    reads.append((node.id, None if branches else len(consts) - 1))
         elif kind is IntConst:
             key.append("i")
             consts.append(node.value)
@@ -740,7 +751,12 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None,
             key += (op, len(args))
             if bounds is not None:  # left once its operands' spans are on spans
                 stack.append((_LEAVE[form, op], len(args)))
-            stack += args[::-1]
+            if form == "if" and reads is not None:  # an int enters (1) or leaves (-1) a branch
+                stack += (-1, args[2], args[1], 1, args[0])
+            else:
+                stack += args[::-1]
+        elif kind is int:
+            branches += node
         elif kind is tuple:
             (span_of, effect), n = node
             if n == 2:
@@ -788,8 +804,8 @@ class _Writer:
     False is Python's // or %. The statements go into code of the
     caller's, their names with a suffix, and reads gives, for each variable
     read in _shape's order, the name of a local that holds its value, or
-    None to read env[p]. A read inside an if() branch, whose function runs
-    apart from that code, always reads env.
+    None to read env[p]; a read inside an if() branch, whose function runs
+    apart from that code, must read env.
     """
 
     def __init__(self, tests: Optional[List[bool]] = None,
@@ -800,7 +816,6 @@ class _Writer:
         self.tests = None if tests is None else iter(tests)
         self.reads = None if reads is None else iter(reads)
         self.suffix = suffix
-        self.nested = 0  # branch functions being written
 
     def param(self) -> str:
         self.params += 1
@@ -812,9 +827,7 @@ class _Writer:
 
     def function(self, name: str, e: Expr) -> str:
         body: List[str] = []
-        self.nested += 1
         result = self.node(e, body)
-        self.nested -= 1
         self.functions += ([f"def {name}(env):"] + [f"    {line}" for line in body]
                            + [f"    return {result}"])
         return name
@@ -832,7 +845,7 @@ class _Writer:
                          f"if not isinstance({t}, int): raise UnboundVariable({p})"]
                 return t
             local = next(self.reads)
-            if local is not None and not self.nested:
+            if local is not None:
                 return local
             t = self.temp()
             body.append(f"{t} = env[{p}]")
@@ -867,6 +880,14 @@ class _Writer:
             if context is not None and (self.tests is None or next(self.tests)):
                 body.append(_RANGE_TEST.format(t=t, context=context))
         return t
+
+    def test(self, e: Expr, body: List[str]) -> str:
+        """Append the statements computing e to body, but for a top
+        comparison's own; an expression true exactly where e's value is 0."""
+        if type(e) is OpCall and e.op in _FAILED and _form(e.op, e.args) == "binary":
+            a, b = [self.node(arg, body) for arg in e.args]
+            return _FAILED[e.op].format(a=a, b=b)
+        return f"not {self.node(e, body)}"
 
     def source(self, e: Expr) -> str:
         self.function("evaluate", e)
@@ -909,8 +930,9 @@ class Bounded(NamedTuple):
     """An expression under bounds, as one walk of _shape finds it: what
     writing it into other code needs.
 
-    ids holds the variable each read reads, in _shape's order. raises is
-    False when its code cannot raise at all.
+    ids holds the variable each read reads, in _shape's order, and at the
+    position of its id among consts, or None for a read inside an if()
+    branch. raises is False when its code cannot raise at all.
     """
 
     expr: Expr
@@ -919,37 +941,54 @@ class Bounded(NamedTuple):
     tests: List[bool]
     raises: bool
     ids: Tuple[str, ...]
+    at: Tuple[Optional[int], ...]
 
     def reads(self, local: Mapping[str, str]) -> Tuple[Optional[str], ...]:
-        """Each read's local name in local, or None where it reads env."""
-        return tuple(map(local.get, self.ids))
+        """Each read's local name in local, or None where it reads env: a
+        read inside an if() branch always does."""
+        if None not in self.at:
+            return tuple(map(local.get, self.ids))
+        return tuple(None if at is None else local.get(vid) for vid, at in zip(self.ids, self.at))
 
-    def write(self, suffix: str, local: Mapping[str, str]
+    def unread(self, reads: Sequence[Optional[str]]) -> List[int]:
+        """The positions of the constants that code with these reads never
+        reads: the ids of the variables it reads from a local."""
+        return [at for at, local in zip(self.at, reads) if local is not None]
+
+    def args(self, reads: Sequence[Optional[str]]) -> List[object]:
+        """The constants that code with these reads takes, in order."""
+        unread = self.unread(reads)
+        return [c for i, c in enumerate(self.consts) if i not in unread] if unread else self.consts
+
+    def write(self, suffix: str, local: Mapping[str, str], test: bool = False
               ) -> Tuple[List[str], List[str], str, List[str]]:
         """The code of the expression inside the caller's code (_Writer's
-        inline mode): its parameters (the constants' names, each with
-        suffix, in the order of consts), its statements, the name of its
-        value and the lines of its if() branches' functions, which the
-        caller defines where its statements can call them. A variable in
-        local is read from the local named there, any other from env.
-        The code names only what _NAMESPACE holds. Under an environment
-        that binds every variable inside the bounds, its value is what
-        compile_expr's function returns, and it raises what that raises,
-        with the same message.
+        inline mode): its parameters (the names of args(reads(local)), each
+        with suffix), its statements, the name of its value, or with test an
+        expression true exactly where that value is 0, and the lines of its
+        if() branches' functions, which the caller defines where its
+        statements can call them. A variable in local is read from the local
+        named there, any other from env. The code names only what
+        _NAMESPACE holds. Under an environment that binds every variable
+        inside the bounds, its value is what compile_expr's function
+        returns, and it raises what that raises, with the same message.
         """
-        writer = _Writer(self.tests, self.reads(local), f"{suffix}_")
+        reads = self.reads(local)
+        writer = _Writer(self.tests, reads, f"{suffix}_")
         body: List[str] = []
-        value = writer.node(self.expr, body)
-        return ([f"p{suffix}_{i}" for i in range(writer.params)], body, value,
-                writer.functions)
+        value = (writer.test if test else writer.node)(self.expr, body)
+        unread = self.unread(reads)
+        return ([f"p{suffix}_{i}" for i in range(writer.params) if i not in unread], body,
+                value, writer.functions)
 
 
 def bounded_shape(e: Expr, bounds: Mapping[str, Span]) -> Bounded:
     """e under bounds, each variable's (min, max): one walk of the tree (see
     _shape), kept with the tree for Bounded.write."""
-    ids: List[str] = []
-    key, consts, tests, raises = _shape(e, bounds, ids)
-    return Bounded(e, key, consts, tests, raises, tuple(ids))
+    reads: List[Tuple[str, Optional[int]]] = []
+    key, consts, tests, raises = _shape(e, bounds, reads)
+    return Bounded(e, key, consts, tests, raises, tuple(vid for vid, _ in reads),
+                   tuple(at for _, at in reads))
 
 
 def free_vars(e: Expr) -> List[str]:

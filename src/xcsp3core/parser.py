@@ -757,14 +757,16 @@ def _check_attrs(el: RawElement, extra: FrozenSet[str] = frozenset(),
 
 
 def _check_children(el: RawElement, allowed: Mapping[str, FrozenSet[str]]) -> None:
-    """Reject a child of el whose tag allowed lacks, or that carries an
-    attribute outside allowed[tag]."""
+    """Reject a child of el whose tag allowed lacks, that carries an
+    attribute outside allowed[tag], or a start index (_START_INDEXES) other
+    than 0."""
     for child in el.children:
         attrs = allowed.get(child.tag)
         if attrs is None:
             raise UnknownElement(f"unexpected <{child.tag}> under <{el.tag}>",
                                  path=child.path, rule=f"{el.tag}-content")
         _check_attrs(child, attrs, frozenset())
+        _check_start_index(child, *_START_INDEXES.get((el.tag, child.tag), ()))
 
 
 def _required(el: RawElement, tag: str) -> RawElement:
@@ -850,7 +852,7 @@ def _plain_reader(kind: type) -> Callable[["_ConstraintReader", RawElement], K.C
 
 
 # The start indexes a constraint's child may carry beyond its K.LAYOUT rows;
-# the tag's reader accepts only 0 (_check_start_index).
+# _check_children accepts only 0 (_check_start_index).
 _START_INDEXES = {
     ("extension", "list"): ("startIndex",),
     ("element", "list"): ("startIndex",),
@@ -1237,7 +1239,6 @@ class _ConstraintReader:
 
     def _read_extension(self, el: RawElement) -> K.Extension:
         list_el = _required(el, "list")
-        _check_start_index(list_el, "startIndex")
         scope = tuple(self._ids(list_el))
         if not scope:
             raise ParseError("extension with empty scope", path=list_el.path,
@@ -1402,7 +1403,6 @@ class _ConstraintReader:
         index_el = _required(el, "index")
         matrix = el.find("matrix")
         if matrix is not None:
-            _check_start_index(matrix, "startRowIndex", "startColIndex")
             text = matrix.text.strip()
             int_cells = "(" in text and all(c.isspace() or c in "(),+-0123456789"
                                             for c in text)
@@ -1415,7 +1415,6 @@ class _ConstraintReader:
             return K.ElementMatrix(tuple(tuple(r) for r in rows),
                                    indexes[0], indexes[1], rhs)
         list_el = _required(el, "list")
-        _check_start_index(list_el, "startIndex")
         tokens = list_el.text.split()
         values_form = bool(tokens) and all(INT_RE.fullmatch(t) for t in tokens)
         indexes = self._ids(index_el)
@@ -1435,8 +1434,6 @@ class _ConstraintReader:
         if not lists:
             ids = tuple(self._ids(el))
             return K.ChannelOne(ids)
-        for lst in lists:
-            _check_start_index(lst, "startIndex")
         if len(lists) == 1:
             ids = tuple(self._ids(lists[0]))
             if value_el is None:
@@ -1498,8 +1495,6 @@ class _ConstraintReader:
     def _read_circuit(self, el: RawElement) -> K.Circuit:
         list_el = el.find("list")
         src = list_el if list_el is not None else el
-        if list_el is not None:
-            _check_start_index(list_el, "startIndex")
         ids = tuple(self._ids(src))
         if not ids:
             raise ParseError("circuit without variables", path=src.path, rule="circuit-shape")

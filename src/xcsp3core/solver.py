@@ -27,12 +27,13 @@ which goes on to the depth's next value where the check fails:
   domain bounds. The check runs only once its variables are assigned from
   their domains, so the code reads them without a test and keeps only the
   int64 tests the bounds cannot rule out: its value and errors are those
-  of the unbounded evaluator.
-- "sum", a stage of a sum: t = T[i] + c * x, kept in T[i + 1], failing
-  when t leaves the stage's cut-offs. A depth assigns one variable, so its
-  coefficients are merged into one c. A sum objective whose bounds prove
-  it stays in int64 is summed by "total" stages, the same sum without
-  cut-offs, planned after each depth's constraint checks.
+  of the unbounded evaluator. A top comparison is tested in place, not
+  stored as 0/1 first.
+- "sum", a stage of a sum: the total t of the stage before it plus c * x,
+  failing when t leaves the stage's cut-offs. A depth assigns one
+  variable, so its coefficients are merged into one c. A sum objective
+  whose bounds prove it stays in int64 is summed by "total" stages, the
+  same sum without cut-offs, planned after each depth's constraint checks.
 - "d...", a stage of an allDifferent none of whose operands can raise: one
   inline membership test per operand, of its value (a bare variable's, or
   the value of its expression's code, written as for "i") against the set
@@ -51,13 +52,21 @@ EXPRESSION objective's code, written as for "i" ("value"), the last
 total of a proved sum ("last") or a call of eval_objective ("cost"), and
 a search that keeps its solutions passes each to a call ("keep").
 In the loop, written code reads a variable that a depth of its block
-assigns from that depth's loop variable, and any other from env, where
-every depth also writes its value; code in an if() branch's function
-reads env alone. The callables, constants, state lists, kinds and the
-constraint positions that name an evaluation error are arguments of the
-factory that builds the code: as in expr's generator, no id, label or
-other input text enters the source, and one factory serves all code of
-the same forms, expression shapes and reads.
+assigns from that depth's loop variable, and any other from env; code in
+an if() branch's function reads env alone. Each depth holds its own copy
+of the stages' state, with no trail (Schulte, "Comparing trailing and
+copying for constraint programming", ICLP 1999), in locals of its block:
+a stage reads the state the stage before it left in a local, and only a
+state that crosses into a later block goes through the chain's list
+(T or S). Every block but the last writes each depth's value to env,
+where the later blocks read it; the last writes env only where its code
+reads env, and a solution it records is env with its own depths' values
+added. The callables, constants, state lists, kinds and the constraint
+positions that name an evaluation error are arguments of the factory that
+builds the code, but for the ids of the variables read from loop
+variables: as in expr's generator, no id, label or other input text
+enters the source, and one factory serves all code of the same forms,
+expression shapes, reads and stage locals.
 With partial_checks off, every constraint is one "c" call of its checker
 and every cost a call of eval_objective, both with unbounded evaluators:
 that is the reference path.
@@ -71,11 +80,12 @@ best by its cost; its calls' code is written in, as a depth's is. An
 inner block yields to descend, and an explicit stack of blocks drives the
 search, so the number of variables is not bounded by Python's recursion
 limit. A block's source depends only on its length, how many of its
-depths are forced (restrict_to_decision), its leaf, and each depth's and
-the leaf's calls' forms, with the bounded shape of each expression and
-which of its reads are of which loop variable; a forced
-depth reruns its calls' code on the value it chose, assigned again to
-its loop variable and env. Every call of a depth is written into its
+depths are forced (restrict_to_decision), its leaf, whether it writes
+env, and each depth's and the leaf's calls' forms, with the bounded shape
+of each expression, which of its reads are of which loop variable, and
+where each stage reads and keeps its state; a forced depth reruns its
+calls' code on the value it chose, assigned again to its loop variable
+and env, which rebuilds the state. Every call of a depth is written into its
 block, so a block's code grows with its depths' calls: a depth that
 completes thousands of constraints is compiled as one long block. At most
 MAX_LOOPS factories are kept, the oldest dropped first, so a search of an
@@ -171,67 +181,80 @@ class _LimitReached(Exception):
 CLOCK_NODES = 256   # nodes between two readings of the clock
 
 
-def _distinct_form(excepts: bool, last: bool) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """An allDifferent operand's check: its value x against the set S[i] of
-    the values of the operands checked before it; unless it is the last,
-    the set with x goes to S[i + 1], where the next one reads it. A value in
-    the excepts E enters no set."""
-    lines = ["s = S{k}[i{k}]"]
-    test = ["if {x} in s:", "    {fail}"]
-    if excepts:
-        lines += ["if {x} not in E{k}:"] + [f"    {line}" for line in test]
-        if not last:
-            lines += ["    s = {{*s, {x}}}", "S{k}[i{k} + 1] = s"]
-    else:
-        lines += test + ([] if last else ["S{k}[i{k} + 1] = {{*s, {x}}}"])
-    return ("x", "S", "i") + (("E",) if excepts else ()), tuple(lines)
-
-
 # The code of each form, for call k: its parameters, which get k as a
 # suffix, and its lines, str.format()ed with k, fail, the statement that
-# runs when the check fails, and x, the name of the value the call reads.
-# A form whose first parameter is x (_SOURCED) takes as its first argument
-# where that value comes from: the id of the variable its depth assigns,
-# read as that depth's loop variable, or an expression's bounded shape
-# (expr.Bounded), whose code is written before the lines and names x. "i"
-# is an intension's complete check (0 is false), "s" a partial detector
-# (True when violated) and "c" the complete check of kind a{k}. A sum
-# stage adds its variable's term c * x (the coefficients of a variable
-# merged) to the total T[i] of the stages before and keeps it in T[i + 1]:
-# "sum" fails outside lo..hi, "total" (an objective's) never fails. An
-# allDifferent operand ("d"; "x" with excepts, "." the last operand
-# checked) is a membership test. A call of a form in _RAISING, or whose
+# runs when the check fails, x, the name of the value the call reads, and,
+# for a stage, u, the local that keeps its state, and prev, the state
+# before it. A form whose first parameter is x (_SOURCED) takes as its
+# first argument where that value comes from: the id of the variable its
+# depth assigns, read as that depth's loop variable, or an expression's
+# bounded shape (expr.Bounded), whose code is written before the lines and
+# names x. "i" is an intension's complete check, x there an expression
+# true where the check fails (its top comparison negated in place), "s" a
+# partial detector (True when violated) and "c" the complete check of kind
+# a{k}. A stage (_STAGES) is one of a chain (staged_checks) whose states
+# the search keeps in the list T or S, state i + 1 the one that stage i
+# leaves: its lines read prev, the local of the stage before it in the
+# same block or, at a block's first stage of the chain, the list; the
+# first stage of a chain starts from nothing (_FIRST), and a stage whose
+# next reader runs in a later block stores its state in the list (_Link).
+# A sum stage adds its variable's term c * x (the coefficients of a
+# variable merged) to the total: "sum" fails outside lo..hi, "total" (an
+# objective's) never fails. An allDifferent operand ("d"; "x" with
+# excepts, "." the last operand checked) is a membership test of its value
+# against the set of the values of the operands checked before it, an
+# except never entering the set. A call of a form in _RAISING, or whose
 # expression may raise, runs in a try whose handler raises the EvalError
 # again as named(error, n{k}), n{k} the constraint's position; a call
 # without a position (the leaf's, and an objective's stages) lets its
 # errors pass unnamed. The leaf's calls never fail: "value" is an
 # objective expression's value, "last" a proved sum objective's last
 # total, "cost" eval_objective's call, each kept in value, and "keep"
-# passes the solution to f{k}.
+# passes the solution, the dict built by the code in solution, to f{k}.
 _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "i": (("x",), ("if not {x}:", "    {fail}")),
+    "i": (("x",), ("if {x}:", "    {fail}")),
     "s": (("f",), ("if f{k}():", "    {fail}")),
     "c": (("f", "a"), ("if not f{k}(a{k}, env):", "    {fail}")),
     "sum": (("x", "T", "i", "c", "lo", "hi"),
-            ("t = T{k}[i{k}] + c{k} * {x}",
-             "T{k}[i{k} + 1] = t",
-             "if t < lo{k} or t > hi{k}:",
-             "    {fail}")),
-    "total": (("x", "T", "i", "c"), ("T{k}[i{k} + 1] = T{k}[i{k}] + c{k} * {x}",)),
+            ("{u} = {prev} + c{k} * {x}", "if {u} < lo{k} or {u} > hi{k}:", "    {fail}")),
+    "total": (("x", "T", "i", "c"), ("{u} = {prev} + c{k} * {x}",)),
+    "d": (("x", "S", "i"), ("if {x} in {prev}:", "    {fail}", "{u} = {{*{prev}, {x}}}")),
+    "d.": (("x", "S", "i"), ("if {x} in {prev}:", "    {fail}")),
+    "dx": (("x", "S", "i", "E"), ("{u} = {prev}",
+                                  "if {x} not in E{k}:",
+                                  "    if {x} in {u}:",
+                                  "        {fail}",
+                                  "    {u} = {{*{u}, {x}}}")),
+    "dx.": (("x", "S", "i", "E"), ("if {x} not in E{k}:", "    if {x} in {prev}:", "        {fail}")),
     "value": (("x",), ("value = {x}",)),
-    "last": (("T",), ("value = T{k}[-1]",)),
+    "last": (("T",), ("value = {prev}",)),
     "cost": (("f",), ("value = f{k}(env)",)),
-    "keep": (("f",), ("f{k}(Instantiation(dict(env)))",)),
-    **{f"d{'x' if excepts else ''}{'.' if last else ''}": _distinct_form(excepts, last)
-       for excepts in (False, True) for last in (False, True)},
+    "keep": (("f",), ("f{k}(Instantiation({solution}))",)),
+}
+_STAGES = frozenset({"sum", "total", "d", "d.", "dx", "dx."})
+_LINKED = _STAGES | {"last"}  # the forms that read a chain's state
+# The lines of the first stage of a chain, which no state comes before
+_FIRST: Dict[str, Tuple[str, ...]] = {
+    "sum": ("{u} = c{k} * {x}", "if {u} < lo{k} or {u} > hi{k}:", "    {fail}"),
+    "total": ("{u} = c{k} * {x}",),
+    "d": ("{u} = {{{x}}}",),
+    "d.": (),
+    "dx": ("{u} = () if {x} in E{k} else {{{x}}}",),
+    "dx.": (),
 }
 _SOURCED = frozenset(form for form, (names, _) in _FORMS.items() if names[0] == "x")
 _RAISING = frozenset({"s", "c"})
+_READS_ENV = _RAISING | {"cost"}  # besides error handlers and if() branches
 _NAMESPACE = {**_EXPR_NAMESPACE, "EvalError": EvalError}
 
 # A call of generated code: form, arguments, and the constraint's position,
 # which a form that names no error leaves unused.
 _Call = Tuple[str, Tuple[object, ...], Optional[int]]
+# Where the code of a stage or "last" (_LINKED) reads the state before it,
+# and whether a stage stores the state it leaves in its list ("last" never
+# does): "list", "first" (a chain's first stage, after no state) or the
+# call (its suffix) whose local holds it.
+_Link = Tuple[str, bool]
 
 
 def _names_errors(form: str, source: object, ci: Optional[int]) -> bool:
@@ -239,38 +262,57 @@ def _names_errors(form: str, source: object, ci: Optional[int]) -> bool:
     return ci is not None and (form in _RAISING or (type(source) is Bounded and source.raises))
 
 
-def _written(calls: Sequence[_Call], local: Mapping[str, str]
-             ) -> Tuple[Tuple[object, ...], List[object]]:
-    """What the code of calls (_code) depends on, and its arguments, in the
-    order of its parameters.
+def _lists(link: _Link) -> bool:
+    """Whether the code of a call with link reads or stores its chain's list."""
+    return link[0] == "list" or link[1]
+
+
+def _written(calls: Sequence[_Call], local: Mapping[str, str],
+             links: Sequence[Optional[_Link]]) -> Tuple[Tuple[object, ...], List[object], bool]:
+    """What the code of calls (_code) depends on, its arguments, in the
+    order of its parameters, and whether it reads env for more than the
+    variables that local does not name (those of earlier blocks).
 
     The first is each call's form and, for an expression, its bounded shape
-    key and which of its reads are of which loop variable. A stage reads
-    the variable of its own depth, always a loop variable, so its id is no
-    argument.
+    key and which of its reads are of which loop variable, and a stage's
+    link. A stage reads the variable of its own depth, always a loop
+    variable, so its id is no argument, nor is the id of a variable that
+    an expression reads from a local; a stage or "last" that neither reads
+    nor stores its list takes neither the list nor its index.
     """
     keys: List[object] = []
     out: List[object] = []
-    for form, args, ci in calls:
+    reads_env = False
+    for j, (form, args, ci) in enumerate(calls):
         source = args[0]
+        rest = args[1:] if form in _SOURCED else args
+        link = links[j] if form in _LINKED else None
+        if link is not None and not _lists(link):
+            rest = rest[2:]  # the list and the index
         if type(source) is Bounded:
-            keys.append((form, source.key, source.reads(local)))
-            out += source.consts
-            out += args[1:]
+            reads = source.reads(local)
+            keys.append((form, source.key, reads, link))
+            out += source.args(reads)
+            reads_env = reads_env or None in source.at
         else:
-            keys.append(form)
-            out += args[1:] if form in _SOURCED else args
+            keys.append((form, link) if link else form)
+        out += rest
         if _names_errors(form, source, ci):
             out.append(ci)
-    return tuple(keys), out
+            reads_env = True
+        reads_env = reads_env or form in _READS_ENV
+    return tuple(keys), out, reads_env
 
 
-def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, str]
+def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, str],
+          links: Sequence[Optional[_Link]], solution: str
           ) -> Tuple[List[str], List[str], List[str]]:
     """The parameters, lines and function definitions of calls, in order:
     call j's names get suffix + j, fail is what runs where one of them
-    fails, and a variable in local is read from the local named there (a
-    stage's always is)."""
+    fails, a variable in local is read from the local named there (a
+    stage's always is), call j of a form in _LINKED reads and stores the
+    state of its chain as links[j] says, and "keep" builds the solution
+    with the code solution."""
     params: List[str] = []
     code: List[str] = []
     functions: List[str] = []
@@ -278,17 +320,29 @@ def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, st
         names, lines = _FORMS[form]
         k = f"{suffix}{j}"
         block: List[str] = []
-        x = None
+        x = prev = None
         if form in _SOURCED:
             names, source = names[1:], args[0]
             if type(source) is Bounded:
-                written, block, x, defined = source.write(k, local)
+                written, block, x, defined = source.write(k, local, form == "i")
                 params += written
                 functions += defined
             else:
                 x = local[source]
+        if form in _LINKED:
+            link = links[j]
+            state = f"{names[0]}{k}"
+            prev = (f"u{link[0]}" if link[0] not in ("list", "first")
+                    else f"{state}[-1]" if form == "last" else f"{state}[i{k}]")
+            if link[0] == "first":
+                lines = _FIRST[form]
+            if link[1] and form in _STAGES and not form.endswith("."):
+                lines += (f"{state}[i{k} + 1] = u{k}",)
+            if not _lists(link):
+                names = names[2:]  # the list and the index
         params += [f"{name}{k}" for name in names]
-        block += [line.format(k=k, fail=fail, x=x) for line in lines]
+        block += [line.format(k=k, fail=fail, x=x, u=f"u{k}", prev=prev, solution=solution)
+                  for line in lines]
         if _names_errors(form, args[0], ci):
             params.append(f"n{k}")
             block = (["try:"] + [f"    {line}" for line in block]
@@ -309,7 +363,8 @@ MAX_LOOPS = 64
 
 # What a block runs where its last depth's value passes, by mode: the
 # parameters it takes, the search state it keeps in locals (read from the
-# search on entry, written back on every exit) and its lines. "descend"
+# search on entry, written back on every exit) and its lines, formatted
+# with solution, the code of the dict of the complete assignment. "descend"
 # yields to the next block; the other modes are the leaf, whose calls'
 # code (_Search.leaf) is written after its first line: count (and stop at
 # max_solutions; stop is None for no limit), or keep the best by the
@@ -322,51 +377,59 @@ _INNER: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {
     "count": (("Instantiation", "Stop", "stop"), ("nodes", "test_at", "count"),
               ("count += 1",
                "if count == 1:",
-               "    search.best = Instantiation(dict(env))",
+               "    search.best = Instantiation({solution})",
                "if count == stop:",
                "    raise Stop()")),
     **{mode: (("Instantiation",), ("nodes", "test_at", "count", "best_cost"),
               ("count += 1",
                f"if best_cost is None or value {op} best_cost:",
                "    best_cost = value",
-               "    search.best = Instantiation(dict(env))"))
+               "    search.best = Instantiation({solution})"))
        for mode, op in (("min", "<"), ("max", ">"))},
 }
 _LOOPS: Dict[Tuple[object, ...], Callable[..., Iterator[bool]]] = {}
 
 
-def _loop_source(length: int, forced: int, mode: str, leaf: Sequence[_Call],
-                 calls: Sequence[Sequence[_Call]], local: Mapping[str, str]) -> str:
+def _loop_source(length: int, forced: int, mode: str, writes_env: bool,
+                 leaf: Sequence[_Call], calls: Sequence[Sequence[_Call]],
+                 local: Mapping[str, str], links: Sequence[Sequence[Optional[_Link]]],
+                 leaf_links: Sequence[Optional[_Link]]) -> str:
     """The generator _make(search, env, checkpoint, unforced, named, <the
     mode's parameters>, <the leaf calls' parameters>, i0, r0, <depth 0's
     call parameters>, i1, ...) of one block of length depths, the last
     forced of them forced, depth d making calls[d] and the leaf making
-    leaf; local names the loop variable of each depth's variable.
+    leaf, each call reading and keeping a chain's state as links[d] (or
+    leaf_links) say; local names the loop variable of each depth's variable.
 
     Depth d assigns variable i<d> each value v<d> of r<d> in turn, as one
     nested for: it tests the limits when the node count reaches test_at
-    (see _Search._checkpoint), counts the node, writes env and runs its
-    calls' code (_code), which goes on to the next value where one fails and
-    reads the block's variables from their loop variables. A forced depth
-    tries every value first: a second that passes raises unforced(...); the
-    one that passed is assigned again, to v<d> and env, and the same code
-    runs again, failing into a no-op, which rebuilds the staged state,
-    before going deeper. A depth whose values run out drops its variable
-    from env, where partial detectors would read it. The innermost code is
-    the mode's (_INNER), with the leaf calls' code after its first line.
+    (see _Search._checkpoint), counts the node, writes env (writes_env) and
+    runs its calls' code (_code), which goes on to the next value where one
+    fails and reads the block's variables from their loop variables and
+    each stage's state from the local of the stage before it. A forced
+    depth tries every value first: a second that passes raises
+    unforced(...); the one that passed is assigned again, to v<d> and env,
+    and the same code runs again, failing into a no-op, which rebuilds the
+    stages' state, before going deeper. With writes_env, a depth whose
+    values run out drops its variable from env, where partial detectors
+    would read it. The innermost code is the mode's (_INNER), with the leaf
+    calls' code after its first line; a solution is env, holding the
+    earlier blocks' variables, with the block's own added in depth order.
     The if() branches' functions of the calls' expressions are defined
     first, once. Every block is a generator, so that _search steps them
     all alike.
     """
     params, state, inner = _INNER[mode]
     names, fields = ", ".join(state), ", ".join(f"search.{name}" for name in state)
-    leaf_params, leaf_code, functions = _code(leaf, "L", "continue", local)
+    solution = "{" + ", ".join(["**env", *(f"i{d}: v{d}" for d in range(length))]) + "}"
+    leaf_params, leaf_code, functions = _code(leaf, "L", "continue", local, leaf_links,
+                                              solution)
     head = ["search", "env", "checkpoint", "unforced", "named", *params, *leaf_params]
     body: List[Tuple[int, str]] = []
     for d in range(length):
         depth = 2 + d  # the indent of depth d's for
         is_forced = d >= length - forced
-        args, code, defined = _code(calls[d], f"{d}_", "continue", local)
+        args, code, defined = _code(calls[d], f"{d}_", "continue", local, links[d], solution)
         head += [f"i{d}", f"r{d}", *args]
         functions += defined
         if is_forced:
@@ -374,8 +437,8 @@ def _loop_source(length: int, forced: int, mode: str, leaf: Sequence[_Call],
         body += [(depth, f"for v{d} in r{d}:"),
                  (depth + 1, "if nodes == test_at:"),
                  (depth + 2, "test_at = checkpoint(nodes)"),
-                 (depth + 1, "nodes += 1"),
-                 (depth + 1, f"env[i{d}] = v{d}")]
+                 (depth + 1, "nodes += 1")]
+        body += [(depth + 1, f"env[i{d}] = v{d}")] * writes_env
         body += [(depth + 1, line) for line in code]
         if is_forced:
             body += [(depth + 1, f"if c{d} is not None:"),
@@ -385,9 +448,10 @@ def _loop_source(length: int, forced: int, mode: str, leaf: Sequence[_Call],
                      (depth + 1, f"v{d} = c{d}"),
                      (depth + 1, f"env[i{d}] = v{d}")]
             body += [(depth + 1, line)
-                     for line in _code(calls[d], f"{d}_", "pass", local)[1]]
+                     for line in _code(calls[d], f"{d}_", "pass", local, links[d], solution)[1]]
+    inner = [line.format(solution=solution) for line in inner]
     body += [(2 + length, line) for line in (*inner[:1], *leaf_code, *inner[1:])]
-    body += [(2 + d, f"env.pop(i{d}, None)") for d in reversed(range(length))]
+    body += [(2 + d, f"env.pop(i{d}, None)") for d in reversed(range(length))] * writes_env
     return "\n".join(
         [f"def _make({', '.join(head)}):"]
         + [f"    {line}" for line in functions]
@@ -707,13 +771,31 @@ class _Search:
     def _blocks(self) -> List[Callable[[], Iterator[bool]]]:
         """The search loop: generated blocks of at most LOOP_DEPTHS depths
         each, in depth order, each depth's calls written in, the last block
-        doing the leaf and its calls (see _loop_source)."""
+        doing the leaf and its calls (see _loop_source).
+
+        A stage keeps the state it leaves in a local of its block, where
+        the stage after it (or "last") reads it, and stores it in its list
+        only for a reader in a later block. Every block but the last writes
+        env, where later blocks read their variables; the last writes it
+        only where its code reads env otherwise: a call of a checker, a
+        detector or eval_objective, an error's handler, which names the
+        values of its scope, an if() branch, or a forced depth, whose error
+        names the decisions.
+        """
         n = len(self.order)
         if self.objective is not None:
             mode = "min" if self.sense is Sense.MINIMIZE else "max"
             mode_args: Tuple[object, ...] = (Instantiation,)
         else:
             mode, mode_args = "count", (Instantiation, _Stop, self.cfg.max_solutions)
+        # the depth whose code reads each state of a chain, by (list, index),
+        # where a state may cross a block
+        readers: Dict[Tuple[int, int], int] = {}
+        if n > LOOP_DEPTHS:
+            readers = {(id(args[1]), args[2]): d for d, calls in enumerate(self.plan)
+                       for form, args, _ in calls if form in _STAGES}
+            readers.update(((id(args[0]), len(args[0]) - 1), n - 1)
+                           for form, args, _ in self.leaf if form == "last")
         depths = [(v.id, _values(v.domain), calls)
                   for v, calls in zip(self.order, self.plan)]
         blocks = []
@@ -722,18 +804,34 @@ class _Search:
             block = depths[start:end]
             local = {vid: f"v{d}" for d, (vid, _, _) in enumerate(block)}
             calls = [calls for _, _, calls in block]
-            written = [_written(depth, local) for depth in calls]
+            kept: Dict[Tuple[int, int], str] = {}  # (list, index) -> the call keeping it
+            links: List[List[Optional[_Link]]] = []
+            for d, depth in enumerate(calls):
+                links.append([None] * len(depth))
+                for j, (form, args, _) in enumerate(depth):
+                    if form in _STAGES:
+                        state, i = id(args[1]), args[2]
+                        links[d][j] = (kept.get((state, i), "first" if i == 0 else "list"),
+                                       readers.get((state, i + 1), -1) >= end)
+                        kept[state, i + 1] = f"{d}_{j}"
             leaf = self.leaf if end == n else ()
-            leaf_keys, leaf_args = _written(leaf, local)
-            shape = (end - start, max(0, end - max(start, self.branch_len)),
-                     mode if end == n else "descend", leaf_keys,
-                     tuple(keys for keys, _ in written))
+            leaf_links = [(kept.get((id(args[0]), len(args[0]) - 1), "list"), False)
+                          if form == "last" else None for form, args, _ in leaf]
+            written = [_written(depth, local, depth_links)
+                       for depth, depth_links in zip(calls, links)]
+            leaf_keys, leaf_args, leaf_env = _written(leaf, local, leaf_links)
+            forced = max(0, end - max(start, self.branch_len))
+            writes_env = (end < n or forced > 0 or leaf_env
+                          or any(reads_env for _, _, reads_env in written))
+            shape = (end - start, forced, mode if end == n else "descend", writes_env,
+                     leaf_keys, tuple(keys for keys, _, _ in written))
             make = generated(_LOOPS, MAX_LOOPS, shape,
-                             partial(_loop_source, *shape[:3], leaf, calls, local),
+                             partial(_loop_source, *shape[:4], leaf, calls, local, links,
+                                     leaf_links),
                              _NAMESPACE, "<search loop>")
             blocks.append(partial(make, self, self.env, self._checkpoint, self._unforced,
                                   self._named, *(mode_args if end == n else ()), *leaf_args,
-                                  *[arg for (vid, values, _), (_, args) in zip(block, written)
+                                  *[arg for (vid, values, _), (_, args, _) in zip(block, written)
                                     for arg in (vid, values, *args)]))
         return blocks
 

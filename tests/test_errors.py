@@ -185,6 +185,22 @@ def test_constraint_reader_rules(rule, path, constraint, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {caught.value}\n"
 
 
+@pytest.mark.parametrize("path,constraint", [
+    ("element/list",
+     '<element><list startIndex="1"> a b </list><index> c </index><value> 1 </value></element>'),
+    ("element/matrix", '<element><matrix startColIndex="2"> (a,b)(b,a) </matrix>'
+                       "<index> c d </index><value> 1 </value></element>"),
+    ("channel/list[2]", '<channel><list> a b </list><list startIndex="1"> c d </list></channel>'),
+    ("circuit/list", '<circuit><list startIndex="-1"> a b c </list></circuit>'),
+])
+def test_each_child_with_a_start_index_takes_only_0(path, constraint):
+    # the children of _START_INDEXES beyond extension's, which READER_RULES holds
+    with pytest.raises(ParseError) as caught:
+        parse_string(f'<instance format="XCSP3" type="CSP"><variables>{_RULE_DECLARATIONS}'
+                     f"</variables><constraints>{constraint}</constraints></instance>")
+    assert (caught.value.rule, caught.value.path) == ("start-index", _CONSTRAINTS + path)
+
+
 # One minimal document per rule that the document, variable, alias, slide,
 # objective and annotation readers raise, written from the format's
 # description of each element: the rule, the path of the element it names,

@@ -511,27 +511,29 @@ def test_results_stay_right_past_the_cache_bound(monkeypatch):
 _WRITTEN = {}
 
 
-def _written(e, bounds, local):
+def _written(e, bounds, local, test=False):
     """e's code under bounds as Bounded.write writes it into a caller's,
     run as a function: evaluate(env), whether the code may raise, and the
-    source it was written into.
+    source it was written into. With test, evaluate gives the expression
+    that write gives for a caller that tests the value: true where it is 0.
 
     With local, each variable is held in a local named after its position,
     as the search's loop holds the variables its block assigns, and every
     read outside an if() branch reads that local; without, every read
-    reads env. Functions of one shape key and reads share a factory.
+    reads env. Functions of one shape key, reads and locals share a factory.
     """
     shape = bounded_shape(e, bounds)
     names = {vid: f"v{k}" for k, vid in enumerate(dict.fromkeys(shape.ids))} if local else {}
-    params, body, value, functions = shape.write("0", names)
+    params, body, value, functions = shape.write("0", names, test)
     source = "\n".join([f"def _make({', '.join(params)}):"]
                        + [f"    {line}" for line in functions]
                        + [f"    def evaluate({', '.join(['env', *names.values()])}):"]
                        + [f"        {line}" for line in body]
                        + [f"        return {value}", "    return evaluate", ""])
-    make = expr.generated(_WRITTEN, 64, (shape.key, shape.reads(names)), lambda: source,
-                          expr._NAMESPACE, "<written expression>")
-    function = make(*shape.consts)
+    reads = shape.reads(names)
+    make = expr.generated(_WRITTEN, 64, (shape.key, reads, tuple(names.values()), test),
+                          lambda: source, expr._NAMESPACE, "<written expression>")
+    function = make(*shape.args(reads))
     return lambda env: function(env, *map(env.__getitem__, names)), shape.raises, source
 
 
@@ -567,6 +569,9 @@ def test_bounded_agrees_with_compiled_and_reference(e, env, data):
         assert (bounded[0] if isinstance(bounded, tuple) else bounded) == reference
         if not raises:  # proved unable to raise: no value in bounds makes it raise
             assert not isinstance(bounded, tuple)
+        # written as a test: true exactly where the value is 0, or the same error
+        fails = _detailed(lambda: _written(e, bounds, local, test=True)[0](env))
+        assert fails == (bounded if isinstance(bounded, tuple) else bounded == 0)
 
 
 # operand ranges: small ones, every value of which is tried, and ranges at
@@ -695,3 +700,14 @@ def test_bounded_source_holds_no_input_text():
         evaluate, _, source = _written(e, bounds, local)
         assert not any(vid in source for vid in QUOTED_IDS) and "987654321" not in source
         assert evaluate(env) == 1
+
+
+def test_a_tested_comparison_is_written_in_place():
+    # eq(add(x,y),z) as a check: add's value against z, no 0/1 stored
+    e = parse_expr("eq(add(x,y),z)")
+    bounds = {"x": (0, 9), "y": (0, 9), "z": (0, 1)}
+    evaluate, _, source = _written(e, bounds, True, test=True)
+    assert "return t0_0 != v2" in source and "else 0" not in source
+    assert [evaluate({"x": 1, "y": 0, "z": z}) for z in (0, 1)] == [True, False]
+    # any other top operator is its value, tested
+    assert "return not t0_0" in _written(parse_expr("and(x,y)"), bounds, True, test=True)[2]

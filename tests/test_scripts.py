@@ -30,12 +30,15 @@ def test_fixture_report_totals_the_searches():
     out = subprocess.run([sys.executable, str(ROOT / "scripts/fixture_report.py"),
                           str(ROOT / "tests/fixtures"), "--solve", "--node-limit", "500"],
                          capture_output=True, text=True, timeout=300)
-    *rows, total = out.stdout.splitlines()
+    *rows, total, shapes = out.stdout.splitlines()
     assert len(rows) == len(list((ROOT / "tests/fixtures").glob("*.xml")))
     nodes = [int(re.search(r"nodes=([0-9,]+),", row).group(1).replace(",", ""))
              for row in rows]
     assert re.fullmatch(rf"total: {len(rows)} fixtures, nodes={sum(nodes):,}, "
                         r"[0-9]+\.[0-9]{2}s, ([0-9,]+|-) nodes/s", total), total
+    # the loop shapes the fixtures' searches compiled, within the cache
+    count = int(re.fullmatch(r"loop shapes=([0-9]+)", shapes).group(1))
+    assert 0 < count <= 22
 
 
 def test_fixture_report_times_each_parse():

@@ -258,14 +258,15 @@ def _written_function(calls, env, named, vid=None, fail="return True", result="F
     depth's loop variable, every other variable from env. fail runs where a
     check fails; after the last call the function returns result."""
     local = {} if vid is None else {vid: "v"}
-    params, code, functions = solver._code(calls, "", fail, local)
+    listed = [("list", True)] * len(calls)  # each depth apart: every stage state in its list
+    params, code, functions = solver._code(calls, "", fail, local, listed, "dict(env)")
     scope = dict(solver._NAMESPACE)
     exec("\n".join([f"def _make({', '.join(['env', 'named', 'i', *params])}):"]
                    + [f"    {line}" for line in functions]
                    + ["    def run():"] + ["        v = env[i]"] * (vid is not None)
                    + [f"        {line}" for line in code]
                    + [f"        return {result}", "    return run"]), scope)
-    return scope["_make"](env, named, vid, *solver._written(calls, local)[1])
+    return scope["_make"](env, named, vid, *solver._written(calls, local, listed)[1])
 
 
 def _stages_by_depth(kind, order, domains, env):
@@ -903,10 +904,11 @@ def test_generated_code_holds_no_input_text(monkeypatch):
     assert [form for calls in _Search(inst, SearchConfig()).plan
             for form, _, ci in calls if ci is None] == ["total"] * 3
     # the checks are written into the loop, each naming its errors by
-    # position, the intensions' code with them: no evaluator is compiled
+    # position, the intensions' code with them: no evaluator is compiled;
+    # the objective's totals are kept in locals of the one block
     assert any("raise named(e, n2_1) from e" in s and "_trunc_div(" in s
-               and "T2_2[i2_2 + 1] = T2_2[i2_2] + c2_2 * v2" in s
-               and "value = TL0[-1]" in s for s in sources)
+               and "u2_2 = u1_3 + c2_2 * v2" in s and "value = u2_2" in s
+               and "T2_2" not in s for s in sources)
     assert not any("def evaluate" in s for s in sources)
     words = ["IDONE", "IDTWO", "IDTHREE", "LABELONE", "LABELTWO", "LABELTHREE"]
     for source in sources:
@@ -1102,11 +1104,12 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
             if ci == 1] == [str, expr.Bounded, str]
     assert _full_outcome(search) == _full_outcome(_Search(inst, SearchConfig(
         partial_checks=False)))
-    # the stages and add(y,1) are written into the loop, which reads y as v1,
-    # the last two constraints' code at q's depth, and the objective's into
-    # the leaf, its if() branch a function that reads q from env
+    # the stages and add(y,1) are written into the loop, which reads y as v1
+    # and keeps each stage's set in a local, the last two constraints' code
+    # at q's depth, and the objective's into the leaf, its if() branch a
+    # function that reads q from env
     assert search.leaf[0][0] == "value"
-    assert any("t1_1_0 = v1 + p1_1_1" in s and "S1_1[i1_1 + 1] = s" in s
+    assert any("t1_1_0 = v1 + p1_1_1" in s and "u1_1 = {*u1_1, t1_1_0}" in s
                and " in p3_" in s and "(env) if " in s
                and "value = tL0_" in s and " = env[pL0_" in s and " in pL0_" in s
                for s in sources)
@@ -1399,6 +1402,111 @@ def test_a_search_reaches_depth_five_thousand_without_recursion():
     assert result.solutions[0] == Instantiation({f"x[{i}]": 0 for i in range(5000)})
 
 
+def _blocked_search(rng):
+    """An instance over 4-7 variables of 1-3 values each, and a config.
+
+    It posts a staged sum, a staged allDifferent of variables and add()
+    operands, an intension whose div may divide by 0 and whose if()
+    branches read env, and a table over two variables, whose detector and
+    complete check read env; all but the intension hold at a planted
+    assignment. It minimizes or maximizes a proved sum, or is a CSP. A
+    config keeps its solutions or not, may stop after 1 or 2, and may
+    search the decision variables alone, each other variable then fixed by
+    an eq() intension over the one before it, clamped to its bounds, or
+    left open, so that the search raises UnforcedVariable.
+    """
+    n = rng.randint(4, 7)
+    names = [f"x{i}" for i in range(n)]
+    domains = {v: sorted(rng.sample(range(-2, 4), rng.randint(1, 3))) for v in names}
+    plant = {v: rng.choice(domains[v]) for v in names}
+
+    def scope(least):
+        return rng.sample(names, rng.randint(least, n))
+
+    summed = scope(2)
+    coeffs = [rng.randint(-2, 2) for _ in summed]
+    op, k = _holding(rng, sum(c * plant[v] for c, v in zip(coeffs, summed)))
+    if op == "ne":  # no stages for ne
+        op = "eq"
+        k = sum(c * plant[v] for c, v in zip(coeffs, summed))
+    ctrs = [f"<sum><list> {' '.join(summed)} </list><coeffs> {' '.join(map(str, coeffs))}"
+            f" </coeffs><condition> ({op},{k}) </condition></sum>"]
+    operands, taken = [], set()
+    for v in scope(2):
+        shift = 0 if rng.random() < 0.5 else rng.randint(-2, 2)
+        while plant[v] + shift in taken:
+            shift += 1
+        taken.add(plant[v] + shift)
+        operands.append(f"add({v},{shift})" if shift else v)
+    excepts = rng.sample(range(-1, 3), rng.randint(0, 2))
+    ctrs.append(f"<allDifferent><list> {' '.join(operands)} </list>"
+                + (f"<except> {' '.join(map(str, excepts))} </except>" if excepts else "")
+                + "</allDifferent>")
+    a, b, c, d = (rng.choice(names) for _ in range(4))
+    ctrs.append(f"<intension> ne(div(add({a},3),sub({b},{rng.randint(-2, 3)})),"
+                f"if(ge({c},1),{d},{rng.randint(-2, 2)})) </intension>")
+    x, y = rng.sample(names, 2)
+    rows = {(rng.choice(domains[x]), rng.choice(domains[y])) for _ in range(3)}
+    tag, rows = "supports", rows | {(plant[x], plant[y])}
+    if rng.random() < 0.5:
+        tag, rows = "conflicts", rows - {(plant[x], plant[y])}
+    ctrs.append(f"<extension><list> {x} {y} </list><{tag}> "
+                + "".join(f"({u},{v})" for u, v in sorted(rows)) + f" </{tag}></extension>")
+    decision = rng.choice([None, rng.randint(1, n - 1)])
+    annotation = ""
+    if decision is not None:
+        annotation = (f"<annotations><decision> {' '.join(names[:decision])} </decision>"
+                      "</annotations>")
+        for i in range(decision, n):
+            if rng.random() < 0.8:
+                lo, hi = domains[names[i]][0], domains[names[i]][-1]
+                ctrs.append(f"<intension> eq({names[i]},min(max({names[i - 1]},{lo}),{hi}))"
+                            " </intension>")
+    sense = rng.choice([None, "minimize", "maximize"])
+    objective = "" if sense is None else (
+        f"<objectives><{sense} type=\"sum\"><list> {' '.join(scope(1))} </list></{sense}>"
+        "</objectives>")
+    text = (f'<instance format="XCSP3" type="{"CSP" if sense is None else "COP"}"><variables>'
+            + "".join(f'<var id="{v}"> {" ".join(map(str, domains[v]))} </var>' for v in names)
+            + f"</variables><constraints>{''.join(ctrs)}</constraints>{objective}{annotation}"
+            "</instance>")
+    cfg = SearchConfig(max_solutions=rng.choice([None, 1, 2]),
+                       keep_solutions=rng.random() < 0.5,
+                       restrict_to_decision=decision is not None)
+    return text, cfg
+
+
+def _ordered(search):
+    """A search's status, count, nodes, solutions in order and best, each
+    with its keys in order, and best cost; or its error's class, message
+    and nodes."""
+    try:
+        result = search.run()
+    except XcspError as e:
+        return type(e), str(e), search.nodes
+    best = None if result.best is None else list(result.best.items())
+    return (result.status, result.count, result.nodes,
+            [list(s.items()) for s in result.solutions], best, result.best_cost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 100_000))
+def test_block_boundaries_change_no_outcome(seed):
+    # the same outcome whether the depths make one block or blocks of 1, 2
+    # or 3: stages that pass their state across a boundary in its list,
+    # and a last block that writes env only where its code reads it
+    text, cfg = _blocked_search(random.Random(seed))
+    inst = parse_string(text)
+    plan = _Search(inst, cfg).plan
+    assert {"sum", "c", "s"} <= {form for calls in plan for form, _, _ in calls}
+    outcomes = []
+    for depths in (16, 1, 2, 3):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "LOOP_DEPTHS", depths)
+            outcomes.append(_ordered(_Search(inst, cfg)))
+    assert outcomes[1:] == outcomes[:1] * 3
+
+
 def _decided(forced_ctr, n_decision=10, n_forced=12):
     """x[0..n_decision-1] decide; y[i] = x[i mod n_decision] + 1 is forced,
     as is y[-1] by forced_ctr."""
@@ -1480,8 +1588,11 @@ def test_the_loop_source_holds_no_id_or_constant(monkeypatch, cfg, sense):
     # the expressions are written into the second block, which reads q as
     # its loop variable and v3 from env
     assert any(" in p" in source and "= env[p" in source for source in sources)
-    leaf = {"minimize": "value = TL0[-1]", "maximize": "value = tL0_"}.get(sense, "")
+    leaf = {"minimize": "value = u3_1", "maximize": "value = tL0_"}.get(sense, "")
     assert leaf in sources[-1]
+    if sense == "minimize":  # the sum's total crosses the boundary in its list
+        assert "T15_1[i15_1 + 1] = u15_1" in sources[0]
+        assert "u0_1 = T0_1[i0_1] + c0_1 * v0" in sources[1]
     for source in sources:
         for text in ["IDWORD", "LABEL", "7000", "8000", "9001", "qZ7", "987654321"]:
             assert text not in source
