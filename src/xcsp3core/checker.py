@@ -12,21 +12,28 @@ against an instance, and eval_objective costs a complete assignment. The
 search (solver.py) runs these, or code it writes from them and from the
 domain bounds; nothing here depends on a variable order or on bounds.
 Nothing is prepared here per call: each kind carries its own var_ids, its
-compiled expressions and, for a table without *, a set of its tuples (see
-kinds.py), and the instance its useful variables (see model.Instance), all
-built on first use. An Instance checks its references when it is built, so
-nothing here looks for an undeclared variable. A candidate then pays only
-for its own checks.
+compiled expressions or, when every one is a bare variable, their ids
+(bare_ids, read straight from the assignment, so nothing is compiled), its
+integer coefficients (Sum.int_coeffs) or counted values (Count.int_values)
+and, for a table without *, a set of its tuples (see kinds.py), and the
+instance its useful variables (see model.Instance), all built on the first
+check. An Instance checks its references when it is built, so nothing here
+looks for an undeclared variable. A candidate then pays only for its own
+checks: check_solution looks each kind's check up in _CHECKERS itself, and a
+sum of bare variables adds its products in one step once their magnitudes
+prove that no partial sum can leave int64 (else it checks each step).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from operator import mul
+from typing import (AbstractSet, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from . import kinds as K
-from .errors import CheckError, EvalError, UnboundVariable, check_int64
+from .errors import INT_MAX, CheckError, EvalError, UnboundVariable, check_int64
 from .expr import VarRef
 from .model import (
     Condition,
@@ -62,10 +69,33 @@ def _tuple_matches(tup: Sequence[K.Value], values: Sequence[int]) -> bool:
     return all(isinstance(t, Star) or t == v for t, v in zip(tup, values))
 
 
+def _bare_values(holder: Union[K.ConstraintKind, K.Objective],
+                 env: Mapping[str, int]) -> Optional[List[int]]:
+    """The values of the expressions a kind or objective holds, read from
+    env when every one is a bare variable that env assigns; else None."""
+    ids = holder.bare_ids
+    if ids is not None:
+        try:
+            return list(map(env.__getitem__, ids))
+        except KeyError:
+            pass  # the compiled reads raise UnboundVariable, in their order
+    return None
+
+
 def _values(holder: Union[K.ConstraintKind, K.Objective],
             env: Mapping[str, int]) -> List[int]:
     """The values of the expressions a kind or objective holds, in field order."""
-    return [evaluate(env) for evaluate, _ in holder.compiled]
+    values = _bare_values(holder, env)
+    if values is None:
+        values = [evaluate(env) for evaluate, _ in holder.compiled]
+    return values
+
+
+def _fits(products: Iterable[int]) -> bool:
+    """Whether no item nor partial sum of products can leave int64: none
+    exceeds the sum of their magnitudes, which INT_MAX bounds. This accepts
+    every list that len(products) * max|p| <= INT_MAX does."""
+    return sum(map(abs, products)) <= INT_MAX
 
 
 def _check_intension(kind: K.Intension, env: Mapping[str, int]) -> bool:
@@ -76,7 +106,7 @@ def _check_extension(kind: K.Extension, env: Mapping[str, int]) -> bool:
     if kind.unary is not None:
         inside = kind.unary.contains(env[kind.scope[0]])
         return inside if kind.positive else not inside
-    values = tuple([env[v] for v in kind.scope])
+    values = tuple(map(env.__getitem__, kind.scope))
     table = kind.table
     if table is not None:
         hit = values in table
@@ -107,15 +137,11 @@ def _check_mdd(kind: K.Mdd, env: Mapping[str, int]) -> bool:
 
 
 def _check_all_different(kind: K.AllDifferent, env: Mapping[str, int]) -> bool:
-    excepts = set(kind.excepts)
-    seen = set()
-    for v in _values(kind, env):
-        if v in excepts:
-            continue
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
+    values = _values(kind, env)
+    excepts = kind.excepts
+    if excepts:
+        values = [v for v in values if v not in excepts]
+    return len(set(values)) == len(values)
 
 
 def _check_all_different_lists(kind: K.AllDifferentLists, env: Mapping[str, int]) -> bool:
@@ -148,13 +174,13 @@ def _check_all_different_matrix(kind: K.AllDifferentMatrix, env: Mapping[str, in
 
 
 def _check_ordered(kind: K.Ordered, env: Mapping[str, int]) -> bool:
-    values = [env[v] for v in kind.vars]
-    lengths = kind.lengths
+    values = list(map(env.__getitem__, kind.vars))
+    holds, lengths = kind.op.holds, kind.lengths
+    if lengths is None:
+        return all(map(holds, values, values[1:]))
     for i in range(len(values) - 1):
-        lhs = values[i]
-        if lengths is not None:
-            lhs = check_int64(lhs + _resolve(lengths[i], env), "ordered")
-        if not kind.op.holds(lhs, values[i + 1]):
+        lhs = check_int64(values[i] + _resolve(lengths[i], env), "ordered")
+        if not holds(lhs, values[i + 1]):
             return False
     return True
 
@@ -175,21 +201,32 @@ def _check_sum(kind: K.Sum, env: Mapping[str, int]) -> bool:
     coeffs = kind.int_coeffs
     if coeffs is None:
         coeffs = [_resolve(c, env) for c in kind.coeffs]
+    values = _bare_values(kind, env)
+    if values is None:
+        # a term may raise: each is evaluated, then checked, in order
+        products = (coeff * evaluate(env) for coeff, (evaluate, _) in zip(coeffs, kind.compiled))
+    else:
+        products = list(map(mul, coeffs, values))
+        if _fits(products):
+            return eval_condition(sum(products), kind.condition, env)
     total = 0
-    for coeff, (evaluate, _) in zip(coeffs, kind.compiled):
-        product = check_int64(coeff * evaluate(env), "sum term")
-        total = check_int64(total + product, "sum")
+    for product in products:
+        total = check_int64(total + check_int64(product, "sum term"), "sum")
     return eval_condition(total, kind.condition, env)
 
 
 def _check_count(kind: K.Count, env: Mapping[str, int]) -> bool:
-    counted = {_resolve(v, env) for v in kind.values}
-    n = sum(1 for v in _values(kind, env) if v in counted)
+    counted = kind.int_values
+    if counted is None:
+        counted = {_resolve(v, env) for v in kind.values}
+    n = sum(map(counted.__contains__, _values(kind, env)))
     return eval_condition(n, kind.condition, env)
 
 
 def _check_nvalues(kind: K.NValues, env: Mapping[str, int]) -> bool:
-    distinct = set(_values(kind, env)) - set(kind.excepts)
+    distinct = set(_values(kind, env))
+    if kind.excepts:
+        distinct.difference_update(kind.excepts)
     return eval_condition(len(distinct), kind.condition, env)
 
 
@@ -520,7 +557,11 @@ _CHECKERS: Dict[type, Tuple[_Check, Optional[_Check]]] = {
 
 def check_constraint(kind: K.ConstraintKind, env: Mapping[str, int], *,
                      validate: bool = True) -> bool:
-    """True iff the constraint holds under env (complete over its scope)."""
+    """True iff the constraint holds under env (complete over its scope).
+
+    validate=False: the caller vouches that env holds ints only and assigns
+    the whole scope, as check_solution and the search do.
+    """
     if validate:
         ensure_scope_assigned(kind, env)
     return _CHECKERS[type(kind)][0](kind, env)
@@ -545,10 +586,13 @@ def eval_objective(obj: K.Objective, env: Mapping[str, int]) -> Cost:
     if obj.kind is K.ObjKind.EXPRESSION:
         return obj.compiled[0][0](env)
     values = _values(obj, env)
-    coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(values)
     if obj.kind is K.ObjKind.LEX:
         return tuple(values)
-    weighted = [check_int64(c * v, "objective term") for c, v in zip(coeffs, values)]
+    coeffs = obj.coeffs
+    products = values if coeffs is None else list(map(mul, coeffs, values))
+    if obj.kind is K.ObjKind.SUM and _fits(products):
+        return sum(products)
+    weighted = [check_int64(p, "objective term") for p in products]
     if obj.kind is K.ObjKind.SUM:
         total = 0
         for w in weighted:
@@ -592,19 +636,22 @@ def named_error(error: EvalError, label: str, var_ids: Sequence[str],
     return type(error)(f"{label}: {error}" + (f" at {at}" if at else ""))
 
 
-def _violated(instance: Instance, env: Dict[str, int], complete: bool) -> Tuple[str, ...]:
+def _violated(instance: Instance, env: Dict[str, int],
+              missing: AbstractSet[str]) -> Tuple[str, ...]:
     """Labels of the constraints that env violates, in constraint order.
 
-    complete: every useful variable holds an int, which proves the scope of
-    every constraint, since an Instance names only declared variables.
-    Otherwise constraints whose scope is not fully assigned are skipped.
+    missing: the useful variables that env leaves unassigned. Every other
+    useful variable holds an int, which proves the scope of each constraint
+    that involves none of missing, since an Instance names only declared
+    variables; the constraints that involve one are skipped.
     """
+    checkers = _CHECKERS
     bad = []
     try:
         for position, posted in enumerate(instance.constraints):
             kind = posted.kind
-            if complete or all(v in env for v in kind.var_ids):
-                if not check_constraint(kind, env, validate=False):
+            if not missing or missing.isdisjoint(kind.var_ids):
+                if not checkers[type(kind)][0](kind, env):
                     bad.append(posted.label(position))
     except EvalError as e:
         raise named_error(e, posted.label(position), kind.var_ids, env) from e
@@ -625,8 +672,9 @@ def check_solution(
     violation wins), then missing useful variables make it incomplete.
     An EvalError names the constraint and the assigned values of its scope.
     """
+    variable = instance.variable
     for vid, val in solution.items():
-        var = instance.variable(vid)
+        var = variable(vid)
         if var is None:
             raise CheckError(f"unknown variable {vid}")
         if isinstance(val, int) and var.domain is not None and not var.domain.contains(val):
@@ -634,10 +682,9 @@ def check_solution(
 
     env = {vid: val for vid, val in solution.items() if isinstance(val, int)}
     missing = tuple(vid for vid in instance.useful_ids if vid not in env)
-    complete = mode is CheckMode.TOTAL_REQUIRED
-    if complete and missing:
+    if missing and mode is CheckMode.TOTAL_REQUIRED:
         return Verdict(VerdictKind.INCOMPLETE, missing=missing)
-    violated = _violated(instance, env, complete)
+    violated = _violated(instance, env, frozenset(missing))
     if violated:
         return Verdict(VerdictKind.VIOLATED, violated=violated)
     if missing:

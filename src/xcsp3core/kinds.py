@@ -13,7 +13,9 @@ Extension, Regular and Mdd take it from their scope instead (see
 _Scoped): walking a table costs time and finds only values, and
 transitions hold state names, not variable ids. Kinds and the Objective
 also carry ``compiled``: every expression held in their EXPRESSIONS
-fields, compiled once, on first evaluation. An Extension without * rows
+fields, compiled once, on first evaluation, and ``bare_ids``: the ids of
+those expressions when every one is a bare variable, which a check reads
+from the assignment without compiling anything. An Extension without * rows
 likewise builds its ``table``, a set of its tuples, on first check, and
 ``bounded_shape`` keeps the bounded shape of each expression for the
 bounds of its variables. These caches live in __dict__; a copied or
@@ -101,6 +103,20 @@ class _Involving(Record):
                     out.append((compile_expr(e), free))
         return tuple(out)
 
+    @cached_property
+    def bare_ids(self) -> Optional[Tuple[str, ...]]:
+        """The ids of the expressions held, in the order of ``compiled``,
+        when every one is a bare variable; else None. Built on first check."""
+        ids: List[str] = []
+        for name in self.EXPRESSIONS:
+            value = getattr(self, name)
+            for e in value if isinstance(value, tuple) else (value,):
+                if type(e) is VarRef:
+                    ids.append(e.id)
+                elif e is not None:
+                    return None
+        return tuple(ids)
+
     def bounded_shape(self, e: Expr, bounds: Mapping[str, Span]) -> Bounded:
         """expr.bounded_shape(e, bounds), for an expression e this record holds.
 
@@ -130,8 +146,9 @@ class OrderOp(Enum):
     GE = "ge"
     GT = "gt"
 
-    def holds(self, a, b) -> bool:
-        return getattr(operator, self.value)(a, b)
+    def __init__(self, value: str) -> None:
+        # holds(a, b): the comparison itself, operator.lt for LT, bound once
+        self.holds = getattr(operator, value)
 
 
 class Intension(ConstraintKind):
@@ -253,6 +270,13 @@ class Sum(ConstraintKind):
 class Count(ConstraintKind):
     FIELDS = ("operands", "values", "condition")  # values: Tuple[Val, ...]
     EXPRESSIONS = ("operands",)
+
+    @cached_property
+    def int_values(self) -> Optional[FrozenSet[int]]:
+        """The counted values as a set when none is a variable, else None."""
+        if any(isinstance(v, VarRef) for v in self.values):
+            return None
+        return frozenset(self.values)
 
 
 class NValues(ConstraintKind):

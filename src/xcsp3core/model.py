@@ -8,6 +8,7 @@ short extension tuples, never in a domain.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,7 +75,13 @@ class Domain(Record):
         return self.items[-1][1]
 
     def contains(self, v: int) -> bool:
-        return any(lo <= v <= hi for lo, hi in self.items)
+        items = self.items
+        if len(items) == 1:
+            lo, hi = items[0]
+            return lo <= v <= hi
+        # the runs are ordered: only the last one starting at or below v may hold it
+        i = bisect_right(items, (v, math.inf))
+        return i > 0 and v <= items[i - 1][1]
 
     def values(self) -> Iterator[int]:
         for lo, hi in self.items:

@@ -31,7 +31,8 @@ from xcsp3core.errors import (
 )
 from xcsp3core.expr import (ARITIES, KEYWORDS, MAX_EXPR_DEPTH, Expr, IntConst, OpCall,
                             SetLiteral, VarRef)
-from xcsp3core.model import Instance, Instantiation, STAR, Star, Value
+from xcsp3core.model import (Condition, Instance, Instantiation, Interval, STAR, Star,
+                             Value)
 
 
 def defined_variables(instance: Instance):
@@ -76,12 +77,16 @@ def window_count(length: int, domain: Sequence[int], arity: int,
 # -- solution verification -----------------------------------------------------------
 #
 # check_solution as first written: nothing is kept between calls, every
-# constraint's scope is proved assigned before its check, and tables are
-# scanned row by row. check_solution must give the same verdict, or raise
+# constraint's scope is proved assigned before its check, tables are
+# scanned row by row, and the kinds that have a reference predicate (below)
+# are judged by it. check_solution must give the same verdict, or raise
 # the same class with the same message (it may prefix the constraint label
 # and add the assignment).
 
 def _reference_holds(kind, env: Dict[str, int]) -> bool:
+    predicate = REFERENCE_PREDICATES.get(type(kind))
+    if predicate is not None:
+        return predicate(kind, env)
     if isinstance(kind, K.Extension) and kind.unary is None:
         values = [env[v] for v in kind.scope]
         hit = any(all(t is STAR or t == v for t, v in zip(row, values))
@@ -252,6 +257,111 @@ def reference_eval(e: Expr, env: Dict[str, int]) -> int:
     if op == "imp":
         return int(not truths[0] or truths[1])
     raise EvalError(f"unhandled operator {op!r}")
+
+
+# -- reference predicates ---------------------------------------------------------------
+#
+# The kinds that read lists of operands, as the specification states them:
+# each operand through reference_eval, in list order, and each product and
+# partial sum checked for int64 as it is taken, as naive_cost does. Nothing
+# here comes from checker.py; check_constraint must agree with each on
+# every complete assignment of the scope, value or exception class.
+
+_RELATIONS: Dict[str, Callable[[int, int], bool]] = {
+    "lt": lambda a, b: a < b, "le": lambda a, b: a <= b, "gt": lambda a, b: a > b,
+    "ge": lambda a, b: a >= b, "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
+}
+
+
+def _slot(value, env: Dict[str, int]) -> int:
+    """A value-or-variable slot: a coefficient, a length, a counted value."""
+    return reference_eval(value, env) if isinstance(value, VarRef) else value
+
+
+def reference_condition(lhs: int, condition: Condition, env: Dict[str, int]) -> bool:
+    op, operand = condition.op.value, condition.operand
+    if op in ("in", "notin"):
+        members = (range(operand.lo, operand.hi + 1) if isinstance(operand, Interval)
+                   else operand.values)
+        return (lhs in members) == (op == "in")
+    return _RELATIONS[op](lhs, _slot(operand, env))
+
+
+def _operands(kind, env: Dict[str, int]) -> List[int]:
+    return [reference_eval(e, env) for e in kind.operands]
+
+
+def _reference_sum(kind: K.Sum, env: Dict[str, int]) -> bool:
+    total = 0
+    for coeff, term in zip(kind.coeffs, kind.terms):
+        product = _int64(_slot(coeff, env) * reference_eval(term, env), "sum term")
+        total = _int64(total + product, "sum")
+    return reference_condition(total, kind.condition, env)
+
+
+def _reference_count(kind: K.Count, env: Dict[str, int]) -> bool:
+    counted = [_slot(v, env) for v in kind.values]
+    n = 0
+    for value in _operands(kind, env):
+        if value in counted:
+            n += 1
+    return reference_condition(n, kind.condition, env)
+
+
+def _reference_nvalues(kind: K.NValues, env: Dict[str, int]) -> bool:
+    distinct: List[int] = []
+    for value in _operands(kind, env):
+        if value not in distinct and value not in kind.excepts:
+            distinct.append(value)
+    return reference_condition(len(distinct), kind.condition, env)
+
+
+def _reference_all_different(kind: K.AllDifferent, env: Dict[str, int]) -> bool:
+    """No two operands take the same value, unless that value is excepted."""
+    values = _operands(kind, env)
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if values[i] == values[j] and values[i] not in kind.excepts:
+                return False
+    return True
+
+
+def _reference_all_equal(kind: K.AllEqual, env: Dict[str, int]) -> bool:
+    values = _operands(kind, env)
+    return all(v == values[0] for v in values)
+
+
+def _reference_ordered(kind: K.Ordered, env: Dict[str, int]) -> bool:
+    """Each x[i] + lengths[i] (or x[i]) is op x[i + 1], checked from the left."""
+    holds = _RELATIONS[kind.op.value]
+    values = [reference_eval(VarRef(vid), env) for vid in kind.vars]
+    for i in range(len(values) - 1):
+        lhs = values[i]
+        if kind.lengths is not None:
+            lhs = _int64(lhs + _slot(kind.lengths[i], env), "ordered")
+        if not holds(lhs, values[i + 1]):
+            return False
+    return True
+
+
+def _reference_minimum(kind: K.Minimum, env: Dict[str, int]) -> bool:
+    return reference_condition(min(_operands(kind, env)), kind.condition, env)
+
+
+def _reference_maximum(kind: K.Maximum, env: Dict[str, int]) -> bool:
+    return reference_condition(max(_operands(kind, env)), kind.condition, env)
+
+
+REFERENCE_PREDICATES: Dict[type, Callable[..., bool]] = {
+    K.Sum: _reference_sum,
+    K.Count: _reference_count,
+    K.NValues: _reference_nvalues,
+    K.AllDifferent: _reference_all_different,
+    K.AllEqual: _reference_all_equal,
+    K.Ordered: _reference_ordered,
+    K.Minimum: _reference_minimum,
+    K.Maximum: _reference_maximum,
+}
 
 
 # -- reference readers ----------------------------------------------------------------

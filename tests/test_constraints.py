@@ -322,6 +322,85 @@ def test_sum_overflow_is_loud():
         check_constraint(kind, {"a": 2, "b": 2})
 
 
+_HUGE = (2**62, 2**62, -2**62)
+_HUGE_TEXT = " ".join(map(str, _HUGE))
+_HUGE_COP = f"""<instance format="XCSP3" type="COP">
+  <variables> <array id="x" size="[3]"> 0..2 </array> </variables>
+  <constraints> <sum id="s"> <list> x[] </list> <coeffs> {{}} </coeffs>
+    <condition> (ge,0) </condition> </sum> </constraints>
+  <objectives> <minimize type="sum"> <list> x[] </list> <coeffs> {_HUGE_TEXT} </coeffs>
+  </minimize> </objectives>
+</instance>"""
+
+
+def _overflow(context, value=2**63):
+    return re.escape(f"{context}: {value} leaves the 64-bit integer range")
+
+
+def test_a_partial_sum_that_leaves_int64_and_comes_back_still_overflows():
+    kind = K.Sum(terms=(V("a"), V("b"), V("c")), coeffs=_HUGE, condition=cond("ge", 0))
+    # 2^62 + 2^62 leaves the range before - 2^62 brings the total back
+    with pytest.raises(Overflow, match=f"^{_overflow('sum')}$"):
+        check_constraint(kind, {"a": 1, "b": 1, "c": 1})
+    # 2 * 2^62 leaves it already as a product
+    with pytest.raises(Overflow, match=f"^{_overflow('sum term')}$"):
+        check_constraint(kind, {"a": 2, "b": 1, "c": 2})
+    ones = Instantiation({"x[0]": 1, "x[1]": 1, "x[2]": 1})
+    constrained = parse_string(_HUGE_COP.format(_HUGE_TEXT))
+    with pytest.raises(Overflow, match=f"^s: {_overflow('sum')} at x\\[0\\]=1 x\\[1\\]=1 x\\[2\\]=1$"):
+        check_solution(constrained, ones, declared_cost=0)
+    # the constraint holds with small coefficients; the objective's total overflows
+    objective = parse_string(_HUGE_COP.format("1 1 1"))
+    with pytest.raises(Overflow, match=f"^{_overflow('objective')}$"):
+        check_solution(objective, ones, declared_cost=0)
+    with pytest.raises(Overflow, match=f"^{_overflow('objective term')}$"):
+        check_solution(objective, Instantiation({"x[0]": 2, "x[1]": 1, "x[2]": 2}),
+                       declared_cost=0)
+    # a total that the magnitudes prove in range is summed in one step
+    assert check_solution(objective, Instantiation({"x[0]": 0, "x[1]": 1, "x[2]": 1}),
+                          declared_cost=0).satisfied
+
+
+def test_a_sum_term_that_overflows_names_the_term():
+    kind = K.Sum(terms=(V("a"), expr("mul(b,2)")), coeffs=(1, 2**62), condition=cond("ge", 0))
+    with pytest.raises(Overflow, match=f"^{_overflow('sum term')}$"):
+        check_constraint(kind, {"a": 0, "b": 1})
+    bare = K.Sum(terms=(V("a"), V("b")), coeffs=(1, -(2**62)), condition=cond("ge", 0))
+    with pytest.raises(Overflow, match=f"^{_overflow('sum term', -2**63 - 2**62)}$"):
+        check_constraint(bare, {"a": 0, "b": 3})
+
+
+@pytest.mark.parametrize("kind", [
+    K.Sum(terms=(V("a"), V("b")), coeffs=(1, 1), condition=cond("ge", 0)),
+    K.Count(operands=(V("a"), V("b")), values=(1,), condition=cond("ge", 0)),
+    K.NValues(operands=(V("a"), V("b")), condition=cond("ge", 0)),
+    K.AllDifferent(operands=(V("a"), V("b"))),
+    K.AllEqual(operands=(V("a"), V("b"))),
+    K.Minimum(operands=(V("a"), V("b")), condition=cond("ge", 0)),
+    K.Maximum(operands=(V("a"), V("b")), condition=cond("ge", 0)),
+], ids=lambda kind: type(kind).__name__)
+def test_a_bare_operand_missing_without_validation_is_unbound(kind):
+    with pytest.raises(UnboundVariable, match="^b$"):
+        check_constraint(kind, {"a": 1}, validate=False)
+
+
+def test_a_missing_operand_after_an_overflowing_term_keeps_the_overflow():
+    # the first product overflows before the second term's variable is read
+    kind = K.Sum(terms=(V("a"), V("b")), coeffs=(2**62, 1), condition=cond("ge", 0))
+    with pytest.raises(Overflow, match=f"^{_overflow('sum term')}$"):
+        check_constraint(kind, {"a": 2}, validate=False)
+
+
+def test_a_raising_term_and_an_overflowing_term_raise_in_list_order():
+    env = {"a": 2, "b": 0}
+    first = K.Sum(terms=(expr("div(a,b)"), V("a")), coeffs=(1, 2**62), condition=cond("ge", 0))
+    with pytest.raises(DivisionByZero, match=r"^div\(2,0\)$"):
+        check_constraint(first, env)
+    second = K.Sum(terms=(V("a"), expr("div(a,b)")), coeffs=(2**62, 1), condition=cond("ge", 0))
+    with pytest.raises(Overflow, match=f"^{_overflow('sum term')}$"):
+        check_constraint(second, env)
+
+
 def test_count_with_variable_values():
     kind = K.Count(operands=(V("a"), V("b"), V("c")), values=(V("w"),),
                    condition=cond("eq", 2))
@@ -888,3 +967,104 @@ def test_check_solution_agrees_with_the_reference_verifier(seed, div, data):
             got = _outcome(check_solution, instance, solution, mode, cost)
             want = _outcome(oracles.reference_check_solution, instance, solution, mode, cost)
             assert _agree(got, want), (got, want)
+
+
+BARE_COP = """<instance format="XCSP3" type="COP">
+  <variables> <array id="x" size="[4]"> 0..3 </array> </variables>
+  <constraints>
+    <count id="n"> <list> x[] </list> <values> 0 1 </values> <condition> (le,2) </condition> </count>
+    <sum id="s"> <list> x[] </list> <coeffs> 1 2 3 4 </coeffs> <condition> (le,40) </condition> </sum>
+    <allDifferent id="d"> x[0] x[1] x[2] </allDifferent>
+    <intension id="i"> lt(x[0],x[3]) </intension>
+  </constraints>
+  <objectives> <minimize type="sum"> <list> x[] </list> <coeffs> 2 1 1 1 </coeffs> </minimize>
+  </objectives>
+</instance>"""
+
+
+def test_bare_variable_lists_are_read_without_compiling():
+    instance = parse_string(BARE_COP)
+    verdict = check_solution(instance, Instantiation({"x[0]": 0, "x[1]": 1, "x[2]": 2, "x[3]": 3}),
+                             declared_cost=6)
+    assert verdict.satisfied
+    count, total, distinct, intension = (posted.kind for posted in instance.constraints)
+    for holder in (count, total, distinct, instance.objective):
+        assert "compiled" not in vars(holder), holder
+        assert holder.bare_ids == ("x[0]", "x[1]", "x[2]", "x[3]")[:len(holder.var_ids)]
+    assert "compiled" in vars(intension)  # an expression is compiled on its first check
+
+
+# -- the reference predicates ---------------------------------------------------------
+
+_NAMES = ("v0", "v1", "v2")
+_NEAR_LIMIT = (2**62, -(2**62), 2**62 - 1, -(2**62) + 1, 2**62 + 3, -(2**62) - 3)
+
+
+@st.composite
+def _operand_lists(draw, min_size=1):
+    """Operands over _NAMES: mostly bare variables, some expressions that
+    may overflow or divide by zero."""
+    def one(text):
+        return V(text) if text in _NAMES else expr(text)
+    texts = st.one_of(st.sampled_from(_NAMES), st.sampled_from(
+        ["add(v0,1)", "mul(v1,2)", "sub(v2,v0)", "div(7,v1)", "3"]))
+    return tuple(map(one, draw(st.lists(texts, min_size=min_size, max_size=4))))
+
+
+_slots = st.one_of(st.integers(-3, 3), st.sampled_from(_NAMES).map(V))
+_conditions = st.one_of(
+    st.builds(cond, st.sampled_from(["lt", "le", "gt", "ge", "eq", "ne"]), _slots),
+    st.builds(lambda op, lo, width: cond(op, Interval(lo, lo + width)),
+              st.sampled_from(["in", "notin"]), st.integers(-4, 4), st.integers(0, 4)),
+    st.builds(lambda op, values: cond(op, IntSet(tuple(sorted(values)))),
+              st.sampled_from(["in", "notin"]), st.sets(st.integers(-4, 4), min_size=1)))
+_excepts = st.lists(st.integers(-2, 2), max_size=2, unique=True).map(lambda v: tuple(sorted(v)))
+
+
+@st.composite
+def _sums(draw):
+    terms = draw(_operand_lists())
+    coeffs = tuple(draw(st.one_of(_slots, st.sampled_from(_NEAR_LIMIT))) for _ in terms)
+    return K.Sum(terms, coeffs, draw(_conditions))
+
+
+@st.composite
+def _ordered(draw):
+    ids = tuple(draw(st.lists(st.sampled_from(_NAMES), min_size=2, max_size=4)))
+    lengths = draw(st.one_of(st.none(), st.tuples(*[st.one_of(
+        _slots, st.sampled_from(_NEAR_LIMIT))] * (len(ids) - 1))))
+    return K.Ordered(ids, draw(st.sampled_from(list(K.OrderOp))), lengths)
+
+
+_KINDS = st.one_of(
+    _sums(),
+    st.builds(K.Count, _operand_lists(), st.lists(_slots, min_size=1, max_size=3).map(tuple),
+              _conditions),
+    st.builds(K.NValues, _operand_lists(), _conditions, _excepts),
+    st.builds(K.AllDifferent, _operand_lists(), _excepts),
+    st.builds(K.AllEqual, _operand_lists()),
+    _ordered(),
+    st.builds(K.Minimum, _operand_lists(), _conditions),
+    st.builds(K.Maximum, _operand_lists(), _conditions),
+)
+_ENVS = st.fixed_dictionaries({name: st.one_of(st.integers(-3, 3), st.sampled_from(
+    [2**62, -(2**62), 2**63 - 1, -(2**63)])) for name in _NAMES})
+
+
+def _kind_outcome(check, kind, env):
+    """The verdict, or the class of the error and, when it is the kind's own
+    arithmetic that overflows, its message."""
+    try:
+        return check(kind, env)
+    except EvalError as e:
+        own = isinstance(e, Overflow) and str(e).split(":")[0] in ("sum", "sum term", "ordered")
+        return type(e), str(e) if own else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=_KINDS, envs=st.lists(_ENVS, min_size=1, max_size=3))
+def test_reference_predicates_agree_with_check_constraint(kind, envs):
+    reference = oracles.REFERENCE_PREDICATES[type(kind)]
+    # one kind, several assignments: later checks reuse what the first built
+    for env in envs:
+        assert _kind_outcome(check_constraint, kind, env) == _kind_outcome(reference, kind, env)

@@ -1,5 +1,6 @@
 """The scripts run from a fresh checkout, with no PYTHONPATH set."""
 
+import json
 import os
 import re
 import subprocess
@@ -83,3 +84,34 @@ def test_parse_digest_prints_each_outcome_and_their_digest():
     counts = rf"failed={2 * documents - parsed} reparsed={parsed} same={parsed} sha256="
     assert re.search(counts, round_trip), round_trip
     assert round_trip.split(" sha256=")[1] != total.split(" sha256=")[1]
+
+
+def _run_line(attempted, failed, p50, share):
+    """A line as perfbench/run.py --trace 0 prints it last."""
+    return "note on the line before\n" + json.dumps({
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
+        "metrics": {"latency_p50_ms": {"value": p50, "unit": "ms"},
+                    "correct_share": {"value": share, "unit": "share"}}}) + "\n"
+
+
+def test_bench_record_summarizes_runs_in_the_baseline_layout():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    lines = {7: _run_line(100, 0, 4.0, 1.0), 8: _run_line(120, 2, 6.0, 0.98),
+             9: _run_line(110, 0, 5.0, 1.0), 10: _run_line(90, 0, 8.0, 1.0)}
+    runs = [(seed, bench_record.run_result(text)) for seed, text in lines.items()]
+    entry = bench_record.summarize(runs)
+    assert entry == {
+        "seeds": [7, 8, 9, 10], "attempted": [100, 120, 110, 90], "failed": 2,
+        # quartiles of 4 5 6 8 (inclusive): 4.75 and 6.5, over the median 5.5
+        "median": {"latency_p50_ms": 5.5, "correct_share": 1.0},
+        "iqr_share": {"latency_p50_ms": round(1.75 / 5.5, 4), "correct_share": 0.005}}
+    baseline = json.loads((ROOT / "perfbench/baseline.json").read_text())["end_to_end"]["check"]
+    assert entry.keys() == baseline.keys()
+    assert bench_record.summarize(runs[:1])["iqr_share"] == {"latency_p50_ms": 0.0,
+                                                            "correct_share": 0.0}
+    record = bench_record.record({"check": runs}, 20, "abc1234", "a host")
+    assert record["end_to_end"]["check"] == entry and record["run_seconds"] == 20
