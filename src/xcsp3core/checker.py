@@ -92,9 +92,9 @@ def _values(holder: Union[K.ConstraintKind, K.Objective],
 
 
 def _fits(products: Iterable[int]) -> bool:
-    """Whether no item nor partial sum of products can leave int64: none
-    exceeds the sum of their magnitudes, which INT_MAX bounds. This accepts
-    every list that len(products) * max|p| <= INT_MAX does."""
+    """Whether no item nor partial sum of products can leave int64: each is
+    at most the sum of their magnitudes in size, which INT_MAX then bounds.
+    This accepts every list that len(products) * max|p| <= INT_MAX does."""
     return sum(map(abs, products)) <= INT_MAX
 
 
