@@ -77,15 +77,17 @@ def _commit() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+def _host() -> str:
+    return (f"{os.cpu_count()}-CPU {platform.machine()}, {platform.python_implementation()} "
+            f"{platform.python_version()}; times at reference speed (perfbench/reference.py)")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="the JSON file to write")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--host", default=f"{os.cpu_count()}-CPU {platform.machine()}, "
-                    f"{platform.python_implementation()} {platform.python_version()}; "
-                    "times at reference speed (perfbench/reference.py)")
     args = ap.parse_args(argv)
 
     runs: Dict[str, List[Tuple[int, dict]]] = {w: [] for w in args.workloads}
@@ -102,7 +104,7 @@ def main(argv=None) -> int:
                   f"failed={result['failed']}", file=sys.stderr)
             runs[workload].append((seed, result))
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record(runs, args.seconds, _commit(), args.host), fh, indent=1)
+        json.dump(record(runs, args.seconds, _commit(), _host()), fh, indent=1)
         fh.write("\n")
     return 0
 
