@@ -278,7 +278,7 @@ def _slot(value, env: Dict[str, int]) -> int:
     return reference_eval(value, env) if isinstance(value, VarRef) else value
 
 
-def reference_condition(lhs: int, condition: Condition, env: Dict[str, int]) -> bool:
+def _reference_condition(lhs: int, condition: Condition, env: Dict[str, int]) -> bool:
     op, operand = condition.op.value, condition.operand
     if op in ("in", "notin"):
         members = (range(operand.lo, operand.hi + 1) if isinstance(operand, Interval)
@@ -296,7 +296,7 @@ def _reference_sum(kind: K.Sum, env: Dict[str, int]) -> bool:
     for coeff, term in zip(kind.coeffs, kind.terms):
         product = _int64(_slot(coeff, env) * reference_eval(term, env), "sum term")
         total = _int64(total + product, "sum")
-    return reference_condition(total, kind.condition, env)
+    return _reference_condition(total, kind.condition, env)
 
 
 def _reference_count(kind: K.Count, env: Dict[str, int]) -> bool:
@@ -305,7 +305,7 @@ def _reference_count(kind: K.Count, env: Dict[str, int]) -> bool:
     for value in _operands(kind, env):
         if value in counted:
             n += 1
-    return reference_condition(n, kind.condition, env)
+    return _reference_condition(n, kind.condition, env)
 
 
 def _reference_nvalues(kind: K.NValues, env: Dict[str, int]) -> bool:
@@ -313,7 +313,7 @@ def _reference_nvalues(kind: K.NValues, env: Dict[str, int]) -> bool:
     for value in _operands(kind, env):
         if value not in distinct and value not in kind.excepts:
             distinct.append(value)
-    return reference_condition(len(distinct), kind.condition, env)
+    return _reference_condition(len(distinct), kind.condition, env)
 
 
 def _reference_all_different(kind: K.AllDifferent, env: Dict[str, int]) -> bool:
@@ -345,11 +345,11 @@ def _reference_ordered(kind: K.Ordered, env: Dict[str, int]) -> bool:
 
 
 def _reference_minimum(kind: K.Minimum, env: Dict[str, int]) -> bool:
-    return reference_condition(min(_operands(kind, env)), kind.condition, env)
+    return _reference_condition(min(_operands(kind, env)), kind.condition, env)
 
 
 def _reference_maximum(kind: K.Maximum, env: Dict[str, int]) -> bool:
-    return reference_condition(max(_operands(kind, env)), kind.condition, env)
+    return _reference_condition(max(_operands(kind, env)), kind.condition, env)
 
 
 REFERENCE_PREDICATES: Dict[type, Callable[..., bool]] = {
