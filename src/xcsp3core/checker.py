@@ -33,7 +33,7 @@ from typing import (AbstractSet, Callable, Dict, Iterable, Iterator, List, Mappi
                     Sequence, Set, Tuple, Union)
 
 from . import kinds as K
-from .errors import INT_MAX, CheckError, EvalError, UnboundVariable, check_int64
+from .errors import INT_MAX, INT_MIN, CheckError, EvalError, UnboundVariable, check_int64
 from .expr import VarRef
 from .model import (
     Condition,
@@ -321,37 +321,41 @@ def _check_channel_value(kind: K.ChannelValue, env: Mapping[str, int]) -> bool:
     return len(ones) == 1 and v == ones[0]
 
 
+def _end(origin: int, length: int, context: str) -> int:
+    """origin + length, which must lie in int64 (check_int64 where it does not)."""
+    end = origin + length
+    return end if INT_MIN <= end <= INT_MAX else check_int64(end, context)
+
+
 def _check_no_overlap_1(kind: K.NoOverlap1, env: Mapping[str, int]) -> bool:
-    tasks = []
+    tasks = []  # each kept task's origin and end, every end checked before any comparison
     for origin, length in zip(kind.origins, kind.lengths):
         o, l = env[origin], _resolve(length, env)
         if kind.zero_ignored and l == 0:
             continue
-        tasks.append((o, l))
+        tasks.append((o, _end(o, l, "noOverlap")))
     for i in range(len(tasks)):
         for j in range(i + 1, len(tasks)):
-            oi, li = tasks[i]
-            oj, lj = tasks[j]
-            if not (oi + li <= oj or oj + lj <= oi):
+            oi, ei = tasks[i]
+            oj, ej = tasks[j]
+            if not (ei <= oj or ej <= oi):
                 return False
     return True
 
 
 def _check_no_overlap_k(kind: K.NoOverlapK, env: Mapping[str, int]) -> bool:
-    boxes = []
+    boxes = []  # each kept box's origins and ends, as in noOverlap over one dimension
     for origin, length in zip(kind.origins, kind.lengths):
         os = [env[v] for v in origin]
         ls = [_resolve(l, env) for l in length]
         if kind.zero_ignored and any(l == 0 for l in ls):
             continue
-        boxes.append((os, ls))
+        boxes.append((os, [_end(o, l, "noOverlap") for o, l in zip(os, ls)]))
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
-            oi, li = boxes[i]
-            oj, lj = boxes[j]
-            separated = any(
-                oi[k] + li[k] <= oj[k] or oj[k] + lj[k] <= oi[k]
-                for k in range(len(oi)))
+            oi, ei = boxes[i]
+            oj, ej = boxes[j]
+            separated = any(ei[k] <= oj[k] or ej[k] <= oi[k] for k in range(len(oi)))
             if not separated:
                 return False
     return True
@@ -364,16 +368,20 @@ def _check_cumulative(kind: K.Cumulative, env: Mapping[str, int]) -> bool:
         l = _resolve(length, env)
         h = _resolve(height, env)
         if l > 0:
-            tasks.append((o, l, h))
+            tasks.append((o, _end(o, l, "cumulative"), h))
     # Quantify over the time points covered by at least one task. The load
     # changes only where a task starts or ends, so each stretch of constant
     # load begins at a start or at an end that another task covers: testing
-    # those points tests every covered one.
-    for t in sorted({o for o, _, _ in tasks} | {o + l for o, l, _ in tasks}):
-        heights = [h for o, l, h in tasks if o <= t < o + l]
-        if heights and not eval_condition(sum(heights), kind.condition, env):
-            return False
-    return True
+    # those points tests every covered one. Each load is summed in task
+    # order, each partial sum checked as in sum, before any is compared.
+    points = sorted({o for o, _, _ in tasks} | {e for _, e, _ in tasks})
+    stacks = [[h for o, e, h in tasks if o <= t < e] for t in points]
+    if not _fits([h for _, _, h in tasks]):
+        for heights in stacks:
+            load = 0
+            for h in heights:
+                load = check_int64(load + h, "cumulative")
+    return all(eval_condition(sum(heights), kind.condition, env) for heights in stacks if heights)
 
 
 def _check_circuit(kind: K.Circuit, env: Mapping[str, int]) -> bool:

@@ -9,19 +9,13 @@ result may feed an integer slot.
 The integer and identifier patterns here are the only ones in the package:
 the token readers in parser.py build on them.
 
-A template of a group or slide is read once, in the template mode of
-parse_expr: there a parameter %k that is a whole operand (it stands where
-a variable or an integer could, between "(" or "," and "," or ")") reads
-as a Param leaf. binder turns such a tree into a function that builds
-each member's tree from the leaves bound to its parameters; operand_leaf
+A group or slide repeats one expression with new operands, and a flat
+document often repeats one shape of text (the text but for its operand
+leaves). Either way the parser reads the text once, with parse_expr, and
+builder turns the tree into a function that builds it again with the
+operand leaves at chosen positions of the text replaced; operand_leaf
 gives the leaf a token reads as in an operand's place, the same one
-parse_expr would read from the substituted text. Any other use of a
-parameter (x[%0], %0[1], %1x, set(%0), a parameter as in()'s set) is not
-part of the grammar: template mode fails on it, and the parser substitutes
-the tokens into the text and parses each member as it stands. rebuild
-does the like for a text without parameters: the parser keeps the first
-tree of each shape, a text with its operand leaves cut out, and builds the
-tree of each later text of that shape from that tree and its own leaves.
+parse_expr would read from the substituted text.
 
 Record, the base of the expression nodes and of the value classes of
 model.py and kinds.py, is here, the lowest module they all import; the
@@ -73,6 +67,8 @@ comparison written as its negation in place, not stored as 0/1.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 import re
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
@@ -197,11 +193,6 @@ class OpCall(Record):
     FIELDS = ("op", "args")  # str, Tuple[Expr, ...]
 
 
-class Param(Record):
-    """Template parameter %index, a leaf only of a tree read in template mode."""
-    FIELDS = ("index",)
-
-
 Expr = Union[IntConst, VarRef, SetLiteral, OpCall]
 
 # operator -> (min arity, max arity or None when unbounded)
@@ -279,12 +270,10 @@ def read_int(token: str, path: Optional[str] = None, what: str = "integer") -> i
 # indexes (a variable, maybe with none), or an integer.
 _OPERAND_RE = re.compile(
     rf"({IDENT_RE.pattern})(\(|(?:\[[0-9]+\])*)|{INT_RE.pattern}")
-# In template mode, a parameter %k is an operand too.
-_TEMPLATE_OPERAND_RE = re.compile(rf"{_OPERAND_RE.pattern}|%[0-9]+")
 _SPACE_RE = re.compile(r"\s")
 
 
-def parse_expr(text: str, path: Optional[str] = None, template: bool = False) -> Expr:
+def parse_expr(text: str, path: Optional[str] = None) -> Expr:
     """Parse a functional expression. The text must contain no whitespace.
 
     One pass over the text: each operand is one match of one pattern, ","
@@ -293,9 +282,6 @@ def parse_expr(text: str, path: Optional[str] = None, template: bool = False) ->
     when its name is, the depth when its call opens, the arity and the
     operand kinds when it closes. A set literal is valid only as the
     second operand of in().
-
-    In template mode, %k in an operand's place reads as Param(k). A Param
-    is neither an integer nor a set, so set(%0) and in(x,%0) fail.
     """
     space = _SPACE_RE.search(text)
     if space is not None:
@@ -307,7 +293,7 @@ def parse_expr(text: str, path: Optional[str] = None, template: bool = False) ->
     def fail(message: str, offset: int, rule: str = "expression-syntax") -> ParseError:
         return ParseError(f"{message} (offset {offset})", path=path, rule=rule)
 
-    match, end = (_TEMPLATE_OPERAND_RE if template else _OPERAND_RE).match, len(text)
+    match, end = _OPERAND_RE.match, len(text)
     calls: List[Tuple[str, int, List[Expr]]] = []  # (operator, offset, outer operands)
     operands: List[Expr] = []  # of the innermost open call; at the root, the result
     pos = 0
@@ -320,11 +306,8 @@ def parse_expr(text: str, path: Optional[str] = None, template: bool = False) ->
         pos = m.end()
         if name is None:  # an integer; one of 18 characters or fewer lies in int64
             token = m.group()
-            if token[0] == "%":  # a parameter, in template mode
-                operands.append(Param(int(token[1:])))
-            else:
-                operands.append(IntConst(int(token) if len(token) < 19 else
-                                         _int64(token, path, "integer literal")))
+            operands.append(IntConst(int(token) if len(token) < 19 else
+                                     _int64(token, path, "integer literal")))
         elif tail == "(":
             if name != "set" and name not in ARITIES:
                 raise fail(f"unknown operator '{name}'", m.start())
@@ -380,50 +363,46 @@ def operand_leaf(token: str) -> Optional[Expr]:
     return VarRef(token)
 
 
-def binder(template: Expr) -> Tuple[Tuple[int, ...], Callable[[Sequence[Expr]], Expr]]:
-    """The parameter indexes a template-mode tree holds, increasing, and a
-    function of the leaves bound to the parameters, leaves[k] for %k, that
-    builds the tree with each Param replaced by its leaf. The subtrees that
-    hold no parameter are shared by every tree built, as records are
-    immutable."""
-    used = set()
-
-    def make(node: Expr) -> Optional[Callable[[Sequence[Expr]], Expr]]:
-        """The builder of node, None when node holds no parameter."""
-        if type(node) is Param:
-            used.add(node.index)
-            return operator.itemgetter(node.index)
-        if type(node) is not OpCall:
-            return None
-        parts = [(i, part) for i, part in enumerate(map(make, node.args)) if part is not None]
-        if not parts:
-            return None
-        op, fixed = node.op, list(node.args)
-
-        def build(leaves: Sequence[Expr]) -> Expr:
-            args = fixed[:]
-            for i, part in parts:
-                args[i] = part(leaves)
-            return OpCall(op, tuple(args))
-        return build
-
-    build = make(template)
-    return tuple(sorted(used)), (build if build is not None else lambda leaves: template)
+def builder(tree: Expr, slots: Sequence[int]) -> Callable[[Sequence[Expr]], Expr]:
+    """A function of leaves, one per slot, that builds tree again with the
+    operand leaf at text position slots[i] replaced by leaves[i]. The
+    positions count tree's operand leaves in text order, set members
+    among them; a set member's leaf must be IntConst, else building raises
+    TypeError, where parse_expr would reject the text. The subtrees that
+    hold no slot are shared by every tree built, as records are immutable."""
+    plan = _plan(tree, {position: i for i, position in enumerate(slots)}, itertools.count())
+    if plan is None:
+        return lambda leaves: tree
+    return operator.itemgetter(plan) if type(plan) is int else functools.partial(_build, plan)
 
 
-def rebuild(tree: Expr, leaves: Iterator[Expr]) -> Expr:
-    """The tree parse_expr reads from tree's text with its operand leaves, in
-    text order, replaced by leaves, each as operand_leaf reads it. A set
-    literal's leaves must be IntConst: another raises TypeError, where
-    parse_expr would reject the text."""
-    if type(tree) is OpCall:
-        return OpCall(tree.op, tuple([rebuild(arg, leaves) for arg in tree.args]))
-    if type(tree) is SetLiteral:
-        members = [next(leaves) for _ in tree.values]
-        if any(type(member) is not IntConst for member in members):
-            raise TypeError("set literals may only contain integers")
-        return SetLiteral(tuple([member.value for member in members]))
-    return next(leaves)
+def _plan(node: Any, index: Mapping[int, int], positions: Iterator[int]) -> Any:
+    """How _build builds node, a tree or a set's member, again: None when it
+    holds no slot; the index of its leaf when it is a slot; else its class,
+    operator, operands and the (k, plan) of each operand k with a slot.
+    positions gives each leaf's position, index each slot's leaf."""
+    kind = type(node)
+    if kind is OpCall or kind is SetLiteral:
+        operands = node.args if kind is OpCall else node.values
+        parts = tuple((k, part) for k, part in enumerate(
+            [_plan(operand, index, positions) for operand in operands]) if part is not None)
+        return (kind, getattr(node, "op", None), operands, parts) if parts else None
+    return index.get(next(positions))
+
+
+def _build(plan: Any, leaves: Sequence[Expr]) -> Expr:
+    """The node that plan (_plan) builds from leaves."""
+    kind, op, operands, parts = plan
+    args = list(operands)
+    if kind is SetLiteral:
+        for k, i in parts:
+            if type(leaves[i]) is not IntConst:
+                raise TypeError("set literals may only contain integers")
+            args[k] = leaves[i].value
+        return SetLiteral(tuple(args))
+    for k, part in parts:
+        args[k] = leaves[part] if type(part) is int else _build(part, leaves)
+    return OpCall(op, tuple(args))
 
 
 def _close_call(op: str, args: List[Expr], start: int,

@@ -24,8 +24,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
 
 from . import kinds as K
 from .errors import ParseError, UnknownElement
-from .expr import (CELL_RE, INDEX_RE, INT_RE, IDENT_RE, Expr, VarRef, binder, is_identifier,
-                   operand_leaf, parse_expr, read_int, rebuild)
+from .expr import (CELL_RE, INDEX_RE, INT_RE, IDENT_RE, Expr, VarRef, builder, is_identifier,
+                   operand_leaf, parse_expr, read_int)
 from .kinds import Objective, ObjKind, OrderOp, Sense
 from .model import (
     STAR,
@@ -904,7 +904,8 @@ class _ConstraintReader:
         self.removed: List[str] = []  # paths of what drop_classes or lenient mode left out
         self.leaves: Dict[str, Union[Expr, bool]] = {}  # _bind's leaf of each token, or False
         self.cells: Dict[str, bool] = {}  # _is_cell of each token
-        self.shapes: Dict[str, Expr] = {}  # _read_expr's first tree of each shape
+        # _read_expr's first tree of each shape, then the shape's builder
+        self.shapes: Dict[str, Union[Expr, Callable[..., Expr]]] = {}
         self.templates: Dict[tuple, Tuple[int, bool, Optional[tuple]]] = {}  # _template's
 
     def _ids(self, el: RawElement) -> List[str]:
@@ -922,26 +923,26 @@ class _ConstraintReader:
 
     def _read_expr(self, text: str, path: str) -> Expr:
         """An expression outside any template, where no % may be left. The
-        first text of a shape (the text with its operand leaves cut out) is
-        read by parse_expr and its tree kept; a later one is rebuilt from that
-        tree and its own leaves (expr.rebuild), unless one is no leaf or a
-        set's no integer. A lone operand is its leaf (_bind)."""
+        first text of a shape (the text with its operand leaves cut out; a
+        lone operand's is one leaf) is read by parse_expr and its tree kept;
+        the second makes the shape's builder from that tree (expr.builder),
+        and each later one is built from its own leaves, unless one is no
+        leaf (_bind) or a set's no integer."""
         if "%" in text:
             raise ParseError(f"template parameter outside a template: {text!r}",
                              path=path, rule="parameter")
-        if "(" not in text:
-            leaves = self._bind((text,), (0,))
-            return leaves[0] if leaves is not None else parse_expr(text, path)
         parts = _LEAF_RE.split(text)
         shape = "%".join(parts[::2])  # no part holds a %, so no two shapes join alike
         kept = self.shapes.get(shape)
         if kept is None:
             self.shapes[shape] = tree = parse_expr(text, path)  # a failed read is not kept
             return tree
-        leaves = self._bind(parts[1::2], range(len(parts) // 2))
+        leaves = self._bind(parts[1::2])
         if leaves is not None:
+            if not callable(kept):
+                kept = self.shapes[shape] = builder(kept, range(len(leaves)))
             try:
-                return rebuild(kept, iter(leaves))
+                return kept(leaves)
             except TypeError:  # a set member that is no integer
                 pass
         return parse_expr(text, path)
@@ -1021,14 +1022,15 @@ class _ConstraintReader:
     #
     # A group or slide posts one member per <args> or window: its template
     # with the member's tokens for %0, %1, ... An <intension> template is
-    # checked and its expression read once, in expr's template mode, and
-    # each member's expression is built by binding its tokens into that
-    # tree. Every other member is substituted as text and read as a lone
-    # constraint would be: one of another template, of an intension
-    # template that template mode cannot read, or with a token that is no
-    # leaf. Both routes give the same constraints and the same errors
-    # (tests/test_expansion.py). Sibling groups that share a template read
-    # it once (_template).
+    # checked and its expression read once, with a variable standing for
+    # each operand that is a parameter, and each member's expression is
+    # built from that tree with its tokens' leaves in those places. Every
+    # other member is substituted as text and read as a lone constraint
+    # would be: one of another template, of an intension template that
+    # cannot be read so (a parameter inside a token, or the text fails),
+    # or with a token that is no leaf. Both routes give the same
+    # constraints and the same errors (tests/test_expansion.py). Sibling
+    # groups that share a template read it once (_template).
 
     def _template(self, template: RawElement) -> Tuple[int, bool, Optional[tuple]]:
         """The highest %k index in a template's text or -1, whether %... occurs
@@ -1061,10 +1063,12 @@ class _ConstraintReader:
     def _binding(self, template: RawElement
                  ) -> Optional[Tuple[Tuple[int, ...], Callable[..., Expr]]]:
         """For an <intension> template that _dispatch accepts and whose
-        expression reads in template mode: the parameters that expression
-        uses and the builder of each member's expression from their leaves
-        (expr.binder). None for any other template, whose members are each
-        substituted and read as text."""
+        expression parse_expr reads with a variable in place of each operand
+        leaf that is exactly %k, where no other % is left: the k of each
+        such leaf, in text order, and the builder of each member's
+        expression from their leaves (expr.builder). A variable is neither
+        an integer nor a set, so set(%0) and in(x,%0) fail. None for any
+        other template, whose members are each substituted and read as text."""
         if template.tag != "intension":
             return None
         _, extra, children = self._TAGS["intension"]
@@ -1072,23 +1076,27 @@ class _ConstraintReader:
             _check_attrs(template, extra)
             _check_children(template, children)
             src = template.find("function") or template
-            return binder(parse_expr(src.text.strip(), src.path, template=True))
+            parts = _LEAF_RE.split(src.text.strip())
+            slots = [i for i, leaf in enumerate(parts[1::2])
+                     if leaf != "%..." and _PARAM_RE.fullmatch(leaf)]
+            params = tuple(int(parts[2 * i + 1][1:]) for i in slots)
+            for i in slots:
+                parts[2 * i + 1] = "p"
+            text = "".join(parts)
+            return None if "%" in text else (params, builder(parse_expr(text, src.path), slots))
         except ParseError:
             return None
 
-    def _bind(self, tokens: Sequence[str], used: Iterable[int]
-              ) -> Optional[List[Optional[Expr]]]:
-        """The leaves a member binds: operand_leaf(tokens[k]) at each k in used,
-        None at the others; None when some token in used is no leaf."""
-        leaves: List[Optional[Expr]] = [None] * len(tokens)
-        for k in used:
-            token = tokens[k]
+    def _bind(self, tokens: Iterable[str]) -> Optional[List[Expr]]:
+        """The leaf of each token (operand_leaf), None when one is no leaf."""
+        leaves: List[Expr] = []
+        for token in tokens:
             leaf = self.leaves.get(token)
             if leaf is None:
                 leaf = self.leaves[token] = operand_leaf(token) or False
             if leaf is False:
                 return None
-            leaves[k] = leaf
+            leaves.append(leaf)
         return leaves
 
     def _post_members(self, template: RawElement, highest: int, binding: Optional[tuple],
@@ -1104,7 +1112,7 @@ class _ConstraintReader:
             if tokens is None:
                 continue
             member_id = f"{base_id}[{k}]" if base_id is not None else None
-            leaves = self._bind(tokens, binding[0]) if binding is not None else None
+            leaves = None if binding is None else self._bind([tokens[k] for k in binding[0]])
             if leaves is None:
                 member = self._substitute(template, tokens, highest, path)
                 self._post_single(member, classes, forced_id=member_id)

@@ -390,7 +390,7 @@ _INNER: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {
 _LOOPS: Dict[Tuple[object, ...], Callable[..., Iterator[bool]]] = {}
 
 
-def _loop_source(length: int, forced: int, mode: str, writes_env: bool,
+def _loop_source(length: int, forced: int, mode: str, writes_env: bool, names_errors: bool,
                  leaf: Sequence[_Call], calls: Sequence[Sequence[_Call]],
                  local: Mapping[str, str], links: Sequence[Sequence[Optional[_Link]]],
                  leaf_links: Sequence[Optional[_Link]]) -> str:
@@ -400,6 +400,8 @@ def _loop_source(length: int, forced: int, mode: str, writes_env: bool,
     forced of them forced, depth d making calls[d] and the leaf making
     leaf, each call reading and keeping a chain's state as links[d] (or
     leaf_links) say; local names the loop variable of each depth's variable.
+    It takes unforced only when forced, and named only with names_errors,
+    when some call names its errors (_names_errors).
 
     Depth d assigns variable i<d> each value v<d> of r<d> in turn, as one
     nested for: it tests the limits when the node count reaches test_at
@@ -424,7 +426,8 @@ def _loop_source(length: int, forced: int, mode: str, writes_env: bool,
     solution = "{" + ", ".join(["**env", *(f"i{d}: v{d}" for d in range(length))]) + "}"
     leaf_params, leaf_code, functions = _code(leaf, "L", "continue", local, leaf_links,
                                               solution)
-    head = ["search", "env", "checkpoint", "unforced", "named", *params, *leaf_params]
+    head = ["search", "env", "checkpoint", *["unforced"] * (forced > 0),
+            *["named"] * names_errors, *params, *leaf_params]
     body: List[Tuple[int, str]] = []
     for d in range(length):
         depth = 2 + d  # the indent of depth d's for
@@ -823,14 +826,18 @@ class _Search:
             forced = max(0, end - max(start, self.branch_len))
             writes_env = (end < n or forced > 0 or leaf_env
                           or any(reads_env for _, _, reads_env in written))
+            names_errors = any(_names_errors(form, args[0], ci)
+                               for depth in calls for form, args, ci in depth)
             shape = (end - start, forced, mode if end == n else "descend", writes_env,
-                     leaf_keys, tuple(keys for keys, _, _ in written))
+                     names_errors, leaf_keys, tuple(keys for keys, _, _ in written))
             make = generated(_LOOPS, MAX_LOOPS, shape,
-                             partial(_loop_source, *shape[:4], leaf, calls, local, links,
+                             partial(_loop_source, *shape[:5], leaf, calls, local, links,
                                      leaf_links),
                              _NAMESPACE, "<search loop>")
-            blocks.append(partial(make, self, self.env, self._checkpoint, self._unforced,
-                                  self._named, *(mode_args if end == n else ()), *leaf_args,
+            blocks.append(partial(make, self, self.env, self._checkpoint,
+                                  *[self._unforced] * (forced > 0),
+                                  *[self._named] * names_errors,
+                                  *(mode_args if end == n else ()), *leaf_args,
                                   *[arg for (vid, values, _), (_, args, _) in zip(block, written)
                                     for arg in (vid, values, *args)]))
         return blocks

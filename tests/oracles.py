@@ -261,9 +261,10 @@ def reference_eval(e: Expr, env: Dict[str, int]) -> int:
 
 # -- reference predicates ---------------------------------------------------------------
 #
-# The kinds that read lists of operands, as the specification states them:
-# each operand through reference_eval, in list order, and each product and
-# partial sum checked for int64 as it is taken, as naive_cost does. Nothing
+# The kinds that read lists of operands, and the packing and scheduling
+# kinds, as the specification states them: each operand through
+# reference_eval, in list order, and each end, product and partial sum
+# checked for int64 as it is taken, as naive_cost does. Nothing
 # here comes from checker.py; check_constraint must agree with each on
 # every complete assignment of the scope, value or exception class.
 
@@ -352,6 +353,56 @@ def _reference_maximum(kind: K.Maximum, env: Dict[str, int]) -> bool:
     return _reference_condition(max(_operands(kind, env)), kind.condition, env)
 
 
+def _reference_boxes(origins, lengths, zero_ignored: bool, env: Dict[str, int]) -> bool:
+    """Every two kept boxes lie apart in some dimension: there one ends at or
+    before the other's origin. A box with a zero length is left out when
+    zero_ignored; every kept box's end, origin plus length, is checked
+    for int64 in box and dimension order before any two are compared."""
+    boxes = []
+    for origin, length in zip(origins, lengths):
+        starts = [reference_eval(VarRef(vid), env) for vid in origin]
+        sizes = [_slot(size, env) for size in length]
+        if zero_ignored and 0 in sizes:
+            continue
+        boxes.append([(start, _int64(start + size, "noOverlap"))
+                      for start, size in zip(starts, sizes)])
+    return all(any(end <= other_start or other_end <= start
+                   for (start, end), (other_start, other_end) in zip(box, other))
+               for i, box in enumerate(boxes) for other in boxes[i + 1:])
+
+
+def _reference_no_overlap_1(kind: K.NoOverlap1, env: Dict[str, int]) -> bool:
+    return _reference_boxes([(vid,) for vid in kind.origins],
+                            [(length,) for length in kind.lengths], kind.zero_ignored, env)
+
+
+def _reference_no_overlap_k(kind: K.NoOverlapK, env: Dict[str, int]) -> bool:
+    return _reference_boxes(kind.origins, kind.lengths, kind.zero_ignored, env)
+
+
+def _reference_cumulative(kind: K.Cumulative, env: Dict[str, int]) -> bool:
+    """At every time point that a task of positive length covers, the
+    heights of the tasks covering it, summed in task order, satisfy the
+    condition. The load changes only where a task starts or ends, so the
+    points tested are those, in increasing order. Each task's end and
+    each partial sum is checked for int64 before any load is compared."""
+    tasks = []
+    for origin, length, height in zip(kind.origins, kind.lengths, kind.heights):
+        start, size = reference_eval(VarRef(origin), env), _slot(length, env)
+        height = _slot(height, env)
+        if size > 0:
+            tasks.append((start, _int64(start + size, "cumulative"), height))
+    loads = []
+    for t in sorted(set([start for start, _, _ in tasks] + [end for _, end, _ in tasks])):
+        covering = [height for start, end, height in tasks if start <= t < end]
+        if covering:
+            load = 0
+            for height in covering:
+                load = _int64(load + height, "cumulative")
+            loads.append(load)
+    return all(_reference_condition(load, kind.condition, env) for load in loads)
+
+
 REFERENCE_PREDICATES: Dict[type, Callable[..., bool]] = {
     K.Sum: _reference_sum,
     K.Count: _reference_count,
@@ -361,6 +412,9 @@ REFERENCE_PREDICATES: Dict[type, Callable[..., bool]] = {
     K.Ordered: _reference_ordered,
     K.Minimum: _reference_minimum,
     K.Maximum: _reference_maximum,
+    K.NoOverlap1: _reference_no_overlap_1,
+    K.NoOverlapK: _reference_no_overlap_k,
+    K.Cumulative: _reference_cumulative,
 }
 
 

@@ -524,6 +524,32 @@ def test_check_error_names_the_constraint_and_its_assignment(capsys, tmp_path, i
     assert err.strip() == f"error: {label}: div(6,0) at x=0 y=0"
 
 
+SCHEDULING_CSP = ('<instance format="XCSP3" type="CSP"><variables>'
+                  '<var id="a"> 0 9223372036854775807 </var><var id="b"> 0 1 </var>'
+                  "</variables><constraints>{}</constraints></instance>")
+
+
+@pytest.mark.parametrize("constraint,label,values", [
+    ('<noOverlap id="n"><origins> a b </origins><lengths> 5 1 </lengths></noOverlap>', "n",
+     "9223372036854775807 0"),
+    ("<noOverlap><origins> (a,b)(b,a) </origins><lengths> (5,1)(1,1) </lengths></noOverlap>",
+     "#0", "9223372036854775807 0"),
+    ('<cumulative id="c"><origins> a b </origins><lengths> 1 1 </lengths>'
+     "<heights> 4611686018427387904 4611686018427387904 </heights>"
+     "<condition> (le,9) </condition></cumulative>", "c", "0 0"),
+])
+def test_check_exits_4_where_a_scheduling_sum_leaves_int64(capsys, tmp_path, constraint,
+                                                          label, values):
+    instance, sol = tmp_path / "tasks.xml", tmp_path / "sol.xml"
+    instance.write_text(SCHEDULING_CSP.format(constraint))
+    sol.write_text(f"<instantiation><list> a b </list><values> {values} </values></instantiation>")
+    code, out, err = run(capsys, "check", str(instance), str(sol))
+    context, total = ("cumulative", 2**63) if label == "c" else ("noOverlap", 2**63 + 4)
+    assert (code, out) == (4, "")
+    assert err.strip() == (f"error: {label}: {context}: {total} leaves the 64-bit integer range"
+                           f" at a={values.split()[0]} b={values.split()[1]}")
+
+
 def test_solve_count_on_five_thousand_cells(capsys, tmp_path):
     # the search keeps its own stack: one Python frame per variable would overflow
     path = tmp_path / "wide.xml"

@@ -583,6 +583,30 @@ def test_cumulative_with_variable_fields():
     assert check_constraint(kind, {"a": 0, "b": 0, "la": 0, "hb": 9, "cap": 9})
 
 
+_TOP = 2**63 - 1
+
+
+@pytest.mark.parametrize("kind,env", [
+    (K.NoOverlap1(origins=("a", "b"), lengths=(5, 1)), {"a": _TOP, "b": 0}),
+    # every end is checked before any two tasks are compared
+    (K.NoOverlap1(origins=("a", "b", "c"), lengths=(2, 2, 5)), {"a": 0, "b": 0, "c": _TOP}),
+    (K.NoOverlapK(origins=(("a", "b"), ("c", "d")), lengths=((1, 5), (1, 1))),
+     {"a": 0, "b": _TOP, "c": 9, "d": 0}),
+    (K.Cumulative(origins=("a", "b"), lengths=(V("l"), 1), heights=(1, 1),
+                  condition=cond("le", 0)), {"a": _TOP, "b": 0, "l": 1}),
+    # two overlapping tasks whose heights sum past int64
+    (K.Cumulative(origins=("a", "b"), lengths=(2, 2), heights=(2**62, 2**62),
+                  condition=cond("le", 10)), {"a": 0, "b": 1}),
+    # every load is summed before any is compared: the load at 0 fails first
+    (K.Cumulative(origins=("a", "b", "c"), lengths=(1, 2, 2), heights=(20, 2**62, 2**62),
+                  condition=cond("le", 10)), {"a": 0, "b": 5, "c": 5}),
+])
+def test_scheduling_ends_and_loads_are_checked_int64(kind, env):
+    context = "cumulative" if type(kind) is K.Cumulative else "noOverlap"
+    with pytest.raises(Overflow, match=f"^{context}: "):
+        check_constraint(kind, env)
+
+
 def _cumulative_by_points(kind, env):
     """The definition, point by point: the condition holds of the load at
     every time point that a task of positive length covers."""
@@ -1036,6 +1060,30 @@ def _ordered(draw):
     return K.Ordered(ids, draw(st.sampled_from(list(K.OrderOp))), lengths)
 
 
+# Packing and scheduling: lengths stay small, so that tasks often touch,
+# and reach the int64 ends through the origins and length variables that
+# _ENVS sets near them; heights also come near +-2^62, so that loads overflow.
+_limit_slots = st.one_of(_slots, st.sampled_from(_NEAR_LIMIT))
+_origin_lists = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def _no_overlap_k(draw):
+    dims = draw(st.integers(1, 3))
+    boxes = draw(st.integers(1, 3))
+    origins = tuple(tuple(draw(st.lists(st.sampled_from(_NAMES), min_size=dims, max_size=dims)))
+                    for _ in range(boxes))
+    lengths = tuple(tuple(draw(_slots) for _ in range(dims)) for _ in range(boxes))
+    return K.NoOverlapK(origins, lengths, draw(st.booleans()))
+
+
+@st.composite
+def _cumulative(draw):
+    origins = draw(_origin_lists)
+    return K.Cumulative(origins, tuple(draw(_slots) for _ in origins),
+                        tuple(draw(_limit_slots) for _ in origins), draw(_conditions))
+
+
 _KINDS = st.one_of(
     _sums(),
     st.builds(K.Count, _operand_lists(), st.lists(_slots, min_size=1, max_size=3).map(tuple),
@@ -1046,6 +1094,11 @@ _KINDS = st.one_of(
     _ordered(),
     st.builds(K.Minimum, _operand_lists(), _conditions),
     st.builds(K.Maximum, _operand_lists(), _conditions),
+    _origin_lists.flatmap(lambda origins: st.builds(
+        K.NoOverlap1, st.just(origins), st.tuples(*[_slots] * len(origins)),
+        st.booleans())),
+    _no_overlap_k(),
+    _cumulative(),
 )
 _ENVS = st.fixed_dictionaries({name: st.one_of(st.integers(-3, 3), st.sampled_from(
     [2**62, -(2**62), 2**63 - 1, -(2**63)])) for name in _NAMES})
@@ -1057,7 +1110,8 @@ def _kind_outcome(check, kind, env):
     try:
         return check(kind, env)
     except EvalError as e:
-        own = isinstance(e, Overflow) and str(e).split(":")[0] in ("sum", "sum term", "ordered")
+        own = isinstance(e, Overflow) and str(e).split(":")[0] in (
+            "sum", "sum term", "ordered", "noOverlap", "cumulative")
         return type(e), str(e) if own else None
 
 

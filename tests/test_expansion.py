@@ -213,11 +213,12 @@ def test_slide_two_lists_with_collect():
 
 # -- templates read once --------------------------------------------------------------
 #
-# An intension template that reads in template mode is read once and each
-# member built by binding its tokens (_ConstraintReader._binding); any
-# other template, and any member with a token that is no leaf, is expanded
-# by substituting the text. The bound route must give what the text route
-# gives: the same instance, or the same error.
+# An intension template that reads with a variable for each %k operand is
+# read once and each member built with its tokens' leaves in those places
+# (_ConstraintReader._binding); any other template, and any member with a
+# token that is no leaf, is expanded by substituting the text. The bound
+# route must give what the text route gives: the same instance, or the
+# same error.
 
 def _outcome(text, strict=True, bound=True):
     """mutants.outcome of text; bound=False expands every template as text."""
@@ -237,7 +238,9 @@ def _group(template, members, attrs=' id="g"'):
 LEAF_TOKENS = ["x[0]", "x[5]", "y", "0", "-3", "+4", "007", "x[9]", "z", "x[1][0]", "x"]
 OTHER_TOKENS = ["add", "others", "set", "1234567890123456789", "-123456789012345678901",
                 "add(x[0],1)", "set(1,2)", "%0", "%", "3x", "x(", "x[0]y", "x[a]"]
-# Templates that template mode cannot read, each read as text instead.
+# Templates that cannot be read with a variable for each %k operand (a
+# parameter inside a token, or a variable where the grammar wants a set or
+# an integer), each read as text instead.
 UNREAD_TEMPLATES = ["eq(x[%0],1)", "eq(%0[1],1)", "eq(%1x,%0)", "in(x[0],set(%0))",
                     "in(x[0],%0)", "eq(%0,add(%1,%...))", "%0(x[0],1)", "eq(%0,%a)"]
 
@@ -306,8 +309,8 @@ def test_bound_expansion_equals_text_expansion(text, strict):
 # -- shapes and templates read once per document ---------------------------------------
 #
 # A flat expression whose shape (its text but for its operand leaves) was met
-# earlier in the document is rebuilt from that shape's tree, and an operand
-# alone is read as its leaf (_ConstraintReader._read_expr); sibling groups
+# earlier in the document is built from that shape's tree, an operand alone
+# being the shape of one leaf (_ConstraintReader._read_expr); sibling groups
 # that share a template read it once (_ConstraintReader._template). With the
 # reuse turned off, every text is parsed and every template read afresh:
 # every outcome must be the same either way.

@@ -2,7 +2,6 @@
 
 import itertools
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from xcsp3core import expr
+from xcsp3core import expr, parser
 from xcsp3core.errors import (
     INT_MAX,
     INT_MIN,
@@ -27,11 +26,10 @@ from xcsp3core.expr import (
     MAX_EXPR_DEPTH,
     IntConst,
     OpCall,
-    Param,
     SetLiteral,
     VarRef,
-    binder,
     bounded_shape,
+    builder,
     compile_expr,
     free_vars,
     operand_leaf,
@@ -241,22 +239,14 @@ def test_print_parse_round_trip(e):
     assert parse_expr(print_expr(e)) == e
 
 
-# -- template mode ----------------------------------------------------------------------
-
-def test_template_mode_reads_a_whole_operand_parameter_as_a_leaf():
-    assert parse_expr("ne(%0,add(%12,x))", template=True) == OpCall(
-        "ne", (Param(0), OpCall("add", (Param(12), VarRef("x")))))
-    assert parse_expr("%3", template=True) == Param(3)
-    assert parse_expr("in(%0,set(1,2))", template=True) == OpCall(
-        "in", (Param(0), SetLiteral((1, 2))))
-
+# -- building a tree again -------------------------------------------------------------
 
 @pytest.mark.parametrize("text", ["eq(x[%0],1)", "eq(%0[1],1)", "eq(%1x,1)", "in(x,set(%0))",
-                                  "in(x,%0)", "%0(x,1)", "eq(%,1)", "eq(%...,1)", "eq(%0,%a)"])
-def test_template_mode_reads_no_other_use_of_a_parameter(text):
-    for template in (True, False):
-        with pytest.raises(ParseError):
-            parse_expr(text, template=template)
+                                  "in(x,%0)", "%0(x,1)", "eq(%,1)", "eq(%...,1)", "eq(%0,%a)",
+                                  "ne(%0,add(%12,x))", "%3"])
+def test_the_grammar_reads_no_parameter(text):
+    with pytest.raises(ParseError):
+        parse_expr(text)
 
 
 @pytest.mark.parametrize("token,leaf", [
@@ -271,27 +261,40 @@ def test_operand_leaf(token, leaf):
     assert operand_leaf(token) == leaf
 
 
-def _template_text(t):
-    """print_expr, with %k for Param(k)."""
-    if type(t) is Param:
-        return f"%{t.index}"
-    if type(t) is OpCall:
-        return t.op + "(" + ",".join(map(_template_text, t.args)) + ")"
-    return print_expr(t)
+def _set_members(tree):
+    """Whether each operand leaf of tree, in text order, is a set member."""
+    if type(tree) is OpCall:
+        return [member for arg in tree.args for member in _set_members(arg)]
+    if type(tree) is SetLiteral:
+        return [True] * len(tree.values)
+    return [False]
 
 
-_templates = st.recursive(st.one_of(_leaf, st.integers(0, 3).map(Param)), _calls, max_leaves=12)
+_trees = st.recursive(_leaf, lambda children: st.one_of(_calls(children), st.builds(
+    lambda e, values: OpCall("in", (e, SetLiteral(tuple(values)))),
+    children, st.lists(st.integers(-9, 9), max_size=3))), max_leaves=12)
 
 
-@given(_templates, st.lists(st.sampled_from(["x", "y", "x[3]", "0", "-7", "+5", "0012"]),
-                            min_size=4, max_size=4))
-def test_binding_leaves_builds_what_the_substituted_text_reads(template, tokens):
-    text = _template_text(template)
-    assert parse_expr(text, template=True) == template
-    used, build = binder(template)
-    assert list(used) == sorted({int(k) for k in re.findall(r"%([0-9])", text)})
-    substituted = re.sub(r"%([0-9])", lambda m: tokens[int(m.group(1))], text)
-    assert build([operand_leaf(token) for token in tokens]) == parse_expr(substituted)
+@given(_trees, st.data())
+def test_building_reads_as_the_text_with_the_slots_substituted(tree, data):
+    members = _set_members(tree)
+    slots = sorted(data.draw(st.sets(st.integers(0, len(members) - 1))))
+    tokens = data.draw(st.lists(st.sampled_from(["x", "y", "x[3]", "0", "-7", "+5", "0012"]),
+                                min_size=len(slots), max_size=len(slots)))
+    parts = parser._LEAF_RE.split(print_expr(tree))
+    for slot, token in zip(slots, tokens):
+        parts[2 * slot + 1] = token
+    substituted = "".join(parts)
+    leaves = [operand_leaf(token) for token in tokens]
+    build = builder(tree, slots)
+    if any(members[slot] and type(leaf) is not IntConst for slot, leaf in zip(slots, leaves)):
+        with pytest.raises(TypeError):
+            build(leaves)
+        with pytest.raises(ParseError):
+            parse_expr(substituted)
+    else:
+        assert build(leaves) == parse_expr(substituted)
+    assert builder(tree, [])([]) is tree
 
 
 @given(_exprs, st.integers(-5, 5), st.integers(-5, 5),

@@ -26,7 +26,7 @@ def _records():
 
 def test_the_value_classes_are_records_not_dataclasses():
     records = _records()
-    assert len(records) == 43  # expr.Param, the template parameter leaf, among them
+    assert len(records) == 42
     assert not any(dataclasses.is_dataclass(cls) for cls in records)
     assert dataclasses.is_dataclass(model.Instance)
 

@@ -115,3 +115,24 @@ def test_bench_record_summarizes_runs_in_the_baseline_layout():
                                                             "correct_share": 0.0}
     record = bench_record.record({"check": runs}, 20, "abc1234", "a host")
     assert record["end_to_end"]["check"] == entry and record["run_seconds"] == 20
+
+
+def test_every_committed_bench_file_has_the_recorded_layout():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    keys = bench_record.record({}, 20, "abc1234", "a host").keys()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {metric["name"] for metric in benchmark["end_to_end"]}
+    workloads = {workload["name"] for workload in benchmark["workloads"]}
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert "BENCH_0.json" in [path.name for path in files]
+    for path in files:
+        bench = json.loads(path.read_text())
+        assert bench.keys() == keys, path.name
+        assert bench["end_to_end"] and bench["end_to_end"].keys() <= workloads, path.name
+        for workload, entry in bench["end_to_end"].items():
+            assert metrics <= entry["median"].keys(), (path.name, workload)
+            assert metrics <= entry["iqr_share"].keys(), (path.name, workload)

@@ -1,5 +1,6 @@
 """Exhaustive search: statuses, counts against the naive filter, optimization."""
 
+import ast
 import itertools
 import json
 import random
@@ -1535,6 +1536,32 @@ def test_forced_depths_across_a_block_boundary():
             f"variable y[11] is not determined by the decision variables "
             f"(both 0 and 1 extend) at {at}")):
         solve(inst, SearchConfig(restrict_to_decision=True))
+
+
+@pytest.mark.parametrize("cfg", [SearchConfig(), SearchConfig(restrict_to_decision=True)])
+def test_every_loop_parameter_is_read(monkeypatch, cfg):
+    sources = []
+
+    def recording_compile(source, filename, mode):
+        if filename == "<search loop>":
+            sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(expr, "compile", recording_compile, raising=False)
+    monkeypatch.setattr(solver, "_LOOPS", {})
+    for path in sorted(FIXTURES.glob("*.xml")):
+        _Search(parse_file(path), cfg)
+    taken = set()
+    for source in sources:
+        make = next(node for node in ast.parse(source).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_make")
+        params = [arg.arg for arg in make.args.args]
+        read = {node.id for node in ast.walk(make)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert not set(params) - read, source
+        taken.update(params)
+    # misc_core_2 has forced depths under restrict_to_decision; some calls name their errors
+    assert "named" in taken and ("unforced" in taken) == cfg.restrict_to_decision
 
 
 @pytest.mark.parametrize("cfg,sense", [
