@@ -10,7 +10,8 @@ violations from a partial assignment (used for pruning; it never flags a
 satisfiable extension). check_solution verifies a candidate instantiation
 against an instance, and eval_objective costs a complete assignment. The
 search (solver.py) runs these, or code it writes from them and from the
-domain bounds; nothing here depends on a variable order or on bounds.
+domain bounds; nothing here depends on a variable order. Only check_solution
+uses bounds: those of the domains it has just proved every value inside.
 Nothing is prepared here per call: each kind carries its own var_ids, its
 compiled expressions or, when every one is a bare variable, their ids
 (bare_ids, read straight from the assignment, so nothing is compiled), its
@@ -19,22 +20,29 @@ and, for a table without *, a set of its tuples (see kinds.py), and the
 instance its useful variables (see model.Instance), all built on the first
 check. An Instance checks its references when it is built, so nothing here
 looks for an undeclared variable. A candidate then pays only for its own
-checks: check_solution looks each kind's check up in _CHECKERS itself, and a
-sum of bare variables adds its products in one step once their magnitudes
-prove that no partial sum can leave int64 (else it checks each step).
+checks. On its first check an Instance gets a plan (_Plan): its intensions
+grouped by their shape under the domain bounds (expr.bounded_shape), each
+group checked by one generated loop over its rows of constants, with the
+bounded inline code the search writes for an intension (expr.Bounded.write,
+as in Minion's per-model code, Gent, Jefferson & Miguel, ECAI 2006), and
+every other constraint with its check from _CHECKERS. A sum of bare
+variables adds its products in one step once their magnitudes prove that
+no partial sum can leave int64 (else it checks each step).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import mul
-from typing import (AbstractSet, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (AbstractSet, Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from . import kinds as K
 from .errors import INT_MAX, INT_MIN, CheckError, EvalError, UnboundVariable, check_int64
-from .expr import VarRef
+from .expr import _NAMESPACE as _EXPR_NAMESPACE
+from .expr import MAX_SHAPES, Bounded, VarRef, bounded_shape, generated
 from .model import (
     Condition,
     Instance,
@@ -304,13 +312,11 @@ def _check_channel_one(kind: K.ChannelOne, env: Mapping[str, int]) -> bool:
 def _check_channel_two(kind: K.ChannelTwo, env: Mapping[str, int]) -> bool:
     xs = [env[v] for v in kind.first]
     ys = [env[v] for v in kind.second]
+    # With equal lengths this proves ys the inverse of xs too: xs is then a
+    # one-to-one map onto the positions of ys, and ys[xs[i]] == i for each i.
     for i, j in enumerate(xs):
         if not 0 <= j < len(ys) or ys[j] != i:
             return False
-    if len(xs) == len(ys):
-        for j, i in enumerate(ys):
-            if not 0 <= i < len(xs) or xs[i] != j:
-                return False
     return True
 
 
@@ -387,14 +393,11 @@ def _check_cumulative(kind: K.Cumulative, env: Mapping[str, int]) -> bool:
 def _check_circuit(kind: K.Circuit, env: Mapping[str, int]) -> bool:
     values = [env[v] for v in kind.vars]
     n = len(values)
-    members = [i for i in range(n) if not (0 <= values[i] < n) or values[i] != i]
-    # Out-of-range successors can never close a circuit.
-    if any(not 0 <= values[i] < n for i in members):
-        return False
+    members = [i for i in range(n) if values[i] != i]
+    # The members' successors must be the members themselves: this rejects
+    # a successor out of range, and a lone member, which would be its own.
     member_set = set(members)
-    if {values[i] for i in members} != member_set:
-        return False
-    if len(members) <= 1:
+    if {values[i] for i in members} != member_set or not members:
         return False
     # Follow successors: one cycle must cover every member.
     start = members[0]
@@ -644,15 +647,10 @@ def named_error(error: EvalError, label: str, var_ids: Sequence[str],
     return type(error)(f"{label}: {error}" + (f" at {at}" if at else ""))
 
 
-def _violated(instance: Instance, env: Dict[str, int],
-              missing: AbstractSet[str]) -> Tuple[str, ...]:
-    """Labels of the constraints that env violates, in constraint order.
-
-    missing: the useful variables that env leaves unassigned. Every other
-    useful variable holds an int, which proves the scope of each constraint
-    that involves none of missing, since an Instance names only declared
-    variables; the constraints that involve one are skipped.
-    """
+def _violated_in_order(instance: Instance, env: Dict[str, int],
+                       missing: AbstractSet[str]) -> Tuple[str, ...]:
+    """_violated, one constraint at a time in constraint order, each by its
+    kind's check: the first EvalError is raised, naming its constraint."""
     checkers = _CHECKERS
     bad = []
     try:
@@ -664,6 +662,100 @@ def _violated(instance: Instance, env: Dict[str, int],
     except EvalError as e:
         raise named_error(e, posted.label(position), kind.var_ids, env) from e
     return tuple(bad)
+
+
+# The check loop of each bounded intension shape, by shape key, oldest first
+_LOOPS: Dict[Any, Callable[..., None]] = {}
+
+
+def _loop_source(shape: Bounded) -> str:
+    """The source of the check loop of shape's key: _make(rows, env,
+    missing, bad) runs shape's code (Bounded.write with test, each variable
+    read from env) for each row (position, var_ids, *constants) whose
+    var_ids miss missing, and appends the position to bad where it fails."""
+    params, body, failed, _ = shape.write("", {}, test=True)
+    return "\n".join(["def _make(rows, env, missing, bad):",
+                      f"    for {', '.join(['n', 'ids', *params])} in rows:",
+                      "        if missing and not missing.isdisjoint(ids):",
+                      "            continue"]
+                     + [f"        {line}" for line in body]
+                     + [f"        if {failed}:", "            bad.append(n)", ""])
+
+
+class _Plan(NamedTuple):
+    """How check_solution checks an Instance (see _violated).
+
+    loops: one check loop per bounded intension shape, with its rows, one
+    per intension of the shape in constraint order; rest: every other
+    constraint as (position, its kind's check, its kind).
+    """
+
+    loops: List[Tuple[Callable[..., None], List[Tuple[object, ...]]]]
+    rest: List[Tuple[int, _Check, K.ConstraintKind]]
+
+    def __reduce__(self) -> Tuple[type, Tuple[()]]:
+        # The loops are generated code, which pickle cannot name: a pickle
+        # or copy of the Instance holds None here instead, and plans again.
+        return type(None), ()
+
+
+def _plan(instance: Instance) -> _Plan:
+    """The plan of instance: each intension under its variables' domain
+    bounds (expr.bounded_shape), grouped by shape key; an intension with
+    if() branches, whose code would define functions, is checked as any
+    other constraint."""
+    variable = instance.variable
+    bounds: Dict[str, Tuple[int, int]] = {}
+    for vid in instance.useful_ids:
+        domain = variable(vid).domain
+        bounds[vid] = (domain.min_value, domain.max_value)
+    shapes: Dict[Any, Tuple[Bounded, List[Tuple[object, ...]]]] = {}
+    rest: List[Tuple[int, _Check, K.ConstraintKind]] = []
+    for position, posted in enumerate(instance.constraints):
+        kind = posted.kind
+        if type(kind) is K.Intension:
+            shape = bounded_shape(kind.function, bounds)
+            if "if" not in shape.key[0]:
+                group = shapes.get(shape.key)
+                if group is None:
+                    group = shapes[shape.key] = (shape, [])
+                group[1].append((position, kind.var_ids, *shape.consts))
+                continue
+        rest.append((position, _CHECKERS[type(kind)][0], kind))
+    loops = [(generated(_LOOPS, MAX_SHAPES, key, partial(_loop_source, shape), _EXPR_NAMESPACE,
+                        "<check loop>"), rows) for key, (shape, rows) in shapes.items()]
+    return _Plan(loops, rest)
+
+
+def _violated(instance: Instance, env: Dict[str, int],
+              missing: AbstractSet[str]) -> Tuple[str, ...]:
+    """Labels of the constraints that env violates, in constraint order.
+
+    missing: the useful variables that env leaves unassigned; each
+    constraint that involves one is skipped. Every other useful variable
+    holds an int inside its domain, as check_solution has proved: that
+    proves the scope of every other constraint, since an Instance names
+    only declared variables, and lets the plan's loops read each value
+    without a test. The plan, built on the instance's first check and kept,
+    runs its loops, then the other checks. On an EvalError,
+    _violated_in_order runs instead: it alone names errors, so the first
+    error in constraint order is raised, with its usual message.
+    """
+    plan = instance.__dict__.get("_check_plan")
+    if plan is None:
+        plan = instance.__dict__["_check_plan"] = _plan(instance)
+    bad: List[int] = []
+    try:
+        for loop, rows in plan.loops:
+            loop(rows, env, missing, bad)
+        for position, check, kind in plan.rest:
+            if not missing or missing.isdisjoint(kind.var_ids):
+                if not check(kind, env):
+                    bad.append(position)
+    except EvalError:
+        return _violated_in_order(instance, env, missing)
+    constraints = instance.constraints
+    return tuple(constraints[n].label(n) for n in sorted(bad))
 
 
 def check_solution(
@@ -681,14 +773,16 @@ def check_solution(
     An EvalError names the constraint and the assigned values of its scope.
     """
     variable = instance.variable
+    env: Dict[str, int] = {}
     for vid, val in solution.items():
         var = variable(vid)
         if var is None:
             raise CheckError(f"unknown variable {vid}")
-        if isinstance(val, int) and var.domain is not None and not var.domain.contains(val):
-            raise CheckError(f"{vid}={val} outside {var.domain.render()}")
+        if isinstance(val, int):
+            if var.domain is not None and not var.domain.contains(val):
+                raise CheckError(f"{vid}={val} outside {var.domain.render()}")
+            env[vid] = val
 
-    env = {vid: val for vid, val in solution.items() if isinstance(val, int)}
     missing = tuple(vid for vid in instance.useful_ids if vid not in env)
     if missing and mode is CheckMode.TOTAL_REQUIRED:
         return Verdict(VerdictKind.INCOMPLETE, missing=missing)

@@ -55,7 +55,8 @@ compile_expr's function raises it. The walk's result, a Bounded, keeps
 the tree, the shape key with the list of kept tests and checked divs and
 mods, and the constants. Bounded.write writes the expression's statements
 into code of the caller's (the solver writes intensions, allDifferent
-operands and an objective into its search loop), with a suffix on every
+operands and an objective into its search loop, and check_solution each
+intension shape into a loop over its rows), with a suffix on every
 name, and reads each variable that the caller holds in a local from that
 local, any other from env; an if() branch's function reads env. The
 caller passes the constants that the code reads (Bounded.args: all but
@@ -94,7 +95,8 @@ def generated(cache: Dict[Any, Callable[..., Any]], bound: int, key: Any,
 
     The source is executed in a copy of namespace. cache holds at most
     bound factories, the oldest dropped first. compile_expr, the solver's
-    loop blocks and the record classes use it, each with its own cache.
+    loop blocks, the checker's check loops and the record classes use it,
+    each with its own cache.
     """
     make = cache.get(key)
     if make is None:

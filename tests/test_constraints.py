@@ -504,6 +504,13 @@ def test_element_matrix_with_mixed_rhs():
     assert not check_constraint(values, {"r": 0, "s": 1})
 
 
+def test_element_matrix_column_index_equal_to_the_width_is_false():
+    kind = K.ElementMatrix(cells=(("a", "b"), ("c", "d")), row_index="r", col_index="s", rhs=1)
+    env = {"a": 1, "b": 1, "c": 1, "d": 1, "r": 1}
+    assert check_constraint(kind, env | {"s": 1})
+    assert not check_constraint(kind, env | {"s": 2})  # no such column: False, not IndexError
+
+
 # -- connection constraints -----------------------------------------------------
 
 
@@ -526,6 +533,14 @@ def test_channel_two_lists_shorter_first():
     kind = K.ChannelTwo(first=("a",), second=("u", "v", "w"))
     assert check_constraint(kind, {"a": 2, "u": 9, "v": 9, "w": 0})
     assert not check_constraint(kind, {"a": 2, "u": 9, "v": 9, "w": 1})
+
+
+def test_channel_two_lists_value_equal_to_the_second_length_is_false():
+    shorter = K.ChannelTwo(first=("a",), second=("u", "v"))
+    assert check_constraint(shorter, {"a": 1, "u": 0, "v": 0})
+    assert not check_constraint(shorter, {"a": 2, "u": 0, "v": 0})  # not IndexError
+    equal = K.ChannelTwo(first=("a", "b"), second=("u", "v"))
+    assert not check_constraint(equal, {"a": 2, "b": 0, "u": 1, "v": 0})
 
 
 def test_channel_value_points_at_the_single_one():
@@ -564,6 +579,18 @@ def test_no_overlap_k_dimensional():
     lax = K.NoOverlapK(origins=(("ax", "ay"), ("bx", "by")),
                        lengths=((2, 0), (2, 2)))
     assert check_constraint(lax, {"ax": 0, "ay": 1, "bx": 0, "by": 0})
+
+
+def test_no_overlap_k_boxes_that_touch_are_separated():
+    kind = K.NoOverlapK(origins=(("ax", "ay"), ("bx", "by")), lengths=((2, 3), (2, 3)))
+    inside = {"ax": 0, "ay": 0, "bx": 1, "by": 1}
+    assert not check_constraint(kind, inside)
+    # a box that ends exactly where the other starts, in either dimension and order
+    for dim, first, second in [("x", "a", "b"), ("x", "b", "a"), ("y", "a", "b"), ("y", "b", "a")]:
+        end = 2 if dim == "x" else 3
+        env = inside | {f"{first}{dim}": 0, f"{second}{dim}": end}
+        assert check_constraint(kind, env), env
+        assert not check_constraint(kind, env | {f"{second}{dim}": end - 1}), env
 
 
 def test_cumulative_load_profile():
@@ -993,6 +1020,100 @@ def test_check_solution_agrees_with_the_reference_verifier(seed, div, data):
             assert _agree(got, want), (got, want)
 
 
+# Intensions over variables a, b, c and a constant k: two drawn from one
+# template have one bounded shape, so check_solution checks them in one loop;
+# if() keeps its plain call.
+_INTENSIONS = (
+    "lt({a},{b})",
+    "le(add({a},{b}),{k})",  # may overflow near the int64 ends
+    "ne(div({k},sub({a},{b})),{c})",  # divides by zero where a == b
+    "eq(mul({a},{k}),{c})",
+    "ge(if(lt({a},{b}),{a},{b}),{k})",
+    "in({a},set(0,1))",
+    "or(eq({a},{k}),ne({b},{c}))",
+)
+_END = 2**63 - 1
+_LOOP_DOMAINS = ("-2..2", "0..1", f"{_END - 2}..{_END}", f"{-_END - 1}..{-_END + 1}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_check_solution_loops_agree_with_the_reference_verifier(data):
+    """Several intensions of a few shapes, some near the int64 ends, with
+    other kinds among them, and candidates of every kind, partial ones
+    included, each checked against the same Instance."""
+    names = [f"v{i}" for i in range(data.draw(st.integers(2, 4)))]
+    variables = "".join(f'<var id="{name}"> {data.draw(st.sampled_from(_LOOP_DOMAINS))} </var>'
+                        for name in names)
+    lines = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        roll = data.draw(st.integers(0, 9))
+        if roll == 0:
+            lines.append(f"<allDifferent> {' '.join(names)} </allDifferent>")
+        elif roll == 1:
+            lines.append(f"<sum> <list> {' '.join(names)} </list> <condition> (le,1) </condition>"
+                         " </sum>")
+        else:
+            a, b, c = (data.draw(st.sampled_from(names)) for _ in range(3))
+            k = data.draw(st.sampled_from([-1, 0, 1, 3, 2**62, -(2**62)]))
+            text = data.draw(st.sampled_from(_INTENSIONS)).format(a=a, b=b, c=c, k=k)
+            lines.append(f"<intension> {text} </intension>")
+    instance = parse_string(f'<instance format="XCSP3" type="CSP"> <variables> {variables}'
+                            f' </variables> <constraints> {" ".join(lines)} </constraints>'
+                            " </instance>")
+    for _ in range(data.draw(st.integers(1, 6))):
+        try:
+            solution = _candidate(data, instance, [])
+        except Overflow:  # a value past an int64 end: no Instantiation holds it
+            continue
+        for mode in CheckMode:
+            got = _outcome(check_solution, instance, solution, mode, None)
+            want = _outcome(oracles.reference_check_solution, instance, solution, mode, None)
+            assert _agree(got, want), (got, want)
+            if len(got) == 2 and issubclass(got[0], EvalError):
+                # named by the first constraint that raises: the shortest prefix that raises
+                first = next(n for n in range(len(lines)) if len(_outcome(
+                    oracles.reference_check_solution, Instance(
+                        instance.declarations, instance.constraints[:n + 1]),
+                    solution, mode, None)) == 2)
+                assert got[1].startswith(f"#{first}: "), (got, first)
+
+
+def test_the_first_error_in_constraint_order_is_raised_whichever_loop_meets_it():
+    """#0 and #3 share a shape, so #3 is checked in the first loop, before
+    #1 and #2; verdicts and errors still come in constraint order."""
+    top = 2**63 - 1
+    instance = parse_string(f"""<instance format="XCSP3" type="CSP">
+  <variables> <var id="a"> 0..2 </var> <var id="b"> 0..6 </var> <var id="c"> 0..2 </var>
+    <var id="q"> {top - 1}..{top} </var> </variables>
+  <constraints>
+    <intension> eq(div(6,a),b) </intension>
+    <intension> lt(b,a) </intension>
+    <intension> eq(add(q,1),b) </intension>
+    <intension> eq(div(6,c),b) </intension>
+    <intension> ge(if(lt(a,b),a,b),0) </intension>
+  </constraints>
+</instance>""")
+    verdict = check_solution(instance, Instantiation({"a": 2, "b": 3, "c": 1}),
+                             CheckMode.PARTIAL_ALLOWED)
+    assert (verdict.kind, verdict.violated, verdict.missing) == (
+        VerdictKind.VIOLATED, ("#1", "#3"), ())
+    # the if() intension is a plain call, its expression compiled; the others are not
+    kinds = [posted.kind for posted in instance.constraints]
+    assert ["compiled" in vars(kind) for kind in kinds] == [False] * 4 + [True]
+    # #1 is violated and #3 raises, but #2's overflow comes first
+    total = Instantiation({"a": 1, "b": 6, "c": 0, "q": top})
+    with pytest.raises(Overflow, match=r"^#2: .* at q=9223372036854775807 b=6$"):
+        check_solution(instance, total)
+    assert _agree(_outcome(check_solution, instance, total, CheckMode.TOTAL_REQUIRED, None),
+                  _outcome(oracles.reference_check_solution, instance, total,
+                           CheckMode.TOTAL_REQUIRED, None))
+    # without q, #2 is skipped: #1 is violated, and #3 raises
+    partial = Instantiation({"a": 1, "b": 6, "c": 0})
+    with pytest.raises(DivisionByZero, match=r"^#3: .* at c=0 b=6$"):
+        check_solution(instance, partial, CheckMode.PARTIAL_ALLOWED)
+
+
 BARE_COP = """<instance format="XCSP3" type="COP">
   <variables> <array id="x" size="[4]"> 0..3 </array> </variables>
   <constraints>
@@ -1015,7 +1136,8 @@ def test_bare_variable_lists_are_read_without_compiling():
     for holder in (count, total, distinct, instance.objective):
         assert "compiled" not in vars(holder), holder
         assert holder.bare_ids == ("x[0]", "x[1]", "x[2]", "x[3]")[:len(holder.var_ids)]
-    assert "compiled" in vars(intension)  # an expression is compiled on its first check
+    # an intension is checked by its shape's loop, which compiles nothing for it
+    assert "compiled" not in vars(intension)
 
 
 # -- the reference predicates ---------------------------------------------------------

@@ -1,5 +1,5 @@
 """Record semantics of the model's value classes (expr.Record), and copies
-of a parsed, searched instance made by pickle and copy."""
+of a parsed, searched or checked instance made by pickle and copy."""
 
 import copy
 import dataclasses
@@ -9,8 +9,10 @@ import pytest
 
 from conftest import FIXTURES
 from xcsp3core import expr, kinds as K, model
+from xcsp3core.checker import check_solution
+from xcsp3core.errors import XcspError
 from xcsp3core.expr import IntConst, OpCall, Record, VarRef
-from xcsp3core.model import CondOp, Condition, Domain
+from xcsp3core.model import CondOp, Condition, Domain, Instantiation
 from xcsp3core.parser import parse_file
 from xcsp3core.solver import SearchConfig, solve
 
@@ -91,6 +93,28 @@ def test_a_searched_instance_pickles_and_copies(name):
         repeat = solve(again, config)
         assert (repeat.status, repeat.count, repeat.nodes) == (
             result.status, result.count, result.nodes)
+
+
+def _verdict(instance, solution):
+    try:
+        return check_solution(instance, solution)
+    except XcspError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.xml")))
+def test_a_checked_instance_pickles_and_copies(name):
+    """check_solution keeps a plan on the Instance, whose loops are
+    generated code: a pickle or a copy holds none and checks alike."""
+    instance = parse_file(FIXTURES / name)
+    lowest = Instantiation({v.id: v.domain.min_value for v in instance.variables()
+                            if v.domain is not None})
+    verdict = _verdict(instance, lowest)
+    assert "_check_plan" in vars(instance)
+    for again in (pickle.loads(pickle.dumps(instance)), copy.copy(instance),
+                  copy.deepcopy(instance)):
+        assert again == instance
+        assert _verdict(again, lowest) == verdict
 
 
 def test_a_kind_keeps_one_bounded_shape_per_expression():
