@@ -20,12 +20,23 @@ and, for a table without *, a set of its tuples (see kinds.py), and the
 instance its useful variables (see model.Instance), all built on the first
 check. An Instance checks its references when it is built, so nothing here
 looks for an undeclared variable. A candidate then pays only for its own
-checks. On its first check an Instance gets a plan (_Plan): its intensions
-grouped by their shape under the domain bounds (expr.bounded_shape), each
-group checked by one generated loop over its rows of constants, with the
-bounded inline code the search writes for an intension (expr.Bounded.write,
-as in Minion's per-model code, Gent, Jefferson & Miguel, ECAI 2006), and
-every other constraint with its check from _CHECKERS. A sum of bare
+checks. An Instance's first check runs each constraint's check in order;
+its second builds a plan (_Plan) and keeps it: building one costs more
+than a first check of a small instance (0.73 ms against 0.5-0.6 ms on
+the 80-constraint document that perfbench `cli` checks), and a one-shot
+check, such as the command line's, should not pay for it. The plan takes
+each intension under its variables' domain bounds (expr.bounded_shape),
+and so each sum with integer coefficients and each count of integer
+values under a relational condition, and each ordered without lengths,
+as the intension it equals (_lowered). It groups them by shape and checks
+each group by one generated loop over its rows of constants, with the
+bounded inline code the search writes for an intension
+(expr.Bounded.write, as in Minion's per-model code, Gent, Jefferson &
+Miguel, ECAI 2006). A lowered kind whose code could raise, or that holds
+if(), keeps its check. Tables of arity 2 or more without * share one
+plain loop; every other constraint, allDifferent among them, keeps its
+check from _CHECKERS. With a plan, a value inside its variable's
+one-interval domain is validated by one comparison. A sum of bare
 variables adds its products in one step once their magnitudes prove that
 no partial sum can leave int64 (else it checks each step).
 """
@@ -35,15 +46,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from operator import mul
+from operator import itemgetter, mul
 from typing import (AbstractSet, Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from . import kinds as K
 from .errors import INT_MAX, INT_MIN, CheckError, EvalError, UnboundVariable, check_int64
 from .expr import _NAMESPACE as _EXPR_NAMESPACE
-from .expr import MAX_SHAPES, Bounded, VarRef, bounded_shape, generated
+from .expr import (MAX_SHAPES, Bounded, Expr, IntConst, OpCall, SetLiteral, VarRef,
+                   bounded_shape, generated)
 from .model import (
+    RELATIONAL_OPS,
     Condition,
     Instance,
     Instantiation,
@@ -664,7 +677,8 @@ def _violated_in_order(instance: Instance, env: Dict[str, int],
     return tuple(bad)
 
 
-# The check loop of each bounded intension shape, by shape key, oldest first
+# The check loop of each bounded shape (an intension's or a lowered kind's),
+# by shape key, oldest first
 _LOOPS: Dict[Any, Callable[..., None]] = {}
 
 
@@ -682,16 +696,78 @@ def _loop_source(shape: Bounded) -> str:
                      + [f"        if {failed}:", "            bad.append(n)", ""])
 
 
-class _Plan(NamedTuple):
-    """How check_solution checks an Instance (see _violated).
+def _table_loop(rows: List[Tuple[int, Tuple[str, ...], Callable[[Mapping[str, int]], tuple],
+                                  AbstractSet[Tuple[int, ...]], bool]],
+                env: Dict[str, int], missing: AbstractSet[str], bad: List[int]) -> None:
+    """The check loop of the tables of arity 2 or more without *:
+    _check_extension for each row (position, scope, itemgetter of the
+    scope, which reads its values as a tuple, set of tuples, positive)
+    whose scope misses missing, appending the position to bad where it
+    fails."""
+    for n, scope, values, table, positive in rows:
+        if missing and not missing.isdisjoint(scope):
+            continue
+        if (values(env) in table) is not positive:
+            bad.append(n)
 
-    loops: one check loop per bounded intension shape, with its rows, one
-    per intension of the shape in constraint order; rest: every other
-    constraint as (position, its kind's check, its kind).
+
+def _folded(op: str, args: List[Expr]) -> Expr:
+    """op over args as binary calls folded left, which Bounded.write
+    writes inline; the one arg itself when there is one."""
+    tree = args[0]
+    for arg in args[1:]:
+        tree = OpCall(op, (tree, arg))
+    return tree
+
+
+def _lowered(kind: K.ConstraintKind) -> Optional[Expr]:
+    """The intension tree whose value is kind's verdict, where one is
+    written: an intension's function; a sum with integer coefficients or a
+    count of integer values under a relational condition, as
+    op(add(add(mul(c0,t0),mul(c1,t1)),...),rhs) or
+    op(add(in(t0,set(...)),...),rhs); an ordered without lengths over two
+    variables or more, as and(op(x0,x1),op(x1,x2),...). None for any other."""
+    kind_type = type(kind)
+    if kind_type is K.Intension:
+        return kind.function
+    if kind_type is K.Ordered:
+        if kind.lengths is not None or len(kind.vars) < 2:
+            return None
+        xs = [VarRef(vid) for vid in kind.vars]
+        return _folded("and", [OpCall(kind.op.value, pair) for pair in zip(xs, xs[1:])])
+    if kind_type is K.Sum:
+        coeffs = kind.int_coeffs
+        if coeffs is None:
+            return None
+        terms = [OpCall("mul", (IntConst(c), t)) for c, t in zip(coeffs, kind.terms)]
+    elif kind_type is K.Count:
+        if kind.int_values is None:
+            return None
+        counted = SetLiteral(kind.values)
+        terms = [OpCall("in", (t, counted)) for t in kind.operands]
+    else:
+        return None
+    op, operand = kind.condition.op, kind.condition.operand
+    if op not in RELATIONAL_OPS or not terms:
+        return None
+    rhs = operand if type(operand) is VarRef else IntConst(operand)
+    return OpCall(op.value, (_folded("add", terms), rhs))
+
+
+class _Plan(NamedTuple):
+    """How check_solution checks an Instance once it has checked it once
+    (see _violated).
+
+    loops: a check loop with its rows in constraint order, one per bounded
+    shape (intensions and the sums, counts and ordered chains _lowered
+    writes as intensions) and one for the tables without *; rest: every
+    other constraint as (position, its kind's check, its kind); spans:
+    each declared variable's domain of one interval, as (lo, hi).
     """
 
     loops: List[Tuple[Callable[..., None], List[Tuple[object, ...]]]]
     rest: List[Tuple[int, _Check, K.ConstraintKind]]
+    spans: Dict[str, Tuple[int, int]]
 
     def __reduce__(self) -> Tuple[type, Tuple[()]]:
         # The loops are generated code, which pickle cannot name: a pickle
@@ -699,32 +775,56 @@ class _Plan(NamedTuple):
         return type(None), ()
 
 
+class _Once:
+    """What the plan slot of an Instance checked once holds: its next
+    check plans. A pickle or copy of the Instance holds None instead."""
+
+    __reduce__ = _Plan.__reduce__
+
+
+_ONCE = _Once()
+
+
 def _plan(instance: Instance) -> _Plan:
-    """The plan of instance: each intension under its variables' domain
-    bounds (expr.bounded_shape), grouped by shape key; an intension with
-    if() branches, whose code would define functions, is checked as any
-    other constraint."""
+    """The plan of instance. Each intension, and each sum, count and
+    ordered that _lowered writes as one, is taken under its variables'
+    domain bounds (expr.bounded_shape) and grouped by shape key. An
+    intension with if() branches, whose code would define functions, is
+    checked as any other constraint; so is a lowered tree with if() or one
+    whose code may raise (a term past int64, a division), which keeps its
+    kind's check, so that its errors and their order stay the check's."""
     variable = instance.variable
     bounds: Dict[str, Tuple[int, int]] = {}
     for vid in instance.useful_ids:
         domain = variable(vid).domain
         bounds[vid] = (domain.min_value, domain.max_value)
     shapes: Dict[Any, Tuple[Bounded, List[Tuple[object, ...]]]] = {}
+    tables: List[Tuple[object, ...]] = []
     rest: List[Tuple[int, _Check, K.ConstraintKind]] = []
     for position, posted in enumerate(instance.constraints):
         kind = posted.kind
-        if type(kind) is K.Intension:
-            shape = bounded_shape(kind.function, bounds)
-            if "if" not in shape.key[0]:
+        kind_type = type(kind)
+        if kind_type is K.Extension and len(kind.scope) > 1 and kind.table is not None:
+            scope = kind.scope
+            tables.append((position, scope, itemgetter(*scope), kind.table, bool(kind.positive)))
+            continue
+        tree = _lowered(kind)
+        if tree is not None:
+            shape = bounded_shape(tree, bounds)
+            if "if" not in shape.key[0] and (kind_type is K.Intension or not shape.raises):
                 group = shapes.get(shape.key)
                 if group is None:
                     group = shapes[shape.key] = (shape, [])
                 group[1].append((position, kind.var_ids, *shape.consts))
                 continue
-        rest.append((position, _CHECKERS[type(kind)][0], kind))
+        rest.append((position, _CHECKERS[kind_type][0], kind))
     loops = [(generated(_LOOPS, MAX_SHAPES, key, partial(_loop_source, shape), _EXPR_NAMESPACE,
                         "<check loop>"), rows) for key, (shape, rows) in shapes.items()]
-    return _Plan(loops, rest)
+    if tables:
+        loops.append((_table_loop, tables))
+    spans = {var.id: var.domain.items[0] for var in instance.variables()
+             if var.domain is not None and len(var.domain.items) == 1}
+    return _Plan(loops, rest, spans)
 
 
 def _violated(instance: Instance, env: Dict[str, int],
@@ -736,13 +836,18 @@ def _violated(instance: Instance, env: Dict[str, int],
     holds an int inside its domain, as check_solution has proved: that
     proves the scope of every other constraint, since an Instance names
     only declared variables, and lets the plan's loops read each value
-    without a test. The plan, built on the instance's first check and kept,
-    runs its loops, then the other checks. On an EvalError,
-    _violated_in_order runs instead: it alone names errors, so the first
-    error in constraint order is raised, with its usual message.
+    without a test. An instance's first check runs _violated_in_order and
+    builds nothing (see the module docstring); its second builds the plan
+    and keeps it. With a plan, a check runs its loops, then the other
+    checks. On an EvalError, _violated_in_order runs instead: it alone
+    names errors, so the first error in constraint order is raised, with
+    its usual message.
     """
     plan = instance.__dict__.get("_check_plan")
-    if plan is None:
+    if type(plan) is not _Plan:
+        if plan is None:
+            instance.__dict__["_check_plan"] = _ONCE
+            return _violated_in_order(instance, env, missing)
         plan = instance.__dict__["_check_plan"] = _plan(instance)
     bad: List[int] = []
     try:
@@ -756,6 +861,10 @@ def _violated(instance: Instance, env: Dict[str, int],
         return _violated_in_order(instance, env, missing)
     constraints = instance.constraints
     return tuple(constraints[n].label(n) for n in sorted(bad))
+
+
+# Nothing is known to fit before an Instance has a plan
+_NO_SPANS: Dict[str, Tuple[int, int]] = {}
 
 
 def check_solution(
@@ -772,9 +881,15 @@ def check_solution(
     violation wins), then missing useful variables make it incomplete.
     An EvalError names the constraint and the assigned values of its scope.
     """
+    plan = instance.__dict__.get("_check_plan")
+    spans = plan.spans if type(plan) is _Plan else _NO_SPANS
     variable = instance.variable
     env: Dict[str, int] = {}
     for vid, val in solution.items():
+        span = spans.get(vid)
+        if span is not None and type(val) is int and span[0] <= val <= span[1]:
+            env[vid] = val
+            continue
         var = variable(vid)
         if var is None:
             raise CheckError(f"unknown variable {vid}")

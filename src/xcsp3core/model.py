@@ -248,7 +248,7 @@ class Instance:
     variable with a domain (see _check_ids). So a hand-built Instance fails
     as its document would, and a check or a search trusts every Instance it
     gets. useful_ids is derived on first use (a check or a search), never
-    while parsing, and the first check keeps its plan here (see
+    while parsing, and the second check keeps its plan here (see
     checker._Plan). From then on the Instance is treated as immutable:
     replacing its fields would leave it stale. removed holds the element
     paths of the constraints, blocks, groups and slides that the parser left

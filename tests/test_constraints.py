@@ -1,6 +1,8 @@
 """Checker semantics for every constraint kind, plus whole-solution verdicts."""
 
+import copy
 import itertools
+import pickle
 import random
 import re
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from xcsp3core import kinds as K
 from xcsp3core.checker import (
     CheckMode,
+    _Plan,
     VerdictKind,
     check_constraint,
     check_solution,
@@ -974,8 +977,9 @@ def _candidate(data, instance, solutions):
     elif shape == "starred":
         values.update((vid, STAR) for vid in some)
     elif shape == "outside":
-        values[some[0]] = (instance.variable(some[0]).domain.max_value
-                           + data.draw(st.integers(1, 3)))
+        domain = instance.variable(some[0]).domain
+        values[some[0]] = data.draw(st.sampled_from([domain.min_value - 1, domain.max_value + 1,
+                                                     domain.max_value + 3]))
     elif shape == "unknown":
         values["ghost"] = 0
     return Instantiation(values)
@@ -989,14 +993,30 @@ def _outcome(verify, instance, solution, mode, cost):
     return verdict.kind, verdict.violated, verdict.missing
 
 
+def _reference_outcome(instance, solution, mode, cost):
+    """The outcome of oracles.reference_check_solution; an evaluation error
+    that a constraint raises names it, as check_solution must: the first
+    constraint in order whose check raises, the last of the shortest prefix
+    of the constraints that raises one. An error that no prefix raises is
+    the objective's, which stays unnamed."""
+    outcome = _outcome(oracles.reference_check_solution, instance, solution, mode, cost)
+    if len(outcome) == 2 and issubclass(outcome[0], EvalError):
+        for n, posted in enumerate(instance.constraints):
+            prefix = Instance(instance.declarations, instance.constraints[:n + 1])
+            raised = _outcome(oracles.reference_check_solution, prefix, solution, mode, None)
+            if len(raised) == 2 and issubclass(raised[0], EvalError):
+                return outcome[0], f"{posted.label(n)}: {outcome[1]}"
+    return outcome
+
+
 def _agree(got, want):
-    """Equal outcomes; an evaluation error may also name its constraint and assignment."""
+    """Equal outcomes, want from _reference_outcome; an evaluation error may
+    also name the assigned values of its constraint's scope."""
     if got == want:
         return True
     if len(got) != 2 or got[0] is not want[0] or not issubclass(got[0], EvalError):
         return False
-    named = re.fullmatch(r"#\d+: (.*?)( at( \S+=-?\d+)+)?", got[1])
-    return named is not None and named.group(1) == want[1]
+    return re.fullmatch(re.escape(want[1]) + r"( at( \S+=-?\d+)+)?", got[1]) is not None
 
 
 @settings(max_examples=150, deadline=None)
@@ -1016,7 +1036,7 @@ def test_check_solution_agrees_with_the_reference_verifier(seed, div, data):
         cost = data.draw(st.sampled_from([None, None, 0]))
         for mode in CheckMode:
             got = _outcome(check_solution, instance, solution, mode, cost)
-            want = _outcome(oracles.reference_check_solution, instance, solution, mode, cost)
+            want = _reference_outcome(instance, solution, mode, cost)
             assert _agree(got, want), (got, want)
 
 
@@ -1034,30 +1054,73 @@ _INTENSIONS = (
 )
 _END = 2**63 - 1
 _LOOP_DOMAINS = ("-2..2", "0..1", f"{_END - 2}..{_END}", f"{-_END - 1}..{-_END + 1}")
+_CONSTANTS = [-1, 0, 1, 3, 2**62, -(2**62)]
+_RELATIONS = ["lt", "le", "ge", "gt", "eq", "ne"]
+
+
+def _domain_values(text):
+    lo, hi = map(int, text.split(".."))
+    return list(range(lo, hi + 1))
+
+
+def _loop_constraint(data, domains):
+    """One constraint over the variables of domains (name -> domain text),
+    of a kind that the plan writes as an intension, checks in its table
+    loop or keeps on its check, drawn from a few templates so that shapes
+    repeat."""
+    names = sorted(domains)
+    some = st.lists(st.sampled_from(names), min_size=1, max_size=4).map(" ".join)
+    k = data.draw(st.sampled_from(_CONSTANTS))
+    relation = f"({data.draw(st.sampled_from(_RELATIONS))},{k})"
+    roll = data.draw(st.integers(0, 15))
+    if roll == 0:
+        return f"<allDifferent> {' '.join(names)} </allDifferent>"
+    if roll == 1:
+        return f"<sum> <list> {' '.join(names)} </list> <condition> (le,1) </condition> </sum>"
+    if roll in (2, 3, 4):  # mixed signs; near the int64 ends some shapes raise
+        terms = data.draw(some)
+        coeffs = " ".join(str(data.draw(st.sampled_from(_CONSTANTS))) for _ in terms.split())
+        if roll == 3:  # the condition's operand a variable
+            relation = (f"({data.draw(st.sampled_from(_RELATIONS))},"
+                        f"{data.draw(st.sampled_from(names))})")
+        elif roll == 4:
+            relation = data.draw(st.sampled_from(["(in,-1..1)", "(notin,{0,3})", "(in,{1})"]))
+        return (f"<sum> <list> {terms} </list> <coeffs> {coeffs} </coeffs>"
+                f" <condition> {relation} </condition> </sum>")
+    if roll == 5:
+        values = " ".join(map(str, data.draw(st.lists(st.sampled_from(
+            [-1, 0, 1, _END, -_END - 1]), min_size=1, max_size=3, unique=True))))
+        return (f"<count> <list> {data.draw(some)} </list> <values> {values} </values>"
+                f" <condition> {relation} </condition> </count>")
+    if roll == 6:
+        chain = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=4))
+        op = data.draw(st.sampled_from(["lt", "le", "ge", "gt"]))
+        return f"<ordered> <list> {' '.join(chain)} </list> <operator> {op} </operator> </ordered>"
+    if roll == 7:
+        scope = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=3))
+        product = list(itertools.product(*(_domain_values(domains[v]) for v in scope)))
+        rows = data.draw(st.lists(st.sampled_from(product), min_size=1, max_size=6, unique=True))
+        tag = data.draw(st.sampled_from(["supports", "conflicts"]))
+        tuples = "".join(f"({','.join(map(str, row))})" for row in sorted(rows))
+        return (f"<extension> <list> {' '.join(scope)} </list> <{tag}> {tuples} </{tag}>"
+                " </extension>")
+    a, b, c = (data.draw(st.sampled_from(names)) for _ in range(3))
+    text = data.draw(st.sampled_from(_INTENSIONS)).format(a=a, b=b, c=c, k=k)
+    return f"<intension> {text} </intension>"
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_check_solution_loops_agree_with_the_reference_verifier(data):
-    """Several intensions of a few shapes, some near the int64 ends, with
-    other kinds among them, and candidates of every kind, partial ones
-    included, each checked against the same Instance."""
-    names = [f"v{i}" for i in range(data.draw(st.integers(2, 4)))]
-    variables = "".join(f'<var id="{name}"> {data.draw(st.sampled_from(_LOOP_DOMAINS))} </var>'
-                        for name in names)
-    lines = []
-    for _ in range(data.draw(st.integers(1, 8))):
-        roll = data.draw(st.integers(0, 9))
-        if roll == 0:
-            lines.append(f"<allDifferent> {' '.join(names)} </allDifferent>")
-        elif roll == 1:
-            lines.append(f"<sum> <list> {' '.join(names)} </list> <condition> (le,1) </condition>"
-                         " </sum>")
-        else:
-            a, b, c = (data.draw(st.sampled_from(names)) for _ in range(3))
-            k = data.draw(st.sampled_from([-1, 0, 1, 3, 2**62, -(2**62)]))
-            text = data.draw(st.sampled_from(_INTENSIONS)).format(a=a, b=b, c=c, k=k)
-            lines.append(f"<intension> {text} </intension>")
+    """Intensions, sums, counts, ordered chains and tables of a few shapes,
+    some near the int64 ends, with other kinds among them, and candidates of
+    every kind, partial ones included, each checked twice against the same
+    Instance: its first check runs the constraints in order, and a later
+    one its plan's loops."""
+    domains = {f"v{i}": data.draw(st.sampled_from(_LOOP_DOMAINS))
+               for i in range(data.draw(st.integers(2, 4)))}
+    variables = "".join(f'<var id="{name}"> {text} </var>' for name, text in domains.items())
+    lines = [_loop_constraint(data, domains) for _ in range(data.draw(st.integers(1, 8)))]
     instance = parse_string(f'<instance format="XCSP3" type="CSP"> <variables> {variables}'
                             f' </variables> <constraints> {" ".join(lines)} </constraints>'
                             " </instance>")
@@ -1067,16 +1130,18 @@ def test_check_solution_loops_agree_with_the_reference_verifier(data):
         except Overflow:  # a value past an int64 end: no Instantiation holds it
             continue
         for mode in CheckMode:
-            got = _outcome(check_solution, instance, solution, mode, None)
-            want = _outcome(oracles.reference_check_solution, instance, solution, mode, None)
-            assert _agree(got, want), (got, want)
-            if len(got) == 2 and issubclass(got[0], EvalError):
-                # named by the first constraint that raises: the shortest prefix that raises
-                first = next(n for n in range(len(lines)) if len(_outcome(
-                    oracles.reference_check_solution, Instance(
-                        instance.declarations, instance.constraints[:n + 1]),
-                    solution, mode, None)) == 2)
-                assert got[1].startswith(f"#{first}: "), (got, first)
+            want = _reference_outcome(instance, solution, mode, None)
+            for _ in range(2):
+                got = _outcome(check_solution, instance, solution, mode, None)
+                assert _agree(got, want), (got, want)
+
+
+def _planned(instance):
+    """The positions of each loop's rows, then those of the other constraints,
+    of instance's plan."""
+    plan = vars(instance)["_check_plan"]
+    return ([[row[0] for row in rows] for _, rows in plan.loops],
+            [position for position, _, _ in plan.rest])
 
 
 def test_the_first_error_in_constraint_order_is_raised_whichever_loop_meets_it():
@@ -1094,20 +1159,20 @@ def test_the_first_error_in_constraint_order_is_raised_whichever_loop_meets_it()
     <intension> ge(if(lt(a,b),a,b),0) </intension>
   </constraints>
 </instance>""")
-    verdict = check_solution(instance, Instantiation({"a": 2, "b": 3, "c": 1}),
-                             CheckMode.PARTIAL_ALLOWED)
-    assert (verdict.kind, verdict.violated, verdict.missing) == (
-        VerdictKind.VIOLATED, ("#1", "#3"), ())
-    # the if() intension is a plain call, its expression compiled; the others are not
-    kinds = [posted.kind for posted in instance.constraints]
-    assert ["compiled" in vars(kind) for kind in kinds] == [False] * 4 + [True]
+    # the first check runs in constraint order; the second plans, and agrees
+    for _ in range(2):
+        verdict = check_solution(instance, Instantiation({"a": 2, "b": 3, "c": 1}),
+                                 CheckMode.PARTIAL_ALLOWED)
+        assert (verdict.kind, verdict.violated, verdict.missing) == (
+            VerdictKind.VIOLATED, ("#1", "#3"), ())
+    # one loop per shape; the if() intension is a plain call
+    assert _planned(instance) == ([[0, 3], [1], [2]], [4])
     # #1 is violated and #3 raises, but #2's overflow comes first
     total = Instantiation({"a": 1, "b": 6, "c": 0, "q": top})
     with pytest.raises(Overflow, match=r"^#2: .* at q=9223372036854775807 b=6$"):
         check_solution(instance, total)
     assert _agree(_outcome(check_solution, instance, total, CheckMode.TOTAL_REQUIRED, None),
-                  _outcome(oracles.reference_check_solution, instance, total,
-                           CheckMode.TOTAL_REQUIRED, None))
+                  _reference_outcome(instance, total, CheckMode.TOTAL_REQUIRED, None))
     # without q, #2 is skipped: #1 is violated, and #3 raises
     partial = Instantiation({"a": 1, "b": 6, "c": 0})
     with pytest.raises(DivisionByZero, match=r"^#3: .* at c=0 b=6$"):
@@ -1129,15 +1194,80 @@ BARE_COP = """<instance format="XCSP3" type="COP">
 
 def test_bare_variable_lists_are_read_without_compiling():
     instance = parse_string(BARE_COP)
-    verdict = check_solution(instance, Instantiation({"x[0]": 0, "x[1]": 1, "x[2]": 2, "x[3]": 3}),
-                             declared_cost=6)
-    assert verdict.satisfied
+    for _ in range(2):  # in constraint order, then by the plan
+        verdict = check_solution(instance, Instantiation(
+            {"x[0]": 0, "x[1]": 1, "x[2]": 2, "x[3]": 3}), declared_cost=6)
+        assert verdict.satisfied
     count, total, distinct, intension = (posted.kind for posted in instance.constraints)
     for holder in (count, total, distinct, instance.objective):
         assert "compiled" not in vars(holder), holder
         assert holder.bare_ids == ("x[0]", "x[1]", "x[2]", "x[3]")[:len(holder.var_ids)]
-    # an intension is checked by its shape's loop, which compiles nothing for it
-    assert "compiled" not in vars(intension)
+    # the count, the sum and the intension are each a loop of its own shape;
+    # allDifferent keeps its check
+    assert _planned(instance) == ([[0], [1], [3]], [2])
+
+
+LOWERED = """<instance format="XCSP3" type="CSP">
+  <variables> <var id="a"> 0..3 </var> <var id="b"> 0..3 </var> <var id="c"> 0 2 3 </var>
+    <var id="d"> -1..2 </var> </variables>
+  <constraints>
+    <sum id="s"> <list> a b c </list> <coeffs> 1 -2 3 </coeffs> <condition> (le,d) </condition> </sum>
+    <count id="n"> <list> a b c d </list> <values> 0 2 </values> <condition> (ne,2) </condition> </count>
+    <ordered id="o"> <list> d a b c </list> <operator> le </operator> </ordered>
+    <ordered id="p"> <list> c b a </list> <operator> gt </operator> </ordered>
+    <sum id="big"> <list> a b </list> <coeffs> 4611686018427387904 4611686018427387904 </coeffs>
+      <condition> (ge,1) </condition> </sum>
+    <sum id="m"> <list> a d </list> <condition> (in,1..3) </condition> </sum>
+    <extension id="t"> <list> a c </list> <supports> (0,2)(1,3)(3,0) </supports> </extension>
+    <extension id="f"> <list> b d </list> <conflicts> (0,-1)(2,2) </conflicts> </extension>
+    <sum id="e"> <list> </list> <condition> (gt,0) </condition> </sum>
+    <ordered id="one"> <list> a </list> <operator> lt </operator> </ordered>
+  </constraints>
+</instance>"""
+
+
+def test_lowered_sums_counts_chains_and_tables_keep_every_verdict():
+    """Every total and partial assignment of LOWERED, checked by the plan,
+    has the reference's outcome. The sum s, the count and the chains are
+    each a loop; big, whose terms may pass 2^63, m, under (in,...), the
+    empty sum and the chain of one keep their checks; the tables share one
+    loop."""
+    instance = parse_string(LOWERED)
+    names = ("a", "b", "c", "d")
+    domains = [list(instance.variable(v).domain.values()) + [None] for v in names]
+    for values in itertools.product(*domains):
+        solution = Instantiation({v: x for v, x in zip(names, values) if x is not None})
+        for mode in CheckMode:
+            got = _outcome(check_solution, instance, solution, mode, None)
+            assert _agree(got, _reference_outcome(instance, solution, mode, None)), (values, got)
+    assert _planned(instance) == ([[0], [1], [2], [3], [6, 7]], [4, 5, 8, 9])
+
+
+def test_an_instance_plans_on_its_second_check():
+    """The first check builds no plan, the second builds one and later ones
+    keep it; a pickle or deep copy starts again without one."""
+    instance = parse_string(BARE_COP)
+    solution = Instantiation({"x[0]": 0, "x[1]": 1, "x[2]": 2, "x[3]": 3})
+
+    def plan(instance):
+        held = vars(instance).get("_check_plan")
+        return held if type(held) is _Plan else None
+
+    # a candidate found incomplete before any constraint is checked counts for nothing
+    assert check_solution(instance, Instantiation({"x[0]": 0})).kind is VerdictKind.INCOMPLETE
+    assert "_check_plan" not in vars(instance)
+    assert check_solution(instance, solution).satisfied
+    assert "_check_plan" in vars(instance) and plan(instance) is None
+    assert check_solution(instance, solution).satisfied
+    built = plan(instance)
+    assert _planned(instance) == ([[0], [1], [3]], [2])
+    assert built.spans == {f"x[{i}]": (0, 3) for i in range(4)}
+    assert check_solution(instance, solution).satisfied and plan(instance) is built
+    for again in (pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance)):
+        assert vars(again)["_check_plan"] is None
+        assert check_solution(again, solution).satisfied and plan(again) is None
+        assert check_solution(again, solution).satisfied
+        assert plan(again) is not built and _planned(again) == _planned(instance)
 
 
 # -- the reference predicates ---------------------------------------------------------
@@ -1206,22 +1336,24 @@ def _cumulative(draw):
                         tuple(draw(_limit_slots) for _ in origins), draw(_conditions))
 
 
-_KINDS = st.one_of(
-    _sums(),
-    st.builds(K.Count, _operand_lists(), st.lists(_slots, min_size=1, max_size=3).map(tuple),
-              _conditions),
-    st.builds(K.NValues, _operand_lists(), _conditions, _excepts),
-    st.builds(K.AllDifferent, _operand_lists(), _excepts),
-    st.builds(K.AllEqual, _operand_lists()),
-    _ordered(),
-    st.builds(K.Minimum, _operand_lists(), _conditions),
-    st.builds(K.Maximum, _operand_lists(), _conditions),
-    _origin_lists.flatmap(lambda origins: st.builds(
+# One strategy per kind: the property draws the kind before the example, so
+# that each kind gets the whole example budget.
+_KINDS = {
+    "sum": _sums(),
+    "count": st.builds(K.Count, _operand_lists(), st.lists(_slots, min_size=1, max_size=3).map(
+        tuple), _conditions),
+    "nValues": st.builds(K.NValues, _operand_lists(), _conditions, _excepts),
+    "allDifferent": st.builds(K.AllDifferent, _operand_lists(), _excepts),
+    "allEqual": st.builds(K.AllEqual, _operand_lists()),
+    "ordered": _ordered(),
+    "minimum": st.builds(K.Minimum, _operand_lists(), _conditions),
+    "maximum": st.builds(K.Maximum, _operand_lists(), _conditions),
+    "noOverlap": _origin_lists.flatmap(lambda origins: st.builds(
         K.NoOverlap1, st.just(origins), st.tuples(*[_slots] * len(origins)),
         st.booleans())),
-    _no_overlap_k(),
-    _cumulative(),
-)
+    "noOverlapK": _no_overlap_k(),
+    "cumulative": _cumulative(),
+}
 _ENVS = st.fixed_dictionaries({name: st.one_of(st.integers(-3, 3), st.sampled_from(
     [2**62, -(2**62), 2**63 - 1, -(2**63)])) for name in _NAMES})
 
@@ -1237,9 +1369,11 @@ def _kind_outcome(check, kind, env):
         return type(e), str(e) if own else None
 
 
+@pytest.mark.parametrize("name", sorted(_KINDS))
 @settings(max_examples=400, deadline=None)
-@given(kind=_KINDS, envs=st.lists(_ENVS, min_size=1, max_size=3))
-def test_reference_predicates_agree_with_check_constraint(kind, envs):
+@given(data=st.data(), envs=st.lists(_ENVS, min_size=1, max_size=3))
+def test_reference_predicates_agree_with_check_constraint(name, data, envs):
+    kind = data.draw(_KINDS[name])
     reference = oracles.REFERENCE_PREDICATES[type(kind)]
     # one kind, several assignments: later checks reuse what the first built
     for env in envs:

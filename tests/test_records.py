@@ -9,7 +9,7 @@ import pytest
 
 from conftest import FIXTURES
 from xcsp3core import expr, kinds as K, model
-from xcsp3core.checker import check_solution
+from xcsp3core.checker import _Plan, check_solution
 from xcsp3core.errors import XcspError
 from xcsp3core.expr import IntConst, OpCall, Record, VarRef
 from xcsp3core.model import CondOp, Condition, Domain, Instantiation
@@ -104,13 +104,15 @@ def _verdict(instance, solution):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.xml")))
 def test_a_checked_instance_pickles_and_copies(name):
-    """check_solution keeps a plan on the Instance, whose loops are
-    generated code: a pickle or a copy holds none and checks alike."""
+    """check_solution keeps a plan on the Instance from its second check,
+    whose loops are generated code: a pickle or a copy holds none and
+    checks alike."""
     instance = parse_file(FIXTURES / name)
     lowest = Instantiation({v.id: v.domain.min_value for v in instance.variables()
                             if v.domain is not None})
     verdict = _verdict(instance, lowest)
-    assert "_check_plan" in vars(instance)
+    assert _verdict(instance, lowest) == verdict
+    assert type(vars(instance)["_check_plan"]) is _Plan
     for again in (pickle.loads(pickle.dumps(instance)), copy.copy(instance),
                   copy.deepcopy(instance)):
         assert again == instance
