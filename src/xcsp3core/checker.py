@@ -20,25 +20,28 @@ and, for a table without *, a set of its tuples (see kinds.py), and the
 instance its useful variables (see model.Instance), all built on the first
 check. An Instance checks its references when it is built, so nothing here
 looks for an undeclared variable. A candidate then pays only for its own
-checks. An Instance's first check runs each constraint's check in order;
-its second builds a plan (_Plan) and keeps it: building one costs more
-than a first check of a small instance (0.73 ms against 0.5-0.6 ms on
-the 80-constraint document that perfbench `cli` checks), and a one-shot
-check, such as the command line's, should not pay for it. The plan takes
-each intension under its variables' domain bounds (expr.bounded_shape),
-and so each sum with integer coefficients and each count of integer
-values under a relational condition, and each ordered without lengths,
-as the intension it equals (_lowered). It groups them by shape and checks
-each group by one generated loop over its rows of constants, with the
-bounded inline code the search writes for an intension
+checks. An Instance's first check builds a plan (_Plan) and keeps it: each
+intension under its variables' domain bounds (expr.bounded_shape), grouped
+by shape, each group checked by one generated loop over its rows of
+constants, with the bounded inline code the search writes for an intension
 (expr.Bounded.write, as in Minion's per-model code, Gent, Jefferson &
-Miguel, ECAI 2006). A lowered kind whose code could raise, or that holds
-if(), keeps its check. Tables of arity 2 or more without * share one
-plain loop; every other constraint, allDifferent among them, keeps its
-check from _CHECKERS. With a plan, a value inside its variable's
-one-interval domain is validated by one comparison. A sum of bare
-variables adds its products in one step once their magnitudes prove that
-no partial sum can leave int64 (else it checks each step).
+Miguel, ECAI 2006); tables of arity 2 or more without * share one plain
+loop, and every other constraint keeps its check from _CHECKERS. Its
+second check builds the plan again, lowered: each sum with integer
+coefficients and each count of integer values under a relational
+condition, and each ordered without lengths, joins the loops as the
+intension it equals (_lowered). A lowered kind whose code could raise,
+that holds if(), or whose tree would nest deeper than MAX_EXPR_DEPTH
+calls keeps its check, and so does allDifferent. Lowering costs more
+than the first plan (37-39 against 23-30 ms on perfbench `check`'s
+4,500-constraint instance, 0.6 against 0.5 ms on the 80-constraint
+document of perfbench `cli`), so a one-shot check, such as the command
+line's, pays the first plan alone; lowering pays for itself after about
+15 checks of the first and 20 of the second. A value
+inside its variable's one-interval domain (Instance.spans) is validated
+by one comparison. A sum of bare variables adds its products in one step
+once their magnitudes prove that no partial sum can leave int64 (else it
+checks each step).
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from typing import (AbstractSet, Any, Callable, Dict, Iterable, Iterator, List, 
 from . import kinds as K
 from .errors import INT_MAX, INT_MIN, CheckError, EvalError, UnboundVariable, check_int64
 from .expr import _NAMESPACE as _EXPR_NAMESPACE
-from .expr import (MAX_SHAPES, Bounded, Expr, IntConst, OpCall, SetLiteral, VarRef,
-                   bounded_shape, generated)
+from .expr import (MAX_EXPR_DEPTH, MAX_SHAPES, Bounded, Expr, IntConst, OpCall, SetLiteral,
+                   VarRef, bounded_shape, generated)
 from .model import (
     RELATIONAL_OPS,
     Condition,
@@ -720,54 +723,70 @@ def _folded(op: str, args: List[Expr]) -> Expr:
     return tree
 
 
+def _depth(e: Expr) -> int:
+    """The deepest nesting of operator calls in e."""
+    deepest, stack = 0, [(e, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if type(node) is OpCall:
+            stack += [(arg, depth + 1) for arg in node.args]
+        elif depth > deepest:
+            deepest = depth
+    return deepest
+
+
 def _lowered(kind: K.ConstraintKind) -> Optional[Expr]:
     """The intension tree whose value is kind's verdict, where one is
-    written: an intension's function; a sum with integer coefficients or a
-    count of integer values under a relational condition, as
-    op(add(add(mul(c0,t0),mul(c1,t1)),...),rhs) or
-    op(add(in(t0,set(...)),...),rhs); an ordered without lengths over two
-    variables or more, as and(op(x0,x1),op(x1,x2),...). None for any other."""
+    written: a sum with integer coefficients or a count of integer values
+    under a relational condition, as op(add(add(mul(c0,t0),mul(c1,t1)),...),rhs)
+    or op(add(in(t0,set(...)),...),rhs); an ordered without lengths over
+    two variables or more, as and(op(x0,x1),op(x1,x2),...). None for any
+    other kind, and for a tree nested deeper than MAX_EXPR_DEPTH calls (the
+    fold nests one call per operand), which writing its code would recurse
+    through further than through any parsed expression."""
     kind_type = type(kind)
-    if kind_type is K.Intension:
-        return kind.function
     if kind_type is K.Ordered:
-        if kind.lengths is not None or len(kind.vars) < 2:
+        if kind.lengths is not None or not 2 <= len(kind.vars) <= MAX_EXPR_DEPTH + 1:
             return None
         xs = [VarRef(vid) for vid in kind.vars]
         return _folded("and", [OpCall(kind.op.value, pair) for pair in zip(xs, xs[1:])])
     if kind_type is K.Sum:
-        coeffs = kind.int_coeffs
-        if coeffs is None:
+        if kind.int_coeffs is None:
             return None
-        terms = [OpCall("mul", (IntConst(c), t)) for c, t in zip(coeffs, kind.terms)]
+        operands = kind.terms
     elif kind_type is K.Count:
         if kind.int_values is None:
             return None
-        counted = SetLiteral(kind.values)
-        terms = [OpCall("in", (t, counted)) for t in kind.operands]
+        operands = kind.operands
     else:
         return None
     op, operand = kind.condition.op, kind.condition.operand
-    if op not in RELATIONAL_OPS or not terms:
+    if op not in RELATIONAL_OPS or not operands:
         return None
+    deepest = 0 if kind.bare_ids is not None else max(map(_depth, operands))
+    if len(operands) + 1 + deepest > MAX_EXPR_DEPTH:
+        return None
+    if kind_type is K.Sum:
+        terms = [OpCall("mul", (IntConst(c), t)) for c, t in zip(kind.int_coeffs, operands)]
+    else:
+        counted = SetLiteral(kind.values)
+        terms = [OpCall("in", (t, counted)) for t in operands]
     rhs = operand if type(operand) is VarRef else IntConst(operand)
     return OpCall(op.value, (_folded("add", terms), rhs))
 
 
 class _Plan(NamedTuple):
-    """How check_solution checks an Instance once it has checked it once
-    (see _violated).
+    """How check_solution checks an Instance (see _violated).
 
     loops: a check loop with its rows in constraint order, one per bounded
-    shape (intensions and the sums, counts and ordered chains _lowered
-    writes as intensions) and one for the tables without *; rest: every
-    other constraint as (position, its kind's check, its kind); spans:
-    each declared variable's domain of one interval, as (lo, hi).
+    shape (the intensions and, when lowered, the sums, counts and ordered
+    chains _lowered writes as intensions) and one for the tables without *;
+    rest: every other constraint as (position, its kind's check, its kind).
     """
 
     loops: List[Tuple[Callable[..., None], List[Tuple[object, ...]]]]
     rest: List[Tuple[int, _Check, K.ConstraintKind]]
-    spans: Dict[str, Tuple[int, int]]
+    lowered: bool
 
     def __reduce__(self) -> Tuple[type, Tuple[()]]:
         # The loops are generated code, which pickle cannot name: a pickle
@@ -775,23 +794,15 @@ class _Plan(NamedTuple):
         return type(None), ()
 
 
-class _Once:
-    """What the plan slot of an Instance checked once holds: its next
-    check plans. A pickle or copy of the Instance holds None instead."""
-
-    __reduce__ = _Plan.__reduce__
-
-
-_ONCE = _Once()
-
-
-def _plan(instance: Instance) -> _Plan:
-    """The plan of instance. Each intension, and each sum, count and
-    ordered that _lowered writes as one, is taken under its variables'
-    domain bounds (expr.bounded_shape) and grouped by shape key. An
-    intension with if() branches, whose code would define functions, is
-    checked as any other constraint; so is a lowered tree with if() or one
-    whose code may raise (a term past int64, a division), which keeps its
+def _plan(instance: Instance, first: Optional[_Plan] = None) -> _Plan:
+    """The first plan of instance or, given it, the lowered plan. The first
+    takes each intension under its variables' domain bounds
+    (expr.bounded_shape) and groups them by shape key; an intension with
+    if() branches, whose code would define functions, is checked as any
+    other constraint. The lowered plan keeps first's loops and takes each
+    sum, count and ordered among its other constraints that _lowered
+    writes as an intension the same way, but for a tree with if() or one
+    whose code may raise (a term past int64, a division): it keeps its
     kind's check, so that its errors and their order stay the check's."""
     variable = instance.variable
     bounds: Dict[str, Tuple[int, int]] = {}
@@ -801,14 +812,20 @@ def _plan(instance: Instance) -> _Plan:
     shapes: Dict[Any, Tuple[Bounded, List[Tuple[object, ...]]]] = {}
     tables: List[Tuple[object, ...]] = []
     rest: List[Tuple[int, _Check, K.ConstraintKind]] = []
-    for position, posted in enumerate(instance.constraints):
-        kind = posted.kind
+    if first is None:
+        todo = [(position, posted.kind) for position, posted in enumerate(instance.constraints)]
+    else:
+        todo = [(position, kind) for position, _, kind in first.rest]
+    for position, kind in todo:
         kind_type = type(kind)
         if kind_type is K.Extension and len(kind.scope) > 1 and kind.table is not None:
             scope = kind.scope
             tables.append((position, scope, itemgetter(*scope), kind.table, bool(kind.positive)))
             continue
-        tree = _lowered(kind)
+        if kind_type is K.Intension:
+            tree = kind.function if first is None else None
+        else:
+            tree = None if first is None else _lowered(kind)
         if tree is not None:
             shape = bounded_shape(tree, bounds)
             if "if" not in shape.key[0] and (kind_type is K.Intension or not shape.raises):
@@ -818,13 +835,12 @@ def _plan(instance: Instance) -> _Plan:
                 group[1].append((position, kind.var_ids, *shape.consts))
                 continue
         rest.append((position, _CHECKERS[kind_type][0], kind))
-    loops = [(generated(_LOOPS, MAX_SHAPES, key, partial(_loop_source, shape), _EXPR_NAMESPACE,
-                        "<check loop>"), rows) for key, (shape, rows) in shapes.items()]
+    loops = [] if first is None else list(first.loops)
+    loops += [(generated(_LOOPS, MAX_SHAPES, key, partial(_loop_source, shape), _EXPR_NAMESPACE,
+                         "<check loop>"), rows) for key, (shape, rows) in shapes.items()]
     if tables:
         loops.append((_table_loop, tables))
-    spans = {var.id: var.domain.items[0] for var in instance.variables()
-             if var.domain is not None and len(var.domain.items) == 1}
-    return _Plan(loops, rest, spans)
+    return _Plan(loops, rest, first is not None)
 
 
 def _violated(instance: Instance, env: Dict[str, int],
@@ -836,19 +852,16 @@ def _violated(instance: Instance, env: Dict[str, int],
     holds an int inside its domain, as check_solution has proved: that
     proves the scope of every other constraint, since an Instance names
     only declared variables, and lets the plan's loops read each value
-    without a test. An instance's first check runs _violated_in_order and
-    builds nothing (see the module docstring); its second builds the plan
-    and keeps it. With a plan, a check runs its loops, then the other
+    without a test. An instance's first check builds a plan that lowers
+    nothing, its second one that lowers (see the module docstring), and
+    later checks keep it. A check runs the plan's loops, then the other
     checks. On an EvalError, _violated_in_order runs instead: it alone
     names errors, so the first error in constraint order is raised, with
     its usual message.
     """
     plan = instance.__dict__.get("_check_plan")
-    if type(plan) is not _Plan:
-        if plan is None:
-            instance.__dict__["_check_plan"] = _ONCE
-            return _violated_in_order(instance, env, missing)
-        plan = instance.__dict__["_check_plan"] = _plan(instance)
+    if plan is None or not plan.lowered:
+        plan = instance.__dict__["_check_plan"] = _plan(instance, plan)
     bad: List[int] = []
     try:
         for loop, rows in plan.loops:
@@ -861,10 +874,6 @@ def _violated(instance: Instance, env: Dict[str, int],
         return _violated_in_order(instance, env, missing)
     constraints = instance.constraints
     return tuple(constraints[n].label(n) for n in sorted(bad))
-
-
-# Nothing is known to fit before an Instance has a plan
-_NO_SPANS: Dict[str, Tuple[int, int]] = {}
 
 
 def check_solution(
@@ -881,8 +890,7 @@ def check_solution(
     violation wins), then missing useful variables make it incomplete.
     An EvalError names the constraint and the assigned values of its scope.
     """
-    plan = instance.__dict__.get("_check_plan")
-    spans = plan.spans if type(plan) is _Plan else _NO_SPANS
+    spans = instance.spans
     variable = instance.variable
     env: Dict[str, int] = {}
     for vid, val in solution.items():

@@ -247,8 +247,8 @@ class Instance:
     objective or the decision names, in that order, must be a declared
     variable with a domain (see _check_ids). So a hand-built Instance fails
     as its document would, and a check or a search trusts every Instance it
-    gets. useful_ids is derived on first use (a check or a search), never
-    while parsing, and the second check keeps its plan here (see
+    gets. useful_ids and spans are derived on first use (a check or a
+    search), never while parsing, and a check keeps its plan here (see
     checker._Plan). From then on the Instance is treated as immutable:
     replacing its fields would leave it stale. removed holds the element
     paths of the constraints, blocks, groups and slides that the parser left
@@ -331,6 +331,12 @@ class Instance:
         if self.objective is not None:
             used.update(self.objective.var_ids)
         return tuple(v.id for v in self.variables() if v.id in used)
+
+    @cached_property
+    def spans(self) -> Dict[str, Tuple[int, int]]:
+        """Each declared variable whose domain is one interval, with its (min, max)."""
+        return {v.id: v.domain.items[0] for v in self.variables()
+                if v.domain is not None and len(v.domain.items) == 1}
 
 
 def export_id(identifier: str) -> str:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from xcsp3core import kinds as K
 from xcsp3core.checker import (
     CheckMode,
-    _Plan,
     VerdictKind,
+    _lowered,
     check_constraint,
     check_solution,
     ensure_scope_assigned,
@@ -30,7 +30,7 @@ from xcsp3core.errors import (
     UnboundVariable,
     XcspError,
 )
-from xcsp3core.expr import VarRef, parse_expr
+from xcsp3core.expr import MAX_EXPR_DEPTH, IntConst, OpCall, VarRef, parse_expr
 from xcsp3core.model import (
     STAR,
     CondOp,
@@ -1115,8 +1115,8 @@ def test_check_solution_loops_agree_with_the_reference_verifier(data):
     """Intensions, sums, counts, ordered chains and tables of a few shapes,
     some near the int64 ends, with other kinds among them, and candidates of
     every kind, partial ones included, each checked twice against the same
-    Instance: its first check runs the constraints in order, and a later
-    one its plan's loops."""
+    Instance: its first check plans the intensions and tables, and its
+    second lowers the sums, counts and ordered chains."""
     domains = {f"v{i}": data.draw(st.sampled_from(_LOOP_DOMAINS))
                for i in range(data.draw(st.integers(2, 4)))}
     variables = "".join(f'<var id="{name}"> {text} </var>' for name, text in domains.items())
@@ -1159,14 +1159,17 @@ def test_the_first_error_in_constraint_order_is_raised_whichever_loop_meets_it()
     <intension> ge(if(lt(a,b),a,b),0) </intension>
   </constraints>
 </instance>""")
-    # the first check runs in constraint order; the second plans, and agrees
+    # the first check plans the intensions, the second lowers what else it can: none here
     for _ in range(2):
         verdict = check_solution(instance, Instantiation({"a": 2, "b": 3, "c": 1}),
                                  CheckMode.PARTIAL_ALLOWED)
         assert (verdict.kind, verdict.violated, verdict.missing) == (
             VerdictKind.VIOLATED, ("#1", "#3"), ())
-    # one loop per shape; the if() intension is a plain call
-    assert _planned(instance) == ([[0, 3], [1], [2]], [4])
+        # one loop per shape; the if() intension is a plain call, its expression
+        # compiled, and the others are not
+        assert _planned(instance) == ([[0, 3], [1], [2]], [4])
+        kinds = [posted.kind for posted in instance.constraints]
+        assert ["compiled" in vars(kind) for kind in kinds] == [False] * 4 + [True]
     # #1 is violated and #3 raises, but #2's overflow comes first
     total = Instantiation({"a": 1, "b": 6, "c": 0, "q": top})
     with pytest.raises(Overflow, match=r"^#2: .* at q=9223372036854775807 b=6$"):
@@ -1194,7 +1197,7 @@ BARE_COP = """<instance format="XCSP3" type="COP">
 
 def test_bare_variable_lists_are_read_without_compiling():
     instance = parse_string(BARE_COP)
-    for _ in range(2):  # in constraint order, then by the plan
+    for _ in range(2):  # by the plan of the intensions, then by the lowered plan
         verdict = check_solution(instance, Instantiation(
             {"x[0]": 0, "x[1]": 1, "x[2]": 2, "x[3]": 3}), declared_cost=6)
         assert verdict.satisfied
@@ -1202,9 +1205,11 @@ def test_bare_variable_lists_are_read_without_compiling():
     for holder in (count, total, distinct, instance.objective):
         assert "compiled" not in vars(holder), holder
         assert holder.bare_ids == ("x[0]", "x[1]", "x[2]", "x[3]")[:len(holder.var_ids)]
-    # the count, the sum and the intension are each a loop of its own shape;
-    # allDifferent keeps its check
-    assert _planned(instance) == ([[0], [1], [3]], [2])
+    # an intension is checked by its shape's loop, which compiles nothing for it
+    assert "compiled" not in vars(intension)
+    # the intension, then the count and the sum, are each a loop of its own
+    # shape; allDifferent keeps its check
+    assert _planned(instance) == ([[3], [0], [1]], [2])
 
 
 LOWERED = """<instance format="XCSP3" type="CSP">
@@ -1240,32 +1245,92 @@ def test_lowered_sums_counts_chains_and_tables_keep_every_verdict():
         for mode in CheckMode:
             got = _outcome(check_solution, instance, solution, mode, None)
             assert _agree(got, _reference_outcome(instance, solution, mode, None)), (values, got)
-    assert _planned(instance) == ([[0], [1], [2], [3], [6, 7]], [4, 5, 8, 9])
+    assert _planned(instance) == ([[6, 7], [0], [1], [2], [3]], [4, 5, 8, 9])
 
 
-def test_an_instance_plans_on_its_second_check():
-    """The first check builds no plan, the second builds one and later ones
-    keep it; a pickle or deep copy starts again without one."""
+def test_a_lowered_tree_nests_no_deeper_than_a_parsed_expression():
+    """Writing code recurses through each call of a tree, and the fold
+    nests one call per operand: a sum, count or ordered chain is lowered
+    only while its tree nests at most MAX_EXPR_DEPTH calls, its terms' own
+    included."""
+    def nested(depth):
+        return V("a") if depth == 0 else OpCall("neg", (nested(depth - 1),))
+
+    def deepest(tree):
+        return 0 if type(tree) is not OpCall else 1 + max(map(deepest, tree.args))
+
+    fit = MAX_EXPR_DEPTH - 1  # the operands of the longest sum or count of variables lowered
+    for n, lowered in ((fit, True), (fit + 1, False)):
+        terms = tuple(V(f"x{i}") for i in range(n))
+        for kind in (K.Sum(terms=terms, coeffs=(1,) * n, condition=cond("le", 3)),
+                     K.Count(operands=terms, values=(1,), condition=cond("ge", 1)),
+                     K.Ordered(vars=tuple(f"x{i}" for i in range(n + 2)), op=K.OrderOp.LT)):
+            tree = _lowered(kind)
+            assert (tree is not None) is lowered, (type(kind), n)
+            if lowered:
+                assert deepest(tree) == MAX_EXPR_DEPTH
+    for depth, lowered in ((fit - 2, True), (fit - 1, False)):  # a sum of 2 terms
+        kind = K.Sum(terms=(nested(depth), V("b")), coeffs=(1, 2), condition=cond("le", 3))
+        assert (_lowered(kind) is not None) is lowered, depth
+
+
+def test_long_sums_counts_and_chains_keep_every_verdict():
+    """A sum, a count and an ordered chain over 1,000 variables, too long to
+    lower, and the longest of each that is lowered, checked three times
+    against one Instance (the plan of the intensions, then the lowered
+    plan, then the same again) with the reference's verdicts."""
+    n, fit = 1000, MAX_EXPR_DEPTH - 1
+    coeffs = " ".join(str(1 + i % 3) for i in range(n))
+    instance = parse_string(f"""<instance format="XCSP3" type="CSP">
+  <variables> <array id="x" size="[{n}]"> 0..3 </array> </variables>
+  <constraints>
+    <sum> <list> x[] </list> <coeffs> {coeffs} </coeffs> <condition> (le,3000) </condition> </sum>
+    <count> <list> x[] </list> <values> 1 2 </values> <condition> (ge,400) </condition> </count>
+    <ordered> <list> x[] </list> <operator> le </operator> </ordered>
+    <sum> <list> x[0..{fit - 1}] </list> <condition> (ge,10) </condition> </sum>
+    <count> <list> x[0..{fit - 1}] </list> <values> 0 </values> <condition> (le,100) </condition> </count>
+    <ordered> <list> x[0..{fit + 1}] </list> <operator> le </operator> </ordered>
+  </constraints>
+</instance>""")
+    rng = random.Random(0)
+    rising = {f"x[{i}]": i * 4 // n for i in range(n)}
+    candidates = [rising, dict(rising, **{"x[500]": 0}), dict(rising, **{"x[100]": 0}),
+                  {f"x[{i}]": 3 for i in range(n)},
+                  {f"x[{i}]": rng.randrange(4) for i in range(n)},
+                  {f"x[{i}]": i * 4 // n for i in range(n) if i != 600}]
+    for values in candidates:
+        solution = Instantiation(values)
+        for mode in CheckMode:
+            want = _reference_outcome(instance, solution, mode, None)
+            for _ in range(3):
+                got = _outcome(check_solution, instance, solution, mode, None)
+                assert _agree(got, want), (got, want)
+    assert _planned(instance) == ([[3], [4], [5]], [0, 1, 2])
+
+
+def test_an_instance_lowers_its_plan_on_its_second_check():
+    """The first check plans the intensions and tables alone, the second
+    also lowers the sums, counts and ordered chains, and later checks keep
+    that plan; a pickle or deep copy starts again without one."""
     instance = parse_string(BARE_COP)
     solution = Instantiation({"x[0]": 0, "x[1]": 1, "x[2]": 2, "x[3]": 3})
 
     def plan(instance):
-        held = vars(instance).get("_check_plan")
-        return held if type(held) is _Plan else None
+        return vars(instance).get("_check_plan")
 
     # a candidate found incomplete before any constraint is checked counts for nothing
     assert check_solution(instance, Instantiation({"x[0]": 0})).kind is VerdictKind.INCOMPLETE
-    assert "_check_plan" not in vars(instance)
+    assert plan(instance) is None
     assert check_solution(instance, solution).satisfied
-    assert "_check_plan" in vars(instance) and plan(instance) is None
+    assert not plan(instance).lowered and _planned(instance) == ([[3]], [0, 1, 2])
     assert check_solution(instance, solution).satisfied
     built = plan(instance)
-    assert _planned(instance) == ([[0], [1], [3]], [2])
-    assert built.spans == {f"x[{i}]": (0, 3) for i in range(4)}
+    assert built.lowered and _planned(instance) == ([[3], [0], [1]], [2])
     assert check_solution(instance, solution).satisfied and plan(instance) is built
+    assert instance.spans == {f"x[{i}]": (0, 3) for i in range(4)}
     for again in (pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance)):
-        assert vars(again)["_check_plan"] is None
-        assert check_solution(again, solution).satisfied and plan(again) is None
+        assert plan(again) is None
+        assert check_solution(again, solution).satisfied and not plan(again).lowered
         assert check_solution(again, solution).satisfied
         assert plan(again) is not built and _planned(again) == _planned(instance)
 

@@ -104,15 +104,15 @@ def _verdict(instance, solution):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.xml")))
 def test_a_checked_instance_pickles_and_copies(name):
-    """check_solution keeps a plan on the Instance from its second check,
-    whose loops are generated code: a pickle or a copy holds none and
-    checks alike."""
+    """check_solution keeps a plan on the Instance, lowered from its second
+    check, whose loops are generated code: a pickle or a copy holds none
+    and checks alike."""
     instance = parse_file(FIXTURES / name)
     lowest = Instantiation({v.id: v.domain.min_value for v in instance.variables()
                             if v.domain is not None})
     verdict = _verdict(instance, lowest)
     assert _verdict(instance, lowest) == verdict
-    assert type(vars(instance)["_check_plan"]) is _Plan
+    assert type(vars(instance)["_check_plan"]) is _Plan and vars(instance)["_check_plan"].lowered
     for again in (pickle.loads(pickle.dumps(instance)), copy.copy(instance),
                   copy.deepcopy(instance)):
         assert again == instance
