@@ -90,6 +90,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = ap.parse_args(argv)
 
+    # the tree measured; writing the output, which may be tracked, dirties it
+    commit = _commit()
     runs: Dict[str, List[Tuple[int, dict]]] = {w: [] for w in args.workloads}
     for seed in args.seeds:
         for workload in args.workloads:
@@ -104,7 +106,7 @@ def main(argv=None) -> int:
                   f"failed={result['failed']}", file=sys.stderr)
             runs[workload].append((seed, result))
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record(runs, args.seconds, _commit(), _host()), fh, indent=1)
+        json.dump(record(runs, args.seconds, commit, _host()), fh, indent=1)
         fh.write("\n")
     return 0
 
