@@ -29,17 +29,17 @@ Miguel, ECAI 2006); tables of arity 2 or more without * share one plain
 loop, and every other constraint keeps its check from _CHECKERS. Its
 second check builds the plan again, lowered: each sum with integer
 coefficients and each count of integer values under a relational
-condition, and each ordered without lengths, joins the loops as the
-intension it equals (_lowered). A lowered kind whose code could raise,
-that holds if(), or whose tree would nest deeper than MAX_EXPR_DEPTH
-calls keeps its check, and so does allDifferent. Lowering costs more
-than the first plan (37-39 against 23-30 ms on perfbench `check`'s
-4,500-constraint instance, 0.6 against 0.5 ms on the 80-constraint
-document of perfbench `cli`), so a one-shot check, such as the command
-line's, pays the first plan alone; lowering pays for itself after about
-15 checks of the first and 20 of the second. A value
-inside its variable's one-interval domain (Instance.spans) is validated
-by one comparison. A sum of bare variables adds its products in one step
+condition, over bare variables, and each ordered without lengths, joins
+the loops as the intension it equals (_lowered). A lowered kind whose
+code could raise, or whose tree would nest deeper than MAX_EXPR_DEPTH
+calls, keeps its check, and so do allDifferent and a sum or count over
+an expression. Lowering costs more than the first plan (37-39 against
+23-30 ms on perfbench `check`'s 4,500-constraint instance, 0.6 against
+0.5 ms on the 80-constraint document of perfbench `cli`), so a one-shot
+check, such as the command line's, pays the first plan alone; lowering
+pays for itself after about 15 checks of the first and 20 of the
+second. A value inside its variable's one-interval domain
+(Instance.spans) is validated by one comparison. A sum of bare variables adds its products in one step
 once their magnitudes prove that no partial sum can leave int64 (else it
 checks each step).
 """
@@ -723,27 +723,15 @@ def _folded(op: str, args: List[Expr]) -> Expr:
     return tree
 
 
-def _depth(e: Expr) -> int:
-    """The deepest nesting of operator calls in e."""
-    deepest, stack = 0, [(e, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if type(node) is OpCall:
-            stack += [(arg, depth + 1) for arg in node.args]
-        elif depth > deepest:
-            deepest = depth
-    return deepest
-
-
 def _lowered(kind: K.ConstraintKind) -> Optional[Expr]:
     """The intension tree whose value is kind's verdict, where one is
     written: a sum with integer coefficients or a count of integer values
-    under a relational condition, as op(add(add(mul(c0,t0),mul(c1,t1)),...),rhs)
-    or op(add(in(t0,set(...)),...),rhs); an ordered without lengths over
-    two variables or more, as and(op(x0,x1),op(x1,x2),...). None for any
-    other kind, and for a tree nested deeper than MAX_EXPR_DEPTH calls (the
-    fold nests one call per operand), which writing its code would recurse
-    through further than through any parsed expression."""
+    over bare variables, under a relational condition, as
+    op(add(add(mul(c0,x0),mul(c1,x1)),...),rhs) or op(add(in(x0,set(...)),...),rhs);
+    an ordered without lengths over two variables or more, as
+    and(op(x0,x1),op(x1,x2),...). None for any other kind, and for a tree
+    nested deeper than MAX_EXPR_DEPTH calls (one per operand), which writing
+    its code would recurse through further than through any parsed expression."""
     kind_type = type(kind)
     if kind_type is K.Ordered:
         if kind.lengths is not None or not 2 <= len(kind.vars) <= MAX_EXPR_DEPTH + 1:
@@ -761,10 +749,8 @@ def _lowered(kind: K.ConstraintKind) -> Optional[Expr]:
     else:
         return None
     op, operand = kind.condition.op, kind.condition.operand
-    if op not in RELATIONAL_OPS or not operands:
-        return None
-    deepest = 0 if kind.bare_ids is not None else max(map(_depth, operands))
-    if len(operands) + 1 + deepest > MAX_EXPR_DEPTH:
+    if (op not in RELATIONAL_OPS or kind.bare_ids is None
+            or not 0 < len(operands) < MAX_EXPR_DEPTH):
         return None
     if kind_type is K.Sum:
         terms = [OpCall("mul", (IntConst(c), t)) for c, t in zip(kind.int_coeffs, operands)]
@@ -801,9 +787,9 @@ def _plan(instance: Instance, first: Optional[_Plan] = None) -> _Plan:
     if() branches, whose code would define functions, is checked as any
     other constraint. The lowered plan keeps first's loops and takes each
     sum, count and ordered among its other constraints that _lowered
-    writes as an intension the same way, but for a tree with if() or one
-    whose code may raise (a term past int64, a division): it keeps its
-    kind's check, so that its errors and their order stay the check's."""
+    writes as an intension the same way, but for a tree whose code may
+    raise (a product past int64): it keeps its kind's check, so that its
+    errors and their order stay the check's."""
     variable = instance.variable
     bounds: Dict[str, Tuple[int, int]] = {}
     for vid in instance.useful_ids:

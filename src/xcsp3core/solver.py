@@ -34,39 +34,39 @@ which goes on to the depth's next value where the check fails:
   variable, so its coefficients are merged into one c. A sum objective
   whose bounds prove it stays in int64 is summed by "total" stages, the
   same sum without cut-offs, planned after each depth's constraint checks.
-- "d...", a stage of an allDifferent none of whose operands can raise: one
-  inline membership test per operand, of its value (a bare variable's, or
-  the value of its expression's code, written as for "i") against the set
-  of the values of the operands checked before it, excepts never entering
-  the set.
+- "d" and "d.", a stage of an allDifferent without excepts none of whose
+  operands can raise: one inline membership test per operand, of its
+  value (a bare variable's, or the value of its expression's code,
+  written as for "i") against the set of the values of the operands
+  checked before it.
 - "s", a partial check: a call of the kind's detector from checker's
   table, bound to the constraint and env. An allDifferent an operand of
   which may raise (a div by a domain holding 0, a range test that
   survives) has no stages: its operands must be evaluated, and raise, at
   the node and with the message where the reference scan would, and the
-  detector and the complete check are that scan.
+  detector and the complete check are that scan. One with excepts has no
+  stages either.
 - "c", any other kind's complete check from checker's table.
 The leaf, which runs on each complete assignment that passes, makes calls
-too, which never fail and name no error: the objective's cost is an
-EXPRESSION objective's code, written as for "i" ("value"), the last
-total of a proved sum ("last") or a call of eval_objective ("cost"), and
-a search that keeps its solutions passes each to a call ("keep").
+too, which never fail and name no error: the objective's cost is a
+proved sum's last total ("last") or a call of eval_objective ("cost"),
+and a search that keeps its solutions passes each to a call ("keep").
 In the loop, written code reads a variable that a depth of its block
 assigns from that depth's loop variable, and any other from env; code in
 an if() branch's function reads env alone. Each depth holds its own copy
 of the stages' state, with no trail (Schulte, "Comparing trailing and
 copying for constraint programming", ICLP 1999), in locals of its block:
-a stage reads the state the stage before it left in a local, and only a
-state that crosses into a later block goes through the chain's list
-(T or S). Every block but the last writes each depth's value to env,
-where the later blocks read it; the last writes env only where its code
-reads env, and a solution it records is env with its own depths' values
-added. The callables, constants, state lists, kinds and the constraint
-positions that name an evaluation error are arguments of the factory that
-builds the code, but for the ids of the variables read from loop
-variables: as in expr's generator, no id, label or other input text
-enters the source, and one factory serves all code of the same forms,
-expression shapes, reads and stage locals.
+a stage reads the state the stage before it left in a local, and a
+stage in any block but the last also stores its state in the chain's
+list (T or S), where a later block reads it. Every block but the last
+writes each depth's value to env, where the later blocks read it; the
+last writes env only where its code reads env, and a solution it records
+is env with its own depths' values added. The callables, constants,
+state lists, kinds and the constraint positions that name an evaluation
+error are arguments of the factory that builds the code, but for the ids
+of the variables read from loop variables: as in expr's generator, no
+id, label or other input text enters the source, and one factory serves
+all code of the same forms, expression shapes, reads and stage locals.
 With partial_checks off, every constraint is one "c" call of its checker
 and every cost a call of eval_objective, both with unbounded evaluators:
 that is the reference path.
@@ -196,21 +196,20 @@ CLOCK_NODES = 256   # nodes between two readings of the clock
 # the search keeps in the list T or S, state i + 1 the one that stage i
 # leaves: its lines read prev, the local of the stage before it in the
 # same block or, at a block's first stage of the chain, the list; the
-# first stage of a chain starts from nothing (_FIRST), and a stage whose
-# next reader runs in a later block stores its state in the list (_Link).
-# A sum stage adds its variable's term c * x (the coefficients of a
-# variable merged) to the total: "sum" fails outside lo..hi, "total" (an
-# objective's) never fails. An allDifferent operand ("d"; "x" with
-# excepts, "." the last operand checked) is a membership test of its value
-# against the set of the values of the operands checked before it, an
-# except never entering the set. A call of a form in _RAISING, or whose
-# expression may raise, runs in a try whose handler raises the EvalError
-# again as named(error, n{k}), n{k} the constraint's position; a call
-# without a position (the leaf's, and an objective's stages) lets its
-# errors pass unnamed. The leaf's calls never fail: "value" is an
-# objective expression's value, "last" a proved sum objective's last
-# total, "cost" eval_objective's call, each kept in value, and "keep"
-# passes the solution, the dict built by the code in solution, to f{k}.
+# first stage of a chain starts from nothing (_FIRST), and a stage in a
+# block that is not the last stores its state in the list (_Link), where a
+# later block reads it. A sum stage adds its variable's term c * x (the
+# coefficients of a variable merged) to the total: "sum" fails outside
+# lo..hi, "total" (an objective's) never fails. An allDifferent operand
+# ("d"; "d." the last operand checked) is a membership test of its value
+# against the set of the values of the operands checked before it. A call
+# of a form in _RAISING, or whose expression may raise, runs in a try
+# whose handler raises the EvalError again as named(error, n{k}), n{k} the
+# constraint's position; a call without a position (the leaf's, and an
+# objective's stages) lets its errors pass unnamed. The leaf's calls never
+# fail: "last" is a proved sum objective's last total, "cost"
+# eval_objective's call, each kept in value, and "keep" passes the
+# solution, the dict built by the code in solution, to f{k}.
 _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "i": (("x",), ("if {x}:", "    {fail}")),
     "s": (("f",), ("if f{k}():", "    {fail}")),
@@ -220,18 +219,11 @@ _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "total": (("x", "T", "i", "c"), ("{u} = {prev} + c{k} * {x}",)),
     "d": (("x", "S", "i"), ("if {x} in {prev}:", "    {fail}", "{u} = {{*{prev}, {x}}}")),
     "d.": (("x", "S", "i"), ("if {x} in {prev}:", "    {fail}")),
-    "dx": (("x", "S", "i", "E"), ("{u} = {prev}",
-                                  "if {x} not in E{k}:",
-                                  "    if {x} in {u}:",
-                                  "        {fail}",
-                                  "    {u} = {{*{u}, {x}}}")),
-    "dx.": (("x", "S", "i", "E"), ("if {x} not in E{k}:", "    if {x} in {prev}:", "        {fail}")),
-    "value": (("x",), ("value = {x}",)),
     "last": (("T",), ("value = {prev}",)),
     "cost": (("f",), ("value = f{k}(env)",)),
     "keep": (("f",), ("f{k}(Instantiation({solution}))",)),
 }
-_STAGES = frozenset({"sum", "total", "d", "d.", "dx", "dx."})
+_STAGES = frozenset({"sum", "total", "d", "d."})
 _LINKED = _STAGES | {"last"}  # the forms that read a chain's state
 # The lines of the first stage of a chain, which no state comes before
 _FIRST: Dict[str, Tuple[str, ...]] = {
@@ -239,8 +231,6 @@ _FIRST: Dict[str, Tuple[str, ...]] = {
     "total": ("{u} = c{k} * {x}",),
     "d": ("{u} = {{{x}}}",),
     "d.": (),
-    "dx": ("{u} = () if {x} in E{k} else {{{x}}}",),
-    "dx.": (),
 }
 _SOURCED = frozenset(form for form, (names, _) in _FORMS.items() if names[0] == "x")
 _RAISING = frozenset({"s", "c"})
@@ -251,9 +241,9 @@ _NAMESPACE = {**_EXPR_NAMESPACE, "EvalError": EvalError}
 # which a form that names no error leaves unused.
 _Call = Tuple[str, Tuple[object, ...], Optional[int]]
 # Where the code of a stage or "last" (_LINKED) reads the state before it,
-# and whether a stage stores the state it leaves in its list ("last" never
-# does): "list", "first" (a chain's first stage, after no state) or the
-# call (its suffix) whose local holds it.
+# and whether a stage stores the state it leaves in its list ("last" and
+# "d." never do): "list", "first" (a chain's first stage, after no state)
+# or the call (its suffix) whose local holds it.
 _Link = Tuple[str, bool]
 
 
@@ -336,7 +326,7 @@ def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, st
                     else f"{state}[-1]" if form == "last" else f"{state}[i{k}]")
             if link[0] == "first":
                 lines = _FIRST[form]
-            if link[1] and form in _STAGES and not form.endswith("."):
+            if link[1]:
                 lines += (f"{state}[i{k} + 1] = u{k}",)
             if not _lists(link):
                 names = names[2:]  # the list and the index
@@ -531,8 +521,11 @@ def _staged_all_different(kind: AllDifferent, depth_of: Mapping[str, int],
     can raise, so the verdicts are those of partial_violated and the
     complete check, and no order of evaluation can be seen. None when an
     operand may raise: then the detector and the complete check, which scan
-    the operands in their own order, decide where it raises.
+    the operands in their own order, decide where it raises, and with
+    excepts, where the detector fails at the depths stages would.
     """
+    if kind.excepts:
+        return None
     depths = _scope_depths(kind, depth_of)
     # each depth's fresh operands, a bare variable's id or a bounded shape,
     # in position order
@@ -546,13 +539,10 @@ def _staged_all_different(kind: AllDifferent, depth_of: Mapping[str, int],
             return None
         # an operand without variables is ready at the first check
         fresh[max(map(depth_of.__getitem__, shape.ids), default=depths[0])].append(shape)
-    excepts = frozenset(kind.excepts)
     checks = [(d, source) for d in depths for source in fresh[d]]
-    # sets[i]: the values of the operands checked before check i, but excepts
+    # sets[i]: the values of the operands checked before check i
     sets: List[Optional[FrozenSet[int]]] = [frozenset()] + [None] * (len(checks) - 1)
-    form = "dx" if excepts else "d"
-    return [(d, form + "." * (i == len(checks) - 1),
-             (source, sets, i) + ((excepts,) if excepts else ()))
+    return [(d, "d" + "." * (i == len(checks) - 1), (source, sets, i))
             for i, (d, source) in enumerate(checks)]
 
 
@@ -717,22 +707,18 @@ class _Search:
     def _cost(self, plan: List[List[_Call]], depth_of: Mapping[str, int]) -> _Call:
         """The leaf's call that sets value to the objective's cost.
 
-        An expression is written inline from its bounded shape ("value"),
-        as an intension's check is. A sum
-        whose terms the bounds prove to stay in int64 (see _proved_terms)
-        is summed by "total" stages, which never fail, added to plan after
-        each depth's checks with no position; the leaf reads their last
-        total ("last"). Any other objective, and every objective with
-        partial_checks off, is a call of eval_objective ("cost"). The call
-        has no position, so an error of the objective passes unnamed.
+        A sum whose terms the bounds prove to stay in int64 (see
+        _proved_terms) is summed by "total" stages, which never fail, added
+        to plan after each depth's checks with no position; the leaf reads
+        their last total ("last"). Any other objective, an expression's
+        included, and every objective with partial_checks off, is a call of
+        eval_objective ("cost"). The call has no position, so an error of
+        the objective passes unnamed.
         """
-        obj, bounds = self.objective, self.bounds
-        if self.cfg.partial_checks:
-            if obj.kind is ObjKind.EXPRESSION:
-                return "value", (obj.bounded_shape(obj.expression, bounds),), None
+        obj = self.objective
+        if self.cfg.partial_checks and obj.kind is ObjKind.SUM:
             coeffs = obj.coeffs if obj.coeffs is not None else (1,) * len(obj.operands)
-            terms = (_proved_terms(obj.operands, coeffs, bounds)
-                     if obj.kind is ObjKind.SUM else None)
+            terms = _proved_terms(obj.operands, coeffs, self.bounds)
             if terms is not None:
                 stages, totals = _sum_stages(terms, depth_of)
                 for d, form, args in stages:
@@ -777,13 +763,13 @@ class _Search:
         doing the leaf and its calls (see _loop_source).
 
         A stage keeps the state it leaves in a local of its block, where
-        the stage after it (or "last") reads it, and stores it in its list
-        only for a reader in a later block. Every block but the last writes
-        env, where later blocks read their variables; the last writes it
-        only where its code reads env otherwise: a call of a checker, a
-        detector or eval_objective, an error's handler, which names the
-        values of its scope, an if() branch, or a forced depth, whose error
-        names the decisions.
+        the stage after it (or "last") reads it, and in a block but the
+        last stores it in its list too, for later blocks. Every block but
+        the last writes env, where later blocks read their variables; the
+        last writes it only where its code reads env otherwise: a call of
+        a checker, a detector or eval_objective, an error's handler, which
+        names the values of its scope, an if() branch, or a forced depth,
+        whose error names the decisions.
         """
         n = len(self.order)
         if self.objective is not None:
@@ -791,14 +777,6 @@ class _Search:
             mode_args: Tuple[object, ...] = (Instantiation,)
         else:
             mode, mode_args = "count", (Instantiation, _Stop, self.cfg.max_solutions)
-        # the depth whose code reads each state of a chain, by (list, index),
-        # where a state may cross a block
-        readers: Dict[Tuple[int, int], int] = {}
-        if n > LOOP_DEPTHS:
-            readers = {(id(args[1]), args[2]): d for d, calls in enumerate(self.plan)
-                       for form, args, _ in calls if form in _STAGES}
-            readers.update(((id(args[0]), len(args[0]) - 1), n - 1)
-                           for form, args, _ in self.leaf if form == "last")
         depths = [(v.id, _values(v.domain), calls)
                   for v, calls in zip(self.order, self.plan)]
         blocks = []
@@ -815,7 +793,7 @@ class _Search:
                     if form in _STAGES:
                         state, i = id(args[1]), args[2]
                         links[d][j] = (kept.get((state, i), "first" if i == 0 else "list"),
-                                       readers.get((state, i + 1), -1) >= end)
+                                       end < n and form != "d.")
                         kept[state, i + 1] = f"{d}_{j}"
             leaf = self.leaf if end == n else ()
             leaf_links = [(kept.get((id(args[0]), len(args[0]) - 1), "list"), False)

@@ -403,6 +403,24 @@ def _reference_cumulative(kind: K.Cumulative, env: Dict[str, int]) -> bool:
     return all(_reference_condition(load, kind.condition, env) for load in loads)
 
 
+def _reference_cardinality(kind: K.Cardinality, env: Dict[str, int]) -> bool:
+    """Each counted value occurs among the variables as many times as its
+    occurs gives (a number, a variable's value, or any in an interval);
+    counted values that are variables must take distinct values; closed,
+    every variable takes a counted value."""
+    values = [reference_eval(VarRef(vid), env) for vid in kind.vars]
+    counted = [_slot(value, env) for value in kind.values]
+    if any(isinstance(value, VarRef) for value in kind.values) \
+            and len(set(counted)) < len(counted):
+        return False
+    for value, occurs in zip(counted, kind.occurs):
+        n = values.count(value)
+        if not (occurs.lo <= n <= occurs.hi if isinstance(occurs, Interval)
+                else n == _slot(occurs, env)):
+            return False
+    return not kind.closed or all(value in counted for value in values)
+
+
 REFERENCE_PREDICATES: Dict[type, Callable[..., bool]] = {
     K.Sum: _reference_sum,
     K.Count: _reference_count,
@@ -415,6 +433,7 @@ REFERENCE_PREDICATES: Dict[type, Callable[..., bool]] = {
     K.NoOverlap1: _reference_no_overlap_1,
     K.NoOverlapK: _reference_no_overlap_k,
     K.Cumulative: _reference_cumulative,
+    K.Cardinality: _reference_cardinality,
 }
 
 

@@ -47,6 +47,18 @@ def test_group_ids_export_with_underscores():
         assert f'id="g_{k}"' in text
 
 
+@pytest.mark.parametrize("variables,rendered", [
+    ("", ""),  # no <variables> at all
+    ('<variables><array id="x" size="[2]"> </array></variables>',
+     '  <variables>\n    <array id="x" size="[2]"/>\n  </variables>\n'),  # no domain
+])
+def test_rendered_bytes_without_variables_or_domains(variables, rendered):
+    instance = parse_string(f'<instance format="XCSP3" type="CSP">{variables}</instance>')
+    text = render_instance(instance)
+    assert text == f'<instance format="XCSP3" type="CSP">\n{rendered}</instance>\n'
+    assert parse_string(text) == instance
+
+
 def test_equivalence_ignores_id_spelling():
     a = parse_file(FIXTURES / "group_g.xml")          # ids g[0], g[1], g[2]
     b = parse_file(FIXTURES / "group_g_expanded.xml")  # ids g_0, g_1, g_2

@@ -587,6 +587,14 @@ def test_solve_node_limit_is_exact(capsys):
     assert out.splitlines() == ["solutions=0", "nodes=10", "LIMIT"]
 
 
+def test_a_cop_stopped_by_a_limit_prints_its_best_solution(capsys):
+    code, out, _ = run(capsys, "solve", fixture_path("cake_sums.xml"), "--node-limit", "100")
+    assert code == 21
+    assert out.splitlines() == ['<instantiation type="solution" cost="1350">',
+                                "  <list> b c </list>", "  <values> 0 3 </values>",
+                                "</instantiation>", "LIMIT"]
+
+
 @pytest.mark.parametrize("option,value,message", [
     ("--max-solutions", "0", "max_solutions must be at least 1, not 0"),
     ("--max-solutions", "-3", "max_solutions must be at least 1, not -3"),

@@ -443,6 +443,24 @@ def test_cardinality_closed_restricts_value_set():
     assert not check_constraint(kind, {"a": 0, "b": 2})
 
 
+def test_a_closed_cardinality_rejects_an_uncounted_value():
+    # 0 occurs once, as required, so only closed decides: y=5 is not counted
+    text = ('<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..9 </var>'
+            '<var id="y"> 0..9 </var></variables><constraints><cardinality>'
+            '<list> x y </list><values{}> 0 </values><occurs> 1 </occurs>'
+            "</cardinality></constraints></instance>")
+    candidate = Instantiation({"x": 0, "y": 5})
+    closed = check_solution(parse_string(text.format(' closed="true"')), candidate)
+    assert (closed.kind, closed.violated) == (VerdictKind.VIOLATED, ("#0",))
+    assert check_solution(parse_string(text.format("")), candidate).satisfied
+
+
+def test_a_variable_coefficient_missing_without_validation_is_unbound():
+    kind = K.Sum(terms=(V("a"),), coeffs=(V("k"),), condition=cond("ge", 0))
+    with pytest.raises(UnboundVariable, match="^k$"):
+        check_constraint(kind, {"a": 1}, validate=False)
+
+
 def test_cardinality_variable_values_must_be_distinct():
     kind = K.Cardinality(vars=("a", "b"), values=(V("u"), V("v")),
                          occurs=(1, 1))
@@ -1251,11 +1269,8 @@ def test_lowered_sums_counts_chains_and_tables_keep_every_verdict():
 def test_a_lowered_tree_nests_no_deeper_than_a_parsed_expression():
     """Writing code recurses through each call of a tree, and the fold
     nests one call per operand: a sum, count or ordered chain is lowered
-    only while its tree nests at most MAX_EXPR_DEPTH calls, its terms' own
-    included."""
-    def nested(depth):
-        return V("a") if depth == 0 else OpCall("neg", (nested(depth - 1),))
-
+    only while its tree nests at most MAX_EXPR_DEPTH calls, and a sum or
+    count only over bare variables."""
     def deepest(tree):
         return 0 if type(tree) is not OpCall else 1 + max(map(deepest, tree.args))
 
@@ -1269,9 +1284,10 @@ def test_a_lowered_tree_nests_no_deeper_than_a_parsed_expression():
             assert (tree is not None) is lowered, (type(kind), n)
             if lowered:
                 assert deepest(tree) == MAX_EXPR_DEPTH
-    for depth, lowered in ((fit - 2, True), (fit - 1, False)):  # a sum of 2 terms
-        kind = K.Sum(terms=(nested(depth), V("b")), coeffs=(1, 2), condition=cond("le", 3))
-        assert (_lowered(kind) is not None) is lowered, depth
+    # a term that is an expression, however shallow, keeps the kind's check
+    terms = (OpCall("neg", (V("a"),)), V("b"))
+    assert _lowered(K.Sum(terms=terms, coeffs=(1, 2), condition=cond("le", 3))) is None
+    assert _lowered(K.Count(operands=terms, values=(1,), condition=cond("ge", 1))) is None
 
 
 def test_long_sums_counts_and_chains_keep_every_verdict():
@@ -1401,6 +1417,19 @@ def _cumulative(draw):
                         tuple(draw(_limit_slots) for _ in origins), draw(_conditions))
 
 
+@st.composite
+def _cardinality(draw):
+    """A cardinality over _NAMES whose counted values are small integers or
+    variables, with occurs of each form; closed often leaves a variable on
+    an uncounted value."""
+    ids = tuple(draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4)))
+    values = tuple(draw(st.lists(_slots, min_size=1, max_size=3)))
+    occurs = st.one_of(st.integers(0, 3), st.sampled_from(_NAMES).map(V),
+                       st.builds(lambda lo, width: Interval(lo, lo + width),
+                                 st.integers(0, 2), st.integers(0, 2)))
+    return K.Cardinality(ids, values, tuple(draw(occurs) for _ in values), draw(st.booleans()))
+
+
 # One strategy per kind: the property draws the kind before the example, so
 # that each kind gets the whole example budget.
 _KINDS = {
@@ -1418,6 +1447,7 @@ _KINDS = {
         st.booleans())),
     "noOverlapK": _no_overlap_k(),
     "cumulative": _cumulative(),
+    "cardinality": _cardinality(),
 }
 _ENVS = st.fixed_dictionaries({name: st.one_of(st.integers(-3, 3), st.sampled_from(
     [2**62, -(2**62), 2**63 - 1, -(2**63)])) for name in _NAMES})

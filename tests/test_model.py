@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from xcsp3core.errors import ParseError
+from xcsp3core.errors import ParseError, UnboundVariable
 from xcsp3core.model import (
     Condition,
     CondOp,
@@ -78,6 +78,10 @@ def test_domain_order_enforced():
 def test_interval_bounds_checked():
     with pytest.raises(ParseError) as err:
         parse_domain_text("5..3", "/x")
+    assert err.value.rule == "interval-bounds"
+    # the parser rejects that text before building a Domain; a caller's is checked too
+    with pytest.raises(ParseError) as err:
+        Domain(((3, 1),))
     assert err.value.rule == "interval-bounds"
 
 
@@ -230,6 +234,8 @@ def test_condition_with_variable_rhs():
     c = Condition(CondOp.LE, VarRef("k"))
     assert eval_condition(3, c, {"k": 5})
     assert not eval_condition(9, c, {"k": 5})
+    with pytest.raises(UnboundVariable, match="^k$"):
+        eval_condition(3, c, {})
 
 
 # -- instantiation mapping -----------------------------------------------------------

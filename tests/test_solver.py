@@ -259,7 +259,8 @@ def _written_function(calls, env, named, vid=None, fail="return True", result="F
     depth's loop variable, every other variable from env. fail runs where a
     check fails; after the last call the function returns result."""
     local = {} if vid is None else {vid: "v"}
-    listed = [("list", True)] * len(calls)  # each depth apart: every stage state in its list
+    # each depth apart: every state a stage leaves goes to its list
+    listed = [("list", form not in ("d.", "last")) for form, _, _ in calls]
     params, code, functions = solver._code(calls, "", fail, local, listed, "dict(env)")
     scope = dict(solver._NAMESPACE)
     exec("\n".join([f"def _make({', '.join(['env', 'named', 'i', *params])}):"]
@@ -307,6 +308,9 @@ def test_staged_all_different_agrees_with_the_detector_at_every_prefix(
     assume(kind.var_ids)  # without variables it is settled before search
     env = {}
     stages, depth_of = _stages_by_depth(kind, order, domains, env)
+    if excepts:  # its detector and complete check serve it instead
+        assert stages is None
+        return
     stages = dict(stages)
     last = max(depth_of[v] for v in kind.var_ids)
     for depth, vid in enumerate(order[:last]):
@@ -511,9 +515,10 @@ def test_staged_all_different_finishes_as_the_complete_check_does(
     assume(kind.var_ids)
     env = {}
     stages, depth_of = _stages_by_depth(kind, order, domains, env)
-    # an operand that may raise leaves the constraint to the detector scan
+    # excepts, or an operand that may raise, leave the constraint to the detector scan
     bounds = {v: (min(domains[v]), max(domains[v])) for v in order}
-    assert (stages is None) == any(bounded_shape(op, bounds).raises for op in operands)
+    assert (stages is None) == (bool(excepts)
+                                or any(bounded_shape(op, bounds).raises for op in operands))
     if stages is None:
         return
     for vid in order:  # a stage reads only the variables of its depth and earlier
@@ -699,14 +704,13 @@ def test_objective_cost_evaluates_other_objectives_with_eval_objective():
 
 
 @pytest.mark.parametrize("bound", [1, INT_MAX])
-def test_objective_cost_writes_a_bounded_expression_inline(bound):
-    # with y up to INT_MAX, add(x,y) keeps its range test, and x=1 fires it
+def test_objective_cost_evaluates_an_expression_with_eval_objective(bound):
+    # with y up to INT_MAX, add(x,y) leaves int64 at x=1, unnamed
     obj = K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION,
                       expression=OpCall("add", (VarRef("x"), VarRef("y"))))
     search = _costed_search(obj, [((0, 1),), ((0, 0), (bound, bound))])
-    (form, (shape,), ci), = search.leaf
-    assert (form, type(shape), shape.raises, ci) == ("value", expr.Bounded, bound == INT_MAX,
-                                                     None)
+    (form, (cost,), ci), = search.leaf
+    assert (form, cost.func, ci) == ("cost", eval_objective, None)
     pairs = _costs(search)
     assert all(cost == reference for cost, reference in pairs)
     if bound == INT_MAX:
@@ -1067,7 +1071,10 @@ def test_a_proved_all_different_is_written_into_the_depth_functions(operands, ex
                 f"<allDifferent><list> {operands} </list>{excepts}</allDifferent>")
     search = _Search(parse_string(text), SearchConfig())
     forms = [form for calls in search.plan for form, _, _ in calls]
-    assert all(form.startswith("d") for form in forms) and forms[-1].endswith(".")
+    if excepts:  # its detector at y's depth, its complete check at x's
+        assert forms == ["s", "c"]
+    else:
+        assert all(form.startswith("d") for form in forms) and forms[-1].endswith(".")
     # no operand can clash before the last depth, so no node is pruned
     status, found, _, _, nodes = _two_ways(text)
     assert (status, found, nodes) == (Status.SATISFIABLE, count, 30)
@@ -1086,20 +1093,19 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
     q, big = VarRef("qZ7[3]"), IntConst(987654321)
     constraints = (
         PostedConstraint(K.Sum((x, y, z, x), (1, 2, 3, 4), Condition(CondOp.LE, 9))),
-        PostedConstraint(K.AllDifferent((x, OpCall("add", (y, IntConst(1))), z), (7,))),
-        PostedConstraint(K.AllDifferent((y, OpCall("mod", (z, x))))),
+        PostedConstraint(K.AllDifferent((x, OpCall("add", (y, IntConst(1))), z))),
+        PostedConstraint(K.AllDifferent((y, OpCall("mod", (z, x))), (7,))),
         PostedConstraint(K.Intension(OpCall("ne", (OpCall("sub", (x, y)), z)))),
         PostedConstraint(K.Intension(OpCall("ne", (OpCall("mul", (q, big)), OpCall("if", (
             OpCall("in", (y, expr.SetLiteral((987654321, 1)))), x, big)))))),
         PostedConstraint(K.AllDifferent((q, OpCall("add", (q, big))))))
-    # and an objective that holds both, with an if() whose branch reads q
-    objective = OpCall("add", (OpCall("mul", (x, OpCall("add", (y, z)))), OpCall("if", (
-        OpCall("in", (q, expr.SetLiteral((987654321, 1)))), OpCall("mul", (q, big)), z))))
+    # and a sum objective whose coefficient is the integer
     inst = Instance(tuple(Variable(v, Domain(((0, 2),))) for v in ids + [q.id]), constraints,
-                    K.Objective(K.Sense.MAXIMIZE, K.ObjKind.EXPRESSION, expression=objective))
+                    K.Objective(K.Sense.MAXIMIZE, K.ObjKind.SUM, operands=(x, q),
+                                coeffs=(987654321, 1)))
     search = _Search(inst, SearchConfig())
     forms = {form for calls in search.plan for form, _, _ in calls}
-    assert {"sum", "s", "dx", "dx.", "i", "d", "d."} <= forms
+    assert {"sum", "s", "c", "i", "d", "d.", "total"} <= forms
     # the first allDifferent's operands: x and z bare, add(y,1) written as code
     assert [type(args[0]) for calls in search.plan for form, args, ci in calls
             if ci == 1] == [str, expr.Bounded, str]
@@ -1107,12 +1113,11 @@ def test_stage_and_bounded_forms_hold_no_input_text(monkeypatch):
         partial_checks=False)))
     # the stages and add(y,1) are written into the loop, which reads y as v1
     # and keeps each stage's set in a local, the last two constraints' code
-    # at q's depth, and the objective's into the leaf, its if() branch a
-    # function that reads q from env
-    assert search.leaf[0][0] == "value"
-    assert any("t1_1_0 = v1 + p1_1_1" in s and "u1_1 = {*u1_1, t1_1_0}" in s
-               and " in p3_" in s and "(env) if " in s
-               and "value = tL0_" in s and " = env[pL0_" in s and " in pL0_" in s
+    # at q's depth, an if() branch a function that reads env, and the
+    # objective's last total into the leaf
+    assert search.leaf[0][0] == "last"
+    assert any("t1_1_0 = v1 + p1_1_1" in s and "u1_1 = {*u0_1, t1_1_0}" in s
+               and " in p3_" in s and "(env) if " in s and "value = u3_" in s
                for s in sources)
     for source in sources:
         for text in ids + ["IDONE", "IDTWO", "IDTHREE", "qZ7", "987654321"]:
@@ -1263,10 +1268,11 @@ def _leaf_searches(draw):
     forms the leaf's calls may take.
 
     An EXPRESSION objective is a bare variable, an if() whose first branch
-    is one, a div whose divisor's domain holds 0, an add whose range test
-    survives when its variable has two values (and fires at any but the
-    smallest), or any drawn expression. A sum objective is proved or not
-    by its variables' bounds; a maximum objective is eval_objective's.
+    is one, a div whose divisor's domain holds 0, an add that leaves int64
+    when its variable has two values (at any but the smallest), or any
+    drawn expression, each costed by eval_objective. A sum objective is
+    proved or not by its variables' bounds; a maximum objective is
+    eval_objective's.
     """
     text, _, restrict = draw(_written_expression_instances())
     cfg = SearchConfig(max_solutions=draw(st.sampled_from([None, 1, 2])),
@@ -1288,7 +1294,7 @@ def _leaf_searches(draw):
          "any": lambda: draw(expressions)}.get(kind)
     sense = draw(st.sampled_from(["minimize", "maximize"]))
     if e is not None:
-        objective, forms = f"<{sense}> {expr.print_expr(e())} </{sense}>", {"value"}
+        objective, forms = f"<{sense}> {expr.print_expr(e())} </{sense}>", {"cost"}
     else:
         scope = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(scope), max_size=len(scope)))
@@ -1599,8 +1605,8 @@ def test_the_loop_source_holds_no_id_or_constant(monkeypatch, cfg, sense):
             OpCall("in", (refs[3], expr.SetLiteral((987654321, 70001)))), refs[5], big)))))),
         PostedConstraint(K.AllDifferent((q, OpCall("add", (refs[3], big)),
                                          OpCall("sub", (q, big))))))
-    # a sum objective, or one that holds q and the integer, read in the
-    # leaf with v3 and v19 (an if() branch reads v19 from env)
+    # a sum objective, summed by stages, or an expression that holds q and
+    # the integer, costed in the leaf by eval_objective
     expression = OpCall("add", (OpCall("mul", (q, big)), OpCall("if", (
         OpCall("in", (refs[3], expr.SetLiteral((987654321, 70001)))), refs[19], big))))
     objective = sense and (
@@ -1615,7 +1621,7 @@ def test_the_loop_source_holds_no_id_or_constant(monkeypatch, cfg, sense):
     # the expressions are written into the second block, which reads q as
     # its loop variable and v3 from env
     assert any(" in p" in source and "= env[p" in source for source in sources)
-    leaf = {"minimize": "value = u3_1", "maximize": "value = tL0_"}.get(sense, "")
+    leaf = {"minimize": "value = u3_1", "maximize": "value = fL0(env)"}.get(sense, "")
     assert leaf in sources[-1]
     if sense == "minimize":  # the sum's total crosses the boundary in its list
         assert "T15_1[i15_1 + 1] = u15_1" in sources[0]
