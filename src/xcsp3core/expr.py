@@ -54,16 +54,16 @@ if() keep their code, so every error that can still happen is raised as
 compile_expr's function raises it. The walk's result, a Bounded, keeps
 the tree, the shape key with the list of kept tests and checked divs and
 mods, and the constants. Bounded.write writes the expression's statements
-into code of the caller's (the solver writes intensions, allDifferent
-operands and an objective into its search loop, and check_solution each
-intension shape into a loop over its rows), with a suffix on every
-name, and reads each variable that the caller holds in a local from that
-local, any other from env; an if() branch's function reads env. The
-caller passes the constants that the code reads (Bounded.args: all but
-the ids of the variables read from locals), in the walk's order, as it
-passes its own, and keys its own code by the shape key and the reads. A
-caller that only tests the value (an intension's check) has a top
-comparison written as its negation in place, not stored as 0/1.
+into code of the caller's (the solver writes intensions and allDifferent
+operands into its search loop, and check_solution each intension shape
+into a loop over its rows), with a suffix on every name, and reads each
+variable that the caller holds in a local from that local, any other
+from env; an if() branch's function reads env. The caller passes every
+constant (Bounded.consts, the ids of the variables read from locals too,
+which the code never reads), in the walk's order, as it passes its own,
+and keys its own code by the shape key and the reads. A caller that only
+tests the value (an intension's check) has a top comparison written as
+its negation in place, not stored as 0/1.
 """
 
 from __future__ import annotations
@@ -672,7 +672,7 @@ _LEAVE: Dict[Tuple[str, str], Tuple[Callable[..., Span], int]] = {
 
 
 def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None,
-           reads: Optional[List[Tuple[str, Optional[int]]]] = None
+           reads: Optional[List[Tuple[str, bool]]] = None
            ) -> Tuple[Any, List[object], List[bool], bool]:
     """The shape key of e, its constants, its range tests and whether it may raise.
 
@@ -695,8 +695,7 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None,
     checked call is written and the last two results mean nothing. With
     bounds and a list reads, the walk appends to reads each variable read,
     in the order of the constants (the order in which _Writer reads): its
-    id and the position of that id among the constants, or None for a read
-    inside an if() branch.
+    id and whether the read sits inside an if() branch.
     """
     key: List[object] = []
     consts: List[object] = []
@@ -714,7 +713,7 @@ def _shape(e: Expr, bounds: Optional[Mapping[str, Span]] = None,
             if bounds is not None:
                 spans.append(bounds[node.id])
                 if reads is not None:
-                    reads.append((node.id, None if branches else len(consts) - 1))
+                    reads.append((node.id, branches > 0))
         elif kind is IntConst:
             key.append("i")
             consts.append(node.value)
@@ -911,9 +910,9 @@ class Bounded(NamedTuple):
     """An expression under bounds, as one walk of _shape finds it: what
     writing it into other code needs.
 
-    ids holds the variable each read reads, in _shape's order, and at the
-    position of its id among consts, or None for a read inside an if()
-    branch. raises is False when its code cannot raise at all.
+    ids holds the variable each read reads, in _shape's order, and branched
+    whether that read sits inside an if() branch. raises is False when its
+    code cannot raise at all.
     """
 
     expr: Expr
@@ -922,30 +921,22 @@ class Bounded(NamedTuple):
     tests: List[bool]
     raises: bool
     ids: Tuple[str, ...]
-    at: Tuple[Optional[int], ...]
+    branched: Tuple[bool, ...]
 
     def reads(self, local: Mapping[str, str]) -> Tuple[Optional[str], ...]:
         """Each read's local name in local, or None where it reads env: a
         read inside an if() branch always does."""
-        if None not in self.at:
+        if True not in self.branched:
             return tuple(map(local.get, self.ids))
-        return tuple(None if at is None else local.get(vid) for vid, at in zip(self.ids, self.at))
-
-    def unread(self, reads: Sequence[Optional[str]]) -> List[int]:
-        """The positions of the constants that code with these reads never
-        reads: the ids of the variables it reads from a local."""
-        return [at for at, local in zip(self.at, reads) if local is not None]
-
-    def args(self, reads: Sequence[Optional[str]]) -> List[object]:
-        """The constants that code with these reads takes, in order."""
-        unread = self.unread(reads)
-        return [c for i, c in enumerate(self.consts) if i not in unread] if unread else self.consts
+        return tuple(None if branched else local.get(vid)
+                     for vid, branched in zip(self.ids, self.branched))
 
     def write(self, suffix: str, local: Mapping[str, str], test: bool = False
               ) -> Tuple[List[str], List[str], str, List[str]]:
         """The code of the expression inside the caller's code (_Writer's
-        inline mode): its parameters (the names of args(reads(local)), each
-        with suffix), its statements, the name of its value, or with test an
+        inline mode): its parameters (one per constant, each with suffix,
+        the id of a variable read from a local among them though the code
+        never reads it), its statements, the name of its value, or with test an
         expression true exactly where that value is 0, and the lines of its
         if() branches' functions, which the caller defines where its
         statements can call them. A variable in local is read from the local
@@ -958,18 +949,16 @@ class Bounded(NamedTuple):
         writer = _Writer(self.tests, reads, f"{suffix}_")
         body: List[str] = []
         value = (writer.test if test else writer.node)(self.expr, body)
-        unread = self.unread(reads)
-        return ([f"p{suffix}_{i}" for i in range(writer.params) if i not in unread], body,
-                value, writer.functions)
+        return [f"p{suffix}_{i}" for i in range(writer.params)], body, value, writer.functions
 
 
 def bounded_shape(e: Expr, bounds: Mapping[str, Span]) -> Bounded:
     """e under bounds, each variable's (min, max): one walk of the tree (see
     _shape), kept with the tree for Bounded.write."""
-    reads: List[Tuple[str, Optional[int]]] = []
+    reads: List[Tuple[str, bool]] = []
     key, consts, tests, raises = _shape(e, bounds, reads)
     return Bounded(e, key, consts, tests, raises, tuple(vid for vid, _ in reads),
-                   tuple(at for _, at in reads))
+                   tuple(branched for _, branched in reads))
 
 
 def free_vars(e: Expr) -> List[str]:

@@ -56,17 +56,22 @@ assigns from that depth's loop variable, and any other from env; code in
 an if() branch's function reads env alone. Each depth holds its own copy
 of the stages' state, with no trail (Schulte, "Comparing trailing and
 copying for constraint programming", ICLP 1999), in locals of its block:
-a stage reads the state the stage before it left in a local, and a
-stage in any block but the last also stores its state in the chain's
-list (T or S), where a later block reads it. Every block but the last
-writes each depth's value to env, where the later blocks read it; the
-last writes env only where its code reads env, and a solution it records
-is env with its own depths' values added. The callables, constants,
-state lists, kinds and the constraint positions that name an evaluation
-error are arguments of the factory that builds the code, but for the ids
-of the variables read from loop variables: as in expr's generator, no
-id, label or other input text enters the source, and one factory serves
-all code of the same forms, expression shapes, reads and stage locals.
+a stage reads the state the stage before it left in a local, a chain's
+first stage in a block reads it from the chain's list (T or S, whose
+slot 0 is the state before the chain: a total of 0, an empty set), and a
+stage in any block but the last also stores its state in that list,
+where a later block reads it. Every block but the last writes each
+depth's value to env, where the later blocks read it; the last writes
+env only where its code reads env, and a solution it records is env
+with its own depths' values added. The callables, constants, state
+lists, kinds and the constraint positions that name an evaluation error
+are arguments of the factory that builds the code: every call passes
+all its constants, in the order it holds them, also those its code
+never reads (an expression's ids of variables read from loop variables,
+the list of a stage that reads and stores only locals). As in expr's
+generator, no id, label or other input text enters the source, and one
+factory serves all code of the same forms, expression shapes, reads and
+stage locals.
 With partial_checks off, every constraint is one "c" call of its checker
 and every cost a call of eval_objective, both with unbounded evaluators:
 that is the reference path.
@@ -194,11 +199,11 @@ CLOCK_NODES = 256   # nodes between two readings of the clock
 # partial detector (True when violated) and "c" the complete check of kind
 # a{k}. A stage (_STAGES) is one of a chain (staged_checks) whose states
 # the search keeps in the list T or S, state i + 1 the one that stage i
-# leaves: its lines read prev, the local of the stage before it in the
-# same block or, at a block's first stage of the chain, the list; the
-# first stage of a chain starts from nothing (_FIRST), and a stage in a
-# block that is not the last stores its state in the list (_Link), where a
-# later block reads it. A sum stage adds its variable's term c * x (the
+# leaves and state 0 the one before the chain (a total of 0, an empty
+# set): its lines read prev, the local of the stage before it in the same
+# block or, at a block's first stage of the chain, the list; a stage in a
+# block that is not the last stores its state in the list (_Link), where
+# a later block reads it. A sum stage adds its variable's term c * x (the
 # coefficients of a variable merged) to the total: "sum" fails outside
 # lo..hi, "total" (an objective's) never fails. An allDifferent operand
 # ("d"; "d." the last operand checked) is a membership test of its value
@@ -225,13 +230,6 @@ _FORMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 }
 _STAGES = frozenset({"sum", "total", "d", "d."})
 _LINKED = _STAGES | {"last"}  # the forms that read a chain's state
-# The lines of the first stage of a chain, which no state comes before
-_FIRST: Dict[str, Tuple[str, ...]] = {
-    "sum": ("{u} = c{k} * {x}", "if {u} < lo{k} or {u} > hi{k}:", "    {fail}"),
-    "total": ("{u} = c{k} * {x}",),
-    "d": ("{u} = {{{x}}}",),
-    "d.": (),
-}
 _SOURCED = frozenset(form for form, (names, _) in _FORMS.items() if names[0] == "x")
 _RAISING = frozenset({"s", "c"})
 _READS_ENV = _RAISING | {"cost"}  # besides error handlers and if() branches
@@ -242,19 +240,13 @@ _NAMESPACE = {**_EXPR_NAMESPACE, "EvalError": EvalError}
 _Call = Tuple[str, Tuple[object, ...], Optional[int]]
 # Where the code of a stage or "last" (_LINKED) reads the state before it,
 # and whether a stage stores the state it leaves in its list ("last" and
-# "d." never do): "list", "first" (a chain's first stage, after no state)
-# or the call (its suffix) whose local holds it.
+# "d." never do): "list" or the call (its suffix) whose local holds it.
 _Link = Tuple[str, bool]
 
 
-def _names_errors(form: str, source: object, ci: Optional[int]) -> bool:
+def _guarded(form: str, source: object, ci: Optional[int]) -> bool:
     """Whether a call's code names its errors: it has a position and may raise."""
     return ci is not None and (form in _RAISING or (type(source) is Bounded and source.raises))
-
-
-def _lists(link: _Link) -> bool:
-    """Whether the code of a call with link reads or stores its chain's list."""
-    return link[0] == "list" or link[1]
 
 
 def _written(calls: Sequence[_Call], local: Mapping[str, str],
@@ -266,28 +258,23 @@ def _written(calls: Sequence[_Call], local: Mapping[str, str],
     The first is each call's form and, for an expression, its bounded shape
     key and which of its reads are of which loop variable, and a stage's
     link. A stage reads the variable of its own depth, always a loop
-    variable, so its id is no argument, nor is the id of a variable that
-    an expression reads from a local; a stage or "last" that neither reads
-    nor stores its list takes neither the list nor its index.
+    variable, so its id is no argument; an expression takes all its
+    constants, the ids of the variables it reads from locals too.
     """
     keys: List[object] = []
     out: List[object] = []
     reads_env = False
     for j, (form, args, ci) in enumerate(calls):
         source = args[0]
-        rest = args[1:] if form in _SOURCED else args
         link = links[j] if form in _LINKED else None
-        if link is not None and not _lists(link):
-            rest = rest[2:]  # the list and the index
         if type(source) is Bounded:
-            reads = source.reads(local)
-            keys.append((form, source.key, reads, link))
-            out += source.args(reads)
-            reads_env = reads_env or None in source.at
+            keys.append((form, source.key, source.reads(local), link))
+            out += source.consts
+            reads_env = reads_env or True in source.branched
         else:
             keys.append((form, link) if link else form)
-        out += rest
-        if _names_errors(form, source, ci):
+        out += args[1:] if form in _SOURCED else args
+        if _guarded(form, source, ci):
             out.append(ci)
             reads_env = True
         reads_env = reads_env or form in _READS_ENV
@@ -302,7 +289,9 @@ def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, st
     fails, a variable in local is read from the local named there (a
     stage's always is), call j of a form in _LINKED reads and stores the
     state of its chain as links[j] says, and "keep" builds the solution
-    with the code solution."""
+    with the code solution. Each call takes every parameter of its form
+    and, for an expression, one per constant (expr.Bounded.write), the
+    same list whatever its link or reads."""
     params: List[str] = []
     code: List[str] = []
     functions: List[str] = []
@@ -322,18 +311,14 @@ def _code(calls: Sequence[_Call], suffix: str, fail: str, local: Mapping[str, st
         if form in _LINKED:
             link = links[j]
             state = f"{names[0]}{k}"
-            prev = (f"u{link[0]}" if link[0] not in ("list", "first")
+            prev = (f"u{link[0]}" if link[0] != "list"
                     else f"{state}[-1]" if form == "last" else f"{state}[i{k}]")
-            if link[0] == "first":
-                lines = _FIRST[form]
             if link[1]:
                 lines += (f"{state}[i{k} + 1] = u{k}",)
-            if not _lists(link):
-                names = names[2:]  # the list and the index
         params += [f"{name}{k}" for name in names]
         block += [line.format(k=k, fail=fail, x=x, u=f"u{k}", prev=prev, solution=solution)
                   for line in lines]
-        if _names_errors(form, args[0], ci):
+        if _guarded(form, args[0], ci):
             params.append(f"n{k}")
             block = (["try:"] + [f"    {line}" for line in block]
                      + ["except EvalError as e:", f"    raise named(e, n{k}) from e"])
@@ -380,7 +365,7 @@ _INNER: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] = {
 _LOOPS: Dict[Tuple[object, ...], Callable[..., Iterator[bool]]] = {}
 
 
-def _loop_source(length: int, forced: int, mode: str, writes_env: bool, names_errors: bool,
+def _loop_source(length: int, forced: int, mode: str, writes_env: bool,
                  leaf: Sequence[_Call], calls: Sequence[Sequence[_Call]],
                  local: Mapping[str, str], links: Sequence[Sequence[Optional[_Link]]],
                  leaf_links: Sequence[Optional[_Link]]) -> str:
@@ -390,8 +375,8 @@ def _loop_source(length: int, forced: int, mode: str, writes_env: bool, names_er
     forced of them forced, depth d making calls[d] and the leaf making
     leaf, each call reading and keeping a chain's state as links[d] (or
     leaf_links) say; local names the loop variable of each depth's variable.
-    It takes unforced only when forced, and named only with names_errors,
-    when some call names its errors (_names_errors).
+    Every block takes unforced and named, whether or not its code calls
+    them.
 
     Depth d assigns variable i<d> each value v<d> of r<d> in turn, as one
     nested for: it tests the limits when the node count reaches test_at
@@ -416,8 +401,7 @@ def _loop_source(length: int, forced: int, mode: str, writes_env: bool, names_er
     solution = "{" + ", ".join(["**env", *(f"i{d}: v{d}" for d in range(length))]) + "}"
     leaf_params, leaf_code, functions = _code(leaf, "L", "continue", local, leaf_links,
                                               solution)
-    head = ["search", "env", "checkpoint", *["unforced"] * (forced > 0),
-            *["named"] * names_errors, *params, *leaf_params]
+    head = ["search", "env", "checkpoint", "unforced", "named", *params, *leaf_params]
     body: List[Tuple[int, str]] = []
     for d in range(length):
         depth = 2 + d  # the indent of depth d's for
@@ -764,12 +748,15 @@ class _Search:
 
         A stage keeps the state it leaves in a local of its block, where
         the stage after it (or "last") reads it, and in a block but the
-        last stores it in its list too, for later blocks. Every block but
-        the last writes env, where later blocks read their variables; the
-        last writes it only where its code reads env otherwise: a call of
-        a checker, a detector or eval_objective, an error's handler, which
-        names the values of its scope, an if() branch, or a forced depth,
-        whose error names the decisions.
+        last stores it in its list too, for later blocks; a chain's first
+        stage in a block reads its list, at slot 0 for the chain's first.
+        Every block takes unforced and named and every call all its
+        constants, so a block's arguments follow from its calls alone.
+        Every block but the last writes env, where later blocks read their
+        variables; the last writes it only where its code reads env
+        otherwise: a call of a checker, a detector or eval_objective, an
+        error's handler, which names the values of its scope, an if()
+        branch, or a forced depth, whose error names the decisions.
         """
         n = len(self.order)
         if self.objective is not None:
@@ -792,8 +779,7 @@ class _Search:
                 for j, (form, args, _) in enumerate(depth):
                     if form in _STAGES:
                         state, i = id(args[1]), args[2]
-                        links[d][j] = (kept.get((state, i), "first" if i == 0 else "list"),
-                                       end < n and form != "d.")
+                        links[d][j] = (kept.get((state, i), "list"), end < n and form != "d.")
                         kept[state, i + 1] = f"{d}_{j}"
             leaf = self.leaf if end == n else ()
             leaf_links = [(kept.get((id(args[0]), len(args[0]) - 1), "list"), False)
@@ -804,18 +790,14 @@ class _Search:
             forced = max(0, end - max(start, self.branch_len))
             writes_env = (end < n or forced > 0 or leaf_env
                           or any(reads_env for _, _, reads_env in written))
-            names_errors = any(_names_errors(form, args[0], ci)
-                               for depth in calls for form, args, ci in depth)
             shape = (end - start, forced, mode if end == n else "descend", writes_env,
-                     names_errors, leaf_keys, tuple(keys for keys, _, _ in written))
+                     leaf_keys, tuple(keys for keys, _, _ in written))
             make = generated(_LOOPS, MAX_LOOPS, shape,
-                             partial(_loop_source, *shape[:5], leaf, calls, local, links,
+                             partial(_loop_source, *shape[:4], leaf, calls, local, links,
                                      leaf_links),
                              _NAMESPACE, "<search loop>")
-            blocks.append(partial(make, self, self.env, self._checkpoint,
-                                  *[self._unforced] * (forced > 0),
-                                  *[self._named] * names_errors,
-                                  *(mode_args if end == n else ()), *leaf_args,
+            blocks.append(partial(make, self, self.env, self._checkpoint, self._unforced,
+                                  self._named, *(mode_args if end == n else ()), *leaf_args,
                                   *[arg for (vid, values, _), (_, args, _) in zip(block, written)
                                     for arg in (vid, values, *args)]))
         return blocks

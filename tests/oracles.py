@@ -421,6 +421,63 @@ def _reference_cardinality(kind: K.Cardinality, env: Dict[str, int]) -> bool:
     return not kind.closed or all(value in counted for value in values)
 
 
+def _reference_element(picked: Optional[int], rhs, env: Dict[str, int]) -> bool:
+    """The picked value, None when the index falls outside the list, equals
+    rhs (a value or a variable's value) or satisfies it (a condition)."""
+    if picked is None:
+        return False
+    if isinstance(rhs, Condition):
+        return _reference_condition(picked, rhs, env)
+    return picked == _slot(rhs, env)
+
+
+def _picked(items: Sequence, index: int):
+    """items[index] for an index from 0 to len(items) - 1; else None."""
+    return items[index] if index in range(len(items)) else None
+
+
+def _reference_element_var_list(kind: K.ElementVarList, env: Dict[str, int]) -> bool:
+    vid = _picked(kind.vars, reference_eval(VarRef(kind.index), env))
+    return _reference_element(None if vid is None else reference_eval(VarRef(vid), env),
+                              kind.rhs, env)
+
+
+def _reference_element_val_list(kind: K.ElementValList, env: Dict[str, int]) -> bool:
+    return _reference_element(_picked(kind.values, reference_eval(VarRef(kind.index), env)),
+                              kind.rhs, env)
+
+
+def _reference_element_matrix(kind: K.ElementMatrix, env: Dict[str, int]) -> bool:
+    """The cell at (row, column), a variable's value or a plain value; every
+    row has the first row's width."""
+    row = _picked(kind.cells, reference_eval(VarRef(kind.row_index), env))
+    column = reference_eval(VarRef(kind.col_index), env)
+    cell = None if row is None or column not in range(len(kind.cells[0])) else row[column]
+    return _reference_element(reference_eval(VarRef(cell), env) if isinstance(cell, str)
+                              else cell, kind.rhs, env)
+
+
+def _reference_circuit(kind: K.Circuit, env: Dict[str, int]) -> bool:
+    """Each x[i] names the successor of node i, from 0 to n - 1, and
+    x[i] = i leaves node i out. The nodes left in, at least two, form one
+    cycle: following successors from the first of them visits each once
+    and comes back. size, when given, is their number."""
+    successors = [reference_eval(VarRef(vid), env) for vid in kind.vars]
+    n = len(successors)
+    if any(s not in range(n) for s in successors):
+        return False
+    kept = [i for i in range(n) if successors[i] != i]
+    if len(kept) < 2:
+        return False
+    path, node = [], kept[0]
+    for _ in kept:
+        path.append(node)
+        node = successors[node]
+    if node != kept[0] or sorted(path) != kept:
+        return False
+    return kind.size is None or _slot(kind.size, env) == len(kept)
+
+
 REFERENCE_PREDICATES: Dict[type, Callable[..., bool]] = {
     K.Sum: _reference_sum,
     K.Count: _reference_count,
@@ -434,6 +491,10 @@ REFERENCE_PREDICATES: Dict[type, Callable[..., bool]] = {
     K.NoOverlapK: _reference_no_overlap_k,
     K.Cumulative: _reference_cumulative,
     K.Cardinality: _reference_cardinality,
+    K.ElementVarList: _reference_element_var_list,
+    K.ElementValList: _reference_element_val_list,
+    K.ElementMatrix: _reference_element_matrix,
+    K.Circuit: _reference_circuit,
 }
 
 

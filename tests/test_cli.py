@@ -7,6 +7,7 @@
   5 a variable the decision does not force (solve --restrict-to-decision)
 """
 
+import sys
 import time
 import tracemalloc
 
@@ -15,7 +16,7 @@ import pytest
 from conftest import fixture_path
 from xcsp3core.canonical import instances_equivalent, render_instance
 from xcsp3core import parser
-from xcsp3core.cli import main
+from xcsp3core.cli import entry, main
 from xcsp3core.expr import MAX_EXPR_DEPTH
 from xcsp3core.parser import MAX_VARIABLES, MAX_XML_DEPTH, parse_file, parse_string
 
@@ -34,6 +35,20 @@ def test_validate_reports_summary(capsys):
     assert code == 0
     assert "valid CSP instance: 3 variables, 3 constraints" in out
     assert "kind.Extension=3" in out
+
+
+def test_the_console_script_exits_with_mains_code(capsys, monkeypatch):
+    # entry, which pyproject.toml installs as the xcsp3core command, reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["xcsp3core", "validate", fixture_path("toy_network.xml")])
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    assert exited.value.code == 0
+    assert "valid CSP instance" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["xcsp3core"])  # no command: the usage, exit 3
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    assert exited.value.code == 3
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_validate_reports_objective(capsys):

@@ -1245,6 +1245,7 @@ LOWERED = """<instance format="XCSP3" type="CSP">
     <extension id="f"> <list> b d </list> <conflicts> (0,-1)(2,2) </conflicts> </extension>
     <sum id="e"> <list> </list> <condition> (gt,0) </condition> </sum>
     <ordered id="one"> <list> a </list> <operator> lt </operator> </ordered>
+    <sum id="v"> <list> a b </list> <coeffs> c 1 </coeffs> <condition> (le,5) </condition> </sum>
   </constraints>
 </instance>"""
 
@@ -1253,8 +1254,8 @@ def test_lowered_sums_counts_chains_and_tables_keep_every_verdict():
     """Every total and partial assignment of LOWERED, checked by the plan,
     has the reference's outcome. The sum s, the count and the chains are
     each a loop; big, whose terms may pass 2^63, m, under (in,...), the
-    empty sum and the chain of one keep their checks; the tables share one
-    loop."""
+    empty sum, the chain of one and v, whose coefficient c is a variable,
+    keep their checks; the tables share one loop."""
     instance = parse_string(LOWERED)
     names = ("a", "b", "c", "d")
     domains = [list(instance.variable(v).domain.values()) + [None] for v in names]
@@ -1263,7 +1264,7 @@ def test_lowered_sums_counts_chains_and_tables_keep_every_verdict():
         for mode in CheckMode:
             got = _outcome(check_solution, instance, solution, mode, None)
             assert _agree(got, _reference_outcome(instance, solution, mode, None)), (values, got)
-    assert _planned(instance) == ([[6, 7], [0], [1], [2], [3]], [4, 5, 8, 9])
+    assert _planned(instance) == ([[6, 7], [0], [1], [2], [3]], [4, 5, 8, 9, 10])
 
 
 def test_a_lowered_tree_nests_no_deeper_than_a_parsed_expression():
@@ -1397,7 +1398,7 @@ def _ordered(draw):
 # and reach the int64 ends through the origins and length variables that
 # _ENVS sets near them; heights also come near +-2^62, so that loads overflow.
 _limit_slots = st.one_of(_slots, st.sampled_from(_NEAR_LIMIT))
-_origin_lists = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4).map(tuple)
+_name_lists = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4).map(tuple)
 
 
 @st.composite
@@ -1412,7 +1413,7 @@ def _no_overlap_k(draw):
 
 @st.composite
 def _cumulative(draw):
-    origins = draw(_origin_lists)
+    origins = draw(_name_lists)
     return K.Cumulative(origins, tuple(draw(_slots) for _ in origins),
                         tuple(draw(_limit_slots) for _ in origins), draw(_conditions))
 
@@ -1430,6 +1431,21 @@ def _cardinality(draw):
     return K.Cardinality(ids, values, tuple(draw(occurs) for _ in values), draw(st.booleans()))
 
 
+# An element's right-hand side: a value, a variable or a condition. Its
+# lists are at most 4 long, so _ENVS puts an index inside them about half
+# the time.
+_element_rhs = st.one_of(st.integers(-3, 3), st.sampled_from(_NAMES).map(V), _conditions)
+
+
+@st.composite
+def _element_matrix(draw):
+    rows, columns = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cell = draw(st.sampled_from([st.sampled_from(_NAMES), st.integers(-3, 3)]))
+    cells = tuple(tuple(draw(cell) for _ in range(columns)) for _ in range(rows))
+    return K.ElementMatrix(cells, draw(st.sampled_from(_NAMES)), draw(st.sampled_from(_NAMES)),
+                           draw(_element_rhs))
+
+
 # One strategy per kind: the property draws the kind before the example, so
 # that each kind gets the whole example budget.
 _KINDS = {
@@ -1442,15 +1458,63 @@ _KINDS = {
     "ordered": _ordered(),
     "minimum": st.builds(K.Minimum, _operand_lists(), _conditions),
     "maximum": st.builds(K.Maximum, _operand_lists(), _conditions),
-    "noOverlap": _origin_lists.flatmap(lambda origins: st.builds(
+    "noOverlap": _name_lists.flatmap(lambda origins: st.builds(
         K.NoOverlap1, st.just(origins), st.tuples(*[_slots] * len(origins)),
         st.booleans())),
     "noOverlapK": _no_overlap_k(),
     "cumulative": _cumulative(),
     "cardinality": _cardinality(),
+    "element": st.builds(K.ElementVarList, _name_lists, st.sampled_from(_NAMES), _element_rhs),
+    "elementValues": st.builds(K.ElementValList, st.lists(
+        st.integers(-3, 3), min_size=1, max_size=4).map(tuple), st.sampled_from(_NAMES),
+        _element_rhs),
+    "elementMatrix": _element_matrix(),
+    "circuit": st.builds(K.Circuit, _name_lists, st.one_of(st.none(), _slots)),
 }
 _ENVS = st.fixed_dictionaries({name: st.one_of(st.integers(-3, 3), st.sampled_from(
     [2**62, -(2**62), 2**63 - 1, -(2**63)])) for name in _NAMES})
+
+
+def test_reference_element_and_circuit_predicates_on_chosen_cases():
+    """An index outside the list, a right-hand side that is a value, a
+    variable or a condition, and circuits with self-loops and a size, each
+    against check_constraint; then every assignment of a 3-node and a
+    4-node circuit, with and without sizes."""
+    env = {"i": 1, "j": 0, "x": 5, "y": 7, "z": -1, "a": 1, "b": 2, "c": 0, "s": 1, "t": 2}
+    le6 = cond("le", 6)
+    for kind, holds in [
+        (K.ElementVarList(("x", "y"), "i", 7), True),
+        (K.ElementVarList(("x", "y"), "j", V("y")), False),
+        (K.ElementVarList(("x", "y"), "z", le6), False),  # index -1
+        (K.ElementVarList(("x",), "i", le6), False),  # index 1 of a list of 1
+        (K.ElementValList((3, 4), "i", V("z")), False),
+        (K.ElementValList((3, 4), "i", cond("gt", V("j"))), True),
+        (K.ElementValList((3, 4), "x", 4), False),  # index 5
+        (K.ElementMatrix((("x", "y"), ("y", "x")), "i", "i", 5), True),
+        (K.ElementMatrix(((1, 2),), "i", "j", 1), False),  # row 1 of 1
+        (K.ElementMatrix(((1, 2),), "j", "i", cond("in", IntSet((2, 9)))), True),
+        (K.ElementMatrix(((1, 2),), "j", "y", 2), False),  # column 7 of 2
+        (K.Circuit(("a", "b", "c")), True),  # 0 -> 1 -> 2 -> 0
+        (K.Circuit(("a", "b", "c"), 3), True),
+        (K.Circuit(("a", "b", "c"), V("i")), False),
+        (K.Circuit(("a", "s", "c")), False),  # 1 -> 1, which 0 -> 1 enters
+        (K.Circuit(("t", "s", "c")), True),  # 0 -> 2 -> 0, 1 -> 1 left out
+        (K.Circuit(("t", "s", "c"), 2), True),
+        (K.Circuit(("t", "s", "c"), V("b")), True),
+        (K.Circuit(("t", "s", "c"), 3), False),
+        (K.Circuit(("j", "i")), False),  # every node left out
+        (K.Circuit(("a", "y")), False),  # 1 -> 7
+    ]:
+        assert oracles.REFERENCE_PREDICATES[type(kind)](kind, env) is holds, kind
+        assert check_constraint(kind, env) is holds, kind
+    for n in (3, 4):
+        ids = tuple(f"x{k}" for k in range(n))
+        for size in (None, 2, n, V("s")):
+            kind = K.Circuit(ids, size)
+            for values in itertools.product(range(-1, n + 1), repeat=n):
+                env = dict(zip(ids, values), s=3)
+                assert oracles.REFERENCE_PREDICATES[K.Circuit](kind, env) is check_constraint(
+                    kind, env), (size, values)
 
 
 def _kind_outcome(check, kind, env):

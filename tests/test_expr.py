@@ -536,7 +536,7 @@ def _written(e, bounds, local, test=False):
     reads = shape.reads(names)
     make = expr.generated(_WRITTEN, 64, (shape.key, reads, tuple(names.values()), test),
                           lambda: source, expr._NAMESPACE, "<written expression>")
-    function = make(*shape.args(reads))
+    function = make(*shape.consts)
     return lambda env: function(env, *map(env.__getitem__, names)), shape.raises, source
 
 

@@ -910,10 +910,11 @@ def test_generated_code_holds_no_input_text(monkeypatch):
             for form, _, ci in calls if ci is None] == ["total"] * 3
     # the checks are written into the loop, each naming its errors by
     # position, the intensions' code with them: no evaluator is compiled;
-    # the objective's totals are kept in locals of the one block
+    # the objective's totals are kept in locals of the one block, each
+    # stage reading the local of the stage before it, never its list
     assert any("raise named(e, n2_1) from e" in s and "_trunc_div(" in s
                and "u2_2 = u1_3 + c2_2 * v2" in s and "value = u2_2" in s
-               and "T2_2" not in s for s in sources)
+               and "T2_2[i2_2]" not in s for s in sources)
     assert not any("def evaluate" in s for s in sources)
     words = ["IDONE", "IDTWO", "IDTHREE", "LABELONE", "LABELTWO", "LABELTHREE"]
     for source in sources:
@@ -1545,29 +1546,49 @@ def test_forced_depths_across_a_block_boundary():
 
 
 @pytest.mark.parametrize("cfg", [SearchConfig(), SearchConfig(restrict_to_decision=True)])
-def test_every_loop_parameter_is_read(monkeypatch, cfg):
-    sources = []
+def test_every_block_takes_all_its_calls_constants(monkeypatch, cfg):
+    # every block takes the same leading parameters, and each expression
+    # one p parameter per constant of its bounded shape, in order; the only
+    # parameters its code never reads are unforced, named, the list and
+    # index of a stage or "last" that reads a local and stores nothing, and
+    # the ids of the variables an expression reads from loop variables
+    loop_source = solver._loop_source
+    written = []
 
-    def recording_compile(source, filename, mode):
-        if filename == "<search loop>":
-            sources.append(source)
-        return compile(source, filename, mode)
+    def recording_source(*args):
+        source = loop_source(*args)
+        written.append((args[4], args[5], args[6], source))
+        return source
 
-    monkeypatch.setattr(expr, "compile", recording_compile, raising=False)
+    monkeypatch.setattr(solver, "_loop_source", recording_source)
     monkeypatch.setattr(solver, "_LOOPS", {})
     for path in sorted(FIXTURES.glob("*.xml")):
         _Search(parse_file(path), cfg)
-    taken = set()
-    for source in sources:
+    bounded = unread_ids = 0
+    for leaf, calls, local, source in written:
         make = next(node for node in ast.parse(source).body
                     if isinstance(node, ast.FunctionDef) and node.name == "_make")
         params = [arg.arg for arg in make.args.args]
-        read = {node.id for node in ast.walk(make)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        assert not set(params) - read, source
-        taken.update(params)
-    # misc_core_2 has forced depths under restrict_to_decision; some calls name their errors
-    assert "named" in taken and ("unforced" in taken) == cfg.restrict_to_decision
+        assert params[:5] == ["search", "env", "checkpoint", "unforced", "named"]
+        unread = {node.id for node in ast.walk(make)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread = {p for p in set(params) - unread
+                  if not re.fullmatch(r"unforced|named|[TSi]\d+_\d+|TL\d+", p)}
+        for suffix, depth in [("L", leaf), *((f"{d}_", depth) for d, depth in enumerate(calls))]:
+            for j, (_, args, _) in enumerate(depth):
+                if type(args[0]) is not expr.Bounded:
+                    continue
+                taken = [p for p in params if re.fullmatch(rf"p{suffix}{j}_\d+", p)]
+                consts = args[0].consts
+                assert taken == [f"p{suffix}{j}_{i}" for i in range(len(consts))], source
+                for i, p in enumerate(taken):
+                    if p in unread:
+                        assert consts[i] in local, source
+                        unread.discard(p)
+                        unread_ids += 1
+                bounded += 1
+        assert not unread, source
+    assert bounded and unread_ids
 
 
 @pytest.mark.parametrize("cfg,sense", [
